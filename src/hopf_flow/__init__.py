@@ -9,8 +9,8 @@ differentiation, residual diagnostics) needed to measure every claimed
 identity rather than assume it.
 """
 
-from .diagnostics import ResidualReport, conservation_check, fd_check, relative_to_terms
-from .dual import Dual, derivative, second_derivative, value
+from .diagnostics import ResidualReport, relative_to_terms
+from .dual import Dual, derivative, value
 from .fields import (
     CartesianState,
     DerivedRates,
@@ -109,12 +109,10 @@ __all__ = [
     "bessel_k_continued",
     "bessel_quad",
     "cartesian_ode",
-    "conservation_check",
     "derivative",
     "derived_rates",
     "eval_cartesian",
     "eval_spherical",
-    "fd_check",
     "from_spherical",
     "h_pde_residual",
     "h_rhs",
@@ -131,7 +129,6 @@ __all__ = [
     "relative_to_terms",
     "rho_eval",
     "run_battery",
-    "second_derivative",
     "select_effective_form",
     "solve_implicit",
     "spherical_ode",

@@ -2,8 +2,7 @@
 
 Each named check measures one contract of the package and folds its
 residuals into a ResidualReport.  Checks are pure and deterministic
-(fixed seeds); the battery may fan them out over a thread pool capped by
-the HOPF_FLOW_THREADS environment variable.
+(fixed seeds) and run one after another.
 
 Four checks measure relations that are known not to hold in the form
 printed in the source material; they are expected to report
@@ -15,9 +14,7 @@ must pass outright.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,20 +36,6 @@ ALLOWED_DISCREPANCIES = frozenset({
     "h-pde-v",
     "phi-flow-derivative",
 })
-
-
-def thread_cap() -> int:
-    """Worker-thread cap: HOPF_FLOW_THREADS or a small default."""
-    raw = os.environ.get("HOPF_FLOW_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("HOPF_FLOW_THREADS must be a positive integer") from None
-    if n < 1:
-        raise ValueError("HOPF_FLOW_THREADS must be a positive integer")
-    return n
 
 
 # -- individual checks -------------------------------------------------------
@@ -455,10 +438,13 @@ def run_battery(only: Sequence[str] | None = None,
     """Run the named checks (all by default) and aggregate a JSON document.
 
     tol_scale multiplies every check's tolerance; passing 1e-3 tightens
-    all checks a thousandfold.  The document's "passed" is true iff no
-    check fails and every documented-discrepancy verdict belongs to the
-    allowlist.
+    all checks a thousandfold.  It must be finite and positive.  The
+    document's "passed" is true iff no check fails and every
+    documented-discrepancy verdict belongs to the allowlist.
     """
+    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
+        raise ValueError(f"tolerance scale must be finite and positive, "
+                         f"got {tol_scale!r}")
     by_name = {c.name: c for c in CHECKS}
     if only:
         unknown = [n for n in only if n not in by_name]
@@ -469,13 +455,9 @@ def run_battery(only: Sequence[str] | None = None,
     else:
         selected = list(CHECKS)
 
-    def run_one(c: CheckDef) -> ResidualReport:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return c.fn(c.tol * tol_scale, c.documented)
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        reports = list(pool.map(run_one, selected))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports = [c.fn(c.tol * tol_scale, c.documented) for c in selected]
 
     passed = all(
         r.verdict == "pass"
@@ -485,7 +467,6 @@ def run_battery(only: Sequence[str] | None = None,
     return {
         "schema": SCHEMA,
         "tol_scale": tol_scale,
-        "threads": thread_cap(),
         "allowed_discrepancies": sorted(ALLOWED_DISCREPANCIES),
         "passed": passed,
         "checks": [r.to_dict() for r in reports],

@@ -13,15 +13,18 @@ rho       tabulate the closed-form generating function and its PDE
           residuals on a (xi, psi) grid.
 verify    run the full check battery and emit one JSON document.
 
-Shared flags: --config takes a JSON file of defaults (explicit flags
-override it); --out writes to a file instead of stdout; --format picks
-csv or json.  Numbers in CSV carry 17 significant digits, so re-parsing
-reproduces every float bit-exactly.  Exit codes: 0 all good, 1 check or
-runtime failure, 2 usage/config error.
+Every subcommand takes --config, a JSON file of defaults (explicit
+flags override it), and --out, a file to write instead of stdout; all
+but verify take --format csv|json.  Beyond its own flags, --tol (the
+integration rel_tol) goes to trace and reduce and scales the check
+tolerances for verify; --c2, --f1 and --grid go to rho alone.  A
+subcommand refuses any flag it does not read.  Numbers in CSV carry 17
+significant digits, so re-parsing reproduces every float bit-exactly.
+Exit codes: 0 all good, 1 check or runtime failure, 2 usage/config
+error.
 
 Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
-F1 = 0, grids 20x20.  HOPF_FLOW_THREADS caps worker threads for grid
-sweeps and the battery.
+F1 = 0, grids 20x20.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
 from . import checks, fields, first_integral, reduced_system
 from .integrator import IntegratorConfig, integrate
+from .special_functions import Z_MAX
 
 DEFAULTS = {
     "tol": 1e-10,
@@ -65,15 +68,6 @@ def write_csv(path: str | None, header: Sequence[str],
     else:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    """Re-parse a CSV written by this module (the round-trip reader)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return header, rows
 
 
 def _emit(ns, header, rows, meta) -> None:
@@ -125,7 +119,7 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def _f1_tuple(ns) -> tuple[float, ...]:
-    raw = getattr(ns, "f1", ())
+    raw = ns.f1
     if raw in ((), None):
         return ()
     if isinstance(raw, str):
@@ -150,7 +144,7 @@ def cmd_trace(ns) -> int:
         r, phi, psi = start
         if r <= 0.0:
             raise ValueError("spherical start needs r > 0")
-        if abs(math.sin(psi)) < 1e-8:
+        if abs(math.sin(psi)) < fields.SIN_PSI_FLOOR:
             raise ValueError("start lies on the z-axis where the spherical "
                              "chart is singular; use the cartesian chart")
         ode = fields.spherical_ode
@@ -207,7 +201,7 @@ def cmd_reduce(ns) -> int:
     c_ref = None
     for r, h, psi in zip(curve.rs, curve.hs, curve.psis):
         z = 0.5 * math.sqrt(max(h, 0.0)) * r
-        if 1e-10 < h < 1.0 - 1e-10 and 0.0 < z <= 60.0:
+        if 1e-10 < h < 1.0 - 1e-10 and 0.0 < z <= Z_MAX:
             c = reduced_system.implicit_constant(float(r), float(h),
                                                  "continued")
             if c_ref is None:
@@ -253,8 +247,7 @@ def cmd_implicit(ns) -> int:
         except (ValueError, ArithmeticError):
             return [float(r), math.nan, math.nan]
 
-    with ThreadPoolExecutor(max_workers=checks.thread_cap()) as pool:
-        rows = list(pool.map(solve_row, rs))
+    rows = [solve_row(r) for r in rs]
     solved = sum(1 for row in rows if math.isfinite(row[1]))
     if solved == 0:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
@@ -276,10 +269,8 @@ def cmd_rho(ns) -> int:
     c2 = float(ns.c2)
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
-    grid = [(float(x), float(q)) for x in xis for q in psis]
 
-    def rho_row(point: tuple[float, float]) -> list[float]:
-        x, q = point
+    def rho_row(x: float, q: float) -> list[float]:
         p = first_integral.ParamPoint(x, q, c2)
         val = first_integral.rho_eval(p, f1)
         uv = first_integral.uv_from_rho(p, f1)
@@ -293,8 +284,7 @@ def cmd_rho(ns) -> int:
         return [x, q, val.rho.real, val.rho.imag, uv.u.real, uv.v.real,
                 uv.u.imag, uv.v.imag, log_chi, direct, parametric]
 
-    with ThreadPoolExecutor(max_workers=checks.thread_cap()) as pool:
-        rows = list(pool.map(rho_row, grid))
+    rows = [rho_row(float(x), float(q)) for x in xis for q in psis]
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
@@ -325,21 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "by the Hopf fibration and its first integrals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, grid: bool = False,
-               fmt: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
         p.add_argument("--config", help="JSON file of defaults; flags override")
         p.add_argument("--out", help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--tol", type=float,
-                       help="integration rel_tol (verify: tolerance scale)")
-        p.add_argument("--c2", type=float, help="first-integral slope c2")
-        p.add_argument("--f1", help="comma-separated ascending F1 coefficients")
-        if grid:
-            p.add_argument("--grid", type=int, help="points per grid axis")
 
     p_trace = sub.add_parser("trace", help="integrate the flow")
     common(p_trace)
+    p_trace.add_argument("--tol", type=float, help="integration rel_tol")
     p_trace.add_argument("--start", required=True,
                          help="x,y,z (or r,phi,psi with --chart spherical)")
     p_trace.add_argument("--span", type=float)
@@ -354,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="trace the reduced (r,H) curve")
     common(p_reduce)
+    p_reduce.add_argument("--tol", type=float, help="integration rel_tol")
     p_reduce.add_argument("--start", help="r0,psi0")
     p_reduce.add_argument("--target", type=float, help="target radius")
 
@@ -368,12 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_impl.add_argument("--bracket", help="H bracket lo,hi for the root solve")
 
     p_rho = sub.add_parser("rho", help="tabulate the generating function")
-    common(p_rho, grid=True)
+    common(p_rho)
+    p_rho.add_argument("--c2", type=float, help="first-integral slope c2")
+    p_rho.add_argument("--f1", help="comma-separated ascending F1 coefficients")
+    p_rho.add_argument("--grid", type=int, help="points per grid axis")
     p_rho.add_argument("--xi", help="xi range lo,hi")
     p_rho.add_argument("--psi", help="psi range lo,hi")
 
     p_verify = sub.add_parser("verify", help="run the check battery")
     common(p_verify, fmt=False)  # the report is always JSON
+    p_verify.add_argument("--tol", type=float,
+                          help="scale applied to every check tolerance")
     p_verify.add_argument("--only", action="append",
                           help="run only this check (repeatable)")
     return parser

@@ -1,4 +1,4 @@
-"""Residual reporting and generic numerical checks.
+"""Residual reporting, the term-scaled residual and the shared root finder.
 
 Every check in this package reduces to a set of per-sample residuals
 that are summarized in a ResidualReport: the sample count, the largest
@@ -15,18 +15,18 @@ Residuals of additive identities are scaled "relative to terms": the
 absolute value of the sum divided by the largest additive term, so a
 residual of 1e-16 means cancellation to machine precision regardless of
 the raw magnitudes involved.
+
+Both root solves of the package (the implicit Bessel relation for H and
+the parameter elimination v(xi, psi) = r) go through `bracketed_roots`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-
-from .integrator import Trajectory
 
 VERDICTS = ("pass", "fail", "documented-discrepancy")
 
@@ -100,52 +100,44 @@ def summarize(name: str, residuals: Sequence[float], tolerance: float,
                           details=dict(details or {}))
 
 
-def conservation_check(traj: Trajectory, quantity: Callable[[np.ndarray], float],
-                       tol: float, name: str,
-                       exclude: Callable[[np.ndarray], bool] | None = None
-                       ) -> ResidualReport:
-    """Drift of a scalar along an integrated trajectory.
+def bracketed_roots(fn: Callable[[float], float], lo: float, hi: float,
+                    n_scan: int, tol: float) -> list[float]:
+    """Every root of fn that a sign-change scan of [lo, hi] brackets.
 
-    `quantity(y)` maps a state vector to a scalar; the residuals are the
-    deviations from the value at the initial state, relative to
-    max(1, |initial value|).  States where `exclude(y)` is true (for
-    example chart-degenerate points) are skipped and counted in details.
+    fn is sampled at n_scan + 1 equally spaced points.  A sample where fn
+    is exactly 0 is a root; each interval whose ends change sign is
+    refined by safeguarded secant/bisection until it is at most tol wide.
+    Intervals with a NaN end never count as changing sign.  Roots come
+    back in scan order.
     """
-    ref = None
-    residuals = []
-    skipped = 0
-    for y in traj.ys:
-        if exclude is not None and exclude(y):
-            skipped += 1
-            continue
-        q = float(quantity(y))
-        if ref is None:
-            ref = q
-            residuals.append(0.0)
+    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
+    fs = [fn(x) for x in xs]
+    roots = []
+    for i in range(n_scan + 1):
+        if fs[i] == 0.0:
+            roots.append(xs[i])
+        elif i < n_scan and fs[i] * fs[i + 1] < 0.0:
+            roots.append(_refine_root(fn, xs[i], xs[i + 1], fs[i], fs[i + 1],
+                                      tol))
+    return roots
+
+
+def _refine_root(fn: Callable[[float], float], a: float, b: float,
+                 fa: float, fb: float, tol: float) -> float:
+    for _ in range(200):
+        if abs(b - a) <= tol:
+            break
+        # Secant proposal, safeguarded to stay inside the bracket.
+        x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
+        lo, hi = min(a, b), max(a, b)
+        margin = 0.01 * (hi - lo)
+        if not lo + margin < x < hi - margin:
+            x = 0.5 * (a + b)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
         else:
-            residuals.append((q - ref) / max(1.0, abs(ref)))
-    if ref is None:
-        raise ValueError("all trajectory samples were excluded")
-    return summarize(name, residuals, tol,
-                     details={"initial_value": ref, "skipped": skipped})
-
-
-def fd_check(f: Callable[[np.ndarray], float],
-             analytic_grad: Callable[[np.ndarray], np.ndarray],
-             probes: Sequence[np.ndarray], tol: float, name: str,
-             h: float = 1e-6) -> ResidualReport:
-    """Central-difference check of an analytic gradient at probe points.
-
-    Residuals are per-component |fd - analytic| / max(1, |analytic|).
-    """
-    residuals = []
-    for p in probes:
-        p = np.asarray(p, dtype=float)
-        grad = np.asarray(analytic_grad(p), dtype=float)
-        for k in range(p.size):
-            e = np.zeros_like(p)
-            e[k] = h * max(1.0, abs(p[k]))
-            fd = (f(p + e) - f(p - e)) / (2.0 * e[k])
-            residuals.append((fd - grad[k]) / max(1.0, abs(grad[k])))
-    return summarize(name, residuals, tol,
-                     details={"probes": len(list(probes)), "step": h})
+            b, fb = x, fx
+    return 0.5 * (a + b)

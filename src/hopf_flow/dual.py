@@ -146,12 +146,3 @@ def derivative(fn, x0):
     one = 1.0 if not isinstance(x0, complex) else complex(1.0)
     out = fn(Dual(x0, one))
     return out.eps if isinstance(out, Dual) else 0.0 * x0
-
-
-def second_derivative(fn, x0):
-    """d^2 fn / dx^2 at x0 via one level of nesting."""
-    one = 1.0 if not isinstance(x0, complex) else complex(1.0)
-    out = fn(Dual(Dual(x0, one), Dual(one, 0.0 * one)))
-    if isinstance(out, Dual) and isinstance(out.eps, Dual):
-        return out.eps.eps
-    return 0.0 * x0

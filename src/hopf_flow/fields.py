@@ -68,9 +68,6 @@ class SphericalState:
     psi: float
     on_axis: bool = False
 
-    def chart_ok(self) -> bool:
-        return self.r > 0.0 and 0.0 < self.psi < math.pi
-
 
 @dataclass(frozen=True)
 class SphericalVelocity:

@@ -49,6 +49,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .diagnostics import bracketed_roots, relative_to_terms
 from .dual import Dual, atan, cos, derivative, log, sin, sqrt, value
 from .fields import SphericalState, eval_spherical
 
@@ -104,10 +105,6 @@ def poly_eval(coeffs: Sequence[float], x):
     for c in reversed(tuple(coeffs)):
         acc = acc * x + c
     return acc
-
-
-def poly_derivative(coeffs: Sequence[float]) -> tuple[float, ...]:
-    return tuple(k * c for k, c in enumerate(coeffs))[1:]
 
 
 def rho_raw(xi, psi, c2=1.0, f1: Sequence[float] = ()):
@@ -196,13 +193,6 @@ def source_coefficient(w, psi: float):
             + 16.0 * w * cos_psi)
 
 
-def _scaled(terms: Sequence[complex]) -> float:
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
-
-
 def linear_pde_residual(p: ParamPoint, f1: Sequence[float] = (),
                         variant: str = "direct") -> float:
     """Scaled residual of the linear PDE for rho at one point.
@@ -233,7 +223,7 @@ def linear_pde_residual(p: ParamPoint, f1: Sequence[float] = (),
                  32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return _scaled(terms)
+    return relative_to_terms(terms)
 
 
 def uv_from_rho(p: ParamPoint, f1: Sequence[float] = ()) -> UVPair:
@@ -302,7 +292,7 @@ def parametric_relation_residual(p: ParamPoint, f1: Sequence[float] = (),
              b * uv.u_xi,
              -8.0 * c2 * w ** 3 * uv.v_xi,
              32.0 * c2 * w * uv.v_xi]
-    return _scaled(terms)
+    return relative_to_terms(terms)
 
 
 def _reconstruct_xi(r: float, psi: float, c2: float, f1: Sequence[float],
@@ -320,39 +310,14 @@ def _reconstruct_xi(r: float, psi: float, c2: float, f1: Sequence[float],
                              f"real region")
         return uv_v.real - r
 
-    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    gs = [v_real(x) for x in xs]
-    intervals = []
-    for i in range(n_scan):
-        if gs[i] == 0.0:
-            intervals.append((xs[i], xs[i], 0.0, 0.0))
-        elif gs[i] * gs[i + 1] < 0.0:
-            intervals.append((xs[i], xs[i + 1], gs[i], gs[i + 1]))
-    if not intervals:
+    roots = bracketed_roots(v_real, lo, hi, n_scan, 1e-10)
+    if not roots:
         raise ValueError("no root of v(xi, psi) = r in the bracket")
-    if len(intervals) > 1:
-        warnings.warn(f"{len(intervals)} parameter roots in bracket; "
+    mid = 0.5 * (lo + hi)
+    if len(roots) > 1:
+        warnings.warn(f"{len(roots)} parameter roots in bracket; "
                       f"using the one nearest its midpoint", stacklevel=3)
-        mid = 0.5 * (lo + hi)
-        intervals.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1]) - mid))
-    a, b, ga, gb = intervals[0]
-    if a == b:
-        return a
-    for _ in range(200):
-        if abs(b - a) <= 1e-10:
-            break
-        x = b - gb * (b - a) / (gb - ga) if gb != ga else 0.5 * (a + b)
-        lo_, hi_ = min(a, b), max(a, b)
-        if not lo_ + 0.01 * (hi_ - lo_) < x < hi_ - 0.01 * (hi_ - lo_):
-            x = 0.5 * (a + b)
-        gx = v_real(x)
-        if gx == 0.0:
-            return x
-        if (gx > 0.0) == (ga > 0.0):
-            a, ga = x, gx
-        else:
-            b, gb = x, gx
-    return 0.5 * (a + b)
+    return min(roots, key=lambda x: abs(x - mid))
 
 
 def reconstruct_H(r: float, psi: float, c2: float = 1.0,
@@ -393,7 +358,7 @@ def h_pde_residual(r: float, psi: float, c2: float = 1.0,
              -transport_coefficient(w, psi) * h_psi,
              -8.0 * c2 * w ** 3,
              32.0 * c2 * w]
-    return _scaled(terms)
+    return relative_to_terms(terms)
 
 
 def phi_flow_derivative(state: SphericalState, c2: float = 1.0,
@@ -415,7 +380,7 @@ def phi_flow_derivative(state: SphericalState, c2: float = 1.0,
     h_psi = (uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi).real
     vel = eval_spherical(state)
     terms = [h_r * vel.dr, c2 * vel.dphi, h_psi * vel.dpsi]
-    return _scaled(terms)
+    return relative_to_terms(terms)
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,
@@ -462,7 +427,4 @@ def xi_substitution_residual(r: float, phi: float, psi: float,
         (cos_psi * r5 - 56.0 * cos_psi * r3 + 64.0 * c2psi * cos_psi * r3
          + 16.0 * cos_psi * r) * e_r,
     ]
-    scale = max(abs(t) for t in eq_xi_terms + eq_psi_terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(eq_xi_terms) - sum(eq_psi_terms)) / scale
+    return relative_to_terms(eq_xi_terms + [-t for t in eq_psi_terms])

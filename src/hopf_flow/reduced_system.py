@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import bracketed_roots, relative_to_terms
+from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
 from .integrator import (Event, IntegratorConfig, Trajectory, integrate,
                          integrate_scalar)
 from .special_functions import bessel_quad
 
 EPS_TURN = 1e-8
-
-TURNING_R_MIN = 4.0 - 2.0 * math.sqrt(3.0)
-TURNING_R_MAX = 4.0 + 2.0 * math.sqrt(3.0)
 
 # Margins for guard events while tracing (looser than EPS_TURN so the
 # trace stops before evaluation would refuse).
@@ -199,15 +198,13 @@ def substitution_check(rs, psis) -> float:
             dh = (hm * hm * h_seg[i + 1] + (hp * hp - hm * hm) * h_seg[i]
                   - hp * hp * h_seg[i - 1]) / (hp * hm * (hp + hm))
             terms = h_residual_terms(float(r_seg[i]), float(h_seg[i]), float(dh))
-            scale = max(abs(t) for t in terms)
-            if scale > 0.0:
-                worst = max(worst, abs(sum(terms)) / scale)
+            worst = max(worst, relative_to_terms(terms))
         seg_start = seg_end
     return worst
 
 
-def implicit_constant(r: float, h: float, form: str = "continued") -> ImplicitConstant:
-    """The conserved Bessel combination at one (r, H) sample."""
+def _combination(r: float, h: float, form: str) -> tuple[float, float, float]:
+    """(z, numerator, denominator) of C(r, H) = numerator / denominator."""
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
     if r <= 0.0 or not 0.0 < h <= 1.0:
@@ -216,16 +213,18 @@ def implicit_constant(r: float, h: float, form: str = "continued") -> ImplicitCo
     q = bessel_quad(z)  # raises outside (0, 60]
     a = 4.0 + r * r
     b = 8.0 * math.sqrt(h) * r
-    den = a * q.i0 - b * q.i1
+    k_sign = 1.0 if form == "continued" else -1.0
+    return z, -(a * q.k0 + k_sign * b * q.k1), a * q.i0 - b * q.i1
+
+
+def implicit_constant(r: float, h: float, form: str = "continued") -> ImplicitConstant:
+    """The conserved Bessel combination at one (r, H) sample."""
+    z, num, den = _combination(r, h, form)
     if abs(den) < 1e-300:
         raise ValueError(f"degenerate sample: I-combination vanishes at "
                          f"(r={r!r}, H={h!r})")
-    if form == "continued":
-        c_eff = -(a * q.k0 + b * q.k1) / den
-        c1 = complex(c_eff, math.pi)
-    else:
-        c_eff = -(a * q.k0 - b * q.k1) / den
-        c1 = complex(c_eff, 0.0)
+    c_eff = num / den
+    c1 = complex(c_eff, math.pi if form == "continued" else 0.0)
     return ImplicitConstant(c1=c1, c_effective=c_eff, r=r, h=h, z=z,
                             form=form, denom=den)
 
@@ -240,12 +239,7 @@ def implicit_residual(c_effective: float, r: float, h: float,
     k_sign = 1.0 if form == "continued" else -1.0
     terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
              a * q.k0, k_sign * b * q.k1]
-    return abs(sum(terms)) / max(abs(t) for t in terms)
-
-
-def _default_cfg(rel_tol: float, abs_tol: float,
-                 events: tuple[Event, ...]) -> IntegratorConfig:
-    return IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, events=events)
+    return relative_to_terms(terms)
 
 
 def _turning_guard_event(r0: float, h0: float) -> Event:
@@ -278,7 +272,7 @@ def trace_h(r0: float, h0: float, r1: float,
         Event(fn=lambda r, h: h - 1e-15, direction=-1, terminal=True,
               name="h-floor"),
     )
-    cfg = _default_cfg(rel_tol, abs_tol, events)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, events=events)
     traj = integrate_scalar(_h_rhs_raw, (r0, r1), h0, cfg)
     hs = traj.ys[:, 0]
     if hs.max() > 1.0 + 1e-9 or hs.min() < -1e-12:
@@ -384,12 +378,12 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                   direction=1, terminal=True, name="fold-cleared"),
             Event(fn=lambda s, y: float(y[0]) - r_target, direction=0,
                   terminal=True, name="target-radius"),
-            Event(fn=lambda s, y: float(y[0]) - 1e-6, direction=-1,
+            Event(fn=lambda s, y: float(y[0]) - RADIUS_FLOOR, direction=-1,
                   terminal=True, name="radius-floor"),
-            Event(fn=lambda s, y: abs(math.sin(float(y[1]))) - 1e-8,
+            Event(fn=lambda s, y: abs(math.sin(float(y[1]))) - SIN_PSI_FLOOR,
                   direction=-1, terminal=True, name="axis"),
         )
-        cfg = _default_cfg(rel_tol, abs_tol, events)
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, events=events)
         traj = integrate(reduced_time_ode, [r, psi],
                          (0.0, s_sign * max_param), cfg)
         rs.append(traj.ys[:, 0].copy())
@@ -453,10 +447,10 @@ def solve_implicit(c1, r: float, bracket: tuple[float, float],
 
     `c1` may be an ImplicitConstant, a complex value, or the effective
     real constant directly.  The bracket is scanned for sign changes of
-    C(r, H) - c1 (intervals containing a pole of C are skipped), each
-    root is polished by safeguarded secant/bisection to |dH| <= 1e-12,
-    and with several roots the one nearest the bracket midpoint is
-    returned with a multiplicity warning.
+    (C(r, H) - c1) times the I-combination denominator, which has the
+    roots of C - c1 and none of its poles; each root is polished to
+    |dH| <= 1e-12, and with several roots the one nearest the bracket
+    midpoint is returned with a multiplicity warning.
     """
     if isinstance(c1, ImplicitConstant):
         target = c1.c_effective
@@ -468,65 +462,39 @@ def solve_implicit(c1, r: float, bracket: tuple[float, float],
     if not h_lo < h_hi:
         raise ValueError("empty bracket")
 
-    def g(h: float) -> tuple[float, float] | None:
+    def g(h: float) -> float:
         try:
-            ic = implicit_constant(r, h, form)
+            _, num, den = _combination(r, h, form)
         except ValueError:
-            return None
-        return ic.c_effective - target, ic.denom
+            return math.nan
+        return num - target * den
 
-    grid = np.linspace(h_lo, h_hi, n_scan + 1)
-    vals = [g(float(h)) for h in grid]
-    intervals: list[tuple[float, float, float, float]] = []
-    for i in range(n_scan):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if a[1] * b[1] <= 0.0:
-            continue  # pole of C inside; sign change is not a root
-        if a[0] == 0.0:
-            intervals.append((float(grid[i]), float(grid[i]), 0.0, 0.0))
-        elif a[0] * b[0] < 0.0:
-            intervals.append((float(grid[i]), float(grid[i + 1]), a[0], b[0]))
-    if not intervals:
-        finite = [(float(grid[i]), v[0]) for i, v in enumerate(vals)
-                  if v is not None]
-        if finite:
-            h_best, g_best = min(finite, key=lambda t: abs(t[1]))
-            if abs(g_best) <= 1e-2 * max(1.0, abs(target)):
-                raise ValueError(
-                    f"no sign change on the bracket, but |C - c1| dips to "
-                    f"{abs(g_best):.2e} near H={h_best:.6g}: the level curve "
-                    f"is tangent there (turning locus), so H(r) folds and "
-                    f"the root is not bracketable in H")
-        raise ValueError("no sign change on the bracket")
-
-    roots = [_refine_root(lambda h: g(h)[0], *iv) for iv in intervals]
+    roots = bracketed_roots(g, h_lo, h_hi, n_scan, 1e-12)
+    if not roots:
+        raise _no_root_error(r, form, target,
+                             np.linspace(h_lo, h_hi, n_scan + 1))
+    mid = 0.5 * (h_lo + h_hi)
     if len(roots) > 1:
         warnings.warn(f"{len(roots)} roots in bracket; returning the one "
                       f"nearest the midpoint", stacklevel=2)
-        mid = 0.5 * (h_lo + h_hi)
-        roots.sort(key=lambda h: abs(h - mid))
-    return roots[0]
+    return min(roots, key=lambda h: abs(h - mid))
 
 
-def _refine_root(fn, a: float, b: float, fa: float, fb: float) -> float:
-    if a == b:
-        return a
-    for _ in range(200):
-        if abs(b - a) <= 1e-12:
-            break
-        # Secant proposal, safeguarded to stay inside the bracket.
-        x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-        lo, hi = min(a, b), max(a, b)
-        margin = 0.01 * (hi - lo)
-        if not lo + margin < x < hi - margin:
-            x = 0.5 * (a + b)
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+def _no_root_error(r: float, form: str, target: float, grid) -> ValueError:
+    """Why no root was bracketed: a tangency, or no crossing at all."""
+    gaps = []
+    for h in grid:
+        try:
+            gaps.append((float(h), implicit_constant(r, float(h), form)
+                         .c_effective - target))
+        except ValueError:
+            continue
+    if gaps:
+        h_best, g_best = min(gaps, key=lambda t: abs(t[1]))
+        if abs(g_best) <= 1e-2 * max(1.0, abs(target)):
+            return ValueError(
+                f"no sign change on the bracket, but |C - c1| dips to "
+                f"{abs(g_best):.2e} near H={h_best:.6g}: the level curve "
+                f"is tangent there (turning locus), so H(r) folds and "
+                f"the root is not bracketable in H")
+    return ValueError("no sign change on the bracket")

@@ -43,16 +43,3 @@ def test_documented_discrepancy_does_not_fail_battery():
     assert doc["checks"][0]["verdict"] == "documented-discrepancy"
     assert doc["passed"] is True
     assert "linear-pde-direct" in doc["allowed_discrepancies"]
-
-
-def test_thread_cap_env_validation(monkeypatch):
-    monkeypatch.setenv("HOPF_FLOW_THREADS", "3")
-    assert checks.thread_cap() == 3
-    monkeypatch.setenv("HOPF_FLOW_THREADS", "0")
-    with pytest.raises(ValueError):
-        checks.thread_cap()
-    monkeypatch.setenv("HOPF_FLOW_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        checks.thread_cap()
-    monkeypatch.delenv("HOPF_FLOW_THREADS")
-    assert checks.thread_cap() >= 1

@@ -216,11 +216,21 @@ def test_bad_start_string_is_usage_error(capsys):
     assert run_cli("trace", "--start", "a,b,c") == 2
 
 
-def test_thread_env_var_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOPF_FLOW_THREADS", "not-a-number")
-    assert run_cli("rho", "--grid", "2", "--out", str(tmp_path / "r.csv")) == 2
-    monkeypatch.setenv("HOPF_FLOW_THREADS", "2")
-    assert run_cli("rho", "--grid", "2", "--out", str(tmp_path / "r.csv")) == 0
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_bad_tol(tol, capsys):
+    assert run_cli("verify", "--only", "unit-norm", "--tol", tol) == 2
+    assert "tolerance scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "--start", "1,0,0", "--c2", "1"),
+    ("rho", "--grid", "2", "--tol", "1e-8"),
+], ids=["trace-c2", "rho-tol"])
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entrypoint_runs_as_subprocess(tmp_path):

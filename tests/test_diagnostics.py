@@ -1,4 +1,4 @@
-"""Residual reports, conservation checks, and gradient verification."""
+"""Residual reports, the term-scaled residual, and the shared root finder."""
 
 import json
 import math
@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hopf_flow.diagnostics import (ResidualReport, conservation_check,
-                                   fd_check, relative_to_terms, summarize)
-from hopf_flow.integrator import IntegratorConfig, integrate
+from hopf_flow.diagnostics import (ResidualReport, bracketed_roots,
+                                   relative_to_terms, summarize)
 
 
 def test_summarize_verdict_thresholds():
@@ -49,51 +48,30 @@ def test_report_validation_and_serialization():
                        verdict="sideways", tolerance=1e-6)
 
 
-def test_conservation_check_on_circular_motion():
-    def oscillator(t, y):
-        return np.array([y[1], -y[0]])
-
-    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
-    traj = integrate(oscillator, [1.0, 0.0], (0.0, 12.0), cfg)
-    rpt = conservation_check(traj, lambda y: float(y[0] ** 2 + y[1] ** 2),
-                             1e-8, "energy")
-    assert rpt.verdict == "pass"
-    assert rpt.samples == len(traj.ts)
-    broken = conservation_check(traj, lambda y: float(y[0]), 1e-8, "x-coord")
-    assert broken.verdict == "fail"
-
-
-def test_conservation_check_exclusion_predicate():
-    def oscillator(t, y):
-        return np.array([y[1], -y[0]])
-
-    traj = integrate(oscillator, [1.0, 0.0], (0.0, 6.0))
-    rpt = conservation_check(traj, lambda y: float(y[0] ** 2 + y[1] ** 2),
-                             1e-6, "energy",
-                             exclude=lambda y: abs(float(y[0])) > 0.5)
-    assert rpt.details["skipped"] > 0
-    assert rpt.samples + rpt.details["skipped"] == len(traj.ts)
-
-
-def test_fd_check_accepts_true_gradient_and_rejects_wrong_one():
-    def f(x):
-        return float(x[0] ** 2 + 3.0 * x[0] * x[1] + math.sin(x[1]))
-
-    def grad(x):
-        return np.array([2.0 * x[0] + 3.0 * x[1],
-                         3.0 * x[0] + math.cos(x[1])])
-
-    probes = [np.array([0.3, -0.7]), np.array([1.5, 0.2])]
-    assert fd_check(f, grad, probes, 1e-6, "grad").verdict == "pass"
-
-    def bad(x):
-        return grad(x) + 0.01
-
-    assert fd_check(f, bad, probes, 1e-6, "grad").verdict == "fail"
-
-
 def test_relative_to_terms_scaling():
     # Exact cancellation scores zero; imbalance scores near one.
     assert relative_to_terms([1.0, -1.0]) == 0.0
     np.testing.assert_allclose(relative_to_terms([2.0, -1.0]), 0.5)
     assert relative_to_terms([0.0, 0.0]) == 0.0
+
+
+def test_bracketed_roots_finds_every_sign_change():
+    roots = bracketed_roots(math.sin, 1.0, 10.0, 64, 1e-12)
+    assert len(roots) == 3
+    for k, root in enumerate(roots, start=1):
+        assert abs(root - k * math.pi) <= 1e-12
+
+
+def test_bracketed_roots_without_sign_change_is_empty():
+    assert bracketed_roots(lambda x: x * x + 1.0, -2.0, 2.0, 16, 1e-12) == []
+
+
+def test_bracketed_roots_counts_exact_zeros_and_skips_nan_ends():
+    # Samples at 0, 1, ..., 4: f(2) is exactly 0, and f is NaN at 3, so
+    # the sign changes around it are not roots.
+    def f(x):
+        if x == 3.0:
+            return math.nan
+        return {0.0: -1.0, 1.0: -1.0, 2.0: 0.0, 4.0: -1.0}.get(x, 1.0)
+
+    assert bracketed_roots(f, 0.0, 4.0, 4, 1e-12) == [2.0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hopf_flow import dual
-from hopf_flow.dual import Dual, derivative, second_derivative, value
+from hopf_flow.dual import Dual, derivative, value
 
 
 def test_arithmetic_ops_propagate_derivatives():
@@ -72,12 +72,6 @@ def test_derivative_helper_seeds_by_type():
     np.testing.assert_allclose(abs(d - (2.0 + 2.0j)), 0.0, atol=1e-16)
     # A function that drops its argument has zero slope.
     assert derivative(lambda x: 7.0, 3.0) == 0.0
-
-
-def test_second_derivative_of_sine():
-    x0 = 0.7
-    d2 = second_derivative(lambda x: dual.sin(x), x0)
-    np.testing.assert_allclose(d2, -math.sin(x0), rtol=1e-13)
 
 
 def test_value_unwraps_nested_duals():
