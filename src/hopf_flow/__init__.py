@@ -29,6 +29,7 @@ from .fields import (
 )
 from .first_integral import (
     ParamPoint,
+    RhoTable,
     RhoValue,
     UVPair,
     h_pde_residual,
@@ -37,6 +38,7 @@ from .first_integral import (
     phi_flow_derivative,
     reconstruct_H,
     rho_eval,
+    rho_table,
     uv_from_rho,
     xi_substitution_residual,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "ReducedCurve",
     "ReducedState",
     "ResidualReport",
+    "RhoTable",
     "RhoValue",
     "SignReport",
     "SphericalState",
@@ -128,6 +131,7 @@ __all__ = [
     "reconstruct_H",
     "relative_to_terms",
     "rho_eval",
+    "rho_table",
     "run_battery",
     "select_effective_form",
     "solve_implicit",

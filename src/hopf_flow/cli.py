@@ -18,10 +18,10 @@ flags override it), and --out, a file to write instead of stdout; all
 but verify take --format csv|json.  Beyond its own flags, --tol (the
 integration rel_tol) goes to trace and reduce and scales the check
 tolerances for verify; --c2, --f1 and --grid go to rho alone.  A
-subcommand refuses any flag it does not read.  Numbers in CSV carry 17
-significant digits, so re-parsing reproduces every float bit-exactly.
-Exit codes: 0 all good, 1 check or runtime failure, 2 usage/config
-error.
+subcommand refuses any flag it does not read, on the command line and
+as a --config key.  Numbers in CSV carry 17 significant digits, so
+re-parsing reproduces every float bit-exactly.  Exit codes: 0 all good,
+1 check or runtime failure, 2 usage/config error.
 
 Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
 F1 = 0, grids 20x20.
@@ -100,15 +100,25 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
 
 
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON file, then from DEFAULTS."""
+    """Fill unset flags from the --config JSON file, then from DEFAULTS.
+
+    The file's keys must be flag names (argparse dests) of the
+    subcommand, so a typo or a flag it does not take is a usage error.
+    """
     config = {}
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("--config must contain a JSON object")
+    flags = sorted(set(vars(ns)) - {"command", "config"})
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        raise ValueError(f"--config: {ns.command} takes no "
+                         f"{', '.join(map(repr, unknown))}; its keys are "
+                         f"{', '.join(flags)}")
     for key, val in config.items():
-        if hasattr(ns, key) and getattr(ns, key) is None:
+        if getattr(ns, key) is None:
             setattr(ns, key, val)
     for key, val in DEFAULTS.items():
         if key == "tol" and ns.command == "verify":
@@ -138,6 +148,8 @@ def _integrator_config(ns) -> IntegratorConfig:
 def cmd_trace(ns) -> int:
     start = _floats(ns.start, 3, "--start")
     span = 10.0 if ns.span is None else float(ns.span)
+    if not math.isfinite(span):
+        raise ValueError(f"--span must be finite, got {span!r}")
     chart = ns.chart or "cartesian"
     dense = int(ns.dense or 0)
     if chart == "spherical":
@@ -269,22 +281,16 @@ def cmd_rho(ns) -> int:
     c2 = float(ns.c2)
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
-
-    def rho_row(x: float, q: float) -> list[float]:
-        p = first_integral.ParamPoint(x, q, c2)
-        val = first_integral.rho_eval(p, f1)
-        uv = first_integral.uv_from_rho(p, f1)
-        log_chi = math.log(math.sin(q) / (1.0 + math.cos(q)))
-        try:
-            direct = first_integral.linear_pde_residual(p, f1, "direct")
-            parametric = first_integral.linear_pde_residual(p, f1,
-                                                            "parametric")
-        except ValueError:
-            direct = parametric = math.nan
-        return [x, q, val.rho.real, val.rho.imag, uv.u.real, uv.v.real,
-                uv.u.imag, uv.v.imag, log_chi, direct, parametric]
-
-    rows = [rho_row(float(x), float(q)) for x in xis for q in psis]
+    # Rows run xi outer, psi inner.  log(tan(psi/2)) in the half-angle form
+    # through math.log, which is exactly 0 at the floating-point pi/2.
+    xi, psi = (g.ravel() for g in np.meshgrid(xis, psis, indexing="ij"))
+    log_chi = np.tile([math.log(math.sin(q) / (1.0 + math.cos(q)))
+                       for q in psis.tolist()], len(xis))
+    table = first_integral.rho_table(xi, psi, c2, f1)
+    rows = np.column_stack([
+        xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
+        table.u.imag, table.v.imag, log_chi, table.pde_direct,
+        table.pde_parametric]).tolist()
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),

@@ -31,13 +31,26 @@ import numpy as np
 VERDICTS = ("pass", "fail", "documented-discrepancy")
 
 
-def relative_to_terms(terms: Sequence[complex]) -> float:
-    """|sum| / max|term|: cancellation quality of an additive identity."""
+def relative_to_terms(terms: Sequence) -> float | np.ndarray:
+    """|sum| / max|term|: cancellation quality of an additive identity.
+
+    Terms are numbers or broadcastable arrays; arrays give the ratio
+    elementwise.  The terms are summed one after another in list order,
+    as `sum` does, so scalar terms give a float with the same bits.  The
+    ratio is 0 where every term is 0.
+    """
     terms = list(terms)
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    mags = [abs(t) for t in terms]
+    if not any(isinstance(m, np.ndarray) for m in mags):
+        scale = max(mags)
+        return 0.0 if scale == 0.0 else abs(total) / scale
+    scale = np.maximum.reduce(np.broadcast_arrays(*mags))
+    # Where scale is 0 every term, and so the sum, is 0: dividing by 1
+    # gives that 0 without a 0/0.
+    return abs(total) / np.where(scale == 0.0, 1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -124,20 +137,33 @@ def bracketed_roots(fn: Callable[[float], float], lo: float, hi: float,
 
 def _refine_root(fn: Callable[[float], float], a: float, b: float,
                  fa: float, fb: float, tol: float) -> float:
+    # Illinois rule (Dowell & Jarratt 1971, BIT 11:168): regula falsi on
+    # the bracket [a, b], whose ends keep f of opposite signs, but an end
+    # kept twice in a row has its stored f halved, so the next secant
+    # step lands beyond the root and the stale end moves too.  A step
+    # stays tol/2 clear of both ends: once an end sits on the root to
+    # round-off, the secant step would land on it again, while the tol/2
+    # step closes the bracket at once.
+    kept = None
     for _ in range(200):
-        if abs(b - a) <= tol:
-            break
-        # Secant proposal, safeguarded to stay inside the bracket.
-        x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
         lo, hi = min(a, b), max(a, b)
-        margin = 0.01 * (hi - lo)
-        if not lo + margin < x < hi - margin:
-            x = 0.5 * (a + b)
+        if hi - lo <= tol:
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = 0.5 * (a + b)  # NaN from overflow, or tol below round-off
         fx = fn(x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
         else:
             b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
     return 0.5 * (a + b)

@@ -1,14 +1,21 @@
-"""Forward-mode automatic differentiation on scalars.
+"""Forward-mode automatic differentiation on scalars and numpy arrays.
 
 A :class:`Dual` carries a value and the derivative of that value with
-respect to one seed variable.  Components may be real numbers, complex
-numbers, or other Duals; nesting Duals therefore yields exact second and
-mixed partial derivatives without any finite differencing.
+respect to one seed variable.  Components may be real or complex
+numbers, real or complex numpy arrays (one independent point per
+element, so a whole grid is differentiated in one pass), or other
+Duals; nesting Duals therefore yields exact second and mixed partial
+derivatives without any finite differencing.
 
 The module-level math functions (`sqrt`, `log`, `exp`, ...) dispatch on
-their argument: Duals get the differentiation rule, complex numbers go
-through :mod:`cmath` (principal branches), and plain floats through
-:mod:`math`.
+their argument: Duals get the differentiation rule, numpy arrays the
+matching numpy ufunc (principal branches for complex dtypes), complex
+numbers go through :mod:`cmath` (principal branches), and plain floats
+through :mod:`math`.  A scalar is never promoted to an array, so scalar
+results are exactly the :mod:`math`/:mod:`cmath` ones; array results
+agree with them to round-off but not necessarily bitwise, and real
+arrays outside a function's real domain give NaN where :mod:`math`
+raises.
 """
 
 from __future__ import annotations
@@ -16,13 +23,18 @@ from __future__ import annotations
 import cmath
 import math
 
-_NUMBERS = (int, float, complex)
+import numpy as np
+
+_NUMBERS = (int, float, complex, np.ndarray)
 
 
 class Dual:
     """Number of the form a + b*eps with eps**2 = 0."""
 
     __slots__ = ("val", "eps")
+    # ndarray (+-*/) Dual must reach the reflected Dual operators instead
+    # of numpy broadcasting the Dual over an object array.
+    __array_ufunc__ = None
 
     def __init__(self, val, eps=0.0):
         self.val = val
@@ -83,7 +95,9 @@ class Dual:
         return Dual(self.val ** n, n * self.val ** (n - 1) * self.eps)
 
 
-def _lift(fn_real, fn_cplx, x):
+def _lift(fn_real, fn_cplx, fn_array, x):
+    if isinstance(x, np.ndarray):
+        return fn_array(x)
     if isinstance(x, complex):
         return fn_cplx(x)
     return fn_real(x)
@@ -93,45 +107,45 @@ def sqrt(x):
     if isinstance(x, Dual):
         s = sqrt(x.val)
         return Dual(s, x.eps / (2.0 * s))
-    return _lift(math.sqrt, cmath.sqrt, x)
+    return _lift(math.sqrt, cmath.sqrt, np.sqrt, x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.val), x.eps / x.val)
-    return _lift(math.log, cmath.log, x)
+    return _lift(math.log, cmath.log, np.log, x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
         return Dual(e, e * x.eps)
-    return _lift(math.exp, cmath.exp, x)
+    return _lift(math.exp, cmath.exp, np.exp, x)
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps)
-    return _lift(math.sin, cmath.sin, x)
+    return _lift(math.sin, cmath.sin, np.sin, x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps)
-    return _lift(math.cos, cmath.cos, x)
+    return _lift(math.cos, cmath.cos, np.cos, x)
 
 
 def tan(x):
     if isinstance(x, Dual):
         t = tan(x.val)
         return Dual(t, (1.0 + t * t) * x.eps)
-    return _lift(math.tan, cmath.tan, x)
+    return _lift(math.tan, cmath.tan, np.tan, x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.val), x.eps / (1.0 + x.val * x.val))
-    return _lift(math.atan, cmath.atan, x)
+    return _lift(math.atan, cmath.atan, np.arctan, x)
 
 
 def value(x):

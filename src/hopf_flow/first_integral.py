@@ -49,6 +49,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .diagnostics import bracketed_roots, relative_to_terms
 from .dual import Dual, atan, cos, derivative, log, sin, sqrt, value
 from .fields import SphericalState, eval_spherical
@@ -175,22 +177,44 @@ def rho_psi_partial(p: ParamPoint, f1: Sequence[float] = ()) -> complex:
     return complex(out.eps)
 
 
-def transport_coefficient(w, psi: float):
+def transport_coefficient(w, psi):
     """A(w, psi): the coefficient multiplying the psi-derivative."""
-    sin_psi = math.sin(psi)
-    sin_3psi = math.sin(3.0 * psi)
+    sin_psi = sin(psi)
+    sin_3psi = sin(3.0 * psi)
     w2 = w * w
     return w2 * w2 * sin_psi - 8.0 * w2 * sin_psi + 16.0 * w2 * sin_3psi + 16.0 * sin_psi
 
 
-def source_coefficient(w, psi: float):
+def source_coefficient(w, psi):
     """B(w, psi): the radial-derivative / source polynomial."""
-    cos_psi = math.cos(psi)
-    cos_3psi = math.cos(3.0 * psi)
+    cos_psi = cos(psi)
+    cos_3psi = cos(3.0 * psi)
     w2 = w * w
     w3 = w2 * w
     return (w2 * w3 * cos_psi - 8.0 * w3 * cos_psi + 16.0 * w3 * cos_3psi
             + 16.0 * w * cos_psi)
+
+
+def _transport_vanishes(xi, a):
+    """Whether A(xi, psi) = a is round-off, leaving rho_psi undetermined."""
+    return abs(a) < 1e-12 * (xi ** 4 + 8.0 * xi ** 2 + 16.0 * xi ** 2 + 16.0)
+
+
+def _linear_pde_terms(xi, psi, c2, a, rho_psi, variant: str) -> list:
+    """The additive terms of the linear PDE for rho (module docstring)."""
+    cos_psi = cos(psi)
+    cos_3psi = cos(3.0 * psi)
+    if variant == "direct":
+        return [a * rho_psi,
+                xi ** 6 * cos_psi, -8.0 * xi ** 4 * cos_psi,
+                16.0 * xi ** 4 * cos_3psi, 16.0 * xi ** 2 * cos_psi,
+                -8.0 * c2 * xi ** 3, 32.0 * c2 * xi]
+    if variant == "parametric":
+        return [-a * rho_psi,
+                xi ** 5 * cos_psi, -8.0 * xi ** 3 * cos_psi,
+                16.0 * xi ** 3 * cos_3psi, 16.0 * xi * cos_psi,
+                32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def linear_pde_residual(p: ParamPoint, f1: Sequence[float] = (),
@@ -204,50 +228,81 @@ def linear_pde_residual(p: ParamPoint, f1: Sequence[float] = (),
     rather than assumed by the F1-independence checks.
     """
     a = transport_coefficient(p.xi, p.psi)
-    scale_a = (p.xi ** 4 + 8.0 * p.xi ** 2 + 16.0 * p.xi ** 2 + 16.0)
-    if abs(a) < 1e-12 * scale_a:
+    if _transport_vanishes(p.xi, a):
         raise ValueError("indeterminate point: transport coefficient vanishes")
     rp = rho_psi_partial(p, f1)
-    xi, c2 = p.xi, p.c2
-    cos_psi = math.cos(p.psi)
-    cos_3psi = math.cos(3.0 * p.psi)
-    if variant == "direct":
-        terms = [a * rp,
-                 xi ** 6 * cos_psi, -8.0 * xi ** 4 * cos_psi,
-                 16.0 * xi ** 4 * cos_3psi, 16.0 * xi ** 2 * cos_psi,
-                 -8.0 * c2 * xi ** 3, 32.0 * c2 * xi]
-    elif variant == "parametric":
-        terms = [-a * rp,
-                 xi ** 5 * cos_psi, -8.0 * xi ** 3 * cos_psi,
-                 16.0 * xi ** 3 * cos_3psi, 16.0 * xi * cos_psi,
-                 32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return relative_to_terms(terms)
+    return relative_to_terms(_linear_pde_terms(p.xi, p.psi, p.c2, a, rp,
+                                               variant))
+
+
+def _nested_pass(xi, psi, c2, f1):
+    """rho, rho_xi, rho_psi and rho_xipsi from one two-variable pass.
+
+    Complex xi is seeded at the inner dual level and psi at the outer
+    level (sibling flat seeds would merge the two derivative channels).
+    Scalars and broadcastable arrays alike.
+    """
+    xi_2 = Dual(Dual(xi, 1.0 + 0.0j), Dual(0.0j, 0.0j))
+    psi_2 = Dual(Dual(psi, 0.0), Dual(1.0, 0.0))
+    mixed = rho_raw(xi_2, psi_2, c2, f1)
+    return mixed.val.val, mixed.val.eps, mixed.eps.val, mixed.eps.eps
+
+
+@dataclass(frozen=True)
+class RhoTable:
+    """rho and the quantities derived from it, one array entry per point."""
+
+    rho: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    rho_psi: np.ndarray
+    pde_direct: np.ndarray
+    pde_parametric: np.ndarray
+
+
+def rho_table(xi, psi, c2: float = 1.0,
+              f1: Sequence[float] = ()) -> RhoTable:
+    """rho, u, v, rho_psi and both linear-PDE residuals over whole arrays.
+
+    xi and psi are broadcastable float arrays, each point valid for
+    ParamPoint.  One nested dual pass serves every point, so the values
+    match rho_eval, uv_from_rho and linear_pde_residual to round-off,
+    not bitwise (numpy and libm round transcendentals differently).  A
+    residual is NaN where the transport coefficient vanishes, the points
+    at which linear_pde_residual raises.
+    """
+    xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(psi, dtype=float))
+    if not np.all((0.0 < psi) & (psi < math.pi)):
+        raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
+                         "degenerates at the ends")
+    if not np.all(xi > 0.0):
+        raise ValueError("xi must be positive")
+    xi_c = xi.astype(complex)
+    with np.errstate(all="ignore"):
+        rho, u, rho_psi, _ = _nested_pass(xi_c, psi, c2, tuple(f1))
+        a = transport_coefficient(xi, psi)
+        vanishes = _transport_vanishes(xi, a)
+        pde = [np.where(vanishes, math.nan, relative_to_terms(
+                   _linear_pde_terms(xi, psi, c2, a, rho_psi, variant)))
+               for variant in ("direct", "parametric")]
+        return RhoTable(rho=rho, u=u, v=xi_c * u - rho, rho_psi=rho_psi,
+                        pde_direct=pde[0], pde_parametric=pde[1])
 
 
 def uv_from_rho(p: ParamPoint, f1: Sequence[float] = ()) -> UVPair:
     """u, v and their four partials by exact forward-mode seeding.
 
-    The psi-partials come from one two-variable pass with xi seeded at
-    the inner dual level and psi at the outer level (sibling flat seeds
-    would merge the two derivative channels).  The xi-partials are
-    separate dual passes through the u and v maps themselves, so the
-    structural identity v_xi = xi * u_xi is a measurement of the
-    implementation (the product rule executes in floating point), not a
-    restatement of the algebra.
+    The psi-partials come from the two-variable pass `_nested_pass`
+    (which `rho_table` shares).  The xi-partials are separate dual
+    passes through the u and v maps themselves, so the structural
+    identity v_xi = xi * u_xi is a measurement of the implementation
+    (the product rule executes in floating point), not a restatement of
+    the algebra.
     """
     c2, f1 = p.c2, tuple(f1)
     xi_c = complex(p.xi)
-
-    # Two-variable pass: rho(xi + e1, psi + e2) with nested levels.
-    xi_2 = Dual(Dual(xi_c, 1.0 + 0.0j), Dual(0.0j, 0.0j))
-    psi_2 = Dual(Dual(p.psi, 0.0), Dual(1.0, 0.0))
-    mixed = rho_raw(xi_2, psi_2, c2, f1)
-    rho = mixed.val.val
-    rho_xi = mixed.val.eps
-    rho_psi = mixed.eps.val
-    rho_xipsi = mixed.eps.eps
+    rho, rho_xi, rho_psi, rho_xipsi = _nested_pass(xi_c, p.psi, c2, f1)
 
     def u_map(x):
         return rho_raw(Dual(x, 1.0 + 0.0j), p.psi, c2, f1).eps

@@ -199,6 +199,16 @@ def test_config_file_supplies_defaults(tmp_path):
     assert meta["span"] == 0.5
 
 
+def test_config_keys_the_subcommand_does_not_take_are_usage_errors(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # "c2" is a flag of rho only; "tole" is a typo of "tol".
+    cfg.write_text(json.dumps({"c2": 5, "tole": 1}))
+    assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "'c2'" in err and "'tole'" in err
+
+
 def test_malformed_config_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -209,6 +219,12 @@ def test_unwritable_output_is_usage_error(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli("trace", "--start", "1,0,0", "--span", "1",
                    "--out", str(missing)) == 2
+
+
+@pytest.mark.parametrize("span", ["inf", "nan"])
+def test_non_finite_span_is_usage_error(span, capsys):
+    assert run_cli("trace", "--start", "1,0,0", "--span", span) == 2
+    assert "--span must be finite" in capsys.readouterr().err
 
 
 def test_bad_start_string_is_usage_error(capsys):

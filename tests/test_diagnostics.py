@@ -55,9 +55,36 @@ def test_relative_to_terms_scaling():
     assert relative_to_terms([0.0, 0.0]) == 0.0
 
 
+def test_relative_to_terms_is_elementwise_on_arrays():
+    terms = [np.array([1.0, 2.0, 0.0]), np.array([-1.0, -1.0, 0.0]), 0.5j]
+    got = relative_to_terms(terms)
+    want = [relative_to_terms([t[k] if np.ndim(t) else t for t in terms])
+            for k in range(3)]
+    np.testing.assert_array_equal(got, want)
+
+
 def test_bracketed_roots_finds_every_sign_change():
     roots = bracketed_roots(math.sin, 1.0, 10.0, 64, 1e-12)
     assert len(roots) == 3
+    for k, root in enumerate(roots, start=1):
+        assert abs(root - k * math.pi) <= 1e-12
+
+
+def test_bracketed_roots_refines_each_root_in_few_calls():
+    # After the 65 scan samples, every call refines the root inside its
+    # 9/64-wide scan interval; bisection to 1e-12 would take ~37 calls.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.sin(x)
+
+    roots = bracketed_roots(f, 1.0, 10.0, 64, 1e-12)
+    assert len(roots) == 3
+    per_root = [sum(1 for x in calls[65:] if abs(x - k * math.pi) < 9.0 / 64)
+                for k in (1, 2, 3)]
+    assert sum(per_root) == len(calls) - 65
+    assert max(per_root) <= 12, per_root
     for k, root in enumerate(roots, start=1):
         assert abs(root - k * math.pi) <= 1e-12
 

@@ -95,3 +95,45 @@ def test_two_level_seeding_extracts_mixed_partials():
     np.testing.assert_allclose(out.val.eps, math.cos(x0) * y0 ** 2, rtol=1e-15)
     np.testing.assert_allclose(out.eps.val, math.sin(x0) * 2 * y0, rtol=1e-15)
     np.testing.assert_allclose(out.eps.eps, math.cos(x0) * 2 * y0, rtol=1e-15)
+
+
+_FLOATS = np.array([0.05, 0.3, 0.9, 1.4, 2.5, 7.0])
+_COMPLEX = np.array([0.3 + 0.4j, -0.5 + 0.8j, 1.7 - 0.2j, -2.0 - 1.1j,
+                     0.1 + 3.0j])
+
+
+def _close_rel(got, want, rtol):
+    return abs(got - want) <= rtol * abs(want)
+
+
+@pytest.mark.parametrize("name, scalar_real, scalar_cplx", [
+    ("sqrt", math.sqrt, cmath.sqrt),
+    ("log", math.log, cmath.log),
+    ("exp", math.exp, cmath.exp),
+    ("sin", math.sin, cmath.sin),
+    ("cos", math.cos, cmath.cos),
+    ("tan", math.tan, cmath.tan),
+    ("atan", math.atan, cmath.atan),
+])
+def test_elementary_functions_on_arrays_match_scalars(name, scalar_real,
+                                                      scalar_cplx):
+    fn = getattr(dual, name)
+    for arr, scalar in ((_FLOATS, scalar_real), (_COMPLEX, scalar_cplx)):
+        out = fn(arr)
+        assert isinstance(out, np.ndarray) and out.dtype == arr.dtype
+        seeded = fn(Dual(arr, np.ones_like(arr)))
+        for k, x in enumerate(arr.tolist()):
+            assert _close_rel(out[k], scalar(x), 1e-15)
+            one = Dual(x, 1.0 + 0.0j if isinstance(x, complex) else 1.0)
+            assert _close_rel(seeded.eps[k], fn(one).eps, 1e-15)
+
+
+def test_array_on_the_left_of_a_dual_gives_a_dual():
+    arr = np.array([1.0, 2.0, 3.0])
+    x = Dual(2.0, 1.0)
+    for out, val, eps in ((arr * x, arr * 2.0, arr), (arr + x, arr + 2.0, 1.0),
+                          (arr - x, arr - 2.0, -1.0),
+                          (arr / x, arr / 2.0, -arr / 4.0)):
+        assert isinstance(out, Dual)
+        np.testing.assert_array_equal(out.val, val)
+        np.testing.assert_array_equal(out.eps, np.broadcast_to(eps, arr.shape))

@@ -216,3 +216,95 @@ def test_polynomial_helpers_match_numpy():
     for x in xs:
         np.testing.assert_allclose(fi.poly_eval(coeffs, float(x)),
                                    np.polyval(coeffs[::-1], x), rtol=1e-14)
+
+
+def _scalar_pde(p, variant):
+    try:
+        return linear_pde_residual(p, variant=variant)
+    except ValueError:
+        return math.nan
+
+
+def test_rho_table_matches_the_scalar_functions_across_both_regions():
+    # xi spans the inner real band, the complex band and the outer real
+    # band; the last point is where the transport coefficient vanishes.
+    xi, psi = (g.ravel() for g in np.meshgrid(
+        np.linspace(0.05, 6.0, 12), np.linspace(0.05, math.pi - 0.05, 11),
+        indexing="ij"))
+    xi = np.append(xi, DISC_XI_LOW)
+    psi = np.append(psi, math.pi / 2.0)
+    table = fi.rho_table(xi, psi)
+    assert np.isnan(table.pde_direct[-1]) and np.isnan(table.pde_parametric[-1])
+    for k in range(xi.size - 1):
+        p = ParamPoint(float(xi[k]), float(psi[k]))
+        uv = uv_from_rho(p)
+        want = {"rho": rho_eval(p).rho, "u": uv.u, "v": uv.v,
+                "rho_psi": fi.rho_psi_partial(p),
+                "pde_direct": _scalar_pde(p, "direct"),
+                "pde_parametric": _scalar_pde(p, "parametric")}
+        for name, scalar in want.items():
+            got = getattr(table, name)[k]
+            assert cmath.isnan(got) == cmath.isnan(scalar), (name, p)
+            if not cmath.isnan(scalar):
+                assert abs(got - scalar) <= 1e-10 * max(1.0, abs(scalar)), \
+                    (name, p, got, scalar)
+
+
+def test_rho_table_broadcasts_and_validates_like_param_point():
+    table = fi.rho_table(np.array([[0.2], [0.5]]), np.array([1.1, 1.4, 2.1]))
+    assert table.rho.shape == table.pde_parametric.shape == (2, 3)
+    with pytest.raises(ValueError, match="psi"):
+        fi.rho_table([0.3, 0.4], [1.0, math.pi])
+    with pytest.raises(ValueError, match="xi"):
+        fi.rho_table([0.3, 0.0], 1.0)
+
+
+# Scalar results as computed before the dual engine took arrays, as
+# (real, imag) float.hex pairs: the scalar path must keep every bit.
+_FROZEN_SCALARS = [
+    ((0.35, 0.8, 1.0, ()),
+     ('-0x1.2fbf575068200p-2', '0x0.0p+0'),
+     (('-0x1.03aaaedcb34e6p-1', '0x0.0p+0'),
+      ('0x1.e7ec4071440b0p-4', '0x0.0p+0'),
+      ('-0x1.81826b28ec06bp-3', '0x0.0p+0'),
+      ('0x1.f5bd02851f41ep+0', '0x0.0p+0'),
+      ('-0x1.0ddb4b030b9e0p-4', '0x0.0p+0'),
+      ('0x1.c764a7d82bd98p-4', '0x0.0p+0')),
+     ('0x1.b08967b89633ep+0', '0x1.263d025e06283p-59')),
+    ((3.0, 1.7, 1.0, ()),
+     ('0x1.9b4fc6da83507p+1', '0x1.7c2036d5888bcp+1'),
+     (('0x1.4d2f43fb29a2bp-1', '0x1.6aa8897603ac0p-1'),
+      ('-0x1.42d8a7bc482cep+0', '-0x1.b0873ef4172b0p-1'),
+      ('-0x1.9fd4c55f4845cp-2', '-0x1.484e987a0a891p-2'),
+      ('0x1.1aa14a3f005b9p+2', '0x0.0p+0'),
+      ('-0x1.37df940776345p+0', '-0x1.ec75e4b70fcdap-1'),
+      ('0x1.6b17b04ff9b21p+3', '0x0.0p+0')),
+     ('0x1.19245cf55b4f4p-2', '0x1.948b0fcd6e9e0p-52')),
+    ((6.0, 0.6, 0.5, (0.7, -0.3)),
+     ('0x1.11120f9335526p+3', '0x0.0p+0'),
+     (('-0x1.2ee076315bf17p+1', '0x0.0p+0'),
+      ('-0x1.6bb1606e9f9e4p+4', '0x0.0p+0'),
+      ('0x1.caf7384d9c90cp+0', '0x0.0p+0'),
+      ('0x1.06551ad5810e6p+0', '0x0.0p+0'),
+      ('0x1.58396a3a356c9p+3', '0x0.0p+0'),
+      ('0x1.9b9bf6bdbc4dep+2', '0x0.0p+0')),
+     ('0x1.47672ee4076bep-1', '0x1.46c54abd5a869p-53')),
+]
+
+
+@pytest.mark.parametrize("point, rho, uv, pde", _FROZEN_SCALARS,
+                         ids=["real", "complex", "outer-real-gauged"])
+def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
+    xi, psi, c2, f1 = point
+
+    def bits(z):
+        z = complex(z)
+        return (z.real.hex(), z.imag.hex())
+
+    p = ParamPoint(xi, psi, c2)
+    assert bits(fi.rho_raw(complex(xi), psi, c2, f1)) == rho
+    got = uv_from_rho(p, f1)
+    assert tuple(bits(getattr(got, name)) for name in
+                 ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")) == uv
+    assert (linear_pde_residual(p, f1, "direct").hex(),
+            linear_pde_residual(p, f1, "parametric").hex()) == pde
