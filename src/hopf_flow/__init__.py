@@ -42,14 +42,7 @@ from .first_integral import (
     uv_from_rho,
     xi_substitution_residual,
 )
-from .integrator import (
-    Event,
-    EventHit,
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-    integrate_scalar,
-)
+from .integrator import Event, EventHit, Trajectory, integrate
 from .reduced_system import (
     FormSelection,
     ImplicitConstant,
@@ -91,7 +84,6 @@ __all__ = [
     "EventHit",
     "FormSelection",
     "ImplicitConstant",
-    "IntegratorConfig",
     "ParamPoint",
     "ReducedCurve",
     "ReducedState",
@@ -122,7 +114,6 @@ __all__ = [
     "implicit_constant",
     "implicit_residual",
     "integrate",
-    "integrate_scalar",
     "linear_pde_residual",
     "parametric_relation_residual",
     "phi_flow_derivative",

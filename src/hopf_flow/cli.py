@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checks, fields, first_integral, reduced_system
-from .integrator import IntegratorConfig, integrate
+from .integrator import integrate
 from .special_functions import Z_MAX
 
 DEFAULTS = {
@@ -137,11 +137,6 @@ def _f1_tuple(ns) -> tuple[float, ...]:
     return tuple(float(p) for p in raw)
 
 
-def _integrator_config(ns) -> IntegratorConfig:
-    tol = float(ns.tol)
-    return IntegratorConfig(rel_tol=tol, abs_tol=tol * 1e-2)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -165,12 +160,12 @@ def cmd_trace(ns) -> int:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
     traj = integrate(ode, np.asarray(start, float), (0.0, span),
-                     _integrator_config(ns))
+                     rel_tol=float(ns.tol))
     ts = traj.ts
     if dense > 0 and span != 0.0:
         dense_ts = np.linspace(0.0, traj.t_end, dense + 1)
         ts = np.unique(np.concatenate([ts, dense_ts]))
-    rows = [[t, *traj.sample(float(t))] for t in ts]
+    rows = np.column_stack([ts, traj.sample(ts)]).tolist()
     meta = {
         "chart": chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
@@ -206,8 +201,7 @@ def cmd_reduce(ns) -> int:
         raise ValueError("reduce needs --start r0,psi0 and --target r1")
     r0, psi0 = _floats(ns.start, 2, "--start")
     curve = reduced_system.trace_reduced(r0, psi0, float(ns.target),
-                                         rel_tol=float(ns.tol),
-                                         abs_tol=float(ns.tol) * 1e-2)
+                                         rel_tol=float(ns.tol))
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     rows = []
     c_ref = None

@@ -143,7 +143,9 @@ def _refine_root(fn: Callable[[float], float], a: float, b: float,
     # step lands beyond the root and the stale end moves too.  A step
     # stays tol/2 clear of both ends: once an end sits on the root to
     # round-off, the secant step would land on it again, while the tol/2
-    # step closes the bracket at once.
+    # step closes the bracket at once.  Where tol is below one ulp of the
+    # ends, the bracket stops at adjacent doubles, where even the midpoint
+    # rounds onto an end.
     kept = None
     for _ in range(200):
         lo, hi = min(a, b), max(a, b)
@@ -153,6 +155,8 @@ def _refine_root(fn: Callable[[float], float], a: float, b: float,
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         if not lo < x < hi:
             x = 0.5 * (a + b)  # NaN from overflow, or tol below round-off
+            if not lo < x < hi:
+                break
         fx = fn(x)
         if fx == 0.0:
             return x

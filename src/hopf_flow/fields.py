@@ -25,6 +25,9 @@ import numpy as np
 # Chart guards: spherical integration must stop before these floors.
 RADIUS_FLOOR = 1e-6
 SIN_PSI_FLOOR = 1e-8
+# The Cartesian field divides by (s + 4)^2, s = |p|^2; below this bound on
+# s + 4 that square, and s^2, stay finite.
+_S_PLUS_4_MAX = 1e154
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,9 @@ def eval_cartesian(p: CartesianState) -> Velocity3:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("non-finite Cartesian state")
     s = x * x + y * y + z * z
+    if not s + 4.0 < _S_PLUS_4_MAX:
+        raise ValueError(f"Cartesian state ({x!r}, {y!r}, {z!r}) overflows "
+                         f"the field: (|p|^2 + 4)^2 exceeds the float range")
     d = (s + 4.0) ** 2
     vx = 8.0 * (4.0 * z * x - y * s + 4.0 * y) / d
     vy = 8.0 * (4.0 * z * y + x * s - 4.0 * x) / d

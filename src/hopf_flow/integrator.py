@@ -1,23 +1,32 @@
 """Explicit Dormand-Prince 5(4) integrator with PI step control.
 
-An embedded 7-stage pair with the first-same-as-last property, a PI
-stepsize controller, cubic Hermite dense output over accepted steps, and
-event location by bisection on the interpolant to 1e-12 in t.  Works in
-either time direction (t1 < t0 integrates backward); an empty span
-returns the single initial sample.  Runs are deterministic: identical
-inputs give bit-identical trajectories.
+`integrate(field_fn, y0, t_span, rel_tol=, events=)` is the one way to
+integrate: an embedded 7-stage pair with the first-same-as-last property,
+a PI stepsize controller, and cubic Hermite dense output over accepted
+steps.  Works in either time direction (t1 < t0 integrates backward); an
+empty span returns the single initial sample.  Runs are deterministic:
+identical inputs give bit-identical trajectories.
 
 The error norm is the RMS of the per-component local error over the
-scale abs_tol + rel_tol * max(|y0|, |y1|).
+scale abs_tol + rel_tol * max(|y0|, |y1|), where abs_tol = rel_tol * 1e-2
+and both must lie in [1e-16, 1e-2).
+
+Every event stops the run.  When an event function changes sign over an
+accepted step, the crossing is located on that step's Hermite interpolant
+by the package's shared root refiner, `diagnostics.bracketed_roots`, to
+EVENT_T_TOL in t (or to adjacent doubles where that is finer than one
+ulp); the earliest crossing in the step ends the trajectory there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .diagnostics import bracketed_roots
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -44,6 +53,8 @@ _BETA = 0.04
 _EXPO = 0.2 - _BETA * 0.75
 
 EVENT_T_TOL = 1e-12
+MIN_STEP = 1e-14
+MAX_STEPS = 1_000_000
 
 STOP_REACHED_END = "reached_end"
 STOP_EVENT = "event"
@@ -52,15 +63,14 @@ STOP_UNDERFLOW = "step_underflow"
 
 @dataclass(frozen=True)
 class Event:
-    """Zero crossing of fn(t, y) to detect along the trajectory.
+    """Zero crossing of fn(t, y) that stops the integration.
 
-    direction > 0 reports only rising crossings, < 0 only falling ones,
-    0 both.  A terminal event stops the integration at the crossing.
+    direction > 0 reacts only to rising crossings, < 0 only to falling
+    ones, 0 to both.
     """
 
     fn: Callable[[float, np.ndarray], float]
     direction: int = 0
-    terminal: bool = True
     name: str = "event"
 
 
@@ -72,30 +82,14 @@ class EventHit:
     index: int
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    min_step: float = 1e-14
-    events: tuple[Event, ...] = ()
-    max_steps: int = 1_000_000
-    first_step: float | None = None
-
-    def __post_init__(self):
-        if not (1e-16 <= self.rel_tol < 1e-2 and 1e-16 <= self.abs_tol < 1e-2):
-            raise ValueError("tolerances must lie in [1e-16, 1e-2)")
-        if not (0.0 < self.min_step <= self.max_step):
-            raise ValueError("need 0 < min_step <= max_step")
-
-
 @dataclass
 class Trajectory:
     """Accepted-step skeleton of one integration run.
 
     ts, ys, fs hold the accepted times, states, and derivatives (one row
     per point); `sample` interpolates between rows with the cubic Hermite
-    matching both endpoint values and slopes.
+    matching both endpoint values and slopes.  `event` is the crossing
+    that stopped the run, if one did.
     """
 
     ts: np.ndarray
@@ -104,7 +98,7 @@ class Trajectory:
     stop_reason: str
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    events: list[EventHit] = field(default_factory=list)
+    event: EventHit | None = None
     nfev: int = 0
     naccept: int = 0
     nreject: int = 0
@@ -129,26 +123,30 @@ class Trajectory:
         if len(self.ts) == 1:
             out = np.repeat(self.ys[:1], len(t_arr), axis=0)
             return out if np.ndim(t) else out[0]
-        idx = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, len(ts) - 2)
+        i = np.clip(np.searchsorted(ts, t_arr, side="right") - 1,
+                    0, len(ts) - 2)
         if not forward:
-            idx = len(self.ts) - 2 - idx
-        out = np.empty(t_arr.shape + self.ys.shape[1:])
-        for k, (tq, i) in enumerate(zip(t_arr, idx)):
-            out[k] = self._hermite(tq, int(i))
+            i = len(self.ts) - 2 - i
+        out = _hermite(t_arr, self.ts[i], self.ts[i + 1], self.ys[i],
+                       self.ys[i + 1], self.fs[i], self.fs[i + 1])
         return out if np.ndim(t) else out[0]
 
-    def _hermite(self, t: float, i: int) -> np.ndarray:
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        if h == 0.0:
-            return self.ys[i].copy()
-        th = (t - t0) / h
-        h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-        h10 = th * (1.0 - th) ** 2
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return (h00 * self.ys[i] + h01 * self.ys[i + 1]
-                + h * (h10 * self.fs[i] + h11 * self.fs[i + 1]))
+
+def _hermite(t, t0, t1, y0, y1, f0, f1) -> np.ndarray:
+    """Cubic Hermite through (t0, y0, y0') and (t1, y1, y1'), at times t.
+
+    t, t0 and t1 are scalars or arrays of one entry per query; y0, y1, f0
+    and f1 hold the matching state rows.  A zero-length step returns y0.
+    """
+    h = np.asarray(t1 - t0)
+    flat = h == 0.0
+    th = (t - t0) / np.where(flat, 1.0, h)
+    h00 = ((1.0 + 2.0 * th) * (1.0 - th) ** 2)[..., None]
+    h10 = (th * (1.0 - th) ** 2)[..., None]
+    h01 = (th * th * (3.0 - 2.0 * th))[..., None]
+    h11 = (th * th * (th - 1.0))[..., None]
+    out = (h00 * y0 + h01 * y1 + h[..., None] * (h10 * f0 + h11 * f1))
+    return np.where(flat[..., None], y0, out)
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
@@ -176,15 +174,17 @@ def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray, sign: float,
 def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
               y0: Sequence[float],
               t_span: tuple[float, float],
-              cfg: IntegratorConfig | None = None) -> Trajectory:
+              *, rel_tol: float = 1e-10,
+              events: Sequence[Event] = ()) -> Trajectory:
     """Integrate dy/dt = field_fn(t, y) over t_span from y0.
 
-    Stops at the far end of the span, at the first terminal event, or
+    Stops at the far end of the span, at the first event crossing, or
     when the controller can no longer resolve a step; the stop reason is
     recorded on the trajectory.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
+    abs_tol = rel_tol * 1e-2
+    if not (1e-16 <= rel_tol < 1e-2 and 1e-16 <= abs_tol < 1e-2):
+        raise ValueError("tolerances must lie in [1e-16, 1e-2)")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).copy()
     if y.ndim != 1:
@@ -201,22 +201,20 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         f0 = f(t0, y)
         return Trajectory(ts=np.array([t0]), ys=np.array([y]),
                           fs=np.array([f0]), stop_reason=STOP_REACHED_END,
-                          rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, nfev=nfev)
+                          rel_tol=rel_tol, abs_tol=abs_tol, nfev=nfev)
 
     sign = 1.0 if t1 > t0 else -1.0
-    events = tuple(cfg.events)
+    events = tuple(events)
     t = t0
     k1 = f(t, y)
-    h = cfg.first_step if cfg.first_step is not None else _initial_step(
-        f, t, y, k1, sign, cfg.rel_tol, cfg.abs_tol, abs(t1 - t0))
-    h = min(abs(h), cfg.max_step)
+    h = _initial_step(f, t, y, k1, sign, rel_tol, abs_tol, abs(t1 - t0))
 
     ts = [t]
     ys = [y.copy()]
     fs = [k1.copy()]
     g_prev = [ev.fn(t, y) for ev in events]
 
-    traj_events: list[EventHit] = []
+    hit: EventHit | None = None
     stop_reason = ""
     naccept = 0
     nreject = 0
@@ -224,11 +222,11 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     just_rejected = False
     ks: list[np.ndarray] = [k1] * 7
 
-    for _ in range(cfg.max_steps):
+    for _ in range(MAX_STEPS):
         rem = abs(t1 - t)
         h = min(h, rem)
         last = h == rem
-        if not last and (h < cfg.min_step or t + sign * h == t):
+        if not last and (h < MIN_STEP or t + sign * h == t):
             stop_reason = STOP_UNDERFLOW
             break
         hs = sign * h
@@ -243,7 +241,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
         # First-same-as-last: stage 7 sits at (t+h, y_new) already.
         k_new = ks[6]
         err_vec = hs * sum(_E[j] * ks[j] for j in range(7))
-        err = _error_norm(err_vec, y, y_new, cfg.rel_tol, cfg.abs_tol)
+        err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
 
         if err <= 1.0:
             # Accept.  Land exactly on t1 when the step was clamped to it.
@@ -255,17 +253,17 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             naccept += 1
 
             if events:
-                hit = _locate_events(events, g_prev, t, t_new, ts, ys, fs,
-                                     traj_events)
+                g_new = [ev.fn(t_new, y_new) for ev in events]
+                hit = _first_crossing(events, g_prev, g_new, t, t_new,
+                                      y, y_new, k1, k_new)
                 if hit is not None:
-                    # Truncate at the terminal crossing.
-                    t_ev, y_ev = hit
-                    ts[-1] = t_ev
-                    ys[-1] = y_ev
-                    fs[-1] = f(t_ev, y_ev)
+                    # Truncate at the crossing.
+                    ts[-1] = hit.t
+                    ys[-1] = hit.y
+                    fs[-1] = f(hit.t, hit.y)
                     stop_reason = STOP_EVENT
                     break
-                g_prev = [ev.fn(t_new, y_new) for ev in events]
+                g_prev = g_new
 
             t, y, k1 = t_new, y_new, k_new
             if last:
@@ -278,7 +276,7 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             h_next = h / fac
             if just_rejected:
                 h_next = min(h_next, h)
-            h = min(h_next, cfg.max_step)
+            h = h_next
             just_rejected = False
         else:
             nreject += 1
@@ -286,74 +284,33 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             fac11 = err ** _EXPO
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
     else:
-        raise RuntimeError(f"no convergence within {cfg.max_steps} steps")
+        raise RuntimeError(f"no convergence within {MAX_STEPS} steps")
 
     return Trajectory(ts=np.array(ts), ys=np.array(ys), fs=np.array(fs),
-                      stop_reason=stop_reason, rel_tol=cfg.rel_tol,
-                      abs_tol=cfg.abs_tol, events=traj_events,
+                      stop_reason=stop_reason, rel_tol=rel_tol,
+                      abs_tol=abs_tol, event=hit,
                       nfev=nfev, naccept=naccept, nreject=nreject)
 
 
-def _locate_events(events: Sequence[Event], g_prev: list[float],
-                   t_lo: float, t_hi: float,
-                   ts: list, ys: list, fs: list,
-                   out: list[EventHit]) -> tuple[float, np.ndarray] | None:
-    """Scan one accepted step for crossings; return a terminal hit if any."""
-    step = Trajectory(ts=np.array(ts[-2:]), ys=np.array(ys[-2:]),
-                      fs=np.array(fs[-2:]), stop_reason="")
-    terminal_hit: tuple[float, np.ndarray] | None = None
-    for idx, ev in enumerate(events):
-        ga = g_prev[idx]
-        gb = ev.fn(t_hi, step.ys[-1])
-        if ga == 0.0 or ga * gb > 0.0:
+def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
+                    t_lo: float, t_hi: float, y_lo: np.ndarray,
+                    y_hi: np.ndarray, f_lo: np.ndarray,
+                    f_hi: np.ndarray) -> EventHit | None:
+    """The earliest event crossing inside one accepted step, if any."""
+    first: EventHit | None = None
+    for index, (ev, ga, gb) in enumerate(zip(events, g_lo, g_hi)):
+        # A sign change (or a landing on 0) in the event's direction.
+        if ga == 0.0 or not ga * gb <= 0.0 or ev.direction * (gb - ga) < 0.0:
             continue
-        rising = gb > ga
-        if ev.direction > 0 and not rising:
-            continue
-        if ev.direction < 0 and rising:
-            continue
-        a, b, ga_ = t_lo, t_hi, ga
-        while abs(b - a) > EVENT_T_TOL:
-            m = 0.5 * (a + b)
-            gm = ev.fn(m, step.sample(m))
-            if gm == 0.0:
-                a = b = m
-                break
-            if (gm > 0.0) == (ga_ > 0.0):
-                a, ga_ = m, gm
-            else:
-                b = m
-        t_ev = 0.5 * (a + b)
-        y_ev = step.sample(t_ev)
-        out.append(EventHit(name=ev.name, t=t_ev, y=y_ev, index=idx))
-        if ev.terminal:
-            if terminal_hit is None or abs(t_ev - t_lo) < abs(terminal_hit[0] - t_lo):
-                terminal_hit = (t_ev, y_ev)
-    if terminal_hit is not None:
-        # Hits past the stopping point never happened.
-        direction = 1.0 if t_hi > t_lo else -1.0
-        out[:] = [hit for hit in out
-                  if direction * (hit.t - terminal_hit[0]) <= EVENT_T_TOL]
-        return terminal_hit
-    return None
 
+        def g(t: float, fn=ev.fn) -> float:
+            return fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
 
-def integrate_scalar(rhs: Callable[[float, float], float],
-                     x_span: tuple[float, float],
-                     y0: float,
-                     cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Convenience wrapper for one-dimensional systems y' = rhs(x, y)."""
-
-    def fv(x: float, y: np.ndarray) -> np.ndarray:
-        return np.array([rhs(x, float(y[0]))])
-
-    if cfg is not None and cfg.events:
-        wrapped = tuple(
-            Event(fn=(lambda x, y, _g=ev.fn: _g(x, float(y[0]))),
-                  direction=ev.direction, terminal=ev.terminal, name=ev.name)
-            for ev in cfg.events)
-        cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=cfg.max_step, min_step=cfg.min_step,
-                               events=wrapped, max_steps=cfg.max_steps,
-                               first_step=cfg.first_step)
-    return integrate(fv, [y0], x_span, cfg)
+        roots = bracketed_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)
+        # No root only when the scan's far end, lo + (hi - lo), rounds
+        # past a crossing within one ulp of t_hi.
+        t_ev = roots[0] if roots else t_hi
+        if first is None or abs(t_ev - t_lo) < abs(first.t - t_lo):
+            y_ev = _hermite(t_ev, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi)
+            first = EventHit(name=ev.name, t=t_ev, y=y_ev, index=index)
+    return first

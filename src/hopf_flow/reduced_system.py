@@ -32,8 +32,7 @@ import numpy as np
 
 from .diagnostics import bracketed_roots, relative_to_terms
 from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
-from .integrator import (Event, IntegratorConfig, Trajectory, integrate,
-                         integrate_scalar)
+from .integrator import Event, Trajectory, integrate
 from .special_functions import bessel_quad
 
 EPS_TURN = 1e-8
@@ -247,33 +246,34 @@ def _turning_guard_event(r0: float, h0: float) -> Event:
     d0 = rr0 * rr0 + 8.0 * rr0 - 64.0 * rr0 * h0 + 16.0
     s0 = 1.0 if d0 >= 0.0 else -1.0
 
-    def g(r: float, h: float) -> float:
+    def g(r: float, y: np.ndarray) -> float:
+        h = float(y[0])
         rr = r * r
         d = rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0
         return s0 * d / (rr * rr + 8.0 * rr + 16.0) - _GUARD_MARGIN
 
-    return Event(fn=g, direction=-1, terminal=True, name="turning-locus")
+    return Event(fn=g, direction=-1, name="turning-locus")
 
 
 def trace_h(r0: float, h0: float, r1: float,
-            rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> Trajectory:
+            rel_tol: float = 1e-12) -> Trajectory:
     """Trace H(r) from (r0, h0) toward r1, stopping at guard events.
 
-    Terminal events: approach to the turning locus, H reaching 1 (the
+    Guard events: approach to the turning locus, H reaching 1 (the
     psi = pi/2 fold), H collapsing to 0.  The trajectory's stop reason
-    and event names say which.
+    and event name say which.
     """
     if r0 <= 0.0 or r1 <= 0.0:
         raise ValueError("radial span must stay positive")
     events = (
         _turning_guard_event(r0, h0),
-        Event(fn=lambda r, h: h - 1.0, direction=1, terminal=True,
+        Event(fn=lambda r, y: float(y[0]) - 1.0, direction=1,
               name="h-ceiling"),
-        Event(fn=lambda r, h: h - 1e-15, direction=-1, terminal=True,
+        Event(fn=lambda r, y: float(y[0]) - 1e-15, direction=-1,
               name="h-floor"),
     )
-    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, events=events)
-    traj = integrate_scalar(_h_rhs_raw, (r0, r1), h0, cfg)
+    traj = integrate(lambda r, y: np.array([_h_rhs_raw(r, float(y[0]))]),
+                     [h0], (r0, r1), rel_tol=rel_tol, events=events)
     hs = traj.ys[:, 0]
     if hs.max() > 1.0 + 1e-9 or hs.min() < -1e-12:
         raise RuntimeError("H left [0, 1] without triggering a guard event")
@@ -305,8 +305,7 @@ def _fold_clearance(r: float, psi: float) -> float:
 
 
 def trace_reduced(r0: float, psi0: float, r_target: float,
-                  rel_tol: float = 1e-12, abs_tol: float = 1e-14,
-                  max_segments: int = 8,
+                  rel_tol: float = 1e-12, max_segments: int = 8,
                   max_param: float = 50.0) -> ReducedCurve:
     """Trace the reduced curve from (r0, psi0) toward r = r_target.
 
@@ -347,7 +346,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                 r_end = r_target
             else:
                 r_end = _R_AWAY_MIN if direction < 0.0 else _R_AWAY_MAX
-            traj = trace_h(r, h, r_end, rel_tol=rel_tol, abs_tol=abs_tol)
+            traj = trace_h(r, h, r_end, rel_tol=rel_tol)
             upper = psi > math.pi / 2.0
             log_r_segment(traj, upper)
             r = traj.t_end
@@ -363,7 +362,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
             if traj.stop_reason == "step_underflow":
                 curve.stop_note = "step underflow in r-parametrization"
                 break
-            if traj.events and traj.events[-1].name == "h-floor":
+            if traj.event is not None and traj.event.name == "h-floor":
                 curve.stop_note = "H collapsed to 0"
                 break
             # Fold ahead: fall through to the planar flow.
@@ -375,17 +374,17 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
         s_sign = 1.0 if v[0] * direction >= 0.0 else -1.0
         events = (
             Event(fn=lambda s, y: _fold_clearance(float(y[0]), float(y[1])),
-                  direction=1, terminal=True, name="fold-cleared"),
+                  direction=1, name="fold-cleared"),
             Event(fn=lambda s, y: float(y[0]) - r_target, direction=0,
-                  terminal=True, name="target-radius"),
+                  name="target-radius"),
             Event(fn=lambda s, y: float(y[0]) - RADIUS_FLOOR, direction=-1,
-                  terminal=True, name="radius-floor"),
+                  name="radius-floor"),
             Event(fn=lambda s, y: abs(math.sin(float(y[1]))) - SIN_PSI_FLOOR,
-                  direction=-1, terminal=True, name="axis"),
+                  direction=-1, name="axis"),
         )
-        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, events=events)
         traj = integrate(reduced_time_ode, [r, psi],
-                         (0.0, s_sign * max_param), cfg)
+                         (0.0, s_sign * max_param), rel_tol=rel_tol,
+                         events=events)
         rs.append(traj.ys[:, 0].copy())
         psis.append(traj.ys[:, 1].copy())
         curve.segments.append(traj)
@@ -393,7 +392,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
         if traj.stop_reason != "event":
             curve.stop_note = "planar flow exhausted its parameter budget"
             break
-        last = traj.events[-1].name
+        last = traj.event.name
         if last == "target-radius":
             curve.reached = True
             break

@@ -13,7 +13,7 @@ import numpy as np
 from hopf_flow import checks, fields, first_integral, reduced_system
 from hopf_flow import special_functions
 from hopf_flow.first_integral import ParamPoint
-from hopf_flow.integrator import IntegratorConfig, integrate
+from hopf_flow.integrator import integrate
 
 
 def _report(name: str, ok: bool, detail: str, elapsed: float,
@@ -46,19 +46,19 @@ def test_A2_derived_rate_identities():
     t0 = time.perf_counter()
     starts = [(1.0, 0.0, 0.0), (1.5, 0.2, 0.3), (0.5, -1.2, 2.0),
               (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    micro = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     h = 1e-5
     worst_atan = worst_r2 = 0.0
     for y0 in starts:
         traj = integrate(fields.cartesian_ode, np.asarray(y0, float),
-                         (0.0, 30.0), cfg)
+                         (0.0, 30.0), rel_tol=1e-10)
         idx = np.unique(np.linspace(0, len(traj.ts) - 1, 10).astype(int))
         for i in idx:
             y = traj.ys[i]
             rates = fields.derived_rates(fields.CartesianState(*y))
-            fwd = integrate(fields.cartesian_ode, y, (0.0, h), micro).y_end
-            bwd = integrate(fields.cartesian_ode, y, (0.0, -h), micro).y_end
+            fwd = integrate(fields.cartesian_ode, y, (0.0, h),
+                            rel_tol=1e-12).y_end
+            bwd = integrate(fields.cartesian_ode, y, (0.0, -h),
+                            rel_tol=1e-12).y_end
             if y[0] ** 2 + y[1] ** 2 > 1e-3:
                 d = math.atan2(fwd[1], fwd[0]) - math.atan2(bwd[1], bwd[0])
                 d -= 2.0 * math.pi * round(d / (2.0 * math.pi))
@@ -82,15 +82,14 @@ def test_A2_derived_rate_identities():
 def test_A3_chart_coherence():
     t0 = time.perf_counter()
     rpt = fields.pushforward_sign()
-    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
     worst = 0.0
     for start in [(1.0, 0.5, 0.25), (2.5, -1.0, 1.5)]:
         cart = integrate(fields.cartesian_ode, np.asarray(start, float),
-                         (0.0, 5.0), cfg)
+                         (0.0, 5.0), rel_tol=1e-11)
         s0 = fields.to_spherical(fields.CartesianState(*start))
         sph = integrate(fields.spherical_ode,
                         np.array([s0.r, s0.phi, s0.psi]),
-                        (0.0, rpt.sigma * 5.0), cfg)
+                        (0.0, rpt.sigma * 5.0), rel_tol=1e-11)
         for t in np.linspace(0.0, 5.0, 30):
             yc = cart.sample(float(t))
             ys = sph.sample(rpt.sigma * float(t))
@@ -275,11 +274,10 @@ def test_A8_integrator_order():
     y0 = np.array([1.0, 0.0, 0.0])
     span = 4.0
     ref = integrate(fields.cartesian_ode, y0, (0.0, span),
-                    IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)).y_end
+                    rel_tol=1e-13).y_end
     errs, hbars = [], []
     for rel in (1e-6, 1e-8, 1e-10, 1e-12):
-        cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
-        traj = integrate(fields.cartesian_ode, y0, (0.0, span), cfg)
+        traj = integrate(fields.cartesian_ode, y0, (0.0, span), rel_tol=rel)
         errs.append(max(float(np.max(np.abs(traj.y_end - ref))), 1e-16))
         hbars.append(span / traj.naccept)
     slope = float(np.polyfit(np.log(hbars), np.log(errs), 1)[0])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hopf_flow import checks
+from hopf_flow import checks, reduced_system
 
 
 def test_check_names_are_unique_and_stable():
@@ -43,3 +43,16 @@ def test_documented_discrepancy_does_not_fail_battery():
     assert doc["checks"][0]["verdict"] == "documented-discrepancy"
     assert doc["passed"] is True
     assert "linear-pde-direct" in doc["allowed_discrepancies"]
+
+
+def test_implicit_inversion_fails_on_a_planted_wrong_root(monkeypatch):
+    rpt = checks.run_battery(only=["implicit-inversion"])["checks"][0]
+    assert rpt["verdict"] == "pass"
+    # Off-centre brackets keep the scan off the root, so the refiner runs
+    # and the residual is measured rather than exactly 0.
+    assert 0.0 < rpt["max_abs"] <= rpt["tolerance"]
+    solve = reduced_system.solve_implicit
+    monkeypatch.setattr(reduced_system, "solve_implicit",
+                        lambda *args, **kw: solve(*args, **kw) * (1.0 + 1e-6))
+    rpt = checks.run_battery(only=["implicit-inversion"])["checks"][0]
+    assert rpt["verdict"] == "fail"

@@ -3,14 +3,16 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hopf_flow import cli, fields, reduced_system
-from hopf_flow.integrator import IntegratorConfig, integrate
+from hopf_flow.integrator import integrate
 
 
 def run_cli(*args):
@@ -29,8 +31,8 @@ def test_trace_csv_is_bit_exact_against_library(tmp_path):
                    "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert header == ["t", "x", "y", "z"]
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 2.0), cfg)
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 2.0),
+                     rel_tol=1e-10)
     assert len(rows) == len(traj.ts)
     for row, t, y in zip(rows, traj.ts, traj.ys):
         vals = [float(c) for c in row]
@@ -232,6 +234,19 @@ def test_bad_start_string_is_usage_error(capsys):
     assert run_cli("trace", "--start", "a,b,c") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--start", "1e200,0,0"),
+    ("trace", "--start", "0,1e100,0"),
+    ("field", "--point", "1e200,0,0"),
+], ids=["trace", "trace-pow-overflow", "field"])
+def test_overflowing_state_is_usage_error(argv, capsys):
+    # The input is finite, but (|p|^2 + 4)^2 is not.
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "overflows the field" in err
+    assert "non-finite" not in err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_verify_rejects_bad_tol(tol, capsys):
     assert run_cli("verify", "--only", "unit-norm", "--tol", tol) == 2
@@ -251,10 +266,14 @@ def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
 
 def test_module_entrypoint_runs_as_subprocess(tmp_path):
     out = tmp_path / "t.csv"
+    # The child imports the package from where this process found it,
+    # installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hopf_flow.cli", "trace", "--start", "1,0,0",
          "--span", "0", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     header, rows = read_csv(out)
     assert header == ["t", "x", "y", "z"]

@@ -88,6 +88,19 @@ def test_bracketed_roots_refines_each_root_in_few_calls():
     for k, root in enumerate(roots, start=1):
         assert abs(root - k * math.pi) <= 1e-12
 
+    # Near t = 9000 one ulp (1.8e-12) exceeds the 1e-12 tolerance, so the
+    # bracket has to end at adjacent doubles instead.
+    calls.clear()
+
+    def g(t):
+        calls.append(t)
+        return math.cos(t - 9000.0) - 0.3
+
+    roots = bracketed_roots(g, 9001.0, 9001.5, 1, 1e-12)
+    assert len(roots) == 1
+    assert len(calls) - 2 <= 12, len(calls)
+    assert abs(roots[0] - (9000.0 + math.acos(0.3))) <= 4e-12
+
 
 def test_bracketed_roots_without_sign_change_is_empty():
     assert bracketed_roots(lambda x: x * x + 1.0, -2.0, 2.0, 16, 1e-12) == []

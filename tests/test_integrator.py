@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hopf_flow.integrator import (Event, IntegratorConfig, Trajectory,
-                                  integrate, integrate_scalar)
+from hopf_flow.integrator import Event, integrate
 
 
 def decay(t, y):
@@ -27,8 +26,7 @@ def test_zero_span_returns_single_node():
 
 def test_exponential_decay_accuracy_tracks_tolerance():
     for rel in (1e-6, 1e-9, 1e-12):
-        cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
-        traj = integrate(decay, [1.0], (0.0, 5.0), cfg)
+        traj = integrate(decay, [1.0], (0.0, 5.0), rel_tol=rel)
         err = abs(traj.y_end[0] - math.exp(-5.0))
         assert err <= 50.0 * rel * math.exp(-5.0) + 1e-15
 
@@ -39,8 +37,7 @@ def test_convergence_order_exceeds_four():
     errs, hbars = [], []
     y_ref = np.array([math.cos(4.0), -math.sin(4.0)])
     for rel in (1e-5, 1e-7, 1e-9, 1e-11):
-        cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
-        traj = integrate(oscillator, [1.0, 0.0], (0.0, 4.0), cfg)
+        traj = integrate(oscillator, [1.0, 0.0], (0.0, 4.0), rel_tol=rel)
         errs.append(max(float(np.max(np.abs(traj.y_end - y_ref))), 1e-16))
         hbars.append(4.0 / traj.naccept)
     slope = np.polyfit(np.log(hbars), np.log(errs), 1)[0]
@@ -49,15 +46,13 @@ def test_convergence_order_exceeds_four():
 
 
 def test_energy_drift_small_at_tight_tolerance():
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    traj = integrate(oscillator, [1.0, 0.0], (0.0, 20.0), cfg)
+    traj = integrate(oscillator, [1.0, 0.0], (0.0, 20.0), rel_tol=1e-12)
     energy = traj.ys[:, 0] ** 2 + traj.ys[:, 1] ** 2
     assert float(np.max(np.abs(energy - 1.0))) <= 1e-10
 
 
 def test_dense_output_matches_analytic_solution():
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(decay, [1.0], (0.0, 3.0), cfg)
+    traj = integrate(decay, [1.0], (0.0, 3.0), rel_tol=1e-10)
     ts = np.linspace(0.0, 3.0, 57)
     got = traj.sample(ts)[:, 0]
     np.testing.assert_allclose(got, np.exp(-ts), rtol=1e-8, atol=1e-12)
@@ -74,8 +69,7 @@ def test_sample_rejects_times_outside_span():
 
 
 def test_backward_integration():
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    traj = integrate(decay, [1.0], (0.0, -2.0), cfg)
+    traj = integrate(decay, [1.0], (0.0, -2.0), rel_tol=1e-10)
     assert traj.t_end == -2.0
     np.testing.assert_allclose(traj.y_end[0], math.exp(2.0), rtol=1e-9)
     np.testing.assert_allclose(traj.sample(-1.0)[0], math.exp(1.0), rtol=1e-8)
@@ -83,12 +77,12 @@ def test_backward_integration():
 
 def test_event_crossing_located_and_terminal():
     # y' = 1 from 0; event at y = 2.5 must stop the run at t = 2.5.
-    ev = Event(fn=lambda t, y: y[0] - 2.5, terminal=True, name="level")
-    cfg = IntegratorConfig(events=(ev,))
-    traj = integrate(lambda t, y: np.ones(1), [0.0], (0.0, 10.0), cfg)
+    ev = Event(fn=lambda t, y: y[0] - 2.5, name="level")
+    traj = integrate(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
+                     events=(ev,))
     assert traj.stop_reason == "event"
-    assert len(traj.events) == 1
-    hit = traj.events[0]
+    hit = traj.event
+    assert hit is not None
     assert hit.name == "level"
     np.testing.assert_allclose(hit.t, 2.5, atol=1e-10)
     np.testing.assert_allclose(traj.t_end, 2.5, atol=1e-10)
@@ -97,48 +91,62 @@ def test_event_crossing_located_and_terminal():
 def test_event_direction_filtering():
     # sin(t) rises through zero at 2*pi and falls at pi; with a falling
     # filter the first recorded hit is at pi.
-    ev = Event(fn=lambda t, y: y[0], direction=-1, terminal=True, name="fall")
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, events=(ev,))
-    traj = integrate(oscillator, [0.0, 1.0], (0.0, 10.0), cfg)
+    ev = Event(fn=lambda t, y: y[0], direction=-1, name="fall")
+    traj = integrate(oscillator, [0.0, 1.0], (0.0, 10.0), rel_tol=1e-10,
+                     events=(ev,))
     assert traj.stop_reason == "event"
-    np.testing.assert_allclose(traj.events[0].t, math.pi, atol=1e-8)
+    np.testing.assert_allclose(traj.event.t, math.pi, atol=1e-8)
 
 
-def test_non_terminal_events_record_without_stopping():
-    ev = Event(fn=lambda t, y: y[0], direction=0, terminal=False, name="zero")
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, events=(ev,))
-    traj = integrate(oscillator, [0.0, 1.0], (0.0, 10.0), cfg)
-    assert traj.stop_reason == "reached_end"
-    hits = [h.t for h in traj.events]
-    np.testing.assert_allclose(hits, [math.pi, 2 * math.pi, 3 * math.pi],
-                               atol=1e-8)
+@pytest.mark.parametrize("t0", [9000.0, 1e5])
+def test_event_located_at_large_times(t0):
+    # Past |t| = 8192 the 1e-12 time tolerance is below one ulp, so the
+    # refiner has to stop at adjacent doubles instead of at the tolerance.
+    ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
+    traj = integrate(oscillator, [1.0, 0.0], (t0, t0 + 10.0), events=(ev,))
+    assert traj.stop_reason == "event"
+    t_want = t0 + math.acos(0.3)
+    assert abs(traj.event.t - t_want) <= 1e-9
+    np.testing.assert_allclose(traj.event.y[0], 0.3, atol=1e-9)
+    assert traj.t_end == traj.event.t
+
+
+def test_backward_event_located():
+    # Backward from t = 0 the oscillator's y[0] = cos(t) falls along the
+    # run and first crosses 0.3 at t = -acos(0.3).
+    ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
+    traj = integrate(oscillator, [1.0, 0.0], (0.0, -10.0), events=(ev,))
+    assert traj.stop_reason == "event"
+    np.testing.assert_allclose(traj.event.t, -math.acos(0.3), atol=1e-9)
+    assert traj.t_end == traj.event.t
+    assert np.all(np.diff(traj.ts) < 0.0)
 
 
 def test_bitwise_determinism():
-    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
-    a = integrate(oscillator, [1.0, 0.0], (0.0, 7.0), cfg)
-    b = integrate(oscillator, [1.0, 0.0], (0.0, 7.0), cfg)
+    a = integrate(oscillator, [1.0, 0.0], (0.0, 7.0), rel_tol=1e-9)
+    b = integrate(oscillator, [1.0, 0.0], (0.0, 7.0), rel_tol=1e-9)
     np.testing.assert_array_equal(a.ts, b.ts)
     np.testing.assert_array_equal(a.ys, b.ys)
     assert a.nfev == b.nfev and a.naccept == b.naccept
 
 
-def test_max_step_bound_is_honored():
-    cfg = IntegratorConfig(max_step=0.05)
-    traj = integrate(decay, [1.0], (0.0, 2.0), cfg)
-    steps = np.diff(traj.ts)
-    assert float(np.max(steps)) <= 0.05 + 1e-12
+@pytest.mark.parametrize("span", [(0.0, 3.0), (0.0, -3.0)],
+                         ids=["forward", "backward"])
+def test_sample_on_an_array_matches_scalar_samples_bitwise(span):
+    traj = integrate(oscillator, [1.0, 0.0], span, rel_tol=1e-8)
+    ts = np.linspace(span[0], span[1], 41)
+    stacked = np.array([traj.sample(float(t)) for t in ts])
+    assert traj.sample(ts).tobytes() == stacked.tobytes()
+    # At the knots the interpolant returns the accepted states themselves.
+    assert traj.sample(traj.ts).tobytes() == traj.ys.tobytes()
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IntegratorConfig(rel_tol=0.5)
+        integrate(decay, [1.0], (0.0, 1.0), rel_tol=0.5)
     with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(min_step=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(min_step=2.0, max_step=1.0)
+        # abs_tol = rel_tol * 1e-2 = 1e-17 falls below 1e-16.
+        integrate(decay, [1.0], (0.0, 1.0), rel_tol=1e-15)
     with pytest.raises(ValueError):
         integrate(decay, [[1.0, 2.0]], (0.0, 1.0))
 
@@ -148,19 +156,3 @@ def test_step_counters_are_consistent():
     assert traj.naccept == len(traj.ts) - 1
     # Six fresh stages per attempted step plus the initial evaluations.
     assert traj.nfev >= 6 * (traj.naccept + traj.nreject)
-
-
-def test_scalar_wrapper_matches_vector_form():
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-    a = integrate_scalar(lambda x, y: -y, (0.0, 3.0), 1.0, cfg)
-    b = integrate(decay, [1.0], (0.0, 3.0), cfg)
-    np.testing.assert_array_equal(a.ts, b.ts)
-    np.testing.assert_array_equal(a.ys, b.ys)
-
-
-def test_scalar_wrapper_forwards_events():
-    ev = Event(fn=lambda x, y: y - 0.5, terminal=True, name="half")
-    cfg = IntegratorConfig(events=(ev,))
-    traj = integrate_scalar(lambda x, y: -y, (0.0, 5.0), 1.0, cfg)
-    assert traj.stop_reason == "event"
-    np.testing.assert_allclose(traj.t_end, math.log(2.0), atol=1e-9)

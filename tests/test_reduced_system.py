@@ -184,7 +184,7 @@ def test_substitution_check_input_validation():
 def test_trace_h_stops_at_turning_guard():
     traj = rs.trace_h(2.0, 0.4, 1.5)
     assert traj.stop_reason == "event"
-    assert traj.events[-1].name == "turning-locus"
+    assert traj.event.name == "turning-locus"
     np.testing.assert_allclose(traj.t_end, 1.9207650650284926, atol=1e-6)
     # The guard keeps a margin: the rhs is still evaluable at the stop.
     rs.h_rhs(traj.t_end, float(traj.y_end[0]))
@@ -193,7 +193,7 @@ def test_trace_h_stops_at_turning_guard():
 def test_trace_h_stops_at_equator_ceiling():
     traj = rs.trace_h(1.0, 0.98, 0.5)
     assert traj.stop_reason == "event"
-    assert traj.events[-1].name == "h-ceiling"
+    assert traj.event.name == "h-ceiling"
     np.testing.assert_allclose(traj.y_end[0], 1.0, atol=1e-9)
     np.testing.assert_allclose(traj.t_end, 0.9307, atol=1e-3)
 
