@@ -221,6 +221,9 @@ def cmd_reduce(ns) -> int:
         "turning_crossings": int(curve.turning_crossings),
         "segments": len(curve.segments), "rows": len(rows),
         "form": "continued",
+        "rhs_evaluations": sum(seg.nfev for seg in curve.segments),
+        "accepted_steps": sum(seg.naccept for seg in curve.segments),
+        "rejected_steps": sum(seg.nreject for seg in curve.segments),
     }
     _emit(ns, header, rows, meta)
     return 0

@@ -53,9 +53,6 @@ class Velocity3:
     def norm(self) -> float:
         return math.sqrt(self.vx * self.vx + self.vy * self.vy + self.vz * self.vz)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz])
-
 
 @dataclass(frozen=True)
 class SphericalState:
@@ -109,9 +106,7 @@ class SignReport:
     consistent: bool = True
 
 
-def eval_cartesian(p: CartesianState) -> Velocity3:
-    """Unit-norm field at a point of R^3."""
-    x, y, z = p.x, p.y, p.z
+def _cartesian(x: float, y: float, z: float) -> tuple[float, float, float]:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError("non-finite Cartesian state")
     s = x * x + y * y + z * z
@@ -119,23 +114,24 @@ def eval_cartesian(p: CartesianState) -> Velocity3:
         raise ValueError(f"Cartesian state ({x!r}, {y!r}, {z!r}) overflows "
                          f"the field: (|p|^2 + 4)^2 exceeds the float range")
     d = (s + 4.0) ** 2
-    vx = 8.0 * (4.0 * z * x - y * s + 4.0 * y) / d
-    vy = 8.0 * (4.0 * z * y + x * s - 4.0 * x) / d
-    vz = (24.0 * x * x + 24.0 * y * y - 8.0 * z * z - s * s - 16.0) / d
-    return Velocity3(vx, vy, vz)
+    return (8.0 * (4.0 * z * x - y * s + 4.0 * y) / d,
+            8.0 * (4.0 * z * y + x * s - 4.0 * x) / d,
+            (24.0 * x * x + 24.0 * y * y - 8.0 * z * z - s * s - 16.0) / d)
+
+
+def eval_cartesian(p: CartesianState) -> Velocity3:
+    """Unit-norm field at a point of R^3."""
+    return Velocity3(*_cartesian(p.x, p.y, p.z))
 
 
 def cartesian_ode(t: float, y: np.ndarray) -> np.ndarray:
     """Integrator-facing signature; t is unused (the field is autonomous)."""
-    v = eval_cartesian(CartesianState(float(y[0]), float(y[1]), float(y[2])))
-    return v.as_array()
+    return np.array(_cartesian(*y.tolist()))
 
 
-def eval_spherical(s: SphericalState) -> SphericalVelocity:
-    """Spherical system; reversed-time image of the Cartesian field."""
-    if s.r <= 0.0:
+def _spherical(r: float, psi: float) -> tuple[float, float, float]:
+    if r <= 0.0:
         raise ValueError("spherical evaluation requires r > 0")
-    r, psi = s.r, s.psi
     rr = r * r
     q = 16.0 + rr * (8.0 + rr)
     sin_psi = math.sin(psi)
@@ -144,12 +140,17 @@ def eval_spherical(s: SphericalState) -> SphericalVelocity:
     dphi = -8.0 * (rr - 4.0) / q
     dr = (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0) * cos_psi / q
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / (r * q)
-    return SphericalVelocity(dr, dphi, dpsi)
+    return dr, dphi, dpsi
+
+
+def eval_spherical(s: SphericalState) -> SphericalVelocity:
+    """Spherical system; reversed-time image of the Cartesian field."""
+    return SphericalVelocity(*_spherical(s.r, s.psi))
 
 
 def spherical_ode(t: float, y: np.ndarray) -> np.ndarray:
-    v = eval_spherical(SphericalState(float(y[0]), float(y[1]), float(y[2])))
-    return v.as_array()
+    r, _, psi = y.tolist()
+    return np.array(_spherical(r, psi))
 
 
 def to_spherical(p: CartesianState) -> SphericalState:

@@ -7,9 +7,17 @@ steps.  Works in either time direction (t1 < t0 integrates backward); an
 empty span returns the single initial sample.  Runs are deterministic:
 identical inputs give bit-identical trajectories.
 
-The error norm is the RMS of the per-component local error over the
+A step fills one (7, d) stage matrix K: stage i is
+f(t + c_i h, y + (h A)[i, :i] @ K[:i]), the new state is
+y + (h A)[6, :6] @ K[:6] (stage 7 is evaluated there), and the local
+error is h (E @ K).  The error norm is the RMS of that error over the
 scale abs_tol + rel_tol * max(|y0|, |y1|), where abs_tol = rel_tol * 1e-2
 and both must lie in [1e-16, 1e-2).
+
+A run stops at the end of the span (`reached_end`), at an event
+(`event`), when the step size falls below MIN_STEP or one ulp of t
+(`step_underflow`), or after MAX_STEPS attempted steps (`max_steps`);
+each returns the trajectory up to that point.
 
 Every event stops the run.  When an event function changes sign over an
 accepted step, the crossing is located on that step's Hermite interpolant
@@ -28,23 +36,22 @@ import numpy as np
 
 from .diagnostics import bracketed_roots
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-# The 5th-order weights equal the last A row (first-same-as-last); the
-# error weights are the difference against the embedded 4th-order pair.
-_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+# Dormand-Prince 5(4) tableau; row i of _A weighs the earlier stages of
+# stage i, and the last row doubles as the 5th-order weights
+# (first-same-as-last).  _E is the difference against the embedded
+# 4th-order pair.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+               22 / 525, -1 / 40])
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
@@ -59,6 +66,7 @@ MAX_STEPS = 1_000_000
 STOP_REACHED_END = "reached_end"
 STOP_EVENT = "event"
 STOP_UNDERFLOW = "step_underflow"
+STOP_MAX_STEPS = "max_steps"
 
 
 @dataclass(frozen=True)
@@ -149,12 +157,6 @@ def _hermite(t, t0, t1, y0, y1, f0, f1) -> np.ndarray:
     return np.where(flat[..., None], y0, out)
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                rel_tol: float, abs_tol: float) -> float:
-    sc = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / sc) ** 2)))
-
-
 def _initial_step(f, t0: float, y0: np.ndarray, f0: np.ndarray, sign: float,
                   rel_tol: float, abs_tol: float, span: float) -> float:
     sc = abs_tol + rel_tol * np.abs(y0)
@@ -178,9 +180,9 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
               events: Sequence[Event] = ()) -> Trajectory:
     """Integrate dy/dt = field_fn(t, y) over t_span from y0.
 
-    Stops at the far end of the span, at the first event crossing, or
-    when the controller can no longer resolve a step; the stop reason is
-    recorded on the trajectory.
+    Stops at the far end of the span, at the first event crossing, when
+    the controller can no longer resolve a step, or when the step budget
+    runs out; the stop reason is recorded on the trajectory.
     """
     abs_tol = rel_tol * 1e-2
     if not (1e-16 <= rel_tol < 1e-2 and 1e-16 <= abs_tol < 1e-2):
@@ -210,17 +212,18 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
     h = _initial_step(f, t, y, k1, sign, rel_tol, abs_tol, abs(t1 - t0))
 
     ts = [t]
-    ys = [y.copy()]
-    fs = [k1.copy()]
+    ys = [y]
+    fs = [k1]
     g_prev = [ev.fn(t, y) for ev in events]
 
     hit: EventHit | None = None
-    stop_reason = ""
+    stop_reason = STOP_MAX_STEPS
     naccept = 0
     nreject = 0
     facold = 1e-4
     just_rejected = False
-    ks: list[np.ndarray] = [k1] * 7
+    # Stage matrix: row i holds stage i of the current attempt.
+    K = np.empty((7, len(y)))
 
     for _ in range(MAX_STEPS):
         rem = abs(t1 - t)
@@ -231,25 +234,26 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             break
         hs = sign * h
 
-        ks[0] = k1
-        for i in range(1, 7):
-            acc = _A[i][0] * ks[0]
-            for j in range(1, i):
-                acc = acc + _A[i][j] * ks[j]
-            ks[i] = f(t + _C[i] * hs, y + hs * acc)
-        y_new = y + hs * sum(_A[6][j] * ks[j] for j in range(6))
-        # First-same-as-last: stage 7 sits at (t+h, y_new) already.
-        k_new = ks[6]
-        err_vec = hs * sum(_E[j] * ks[j] for j in range(7))
-        err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
+        hA = hs * _A
+        K[0] = k1
+        for i in range(1, 6):
+            K[i] = f(t + _C[i] * hs, y + hA[i, :i] @ K[:i])
+        y_new = y + hA[6, :6] @ K[:6]
+        # First-same-as-last: stage 7 sits at (t+h, y_new).
+        K[6] = f(t + hs, y_new)
+        sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        r = hs * (_E @ K) / sc
+        err = math.sqrt(r @ r / len(r))
 
         if err <= 1.0:
             # Accept.  Land exactly on t1 when the step was clamped to it.
             facold = max(err, 1e-4)
             t_new = t1 if last else t + hs
+            # A copy: the next attempt overwrites K.
+            k_new = K[6].copy()
             ts.append(t_new)
-            ys.append(y_new.copy())
-            fs.append(k_new.copy())
+            ys.append(y_new)
+            fs.append(k_new)
             naccept += 1
 
             if events:
@@ -283,8 +287,6 @@ def integrate(field_fn: Callable[[float, np.ndarray], np.ndarray],
             just_rejected = True
             fac11 = err ** _EXPO
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-    else:
-        raise RuntimeError(f"no convergence within {MAX_STEPS} steps")
 
     return Trajectory(ts=np.array(ts), ys=np.array(ys), fs=np.array(fs),
                       stop_reason=stop_reason, rel_tol=rel_tol,

@@ -359,8 +359,9 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                 else:
                     curve.stop_note = "ran to the radial bound"
                 break
-            if traj.stop_reason == "step_underflow":
-                curve.stop_note = "step underflow in r-parametrization"
+            if traj.stop_reason != "event":  # step_underflow, max_steps
+                curve.stop_note = (f"{traj.stop_reason.replace('_', ' ')} "
+                                   f"in r-parametrization")
                 break
             if traj.event is not None and traj.event.name == "h-floor":
                 curve.stop_note = "H collapsed to 0"
@@ -390,7 +391,10 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
         curve.segments.append(traj)
         r, psi = float(traj.y_end[0]), float(traj.y_end[1])
         if traj.stop_reason != "event":
-            curve.stop_note = "planar flow exhausted its parameter budget"
+            curve.stop_note = ("planar flow exhausted its parameter budget"
+                               if traj.stop_reason == "reached_end" else
+                               f"{traj.stop_reason.replace('_', ' ')} in "
+                               f"the planar flow")
             break
         last = traj.event.name
         if last == "target-radius":

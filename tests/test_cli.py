@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopf_flow import cli, fields, reduced_system
+from hopf_flow import cli, fields, integrator, reduced_system
 from hopf_flow.integrator import integrate
 
 
@@ -114,6 +114,27 @@ def test_reduce_keeps_constant_level(tmp_path):
     assert max(devs) <= 1e-6
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
     assert meta["reached"] is True
+
+
+def test_reduce_meta_carries_work_counters(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli("reduce", "--start", "1,0.7854", "--target", "3",
+                   "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    for key in ("rhs_evaluations", "accepted_steps", "rejected_steps"):
+        assert type(meta[key]) is int and meta[key] > 0, key
+    assert meta["rhs_evaluations"] > 6 * meta["accepted_steps"]
+
+
+def test_trace_reports_an_exhausted_step_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 10)
+    out = tmp_path / "t.csv"
+    assert run_cli("trace", "--start", "1,0,0", "--span", "50", "--dense",
+                   "20", "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["stop_reason"] == "max_steps"
+    assert meta["accepted_steps"] + meta["rejected_steps"] == 10
+    assert 0.0 < meta["t_end"] < 50.0
 
 
 def test_implicit_requires_bracket(tmp_path, capsys):

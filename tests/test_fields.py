@@ -179,3 +179,16 @@ def test_ode_wrappers_agree_with_dataclass_forms():
     sv = eval_spherical(SphericalState(*s))
     np.testing.assert_array_equal(fields.spherical_ode(0.0, s),
                                   [sv.dr, sv.dphi, sv.dpsi])
+    # The wrappers refuse what the dataclass forms refuse, with the same
+    # message.
+    for bad in ([1e200, 0.0, 0.0], [math.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError) as want:
+            eval_cartesian(CartesianState(*bad))
+        with pytest.raises(ValueError) as got:
+            fields.cartesian_ode(0.0, np.array(bad))
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as want:
+        eval_spherical(SphericalState(-1.0, 0.4, 1.1))
+    with pytest.raises(ValueError) as got:
+        fields.spherical_ode(0.0, np.array([-1.0, 0.4, 1.1]))
+    assert str(got.value) == str(want.value)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hopf_flow import fields, integrator
 from hopf_flow.integrator import Event, integrate
 
 
@@ -156,3 +157,36 @@ def test_step_counters_are_consistent():
     assert traj.naccept == len(traj.ts) - 1
     # Six fresh stages per attempted step plus the initial evaluations.
     assert traj.nfev >= 6 * (traj.naccept + traj.nreject)
+
+
+def test_step_budget_is_a_stop_reason(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 10)
+    traj = integrate(oscillator, [1.0, 0.0], (0.0, 100.0), rel_tol=1e-12)
+    assert traj.stop_reason == integrator.STOP_MAX_STEPS == "max_steps"
+    assert traj.naccept + traj.nreject == 10
+    assert 0.0 < traj.t_end < 100.0
+    mid = traj.sample(0.5 * traj.t_end)
+    np.testing.assert_allclose(mid, [math.cos(0.5 * traj.t_end),
+                                     -math.sin(0.5 * traj.t_end)], atol=1e-8)
+
+
+def test_accepted_steps_follow_the_dp5_stability_polynomial():
+    # On y' = -y one Dormand-Prince step multiplies y by
+    # R(z) = sum_{k<=5} z^k / k! + z^6 / 600 at z = -h (in exact
+    # arithmetic); the z^6 coefficient is particular to this tableau.
+    traj = integrate(decay, [1.0], (0.0, 8.0), rel_tol=1e-6)
+    assert traj.naccept >= 10
+    z = -np.diff(traj.ts)
+    want = sum(z ** k / math.factorial(k) for k in range(6)) + z ** 6 / 600.0
+    got = traj.ys[1:, 0] / traj.ys[:-1, 0]
+    assert np.max(z * z) > 0.1  # steps long enough for z^6 to register
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_stored_slopes_are_the_field_at_the_stored_states():
+    # Every fs row must be the field at its own (t, y) row, not a stage of
+    # a later attempt left in a reused buffer.
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 100.0))
+    assert len(traj.ts) > 1000 and traj.nreject > 0
+    for t, y, f in zip(traj.ts, traj.ys, traj.fs):
+        assert fields.cartesian_ode(t, y).tobytes() == f.tobytes()

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hopf_flow import integrator
 from hopf_flow import reduced_system as rs
 
 # Effective constants frozen from the continued form; regression anchors.
@@ -236,6 +237,16 @@ def test_trace_reduced_reports_unreachable_target():
     assert not curve.reached
     assert curve.stop_note != ""
     assert curve.rs.min() > 0.2
+
+
+def test_exhausted_step_budget_ends_the_trace(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 5)
+    traj = rs.trace_h(1.0, 0.5, 4.0)
+    assert traj.stop_reason == "max_steps" and traj.t_end < 4.0
+    curve = rs.trace_reduced(1.0, math.asin(math.sqrt(0.5)), 6.0)
+    assert not curve.reached
+    assert curve.stop_note == "max steps in r-parametrization"
+    assert len(curve.segments) == 1 and curve.rs.max() < 6.0
 
 
 def test_trace_reduced_validates_psi0():
