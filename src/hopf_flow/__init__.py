@@ -62,10 +62,6 @@ from .reduced_system import (
 )
 from .special_functions import (
     BesselQuad,
-    bessel_i0,
-    bessel_i1,
-    bessel_k0,
-    bessel_k1,
     bessel_k_continued,
     bessel_quad,
 )
@@ -97,10 +93,6 @@ __all__ = [
     "TurningPointError",
     "UVPair",
     "Velocity3",
-    "bessel_i0",
-    "bessel_i1",
-    "bessel_k0",
-    "bessel_k1",
     "bessel_k_continued",
     "bessel_quad",
     "cartesian_ode",

@@ -124,8 +124,7 @@ def _check_pushforward_trajectories(tol: float, documented: bool) -> ResidualRep
 
 def _check_bessel_wronskian(tol: float, documented: bool) -> ResidualReport:
     zs = np.logspace(math.log10(1e-3), math.log10(60.0), 1000)
-    residuals = [special_functions.bessel_quad(float(z)).wronskian_defect()
-                 for z in zs]
+    residuals = special_functions.bessel_quad(zs).wronskian_defect()
     return summarize("bessel-wronskian", residuals, tol, documented)
 
 
@@ -176,13 +175,11 @@ def _check_reduced_substitution(tol: float, documented: bool) -> ResidualReport:
             near = min(solved, key=lambda s: abs(s - r)) if solved else None
             h_mid = solved[near] if near is not None else h0
             bracket = (max(0.01, h_mid - 0.12), min(0.9999, h_mid + 0.12))
-            hs = [reduced_system.solve_implicit(c1, float(rc), bracket,
-                                                n_scan=8)
-                  for rc in (r - delta, r, r + delta)]
-            solved[float(r)] = hs[1]
+            triple = np.array([r - delta, r, r + delta])
+            hs = reduced_system.solve_implicit(c1, triple, bracket, n_scan=8)
+            solved[float(r)] = float(hs[1])
             psis = np.arcsin(np.sqrt(hs))
-            residuals.append(reduced_system.substitution_check(
-                np.array([r - delta, r, r + delta]), psis))
+            residuals.append(reduced_system.substitution_check(triple, psis))
     return summarize("reduced-substitution", residuals, tol, documented,
                      details={"curves": len(anchors), "delta": delta})
 

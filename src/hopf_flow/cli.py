@@ -245,18 +245,10 @@ def cmd_implicit(ns) -> int:
         raise ValueError("implicit needs --rmin and --rmax for the sweep")
     rs = np.linspace(float(ns.rmin), float(ns.rmax),
                      25 if ns.n is None else int(ns.n))
-
-    def solve_row(r: float) -> list[float]:
-        try:
-            h = reduced_system.solve_implicit(c_eff, float(r),
-                                              (bracket[0], bracket[1]))
-            resid = reduced_system.implicit_residual(c_eff, float(r), h,
-                                                     "continued")
-            return [float(r), h, resid]
-        except (ValueError, ArithmeticError):
-            return [float(r), math.nan, math.nan]
-
-    rows = [solve_row(r) for r in rs]
+    hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
+    resids = reduced_system.implicit_residual(c_eff, rs, hs, "continued")
+    rows = [list(row)
+            for row in zip(rs.tolist(), hs.tolist(), resids.tolist())]
     solved = sum(1 for row in rows if math.isfinite(row[1]))
     if solved == 0:
         raise RuntimeError("implicit sweep found no roots anywhere in the "

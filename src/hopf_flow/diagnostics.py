@@ -114,17 +114,22 @@ def summarize(name: str, residuals: Sequence[float], tolerance: float,
 
 
 def bracketed_roots(fn: Callable[[float], float], lo: float, hi: float,
-                    n_scan: int, tol: float) -> list[float]:
+                    n_scan: int, tol: float,
+                    fs: Sequence[float] | None = None) -> list[float]:
     """Every root of fn that a sign-change scan of [lo, hi] brackets.
 
-    fn is sampled at n_scan + 1 equally spaced points.  A sample where fn
-    is exactly 0 is a root; each interval whose ends change sign is
-    refined by safeguarded secant/bisection until it is at most tol wide.
-    Intervals with a NaN end never count as changing sign.  Roots come
-    back in scan order.
+    fn is sampled at the n_scan + 1 points lo + (hi - lo) * i / n_scan,
+    unless `fs` already holds those samples (a caller may compute them in
+    one array pass).  A sample where fn is exactly 0 is a root; each
+    interval whose ends change sign is refined by safeguarded
+    secant/bisection until it is at most tol wide.  Intervals with a NaN
+    end never count as changing sign.  Roots come back in scan order.
     """
     xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    fs = [fn(x) for x in xs]
+    if fs is None:
+        fs = [fn(x) for x in xs]
+    elif len(fs) != n_scan + 1:
+        raise ValueError(f"need {n_scan + 1} scan values, got {len(fs)}")
     roots = []
     for i in range(n_scan + 1):
         if fs[i] == 0.0:

@@ -202,16 +202,32 @@ def substitution_check(rs, psis) -> float:
     return worst
 
 
-def _combination(r: float, h: float, form: str) -> tuple[float, float, float]:
-    """(z, numerator, denominator) of C(r, H) = numerator / denominator."""
+def _bessel_terms(r, h):
+    """(z, a, b, Bessel quad at z) of C(r, H): z = sqrt(H) r / 2,
+    a = 4 + r^2, b = 8 sqrt(H) r.
+
+    Floats outside r > 0, H in (0, 1] or z in (0, Z_MAX] raise
+    ValueError; arrays broadcast and give NaN there instead.
+    """
+    if isinstance(r, np.ndarray) or isinstance(h, np.ndarray):
+        r, h = np.broadcast_arrays(np.asarray(r, float), np.asarray(h, float))
+        sqrt_h = np.sqrt(np.where((r > 0.0) & (h > 0.0) & (h <= 1.0), h,
+                                  math.nan))
+    else:
+        if r <= 0.0 or not 0.0 < h <= 1.0:
+            raise ValueError("need r > 0 and H in (0, 1]")
+        sqrt_h = math.sqrt(h)
+    z = 0.5 * sqrt_h * r
+    q = bessel_quad(z)  # a float outside (0, Z_MAX] raises
+    return z, 4.0 + r * r, 8.0 * sqrt_h * r, q
+
+
+def _combination(r, h, form: str):
+    """(z, numerator, denominator) of C(r, H) = numerator / denominator,
+    elementwise on arrays (see `_bessel_terms` for refused points)."""
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}")
-    if r <= 0.0 or not 0.0 < h <= 1.0:
-        raise ValueError("need r > 0 and H in (0, 1]")
-    z = 0.5 * math.sqrt(h) * r
-    q = bessel_quad(z)  # raises outside (0, 60]
-    a = 4.0 + r * r
-    b = 8.0 * math.sqrt(h) * r
+    z, a, b, q = _bessel_terms(r, h)
     k_sign = 1.0 if form == "continued" else -1.0
     return z, -(a * q.k0 + k_sign * b * q.k1), a * q.i0 - b * q.i1
 
@@ -228,13 +244,11 @@ def implicit_constant(r: float, h: float, form: str = "continued") -> ImplicitCo
                             form=form, denom=den)
 
 
-def implicit_residual(c_effective: float, r: float, h: float,
-                      form: str = "continued") -> float:
-    """Scaled residual of the implicit relation at (r, H) for a given C."""
-    z = 0.5 * math.sqrt(h) * r
-    q = bessel_quad(z)
-    a = 4.0 + r * r
-    b = 8.0 * math.sqrt(h) * r
+def implicit_residual(c_effective: float, r, h, form: str = "continued"):
+    """Scaled residual of the implicit relation at (r, H) for a given C.
+
+    Elementwise on arrays of r and H, NaN at refused points."""
+    _, a, b, q = _bessel_terms(r, h)
     k_sign = 1.0 if form == "continued" else -1.0
     terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
              a * q.k0, k_sign * b * q.k1]
@@ -444,8 +458,8 @@ def select_effective_form(r0: float = 1.0, h0: float = 0.5, r1: float = 4.0,
                          samples=n_samples)
 
 
-def solve_implicit(c1, r: float, bracket: tuple[float, float],
-                   form: str = "continued", n_scan: int = 64) -> float:
+def solve_implicit(c1, r, bracket: tuple[float, float],
+                   form: str = "continued", n_scan: int = 64):
     """Solve the implicit relation for H at fixed r and constant c1.
 
     `c1` may be an ImplicitConstant, a complex value, or the effective
@@ -454,6 +468,10 @@ def solve_implicit(c1, r: float, bracket: tuple[float, float],
     roots of C - c1 and none of its poles; each root is polished to
     |dH| <= 1e-12, and with several roots the one nearest the bracket
     midpoint is returned with a multiplicity warning.
+
+    `r` is a float or a 1-d array.  The scan grid of every r is evaluated
+    in one array pass.  A float raises ValueError when no root is
+    bracketed; an array returns H with NaN in those rows.
     """
     if isinstance(c1, ImplicitConstant):
         target = c1.c_effective
@@ -464,36 +482,58 @@ def solve_implicit(c1, r: float, bracket: tuple[float, float],
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
     if not h_lo < h_hi:
         raise ValueError("empty bracket")
-
-    def g(h: float) -> float:
-        try:
-            _, num, den = _combination(r, h, form)
-        except ValueError:
-            return math.nan
-        return num - target * den
-
-    roots = bracketed_roots(g, h_lo, h_hi, n_scan, 1e-12)
-    if not roots:
-        raise _no_root_error(r, form, target,
-                             np.linspace(h_lo, h_hi, n_scan + 1))
+    scalar = np.ndim(r) == 0
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if rs.ndim != 1:
+        raise ValueError("r must be a float or a 1-d array")
+    # The points bracketed_roots scans, lo + (hi - lo) * i / n_scan.
+    hs = h_lo + (h_hi - h_lo) * np.arange(n_scan + 1) / n_scan
+    _, num, den = _combination(rs[:, None], hs, form)
+    scan = num - target * den
     mid = 0.5 * (h_lo + h_hi)
-    if len(roots) > 1:
-        warnings.warn(f"{len(roots)} roots in bracket; returning the one "
-                      f"nearest the midpoint", stacklevel=2)
-    return min(roots, key=lambda h: abs(h - mid))
+    out = np.full(rs.shape, math.nan)
+    counts = []
+    for k, r_k in enumerate(rs.tolist()):
+
+        def g(h: float) -> float:
+            try:
+                _, num_h, den_h = _combination(r_k, h, form)
+            except ValueError:
+                return math.nan
+            return num_h - target * den_h
+
+        roots = bracketed_roots(g, h_lo, h_hi, n_scan, 1e-12,
+                                fs=scan[k].tolist())
+        if roots:
+            out[k] = min(roots, key=lambda h: abs(h - mid))
+        elif scalar:
+            raise _no_root_error(target, hs, num[0], den[0])
+        counts.append(len(roots))
+    if scalar:
+        if counts[0] > 1:
+            warnings.warn(f"{counts[0]} roots in bracket; returning the one "
+                          f"nearest the midpoint", stacklevel=2)
+        return float(out[0])
+    several = sum(n > 1 for n in counts)
+    if several:
+        warnings.warn(f"{several} of {len(rs)} radii have several roots in "
+                      f"the bracket; returning the one nearest the midpoint",
+                      stacklevel=2)
+    return out
 
 
-def _no_root_error(r: float, form: str, target: float, grid) -> ValueError:
-    """Why no root was bracketed: a tangency, or no crossing at all."""
-    gaps = []
-    for h in grid:
-        try:
-            gaps.append((float(h), implicit_constant(r, float(h), form)
-                         .c_effective - target))
-        except ValueError:
-            continue
-    if gaps:
-        h_best, g_best = min(gaps, key=lambda t: abs(t[1]))
+def _no_root_error(target: float, hs: np.ndarray, num: np.ndarray,
+                   den: np.ndarray) -> ValueError:
+    """Why no root was bracketed: a tangency, or no crossing at all.
+
+    Reads C - c1 off the scan values; samples that `implicit_constant`
+    refuses (NaN, or a vanishing I-combination) are skipped.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gaps = np.where(np.abs(den) >= 1e-300, num / den - target, math.nan)
+    if not np.isnan(gaps).all():
+        best = int(np.nanargmin(np.abs(gaps)))
+        h_best, g_best = float(hs[best]), float(gaps[best])
         if abs(g_best) <= 1e-2 * max(1.0, abs(target)):
             return ValueError(
                 f"no sign change on the bracket, but |C - c1| dips to "

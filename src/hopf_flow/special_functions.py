@@ -1,18 +1,24 @@
 """Modified Bessel functions I0, I1, K0, K1 in double precision.
 
-Supported argument range is z in (0, 60].  Three evaluation regions are
-used for K (the I series converges everywhere in range):
+Supported argument range is z in (0, 300]: there I, K and the ratio K/I
+(~ pi e**(-2z), the scale of the implicit constant) are all normal
+doubles.  Each function is an exponentially scaled Chebyshev series on
+two intervals, with the interval split of Cephes (Moshier 1989):
 
-* z <= 2      ascending log series around z = 0,
-* 2 < z < 16  Steed continued fraction for the K pair,
-* z >= 16     large-argument asymptotic expansion.
+* I0 e**-z and I1 e**-z / z on (0, 8], t = z/4 - 1;
+* I0 e**-z sqrt(z) and I1 e**-z sqrt(z) on (8, 300], t = 16/z - 1;
+* K0 + log(z/2) I0 and z (K1 - log(z/2) I1), regular series in z**2,
+  on (0, 2], t = z**2/2 - 1;
+* K0 e**z sqrt(z) and K1 e**z sqrt(z) on (2, 300], t = 4/z - 1.
 
-The small-z series loses relative accuracy like eps * e**(2z) from the
-cancellation between the log term and the regular sum, and the asymptotic
-series bottoms out near e**(-2z), so neither covers the middle decade in
-double precision; the continued fraction does.  Against a 40-digit
-reference the combined scheme is accurate to ~3e-15 worst-case relative
-error over 1000 log-spaced points in (1e-3, 60].
+The coefficients in `_bessel_tables` are written by
+tools/make_bessel_tables.py from 40-digit mpmath values; each series is
+summed by the Clenshaw recurrence (Clenshaw 1955).  The same code serves
+a float (Python float arithmetic) and an ndarray (array arithmetic, one
+masked pass per interval); both take exp and log from numpy, so an array
+element equals the float result bit for bit.  Against 40-digit mpmath
+the largest relative error over 2000 log-spaced points in [1e-3, 300] is
+7.8e-16 for I0, 1.4e-15 for I1, 1.2e-15 for K0 and 6.2e-16 for K1.
 
 `bessel_k_continued` evaluates K at negative real arguments through the
 standard analytic continuation onto the upper branch,
@@ -24,155 +30,109 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-EULER_GAMMA = 0.57721566490153286060651209008240243
+import numpy as np
 
-Z_MAX = 60.0
-_SERIES_TOP = 2.0
-_ASYMPTOTIC_BOTTOM = 16.0
+from ._bessel_tables import (I0_LARGE, I0_SMALL, I1_LARGE, I1_SMALL,
+                             K0_LARGE, K0_SMALL, K1_LARGE, K1_SMALL)
+
+Z_MAX = 300.0
+_I_SPLIT = 8.0
+_K_SPLIT = 2.0
 
 
 @dataclass(frozen=True)
 class BesselQuad:
-    """The four modified Bessel values at one argument."""
+    """The four modified Bessel values at one argument, or elementwise at
+    an array of arguments."""
 
-    z: float
-    i0: float
-    i1: float
-    k0: float
-    k1: float
+    z: float | np.ndarray
+    i0: float | np.ndarray
+    i1: float | np.ndarray
+    k0: float | np.ndarray
+    k1: float | np.ndarray
 
-    def wronskian_defect(self) -> float:
+    def wronskian_defect(self) -> float | np.ndarray:
         """Relative defect of I0*K1 + I1*K0 against 1/z."""
         return abs(self.i0 * self.k1 + self.i1 * self.k0 - 1.0 / self.z) * self.z
 
 
-def _check_range(z: float) -> None:
-    if not (0.0 < z <= Z_MAX):
+def _clenshaw(coeffs, t):
+    """sum_k a_k T_k(t) by the Clenshaw recurrence, for coeffs listing
+    a_n, ..., a_1, a_0 and t a float or an array."""
+    t2 = t + t
+    b1 = b2 = 0.0
+    for a in coeffs:
+        b1, b2 = t2 * b1 - b2 + a, b1
+    return b1 - t * b2
+
+
+def _apply(ufunc, x):
+    # numpy's exp and log on both paths: their results do not depend on an
+    # array's length or layout, so a float and an array element agree bit
+    # for bit (math.exp and numpy's exp differ by an ulp at some points).
+    y = ufunc(x)
+    return y if isinstance(x, np.ndarray) else float(y)
+
+
+def _i_small(z):
+    t = 0.25 * z - 1.0
+    ez = _apply(np.exp, z)
+    return _clenshaw(I0_SMALL, t) * ez, _clenshaw(I1_SMALL, t) * z * ez
+
+
+def _i_large(z):
+    t = 16.0 / z - 1.0
+    scale = _apply(np.exp, z) / _apply(np.sqrt, z)
+    return _clenshaw(I0_LARGE, t) * scale, _clenshaw(I1_LARGE, t) * scale
+
+
+def _k_small(z, i0, i1):
+    t = 0.5 * z * z - 1.0
+    log = _apply(np.log, 0.5 * z)
+    return (_clenshaw(K0_SMALL, t) - log * i0,
+            log * i1 + _clenshaw(K1_SMALL, t) / z)
+
+
+def _k_large(z):
+    t = 4.0 / z - 1.0
+    scale = _apply(np.exp, -z) / _apply(np.sqrt, z)
+    return _clenshaw(K0_LARGE, t) * scale, _clenshaw(K1_LARGE, t) * scale
+
+
+def _quad_scalar(z: float) -> BesselQuad:
+    if not 0.0 < z <= Z_MAX:
         raise ValueError(f"argument {z!r} outside supported range (0, {Z_MAX}]")
-
-
-def bessel_i0(z: float) -> float:
-    _check_range(z)
-    t = 0.25 * z * z
-    term, total, m = 1.0, 1.0, 0
-    while term > 1e-18 * total:
-        m += 1
-        term *= t / (m * m)
-        total += term
-    return total
-
-
-def bessel_i1(z: float) -> float:
-    _check_range(z)
-    t = 0.25 * z * z
-    term = 0.5 * z
-    total, m = term, 0
-    while term > 1e-18 * total:
-        m += 1
-        term *= t / (m * (m + 1))
-        total += term
-    return total
-
-
-def _k0_series(z: float) -> float:
-    t = 0.25 * z * z
-    c = -(math.log(0.5 * z) + EULER_GAMMA)
-    term, harmonic, m = 1.0, 0.0, 0
-    total = c
-    while term * (abs(c) + harmonic + 1.0) > 1e-18 * abs(total):
-        m += 1
-        term *= t / (m * m)
-        harmonic += 1.0 / m
-        total += term * (c + harmonic)
-    return total
-
-
-def _k1_series(z: float) -> float:
-    t = 0.25 * z * z
-    term = 1.0
-    hk, hk1 = 0.0, 1.0
-    acc, k = term * (-2.0 * EULER_GAMMA + hk + hk1), 0
-    while term * (hk + hk1 + 2.0) > 1e-18 * abs(acc):
-        k += 1
-        term *= t / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        acc += term * (-2.0 * EULER_GAMMA + hk + hk1)
-    return 1.0 / z + math.log(0.5 * z) * bessel_i1(z) - 0.25 * z * acc
-
-
-def _k_pair_cf(z: float) -> tuple[float, float]:
-    # Steed continued fraction for the K pair at order 0; stable for z >= ~1.
-    b = 2.0 * (1.0 + z)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a1 = 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 20001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    else:
-        raise RuntimeError(f"continued fraction did not converge at z={z!r}")
-    h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) / s
-    k1 = k0 * (z + 0.5 - h) / z
-    return k0, k1
-
-
-def _k_asymptotic(z: float, nu: int) -> float:
-    mu = 4.0 * nu * nu
-    total, term = 1.0, 1.0
-    for k in range(1, 60):
-        term *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * z)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * total
-
-
-def bessel_k0(z: float) -> float:
-    _check_range(z)
-    if z <= _SERIES_TOP:
-        return _k0_series(z)
-    if z < _ASYMPTOTIC_BOTTOM:
-        return _k_pair_cf(z)[0]
-    return _k_asymptotic(z, 0)
-
-
-def bessel_k1(z: float) -> float:
-    _check_range(z)
-    if z <= _SERIES_TOP:
-        return _k1_series(z)
-    if z < _ASYMPTOTIC_BOTTOM:
-        return _k_pair_cf(z)[1]
-    return _k_asymptotic(z, 1)
-
-
-def bessel_quad(z: float) -> BesselQuad:
-    """All four values at one argument, sharing the K continued fraction."""
-    _check_range(z)
-    i0, i1 = bessel_i0(z), bessel_i1(z)
-    if z <= _SERIES_TOP:
-        k0, k1 = _k0_series(z), _k1_series(z)
-    elif z < _ASYMPTOTIC_BOTTOM:
-        k0, k1 = _k_pair_cf(z)
-    else:
-        k0, k1 = _k_asymptotic(z, 0), _k_asymptotic(z, 1)
+    i0, i1 = _i_small(z) if z <= _I_SPLIT else _i_large(z)
+    k0, k1 = _k_small(z, i0, i1) if z <= _K_SPLIT else _k_large(z)
     return BesselQuad(z=z, i0=i0, i1=i1, k0=k0, k1=k1)
+
+
+def _quad_array(z: np.ndarray) -> BesselQuad:
+    i0, i1, k0, k1 = (np.full(z.shape, math.nan) for _ in range(4))
+    ok = (z > 0.0) & (z <= Z_MAX)
+    small_i = ok & (z <= _I_SPLIT)
+    small_k = ok & (z <= _K_SPLIT)
+    for mask, fn in ((small_i, _i_small), (ok & ~small_i, _i_large)):
+        if mask.any():
+            i0[mask], i1[mask] = fn(z[mask])
+    if small_k.any():
+        k0[small_k], k1[small_k] = _k_small(z[small_k], i0[small_k],
+                                            i1[small_k])
+    large_k = ok & ~small_k
+    if large_k.any():
+        k0[large_k], k1[large_k] = _k_large(z[large_k])
+    return BesselQuad(z=z, i0=i0, i1=i1, k0=k0, k1=k1)
+
+
+def bessel_quad(z: float | np.ndarray) -> BesselQuad:
+    """I0, I1, K0 and K1 at z.
+
+    A float outside (0, Z_MAX] raises ValueError; an ndarray gives the
+    values elementwise, with NaN where a float would raise.
+    """
+    if isinstance(z, np.ndarray):
+        return _quad_array(z.astype(float, copy=False))
+    return _quad_scalar(float(z))
 
 
 def bessel_k_continued(z: float, nu: int) -> complex:

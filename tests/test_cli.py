@@ -166,6 +166,14 @@ def test_implicit_exit_one_when_nothing_solves(tmp_path, capsys):
     assert code == 1
 
 
+def test_implicit_empty_bracket_is_a_usage_error(tmp_path, capsys):
+    code = run_cli("implicit", "--c1", "-4.9", "--rmin", "1.0", "--rmax",
+                   "2.0", "--bracket", "0.5,0.5", "--out",
+                   str(tmp_path / "i.csv"))
+    assert code == 2
+    assert "empty bracket" in capsys.readouterr().err
+
+
 def test_rho_grid_and_exact_equator_log(tmp_path):
     out = tmp_path / "rho.csv"
     assert run_cli("rho", "--grid", "3", "--out", str(out)) == 0

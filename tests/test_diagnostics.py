@@ -115,3 +115,21 @@ def test_bracketed_roots_counts_exact_zeros_and_skips_nan_ends():
         return {0.0: -1.0, 1.0: -1.0, 2.0: 0.0, 4.0: -1.0}.get(x, 1.0)
 
     assert bracketed_roots(f, 0.0, 4.0, 4, 1e-12) == [2.0]
+
+
+def test_bracketed_roots_takes_scan_values_computed_in_one_array_pass():
+    lo, hi, n = 1.0, 10.0, 64
+    # numpy reproduces the scan points bit for bit.
+    xs = lo + (hi - lo) * np.arange(n + 1) / n
+    assert xs.tolist() == [lo + (hi - lo) * i / n for i in range(n + 1)]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.sin(x)
+
+    roots = bracketed_roots(f, lo, hi, n, 1e-12, fs=np.sin(xs).tolist())
+    assert roots == bracketed_roots(math.sin, lo, hi, n, 1e-12)
+    assert len(calls) <= 3 * 12  # refinement only: no scan calls
+    with pytest.raises(ValueError, match="65 scan values"):
+        bracketed_roots(f, lo, hi, n, 1e-12, fs=[0.0] * n)

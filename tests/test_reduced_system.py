@@ -87,7 +87,8 @@ def test_implicit_constant_domain_and_form_guards():
     with pytest.raises(ValueError):
         rs.implicit_constant(1.0, 1.2)
     with pytest.raises(ValueError):
-        rs.implicit_constant(130.0, 1.0)  # Bessel argument out of range
+        rs.implicit_constant(602.0, 1.0)  # Bessel argument z = 301 > Z_MAX
+    assert math.isfinite(rs.implicit_constant(600.0, 1.0).c_effective)
 
 
 def test_implicit_residual_zero_at_own_constant():
@@ -155,6 +156,113 @@ def test_solve_implicit_warns_on_multiple_roots():
 def test_solve_implicit_rejects_empty_bracket():
     with pytest.raises(ValueError, match="bracket"):
         rs.solve_implicit(-3.0, 2.0, (0.5, 0.5))
+
+
+# The two seed-0 benchmark sweeps (start, r range, bracket), and one whose
+# bracket misses the curve at most radii and cuts it twice at some.
+SWEEPS = {
+    "series": ((1.0, 0.5), (1.0, 4.0), (0.3, 0.95)),
+    "cf": ((10.0, 0.5), (8.5, 20.0), (0.05, 0.99)),
+    "gaps": ((2.0, 0.2), (0.5, 12.0), (0.01, 0.99)),
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_array_solve_matches_scalar_solves(sweep):
+    start, (r_lo, r_hi), bracket = SWEEPS[sweep]
+    c = rs.implicit_constant(*start).c_effective
+    radii = np.linspace(r_lo, r_hi, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = rs.solve_implicit(c, radii, bracket)
+        singles = []
+        for r in radii.tolist():
+            try:
+                singles.append(rs.solve_implicit(c, r, bracket))
+            except ValueError:
+                singles.append(math.nan)
+    singles = np.array(singles)
+    assert np.array_equal(np.isnan(batch), np.isnan(singles))
+    assert np.isnan(batch).any() == (sweep == "gaps")
+    ok = ~np.isnan(batch)
+    assert np.max(np.abs(batch[ok] - singles[ok])) <= 1e-12
+
+
+def test_array_solve_scans_in_one_bessel_call(monkeypatch):
+    # One array call covers every radius' scan; each root then costs at
+    # most 12 scalar calls in the shared refiner.
+    calls = []
+    quad = rs.bessel_quad
+
+    def counting_quad(z):
+        calls.append(z.size if isinstance(z, np.ndarray) else None)
+        return quad(z)
+
+    per_root = []
+    roots_fn = rs.bracketed_roots
+
+    def counting_roots(*args, **kwargs):
+        before = len(calls)
+        roots = roots_fn(*args, **kwargs)
+        if roots:
+            per_root.append((len(calls) - before) / len(roots))
+        return roots
+
+    monkeypatch.setattr(rs, "bessel_quad", counting_quad)
+    monkeypatch.setattr(rs, "bracketed_roots", counting_roots)
+    start, (r_lo, r_hi), bracket = SWEEPS["cf"]
+    c = rs.implicit_constant(*start).c_effective
+    calls.clear()
+    hs = rs.solve_implicit(c, np.linspace(r_lo, r_hi, 100), bracket)
+    assert calls[0] == 100 * 65
+    assert all(n is None for n in calls[1:])
+    assert len(per_root) == np.count_nonzero(np.isfinite(hs)) == 100
+    assert max(per_root) <= 12
+
+
+def test_array_scan_holds_the_refiner_values_at_the_scan_points(monkeypatch):
+    # The scan values handed to bracketed_roots are, bit for bit, what its
+    # own fn gives at its own points lo + (hi - lo) * i / n_scan.
+    seen = []
+    roots_fn = rs.bracketed_roots
+
+    def recording_roots(fn, lo, hi, n_scan, tol, fs):
+        xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
+        seen.append((fs, [fn(x) for x in xs]))
+        return roots_fn(fn, lo, hi, n_scan, tol, fs=fs)
+
+    monkeypatch.setattr(rs, "bracketed_roots", recording_roots)
+    start, (r_lo, r_hi), _ = SWEEPS["gaps"]
+    c = rs.implicit_constant(*start).c_effective
+    # H > 1 and r < 0 are refused points: NaN on both paths.
+    radii = np.append(np.linspace(r_lo, r_hi, 11), -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rs.solve_implicit(c, radii, (0.01, 1.2))
+    assert len(seen) == 12
+    for fs, direct in seen:
+        assert np.array_equal(fs, direct, equal_nan=True)
+    assert any(np.isnan(fs).any() for fs, _ in seen)
+
+
+def test_array_solve_warns_once_for_rows_with_several_roots():
+    ic = rs.implicit_constant(2.0, 0.2)
+    with pytest.warns(UserWarning, match="1 of 2 radii have several roots"):
+        hs = rs.solve_implicit(ic, np.array([2.0, 1.0]), (0.1, 0.45))
+    np.testing.assert_allclose(hs[0], 0.3035981138271814, atol=1e-9)
+    assert np.isnan(hs[1])
+    with pytest.raises(ValueError, match="1-d"):
+        rs.solve_implicit(ic, np.ones((2, 2)), (0.1, 0.45))
+
+
+def test_implicit_residual_on_arrays_matches_scalars():
+    radii = np.array([1.0, 2.5, 4.0, -1.0])
+    hs = np.array([0.5, 0.7, 0.2, 0.5])
+    c = FROZEN_C[(1.0, 0.5)]
+    got = rs.implicit_residual(c, radii, hs)
+    want = [rs.implicit_residual(c, r, h) for r, h in zip(radii[:3], hs[:3])]
+    assert got[:3].tolist() == want
+    assert np.isnan(got[3])
 
 
 def test_substitution_check_on_tightly_sampled_solution():

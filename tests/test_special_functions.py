@@ -1,12 +1,20 @@
 """Modified Bessel functions against an arbitrary-precision oracle."""
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from hopf_flow import _bessel_tables
 from hopf_flow import special_functions as sf
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 mp.mp.dps = 40
 
@@ -22,26 +30,27 @@ FROZEN = {
 
 
 def test_frozen_point_values():
-    fns = {"i0": sf.bessel_i0, "i1": sf.bessel_i1,
-           "k0": sf.bessel_k0, "k1": sf.bessel_k1}
     for (name, z), ref in FROZEN.items():
-        np.testing.assert_allclose(fns[name](z), ref, rtol=5e-15)
+        np.testing.assert_allclose(getattr(sf.bessel_quad(z), name), ref,
+                                   rtol=5e-15)
 
 
 def test_accuracy_against_mpmath_grid():
-    zs = np.logspace(-3, math.log10(60.0), 120)
+    # Max relative error measured over 2000 points of the same range:
+    # I0 7.8e-16, I1 1.4e-15, K0 1.2e-15, K1 6.2e-16.
+    zs = np.geomspace(1e-3, sf.Z_MAX, 120)
     for z in zs:
         z = float(z)
         q = sf.bessel_quad(z)
         np.testing.assert_allclose(q.i0, float(mp.besseli(0, z)), rtol=5e-15)
         np.testing.assert_allclose(q.i1, float(mp.besseli(1, z)), rtol=5e-15)
-        np.testing.assert_allclose(q.k0, float(mp.besselk(0, z)), rtol=5e-12)
-        np.testing.assert_allclose(q.k1, float(mp.besselk(1, z)), rtol=5e-12)
+        np.testing.assert_allclose(q.k0, float(mp.besselk(0, z)), rtol=5e-15)
+        np.testing.assert_allclose(q.k1, float(mp.besselk(1, z)), rtol=5e-15)
 
 
 def test_wronskian_identity_on_1000_points():
     # I0(z) K1(z) + I1(z) K0(z) = 1/z, scaled by the largest product.
-    zs = np.logspace(-3, math.log10(60.0), 1000)
+    zs = np.geomspace(1e-3, sf.Z_MAX, 1000)
     worst = 0.0
     for z in zs:
         z = float(z)
@@ -52,26 +61,77 @@ def test_wronskian_identity_on_1000_points():
     assert worst <= 1e-12
 
 
-def test_quad_bundles_match_individual_functions():
-    for z in (0.01, 0.7, 3.0, 42.0):
-        q = sf.bessel_quad(z)
-        assert q.z == z
-        assert q.i0 == sf.bessel_i0(z)
-        assert q.i1 == sf.bessel_i1(z)
-        assert q.k0 == sf.bessel_k0(z)
-        assert q.k1 == sf.bessel_k1(z)
+def _around(z: float) -> list[float]:
+    """z, its neighbours a few ulps away, and points up to 1e-3 off."""
+    pts = [z]
+    for direction in (-math.inf, math.inf):
+        x = z
+        for _ in range(3):
+            x = math.nextafter(x, direction)
+            pts.append(x)
+    pts += [z + d for d in (-1e-3, -1e-6, -1e-12, 1e-12, 1e-6, 1e-3)]
+    return pts
+
+
+def test_array_quad_matches_scalar_quad():
+    zs = np.array(_around(2.0) + _around(8.0) + [1e-3, 0.7, 3.0, 42.0, 300.0]
+                  + np.geomspace(1e-3, sf.Z_MAX, 200).tolist())
+    batch = sf.bessel_quad(zs)
+    assert batch.z.shape == zs.shape
+    for name in ("i0", "i1", "k0", "k1"):
+        scalar = np.array([getattr(sf.bessel_quad(float(z)), name)
+                           for z in zs])
+        ulps = (np.abs(getattr(batch, name) - scalar)
+                / np.spacing(np.abs(scalar)))
+        assert ulps.max() <= 2.0, name
+    # Shape is kept, and a refused element is NaN where a float raises.
+    grid = sf.bessel_quad(np.array([[0.5, -1.0], [300.5, math.nan]]))
+    assert grid.k1.shape == (2, 2)
+    assert math.isfinite(grid.i0[0, 0])
+    assert np.isnan([grid.i0[0, 1], grid.k0[1, 0], grid.k1[1, 1]]).all()
+
+
+def test_interval_joins_are_continuous():
+    # Both series of an interval join evaluated at the join itself.
+    i0, i1 = sf._i_small(2.0)
+    for left, right in zip(sf._k_small(2.0, i0, i1), sf._k_large(2.0)):
+        assert abs(left - right) <= 2e-15 * abs(left)
+    for left, right in zip(sf._i_small(8.0), sf._i_large(8.0)):
+        assert abs(left - right) <= 2e-15 * abs(left)
+
+
+def test_tables_are_what_the_generator_writes():
+    spec = importlib.util.spec_from_file_location(
+        "make_bessel_tables", TOOLS / "make_bessel_tables.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    fresh = gen.tables()
+    committed = {name: getattr(_bessel_tables, name)
+                 for name in dir(_bessel_tables) if name.isupper()}
+    assert fresh.keys() == committed.keys()
+    for name, table in fresh.items():
+        assert np.array_equal(np.array(table), np.array(committed[name])), name
+
+
+def test_package_import_leaves_mpmath_alone():
+    # The tables are literals: importing the package computes nothing and
+    # never loads mpmath, which is only a test dependency.
+    src = str(Path(sf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hopf_flow; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_domain_guards():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            sf.bessel_k0(bad)
-        with pytest.raises(ValueError):
-            sf.bessel_k1(bad)
+    for bad in (0.0, -1.0, sf.Z_MAX + 1e-9, math.nan):
         with pytest.raises(ValueError):
             sf.bessel_quad(bad)
-    with pytest.raises(ValueError):
-        sf.bessel_quad(60.0 + 1e-9)
+    q = sf.bessel_quad(sf.Z_MAX)
+    assert all(math.isfinite(v) and v > 0.0 for v in (q.i0, q.i1, q.k0, q.k1))
 
 
 def test_negative_axis_continuation_matches_oracle():
@@ -89,10 +149,9 @@ def test_negative_axis_continuation_matches_oracle():
 def test_continuation_identity_decomposition():
     for z in (0.4, 2.0, 11.0):
         k0c = sf.bessel_k_continued(z, 0)
-        np.testing.assert_allclose(k0c.real, sf.bessel_k0(z), rtol=1e-14)
-        np.testing.assert_allclose(k0c.imag, -math.pi * sf.bessel_i0(z),
-                                   rtol=1e-14)
+        q = sf.bessel_quad(z)
+        np.testing.assert_allclose(k0c.real, q.k0, rtol=1e-14)
+        np.testing.assert_allclose(k0c.imag, -math.pi * q.i0, rtol=1e-14)
         k1c = sf.bessel_k_continued(z, 1)
-        np.testing.assert_allclose(k1c.real, -sf.bessel_k1(z), rtol=1e-14)
-        np.testing.assert_allclose(k1c.imag, -math.pi * sf.bessel_i1(z),
-                                   rtol=1e-14)
+        np.testing.assert_allclose(k1c.real, -q.k1, rtol=1e-14)
+        np.testing.assert_allclose(k1c.imag, -math.pi * q.i1, rtol=1e-14)
