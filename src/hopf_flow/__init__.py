@@ -36,10 +36,10 @@ from .first_integral import (
     linear_pde_residual,
     parametric_relation_residual,
     phi_flow_derivative,
-    reconstruct_H,
     rho_eval,
     rho_table,
     uv_from_rho,
+    uv_table,
     xi_substitution_residual,
 )
 from .integrator import Event, EventHit, Trajectory, integrate
@@ -47,7 +47,6 @@ from .reduced_system import (
     FormSelection,
     ImplicitConstant,
     ReducedCurve,
-    ReducedState,
     TurningPointError,
     h_rhs,
     implicit_constant,
@@ -82,7 +81,6 @@ __all__ = [
     "ImplicitConstant",
     "ParamPoint",
     "ReducedCurve",
-    "ReducedState",
     "ResidualReport",
     "RhoTable",
     "RhoValue",
@@ -111,7 +109,6 @@ __all__ = [
     "phi_flow_derivative",
     "pushforward_sign",
     "psi_rhs",
-    "reconstruct_H",
     "relative_to_terms",
     "rho_eval",
     "rho_table",
@@ -125,6 +122,7 @@ __all__ = [
     "trace_reduced",
     "turning_locus",
     "uv_from_rho",
+    "uv_table",
     "value",
     "xi_substitution_residual",
 ]

@@ -260,6 +260,18 @@ class RhoTable:
     pde_parametric: np.ndarray
 
 
+def _grid(xi, psi) -> tuple[np.ndarray, np.ndarray]:
+    """xi and psi as broadcast float arrays, each point valid for ParamPoint."""
+    xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                  np.asarray(psi, dtype=float))
+    if not np.all((0.0 < psi) & (psi < math.pi)):
+        raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
+                         "degenerates at the ends")
+    if not np.all(xi > 0.0):
+        raise ValueError("xi must be positive")
+    return xi, psi
+
+
 def rho_table(xi, psi, c2: float = 1.0,
               f1: Sequence[float] = ()) -> RhoTable:
     """rho, u, v, rho_psi and both linear-PDE residuals over whole arrays.
@@ -271,13 +283,7 @@ def rho_table(xi, psi, c2: float = 1.0,
     residual is NaN where the transport coefficient vanishes, the points
     at which linear_pde_residual raises.
     """
-    xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
-                                  np.asarray(psi, dtype=float))
-    if not np.all((0.0 < psi) & (psi < math.pi)):
-        raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
-                         "degenerates at the ends")
-    if not np.all(xi > 0.0):
-        raise ValueError("xi must be positive")
+    xi, psi = _grid(xi, psi)
     xi_c = xi.astype(complex)
     with np.errstate(all="ignore"):
         rho, u, rho_psi, _ = _nested_pass(xi_c, psi, c2, tuple(f1))
@@ -290,33 +296,51 @@ def rho_table(xi, psi, c2: float = 1.0,
                         pde_direct=pde[0], pde_parametric=pde[1])
 
 
+def _uv_maps(x, psi, c2, f1):
+    """u(x) = rho_xi and v(x) = x u(x) - rho(x) from one dual pass at x."""
+    out = rho_raw(Dual(x, 1.0 + 0.0j), psi, c2, f1)
+    return out.eps, x * out.eps - out.val
+
+
+def _uv_pair(xi, psi, c2, f1) -> UVPair:
+    """u, v and their partials at complex xi, scalars or arrays alike.
+
+    The psi-partials come from `_nested_pass`, the xi-partials from the
+    u and v maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
+    measurement of the implementation (the product rule executes in
+    floating point), not a restatement of the algebra."""
+    rho, u, rho_psi, u_psi = _nested_pass(xi, psi, c2, f1)
+    u_dual, v_dual = _uv_maps(Dual(xi, 1.0 + 0.0j), psi, c2, f1)
+    return UVPair(u=u, v=xi * u - rho, u_xi=u_dual.eps, u_psi=u_psi,
+                  v_xi=v_dual.eps, v_psi=xi * u_psi - rho_psi)
+
+
 def uv_from_rho(p: ParamPoint, f1: Sequence[float] = ()) -> UVPair:
-    """u, v and their four partials by exact forward-mode seeding.
+    """u, v and their four partials at one point by exact forward-mode
+    seeding (`_uv_pair`)."""
+    return _uv_pair(complex(p.xi), p.psi, p.c2, tuple(f1))
 
-    The psi-partials come from the two-variable pass `_nested_pass`
-    (which `rho_table` shares).  The xi-partials are separate dual
-    passes through the u and v maps themselves, so the structural
-    identity v_xi = xi * u_xi is a measurement of the implementation
-    (the product rule executes in floating point), not a restatement of
-    the algebra.
-    """
-    c2, f1 = p.c2, tuple(f1)
-    xi_c = complex(p.xi)
-    rho, rho_xi, rho_psi, rho_xipsi = _nested_pass(xi_c, p.psi, c2, f1)
 
-    def u_map(x):
-        return rho_raw(Dual(x, 1.0 + 0.0j), p.psi, c2, f1).eps
+def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
+    """uv_from_rho over whole arrays (xi and psi as for rho_table): the
+    same code, so the values match it to round-off, not bitwise."""
+    xi, psi = _grid(xi, psi)
+    with np.errstate(all="ignore"):
+        return _uv_pair(xi.astype(complex), psi, c2, tuple(f1))
 
-    def v_map(x):
-        return x * u_map(x) - rho_raw(x, p.psi, c2, f1)
 
-    u_xi = derivative(u_map, xi_c)
-    v_xi = derivative(v_map, xi_c)
-    return UVPair(u=complex(rho_xi), v=complex(xi_c * rho_xi - rho),
-                  u_xi=complex(u_xi),
-                  u_psi=complex(rho_xipsi),
-                  v_xi=complex(v_xi),
-                  v_psi=complex(xi_c * rho_xipsi - rho_psi))
+def _relation_residual(xi, psi, c2, uv: UVPair, reading: str):
+    """The parametric relation's scaled residual; scalars or arrays."""
+    if reading not in ("xi", "v"):
+        raise ValueError(f"unknown reading {reading!r}")
+    w = xi if reading == "xi" else uv.v
+    a = transport_coefficient(w, psi)
+    b = source_coefficient(w, psi)
+    return relative_to_terms([-a * uv.u_psi * uv.v_xi,
+                              a * uv.u_xi * uv.v_psi,
+                              b * uv.u_xi,
+                              -8.0 * c2 * w ** 3 * uv.v_xi,
+                              32.0 * c2 * w * uv.v_xi])
 
 
 def parametric_relation_residual(p: ParamPoint, f1: Sequence[float] = (),
@@ -333,56 +357,68 @@ def parametric_relation_residual(p: ParamPoint, f1: Sequence[float] = (),
     """
     if uv is None:
         uv = uv_from_rho(p, f1)
-    if reading == "xi":
-        w = complex(p.xi)
-    elif reading == "v":
-        w = uv.v
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-    a = transport_coefficient(w, p.psi)
-    b = source_coefficient(w, p.psi)
-    c2 = p.c2
-    terms = [-a * uv.u_psi * uv.v_xi,
-             a * uv.u_xi * uv.v_psi,
-             b * uv.u_xi,
-             -8.0 * c2 * w ** 3 * uv.v_xi,
-             32.0 * c2 * w * uv.v_xi]
-    return relative_to_terms(terms)
+    return _relation_residual(complex(p.xi), p.psi, p.c2, uv, reading)
 
 
-def _reconstruct_xi(r: float, psi: float, c2: float, f1: Sequence[float],
-                    bracket: tuple[float, float], n_scan: int) -> float:
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0.0 < lo < hi:
+def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
+                    n_scan: int) -> np.ndarray:
+    """xi* with v(xi*, psi) = r, elementwise over broadcast r, psi and
+    bracket ends: one array pass scans every bracket, `bracketed_roots`
+    refines each root on the scalar v to 1e-10, and of several roots the
+    one nearest the bracket midpoint is taken, with a warning."""
+    r, psi, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                           for a in (r, psi, *bracket)))
+    if not np.all((0.0 < lo) & (lo < hi)):
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    f1 = tuple(f1)
 
-    def v_real(x: float) -> float:
-        uv_v = x * rho_raw(Dual(complex(x), 1.0 + 0.0j), psi, c2, f1).eps \
-            - rho_raw(complex(x), psi, c2, f1)
-        if abs(uv_v.imag) > 1e-6 * max(1.0, abs(uv_v)):
-            raise ValueError(f"v is not real at xi={x!r} "
-                             f"(Im v = {uv_v.imag!r}): bracket leaves the "
-                             f"real region")
-        return uv_v.real - r
+    def v_real(x, psi):
+        with np.errstate(all="ignore"):
+            x, v = np.broadcast_arrays(x, _uv_maps(x + 0.0j, psi, c2, f1)[1])
+        off = np.abs(v.imag) > 1e-6 * np.maximum(1.0, np.abs(v))
+        if off.any():
+            raise ValueError(f"v is not real at xi={float(x[off][0])!r} "
+                             f"(Im v = {float(v[off][0].imag)!r}): bracket "
+                             f"leaves the real region")
+        return v.real
 
-    roots = bracketed_roots(v_real, lo, hi, n_scan, 1e-10)
-    if not roots:
-        raise ValueError("no root of v(xi, psi) = r in the bracket")
-    mid = 0.5 * (lo + hi)
-    if len(roots) > 1:
-        warnings.warn(f"{len(roots)} parameter roots in bracket; "
-                      f"using the one nearest its midpoint", stacklevel=3)
-    return min(roots, key=lambda x: abs(x - mid))
+    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(n_scan + 1) / n_scan
+    scan = v_real(xs, psi[..., None])
+    xi_star = np.empty(r.shape)
+    for k in np.ndindex(r.shape):
+        roots = bracketed_roots(
+            lambda x, r=float(r[k]), psi=float(psi[k]):
+                float(v_real(x, psi)) - r,
+            float(lo[k]), float(hi[k]), n_scan, 1e-10,
+            fs=(scan[k] - r[k]).tolist())
+        if not roots:
+            raise ValueError("no root of v(xi, psi) = r in the bracket")
+        if len(roots) > 1:
+            warnings.warn(f"{len(roots)} parameter roots of v(xi, {psi[k]}) = "
+                          f"{r[k]} in bracket; using the one nearest its "
+                          f"midpoint", stacklevel=3)
+        xi_star[k] = min(roots, key=lambda x: abs(x - 0.5 * (lo[k] + hi[k])))
+    return xi_star
 
 
-def reconstruct_H(r: float, psi: float, c2: float = 1.0,
-                  f1: Sequence[float] = (),
-                  bracket: tuple[float, float] = (0.05, 0.8),
-                  n_scan: int = 60) -> float:
-    """Recover H(r, psi) by eliminating the parameter: v(xi*) = r, H = u."""
-    xi_star = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
-    u = rho_raw(Dual(complex(xi_star), 1.0 + 0.0j), psi, c2, f1).eps
-    return u.real
+def _h_partials(uv: UVPair):
+    """H_r = u_xi / v_xi and H_psi = u_psi - v_psi u_xi / v_xi."""
+    if np.any(np.abs(uv.v_xi) < 1e-12 * np.maximum(1.0, np.abs(uv.u_xi))):
+        raise ValueError("chain-rule singularity: v_xi vanishes at the "
+                         "reconstructed parameter")
+    return uv.u_xi / uv.v_xi, uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi
+
+
+def _h_pde_residual(xi_star, r, psi, uv: UVPair, c2, reading: str):
+    """The H-equation's scaled residual at the root xi* of radius r."""
+    if reading not in ("xi", "v"):
+        raise ValueError(f"unknown reading {reading!r}")
+    h_r, h_psi = _h_partials(uv)
+    w = xi_star if reading == "xi" else r
+    return relative_to_terms([source_coefficient(w, psi) * h_r,
+                              -transport_coefficient(w, psi) * h_psi,
+                              -8.0 * c2 * w ** 3,
+                              32.0 * c2 * w])
 
 
 def h_pde_residual(r: float, psi: float, c2: float = 1.0,
@@ -396,24 +432,16 @@ def h_pde_residual(r: float, psi: float, c2: float = 1.0,
     quasilinear H-equation with coefficients at the parameter
     (reading="xi") or at the radius r itself (reading="v").
     """
-    xi_star = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
+    xi_star = float(_reconstruct_xi(r, psi, c2, f1, bracket, n_scan))
     uv = uv_from_rho(ParamPoint(xi_star, psi, c2), f1)
-    if abs(uv.v_xi) < 1e-12 * max(1.0, abs(uv.u_xi)):
-        raise ValueError("chain-rule singularity: v_xi vanishes at the "
-                         "reconstructed parameter")
-    h_r = uv.u_xi / uv.v_xi
-    h_psi = uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi
-    if reading == "xi":
-        w: complex | float = xi_star
-    elif reading == "v":
-        w = r
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
-    terms = [source_coefficient(w, psi) * h_r,
-             -transport_coefficient(w, psi) * h_psi,
-             -8.0 * c2 * w ** 3,
-             32.0 * c2 * w]
-    return relative_to_terms(terms)
+    return _h_pde_residual(xi_star, r, psi, uv, c2, reading)
+
+
+def _phi_flow_residual(uv: UVPair, c2, vel):
+    """Scaled d Phi / dt from uv at the root and the flow velocity vel."""
+    h_r, h_psi = _h_partials(uv)
+    return relative_to_terms([h_r.real * vel.dr, c2 * vel.dphi,
+                              h_psi.real * vel.dpsi])
 
 
 def phi_flow_derivative(state: SphericalState, c2: float = 1.0,
@@ -425,17 +453,9 @@ def phi_flow_derivative(state: SphericalState, c2: float = 1.0,
     actual flow velocity, so this measures end to end whether Phi is
     conserved (zero means first integral).
     """
-    uv = uv_from_rho(
-        ParamPoint(_reconstruct_xi(state.r, state.psi, c2, f1, bracket, 60),
-                   state.psi, c2), f1)
-    if abs(uv.v_xi) < 1e-12 * max(1.0, abs(uv.u_xi)):
-        raise ValueError("chain-rule singularity: v_xi vanishes at the "
-                         "reconstructed parameter")
-    h_r = (uv.u_xi / uv.v_xi).real
-    h_psi = (uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi).real
-    vel = eval_spherical(state)
-    terms = [h_r * vel.dr, c2 * vel.dphi, h_psi * vel.dpsi]
-    return relative_to_terms(terms)
+    xi_star = float(_reconstruct_xi(state.r, state.psi, c2, f1, bracket, 60))
+    uv = uv_from_rho(ParamPoint(xi_star, state.psi, c2), f1)
+    return _phi_flow_residual(uv, c2, eval_spherical(state))
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,

@@ -60,23 +60,6 @@ class TurningPointError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    """Point of the reduced system with the psi-hemisphere made explicit.
-
-    H determines psi only up to reflection; `upper` selects
-    psi = pi - asin(sqrt(H)) instead of asin(sqrt(H)).
-    """
-
-    r: float
-    h: float
-    upper: bool = False
-
-    def psi(self) -> float:
-        base = math.asin(math.sqrt(self.h))
-        return math.pi - base if self.upper else base
-
-
-@dataclass(frozen=True)
 class ImplicitConstant:
     """The conserved combination at one (r, H) sample.
 

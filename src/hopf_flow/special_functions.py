@@ -28,7 +28,7 @@ K_nu(z e^{i pi}) = (-1)^nu K_nu(z) - i pi I_nu(z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ _I_SPLIT = 8.0
 _K_SPLIT = 2.0
 
 
-@dataclass(frozen=True)
-class BesselQuad:
+class BesselQuad(NamedTuple):
     """The four modified Bessel values at one argument, or elementwise at
     an array of arguments."""
 

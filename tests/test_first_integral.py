@@ -10,7 +10,7 @@ from hopf_flow import first_integral as fi
 from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW, ParamPoint,
                                       h_pde_residual, linear_pde_residual,
                                       parametric_relation_residual,
-                                      reconstruct_H, rho_eval, uv_from_rho,
+                                      rho_eval, uv_from_rho,
                                       xi_substitution_residual)
 
 # The discriminant is positive below DISC_XI_LOW and above DISC_XI_HIGH;
@@ -166,30 +166,44 @@ def test_h_pde_readings_split_at_physical_states():
                               bracket=bracket) > 1e-2
 
 
+def _reconstructed_h(r, psi, bracket):
+    xi_star = float(fi._reconstruct_xi(r, psi, 1.0, (), bracket, 60))
+    return uv_from_rho(ParamPoint(xi_star, psi)).u.real
+
+
 def test_reconstruction_roundtrip():
-    for xi0, psi in ((0.2, 1.1), (0.65, 1.8)):
+    cases = ((0.2, 1.1), (0.65, 1.8))
+    for xi0, psi in cases:
         uv = uv_from_rho(ParamPoint(xi0, psi))
         bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
-        got = reconstruct_H(uv.v.real, psi, bracket=bracket)
+        got = _reconstructed_h(uv.v.real, psi, bracket)
         np.testing.assert_allclose(got, uv.u.real, rtol=1e-9, atol=1e-12)
+    # One array call scans both brackets and finds the same roots.
+    xi0, psi = np.transpose(cases)
+    roots = fi._reconstruct_xi(fi.uv_table(xi0, psi).v.real, psi, 1.0, (),
+                               (0.7 * xi0, np.minimum(1.3 * xi0, 0.8)), 60)
+    np.testing.assert_allclose(roots, xi0, rtol=1e-9)
 
 
 def test_reconstruction_warns_on_two_parameter_roots():
     # v(., 0.8) takes the radius v(0.35, 0.8) twice in this bracket; the
     # root nearest the bracket midpoint is the one the radius came from.
     uv = uv_from_rho(ParamPoint(0.35, 0.8))
-    with pytest.warns(UserWarning, match="parameter roots"):
-        got = reconstruct_H(uv.v.real, 0.8, bracket=(0.245, 0.455))
+    with pytest.warns(UserWarning, match="2 parameter roots"):
+        got = _reconstructed_h(uv.v.real, 0.8, (0.245, 0.455))
     np.testing.assert_allclose(got, uv.u.real, rtol=1e-9, atol=1e-12)
 
 
 def test_reconstruction_refuses_complex_bracket():
     # A bracket inside the complexified band has no real radius map.
     with pytest.raises(ValueError, match="real region"):
-        reconstruct_H(1.0, 0.9, bracket=(2.0, 3.0))
+        h_pde_residual(1.0, 0.9, bracket=(2.0, 3.0))
     # A real bracket that never attains the requested radius.
     with pytest.raises(ValueError, match="no root"):
-        reconstruct_H(1.0, 0.9, bracket=(5.0, 6.0))
+        h_pde_residual(1.0, 0.9, bracket=(5.0, 6.0))
+    # Both scan points are real, but the refiner steps into the band.
+    with pytest.raises(ValueError, match="real region"):
+        h_pde_residual(-100.0, 0.9, bracket=(0.5, 5.0), n_scan=1)
 
 
 def test_xi_substitution_is_exact_below_equator():
@@ -234,6 +248,7 @@ def test_rho_table_matches_the_scalar_functions_across_both_regions():
     xi = np.append(xi, DISC_XI_LOW)
     psi = np.append(psi, math.pi / 2.0)
     table = fi.rho_table(xi, psi)
+    uv_table = fi.uv_table(xi, psi)
     assert np.isnan(table.pde_direct[-1]) and np.isnan(table.pde_parametric[-1])
     for k in range(xi.size - 1):
         p = ParamPoint(float(xi[k]), float(psi[k]))
@@ -242,8 +257,11 @@ def test_rho_table_matches_the_scalar_functions_across_both_regions():
                 "rho_psi": fi.rho_psi_partial(p),
                 "pde_direct": _scalar_pde(p, "direct"),
                 "pde_parametric": _scalar_pde(p, "parametric")}
+        want.update({f"uv.{name}": getattr(uv, name) for name in
+                     ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")})
         for name, scalar in want.items():
-            got = getattr(table, name)[k]
+            got = (getattr(uv_table, name[3:]) if name.startswith("uv.")
+                   else getattr(table, name))[k]
             assert cmath.isnan(got) == cmath.isnan(scalar), (name, p)
             if not cmath.isnan(scalar):
                 assert abs(got - scalar) <= 1e-10 * max(1.0, abs(scalar)), \
@@ -253,10 +271,30 @@ def test_rho_table_matches_the_scalar_functions_across_both_regions():
 def test_rho_table_broadcasts_and_validates_like_param_point():
     table = fi.rho_table(np.array([[0.2], [0.5]]), np.array([1.1, 1.4, 2.1]))
     assert table.rho.shape == table.pde_parametric.shape == (2, 3)
-    with pytest.raises(ValueError, match="psi"):
-        fi.rho_table([0.3, 0.4], [1.0, math.pi])
-    with pytest.raises(ValueError, match="xi"):
-        fi.rho_table([0.3, 0.0], 1.0)
+    uv = fi.uv_table(np.array([[0.2], [0.5]]), np.array([1.1, 1.4, 2.1]))
+    assert uv.u.shape == uv.v_xi.shape == (2, 3)
+    for table_fn in (fi.rho_table, fi.uv_table):
+        with pytest.raises(ValueError, match="psi"):
+            table_fn([0.3, 0.4], [1.0, math.pi])
+        with pytest.raises(ValueError, match="xi"):
+            table_fn([0.3, 0.0], 1.0)
+
+
+def test_rho_table_reproduces_coarse_nodes_bitwise_inside_a_refined_grid():
+    # linear-pde-direct's documented discrepancy is certified by the
+    # residual map reproducing at the shared nodes of a nested grid.  The
+    # refined linspace holds the coarse nodes bitwise; whether numpy's
+    # vector loops give those nodes the same bits at another array length
+    # and position is measured here, not assumed.
+    axes = ((0.12, 0.72), (0.3, math.pi - 0.3))
+    coarse = [np.linspace(a, b, 20) for a, b in axes]
+    fine = [np.linspace(a, b, 39) for a, b in axes]
+    assert all(np.array_equal(c, f[::2]) for c, f in zip(coarse, fine))
+    want = fi.rho_table(*np.meshgrid(*coarse, indexing="ij"))
+    got = fi.rho_table(*np.meshgrid(*fine, indexing="ij"))
+    for name in ("rho", "rho_psi", "pde_direct", "pde_parametric"):
+        assert (getattr(got, name)[::2, ::2].tobytes()
+                == getattr(want, name).tobytes()), name
 
 
 # Scalar results as computed before the dual engine took arrays, as

@@ -314,14 +314,6 @@ def test_trace_h_rejects_nonpositive_radii():
         rs.trace_h(1.0, 0.5, 0.0)
 
 
-def test_reduced_state_hemispheres():
-    low = rs.ReducedState(1.0, 0.5)
-    high = rs.ReducedState(1.0, 0.5, upper=True)
-    np.testing.assert_allclose(low.psi(), math.asin(math.sqrt(0.5)),
-                               rtol=1e-15)
-    np.testing.assert_allclose(high.psi(), math.pi - low.psi(), rtol=1e-15)
-
-
 def test_trace_reduced_crosses_folds_and_reaches_target():
     curve = rs.trace_reduced(1.0, math.asin(math.sqrt(0.5)), 6.0)
     assert curve.reached
