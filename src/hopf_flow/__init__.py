@@ -28,17 +28,12 @@ from .fields import (
     to_spherical,
 )
 from .first_integral import (
-    ParamPoint,
     RhoTable,
-    RhoValue,
     UVPair,
     h_pde_residual,
-    linear_pde_residual,
-    parametric_relation_residual,
     phi_flow_derivative,
-    rho_eval,
+    relation_residual,
     rho_table,
-    uv_from_rho,
     uv_table,
     xi_substitution_residual,
 )
@@ -79,11 +74,9 @@ __all__ = [
     "EventHit",
     "FormSelection",
     "ImplicitConstant",
-    "ParamPoint",
     "ReducedCurve",
     "ResidualReport",
     "RhoTable",
-    "RhoValue",
     "SignReport",
     "SphericalState",
     "SphericalVelocity",
@@ -104,13 +97,11 @@ __all__ = [
     "implicit_constant",
     "implicit_residual",
     "integrate",
-    "linear_pde_residual",
-    "parametric_relation_residual",
     "phi_flow_derivative",
     "pushforward_sign",
     "psi_rhs",
+    "relation_residual",
     "relative_to_terms",
-    "rho_eval",
     "rho_table",
     "run_battery",
     "select_effective_form",
@@ -121,7 +112,6 @@ __all__ = [
     "trace_h",
     "trace_reduced",
     "turning_locus",
-    "uv_from_rho",
     "uv_table",
     "value",
     "xi_substitution_residual",

@@ -3,11 +3,13 @@
 Each named check measures one contract of the package and folds its
 residuals into a ResidualReport, whose details list the warnings the
 check raised.  Checks are pure and deterministic (fixed seeds) and run
-one after another.  Those of the parametric chain (legendre-identity,
+one after another, and call only the public functions of the modules
+they measure.  Those of the parametric chain (legendre-identity,
 linear-pde-*, parametric-relation-*, h-pde-*, phi-flow-derivative,
-gauge-invariance, dual-vs-fd) evaluate on the array tables rho_table
-and uv_table; the scalar first_integral API stays the bit-pinned
-reference that the tests compare those tables against.
+gauge-invariance, dual-vs-fd, branch-continuity) pass whole grids to the
+first_integral functions in one array call each; the float path of the
+same functions is the bit-pinned reference that the tests compare those
+arrays against.
 
 Four checks measure relations that are known not to hold in the form
 printed in the source material; they are expected to report
@@ -28,7 +30,6 @@ import numpy as np
 from . import fields, first_integral, reduced_system, special_functions
 from .diagnostics import ResidualReport, summarize
 from .integrator import integrate
-from .first_integral import ParamPoint
 
 SCHEMA = "hopf-flow-verify/1"
 
@@ -128,7 +129,7 @@ def _check_pushforward_trajectories(tol: float, documented: bool) -> ResidualRep
 
 
 def _check_bessel_wronskian(tol: float, documented: bool) -> ResidualReport:
-    zs = np.logspace(math.log10(1e-3), math.log10(60.0), 1000)
+    zs = np.geomspace(1e-3, special_functions.Z_MAX, 1000)
     residuals = special_functions.bessel_quad(zs).wronskian_defect()
     return summarize("bessel-wronskian", residuals, tol, documented)
 
@@ -233,9 +234,8 @@ def _pde_grid_check(name: str, variant: str, n: int, tol: float,
 
 def _relation_grid_check(name: str, reading: str, n: int, tol: float,
                          documented: bool) -> ResidualReport:
-    xi, psi = _real_region_grid(n)
-    residuals = first_integral._relation_residual(
-        xi, psi, 1.0, first_integral.uv_table(xi, psi), reading)
+    residuals = first_integral.relation_residual(*_real_region_grid(n),
+                                                 reading=reading)
     return summarize(name, residuals, tol, documented,
                      details={"reading": reading, "grid": f"{n}x{n}"})
 
@@ -247,30 +247,29 @@ _H_PDE_POINTS = np.array([
     (0.5, 1.4), (0.5, 1.8), (0.5, 2.4), (0.65, 1.8), (0.65, 2.1), (0.65, 2.4)])
 
 
-def _h_pde_cases():
-    """xi*, r, psi and the UVPair at xi*, all brackets in one scan."""
+def _h_pde_states():
+    """The radius v(xi0, psi) of each point, its psi, and a parameter
+    bracket around xi0 (one array each, so one reconstruction serves)."""
     xi0, psi = _H_PDE_POINTS.T
     r = first_integral.uv_table(xi0, psi).v.real
-    xi_star = first_integral._reconstruct_xi(
-        r, psi, 1.0, (), (0.7 * xi0, np.minimum(1.3 * xi0, 0.8)), 60)
-    return xi_star, r, psi, first_integral.uv_table(xi_star, psi)
+    return r, psi, (0.7 * xi0, np.minimum(1.3 * xi0, 0.8))
 
 
 def _check_h_pde(name: str, reading: str, tol: float,
                  documented: bool) -> ResidualReport:
-    residuals = first_integral._h_pde_residual(*_h_pde_cases(), 1.0, reading)
+    r, psi, bracket = _h_pde_states()
+    residuals = first_integral.h_pde_residual(r, psi, reading=reading,
+                                              bracket=bracket)
     return summarize(name, residuals, tol, documented,
                      details={"reading": reading})
 
 
 def _check_phi_flow(tol: float, documented: bool) -> ResidualReport:
-    _, r, psi, uv = _h_pde_cases()
-    vel = fields.SphericalVelocity(*np.transpose([
-        fields.eval_spherical(fields.SphericalState(a, 0.3, b)).as_array()
-        for a, b in zip(r, psi)]))
+    r, psi, bracket = _h_pde_states()
     return summarize("phi-flow-derivative",
-                     first_integral._phi_flow_residual(uv, 1.0, vel), tol,
-                     documented)
+                     first_integral.phi_flow_derivative(r, psi,
+                                                        bracket=bracket),
+                     tol, documented)
 
 
 _F1_PROBE = (0.7, -0.3, 0.11, 2.0)
@@ -280,8 +279,7 @@ def _check_gauge(tol: float, documented: bool) -> ResidualReport:
     xi, psi = _real_region_grid(5)
     base = first_integral.rho_table(xi, psi).pde_parametric
     gauged = first_integral.rho_table(xi, psi, f1=_F1_PROBE).pde_parametric
-    relation = first_integral._relation_residual(
-        xi, psi, 1.0, first_integral.uv_table(xi, psi, f1=_F1_PROBE), "xi")
+    relation = first_integral.relation_residual(xi, psi, f1=_F1_PROBE)
     return summarize("gauge-invariance", np.append(gauged - base, relation),
                      tol, documented,
                      details={"pde_residual_bitwise_equal":
@@ -307,18 +305,15 @@ def _check_dual_vs_fd(tol: float, documented: bool) -> ResidualReport:
 
 def _check_branch_continuity(tol: float, documented: bool) -> ResidualReport:
     delta = 1e-9
-    residuals = []
-    for xi_b in (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH):
-        for psi in (0.7, 1.2, 1.9, 2.5):
-            lo = first_integral.rho_psi_partial(
-                ParamPoint(xi_b * (1.0 - delta), psi))
-            hi = first_integral.rho_psi_partial(
-                ParamPoint(xi_b * (1.0 + delta), psi))
-            residuals.append(abs(hi - lo) / max(1.0, abs(lo)))
+    boundaries = (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH)
+    # Axes: side of the boundary, boundary, psi.
+    xi = np.multiply.outer((1.0 - delta, 1.0 + delta), boundaries)[..., None]
+    lo, hi = first_integral.rho_table(xi, np.array([0.7, 1.2, 1.9, 2.5])
+                                      ).rho_psi
+    residuals = (np.abs(hi - lo) / np.maximum(1.0, np.abs(lo))).ravel()
     return summarize("branch-continuity", residuals, tol, documented,
                      details={"delta": delta,
-                              "boundaries": [first_integral.DISC_XI_LOW,
-                                             first_integral.DISC_XI_HIGH]})
+                              "boundaries": list(boundaries)})
 
 
 def _xi_sub_tests() -> list[tuple[Callable, float, float, float]]:

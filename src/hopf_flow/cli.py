@@ -147,6 +147,8 @@ def cmd_trace(ns) -> int:
         raise ValueError(f"--span must be finite, got {span!r}")
     chart = ns.chart or "cartesian"
     dense = int(ns.dense or 0)
+    if dense < 0:
+        raise ValueError("--dense must be at least 0")
     if chart == "spherical":
         r, phi, psi = start
         if r <= 0.0:
@@ -243,8 +245,10 @@ def cmd_implicit(ns) -> int:
         raise ValueError("implicit needs --c1 or --start r0,h0")
     if ns.rmin is None or ns.rmax is None:
         raise ValueError("implicit needs --rmin and --rmax for the sweep")
-    rs = np.linspace(float(ns.rmin), float(ns.rmax),
-                     25 if ns.n is None else int(ns.n))
+    n = 25 if ns.n is None else int(ns.n)
+    if n < 1:
+        raise ValueError("--n must be at least 1")
+    rs = np.linspace(float(ns.rmin), float(ns.rmax), n)
     hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
     resids = reduced_system.implicit_residual(c_eff, rs, hs, "continued")
     rows = [list(row)

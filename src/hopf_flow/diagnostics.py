@@ -22,7 +22,6 @@ the parameter elimination v(xi, psi) = r) go through `bracketed_roots`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -81,13 +80,6 @@ class ResidualReport:
             "tolerance": self.tolerance,
             "details": dict(self.details),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def summarize(name: str, residuals: Sequence[float], tolerance: float,

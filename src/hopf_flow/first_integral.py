@@ -16,16 +16,25 @@ xi = 2 sqrt(2) -/+ 2 (~0.8284 and ~4.8284); between these the square
 root is imaginary and the arctan argument sits on or near the branch cut
 of the principal arctan, which makes the raw rho value jump by a
 locally-constant (gauge) amount across the boundary while psi-derivatives
-stay continuous.  RhoValue.near_branch_cut flags evaluations in that
-regime.
+stay continuous.
+
+A point or a grid.  rho_table, uv_table, relation_residual,
+h_pde_residual and phi_flow_derivative follow the rule of
+special_functions.bessel_quad: when every point argument is a scalar,
+the call runs the float path (cmath and math) and returns Python
+numbers; anything else broadcasts over numpy arrays.  The float path is
+the bit-pinned reference that the tests freeze.  Array entries match it
+to round-off, not bitwise, because numpy and libm round transcendentals
+differently.  Where rho_table's residuals are indeterminate, a float
+point raises ValueError and an array holds NaN.
 
 Residual conventions.  Every residual is scaled by the largest additive
 term at the point ("relative to terms").  Two variants of the linear PDE
-are measured: variant="direct" is the transport form
+are measured: pde_direct is the transport form
 
     A(xi,psi) rho_psi + xi B(xi,psi) + c2 (32 xi - 8 xi^3),
 
-and variant="parametric" is the form obtained by eliminating (u, v)
+and pde_parametric is the form obtained by eliminating (u, v)
 from the parametric relation,
 
     -A(xi,psi) rho_psi + B(xi,psi) + c2 (32 xi^2 - 8 xi^4),
@@ -43,7 +52,6 @@ reading only, and both numbers are reported.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,36 +65,6 @@ from .fields import SphericalState, eval_spherical
 
 DISC_XI_LOW = 2.0 * math.sqrt(2.0) - 2.0
 DISC_XI_HIGH = 2.0 * math.sqrt(2.0) + 2.0
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """(xi, psi) evaluation point with the first-integral slope c2."""
-
-    xi: float
-    psi: float
-    c2: float = 1.0
-
-    @property
-    def chi(self) -> float:
-        # Half-angle form of tan(psi/2): stable on (0, pi) and exactly 1
-        # at the floating-point pi/2.
-        return math.sin(self.psi) / (1.0 + math.cos(self.psi))
-
-    def __post_init__(self):
-        if not 0.0 < self.psi < math.pi:
-            raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
-                             "degenerates at the ends")
-        if not self.xi > 0.0:
-            raise ValueError("xi must be positive")
-
-
-@dataclass(frozen=True)
-class RhoValue:
-    rho: complex
-    rho_xi: complex
-    region: str  # "real" | "complex" sign of the discriminant
-    near_branch_cut: bool
 
 
 @dataclass(frozen=True)
@@ -142,41 +120,6 @@ def rho_raw(xi, psi, c2=1.0, f1: Sequence[float] = ()):
             + poly_eval(f1, xi))
 
 
-def _discriminant(xi: float) -> float:
-    x2 = xi * xi
-    return 16.0 * x2 - 24.0 * x2 * x2 + x2 * x2 * x2
-
-
-def _flags(xi: float, psi: float) -> tuple[str, bool]:
-    disc = _discriminant(xi)
-    x2 = xi * xi
-    disc_scale = 16.0 * x2 + 24.0 * x2 * x2 + x2 * x2 * x2
-    region = "real" if disc >= 0.0 else "complex"
-    near = abs(disc) <= 1e-9 * disc_scale
-    if not near:
-        chi2 = (math.sin(psi) / (1.0 + math.cos(psi))) ** 2
-        d4 = 16.0 + 40.0 * x2 + x2 * x2
-        s = cmath.sqrt(disc)
-        q = (2.0 * chi2 * d4 + 32.0 - 176.0 * x2 + 2.0 * x2 * x2) / (32.0 * s)
-        # Principal arctan has cuts on the imaginary axis beyond +/-i.
-        near = abs(q.real) <= 1e-6 * max(1.0, abs(q)) and abs(q.imag) >= 1.0 - 1e-6
-    return region, near
-
-
-def rho_eval(p: ParamPoint, f1: Sequence[float] = ()) -> RhoValue:
-    """Closed-form rho and its exact xi-partial at one point."""
-    seeded = rho_raw(Dual(complex(p.xi), 1.0 + 0.0j), p.psi, p.c2, f1)
-    region, near = _flags(p.xi, p.psi)
-    return RhoValue(rho=seeded.val, rho_xi=seeded.eps, region=region,
-                    near_branch_cut=near)
-
-
-def rho_psi_partial(p: ParamPoint, f1: Sequence[float] = ()) -> complex:
-    """Exact psi-partial of rho by dual-number differentiation."""
-    out = rho_raw(complex(p.xi), Dual(p.psi, 1.0), p.c2, f1)
-    return complex(out.eps)
-
-
 def transport_coefficient(w, psi):
     """A(w, psi): the coefficient multiplying the psi-derivative."""
     sin_psi = sin(psi)
@@ -209,30 +152,10 @@ def _linear_pde_terms(xi, psi, c2, a, rho_psi, variant: str) -> list:
                 xi ** 6 * cos_psi, -8.0 * xi ** 4 * cos_psi,
                 16.0 * xi ** 4 * cos_3psi, 16.0 * xi ** 2 * cos_psi,
                 -8.0 * c2 * xi ** 3, 32.0 * c2 * xi]
-    if variant == "parametric":
-        return [-a * rho_psi,
-                xi ** 5 * cos_psi, -8.0 * xi ** 3 * cos_psi,
-                16.0 * xi ** 3 * cos_3psi, 16.0 * xi * cos_psi,
-                32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def linear_pde_residual(p: ParamPoint, f1: Sequence[float] = (),
-                        variant: str = "direct") -> float:
-    """Scaled residual of the linear PDE for rho at one point.
-
-    variant="direct" is the transport form with source xi*B + c2(32 xi -
-    8 xi^3); variant="parametric" the form the parametric elimination
-    actually imposes (see module docstring).  The gauge term F1 never
-    enters either (no xi-derivative of rho appears), which is measured
-    rather than assumed by the F1-independence checks.
-    """
-    a = transport_coefficient(p.xi, p.psi)
-    if _transport_vanishes(p.xi, a):
-        raise ValueError("indeterminate point: transport coefficient vanishes")
-    rp = rho_psi_partial(p, f1)
-    return relative_to_terms(_linear_pde_terms(p.xi, p.psi, p.c2, a, rp,
-                                               variant))
+    return [-a * rho_psi,
+            xi ** 5 * cos_psi, -8.0 * xi ** 3 * cos_psi,
+            16.0 * xi ** 3 * cos_3psi, 16.0 * xi * cos_psi,
+            32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
 
 
 def _nested_pass(xi, psi, c2, f1):
@@ -250,18 +173,21 @@ def _nested_pass(xi, psi, c2, f1):
 
 @dataclass(frozen=True)
 class RhoTable:
-    """rho and the quantities derived from it, one array entry per point."""
+    """rho and the quantities derived from it: values at one point, or
+    one array entry per point."""
 
-    rho: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    rho_psi: np.ndarray
-    pde_direct: np.ndarray
-    pde_parametric: np.ndarray
+    rho: complex | np.ndarray
+    u: complex | np.ndarray
+    v: complex | np.ndarray
+    rho_psi: complex | np.ndarray
+    pde_direct: float | np.ndarray
+    pde_parametric: float | np.ndarray
 
 
-def _grid(xi, psi) -> tuple[np.ndarray, np.ndarray]:
-    """xi and psi as broadcast float arrays, each point valid for ParamPoint."""
+def _grid(xi, psi):
+    """xi and psi as floats for a scalar pair, else as broadcast float
+    arrays; raises unless every xi > 0 and every psi lies in (0, pi)."""
+    scalar = np.ndim(xi) == 0 and np.ndim(psi) == 0
     xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(psi, dtype=float))
     if not np.all((0.0 < psi) & (psi < math.pi)):
@@ -269,29 +195,33 @@ def _grid(xi, psi) -> tuple[np.ndarray, np.ndarray]:
                          "degenerates at the ends")
     if not np.all(xi > 0.0):
         raise ValueError("xi must be positive")
-    return xi, psi
+    return (float(xi), float(psi)) if scalar else (xi, psi)
 
 
 def rho_table(xi, psi, c2: float = 1.0,
               f1: Sequence[float] = ()) -> RhoTable:
-    """rho, u, v, rho_psi and both linear-PDE residuals over whole arrays.
+    """rho, u = rho_xi, v, rho_psi and both linear-PDE residuals.
 
-    xi and psi are broadcastable float arrays, each point valid for
-    ParamPoint.  One nested dual pass serves every point, so the values
-    match rho_eval, uv_from_rho and linear_pde_residual to round-off,
-    not bitwise (numpy and libm round transcendentals differently).  A
-    residual is NaN where the transport coefficient vanishes, the points
-    at which linear_pde_residual raises.
+    The residuals are scaled relative to terms (module docstring).  The
+    gauge term F1 never enters them (no xi-derivative of rho appears),
+    which the gauge checks measure rather than assume.  A float pair
+    raises ValueError where the transport coefficient vanishes and
+    leaves rho_psi undetermined; arrays give NaN residuals there.
     """
     xi, psi = _grid(xi, psi)
-    xi_c = xi.astype(complex)
+    xi_c = xi + 0.0j
     with np.errstate(all="ignore"):
-        rho, u, rho_psi, _ = _nested_pass(xi_c, psi, c2, tuple(f1))
         a = transport_coefficient(xi, psi)
         vanishes = _transport_vanishes(xi, a)
-        pde = [np.where(vanishes, math.nan, relative_to_terms(
-                   _linear_pde_terms(xi, psi, c2, a, rho_psi, variant)))
+        if isinstance(xi, float) and vanishes:
+            raise ValueError("indeterminate point: transport coefficient "
+                             "vanishes")
+        rho, u, rho_psi, _ = _nested_pass(xi_c, psi, c2, tuple(f1))
+        pde = [relative_to_terms(_linear_pde_terms(xi, psi, c2, a, rho_psi,
+                                                   variant))
                for variant in ("direct", "parametric")]
+        if not isinstance(xi, float):
+            pde = [np.where(vanishes, math.nan, p) for p in pde]
         return RhoTable(rho=rho, u=u, v=xi_c * u - rho, rho_psi=rho_psi,
                         pde_direct=pde[0], pde_parametric=pde[1])
 
@@ -315,24 +245,32 @@ def _uv_pair(xi, psi, c2, f1) -> UVPair:
                   v_xi=v_dual.eps, v_psi=xi * u_psi - rho_psi)
 
 
-def uv_from_rho(p: ParamPoint, f1: Sequence[float] = ()) -> UVPair:
-    """u, v and their four partials at one point by exact forward-mode
-    seeding (`_uv_pair`)."""
-    return _uv_pair(complex(p.xi), p.psi, p.c2, tuple(f1))
-
-
 def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
-    """uv_from_rho over whole arrays (xi and psi as for rho_table): the
-    same code, so the values match it to round-off, not bitwise."""
+    """u, v and their four partials by exact forward-mode seeding
+    (`_uv_pair`), at a float pair or over broadcastable arrays."""
     xi, psi = _grid(xi, psi)
     with np.errstate(all="ignore"):
-        return _uv_pair(xi.astype(complex), psi, c2, tuple(f1))
+        return _uv_pair(xi + 0.0j, psi, c2, tuple(f1))
 
 
-def _relation_residual(xi, psi, c2, uv: UVPair, reading: str):
-    """The parametric relation's scaled residual; scalars or arrays."""
+def _check_reading(reading: str) -> None:
     if reading not in ("xi", "v"):
         raise ValueError(f"unknown reading {reading!r}")
+
+
+def relation_residual(xi, psi, c2: float = 1.0, f1: Sequence[float] = (),
+                      reading: str = "xi"):
+    """Scaled residual of the parametric (u, v) relation at (xi, psi).
+
+    reading="xi" evaluates the coefficient polynomials at the parameter
+    xi; reading="v" evaluates them at the reconstructed radius v(xi,psi)
+    as the substitution rules would dictate.  The closed form satisfies
+    the xi reading at round-off; the v reading does not (reported, not
+    hidden).
+    """
+    _check_reading(reading)
+    xi, psi = _grid(xi, psi)
+    uv = uv_table(xi, psi, c2, f1)
     w = xi if reading == "xi" else uv.v
     a = transport_coefficient(w, psi)
     b = source_coefficient(w, psi)
@@ -343,29 +281,15 @@ def _relation_residual(xi, psi, c2, uv: UVPair, reading: str):
                               32.0 * c2 * w * uv.v_xi])
 
 
-def parametric_relation_residual(p: ParamPoint, f1: Sequence[float] = (),
-                                 reading: str = "xi",
-                                 uv: UVPair | None = None) -> float:
-    """Scaled residual of the parametric (u, v) relation at one point.
-
-    reading="xi" evaluates the coefficient polynomials at the parameter
-    xi; reading="v" evaluates them at the reconstructed radius v(xi,psi)
-    as the substitution rules would dictate.  The closed form satisfies
-    the xi reading at round-off; the v reading does not (reported, not
-    hidden).  A precomputed UVPair for the same point may be passed to
-    avoid recomputing the partials.
-    """
-    if uv is None:
-        uv = uv_from_rho(p, f1)
-    return _relation_residual(complex(p.xi), p.psi, p.c2, uv, reading)
-
-
 def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
-                    n_scan: int) -> np.ndarray:
+                    n_scan: int):
     """xi* with v(xi*, psi) = r, elementwise over broadcast r, psi and
-    bracket ends: one array pass scans every bracket, `bracketed_roots`
-    refines each root on the scalar v to 1e-10, and of several roots the
-    one nearest the bracket midpoint is taken, with a warning."""
+    bracket ends, returned with r and psi: floats when all four are
+    scalars, else broadcast arrays.  One array pass scans every bracket,
+    `bracketed_roots` refines each root on the scalar v to 1e-10, and of
+    several roots the one nearest the bracket midpoint is taken, with a
+    warning."""
+    scalar = all(np.ndim(a) == 0 for a in (r, psi, *bracket))
     r, psi, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (r, psi, *bracket)))
     if not np.all((0.0 < lo) & (lo < hi)):
@@ -398,7 +322,9 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
                           f"{r[k]} in bracket; using the one nearest its "
                           f"midpoint", stacklevel=3)
         xi_star[k] = min(roots, key=lambda x: abs(x - 0.5 * (lo[k] + hi[k])))
-    return xi_star
+    if scalar:
+        return float(xi_star), float(r), float(psi)
+    return xi_star, r, psi
 
 
 def _h_partials(uv: UVPair):
@@ -409,11 +335,20 @@ def _h_partials(uv: UVPair):
     return uv.u_xi / uv.v_xi, uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi
 
 
-def _h_pde_residual(xi_star, r, psi, uv: UVPair, c2, reading: str):
-    """The H-equation's scaled residual at the root xi* of radius r."""
-    if reading not in ("xi", "v"):
-        raise ValueError(f"unknown reading {reading!r}")
-    h_r, h_psi = _h_partials(uv)
+def h_pde_residual(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
+                   reading: str = "xi", bracket=(0.05, 0.8),
+                   n_scan: int = 60):
+    """End-to-end scaled residual of the H-equation at (r, psi).
+
+    Reconstructs the parameter, forms H_r = u_xi / v_xi and
+    H_psi = u_psi - v_psi u_xi / v_xi, and substitutes into the
+    quasilinear H-equation with coefficients at the parameter
+    (reading="xi") or at the radius r itself (reading="v").  r, psi and
+    the bracket ends broadcast.
+    """
+    _check_reading(reading)
+    xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
+    h_r, h_psi = _h_partials(uv_table(xi_star, psi, c2, f1))
     w = xi_star if reading == "xi" else r
     return relative_to_terms([source_coefficient(w, psi) * h_r,
                               -transport_coefficient(w, psi) * h_psi,
@@ -421,41 +356,23 @@ def _h_pde_residual(xi_star, r, psi, uv: UVPair, c2, reading: str):
                               32.0 * c2 * w])
 
 
-def h_pde_residual(r: float, psi: float, c2: float = 1.0,
-                   f1: Sequence[float] = (), reading: str = "xi",
-                   bracket: tuple[float, float] = (0.05, 0.8),
-                   n_scan: int = 60) -> float:
-    """End-to-end scaled residual of the H-equation at (r, psi).
-
-    Reconstructs the parameter, forms H_r = u_xi / v_xi and
-    H_psi = u_psi - v_psi u_xi / v_xi, and substitutes into the
-    quasilinear H-equation with coefficients at the parameter
-    (reading="xi") or at the radius r itself (reading="v").
-    """
-    xi_star = float(_reconstruct_xi(r, psi, c2, f1, bracket, n_scan))
-    uv = uv_from_rho(ParamPoint(xi_star, psi, c2), f1)
-    return _h_pde_residual(xi_star, r, psi, uv, c2, reading)
-
-
-def _phi_flow_residual(uv: UVPair, c2, vel):
-    """Scaled d Phi / dt from uv at the root and the flow velocity vel."""
-    h_r, h_psi = _h_partials(uv)
-    return relative_to_terms([h_r.real * vel.dr, c2 * vel.dphi,
-                              h_psi.real * vel.dpsi])
-
-
-def phi_flow_derivative(state: SphericalState, c2: float = 1.0,
-                        f1: Sequence[float] = (),
-                        bracket: tuple[float, float] = (0.05, 0.8)) -> float:
+def phi_flow_derivative(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
+                        bracket=(0.05, 0.8)):
     """Scaled rate of change of Phi = c2 phi + H(r, psi) along the flow.
 
     H comes from the parametric reconstruction; the derivative uses the
-    actual flow velocity, so this measures end to end whether Phi is
-    conserved (zero means first integral).
+    flow velocity from eval_spherical, one point at a time, so this
+    measures end to end whether Phi is conserved (zero means first
+    integral).  r, psi and the bracket ends broadcast.
     """
-    xi_star = float(_reconstruct_xi(state.r, state.psi, c2, f1, bracket, 60))
-    uv = uv_from_rho(ParamPoint(xi_star, state.psi, c2), f1)
-    return _phi_flow_residual(uv, c2, eval_spherical(state))
+    xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, 60)
+    h_r, h_psi = _h_partials(uv_table(xi_star, psi, c2, f1))
+    # The spherical field does not depend on phi, so any phi serves.
+    vel = np.array([eval_spherical(SphericalState(a, 0.0, b)).as_array()
+                    for a, b in zip(np.ravel(r), np.ravel(psi))])
+    vel = vel.T.reshape((3,) + np.shape(r))
+    dr, dphi, dpsi = vel.tolist() if isinstance(r, float) else vel
+    return relative_to_terms([h_r.real * dr, c2 * dphi, h_psi.real * dpsi])
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,

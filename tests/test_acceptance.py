@@ -12,7 +12,6 @@ import numpy as np
 
 from hopf_flow import checks, fields, first_integral, reduced_system
 from hopf_flow import special_functions
-from hopf_flow.first_integral import ParamPoint
 from hopf_flow.integrator import integrate
 
 
@@ -117,7 +116,7 @@ def test_A4_implicit_constant_conservation():
             for r in r_grid]
         worst_spread = max(worst_spread,
                            (max(vals) - min(vals)) / abs(np.mean(vals)))
-    zs = np.logspace(-3, math.log10(60.0), 1000)
+    zs = np.geomspace(1e-3, special_functions.Z_MAX, 1000)
     worst_wronskian = max(special_functions.bessel_quad(float(z))
                           .wronskian_defect() for z in zs)
     ok = worst_spread <= 1e-6 and worst_wronskian <= 1e-10
@@ -164,16 +163,15 @@ def _pde_maps(n: int):
     legendre = np.full((n, n), np.nan)
     for i, xi in enumerate(xis):
         for j, psi in enumerate(psis):
-            p = ParamPoint(float(xi), float(psi))
+            xi, psi = float(xi), float(psi)
             try:
-                direct[i, j] = first_integral.linear_pde_residual(
-                    p, variant="direct")
-                parametric[i, j] = first_integral.linear_pde_residual(
-                    p, variant="parametric")
+                table = first_integral.rho_table(xi, psi)
             except ValueError:
                 continue  # transport coefficient vanishes: indeterminate
-            uv = first_integral.uv_from_rho(p)
-            legendre[i, j] = abs(uv.v_xi - p.xi * uv.u_xi)
+            direct[i, j] = table.pde_direct
+            parametric[i, j] = table.pde_parametric
+            uv = first_integral.uv_table(xi, psi)
+            legendre[i, j] = abs(uv.v_xi - xi * uv.u_xi)
     return direct, parametric, legendre
 
 
@@ -203,12 +201,9 @@ def test_A6_pde_chain_audit():
     rel = {}
     for reading in ("xi", "v"):
         vals = []
-        for p in (ParamPoint(0.2, 1.1), ParamPoint(0.5, 1.4),
-                  ParamPoint(0.65, 2.1)):
-            a = first_integral.parametric_relation_residual(p,
-                                                            reading=reading)
-            b = first_integral.parametric_relation_residual(p,
-                                                            reading=reading)
+        for xi, psi in ((0.2, 1.1), (0.5, 1.4), (0.65, 2.1)):
+            a = first_integral.relation_residual(xi, psi, reading=reading)
+            b = first_integral.relation_residual(xi, psi, reading=reading)
             assert a == b  # deterministic re-measurement
             vals.append(a)
         rel[reading] = max(vals)
@@ -216,7 +211,7 @@ def test_A6_pde_chain_audit():
     for reading in ("xi", "v"):
         vals = []
         for xi0, psi in ((0.2, 1.1), (0.65, 1.8), (0.65, 2.1)):
-            v = first_integral.uv_from_rho(ParamPoint(xi0, psi)).v.real
+            v = first_integral.uv_table(xi0, psi).v.real
             bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
             vals.append(first_integral.h_pde_residual(v, psi,
                                                       reading=reading,
@@ -237,10 +232,8 @@ def test_A7_gauge_and_branch_properties():
     f1 = (0.7, -0.3, 0.11, 2.0)
     worst_gauge = 0.0
     for xi, psi in ((0.2, 1.1), (0.35, 0.8), (0.5, 1.4), (0.65, 2.1)):
-        p = ParamPoint(xi, psi)
-        bare = first_integral.linear_pde_residual(p, variant="parametric")
-        gauged = first_integral.linear_pde_residual(p, f1=f1,
-                                                    variant="parametric")
+        bare = first_integral.rho_table(xi, psi).pde_parametric
+        gauged = first_integral.rho_table(xi, psi, f1=f1).pde_parametric
         worst_gauge = max(worst_gauge, abs(bare - gauged))
     rng = np.random.default_rng(55555)
     h = 1e-6
@@ -248,19 +241,17 @@ def test_A7_gauge_and_branch_properties():
     for _ in range(100):
         xi = float(rng.uniform(0.15, 0.7))
         psi = float(rng.uniform(0.5, 2.6))
-        val = first_integral.rho_eval(ParamPoint(xi, psi))
+        rho_xi = first_integral.rho_table(xi, psi).u
         fd_xi = (first_integral.rho_raw(complex(xi + h), psi)
                  - first_integral.rho_raw(complex(xi - h), psi)) / (2 * h)
         worst_fd = max(worst_fd,
-                       abs(fd_xi - val.rho_xi) / max(1.0, abs(val.rho_xi)))
+                       abs(fd_xi - rho_xi) / max(1.0, abs(rho_xi)))
     delta = 1e-9
     worst_cont = 0.0
     for xi_b in (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH):
         for psi in (0.7, 1.2, 1.9, 2.5):
-            lo = first_integral.rho_psi_partial(
-                ParamPoint(xi_b * (1 - delta), psi))
-            hi = first_integral.rho_psi_partial(
-                ParamPoint(xi_b * (1 + delta), psi))
+            lo = first_integral.rho_table(xi_b * (1 - delta), psi).rho_psi
+            hi = first_integral.rho_table(xi_b * (1 + delta), psi).rho_psi
             worst_cont = max(worst_cont, abs(hi - lo) / max(1.0, abs(lo)))
     ok = worst_gauge <= 1e-11 and worst_fd <= 1e-6 and worst_cont <= 1e-6
     _report("A7", ok,

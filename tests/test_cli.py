@@ -276,6 +276,18 @@ def test_overflowing_state_is_usage_error(argv, capsys):
     assert "non-finite" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rho", "--grid", "0"), "--grid must be at least 1"),
+    (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2", "--bracket",
+      "0.1,0.9", "--n", "0"), "--n must be at least 1"),
+    (("trace", "--start", "1,0,0", "--dense", "-3"),
+     "--dense must be at least 0"),
+], ids=["rho-grid", "implicit-n", "trace-dense"])
+def test_count_below_its_minimum_is_usage_error(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_verify_rejects_bad_tol(tol, capsys):
     assert run_cli("verify", "--only", "unit-norm", "--tol", tol) == 2

@@ -12,14 +12,13 @@ from hopf_flow.diagnostics import (ResidualReport, bracketed_roots,
 
 def test_summarize_verdict_thresholds():
     rpt = summarize("demo", [1e-9, 5e-10], 1e-6)
-    assert rpt.verdict == "pass" and rpt.passed
+    assert rpt.verdict == "pass"
     assert rpt.samples == 2
     np.testing.assert_allclose(rpt.max_abs, 1e-9)
     np.testing.assert_allclose(rpt.rms, math.sqrt((1e-18 + 25e-20) / 2))
     assert summarize("demo", [1e-3], 1e-6).verdict == "fail"
     doc = summarize("demo", [1e-3], 1e-6, documented=True)
     assert doc.verdict == "documented-discrepancy"
-    assert not doc.passed
     # A documented check that actually meets tolerance still passes.
     assert summarize("demo", [1e-9], 1e-6, documented=True).verdict == "pass"
 
@@ -35,11 +34,11 @@ def test_summarize_rejects_bad_input():
 
 def test_report_validation_and_serialization():
     rpt = summarize("demo", [2e-7, 1e-7], 1e-6, details={"grid": 5})
-    blob = rpt.to_json()
-    assert json.loads(blob) == rpt.to_dict()
-    # Deterministic key order.
-    assert blob == rpt.to_json()
-    assert json.loads(blob)["details"]["grid"] == 5
+    doc = rpt.to_dict()
+    assert json.loads(json.dumps(doc, sort_keys=True)) == doc
+    assert list(doc) == ["name", "samples", "max_abs", "rms", "verdict",
+                         "tolerance", "details"]
+    assert doc["details"] == {"grid": 5}
     with pytest.raises(ValueError):
         ResidualReport(name="x", samples=1, max_abs=1.0, rms=2.0,
                        verdict="pass", tolerance=1e-6)

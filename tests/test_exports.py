@@ -1,6 +1,12 @@
-"""The package's export list names only live, distinct objects."""
+"""The package's public surface: its export list and module boundaries."""
+
+import ast
+from pathlib import Path
 
 import hopf_flow
+
+# Generated Chebyshev coefficients, imported by name.
+_GENERATED = {"_bessel_tables"}
 
 
 def test_every_exported_name_resolves_once():
@@ -8,3 +14,39 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(hopf_flow, n)]
     assert missing == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each read of a sibling module's private name, as the code spells it.
+
+    Siblings come in through relative imports: `from . import mod` binds
+    a module whose attributes are then read, `from .mod import name`
+    reads names directly.
+    """
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if node.module is None:
+            modules.update(a.asname or a.name for a in node.names)
+        elif node.module not in _GENERATED:
+            reads += [f"from .{node.module} import {a.name}"
+                      for a in node.names
+                      if _private(node.module) or _private(a.name)]
+    reads += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return reads
+
+
+def test_no_module_reads_a_siblings_private_names():
+    package = Path(hopf_flow.__file__).parent
+    reads = {path.name: _private_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: r for name, r in reads.items() if r} == {}

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from hopf_flow import first_integral as fi
-from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW, ParamPoint,
-                                      h_pde_residual, linear_pde_residual,
-                                      parametric_relation_residual,
-                                      rho_eval, uv_from_rho,
+from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW,
+                                      h_pde_residual, phi_flow_derivative,
+                                      relation_residual, rho_table, uv_table,
                                       xi_substitution_residual)
 
 # The discriminant is positive below DISC_XI_LOW and above DISC_XI_HIGH;
@@ -20,99 +19,58 @@ OUTER_REAL_POINTS = [(6.0, 0.6), (7.5, 1.9)]
 COMPLEX_POINTS = [(1.5, 0.9), (3.0, 1.7), (4.0, 0.6)]
 
 
-def test_param_point_validation_and_half_angle():
-    with pytest.raises(ValueError):
-        ParamPoint(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        ParamPoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ParamPoint(0.5, 0.0)
-    with pytest.raises(ValueError):
-        ParamPoint(0.5, math.pi)
-    # Stable half-angle tangent: exactly 1 at the equator.
-    assert ParamPoint(0.5, math.pi / 2.0).chi == 1.0
-    p = ParamPoint(0.5, 0.8)
-    np.testing.assert_allclose(p.chi, math.tan(0.4), rtol=1e-15)
-
-
-def test_region_flags_follow_discriminant_sign():
-    for xi, psi in REAL_POINTS + OUTER_REAL_POINTS:
-        assert rho_eval(ParamPoint(xi, psi)).region == "real"
-    for xi, psi in COMPLEX_POINTS:
-        assert rho_eval(ParamPoint(xi, psi)).region == "complex"
-    near = rho_eval(ParamPoint(DISC_XI_LOW + 1e-12, 1.0))
-    assert near.near_branch_cut
-
-
 def test_rho_is_real_when_transport_only():
     # With the source coefficient switched off the solution stays real
     # in both real regions (inner and outer).
     for xi, psi in REAL_POINTS + OUTER_REAL_POINTS:
-        out = rho_eval(ParamPoint(xi, psi, c2=0.0))
+        out = rho_table(xi, psi, c2=0.0)
         assert abs(out.rho.imag) <= 1e-13 * max(1.0, abs(out.rho.real))
 
 
 def test_linear_pde_parametric_variant_is_roundoff():
-    worst = max(linear_pde_residual(ParamPoint(xi, psi), variant="parametric")
-                for xi, psi in REAL_POINTS)
+    worst = max(rho_table(xi, psi).pde_parametric for xi, psi in REAL_POINTS)
     print(f"parametric variant max residual {worst:.3e}")
     assert worst <= 1e-12
 
 
 def test_linear_pde_direct_variant_fails_order_one():
     # The direct reading is the recorded discrepancy: it misses by O(1).
-    worst = max(linear_pde_residual(ParamPoint(xi, psi), variant="direct")
-                for xi, psi in REAL_POINTS)
+    worst = max(rho_table(xi, psi).pde_direct for xi, psi in REAL_POINTS)
     assert worst > 1e-2
-
-
-def test_linear_pde_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        linear_pde_residual(ParamPoint(0.5, 1.0), variant="sideways")
 
 
 def test_linear_pde_indeterminate_where_transport_vanishes():
     # On the equator the transport coefficient has a zero exactly at the
     # lower discriminant boundary; the residual is 0/0 there.
     with pytest.raises(ValueError, match="indeterminate"):
-        linear_pde_residual(ParamPoint(DISC_XI_LOW, math.pi / 2.0),
-                            variant="parametric")
+        rho_table(DISC_XI_LOW, math.pi / 2.0)
 
 
 def test_gauge_polynomial_does_not_move_residuals():
     f1 = (0.7, -0.3, 0.11, 2.0)
     for xi, psi in REAL_POINTS:
-        p = ParamPoint(xi, psi)
-        bare = linear_pde_residual(p, variant="parametric")
-        gauged = linear_pde_residual(p, f1=f1, variant="parametric")
+        bare = rho_table(xi, psi).pde_parametric
+        gauged = rho_table(xi, psi, f1=f1).pde_parametric
         assert abs(bare - gauged) <= 1e-11
-        rel_bare = parametric_relation_residual(p, reading="xi")
-        rel_gauged = parametric_relation_residual(p, f1=f1, reading="xi")
+        rel_bare = relation_residual(xi, psi, reading="xi")
+        rel_gauged = relation_residual(xi, psi, f1=f1, reading="xi")
         assert abs(rel_bare - rel_gauged) <= 1e-11
 
 
 def test_parametric_relation_readings_split():
     for xi, psi in REAL_POINTS:
-        p = ParamPoint(xi, psi)
-        assert parametric_relation_residual(p, reading="xi") <= 1e-12
+        assert relation_residual(xi, psi, reading="xi") <= 1e-12
         # The alternative coefficient reading misses by many orders.
-        assert (parametric_relation_residual(p, reading="v")
-                > 1e8 * parametric_relation_residual(p, reading="xi"))
+        assert (relation_residual(xi, psi, reading="v")
+                > 1e8 * relation_residual(xi, psi, reading="xi"))
     with pytest.raises(ValueError):
-        parametric_relation_residual(ParamPoint(0.5, 1.0), reading="w")
-
-
-def test_parametric_relation_accepts_precomputed_pair():
-    p = ParamPoint(0.35, 1.4)
-    uv = uv_from_rho(p)
-    assert (parametric_relation_residual(p, reading="xi", uv=uv)
-            == parametric_relation_residual(p, reading="xi"))
+        relation_residual(0.5, 1.0, reading="w")
 
 
 def test_legendre_pairing_of_uv():
     # v_xi = xi * u_xi everywhere the pair is defined.
     for xi, psi in REAL_POINTS + COMPLEX_POINTS:
-        uv = uv_from_rho(ParamPoint(xi, psi))
+        uv = uv_table(xi, psi)
         defect = abs(uv.v_xi - xi * uv.u_xi)
         assert defect <= 1e-12 * max(1.0, abs(uv.v_xi))
 
@@ -120,13 +78,13 @@ def test_legendre_pairing_of_uv():
 def test_uv_partials_match_finite_differences():
     h = 1e-6
     for xi, psi in REAL_POINTS:
-        uv = uv_from_rho(ParamPoint(xi, psi))
-        up = uv_from_rho(ParamPoint(xi + h, psi))
-        um = uv_from_rho(ParamPoint(xi - h, psi))
+        uv = uv_table(xi, psi)
+        up = uv_table(xi + h, psi)
+        um = uv_table(xi - h, psi)
         np.testing.assert_allclose(uv.u_xi.real, (up.u - um.u).real / (2 * h),
                                    rtol=2e-5, atol=2e-6)
-        vp = uv_from_rho(ParamPoint(xi, psi + h))
-        vm = uv_from_rho(ParamPoint(xi, psi - h))
+        vp = uv_table(xi, psi + h)
+        vm = uv_table(xi, psi - h)
         np.testing.assert_allclose(uv.u_psi.real, (vp.u - vm.u).real / (2 * h),
                                    rtol=2e-5, atol=2e-6)
         np.testing.assert_allclose(uv.v_psi.real, (vp.v - vm.v).real / (2 * h),
@@ -136,10 +94,9 @@ def test_uv_partials_match_finite_differences():
 def test_rho_xi_dual_matches_finite_differences():
     h = 1e-6
     for xi, psi in REAL_POINTS + COMPLEX_POINTS:
-        out = rho_eval(ParamPoint(xi, psi))
-        fd = (rho_eval(ParamPoint(xi + h, psi)).rho
-              - rho_eval(ParamPoint(xi - h, psi)).rho) / (2 * h)
-        assert abs(out.rho_xi - fd) <= 1e-6 * max(1.0, abs(out.rho_xi))
+        rho_xi = rho_table(xi, psi).u
+        fd = (rho_table(xi + h, psi).rho - rho_table(xi - h, psi).rho) / (2 * h)
+        assert abs(rho_xi - fd) <= 1e-6 * max(1.0, abs(rho_xi))
 
 
 def test_psi_partial_continuous_across_discriminant_boundaries():
@@ -149,8 +106,8 @@ def test_psi_partial_continuous_across_discriminant_boundaries():
     delta = 1e-9
     for xi_b in (DISC_XI_LOW, DISC_XI_HIGH):
         for psi in (0.7, 1.2, 1.9):
-            lo = fi.rho_psi_partial(ParamPoint(xi_b * (1.0 - delta), psi))
-            hi = fi.rho_psi_partial(ParamPoint(xi_b * (1.0 + delta), psi))
+            lo = rho_table(xi_b * (1.0 - delta), psi).rho_psi
+            hi = rho_table(xi_b * (1.0 + delta), psi).rho_psi
             assert abs(hi - lo) <= 1e-6 * max(1.0, abs(lo))
 
 
@@ -158,7 +115,7 @@ def test_h_pde_readings_split_at_physical_states():
     # Points picked so the reconstructed radius is positive and the
     # parameter root is unique inside the bracket.
     for xi0, psi in ((0.2, 1.1), (0.65, 1.8), (0.65, 2.1)):
-        v = uv_from_rho(ParamPoint(xi0, psi)).v
+        v = uv_table(xi0, psi).v
         assert v.real > 0.0
         bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
         assert h_pde_residual(v.real, psi, bracket=bracket) <= 1e-10
@@ -167,28 +124,29 @@ def test_h_pde_readings_split_at_physical_states():
 
 
 def _reconstructed_h(r, psi, bracket):
-    xi_star = float(fi._reconstruct_xi(r, psi, 1.0, (), bracket, 60))
-    return uv_from_rho(ParamPoint(xi_star, psi)).u.real
+    xi_star, _, _ = fi._reconstruct_xi(r, psi, 1.0, (), bracket, 60)
+    return uv_table(xi_star, psi).u.real
 
 
 def test_reconstruction_roundtrip():
     cases = ((0.2, 1.1), (0.65, 1.8))
     for xi0, psi in cases:
-        uv = uv_from_rho(ParamPoint(xi0, psi))
+        uv = uv_table(xi0, psi)
         bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
         got = _reconstructed_h(uv.v.real, psi, bracket)
         np.testing.assert_allclose(got, uv.u.real, rtol=1e-9, atol=1e-12)
     # One array call scans both brackets and finds the same roots.
     xi0, psi = np.transpose(cases)
-    roots = fi._reconstruct_xi(fi.uv_table(xi0, psi).v.real, psi, 1.0, (),
-                               (0.7 * xi0, np.minimum(1.3 * xi0, 0.8)), 60)
+    roots, _, _ = fi._reconstruct_xi(
+        uv_table(xi0, psi).v.real, psi, 1.0, (),
+        (0.7 * xi0, np.minimum(1.3 * xi0, 0.8)), 60)
     np.testing.assert_allclose(roots, xi0, rtol=1e-9)
 
 
 def test_reconstruction_warns_on_two_parameter_roots():
     # v(., 0.8) takes the radius v(0.35, 0.8) twice in this bracket; the
     # root nearest the bracket midpoint is the one the radius came from.
-    uv = uv_from_rho(ParamPoint(0.35, 0.8))
+    uv = uv_table(0.35, 0.8)
     with pytest.warns(UserWarning, match="2 parameter roots"):
         got = _reconstructed_h(uv.v.real, 0.8, (0.245, 0.455))
     np.testing.assert_allclose(got, uv.u.real, rtol=1e-9, atol=1e-12)
@@ -232,40 +190,78 @@ def test_polynomial_helpers_match_numpy():
                                    np.polyval(coeffs[::-1], x), rtol=1e-14)
 
 
-def _scalar_pde(p, variant):
-    try:
-        return linear_pde_residual(p, variant=variant)
-    except ValueError:
-        return math.nan
-
-
-def test_rho_table_matches_the_scalar_functions_across_both_regions():
+def _three_bands():
     # xi spans the inner real band, the complex band and the outer real
     # band; the last point is where the transport coefficient vanishes.
     xi, psi = (g.ravel() for g in np.meshgrid(
         np.linspace(0.05, 6.0, 12), np.linspace(0.05, math.pi - 0.05, 11),
         indexing="ij"))
-    xi = np.append(xi, DISC_XI_LOW)
-    psi = np.append(psi, math.pi / 2.0)
-    table = fi.rho_table(xi, psi)
-    uv_table = fi.uv_table(xi, psi)
-    assert np.isnan(table.pde_direct[-1]) and np.isnan(table.pde_parametric[-1])
-    for k in range(xi.size - 1):
-        p = ParamPoint(float(xi[k]), float(psi[k]))
-        uv = uv_from_rho(p)
-        want = {"rho": rho_eval(p).rho, "u": uv.u, "v": uv.v,
-                "rho_psi": fi.rho_psi_partial(p),
-                "pde_direct": _scalar_pde(p, "direct"),
-                "pde_parametric": _scalar_pde(p, "parametric")}
-        want.update({f"uv.{name}": getattr(uv, name) for name in
-                     ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")})
-        for name, scalar in want.items():
-            got = (getattr(uv_table, name[3:]) if name.startswith("uv.")
-                   else getattr(table, name))[k]
-            assert cmath.isnan(got) == cmath.isnan(scalar), (name, p)
-            if not cmath.isnan(scalar):
-                assert abs(got - scalar) <= 1e-10 * max(1.0, abs(scalar)), \
-                    (name, p, got, scalar)
+    return np.append(xi, DISC_XI_LOW), np.append(psi, math.pi / 2.0)
+
+
+def _physical_states():
+    # Radii v(xi0, psi) > 0, their psi and parameter brackets around xi0;
+    # (0.35, 0.8)'s bracket holds two roots.
+    xi0, psi = np.array([(0.2, 1.1), (0.2, 2.4), (0.35, 0.8), (0.35, 1.4),
+                         (0.5, 1.8), (0.65, 2.1)]).T
+    return (uv_table(xi0, psi).v.real, psi, 0.7 * xi0,
+            np.minimum(1.3 * xi0, 0.8))
+
+
+_UV_FIELDS = ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")
+# name: (call, points, fields of the result or None, float calls that raise)
+_PARITY_CASES = {
+    "rho_table": (rho_table, _three_bands,
+                  ("rho", "u", "v", "rho_psi", "pde_direct",
+                   "pde_parametric"), 1),
+    "uv_table": (uv_table, _three_bands, _UV_FIELDS, 0),
+    "relation_residual-xi": (
+        lambda xi, psi: relation_residual(xi, psi, reading="xi"),
+        _three_bands, None, 0),
+    "relation_residual-v": (
+        lambda xi, psi: relation_residual(xi, psi, reading="v"),
+        _three_bands, None, 0),
+    "h_pde_residual-xi": (
+        lambda r, psi, lo, hi: h_pde_residual(r, psi, reading="xi",
+                                              bracket=(lo, hi)),
+        _physical_states, None, 0),
+    "h_pde_residual-v": (
+        lambda r, psi, lo, hi: h_pde_residual(r, psi, reading="v",
+                                              bracket=(lo, hi)),
+        _physical_states, None, 0),
+    "phi_flow_derivative": (
+        lambda r, psi, lo, hi: phi_flow_derivative(r, psi, bracket=(lo, hi)),
+        _physical_states, None, 0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:2 parameter roots")
+@pytest.mark.parametrize("name", list(_PARITY_CASES))
+def test_float_calls_match_array_entries(name):
+    # A float call returns Python numbers equal to the array entries
+    # within 1e-10 relative, and the array holds NaN exactly where the
+    # float call raises.
+    fn, points, fields, want_raised = _PARITY_CASES[name]
+    args = points()
+
+    def entries(out):
+        return [out] if fields is None else [getattr(out, f) for f in fields]
+
+    arrays = entries(fn(*args))
+    raised = 0
+    for k in range(args[0].size):
+        nan = any(cmath.isnan(a[k]) for a in arrays)
+        try:
+            want = entries(fn(*(float(a[k]) for a in args)))
+        except ValueError:
+            raised += 1
+            assert nan, (name, k)
+            continue
+        assert not nan, (name, k)
+        for a, w in zip(arrays, want):
+            assert type(w) in (float, complex), (name, type(w))
+            assert abs(a[k] - w) <= 1e-10 * max(1.0, abs(w)), (name, k, a[k], w)
+    assert raised == want_raised
 
 
 def test_rho_table_broadcasts_and_validates_like_param_point():
@@ -278,6 +274,12 @@ def test_rho_table_broadcasts_and_validates_like_param_point():
             table_fn([0.3, 0.4], [1.0, math.pi])
         with pytest.raises(ValueError, match="xi"):
             table_fn([0.3, 0.0], 1.0)
+        for xi, psi in ((-0.5, 1.0), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="xi"):
+                table_fn(xi, psi)
+        for xi, psi in ((0.5, 0.0), (0.5, math.pi)):
+            with pytest.raises(ValueError, match="psi"):
+                table_fn(xi, psi)
 
 
 def test_rho_table_reproduces_coarse_nodes_bitwise_inside_a_refined_grid():
@@ -339,10 +341,9 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
         z = complex(z)
         return (z.real.hex(), z.imag.hex())
 
-    p = ParamPoint(xi, psi, c2)
     assert bits(fi.rho_raw(complex(xi), psi, c2, f1)) == rho
-    got = uv_from_rho(p, f1)
+    got = uv_table(xi, psi, c2, f1)
     assert tuple(bits(getattr(got, name)) for name in
                  ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")) == uv
-    assert (linear_pde_residual(p, f1, "direct").hex(),
-            linear_pde_residual(p, f1, "parametric").hex()) == pde
+    table = rho_table(xi, psi, c2, f1)
+    assert (table.pde_direct.hex(), table.pde_parametric.hex()) == pde
