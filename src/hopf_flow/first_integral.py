@@ -87,13 +87,19 @@ def poly_eval(coeffs: Sequence[float], x):
     return acc
 
 
+def half_angle_tan(psi):
+    """chi = tan(psi/2) in the stable half-angle form, exactly 1 at the
+    equator; generic over Dual inputs."""
+    return sin(psi) / (1.0 + cos(psi))
+
+
 def rho_raw(xi, psi, c2=1.0, f1: Sequence[float] = ()):
     """The closed-form generating function, generic over Dual inputs.
 
     Callers must pass complex (or Dual-of-complex) xi whenever the
     discriminant can go negative; no promotion happens here.
     """
-    chi = sin(psi) / (1.0 + cos(psi))  # tan(psi/2), stable half-angle form
+    chi = half_angle_tan(psi)
     chi2 = chi * chi
     x2 = xi * xi
     x3 = x2 * xi

@@ -19,6 +19,21 @@ OUTER_REAL_POINTS = [(6.0, 0.6), (7.5, 1.9)]
 COMPLEX_POINTS = [(1.5, 0.9), (3.0, 1.7), (4.0, 0.6)]
 
 
+def test_param_point_validation_and_half_angle():
+    # A float point is validated as an array is: xi > 0, psi in (0, pi).
+    for table_fn in (rho_table, uv_table):
+        for xi, psi in ((-0.5, 1.0), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="xi"):
+                table_fn(xi, psi)
+        for xi, psi in ((0.5, 0.0), (0.5, math.pi)):
+            with pytest.raises(ValueError, match="psi"):
+                table_fn(xi, psi)
+    # Stable half-angle tangent: exactly 1 at the equator.
+    assert fi.half_angle_tan(math.pi / 2.0) == 1.0
+    np.testing.assert_allclose(fi.half_angle_tan(0.8), math.tan(0.4),
+                               rtol=1e-15)
+
+
 def test_rho_is_real_when_transport_only():
     # With the source coefficient switched off the solution stays real
     # in both real regions (inner and outer).
@@ -274,12 +289,6 @@ def test_rho_table_broadcasts_and_validates_like_param_point():
             table_fn([0.3, 0.4], [1.0, math.pi])
         with pytest.raises(ValueError, match="xi"):
             table_fn([0.3, 0.0], 1.0)
-        for xi, psi in ((-0.5, 1.0), (0.0, 1.0)):
-            with pytest.raises(ValueError, match="xi"):
-                table_fn(xi, psi)
-        for xi, psi in ((0.5, 0.0), (0.5, math.pi)):
-            with pytest.raises(ValueError, match="psi"):
-                table_fn(xi, psi)
 
 
 def test_rho_table_reproduces_coarse_nodes_bitwise_inside_a_refined_grid():
