@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -111,8 +112,10 @@ def _cartesian(x: float, y: float, z: float) -> tuple[float, float, float]:
         raise ValueError("non-finite Cartesian state")
     s = x * x + y * y + z * z
     if not s + 4.0 < _S_PLUS_4_MAX:
-        raise ValueError(f"Cartesian state ({x!r}, {y!r}, {z!r}) overflows "
-                         f"the field: (|p|^2 + 4)^2 exceeds the float range")
+        # float() so a list state and an array state read the same.
+        raise ValueError(f"Cartesian state ({float(x)!r}, {float(y)!r}, "
+                         f"{float(z)!r}) overflows the field: "
+                         f"(|p|^2 + 4)^2 exceeds the float range")
     d = (s + 4.0) ** 2
     return (8.0 * (4.0 * z * x - y * s + 4.0 * y) / d,
             8.0 * (4.0 * z * y + x * s - 4.0 * x) / d,
@@ -124,9 +127,9 @@ def eval_cartesian(p: CartesianState) -> Velocity3:
     return Velocity3(*_cartesian(p.x, p.y, p.z))
 
 
-def cartesian_ode(t: float, y: np.ndarray) -> np.ndarray:
+def cartesian_ode(t: float, y: Sequence[float]) -> tuple[float, float, float]:
     """Integrator-facing signature; t is unused (the field is autonomous)."""
-    return np.array(_cartesian(*y.tolist()))
+    return _cartesian(*y)
 
 
 def _spherical(r: float, psi: float) -> tuple[float, float, float]:
@@ -148,9 +151,9 @@ def eval_spherical(s: SphericalState) -> SphericalVelocity:
     return SphericalVelocity(*_spherical(s.r, s.psi))
 
 
-def spherical_ode(t: float, y: np.ndarray) -> np.ndarray:
-    r, _, psi = y.tolist()
-    return np.array(_spherical(r, psi))
+def spherical_ode(t: float, y: Sequence[float]) -> tuple[float, float, float]:
+    r, _, psi = y
+    return _spherical(r, psi)
 
 
 def to_spherical(p: CartesianState) -> SphericalState:

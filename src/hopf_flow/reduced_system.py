@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -269,7 +270,7 @@ def trace_h(r0: float, h0: float, r1: float,
         Event(fn=lambda r, y: float(y[0]) - 1e-15, direction=-1,
               name="h-floor"),
     )
-    traj = integrate(lambda r, y: np.array([_h_rhs_raw(r, float(y[0]))]),
+    traj = integrate(lambda r, y: (_h_rhs_raw(r, y[0]),),
                      [h0], (r0, r1), rel_tol=rel_tol, events=events)
     hs = traj.ys[:, 0]
     if hs.max() > 1.0 + 1e-9 or hs.min() < -1e-12:
@@ -277,19 +278,19 @@ def trace_h(r0: float, h0: float, r1: float,
     return traj
 
 
-def reduced_time_ode(s: float, y: np.ndarray) -> np.ndarray:
+def reduced_time_ode(s: float, y: Sequence[float]) -> tuple[float, float]:
     """Planar (r, psi) flow, time rescaled by the positive factor (r^2+4)^2.
 
     Same curves as the spherical system with the azimuth dropped; the
     rescaling keeps the right side polynomial and fold-friendly.
     """
-    r, psi = float(y[0]), float(y[1])
+    r, psi = y
     rr = r * r
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     s2 = sin_psi * sin_psi
     dr = cos_psi * (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0)
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / r
-    return np.array([dr, dpsi])
+    return dr, dpsi
 
 
 def _fold_clearance(r: float, psi: float) -> float:
@@ -365,7 +366,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                 break
             # Fold ahead: fall through to the planar flow.
         # Planar-flow hand-over across the fold.
-        v = reduced_time_ode(0.0, np.array([r, psi]))
+        v = reduced_time_ode(0.0, (r, psi))
         if v[0] == 0.0 and v[1] == 0.0:
             curve.stop_note = "stationary point of the planar flow"
             break
@@ -402,7 +403,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
             break
         # Fold crossed; new travel direction is whatever the flow imposes.
         curve.turning_crossings += 1
-        v = reduced_time_ode(0.0, np.array([r, psi]))
+        v = reduced_time_ode(0.0, (r, psi))
         direction = 1.0 if s_sign * v[0] >= 0.0 else -1.0
     else:
         curve.stop_note = "segment budget exhausted"

@@ -192,3 +192,13 @@ def test_ode_wrappers_agree_with_dataclass_forms():
     with pytest.raises(ValueError) as got:
         fields.spherical_ode(0.0, np.array([-1.0, 0.4, 1.1]))
     assert str(got.value) == str(want.value)
+
+
+def test_overflow_message_is_the_same_for_a_list_or_an_array_state():
+    bad = [1e200, -2.5, 0.0]
+    with pytest.raises(ValueError) as from_list:
+        fields.cartesian_ode(0.0, bad)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as from_array:
+        fields.cartesian_ode(0.0, np.array(bad))
+    assert str(from_list.value) == str(from_array.value)
+    assert "(1e+200, -2.5, 0.0)" in str(from_list.value)

@@ -10,7 +10,7 @@ from hopf_flow.integrator import Event, integrate
 
 
 def decay(t, y):
-    return -y
+    return [-v for v in y]
 
 
 def oscillator(t, y):
@@ -154,9 +154,60 @@ def test_config_validation():
 
 def test_step_counters_are_consistent():
     traj = integrate(oscillator, [1.0, 0.0], (0.0, 5.0))
+    assert traj.stop_reason == "reached_end"
     assert traj.naccept == len(traj.ts) - 1
-    # Six fresh stages per attempted step plus the initial evaluations.
-    assert traj.nfev >= 6 * (traj.naccept + traj.nreject)
+    # Two evaluations start a run (k1 and the initial-step probe), every
+    # attempted step makes six fresh ones, and a located event one more.
+    assert traj.nfev == 2 + 6 * (traj.naccept + traj.nreject)
+    ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
+    stopped = integrate(oscillator, [1.0, 0.0], (0.0, 5.0), events=(ev,))
+    assert stopped.stop_reason == "event"
+    assert stopped.nfev == 3 + 6 * (stopped.naccept + stopped.nreject)
+    assert integrate(oscillator, [1.0, 0.0], (2.0, 2.0)).nfev == 1
+
+
+def test_hopf_orbit_keeps_its_step_counts():
+    # Accepted, rejected and RHS counts of a fixed run: a change to the
+    # step arithmetic that moves the controller shows here first.
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0))
+    assert (traj.naccept, traj.nreject, traj.nfev) == (562, 2, 3386)
+
+
+def test_rhs_return_container_does_not_change_the_bits():
+    def as_tuple(t, y):
+        return (y[1], -y[0] + 0.1 * math.sin(t))
+
+    def as_list(t, y):
+        return list(as_tuple(t, y))
+
+    def as_array(t, y):
+        return np.array(as_tuple(t, y))
+
+    runs = [integrate(fn, [1.0, 0.0], (0.0, 6.0), rel_tol=1e-9)
+            for fn in (as_tuple, as_list, as_array)]
+    for other in runs[1:]:
+        assert other.ts.tobytes() == runs[0].ts.tobytes()
+        assert other.ys.tobytes() == runs[0].ys.tobytes()
+        assert other.fs.tobytes() == runs[0].fs.tobytes()
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, 0.0)],
+                         ids=["run", "zero-span"])
+@pytest.mark.parametrize("bad", [(1.0, 2.0), [1.0, 2.0, 3.0, 4.0], 1.0],
+                         ids=["short", "long", "scalar"])
+def test_wrong_length_rhs_is_refused(span, bad):
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return bad
+
+    got = len(bad) if np.ndim(bad) else "shape ()"
+    with pytest.raises(ValueError, match="3") as err:
+        integrate(field, [1.0, 0.0, 0.0], span)
+    assert f"returned {got}" in str(err.value)
+    # Refused on the first call, before any step.
+    assert len(calls) == 1
 
 
 def test_step_budget_is_a_stop_reason(monkeypatch):
@@ -189,4 +240,4 @@ def test_stored_slopes_are_the_field_at_the_stored_states():
     traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 100.0))
     assert len(traj.ts) > 1000 and traj.nreject > 0
     for t, y, f in zip(traj.ts, traj.ys, traj.fs):
-        assert fields.cartesian_ode(t, y).tobytes() == f.tobytes()
+        assert np.asarray(fields.cartesian_ode(t, y)).tobytes() == f.tobytes()
