@@ -12,16 +12,10 @@ identity rather than assume it.
 from .diagnostics import ResidualReport, relative_to_terms
 from .dual import Dual, derivative, value
 from .fields import (
-    CartesianState,
     DerivedRates,
     SignReport,
-    SphericalState,
-    SphericalVelocity,
-    Velocity3,
     cartesian_ode,
     derived_rates,
-    eval_cartesian,
-    eval_spherical,
     from_spherical,
     pushforward_sign,
     spherical_ode,
@@ -67,7 +61,6 @@ __all__ = [
     "ALLOWED_DISCREPANCIES",
     "BesselQuad",
     "CHECK_NAMES",
-    "CartesianState",
     "DerivedRates",
     "Dual",
     "Event",
@@ -78,19 +71,14 @@ __all__ = [
     "ResidualReport",
     "RhoTable",
     "SignReport",
-    "SphericalState",
-    "SphericalVelocity",
     "Trajectory",
     "TurningPointError",
     "UVPair",
-    "Velocity3",
     "bessel_k_continued",
     "bessel_quad",
     "cartesian_ode",
     "derivative",
     "derived_rates",
-    "eval_cartesian",
-    "eval_spherical",
     "from_spherical",
     "h_pde_residual",
     "h_rhs",

@@ -51,9 +51,9 @@ def _check_unit_norm(tol: float, documented: bool) -> ResidualReport:
     rng = np.random.default_rng(314159)
     pts = rng.uniform(-5.7, 5.7, size=(2000, 3))
     residuals = []
-    for x, y, z in pts:
-        v = fields.eval_cartesian(fields.CartesianState(x, y, z))
-        residuals.append(v.norm() - 1.0)
+    for p in pts:
+        vx, vy, vz = fields.cartesian_ode(0.0, p)
+        residuals.append(math.sqrt(vx * vx + vy * vy + vz * vz) - 1.0)
     return summarize("unit-norm", residuals, tol, documented)
 
 
@@ -72,8 +72,7 @@ def _rate_residuals(starts, span: float, n_samples: int) -> list:
         idx = np.unique(np.linspace(0, len(traj.ts) - 1, n_samples).astype(int))
         for i in idx:
             y = traj.ys[i]
-            p = fields.CartesianState(*y)
-            rates = fields.derived_rates(p)
+            rates = fields.derived_rates(y)
             if y[0] ** 2 + y[1] ** 2 > 1e-3:
                 fd = _micro_fd_rate(y, lambda s: math.atan2(s[1], s[0]))
                 # atan2 jumps by 2 pi across the negative x half-plane.
@@ -96,7 +95,7 @@ def _check_rate_identities(tol: float, documented: bool) -> ResidualReport:
         u *= 2.0 / np.linalg.norm(u)
         if u[0] ** 2 + u[1] ** 2 < 1e-3:
             continue
-        rate = fields.derived_rates(fields.CartesianState(*u)).rate_arctan
+        rate = fields.derived_rates(u).rate_arctan
         residuals.append(rate / 1e-8)  # scaled so tol maps to 1e-14
         on_sphere += 1
     return summarize("rate-identities", residuals, tol, documented,
@@ -115,16 +114,12 @@ def _check_pushforward_trajectories(tol: float, documented: bool) -> ResidualRep
     for start in [(1.0, 0.5, 0.25), (2.5, -1.0, 1.5)]:
         y0 = np.asarray(start, float)
         cart = integrate(fields.cartesian_ode, y0, (0.0, 5.0), rel_tol=1e-11)
-        s0 = fields.to_spherical(fields.CartesianState(*start))
-        sph = integrate(fields.spherical_ode,
-                        np.array([s0.r, s0.phi, s0.psi]),
+        sph = integrate(fields.spherical_ode, fields.to_spherical(start),
                         (0.0, -5.0),  # sigma = -1 time adjustment
                         rel_tol=1e-11)
         ts = np.linspace(0.0, 5.0, 30)
         for yc, ys in zip(cart.sample(ts), sph.sample(-ts)):
-            back = fields.from_spherical(
-                fields.SphericalState(ys[0], ys[1], ys[2]))
-            residuals.append(math.dist((back.x, back.y, back.z), tuple(yc)))
+            residuals.append(math.dist(fields.from_spherical(ys), tuple(yc)))
     return summarize("pushforward-trajectories", residuals, tol, documented)
 
 

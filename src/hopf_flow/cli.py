@@ -188,11 +188,10 @@ def cmd_field(ns) -> int:
     header = ["x", "y", "z", "vx", "vy", "vz", "norm",
               "rate_arctan", "rate_r2"]
     rows = []
-    for x, y, z in points:
-        p = fields.CartesianState(x, y, z)
-        v = fields.eval_cartesian(p)
+    for p in points:
+        vx, vy, vz = fields.cartesian_ode(0.0, p)
         rates = fields.derived_rates(p)
-        rows.append([x, y, z, v.vx, v.vy, v.vz, v.norm(),
+        rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
     _emit(ns, header, rows, {"points": len(rows)})
     return 0

@@ -7,6 +7,14 @@ as written runs in reversed time relative to the pushforward of the
 Cartesian field; `pushforward_sign` measures that orientation factor
 (it comes out -1) rather than assuming it.
 
+A point is plain coordinates: any sequence of three floats (a tuple, a
+list or an array row), (x, y, z) in the Cartesian chart and (r, phi, psi)
+in the spherical one.  `cartesian_ode(t, p)` and `spherical_ode(t, s)` are
+the one field per chart, in the integrator's signature; a caller probing
+one point passes t = 0.0.  Results come back as tuples, of Python floats
+when the point's coordinates are Python floats; `derived_rates` and
+`pushforward_sign` return small named records.
+
 The Cartesian field has unit Euclidean norm at every point, so its flow
 parameter is arclength.  Two derived rates admit closed forms: the
 azimuth rate d/dt atan2(y, x) equals 8 (s - 4) / (s + 4)^2 with
@@ -29,55 +37,8 @@ SIN_PSI_FLOOR = 1e-8
 # The Cartesian field divides by (s + 4)^2, s = |p|^2; below this bound on
 # s + 4 that square, and s^2, stay finite.
 _S_PLUS_4_MAX = 1e154
-
-
-@dataclass(frozen=True)
-class CartesianState:
-    x: float
-    y: float
-    z: float
-    t: float = 0.0
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y + self.z * self.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class Velocity3:
-    vx: float
-    vy: float
-    vz: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.vx * self.vx + self.vy * self.vy + self.vz * self.vz)
-
-
-@dataclass(frozen=True)
-class SphericalState:
-    """Point in the (r, phi, psi) chart, psi the colatitude in [0, pi].
-
-    `on_axis` marks points where sin(psi) = 0 and the azimuth is a
-    convention (0), not a measurement.  phi is stored unwrapped;
-    reduce mod 2 pi only when reporting.
-    """
-
-    r: float
-    phi: float
-    psi: float
-    on_axis: bool = False
-
-
-@dataclass(frozen=True)
-class SphericalVelocity:
-    dr: float
-    dphi: float
-    dpsi: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dr, self.dphi, self.dpsi])
+# sqrt(_S_PLUS_4_MAX): 1e77 * 1e77 is exactly 1e154 in floating point.
+_COORD_MAX = 1e77
 
 
 @dataclass(frozen=True)
@@ -107,10 +68,20 @@ class SignReport:
     consistent: bool = True
 
 
-def _cartesian(x: float, y: float, z: float) -> tuple[float, float, float]:
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+def cartesian_ode(t: float, p: Sequence[float]) -> tuple[float, float, float]:
+    """Unit-norm field (vx, vy, vz) at p = (x, y, z); t is unused (the
+    field is autonomous)."""
+    x, y, z = p
+    # Each coordinate is bounded before anything is squared, so an array
+    # state is refused without a numpy overflow warning.  NaN fails the
+    # bound; a finite |c| >= _COORD_MAX gives s + 4 >= _S_PLUS_4_MAX, so
+    # s = inf refuses exactly the states the sum would.
+    if abs(x) < _COORD_MAX and abs(y) < _COORD_MAX and abs(z) < _COORD_MAX:
+        s = x * x + y * y + z * z
+    elif math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        s = math.inf
+    else:
         raise ValueError("non-finite Cartesian state")
-    s = x * x + y * y + z * z
     if not s + 4.0 < _S_PLUS_4_MAX:
         # float() so a list state and an array state read the same.
         raise ValueError(f"Cartesian state ({float(x)!r}, {float(y)!r}, "
@@ -122,17 +93,11 @@ def _cartesian(x: float, y: float, z: float) -> tuple[float, float, float]:
             (24.0 * x * x + 24.0 * y * y - 8.0 * z * z - s * s - 16.0) / d)
 
 
-def eval_cartesian(p: CartesianState) -> Velocity3:
-    """Unit-norm field at a point of R^3."""
-    return Velocity3(*_cartesian(p.x, p.y, p.z))
-
-
-def cartesian_ode(t: float, y: Sequence[float]) -> tuple[float, float, float]:
-    """Integrator-facing signature; t is unused (the field is autonomous)."""
-    return _cartesian(*y)
-
-
-def _spherical(r: float, psi: float) -> tuple[float, float, float]:
+def spherical_ode(t: float, s: Sequence[float]) -> tuple[float, float, float]:
+    """Spherical system (dr, dphi, dpsi) at s = (r, phi, psi): the
+    reversed-time image of the Cartesian field.  It does not depend on
+    phi or t."""
+    r, _, psi = s
     if r <= 0.0:
         raise ValueError("spherical evaluation requires r > 0")
     rr = r * r
@@ -146,67 +111,54 @@ def _spherical(r: float, psi: float) -> tuple[float, float, float]:
     return dr, dphi, dpsi
 
 
-def eval_spherical(s: SphericalState) -> SphericalVelocity:
-    """Spherical system; reversed-time image of the Cartesian field."""
-    return SphericalVelocity(*_spherical(s.r, s.psi))
-
-
-def spherical_ode(t: float, y: Sequence[float]) -> tuple[float, float, float]:
-    r, _, psi = y
-    return _spherical(r, psi)
-
-
-def to_spherical(p: CartesianState) -> SphericalState:
-    """Chart map.  Raises at the origin; flags the z-axis (phi -> 0)."""
-    x, y, z = p.x, p.y, p.z
+def to_spherical(p: Sequence[float]) -> tuple[float, float, float]:
+    """Chart map (x, y, z) -> (r, phi, psi).  Raises at the origin; on the
+    z-axis phi is 0 by convention and psi exactly 0 or pi."""
+    x, y, z = p
     rho_sq = x * x + y * y
     r = math.sqrt(rho_sq + z * z)
     if r == 0.0:
         raise ValueError("origin: spherical chart undefined")
     if rho_sq == 0.0:
-        return SphericalState(r=r, phi=0.0, psi=0.0 if z > 0 else math.pi,
-                              on_axis=True)
-    return SphericalState(r=r, phi=math.atan2(y, x), psi=math.acos(z / r))
+        return r, 0.0, 0.0 if z > 0 else math.pi
+    return r, math.atan2(y, x), math.acos(z / r)
 
 
-def from_spherical(s: SphericalState) -> CartesianState:
-    r, phi, psi = s.r, s.phi, s.psi
+def from_spherical(s: Sequence[float]) -> tuple[float, float, float]:
+    """Inverse chart map (r, phi, psi) -> (x, y, z)."""
+    r, phi, psi = s
     sin_psi = math.sin(psi)
-    return CartesianState(
-        x=r * sin_psi * math.cos(phi),
-        y=r * sin_psi * math.sin(phi),
-        z=r * math.cos(psi),
-    )
+    return (r * sin_psi * math.cos(phi), r * sin_psi * math.sin(phi),
+            r * math.cos(psi))
 
 
-def derived_rates(p: CartesianState) -> DerivedRates:
-    """Closed-form azimuth and planar-radius rates at a state."""
-    s = p.norm_sq()
+def derived_rates(p: Sequence[float]) -> DerivedRates:
+    """Closed-form azimuth and planar-radius rates at p = (x, y, z)."""
+    x, y, z = p
+    s = x * x + y * y + z * z
     d = (s + 4.0) ** 2
-    rho_sq = p.x * p.x + p.y * p.y
+    rho_sq = x * x + y * y
     rate_arctan = 8.0 * (s - 4.0) / d if rho_sq > 0.0 else math.nan
-    return DerivedRates(
-        rate_arctan=rate_arctan,
-        rate_r2=64.0 * p.z * rho_sq / d,
-    )
+    return DerivedRates(rate_arctan=rate_arctan, rate_r2=64.0 * z * rho_sq / d)
 
 
-def _pushforward_rates(p: CartesianState) -> SphericalVelocity:
+def _pushforward_rates(p: Sequence[float]) -> tuple[float, float, float]:
     # Chain rule through r = |p|, phi = atan2(y,x), psi = acos(z/r).
-    x, y, z = p.x, p.y, p.z
-    v = eval_cartesian(p)
+    x, y, z = p
+    vx, vy, vz = cartesian_ode(0.0, p)
     rho_sq = x * x + y * y
     if rho_sq == 0.0:
         raise ValueError("probe on the z-axis: azimuth rate undefined")
     r = math.sqrt(rho_sq + z * z)
-    dr = (x * v.vx + y * v.vy + z * v.vz) / r
-    dphi = (x * v.vy - y * v.vx) / rho_sq
+    dr = (x * vx + y * vy + z * vz) / r
+    dphi = (x * vy - y * vx) / rho_sq
     sin_psi = math.sqrt(rho_sq) / r
-    dpsi = (dr * (z / r) - v.vz) / (r * sin_psi)
-    return SphericalVelocity(dr, dphi, dpsi)
+    dpsi = (dr * (z / r) - vz) / (r * sin_psi)
+    return dr, dphi, dpsi
 
 
-def default_probes(n: int = 100, seed: int = 20260819) -> list[CartesianState]:
+def default_probes(n: int = 100,
+                   seed: int = 20260819) -> list[tuple[float, float, float]]:
     """Reproducible off-axis probe set with radii spread over (0.3, 8)."""
     rng = np.random.default_rng(seed)
     probes = []
@@ -215,29 +167,30 @@ def default_probes(n: int = 100, seed: int = 20260819) -> list[CartesianState]:
         rho_sq = p[0] * p[0] + p[1] * p[1]
         r = math.sqrt(rho_sq + p[2] * p[2])
         if rho_sq > 0.01 and 0.3 < r < 8.0:
-            probes.append(CartesianState(*map(float, p)))
+            probes.append(tuple(map(float, p)))
     return probes
 
 
-def pushforward_sign(probe_set: list[CartesianState] | None = None) -> SignReport:
+def pushforward_sign(
+        probe_set: Sequence[Sequence[float]] | None = None) -> SignReport:
     """Measure the orientation factor between the two presentations.
 
-    At each probe the pushforward of the Cartesian velocity is compared
-    against the spherical right-hand side at the image point under both
-    candidate signs; one sign must win everywhere, and its worst relative
-    mismatch is reported.  Disagreement between probes yields an
-    inconsistency report, not an exception.
+    At each probe (x, y, z) the pushforward of the Cartesian velocity is
+    compared against the spherical right-hand side at the image point
+    under both candidate signs; one sign must win everywhere, and its
+    worst relative mismatch is reported.  Disagreement between probes
+    yields an inconsistency report, not an exception.
     """
     if probe_set is None:
         probe_set = default_probes(100)
     votes: set[int] = set()
     worst = 0.0
     for p in probe_set:
-        push = _pushforward_rates(p).as_array()
-        sph = eval_spherical(to_spherical(p)).as_array()
-        scale = max(np.max(np.abs(push)), np.max(np.abs(sph)))
-        res_plus = float(np.max(np.abs(push - sph))) / scale
-        res_minus = float(np.max(np.abs(push + sph))) / scale
+        push = _pushforward_rates(p)
+        sph = spherical_ode(0.0, to_spherical(p))
+        scale = max(map(abs, push + sph))
+        res_plus = max(abs(a - b) for a, b in zip(push, sph)) / scale
+        res_minus = max(abs(a + b) for a, b in zip(push, sph)) / scale
         sign = 1 if res_plus < res_minus else -1
         votes.add(sign)
         worst = max(worst, min(res_plus, res_minus))

@@ -61,7 +61,7 @@ import numpy as np
 
 from .diagnostics import bracketed_roots, relative_to_terms
 from .dual import Dual, atan, cos, derivative, log, sin, sqrt, value
-from .fields import SphericalState, eval_spherical
+from .fields import spherical_ode
 
 DISC_XI_LOW = 2.0 * math.sqrt(2.0) - 2.0
 DISC_XI_HIGH = 2.0 * math.sqrt(2.0) + 2.0
@@ -367,14 +367,14 @@ def phi_flow_derivative(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
     """Scaled rate of change of Phi = c2 phi + H(r, psi) along the flow.
 
     H comes from the parametric reconstruction; the derivative uses the
-    flow velocity from eval_spherical, one point at a time, so this
+    flow velocity from spherical_ode, one point at a time, so this
     measures end to end whether Phi is conserved (zero means first
     integral).  r, psi and the bracket ends broadcast.
     """
     xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, 60)
     h_r, h_psi = _h_partials(uv_table(xi_star, psi, c2, f1))
     # The spherical field does not depend on phi, so any phi serves.
-    vel = np.array([eval_spherical(SphericalState(a, 0.0, b)).as_array()
+    vel = np.array([spherical_ode(0.0, (a, 0.0, b))
                     for a, b in zip(np.ravel(r), np.ravel(psi))])
     vel = vel.T.reshape((3,) + np.shape(r))
     dr, dphi, dpsi = vel.tolist() if isinstance(r, float) else vel

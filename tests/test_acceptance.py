@@ -33,10 +33,9 @@ def test_A1_unit_norm_field():
         pts.extend(map(tuple, keep))
     pts = pts[:10_000]
     worst = 0.0
-    for x, y, z in pts:
-        v = fields.eval_cartesian(fields.CartesianState(x, y, z))
-        worst = max(worst, abs(math.sqrt(v.vx ** 2 + v.vy ** 2
-                                         + v.vz ** 2) - 1.0))
+    for p in pts:
+        vx, vy, vz = fields.cartesian_ode(0.0, p)
+        worst = max(worst, abs(math.sqrt(vx ** 2 + vy ** 2 + vz ** 2) - 1.0))
     _report("A1", worst <= 1e-12, f"max norm defect {worst:.3e}",
             time.perf_counter() - t0, 1.0)
 
@@ -53,7 +52,7 @@ def test_A2_derived_rate_identities():
         idx = np.unique(np.linspace(0, len(traj.ts) - 1, 10).astype(int))
         for i in idx:
             y = traj.ys[i]
-            rates = fields.derived_rates(fields.CartesianState(*y))
+            rates = fields.derived_rates(y)
             fwd = integrate(fields.cartesian_ode, y, (0.0, h),
                             rel_tol=1e-12).y_end
             bwd = integrate(fields.cartesian_ode, y, (0.0, -h),
@@ -69,8 +68,8 @@ def test_A2_derived_rate_identities():
     sphere = [(2.0, 0.0, 0.0), (1.2, 1.6, 0.0), (1.0, 1.0, math.sqrt(2.0)),
               (0.5, 0.5, math.sqrt(3.5)), (math.sqrt(2.0), math.sqrt(2.0),
                                            0.0)]
-    worst_sphere = max(abs(fields.derived_rates(
-        fields.CartesianState(*p)).rate_arctan) for p in sphere)
+    worst_sphere = max(abs(fields.derived_rates(p).rate_arctan)
+                       for p in sphere)
     ok = worst_atan <= 1e-6 and worst_r2 <= 1e-6 and worst_sphere <= 1e-14
     _report("A2", ok,
             f"azimuth fd {worst_atan:.3e}, planar fd {worst_r2:.3e}, "
@@ -85,16 +84,13 @@ def test_A3_chart_coherence():
     for start in [(1.0, 0.5, 0.25), (2.5, -1.0, 1.5)]:
         cart = integrate(fields.cartesian_ode, np.asarray(start, float),
                          (0.0, 5.0), rel_tol=1e-11)
-        s0 = fields.to_spherical(fields.CartesianState(*start))
-        sph = integrate(fields.spherical_ode,
-                        np.array([s0.r, s0.phi, s0.psi]),
+        sph = integrate(fields.spherical_ode, fields.to_spherical(start),
                         (0.0, rpt.sigma * 5.0), rel_tol=1e-11)
         for t in np.linspace(0.0, 5.0, 30):
             yc = cart.sample(float(t))
             ys = sph.sample(rpt.sigma * float(t))
-            back = fields.from_spherical(
-                fields.SphericalState(ys[0], ys[1], ys[2]))
-            worst = max(worst, math.dist((back.x, back.y, back.z), tuple(yc)))
+            back = fields.from_spherical(ys)
+            worst = max(worst, math.dist(back, tuple(yc)))
     ok = (rpt.consistent and rpt.samples == 100
           and rpt.max_residual <= 1e-10 and worst <= 1e-6)
     _report("A3", ok,
