@@ -48,11 +48,7 @@ from .reduced_system import (
     trace_reduced,
     turning_locus,
 )
-from .special_functions import (
-    BesselQuad,
-    bessel_k_continued,
-    bessel_quad,
-)
+from .special_functions import BesselQuad, bessel_quad
 from .checks import ALLOWED_DISCREPANCIES, CHECK_NAMES, run_battery
 
 __version__ = "0.1.0"
@@ -74,7 +70,6 @@ __all__ = [
     "Trajectory",
     "TurningPointError",
     "UVPair",
-    "bessel_k_continued",
     "bessel_quad",
     "cartesian_ode",
     "derivative",

@@ -132,21 +132,12 @@ def _check_bessel_wronskian(tol: float, documented: bool) -> ResidualReport:
 _CURVES = ((1.0, 0.5, 4.0), (3.0, 0.2, 6.0), (5.0, 0.8, 5.6))
 
 
-def _constant_spread(r0: float, h0: float, r1: float, form: str,
-                     n: int = 24) -> float:
-    traj = reduced_system.trace_h(r0, h0, r1)
-    rs = np.linspace(r0, traj.t_end, n)
-    vals = np.array([
-        reduced_system.implicit_constant(float(r), float(h), form).c_effective
-        for r, h in zip(rs, traj.sample(rs)[:, 0])])
-    return float((vals.max() - vals.min()) / abs(np.median(vals)))
-
-
 def _check_implicit_constant(tol: float, documented: bool) -> ResidualReport:
-    spreads = [_constant_spread(r0, h0, r1, "continued")
-               for r0, h0, r1 in _CURVES]
-    return summarize("implicit-constant", spreads, tol, documented,
-                     details={"curves": list(_CURVES), "form": "continued"})
+    sel = reduced_system.select_effective_form(_CURVES)
+    return summarize("implicit-constant", sel.spreads["continued"], tol,
+                     documented, details={"curves": list(_CURVES),
+                                          "form": sel.chosen,
+                                          "spreads": sel.spreads})
 
 
 def _check_implicit_inversion(tol: float, documented: bool) -> ResidualReport:
@@ -154,7 +145,7 @@ def _check_implicit_inversion(tol: float, documented: bool) -> ResidualReport:
     # (2, 0.45) etc. sit away from the turning locus H = (r^2+4)^2/(64 r^2),
     # where the level curve would be tangent and the root unbracketable.
     for r, h in [(2.0, 0.45), (1.5, 0.35), (4.0, 0.6)]:
-        c = reduced_system.implicit_constant(r, h, "continued")
+        c = reduced_system.implicit_constant(r, h).c_effective
         h_back = reduced_system.solve_implicit(c, r, (h - 0.13, h + 0.21))
         residuals.append((h_back - h) / h)
     return summarize("implicit-inversion", residuals, tol, documented)
@@ -169,7 +160,7 @@ def _check_reduced_substitution(tol: float, documented: bool) -> ResidualReport:
     delta = 1e-4
     residuals: list[float] = []
     for r0, h0 in anchors:
-        c1 = reduced_system.implicit_constant(r0, h0)
+        c1 = reduced_system.implicit_constant(r0, h0).c_effective
         radii = np.linspace(0.9 * r0, 1.1 * r0, 9)
         solved: dict[float, float] = {}
         for r in sorted(radii, key=lambda r: abs(r - r0)):

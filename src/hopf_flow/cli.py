@@ -96,7 +96,24 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
     if len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated numbers, "
                          f"got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{what} must be finite, got {text!r}")
     return parts
+
+
+def _finite(ns, flag: str, default: float | None = None) -> float | None:
+    """The scalar flag --<flag>, given on the command line or in
+    --config, as a finite float; `default` when it is unset."""
+    raw = getattr(ns, flag)
+    if raw is None:
+        return default
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"--{flag}: expected a number, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"--{flag} must be finite, got {raw!r}")
+    return val
 
 
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
@@ -142,9 +159,7 @@ def _f1_tuple(ns) -> tuple[float, ...]:
 
 def cmd_trace(ns) -> int:
     start = _floats(ns.start, 3, "--start")
-    span = 10.0 if ns.span is None else float(ns.span)
-    if not math.isfinite(span):
-        raise ValueError(f"--span must be finite, got {span!r}")
+    span = _finite(ns, "span", 10.0)
     chart = ns.chart or "cartesian"
     dense = int(ns.dense or 0)
     if dense < 0:
@@ -201,7 +216,7 @@ def cmd_reduce(ns) -> int:
     if ns.start is None or ns.target is None:
         raise ValueError("reduce needs --start r0,psi0 and --target r1")
     r0, psi0 = _floats(ns.start, 2, "--start")
-    curve = reduced_system.trace_reduced(r0, psi0, float(ns.target),
+    curve = reduced_system.trace_reduced(r0, psi0, _finite(ns, "target"),
                                          rel_tol=float(ns.tol))
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     rows = []
@@ -209,8 +224,7 @@ def cmd_reduce(ns) -> int:
     for r, h, psi in zip(curve.rs, curve.hs, curve.psis):
         z = 0.5 * math.sqrt(max(h, 0.0)) * r
         if 1e-10 < h < 1.0 - 1e-10 and 0.0 < z <= Z_MAX:
-            c = reduced_system.implicit_constant(float(r), float(h),
-                                                 "continued")
+            c = reduced_system.implicit_constant(float(r), float(h))
             if c_ref is None:
                 c_ref = c.c_effective
             dev = abs(c.c_effective - c_ref) / abs(c_ref)
@@ -236,10 +250,10 @@ def cmd_implicit(ns) -> int:
                          "the root solve)")
     bracket = _floats(ns.bracket, 2, "--bracket")
     if ns.c1 is not None:
-        c_eff = float(ns.c1)
+        c_eff = _finite(ns, "c1")
     elif ns.start is not None:
         r0, h0 = _floats(ns.start, 2, "--start")
-        c_eff = reduced_system.implicit_constant(r0, h0, "continued").c_effective
+        c_eff = reduced_system.implicit_constant(r0, h0).c_effective
     else:
         raise ValueError("implicit needs --c1 or --start r0,h0")
     if ns.rmin is None or ns.rmax is None:
@@ -247,9 +261,9 @@ def cmd_implicit(ns) -> int:
     n = 25 if ns.n is None else int(ns.n)
     if n < 1:
         raise ValueError("--n must be at least 1")
-    rs = np.linspace(float(ns.rmin), float(ns.rmax), n)
+    rs = np.linspace(_finite(ns, "rmin"), _finite(ns, "rmax"), n)
     hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
-    resids = reduced_system.implicit_residual(c_eff, rs, hs, "continued")
+    resids = reduced_system.implicit_residual(c_eff, rs, hs)
     rows = [list(row)
             for row in zip(rs.tolist(), hs.tolist(), resids.tolist())]
     solved = sum(1 for row in rows if math.isfinite(row[1]))

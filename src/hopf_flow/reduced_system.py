@@ -9,12 +9,17 @@ any solution the combination
     C(r, H) = -[(4+r^2) K0(z) + 8 sqrt(H) r K1(z)]
               / [(4+r^2) I0(z) - 8 sqrt(H) r I1(z)],   z = sqrt(H) r / 2
 
-is constant.  Two candidate sign conventions for the K1 term are
-implemented ("continued", which evaluates K on the negative-argument
-branch and absorbs the resulting constant i*pi imaginary part into the
-constant, and "naive", which keeps K at positive argument); which one is
-actually conserved is decided empirically by `select_effective_form`,
-not assumed.  The conserved full constant is C + i*pi.
+is constant.  The printed combination carries K at -z,
+
+    C1 = -[a K0(-z) - b K1(-z)] / [a I0(z) - b I1(z)],
+    a = 4 + r^2, b = 8 sqrt(H) r,
+
+with K continued onto the negative axis through the upper half plane,
+K_nu(z e^{i pi}) = (-1)^nu K_nu(z) - i pi I_nu(z).  The continuation
+splits C1 into the real C above plus the constant i pi, so C is what
+the package computes ("continued").  Reading K at +z instead ("naive",
+K1 entering with a minus sign) is not conserved: `select_effective_form`
+measures both along traced curves.
 
 The coefficient of dH/dr vanishes on the turning locus
 H = (r^2+4)^2 / (64 r^2), reachable (H <= 1) for r in [4-2*sqrt(3),
@@ -45,8 +50,6 @@ _RESUME_MARGIN = 2e-6
 _R_AWAY_MIN = 1e-3
 _R_AWAY_MAX = 100.0
 
-FORMS = ("continued", "naive")
-
 
 class TurningPointError(ArithmeticError):
     """Evaluation too close to a vanishing-derivative-coefficient locus."""
@@ -64,9 +67,8 @@ class TurningPointError(ArithmeticError):
 class ImplicitConstant:
     """The conserved combination at one (r, H) sample.
 
-    `c1` carries the full complex constant; `c_effective` its real part,
-    which is the quantity compared across samples.  `denom` is the
-    I-combination denominator (degenerate samples are refused upstream).
+    `c1` carries the full complex constant, `c_effective` + i pi;
+    `c_effective` is the quantity compared across samples.
     """
 
     c1: complex
@@ -74,14 +76,16 @@ class ImplicitConstant:
     r: float
     h: float
     z: float
-    form: str
-    denom: float
 
 
 @dataclass(frozen=True)
 class FormSelection:
-    chosen: str
-    spreads: dict[str, float]
+    """Result of `select_effective_form`: each form's relative spread on
+    every curve, and the one form conserved on all of them (None when
+    none or both are)."""
+
+    chosen: str | None
+    spreads: dict[str, list[float]]
     samples: int
 
 
@@ -206,36 +210,31 @@ def _bessel_terms(r, h):
     return z, 4.0 + r * r, 8.0 * sqrt_h * r, q
 
 
-def _combination(r, h, form: str):
+def _combination(r, h):
     """(z, numerator, denominator) of C(r, H) = numerator / denominator,
     elementwise on arrays (see `_bessel_terms` for refused points)."""
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
     z, a, b, q = _bessel_terms(r, h)
-    k_sign = 1.0 if form == "continued" else -1.0
-    return z, -(a * q.k0 + k_sign * b * q.k1), a * q.i0 - b * q.i1
+    return z, -(a * q.k0 + b * q.k1), a * q.i0 - b * q.i1
 
 
-def implicit_constant(r: float, h: float, form: str = "continued") -> ImplicitConstant:
+def implicit_constant(r: float, h: float) -> ImplicitConstant:
     """The conserved Bessel combination at one (r, H) sample."""
-    z, num, den = _combination(r, h, form)
+    z, num, den = _combination(r, h)
     if abs(den) < 1e-300:
         raise ValueError(f"degenerate sample: I-combination vanishes at "
                          f"(r={r!r}, H={h!r})")
     c_eff = num / den
-    c1 = complex(c_eff, math.pi if form == "continued" else 0.0)
-    return ImplicitConstant(c1=c1, c_effective=c_eff, r=r, h=h, z=z,
-                            form=form, denom=den)
+    return ImplicitConstant(c1=complex(c_eff, math.pi), c_effective=c_eff,
+                            r=r, h=h, z=z)
 
 
-def implicit_residual(c_effective: float, r, h, form: str = "continued"):
+def implicit_residual(c_effective: float, r, h):
     """Scaled residual of the implicit relation at (r, H) for a given C.
 
     Elementwise on arrays of r and H, NaN at refused points."""
     _, a, b, q = _bessel_terms(r, h)
-    k_sign = 1.0 if form == "continued" else -1.0
     terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
-             a * q.k0, k_sign * b * q.k1]
+             a * q.k0, b * q.k1]
     return relative_to_terms(terms)
 
 
@@ -314,6 +313,8 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     along the physical curve; the result then reports reached=False with
     the traversed samples.
     """
+    if not (math.isfinite(r0) and math.isfinite(r_target)):
+        raise ValueError("r0 and r_target must be finite")
     if not 0.0 < psi0 < math.pi:
         raise ValueError("psi0 must lie in (0, pi)")
     curve = ReducedCurve(rs=np.empty(0), hs=np.empty(0), psis=np.empty(0))
@@ -415,41 +416,43 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     return curve
 
 
-def select_effective_form(r0: float = 1.0, h0: float = 0.5, r1: float = 4.0,
+def select_effective_form(curves: Sequence[tuple[float, float, float]],
                           n_samples: int = 24) -> FormSelection:
-    """Decide which implicit-constant form is conserved, by measurement.
+    """Measure which implicit-constant form is conserved.
 
-    Traces one tight-tolerance solution of the reduced ODE and computes
-    the candidate constants at n_samples points; the form whose relative
-    spread is below 1e-8 wins.  Ambiguity (both or neither constant)
-    raises instead of guessing.
+    Traces H(r) from each (r0, h0) toward r1 and samples n_samples
+    radii from r0 to where the trace ended; every sample of every curve
+    is evaluated in one array Bessel pass.  A form's spread on a curve
+    is (max - min) / |mean| of its constants there.  The form whose
+    spread is at most 1e-8 on every curve is chosen; when none or both
+    are, `chosen` is None.
     """
-    traj = trace_h(r0, h0, r1)
-    if traj.stop_reason != "reached_end":
-        raise RuntimeError("selection curve hit a guard event; "
-                           "choose a clean span")
-    r_grid = np.linspace(r0, r1, n_samples)
-    h_grid = traj.sample(r_grid)[:, 0]
-    spreads: dict[str, float] = {}
-    for form in FORMS:
-        vals = np.array([implicit_constant(float(r), float(h), form).c_effective
-                         for r, h in zip(r_grid, h_grid)])
-        spreads[form] = float((vals.max() - vals.min()) / abs(vals.mean()))
-    constant = [f for f in FORMS if spreads[f] <= 1e-8]
-    if len(constant) != 1:
-        raise RuntimeError(f"constancy test is ambiguous: spreads={spreads!r}")
-    return FormSelection(chosen=constant[0], spreads=spreads,
-                         samples=n_samples)
+    rs, hs = [], []
+    for r0, h0, r1 in curves:
+        traj = trace_h(r0, h0, r1)
+        r_grid = np.linspace(r0, traj.t_end, n_samples)
+        rs.append(r_grid)
+        hs.append(traj.sample(r_grid)[:, 0])
+    _, a, b, q = _bessel_terms(np.array(rs), np.array(hs))
+    den = a * q.i0 - b * q.i1
+    spreads = {}
+    for form, k1_term in (("continued", b * q.k1), ("naive", -b * q.k1)):
+        vals = -(a * q.k0 + k1_term) / den
+        spreads[form] = ((vals.max(axis=1) - vals.min(axis=1))
+                         / np.abs(vals.mean(axis=1))).tolist()
+    conserved = [form for form, spread in spreads.items()
+                 if all(s <= 1e-8 for s in spread)]
+    return FormSelection(chosen=conserved[0] if len(conserved) == 1 else None,
+                         spreads=spreads, samples=n_samples)
 
 
-def solve_implicit(c1, r, bracket: tuple[float, float],
-                   form: str = "continued", n_scan: int = 64):
-    """Solve the implicit relation for H at fixed r and constant c1.
+def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
+                   n_scan: int = 64):
+    """Solve the implicit relation for H at fixed r and effective constant.
 
-    `c1` may be an ImplicitConstant, a complex value, or the effective
-    real constant directly.  The bracket is scanned for sign changes of
-    (C(r, H) - c1) times the I-combination denominator, which has the
-    roots of C - c1 and none of its poles; each root is polished to
+    The bracket is scanned for sign changes of (C(r, H) - c_effective)
+    times the I-combination denominator, which has the roots of
+    C - c_effective and none of its poles; each root is polished to
     |dH| <= 1e-12, and with several roots the one nearest the bracket
     midpoint is returned with a multiplicity warning.
 
@@ -457,12 +460,7 @@ def solve_implicit(c1, r, bracket: tuple[float, float],
     in one array pass.  A float raises ValueError when no root is
     bracketed; an array returns H with NaN in those rows.
     """
-    if isinstance(c1, ImplicitConstant):
-        target = c1.c_effective
-    elif isinstance(c1, complex):
-        target = c1.real
-    else:
-        target = float(c1)
+    target = float(c_effective)
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
     if not h_lo < h_hi:
         raise ValueError("empty bracket")
@@ -472,7 +470,7 @@ def solve_implicit(c1, r, bracket: tuple[float, float],
         raise ValueError("r must be a float or a 1-d array")
     # The points bracketed_roots scans, lo + (hi - lo) * i / n_scan.
     hs = h_lo + (h_hi - h_lo) * np.arange(n_scan + 1) / n_scan
-    _, num, den = _combination(rs[:, None], hs, form)
+    _, num, den = _combination(rs[:, None], hs)
     scan = num - target * den
     mid = 0.5 * (h_lo + h_hi)
     out = np.full(rs.shape, math.nan)
@@ -481,7 +479,7 @@ def solve_implicit(c1, r, bracket: tuple[float, float],
 
         def g(h: float) -> float:
             try:
-                _, num_h, den_h = _combination(r_k, h, form)
+                _, num_h, den_h = _combination(r_k, h)
             except ValueError:
                 return math.nan
             return num_h - target * den_h

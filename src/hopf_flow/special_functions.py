@@ -19,10 +19,6 @@ masked pass per interval); both take exp and log from numpy, so an array
 element equals the float result bit for bit.  Against 40-digit mpmath
 the largest relative error over 2000 log-spaced points in [1e-3, 300] is
 7.8e-16 for I0, 1.4e-15 for I1, 1.2e-15 for K0 and 6.2e-16 for K1.
-
-`bessel_k_continued` evaluates K at negative real arguments through the
-standard analytic continuation onto the upper branch,
-K_nu(z e^{i pi}) = (-1)^nu K_nu(z) - i pi I_nu(z).
 """
 
 from __future__ import annotations
@@ -133,13 +129,3 @@ def bessel_quad(z: float | np.ndarray) -> BesselQuad:
         return _quad_array(z.astype(float, copy=False))
     return _quad_scalar(float(z))
 
-
-def bessel_k_continued(z: float, nu: int) -> complex:
-    """K_nu at -z (arg pi branch): (-1)^nu K_nu(z) - i pi I_nu(z), z > 0."""
-    if nu not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    q = bessel_quad(z)
-    k = q.k0 if nu == 0 else q.k1
-    i = q.i0 if nu == 0 else q.i1
-    sign = 1.0 if nu == 0 else -1.0
-    return complex(sign * k, -math.pi * i)

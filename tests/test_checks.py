@@ -87,6 +87,18 @@ def test_implicit_inversion_fails_on_a_planted_wrong_root(monkeypatch):
     assert rpt["verdict"] == "fail"
 
 
+def test_implicit_constant_fails_when_conservation_breaks(monkeypatch):
+    # A 1e-4 fault in dH/dr moves the traced curves off the level sets:
+    # neither form is conserved, and the check says so with a verdict.
+    rhs = reduced_system._h_rhs_raw
+    monkeypatch.setattr(reduced_system, "_h_rhs_raw",
+                        lambda r, h: rhs(r, h) * (1.0 + 1e-4))
+    rpt = checks.run_battery(only=["implicit-constant"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["max_abs"] > 1e-5
+    assert rpt["details"]["form"] is None
+
+
 def test_whole_battery_keeps_every_verdict():
     doc = checks.run_battery()
     assert ([(c["name"], c["verdict"]) for c in doc["checks"]]

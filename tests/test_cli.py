@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,34 @@ def test_unwritable_output_is_usage_error(tmp_path):
 def test_non_finite_span_is_usage_error(span, capsys):
     assert run_cli("trace", "--start", "1,0,0", "--span", span) == 2
     assert "--span must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("reduce", "--start", "nan,0.7854", "--target", "3"), None,
+     "--start must be finite"),
+    (("reduce", "--start", "1,0.7854", "--target", "nan"), None,
+     "--target must be finite"),
+    (("implicit", "--start", "1,0.5", "--rmin", "nan", "--rmax", "2",
+      "--bracket", "0.3,0.9"), None, "--rmin must be finite"),
+    (("implicit", "--c1", "inf", "--rmin", "1", "--rmax", "2",
+      "--bracket", "0.3,0.9"), None, "--c1 must be finite"),
+    (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "2",
+      "--bracket", "0.3,inf"), None, "--bracket must be finite"),
+    (("implicit", "--start", "1,0.5", "--bracket", "0.3,0.9"),
+     {"rmin": 1.0, "rmax": "inf"}, "--rmax must be finite"),
+], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
+        "implicit-bracket", "implicit-config-rmax"])
+def test_non_finite_input_is_usage_error(argv, config, message, tmp_path,
+                                         capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ("--config", str(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_bad_start_string_is_usage_error(capsys):

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hopf_flow import _bessel_tables
+from hopf_flow import _bessel_tables, reduced_system
 from hopf_flow import special_functions as sf
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -135,23 +135,15 @@ def test_domain_guards():
 
 
 def test_negative_axis_continuation_matches_oracle():
-    # K_nu continued through the upper half plane onto the negative axis:
-    # K0(-z) = K0(z) - i*pi*I0(z) and K1(-z) = -K1(z) - i*pi*I1(z).
-    for z in (0.3, 1.0, 7.5, 30.0):
-        for nu in (0, 1):
-            got = sf.bessel_k_continued(z, nu)
-            ref = complex(mp.besselk(nu, mp.mpc(-z, 0)))
-            np.testing.assert_allclose(got.real, ref.real,
-                                       rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(got.imag, ref.imag, rtol=1e-12)
-
-
-def test_continuation_identity_decomposition():
-    for z in (0.4, 2.0, 11.0):
-        k0c = sf.bessel_k_continued(z, 0)
-        q = sf.bessel_quad(z)
-        np.testing.assert_allclose(k0c.real, q.k0, rtol=1e-14)
-        np.testing.assert_allclose(k0c.imag, -math.pi * q.i0, rtol=1e-14)
-        k1c = sf.bessel_k_continued(z, 1)
-        np.testing.assert_allclose(k1c.real, -q.k1, rtol=1e-14)
-        np.testing.assert_allclose(k1c.imag, -math.pi * q.i1, rtol=1e-14)
+    # The implicit constant as printed carries K at -z, continued through
+    # the upper half plane; mpmath's besselk at negative argument takes
+    # that branch.
+    for r, h in ((0.3, 0.9), (1.0, 0.5), (2.0, 0.45), (3.0, 0.2),
+                 (5.0, 0.8), (8.0, 0.3), (15.0, 0.7), (40.0, 0.6)):
+        got = reduced_system.implicit_constant(r, h).c1
+        sqrt_h = mp.sqrt(h)
+        z, a, b = sqrt_h * r / 2, 4 + mp.mpf(r) ** 2, 8 * sqrt_h * r
+        ref = complex(-(a * mp.besselk(0, -z) - b * mp.besselk(1, -z))
+                      / (a * mp.besseli(0, z) - b * mp.besseli(1, z)))
+        np.testing.assert_allclose(got.real, ref.real, rtol=1e-12)
+        np.testing.assert_allclose(got.imag, ref.imag, rtol=1e-12)
