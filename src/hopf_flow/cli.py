@@ -53,16 +53,13 @@ _USAGE_ERROR = 2
 _CHECK_ERROR = 1
 
 
-def fmt(x: float) -> str:
-    """17 significant digits: parses back to the identical float."""
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str | None, header: Sequence[str],
               rows: Sequence[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    """One line per row, each number to 17 significant digits, so that it
+    parses back to the identical float."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + "".join(row_fmt % tuple(row)
+                                            for row in rows)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -87,33 +84,30 @@ def _emit(ns, header, rows, meta) -> None:
                 fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
+def _number(raw, what: str) -> float:
+    """raw as a finite float; a ValueError naming `what` otherwise."""
     try:
-        parts = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"{what}: expected {n} comma-separated numbers, "
-                         f"got {text!r}") from None
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what}: expected a number, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise ValueError(f"{what} must be finite, got {raw!r}")
+    return val
+
+
+def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
+    parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated numbers, "
                          f"got {text!r}")
-    if not all(map(math.isfinite, parts)):
-        raise ValueError(f"{what} must be finite, got {text!r}")
-    return parts
+    return tuple(_number(p, what) for p in parts)
 
 
 def _finite(ns, flag: str, default: float | None = None) -> float | None:
     """The scalar flag --<flag>, given on the command line or in
     --config, as a finite float; `default` when it is unset."""
     raw = getattr(ns, flag)
-    if raw is None:
-        return default
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"--{flag}: expected a number, got {raw!r}") from None
-    if not math.isfinite(val):
-        raise ValueError(f"--{flag} must be finite, got {raw!r}")
-    return val
+    return default if raw is None else _number(raw, f"--{flag}")
 
 
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
@@ -146,12 +140,14 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def _f1_tuple(ns) -> tuple[float, ...]:
+    """--f1 as finite floats: a comma-separated string, or a JSON list or
+    number from --config."""
     raw = ns.f1
-    if raw in ((), None):
-        return ()
     if isinstance(raw, str):
-        return tuple(float(p) for p in raw.split(","))
-    return tuple(float(p) for p in raw)
+        raw = raw.split(",")
+    elif not isinstance(raw, (list, tuple)):
+        raw = [raw]
+    return tuple(_number(p, "--f1") for p in raw)
 
 
 # -- subcommands --------------------------------------------------------------

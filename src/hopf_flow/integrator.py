@@ -9,16 +9,16 @@ identical inputs give bit-identical trajectories.
 
 A step runs on Python floats: the state is a list of d floats, and
 field_fn(t, y) receives such a list and returns d numbers (a tuple, a
-list or a 1-D array; a wrong count is refused on the first call).  Stage
-i is f(t + c_i h, y + sum_j (h a_ij) k_j), each sum written out over the
-zipped components with the tableau unpacked once per run; the new state
-is y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the local
-error is h sum_j e_j k_j.  The error norm is the RMS of that error over
-the scale abs_tol + rel_tol * max(|y0|, |y1|), where abs_tol =
-rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  numpy enters only to
-build the trajectory's arrays at the end and to locate an event.  A run
-makes 2 RHS calls to start, 6 per attempted step and 1 more when an
-event stops it.
+list or a 1-D array; a wrong count raises ValueError at any call).
+Stage i is f(t + c_i h, y + sum_j (h a_ij) k_j); the new state is
+y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the local error
+is h sum_j e_j k_j, each sum written out over scalar locals by a step
+generated from one template per state dimension d.  The error norm is
+the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
+where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  numpy
+enters only to build the trajectory's arrays at the end and to locate an
+event.  A run makes 2 RHS calls to start, 6 per attempted step and 1
+more when an event stops it.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
@@ -34,6 +34,8 @@ ulp); the earliest crossing in the step ends the trajectory there.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -181,12 +183,73 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     h0 = min(h0, span)
     sh0 = sign * h0
     f1 = field_fn(t0 + sh0, [v + sh0 * p for v, p in zip(y0, f0)])
-    d2 = _rms([(q - p) / s for q, p, s in zip(f1, f0, sc)]) / h0
+    d2 = _rms([(q - p) / s
+               for q, p, s in zip(f1, f0, sc, strict=True)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span)
+
+
+@functools.cache
+def _step_fn(d: int) -> Callable:
+    """The step for states of d components, generated on first use.
+
+    step(field_fn, t, y, k1, hs, rel_tol, abs_tol) returns y_new (a
+    list), field_fn's slope k7 there, and the error norm.  Unpacking each
+    slope into d locals refuses a wrong-length one.  The source is kept
+    in linecache, so a traceback through a step shows its line.  Every
+    sum keeps a fixed term order, on which trajectories' bits rest.
+    """
+    rows = [(f"a{s}", row) for s, row in enumerate(_A[:-1], start=2)]
+    names = {f"{p}{j}": w for p, row in rows + [("b", _A[-1]), ("e", _E)]
+             for j, w in enumerate(row, start=1)}
+    names.update({f"c{s}": c for s, c in enumerate(_C, start=1)},
+                 sqrt=math.sqrt)
+
+    def each(expr: str, sep: str = ", ") -> str:
+        """expr for every component, '#' standing for its index."""
+        return sep.join(expr.replace("#", str(i)) for i in range(d))
+
+    def weigh(prefix: str, row: Sequence[float]) -> tuple[list[str], str]:
+        """q_j = hs * w_j over the row's nonzero weights, and the sum
+        sum_j q_j k_j for component '#'."""
+        js = [j for j, w in enumerate(row, start=1) if w != 0.0]
+        terms = " + ".join(f"q{j} * k{j}_#" for j in js)
+        return ([f"    q{j} = hs * {prefix}{j}" for j in js],
+                terms if len(js) == 1 else f"({terms})")
+
+    src = ["def step(field_fn, t, y, k1, hs, rel_tol, abs_tol):",
+           f"    [{each('y#')}] = y", f"    [{each('k1_#')}] = k1"]
+    # Stages k2..k6 at t + c_s h (c6 = 1), from the h-scaled rows.
+    for s, (prefix, row) in enumerate(rows, start=2):
+        qs, incr = weigh(prefix, row)
+        at = "t + hs" if _C[s - 1] == 1.0 else f"t + c{s} * hs"
+        src += qs + [f"    [{each(f'k{s}_#')}] = field_fn({at}, "
+                     f"[{each(f'y# + {incr}')}])"]
+    # The 5th-order weights (b2 = 0); first-same-as-last: stage 7 sits
+    # at (t + h, y_new).
+    qs, incr = weigh("b", _A[-1])
+    src += qs + [each(f"    n# = y# + {incr}", "\n"),
+                 f"    y_new = [{each('n#')}]",
+                 "    k7 = field_fn(t + hs, y_new)",
+                 f"    [{each('k7_#')}] = k7"]
+    # Local error h sum_j e_j k_j (e2 = 0) over the scale
+    # abs_tol + rel_tol * max(|y|, |y_new|).
+    e_sum = " + ".join(f"e{j} * k{j}_#" for j, w in enumerate(_E, start=1)
+                       if w != 0.0)
+    src += [each(f"    u# = abs(y#)\n    w# = abs(n#)\n    r# = hs * "
+                 f"({e_sum}) / (abs_tol + rel_tol * (u# if u# > w# else w#))",
+                 "\n"),
+            f"    return y_new, k7, sqrt(({each('r# * r#', ' + ')}) / {d})"]
+
+    filename = f"<dp5 step d={d}>"
+    text = "\n".join(src) + "\n"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True),
+                                 filename)
+    exec(compile(text, filename, "exec"), names)
+    return names["step"]
 
 
 def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
@@ -214,7 +277,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
 
     t = t0
     k1 = field_fn(t, y)
-    # zip would silently truncate a wrong-length slope; refuse it once.
+    # Refused here with its shape; the step's unpacking refuses any later
+    # wrong-length slope.
     if np.ndim(k1) != 1:
         raise ValueError(f"field_fn returned shape {np.shape(k1)}, not "
                          f"{d} components")
@@ -243,10 +307,7 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     nreject = 0
     facold = 1e-4
     just_rejected = False
-    _, c2, c3, c4, c5, _, _ = _C
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A
-    e1, _, e3, e4, e5, e6, e7 = _E
+    step = _step_fn(d)
 
     for _ in range(MAX_STEPS):
         rem = abs(t1 - t)
@@ -256,40 +317,7 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
             stop_reason = STOP_UNDERFLOW
             break
         hs = sign * h
-
-        # Stages k2..k6 at t + c_i h (c6 = 1), from the h-scaled rows.
-        q1 = hs * a21
-        k2 = field_fn(t + c2 * hs, [v + q1 * p1 for v, p1 in zip(y, k1)])
-        q1, q2 = hs * a31, hs * a32
-        k3 = field_fn(t + c3 * hs, [v + (q1 * p1 + q2 * p2)
-                                    for v, p1, p2 in zip(y, k1, k2)])
-        q1, q2, q3 = hs * a41, hs * a42, hs * a43
-        k4 = field_fn(t + c4 * hs, [v + (q1 * p1 + q2 * p2 + q3 * p3)
-                                    for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-        q1, q2, q3, q4 = hs * a51, hs * a52, hs * a53, hs * a54
-        k5 = field_fn(t + c5 * hs,
-                      [v + (q1 * p1 + q2 * p2 + q3 * p3 + q4 * p4)
-                       for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-        q1, q2, q3, q4, q5 = hs * a61, hs * a62, hs * a63, hs * a64, hs * a65
-        k6 = field_fn(t + hs,
-                      [v + (q1 * p1 + q2 * p2 + q3 * p3 + q4 * p4 + q5 * p5)
-                       for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4,
-                                                        k5)])
-        # The 5th-order weights skip k2 (b2 = 0).
-        q1, q3, q4, q5, q6 = hs * b1, hs * b3, hs * b4, hs * b5, hs * b6
-        y_new = [v + (q1 * p1 + q3 * p3 + q4 * p4 + q5 * p5 + q6 * p6)
-                 for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        # First-same-as-last: stage 7 sits at (t+h, y_new).
-        k7 = field_fn(t + hs, y_new)
-        acc = 0.0
-        for v, w, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5,
-                                                  k6, k7):
-            v, w = abs(v), abs(w)
-            r = (hs * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
-                       + e7 * p7)
-                 / (abs_tol + rel_tol * (v if v > w else w)))
-            acc += r * r
-        err = math.sqrt(acc / d)
+        y_new, k7, err = step(field_fn, t, y, k1, hs, rel_tol, abs_tol)
 
         if err <= 1.0:
             # Accept.  Land exactly on t1 when the step was clamped to it.

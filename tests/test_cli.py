@@ -272,8 +272,16 @@ def test_non_finite_span_is_usage_error(span, capsys):
       "--bracket", "0.3,inf"), None, "--bracket must be finite"),
     (("implicit", "--start", "1,0.5", "--bracket", "0.3,0.9"),
      {"rmin": 1.0, "rmax": "inf"}, "--rmax must be finite"),
+    (("rho", "--grid", "2", "--f1", "nan"), None, "--f1 must be finite"),
+    (("rho", "--grid", "2", "--f1", "0.5,inf"), None, "--f1 must be finite"),
+    (("rho", "--grid", "2", "--f1", "0.5,x"), None,
+     "--f1: expected a number"),
+    (("rho", "--grid", "2"), {"f1": [0.25, math.inf]}, "--f1 must be finite"),
+    (("rho", "--grid", "2"), {"f1": "nan"}, "--f1 must be finite"),
 ], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
-        "implicit-bracket", "implicit-config-rmax"])
+        "implicit-bracket", "implicit-config-rmax", "rho-f1-nan",
+        "rho-f1-inf", "rho-f1-word", "rho-config-f1-list",
+        "rho-config-f1-string"])
 def test_non_finite_input_is_usage_error(argv, config, message, tmp_path,
                                          capsys):
     if config is not None:

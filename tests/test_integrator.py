@@ -1,6 +1,8 @@
 """Adaptive Runge-Kutta integration: accuracy, events, dense output."""
 
+import hashlib
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -208,6 +210,86 @@ def test_wrong_length_rhs_is_refused(span, bad):
     assert f"returned {got}" in str(err.value)
     # Refused on the first call, before any step.
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("short_from", [2, 4, 100],
+                         ids=["initial-step-probe", "stage-3", "later-step"])
+def test_wrong_length_rhs_mid_run_is_refused(short_from):
+    # Right at first, one component short from call `short_from` on: the
+    # run must stop at that call rather than step on a shortened state.
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        slope = [y[1], -y[0], -0.5 * y[2]]
+        return slope if len(calls) < short_from else slope[:-1]
+
+    with pytest.raises(ValueError):
+        integrate(field, [1.0, 0.0, 2.0], (0.0, 10.0))
+    assert len(calls) == short_from
+
+
+def test_traceback_through_a_step_shows_the_stage_line():
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        if len(calls) == 4:  # k1, the initial-step probe, k2, then k3
+            raise ZeroDivisionError("planted")
+        return [-v for v in y]
+
+    with pytest.raises(ZeroDivisionError) as err:
+        integrate(field, [1.0, 2.0], (0.0, 1.0))
+    text = "".join(traceback.format_exception(err.value))
+    assert '"<dp5 step d=2>"' in text
+    assert "[k3_0, k3_1] = field_fn(t + c3 * hs, " in text
+
+
+def chain5(t, y):
+    a, b, c, d, e = y
+    return (b - 0.1 * a, c - a, d - b + 0.2 * e, e - c, -d - 0.3 * e)
+
+
+_LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
+
+
+# SHA-256 of the ts, ys and fs bytes of fixed runs, one per state
+# dimension in use (d = 5 is used nowhere in the package), both time
+# directions and an event stop.  Any change to the arithmetic or the
+# order of a step's operations moves them; the spherical digest also
+# rests on the platform's libm sin and cos.
+@pytest.mark.parametrize("run, stop, digest", [
+    (lambda: integrate(decay, [1.0], (0.0, 5.0), rel_tol=1e-9),
+     "reached_end",
+     "2f1d7f7d9db60c8beed59f5731672df903f6da4600584629937b88d56757064b"),
+    (lambda: integrate(oscillator, [1.0, 0.0], (0.0, 7.0), rel_tol=1e-9),
+     "reached_end",
+     "08e1e9f8887eedad58d6f0ce010c6866a94756279fcbd43bb7e495c43d1350b2"),
+    (lambda: integrate(oscillator, [1.0, 0.0], (0.0, -7.0), rel_tol=1e-9),
+     "reached_end",
+     "b374eefa9c42854ef31f507cb7437076c45fac19761f3fdcf1de974efd21eda0"),
+    (lambda: integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0)),
+     "reached_end",
+     "a712deb88f32e318ed82d07a77c907e87bc61fe415e120603fca04a0b55e912e"),
+    (lambda: integrate(fields.spherical_ode, [1.2, 0.3, 1.0], (0.0, 20.0)),
+     "reached_end",
+     "77d96cb7f251fb5acfef1613d2c5a568c53a308db7d15e5401f51290f3e64459"),
+    (lambda: integrate(chain5, [1.0, 0.5, -0.25, 0.0, 2.0], (0.0, 10.0),
+                       rel_tol=1e-8),
+     "reached_end",
+     "cc648162e948ee7a9009f0dcdacc43bcad1430afe43947eb58658e45fe83b74a"),
+    (lambda: integrate(oscillator, [1.0, 0.0], (0.0, 10.0),
+                       events=(_LEVEL,)),
+     "event",
+     "23d7232d0231eb1d7862bd4f8a856e90ffc35b41b76ba4d7c7ebd2210c509ee3"),
+], ids=["decay-d1", "oscillator-d2", "oscillator-d2-backward",
+        "cartesian-d3", "spherical-d3", "linear-d5", "event-stop"])
+def test_trajectories_keep_their_bits(run, stop, digest):
+    traj = run()
+    assert traj.stop_reason == stop
+    got = hashlib.sha256(traj.ts.tobytes() + traj.ys.tobytes()
+                         + traj.fs.tobytes()).hexdigest()
+    assert got == digest
 
 
 def test_step_budget_is_a_stop_reason(monkeypatch):
