@@ -33,13 +33,13 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import checks, fields, first_integral, reduced_system
 from .integrator import integrate
-from .special_functions import Z_MAX
 
 DEFAULTS = {
     "tol": 1e-10,
@@ -52,36 +52,52 @@ DEFAULTS = {
 _USAGE_ERROR = 2
 _CHECK_ERROR = 1
 
+# Rows formatted per write: enough to amortise the call, few enough that
+# the block's text stays a small fraction of a long trace's file.
+_CSV_BLOCK = 1024
 
-def write_csv(path: str | None, header: Sequence[str],
-              rows: Sequence[Sequence[float]]) -> None:
-    """One line per row, each number to 17 significant digits, so that it
-    parses back to the identical float."""
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    text = ",".join(header) + "\n" + "".join(row_fmt % tuple(row)
-                                            for row in rows)
+
+@contextmanager
+def _output(path: str | None) -> Iterator:
+    """The text file at path for writing, or stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            yield fh
 
 
-def _emit(ns, header, rows, meta) -> None:
+def _write_json(path: str | None, doc) -> None:
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: str | None, header: Sequence[str],
+              rows: np.ndarray) -> None:
+    """One line per row of the 2-D float array, each number to 17
+    significant digits, so that it parses back to the identical float.
+
+    Rows are formatted and written a block at a time, so the text of the
+    whole file is never held at once.
+    """
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _emit(ns, header: Sequence[str], rows: np.ndarray, meta) -> None:
+    """rows, a 2-D float array, as CSV (with a .meta.json sidecar when
+    writing to a file) or as one JSON document."""
     if ns.format == "json":
-        doc = {"header": list(header), "rows": [list(map(float, r)) for r in rows],
-               "meta": meta}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if ns.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(ns.out, "w", encoding="ascii") as fh:
-                fh.write(text)
+        _write_json(ns.out, {"header": list(header), "rows": rows.tolist(),
+                             "meta": meta})
     else:
         write_csv(ns.out, header, rows)
         if ns.out is not None and meta is not None:
-            with open(ns.out + ".meta.json", "w", encoding="ascii") as fh:
-                fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            _write_json(ns.out + ".meta.json", meta)
 
 
 def _number(raw, what: str) -> float:
@@ -90,16 +106,20 @@ def _number(raw, what: str) -> float:
         val = float(raw)
     except (TypeError, ValueError):
         raise ValueError(f"{what}: expected a number, got {raw!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ValueError(f"{what} must be finite, got {raw!r}")
     return val
 
 
-def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
+def _floats(raw, n: int, what: str) -> tuple[float, ...]:
+    """n finite floats from a comma-separated string, or from a JSON list
+    that --config gave; a ValueError naming `what` otherwise."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list) or len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated numbers, "
-                         f"got {text!r}")
+                         f"got {raw!r}")
     return tuple(_number(p, what) for p in parts)
 
 
@@ -174,11 +194,15 @@ def cmd_trace(ns) -> int:
         header = ["t", "x", "y", "z"]
     traj = integrate(ode, np.asarray(start, float), (0.0, span),
                      rel_tol=float(ns.tol))
-    ts = traj.ts
+    # The accepted rows as they are (the interpolant returns a node's own
+    # state there); only dense times between nodes are sampled.
+    rows = np.column_stack([traj.ts, traj.ys])
     if dense > 0 and span != 0.0:
-        dense_ts = np.linspace(0.0, traj.t_end, dense + 1)
-        ts = np.unique(np.concatenate([ts, dense_ts]))
-    rows = np.column_stack([ts, traj.sample(ts)]).tolist()
+        between = np.setdiff1d(np.linspace(0.0, traj.t_end, dense + 1),
+                               traj.ts)
+        rows = np.concatenate(
+            [rows, np.column_stack([between, traj.sample(between)])])
+        rows = rows[np.argsort(rows[:, 0])]
     meta = {
         "chart": chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
@@ -192,7 +216,9 @@ def cmd_trace(ns) -> int:
 
 def cmd_field(ns) -> int:
     if ns.point:
-        points = [_floats(p, 3, "--point") for p in ns.point]
+        # Repeated flags give a list; --config may give one point alone.
+        given = ns.point if isinstance(ns.point, list) else [ns.point]
+        points = [_floats(p, 3, "--point") for p in given]
     else:
         points = [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, -1.2, 2.0),
                   (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
@@ -204,6 +230,7 @@ def cmd_field(ns) -> int:
         rates = fields.derived_rates(p)
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
+    rows = np.array(rows)
     _emit(ns, header, rows, {"points": len(rows)})
     return 0
 
@@ -215,18 +242,15 @@ def cmd_reduce(ns) -> int:
     curve = reduced_system.trace_reduced(r0, psi0, _finite(ns, "target"),
                                          rel_tol=float(ns.tol))
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
-    rows = []
-    c_ref = None
-    for r, h, psi in zip(curve.rs, curve.hs, curve.psis):
-        z = 0.5 * math.sqrt(max(h, 0.0)) * r
-        if 1e-10 < h < 1.0 - 1e-10 and 0.0 < z <= Z_MAX:
-            c = reduced_system.implicit_constant(float(r), float(h))
-            if c_ref is None:
-                c_ref = c.c_effective
-            dev = abs(c.c_effective - c_ref) / abs(c_ref)
-            rows.append([r, h, psi, c.c1.real, c.c1.imag, dev])
-        else:
-            rows.append([r, h, psi, math.nan, math.nan, math.nan])
+    # No constant within 1e-10 of H = 0 or of the H = 1 fold.
+    hs = np.where((curve.hs > 1e-10) & (curve.hs < 1.0 - 1e-10), curve.hs,
+                  math.nan)
+    c = reduced_system.implicit_constant(curve.rs, hs)
+    known = np.flatnonzero(np.isfinite(c.c_effective))
+    c_ref = c.c_effective[known[0]] if known.size else math.nan
+    rows = np.column_stack([
+        curve.rs, curve.hs, curve.psis, c.c1.real, c.c1.imag,
+        np.abs(c.c_effective - c_ref) / abs(c_ref)])
     meta = {
         "reached": curve.reached, "stop_note": curve.stop_note,
         "turning_crossings": int(curve.turning_crossings),
@@ -260,9 +284,8 @@ def cmd_implicit(ns) -> int:
     rs = np.linspace(_finite(ns, "rmin"), _finite(ns, "rmax"), n)
     hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
     resids = reduced_system.implicit_residual(c_eff, rs, hs)
-    rows = [list(row)
-            for row in zip(rs.tolist(), hs.tolist(), resids.tolist())]
-    solved = sum(1 for row in rows if math.isfinite(row[1]))
+    rows = np.column_stack([rs, hs, resids])
+    solved = int(np.count_nonzero(np.isfinite(hs)))
     if solved == 0:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
@@ -286,13 +309,17 @@ def cmd_rho(ns) -> int:
     # Rows run xi outer, psi inner.  log(tan(psi/2)) in the half-angle form
     # through math.log, which is exactly 0 at the floating-point pi/2.
     xi, psi = (g.ravel() for g in np.meshgrid(xis, psis, indexing="ij"))
-    log_chi = np.tile([math.log(math.sin(q) / (1.0 + math.cos(q)))
-                       for q in psis.tolist()], len(xis))
+    try:
+        log_chi = np.tile([math.log(math.sin(q) / (1.0 + math.cos(q)))
+                           for q in psis.tolist()], len(xis))
+    except (ValueError, ZeroDivisionError):  # tan(psi/2) <= 0 or infinite
+        raise ValueError(f"--psi must lie in (0, pi), clear of its ends, "
+                         f"got {psi_lo!r},{psi_hi!r}") from None
     table = first_integral.rho_table(xi, psi, c2, f1)
     rows = np.column_stack([
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
         table.u.imag, table.v.imag, log_chi, table.pde_direct,
-        table.pde_parametric]).tolist()
+        table.pde_parametric])
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
@@ -304,12 +331,7 @@ def cmd_rho(ns) -> int:
 def cmd_verify(ns) -> int:
     tol_scale = float(ns.tol) if ns.tol is not None else 1.0
     doc = checks.run_battery(only=ns.only or None, tol_scale=tol_scale)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if ns.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(ns.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_json(ns.out, doc)
     return 0 if doc["passed"] else _CHECK_ERROR
 
 

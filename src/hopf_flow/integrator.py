@@ -15,10 +15,12 @@ y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the local error
 is h sum_j e_j k_j, each sum written out over scalar locals by a step
 generated from one template per state dimension d.  The error norm is
 the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
-where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  numpy
-enters only to build the trajectory's arrays at the end and to locate an
-event.  A run makes 2 RHS calls to start, 6 per attempted step and 1
-more when an event stops it.
+where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  Each
+accepted step extends three flat `array('d')` buffers of times, states
+and slopes; the trajectory's arrays are numpy views of those buffers,
+made without a copy.  numpy enters only there and to locate an event.
+A run makes 2 RHS calls to start, 6 per attempted step and 1 more when
+an event stops it.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -103,9 +106,10 @@ class Trajectory:
     """Accepted-step skeleton of one integration run.
 
     ts, ys, fs hold the accepted times, states, and derivatives (one row
-    per point); `sample` interpolates between rows with the cubic Hermite
-    matching both endpoint values and slopes.  `event` is the crossing
-    that stopped the run, if one did.
+    per point), as views of the flat buffers the run filled; `sample`
+    interpolates between rows with the cubic Hermite matching both
+    endpoint values and slopes.  `event` is the crossing that stopped the
+    run, if one did.
     """
 
     ts: np.ndarray
@@ -180,6 +184,9 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     d0 = _rms([v / s for v, s in zip(y0, sc)])
     d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not h0 > 0.0:  # d1 is NaN, or too large for any step to resolve
+        raise ValueError(f"the slope at the start, {[float(v) for v in f0]}"
+                         f", is not finite or too steep to take a step")
     h0 = min(h0, span)
     sh0 = sign * h0
     f1 = field_fn(t0 + sh0, [v + sh0 * p for v, p in zip(y0, f0)])
@@ -263,7 +270,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     (a tuple, a list or a 1-D array, not reused between calls).  Stops at
     the far end of the span, at the first event crossing, when the
     controller can no longer resolve a step, or when the step budget runs
-    out; the stop reason is recorded on the trajectory.
+    out; the stop reason is recorded on the trajectory.  A slope at y0
+    that is not finite, or too steep for a first step, raises ValueError.
     """
     abs_tol = rel_tol * 1e-2
     if not (1e-16 <= rel_tol < 1e-2 and 1e-16 <= abs_tol < 1e-2):
@@ -285,20 +293,17 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     if len(k1) != d:
         raise ValueError(f"field_fn returned {len(k1)} components for a "
                          f"state of {d}")
+    ts, ys, fs = array("d", [t]), array("d", y), array("d", k1)
     if t1 == t0:
-        return Trajectory(ts=np.array([t0]), ys=np.array([y]),
-                          fs=np.array([k1], dtype=float),
-                          stop_reason=STOP_REACHED_END, rel_tol=rel_tol,
-                          abs_tol=abs_tol, nfev=1)
+        return Trajectory(ts=np.frombuffer(ts), ys=_rows(ys, d),
+                          fs=_rows(fs, d), stop_reason=STOP_REACHED_END,
+                          rel_tol=rel_tol, abs_tol=abs_tol, nfev=1)
 
     sign = 1.0 if t1 > t0 else -1.0
     events = tuple(events)
     h = _initial_step(field_fn, t, y, k1, sign, rel_tol, abs_tol,
                       abs(t1 - t0))
 
-    ts = [t]
-    ys = [y]
-    fs = [k1]
     g_prev = [ev.fn(t, y) for ev in events]
 
     hit: EventHit | None = None
@@ -324,8 +329,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
             facold = max(err, 1e-4)
             t_new = t1 if last else t + hs
             ts.append(t_new)
-            ys.append(y_new)
-            fs.append(k7)
+            ys.extend(y_new)
+            fs.extend(k7)
             naccept += 1
 
             if events:
@@ -333,10 +338,14 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
                 hit = _first_crossing(events, g_prev, g_new, t, t_new,
                                       y, y_new, k1, k7)
                 if hit is not None:
-                    # Truncate at the crossing.
+                    # Truncate at the crossing: overwrite the last row.
+                    f_hit = array("d", field_fn(hit.t, hit.y.tolist()))
+                    if len(f_hit) != d:
+                        raise ValueError(f"field_fn returned {len(f_hit)} "
+                                         f"components for a state of {d}")
                     ts[-1] = hit.t
-                    ys[-1] = hit.y
-                    fs[-1] = field_fn(hit.t, hit.y.tolist())
+                    ys[-d:] = array("d", hit.y)
+                    fs[-d:] = f_hit
                     stop_reason = STOP_EVENT
                     break
                 g_prev = g_new
@@ -363,10 +372,15 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     # Two evaluations start the run, each attempted step makes six, and a
     # located event one more.
     nfev = 2 + 6 * (naccept + nreject) + (hit is not None)
-    return Trajectory(ts=np.array(ts), ys=np.array(ys),
-                      fs=np.array(fs, dtype=float), stop_reason=stop_reason,
+    return Trajectory(ts=np.frombuffer(ts), ys=_rows(ys, d),
+                      fs=_rows(fs, d), stop_reason=stop_reason,
                       rel_tol=rel_tol, abs_tol=abs_tol, event=hit,
                       nfev=nfev, naccept=naccept, nreject=nreject)
+
+
+def _rows(buf: array, d: int) -> np.ndarray:
+    """A flat buffer of d-entry rows as a (rows, d) view, without a copy."""
+    return np.frombuffer(buf).reshape(-1, d)
 
 
 def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,

@@ -39,7 +39,7 @@ import numpy as np
 from .diagnostics import bracketed_roots, relative_to_terms
 from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
 from .integrator import Event, Trajectory, integrate
-from .special_functions import bessel_quad
+from .special_functions import Z_MAX, bessel_quad
 
 EPS_TURN = 1e-8
 
@@ -65,17 +65,19 @@ class TurningPointError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ImplicitConstant:
-    """The conserved combination at one (r, H) sample.
+    """The conserved combination at (r, H): one sample, or arrays of them.
 
     `c1` carries the full complex constant, `c_effective` + i pi;
-    `c_effective` is the quantity compared across samples.
+    `c_effective` is the quantity compared across samples.  From arrays,
+    c1, c_effective and z are arrays, and c1 and c_effective are NaN at
+    refused points; r and h are kept as given.
     """
 
-    c1: complex
-    c_effective: float
-    r: float
-    h: float
-    z: float
+    c1: complex | np.ndarray
+    c_effective: float | np.ndarray
+    r: float | np.ndarray
+    h: float | np.ndarray
+    z: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,9 @@ def _bessel_terms(r, h):
         r, h = np.broadcast_arrays(np.asarray(r, float), np.asarray(h, float))
         sqrt_h = np.sqrt(np.where((r > 0.0) & (h > 0.0) & (h <= 1.0), h,
                                   math.nan))
+        # Points past the Bessel range drop out before r is squared, so a
+        # huge r gives NaN without an overflow warning.
+        r = np.where(0.5 * sqrt_h * r <= Z_MAX, r, math.nan)
     else:
         if r <= 0.0 or not 0.0 < h <= 1.0:
             raise ValueError("need r > 0 and H in (0, 1]")
@@ -217,9 +222,20 @@ def _combination(r, h):
     return z, -(a * q.k0 + b * q.k1), a * q.i0 - b * q.i1
 
 
-def implicit_constant(r: float, h: float) -> ImplicitConstant:
-    """The conserved Bessel combination at one (r, H) sample."""
+def implicit_constant(r, h) -> ImplicitConstant:
+    """The conserved Bessel combination at (r, H).
+
+    Floats give Python numbers and raise ValueError at a refused sample
+    (see `_bessel_terms`) or where the I-combination vanishes.  Arrays
+    broadcast, elementwise with the same bits as the float path, and give
+    NaN at those points instead.
+    """
     z, num, den = _combination(r, h)
+    if isinstance(num, np.ndarray):
+        c_eff = np.divide(num, den, out=np.full(num.shape, math.nan),
+                          where=np.abs(den) >= 1e-300)
+        c1 = c_eff + 1j * np.where(np.isnan(c_eff), math.nan, math.pi)
+        return ImplicitConstant(c1=c1, c_effective=c_eff, r=r, h=h, z=z)
     if abs(den) < 1e-300:
         raise ValueError(f"degenerate sample: I-combination vanishes at "
                          f"(r={r!r}, H={h!r})")
@@ -315,6 +331,8 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     """
     if not (math.isfinite(r0) and math.isfinite(r_target)):
         raise ValueError("r0 and r_target must be finite")
+    if not r0 > 0.0:
+        raise ValueError("r0 must be positive")
     if not 0.0 < psi0 < math.pi:
         raise ValueError("psi0 must lie in (0, pi)")
     curve = ReducedCurve(rs=np.empty(0), hs=np.empty(0), psis=np.empty(0))
@@ -468,8 +486,10 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if rs.ndim != 1:
         raise ValueError("r must be a float or a 1-d array")
-    # The points bracketed_roots scans, lo + (hi - lo) * i / n_scan.
-    hs = h_lo + (h_hi - h_lo) * np.arange(n_scan + 1) / n_scan
+    # The points bracketed_roots scans, in its float arithmetic (an
+    # overflowing width gives inf or NaN points, without a warning).
+    hs = np.array([h_lo + (h_hi - h_lo) * i / n_scan
+                   for i in range(n_scan + 1)])
     _, num, den = _combination(rs[:, None], hs)
     scan = num - target * den
     mid = 0.5 * (h_lo + h_hi)
@@ -489,7 +509,7 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
         if roots:
             out[k] = min(roots, key=lambda h: abs(h - mid))
         elif scalar:
-            raise _no_root_error(target, hs, num[0], den[0])
+            raise _no_root_error(target, r_k, hs)
         counts.append(len(roots))
     if scalar:
         if counts[0] > 1:
@@ -504,15 +524,13 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
     return out
 
 
-def _no_root_error(target: float, hs: np.ndarray, num: np.ndarray,
-                   den: np.ndarray) -> ValueError:
+def _no_root_error(target: float, r: float, hs: np.ndarray) -> ValueError:
     """Why no root was bracketed: a tangency, or no crossing at all.
 
-    Reads C - c1 off the scan values; samples that `implicit_constant`
-    refuses (NaN, or a vanishing I-combination) are skipped.
+    Reads C - c1 at the scan points; points that `implicit_constant`
+    refuses (NaN) are skipped.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = np.where(np.abs(den) >= 1e-300, num / den - target, math.nan)
+    gaps = implicit_constant(r, hs).c_effective - target
     if not np.isnan(gaps).all():
         best = int(np.nanargmin(np.abs(gaps)))
         h_best, g_best = float(hs[best]), float(gaps[best])

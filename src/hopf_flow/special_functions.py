@@ -111,8 +111,11 @@ def _quad_array(z: np.ndarray) -> BesselQuad:
         if mask.any():
             i0[mask], i1[mask] = fn(z[mask])
     if small_k.any():
-        k0[small_k], k1[small_k] = _k_small(z[small_k], i0[small_k],
-                                            i1[small_k])
+        # K1 ~ 1/z passes the float range below z ~ 5.6e-309: inf, as on
+        # the float path.
+        with np.errstate(over="ignore"):
+            k0[small_k], k1[small_k] = _k_small(z[small_k], i0[small_k],
+                                                i1[small_k])
     large_k = ok & ~small_k
     if large_k.any():
         k0[large_k], k1[large_k] = _k_large(z[large_k])

@@ -1,16 +1,22 @@
 """Command-line interface: formats, exit codes, numeric round-trips."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopf_flow import cli, fields, integrator, reduced_system
 from hopf_flow.integrator import integrate
@@ -42,6 +48,47 @@ def test_trace_csv_is_bit_exact_against_library(tmp_path):
         # 17 significant digits survive a parse/format cycle.
         for cell, val in zip(row, vals):
             assert f"{val:.17g}" == cell
+
+
+def test_trace_rows_are_the_integrators_nodes(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert run_cli("trace", "--start", "1,0,0", "--span", "3", "--dense",
+                   "7", "--out", str(out)) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 3.0),
+                     rel_tol=1e-10)
+    node = np.isin(rows[:, 0], traj.ts)
+    assert rows[node, 0].tobytes() == traj.ts.tobytes()
+    assert rows[node, 1:].tobytes() == traj.ys.tobytes()
+    # The dense times between nodes, each the interpolant at its time.
+    between = rows[~node]
+    assert set(np.linspace(0.0, 3.0, 8)) <= set(rows[:, 0])
+    assert len(between) > 0 and np.all(np.diff(rows[:, 0]) > 0)
+    for t, *y in between:
+        assert np.array(y).tobytes() == traj.sample(t).tobytes()
+
+
+def test_trace_writes_a_negative_zero_start_as_given(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert run_cli("trace", "--start=-0.0,1.1,0", "--span", "1", "--dense",
+                   "3", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert rows[0] == ["0", "-0", "1.1000000000000001", "0"]
+
+
+def test_write_csv_streams_blocks_of_rows(tmp_path):
+    rows = np.random.default_rng(5).standard_normal((50_000, 4))
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(out), ["a", "b", "c", "d"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Building the whole text first would peak above the file's size.
+    assert peak < out.stat().st_size / 2
+    assert np.loadtxt(out, delimiter=",", skiprows=1).tobytes() == \
+        rows.tobytes()
 
 
 def test_trace_writes_meta_sidecar(tmp_path):
@@ -239,6 +286,100 @@ def test_config_keys_the_subcommand_does_not_take_are_usage_errors(
     assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg)) == 2
     err = capsys.readouterr().err
     assert "'c2'" in err and "'tole'" in err
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (("rho", "--grid", "2"), {"xi": [0.1, 0.5], "psi": ["0.5", 2]},
+     ("--xi=0.1,0.5", "--psi=0.5,2")),
+    (("reduce", "--target", "3"), {"start": [1, 0.7854]},
+     ("--start=1,0.7854",)),
+    (("implicit", "--rmin", "1", "--rmax", "2", "--n", "3"),
+     {"start": [1, 0.5], "bracket": [0.3, 0.95]},
+     ("--start=1,0.5", "--bracket=0.3,0.95")),
+    (("field",), {"point": [[0, 0, 3], "1e-3,2,-1"]},
+     ("--point=0,0,3", "--point=1e-3,2,-1")),
+    (("field",), {"point": "1,2,3"}, ("--point=1,2,3",)),
+], ids=["rho-xi-psi", "reduce-start", "implicit-start-bracket",
+        "field-points", "field-one-point"])
+def test_config_lists_for_comma_flags(argv, config, flags, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(*argv, "--config", str(cfg), "--out",
+                   str(from_config)) == 0
+    assert run_cli(*argv, *flags, "--out", str(from_flags)) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("rho", "--grid", "2"), {"xi": [0.1]}, "--xi: expected 2"),
+    (("rho", "--grid", "2"), {"psi": 0.5}, "--psi: expected 2"),
+    (("rho", "--grid", "2"), {"xi": {"lo": 0.1}}, "--xi: expected 2"),
+    (("reduce", "--target", "3"), {"start": [1, "x"]},
+     "--start: expected a number"),
+    (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
+     {"bracket": [0.3, [0.9]]}, "--bracket: expected a number"),
+    (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
+     {"bracket": [0.3, 10 ** 400]}, "--bracket must be finite"),
+    (("field",), {"point": 5}, "--point: expected 3"),
+], ids=["short-list", "number", "object", "word", "nested", "huge-int",
+        "point-number"])
+def test_malformed_config_values_for_comma_flags_are_usage_errors(
+        argv, config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("psi", ["0,1", "5e-324,1", "1,3.1415926535897",
+                                 "4,5"])
+def test_psi_range_at_or_past_its_ends_is_usage_error(psi, capsys):
+    # tan(psi/2) is 0 or infinite there (1 + cos rounds to 0 near pi).
+    assert run_cli("rho", "--grid", "2", f"--psi={psi}") == 2
+    assert "--psi must lie in (0, pi)" in capsys.readouterr().err
+
+
+# Each comma-separated flag with its subcommand, set up so that every run
+# is short: a span of 0.01, three sweep radii, a 2x2 grid.
+_COMMA_FLAGS = [
+    (("trace", "--span", "0.01"), "start"),
+    (("trace", "--chart", "spherical", "--span", "0.01"), "start"),
+    (("reduce", "--target", "2"), "start"),
+    (("implicit", "--rmin", "1", "--rmax", "2", "--n", "3", "--bracket",
+      "0.3,0.95"), "start"),
+    (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2", "--n", "3"),
+     "bracket"),
+    (("rho", "--grid", "2"), "xi"),
+    (("rho", "--grid", "2"), "psi"),
+    (("field",), "point"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_COMMA_FLAGS),
+       values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                       | st.integers(), max_size=4),
+       as_config=st.booleans())
+def test_finite_comma_flag_values_run_or_exit_2(case, values, as_config):
+    argv, flag = case
+    with tempfile.TemporaryDirectory() as tmp:
+        # trace's --start is required on the command line.
+        if as_config and argv[0] != "trace":
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="ascii") as fh:
+                json.dump({flag: values}, fh)
+            argv += ("--config", cfg)
+        else:
+            argv += (f"--{flag}=" + ",".join(map(repr, values)),)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv, "--out", os.path.join(tmp, "o"))
+    # An implicit sweep whose well-formed bracket holds no root anywhere
+    # is a runtime failure by design (exit 1).
+    no_roots = (argv[0] == "implicit" and code == 1
+                and "found no roots" in err.getvalue())
+    assert code in (0, 2) or no_roots, err.getvalue()
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):

@@ -229,6 +229,34 @@ def test_wrong_length_rhs_mid_run_is_refused(short_from):
     assert len(calls) == short_from
 
 
+def test_wrong_length_rhs_at_the_event_is_refused():
+    # The event's own slope is the run's last call; one short there must
+    # not shift the rows of the flat buffers.
+    level = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
+    last = integrate(oscillator, [1.0, 0.0], (0.0, 5.0),
+                     events=(level,)).nfev
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        slope = oscillator(t, y)
+        return slope if len(calls) < last else slope[:-1]
+
+    with pytest.raises(ValueError, match="returned 1 components"):
+        integrate(field, [1.0, 0.0], (0.0, 5.0), events=(level,))
+    assert len(calls) == last
+
+
+@pytest.mark.parametrize("field, y0", [
+    (lambda t, y: [math.nan], [1.0]),
+    (lambda t, y: [1e300], [1.0]),
+], ids=["nan-slope", "slope-beyond-the-float-range"])
+def test_a_slope_no_step_can_resolve_is_refused(field, y0):
+    # A NaN first step would loop to MAX_STEPS; a zero one divided by 0.
+    with pytest.raises(ValueError, match="not finite or too steep"):
+        integrate(field, y0, (0.0, 1.0))
+
+
 def test_traceback_through_a_step_shows_the_stage_line():
     calls = []
 

@@ -77,15 +77,43 @@ def test_implicit_constant_frozen_values():
 
 
 def test_implicit_constant_domain_and_form_guards():
-    with pytest.raises(ValueError):
-        rs.implicit_constant(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        rs.implicit_constant(1.0, 0.0)
-    with pytest.raises(ValueError):
-        rs.implicit_constant(1.0, 1.2)
-    with pytest.raises(ValueError):
-        rs.implicit_constant(602.0, 1.0)  # Bessel argument z = 301 > Z_MAX
+    refused = [(-1.0, 0.5), (1.0, 0.0), (1.0, 1.2),
+               (602.0, 1.0)]  # Bessel argument z = 301 > Z_MAX
+    for r, h in refused:
+        with pytest.raises(ValueError):
+            rs.implicit_constant(r, h)
     assert math.isfinite(rs.implicit_constant(600.0, 1.0).c_effective)
+    # An array gives NaN at the same points instead of raising.
+    r, h = np.array(refused + [(600.0, 1.0)]).T
+    arr = rs.implicit_constant(r, h)
+    assert np.isnan(arr.c_effective[:-1]).all()
+    assert np.isnan(arr.c1[:-1].real).all() and np.isnan(arr.c1[:-1].imag).all()
+    assert arr.c_effective[-1] == rs.implicit_constant(600.0, 1.0).c_effective
+
+
+def test_out_of_range_inputs_are_refused_without_a_numpy_warning():
+    with pytest.raises(ValueError, match="r0 must be positive"):
+        rs.trace_reduced(0.0, 1e-300, 2.0)  # planar flow at r = 0 before
+    # An H bracket whose width overflows scans inf/NaN points: no root.
+    hs = rs.solve_implicit(-4.9, np.array([1.0, 2.0]), (0.5, 1.7e308))
+    assert np.isnan(hs).all()
+    # A radius past the Bessel range is NaN before it is squared.
+    assert np.isnan(rs.implicit_constant(np.array([1e300]), 0.5).c_effective)
+
+
+def test_array_implicit_constant_is_the_float_path_bit_for_bit():
+    # The (r, H) points `reduce --start 1,0.7854 --target 200` writes.
+    curve = rs.trace_reduced(1.0, 0.7854, 200.0, rel_tol=1e-10)
+    assert len(curve.rs) == 683
+    arr = rs.implicit_constant(curve.rs, curve.hs)
+    # Every point is in the float path's domain, the two on the H = 1 fold
+    # (which reduce leaves blank) too; refused points are NaN by the guards
+    # test above.
+    for k, (r, h) in enumerate(zip(curve.rs.tolist(), curve.hs.tolist())):
+        one = rs.implicit_constant(r, h)
+        assert arr.c_effective[k].tobytes() == np.float64(
+            one.c_effective).tobytes()
+        assert arr.c1[k] == one.c1 and arr.z[k] == one.z
 
 
 def test_implicit_residual_zero_at_own_constant():

@@ -132,6 +132,10 @@ def test_domain_guards():
             sf.bessel_quad(bad)
     q = sf.bessel_quad(sf.Z_MAX)
     assert all(math.isfinite(v) and v > 0.0 for v in (q.i0, q.i1, q.k0, q.k1))
+    # K1 ~ 1/z passes the float range at a subnormal z: inf on both
+    # paths, and no numpy overflow warning from the array.
+    assert sf.bessel_quad(1e-313).k1 == math.inf
+    assert sf.bessel_quad(np.array([1e-313])).k1[0] == math.inf
 
 
 def test_negative_axis_continuation_matches_oracle():
