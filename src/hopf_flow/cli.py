@@ -281,7 +281,12 @@ def cmd_implicit(ns) -> int:
     n = 25 if ns.n is None else int(ns.n)
     if n < 1:
         raise ValueError("--n must be at least 1")
-    rs = np.linspace(_finite(ns, "rmin"), _finite(ns, "rmax"), n)
+    r_lo, r_hi = _finite(ns, "rmin"), _finite(ns, "rmax")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rs = np.linspace(r_lo, r_hi, n)
+    if not np.isfinite(rs).all():
+        raise ValueError(f"--rmin {r_lo!r} to --rmax {r_hi!r} in {n} radii "
+                         f"leaves the float range")
     hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
     resids = reduced_system.implicit_residual(c_eff, rs, hs)
     rows = np.column_stack([rs, hs, resids])

@@ -16,18 +16,26 @@ absolute value of the sum divided by the largest additive term, so a
 residual of 1e-16 means cancellation to machine precision regardless of
 the raw magnitudes involved.
 
-Both root solves of the package (the implicit Bessel relation for H and
-the parameter elimination v(xi, psi) = r) go through `bracketed_roots`.
+Every root solve of the package (the implicit Bessel relation for H, the
+parameter elimination v(xi, psi) = r and the integrator's events) goes
+through `bracketed_roots`.  It takes many rows at once: one evaluation
+covers every row's sign-change scan, and then all brackets advance
+through the Illinois rounds in lockstep, one evaluation per round over
+the brackets still live.  Each bracket does the arithmetic of a scalar
+refiner on floats, so a root does not depend on the other rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
 
 VERDICTS = ("pass", "fail", "documented-discrepancy")
+
+# Refining rounds per bracket at most.
+_MAX_ROUNDS = 200
 
 
 def relative_to_terms(terms: Sequence) -> float | np.ndarray:
@@ -105,35 +113,76 @@ def summarize(name: str, residuals: Sequence[float], tolerance: float,
                           details=dict(details or {}))
 
 
-def bracketed_roots(fn: Callable[[float], float], lo: float, hi: float,
-                    n_scan: int, tol: float,
-                    fs: Sequence[float] | None = None) -> list[float]:
-    """Every root of fn that a sign-change scan of [lo, hi] brackets.
+def scan_points(lo, hi, n_scan: int) -> np.ndarray:
+    """The scan grid of each row: lo + (hi - lo) * i / n_scan for
+    i = 0..n_scan, as a (rows, n_scan + 1) array for float or 1-d lo and
+    hi.  The arithmetic is a float's, point by point; an overflowing
+    width gives inf or NaN points without a warning."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
+    with np.errstate(all="ignore"):
+        return lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
 
-    fn is sampled at the n_scan + 1 points lo + (hi - lo) * i / n_scan,
-    unless `fs` already holds those samples (a caller may compute them in
-    one array pass).  A sample where fn is exactly 0 is a root; each
-    interval whose ends change sign is refined by safeguarded
-    secant/bisection until it is at most tol wide.  Intervals with a NaN
-    end never count as changing sign.  Roots come back in scan order.
+
+def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+                    lo, hi, n_scan: int, tol: float) -> list[list[float]]:
+    """Every root of each row's function that a sign-change scan brackets.
+
+    Row k (of float or 1-d lo and hi) is scanned at its `scan_points`.
+    fn(rows, x) evaluates the functions: `rows` holds row indices and `x`
+    points, two 1-d arrays of one length, and it returns the value of row
+    rows[j] at x[j] for every j (an array or a sequence of floats).  One
+    call evaluates the whole scan.  A sample where the value is exactly 0
+    is a root; each interval whose ends change sign is a bracket, refined
+    until it is at most tol wide.  Intervals with a NaN end never count
+    as changing sign.  All brackets are refined together, one call of fn
+    per round over the brackets still live.  Returns one list per row,
+    its roots in scan order.
     """
-    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    if fs is None:
-        fs = [fn(x) for x in xs]
-    elif len(fs) != n_scan + 1:
-        raise ValueError(f"need {n_scan + 1} scan values, got {len(fs)}")
-    roots = []
-    for i in range(n_scan + 1):
-        if fs[i] == 0.0:
-            roots.append(xs[i])
-        elif i < n_scan and fs[i] * fs[i + 1] < 0.0:
-            roots.append(_refine_root(fn, xs[i], xs[i + 1], fs[i], fs[i + 1],
-                                      tol))
-    return roots
+    xs = scan_points(lo, hi, n_scan)
+    n_rows, width = xs.shape
+    fs = np.asarray(fn(np.repeat(np.arange(n_rows), width), xs.ravel()),
+                    dtype=float).reshape(xs.shape)
+    # Slot 2i of a row is scan point i, slot 2i + 1 the interval after it,
+    # so nonzero() lists each row's roots in scan order.
+    found = np.zeros((n_rows, 2 * width), dtype=bool)
+    found[:, 0::2] = fs == 0.0
+    with np.errstate(over="ignore"):  # a huge product is still < 0
+        found[:, 1:-1:2] = fs[:, :-1] * fs[:, 1:] < 0.0
+    row, slot = np.nonzero(found)
+    roots = xs[row, slot // 2].tolist()
+    # Each bracket's refiner runs until it asks for the value at its next
+    # point; one call of fn answers every ask, and the next round sends
+    # each refiner its value.
+    brackets = np.flatnonzero(slot % 2)
+    k, i = row[brackets], slot[brackets] // 2
+    pending = {j: (_illinois(a, b, fa, fb, tol), None)
+               for j, a, b, fa, fb in zip(
+                   brackets.tolist(), xs[k, i].tolist(), xs[k, i + 1].tolist(),
+                   fs[k, i].tolist(), fs[k, i + 1].tolist())}
+    while pending:
+        asks = {}
+        for j, (refiner, value) in pending.items():
+            try:
+                asks[j] = refiner, refiner.send(value)
+            except StopIteration as stop:
+                roots[j] = stop.value
+        if not asks:
+            break
+        js = list(asks)
+        values = fn(row[js], np.array([x for _, x in asks.values()]))
+        pending = {j: (asks[j][0], f) for j, f in
+                   zip(js, np.asarray(values, dtype=float).tolist())}
+    per_row: list[list[float]] = [[] for _ in range(n_rows)]
+    for k, x in zip(row.tolist(), roots):
+        per_row[k].append(x)
+    return per_row
 
 
-def _refine_root(fn: Callable[[float], float], a: float, b: float,
-                 fa: float, fb: float, tol: float) -> float:
+def _illinois(a: float, b: float, fa: float, fb: float,
+              tol: float) -> Generator[float, float, float]:
+    """Refine one bracket: yields each point it needs f at, is sent f
+    there, and returns the root."""
     # Illinois rule (Dowell & Jarratt 1971, BIT 11:168): regula falsi on
     # the bracket [a, b], whose ends keep f of opposite signs, but an end
     # kept twice in a row has its stored f halved, so the next secant
@@ -144,7 +193,7 @@ def _refine_root(fn: Callable[[float], float], a: float, b: float,
     # ends, the bracket stops at adjacent doubles, where even the midpoint
     # rounds onto an end.
     kept = None
-    for _ in range(200):
+    for _ in range(_MAX_ROUNDS):
         lo, hi = min(a, b), max(a, b)
         if hi - lo <= tol:
             break
@@ -154,7 +203,7 @@ def _refine_root(fn: Callable[[float], float], a: float, b: float,
             x = 0.5 * (a + b)  # NaN from overflow, or tol below round-off
             if not lo < x < hi:
                 break
-        fx = fn(x)
+        fx = yield x
         if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):

@@ -291,46 +291,42 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
                     n_scan: int):
     """xi* with v(xi*, psi) = r, elementwise over broadcast r, psi and
     bracket ends, returned with r and psi: floats when all four are
-    scalars, else broadcast arrays.  One array pass scans every bracket,
-    `bracketed_roots` refines each root on the scalar v to 1e-10, and of
-    several roots the one nearest the bracket midpoint is taken, with a
-    warning."""
+    scalars, else broadcast arrays.  `bracketed_roots` scans every
+    bracket in one array pass of v and refines all their roots to 1e-10
+    together, one array pass per round; of several roots the one nearest
+    the bracket midpoint is taken, with a warning."""
     scalar = all(np.ndim(a) == 0 for a in (r, psi, *bracket))
     r, psi, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (r, psi, *bracket)))
     if not np.all((0.0 < lo) & (lo < hi)):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     f1 = tuple(f1)
+    r_rows, psi_rows, lo, hi = (a.ravel() for a in (r, psi, lo, hi))
 
-    def v_real(x, psi):
+    def v_gap(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """v(x, psi) - r of the given rows, refusing a complex v."""
         with np.errstate(all="ignore"):
-            x, v = np.broadcast_arrays(x, _uv_maps(x + 0.0j, psi, c2, f1)[1])
+            v = _uv_maps(x + 0.0j, psi_rows[rows], c2, f1)[1]
         off = np.abs(v.imag) > 1e-6 * np.maximum(1.0, np.abs(v))
         if off.any():
             raise ValueError(f"v is not real at xi={float(x[off][0])!r} "
                              f"(Im v = {float(v[off][0].imag)!r}): bracket "
                              f"leaves the real region")
-        return v.real
+        return v.real - r_rows[rows]
 
-    xs = lo[..., None] + (hi - lo)[..., None] * np.arange(n_scan + 1) / n_scan
-    scan = v_real(xs, psi[..., None])
-    xi_star = np.empty(r.shape)
-    for k in np.ndindex(r.shape):
-        roots = bracketed_roots(
-            lambda x, r=float(r[k]), psi=float(psi[k]):
-                float(v_real(x, psi)) - r,
-            float(lo[k]), float(hi[k]), n_scan, 1e-10,
-            fs=(scan[k] - r[k]).tolist())
+    found = bracketed_roots(v_gap, lo, hi, n_scan, 1e-10)
+    xi_star = np.empty(r_rows.shape)
+    for k, roots in enumerate(found):
         if not roots:
             raise ValueError("no root of v(xi, psi) = r in the bracket")
         if len(roots) > 1:
-            warnings.warn(f"{len(roots)} parameter roots of v(xi, {psi[k]}) = "
-                          f"{r[k]} in bracket; using the one nearest its "
-                          f"midpoint", stacklevel=3)
+            warnings.warn(f"{len(roots)} parameter roots of v(xi, "
+                          f"{psi_rows[k]}) = {r_rows[k]} in bracket; using "
+                          f"the one nearest its midpoint", stacklevel=3)
         xi_star[k] = min(roots, key=lambda x: abs(x - 0.5 * (lo[k] + hi[k])))
     if scalar:
-        return float(xi_star), float(r), float(psi)
-    return xi_star, r, psi
+        return float(xi_star[0]), float(r), float(psi)
+    return xi_star.reshape(r.shape), r, psi
 
 
 def _h_partials(uv: UVPair):

@@ -29,9 +29,11 @@ each returns the trajectory up to that point.
 
 Every event stops the run.  When an event function changes sign over an
 accepted step, the crossing is located on that step's Hermite interpolant
-by the package's shared root refiner, `diagnostics.bracketed_roots`, to
-EVENT_T_TOL in t (or to adjacent doubles where that is finer than one
-ulp); the earliest crossing in the step ends the trajectory there.
+by the package's shared root refiner, `diagnostics.bracketed_roots`, as
+one row with one scan interval (the step), to EVENT_T_TOL in t (or to
+adjacent doubles where that is finer than one ulp); each refining round
+evaluates the event function once.  The earliest crossing in the step
+ends the trajectory there.
 """
 
 from __future__ import annotations
@@ -397,10 +399,11 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
         y_lo, y_hi, f_lo, f_hi = (np.asarray(v, dtype=float)
                                   for v in (y_lo, y_hi, f_lo, f_hi))
 
-        def g(t: float, fn=ev.fn) -> float:
-            return fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
+        def g(rows: np.ndarray, ts: np.ndarray, fn=ev.fn) -> list[float]:
+            return [fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
+                    for t in ts.tolist()]
 
-        roots = bracketed_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)
+        roots = bracketed_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)[0]
         # No root only when the scan's far end, lo + (hi - lo), rounds
         # past a crossing within one ulp of t_hi.
         t_ev = roots[0] if roots else t_hi

@@ -30,13 +30,14 @@ hand over to the two-dimensional flow, which `trace_reduced` does.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import bracketed_roots, relative_to_terms
+from .diagnostics import bracketed_roots, relative_to_terms, scan_points
 from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
 from .integrator import Event, Trajectory, integrate
 from .special_functions import Z_MAX, bessel_quad
@@ -49,6 +50,15 @@ _GUARD_MARGIN = 1e-6
 _RESUME_MARGIN = 2e-6
 _R_AWAY_MIN = 1e-3
 _R_AWAY_MAX = 100.0
+
+# An array `_combination` costs ~0.3 ms whatever its size below a few
+# hundred points, about as much as 30 float calls, so `solve_implicit`
+# evaluates fewer points than this one by one on the float path.
+_ARRAY_MIN_POINTS = 32
+
+# A quarter of the largest float: the bound on a = 4 + r^2 and on its
+# products with the Bessel values (see `_bessel_terms`).
+_FLOAT_ROOM = 0.25 * sys.float_info.max
 
 
 class TurningPointError(ArithmeticError):
@@ -197,9 +207,12 @@ def _bessel_terms(r, h):
     a = 4 + r^2, b = 8 sqrt(H) r.
 
     Floats outside r > 0, H in (0, 1] or z in (0, Z_MAX] raise
-    ValueError; arrays broadcast and give NaN there instead.
+    ValueError, as do those where a, or a product of a or b with a Bessel
+    value, would leave the float range; arrays broadcast and give NaN
+    there instead.
     """
-    if isinstance(r, np.ndarray) or isinstance(h, np.ndarray):
+    array = isinstance(r, np.ndarray) or isinstance(h, np.ndarray)
+    if array:
         r, h = np.broadcast_arrays(np.asarray(r, float), np.asarray(h, float))
         sqrt_h = np.sqrt(np.where((r > 0.0) & (h > 0.0) & (h <= 1.0), h,
                                   math.nan))
@@ -212,6 +225,16 @@ def _bessel_terms(r, h):
         sqrt_h = math.sqrt(h)
     z = 0.5 * sqrt_h * r
     q = bessel_quad(z)  # a float outside (0, Z_MAX] raises
+    # r^2 max(1, I0, K0) <= _FLOAT_ROOM keeps a I0 and a K0 near a quarter
+    # of the largest float at most, and b I1 too (I1 <= I0, and b <= 8 r
+    # <= r^2 once r >= 8), while b K1 = 16 z K1(z) <= 16: both
+    # combinations stay finite.
+    if array:
+        r_max = np.sqrt(_FLOAT_ROOM / np.maximum(np.maximum(q.i0, q.k0), 1.0))
+        r = np.where(r <= r_max, r, math.nan)
+    elif r > math.sqrt(_FLOAT_ROOM / max(1.0, q.i0, q.k0)):
+        raise ValueError(f"r={r!r} too large: 4 + r^2 times the Bessel "
+                         f"values leaves the float range")
     return z, 4.0 + r * r, 8.0 * sqrt_h * r, q
 
 
@@ -247,11 +270,14 @@ def implicit_constant(r, h) -> ImplicitConstant:
 def implicit_residual(c_effective: float, r, h):
     """Scaled residual of the implicit relation at (r, H) for a given C.
 
-    Elementwise on arrays of r and H, NaN at refused points."""
+    Elementwise on arrays of r and H, NaN at refused points.  A constant
+    so large that its terms leave the float range gives NaN, on arrays
+    without a numpy warning."""
     _, a, b, q = _bessel_terms(r, h)
-    terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
-             a * q.k0, b * q.k1]
-    return relative_to_terms(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
+                 a * q.k0, b * q.k1]
+        return relative_to_terms(terms)
 
 
 def _turning_guard_event(r0: float, h0: float) -> Event:
@@ -474,9 +500,12 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
     |dH| <= 1e-12, and with several roots the one nearest the bracket
     midpoint is returned with a multiplicity warning.
 
-    `r` is a float or a 1-d array.  The scan grid of every r is evaluated
-    in one array pass.  A float raises ValueError when no root is
-    bracketed; an array returns H with NaN in those rows.
+    `r` is a float or a 1-d array.  `bracketed_roots` scans every radius
+    in one evaluation and then refines all their roots together, one
+    evaluation per round; an evaluation of at least _ARRAY_MIN_POINTS
+    points is one array pass, a smaller one goes point by point on the
+    float path, with the same bits.  A float raises ValueError when no
+    root is bracketed; an array returns H with NaN in those rows.
     """
     target = float(c_effective)
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
@@ -486,42 +515,44 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if rs.ndim != 1:
         raise ValueError("r must be a float or a 1-d array")
-    # The points bracketed_roots scans, in its float arithmetic (an
-    # overflowing width gives inf or NaN points, without a warning).
-    hs = np.array([h_lo + (h_hi - h_lo) * i / n_scan
-                   for i in range(n_scan + 1)])
-    _, num, den = _combination(rs[:, None], hs)
-    scan = num - target * den
+
+    def gap(rows: np.ndarray, h: np.ndarray):
+        if h.size >= _ARRAY_MIN_POINTS:
+            _, num, den = _combination(rs[rows], h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return num - target * den
+        return [_gap(r_k, h_k, target)
+                for r_k, h_k in zip(rs[rows].tolist(), h.tolist())]
+
+    found = bracketed_roots(gap, np.full(rs.shape, h_lo),
+                            np.full(rs.shape, h_hi), n_scan, 1e-12)
     mid = 0.5 * (h_lo + h_hi)
-    out = np.full(rs.shape, math.nan)
-    counts = []
-    for k, r_k in enumerate(rs.tolist()):
-
-        def g(h: float) -> float:
-            try:
-                _, num_h, den_h = _combination(r_k, h)
-            except ValueError:
-                return math.nan
-            return num_h - target * den_h
-
-        roots = bracketed_roots(g, h_lo, h_hi, n_scan, 1e-12,
-                                fs=scan[k].tolist())
-        if roots:
-            out[k] = min(roots, key=lambda h: abs(h - mid))
-        elif scalar:
-            raise _no_root_error(target, r_k, hs)
-        counts.append(len(roots))
+    out = np.array([min(roots, key=lambda h: abs(h - mid)) if roots
+                    else math.nan for roots in found])
     if scalar:
-        if counts[0] > 1:
-            warnings.warn(f"{counts[0]} roots in bracket; returning the one "
-                          f"nearest the midpoint", stacklevel=2)
+        if not found[0]:
+            raise _no_root_error(target, float(rs[0]),
+                                 scan_points(h_lo, h_hi, n_scan)[0])
+        if len(found[0]) > 1:
+            warnings.warn(f"{len(found[0])} roots in bracket; returning the "
+                          f"one nearest the midpoint", stacklevel=2)
         return float(out[0])
-    several = sum(n > 1 for n in counts)
+    several = sum(len(roots) > 1 for roots in found)
     if several:
         warnings.warn(f"{several} of {len(rs)} radii have several roots in "
                       f"the bracket; returning the one nearest the midpoint",
                       stacklevel=2)
     return out
+
+
+def _gap(r: float, h: float, target: float) -> float:
+    """C(r, H) - target times the I-combination, on the float path; NaN
+    at a refused sample."""
+    try:
+        _, num, den = _combination(r, h)
+    except ValueError:
+        return math.nan
+    return num - target * den
 
 
 def _no_root_error(target: float, r: float, hs: np.ndarray) -> ValueError:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopf_flow import cli, fields, integrator, reduced_system
@@ -380,6 +380,48 @@ def test_finite_comma_flag_values_run_or_exit_2(case, values, as_config):
     no_roots = (argv[0] == "implicit" and code == 1
                 and "found no roots" in err.getvalue())
     assert code in (0, 2) or no_roots, err.getvalue()
+
+
+# Any finite number, or one where the sweep can find roots.
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rmin=_ANY_FLOAT | st.floats(-1.0, 25.0),
+       rmax=_ANY_FLOAT | st.floats(-1.0, 25.0),
+       c1=_ANY_FLOAT | st.floats(-10.0, 2.0),
+       bracket=st.tuples(_ANY_FLOAT | st.floats(-0.1, 1.1),
+                         _ANY_FLOAT | st.floats(-0.1, 1.1)),
+       n=st.integers(1, 8), as_config=st.booleans())
+# H so small that z = sqrt(H) r / 2 is in the Bessel range while 4 + r^2
+# is not a float.
+@example(rmin=1e155, rmax=1e156, c1=-4.9, bracket=(1e-310, 1e-306), n=2,
+         as_config=False)
+# Roots whose residual terms c1 (4 + r^2) I0 pass the float range.
+@example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8,
+         as_config=True)
+def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
+                                              as_config):
+    values = {"rmin": rmin, "rmax": rmax, "c1": c1, "bracket": list(bracket),
+              "n": n}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["implicit", "--out", os.path.join(tmp, "o")]
+        if as_config:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="ascii") as fh:
+                json.dump(values, fh)
+            argv += ["--config", cfg]
+        else:
+            argv += [f"--{flag}=" + (",".join(map(repr, value))
+                                     if flag == "bracket" else repr(value))
+                     for flag, value in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(*argv)
+    message = err.getvalue()
+    assert (code == 0 or (code == 2 and message.startswith("hopf-flow: "))
+            or (code == 1 and "found no roots" in message)), (code, message)
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):

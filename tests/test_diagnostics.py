@@ -62,73 +62,165 @@ def test_relative_to_terms_is_elementwise_on_arrays():
     np.testing.assert_array_equal(got, want)
 
 
+def _refine_root(fn, a, b, fa, fb, tol):
+    # The scalar Illinois refiner that `bracketed_roots` refined each
+    # bracket with, one bracket at a time: the oracle for its bits.
+    kept = None
+    for _ in range(200):
+        lo, hi = min(a, b), max(a, b)
+        if hi - lo <= tol:
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = 0.5 * (a + b)
+            if not lo < x < hi:
+                break
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+    return 0.5 * (a + b)
+
+
+def _scalar_roots(fn, lo, hi, n_scan, tol):
+    """The scan and per-bracket refinement, one root after another."""
+    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
+    fs = [fn(x) for x in xs]
+    roots = []
+    for i in range(n_scan + 1):
+        if fs[i] == 0.0:
+            roots.append(xs[i])
+        elif i < n_scan and fs[i] * fs[i + 1] < 0.0:
+            roots.append(_refine_root(fn, xs[i], xs[i + 1], fs[i], fs[i + 1],
+                                      tol))
+    return roots
+
+
+def _rows_of(fns):
+    """An evaluator over (rows, x) from one float function per row,
+    recording the number of points of each call."""
+    sizes = []
+
+    def fn(rows, x):
+        sizes.append(len(x))
+        return [fns[k](t) for k, t in zip(rows.tolist(), x.tolist())]
+
+    return fn, sizes
+
+
+def _steps_and_nan(x):
+    # Samples at 0, 1, ..., 4: f(2) is exactly 0, and f is NaN at 3, so
+    # the sign changes around it are not roots.
+    if x == 3.0:
+        return math.nan
+    return {0.0: -1.0, 1.0: -1.0, 2.0: 0.0, 4.0: -1.0}.get(x, 1.0)
+
+
+def _nan_inside(x):
+    # A bracket whose f is NaN inside: the refiner steps to midpoints.
+    return math.nan if 0.3 < x < 0.7 else x - 0.5
+
+
+# (f, lo, hi, n_scan): a row each.
+_ROWS = [
+    (math.sin, 1.0, 10.0, 64),
+    (lambda x: (x - 0.3) * (x + 1.2) * (x - 2.0 / 3.0), -2.0, 2.0, 7),
+    (lambda t: math.cos(t - 9000.0) - 0.3, 9001.0, 9001.5, 1),
+    (_steps_and_nan, 0.0, 4.0, 4),
+    (_nan_inside, 0.0, 1.0, 1),
+    (lambda x: x * x + 1.0, -2.0, 2.0, 16),
+] + [(lambda x, k=k: math.sin(k * x) - 0.02 * k, 0.1, 3.0, 9)
+     for k in range(1, 41)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_lockstep_roots_are_the_scalar_refiners_bit_for_bit(tol):
+    # Rows of one scan size share a call; between them they hold 156
+    # roots, among them the exact zero at 2.
+    found = []
+    for n_scan in sorted({n for *_, n in _ROWS}):
+        rows = [row for row in _ROWS if row[3] == n_scan]
+        fn, sizes = _rows_of([f for f, *_ in rows])
+        got = bracketed_roots(fn, [lo for _, lo, _, _ in rows],
+                              [hi for _, _, hi, _ in rows], n_scan, tol)
+        want = [_scalar_roots(f, lo, hi, n_scan, tol)
+                for f, lo, hi, _ in rows]
+        assert [[x.hex() for x in r] for r in got] == \
+            [[x.hex() for x in r] for r in want]
+        # One call scans every row; each later call is one round.
+        assert sizes[0] == len(rows) * (n_scan + 1)
+        found += sum(got, [])
+    assert len(found) == 156 and 2.0 in found
+
+
 def test_bracketed_roots_finds_every_sign_change():
-    roots = bracketed_roots(math.sin, 1.0, 10.0, 64, 1e-12)
+    (roots,) = bracketed_roots(lambda rows, x: np.sin(x), 1.0, 10.0, 64,
+                               1e-12)
     assert len(roots) == 3
     for k, root in enumerate(roots, start=1):
         assert abs(root - k * math.pi) <= 1e-12
 
 
 def test_bracketed_roots_refines_each_root_in_few_calls():
-    # After the 65 scan samples, every call refines the root inside its
-    # 9/64-wide scan interval; bisection to 1e-12 would take ~37 calls.
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return math.sin(x)
-
-    roots = bracketed_roots(f, 1.0, 10.0, 64, 1e-12)
+    # After the one 65-point scan, each call is a round over the brackets
+    # still live, at most three here; bisection to 1e-12 would take ~37
+    # rounds.
+    fn, sizes = _rows_of([math.sin])
+    (roots,) = bracketed_roots(fn, 1.0, 10.0, 64, 1e-12)
     assert len(roots) == 3
-    per_root = [sum(1 for x in calls[65:] if abs(x - k * math.pi) < 9.0 / 64)
-                for k in (1, 2, 3)]
-    assert sum(per_root) == len(calls) - 65
-    assert max(per_root) <= 12, per_root
+    assert sizes[0] == 65
+    assert 1 <= len(sizes) - 1 <= 12, sizes
+    assert all(0 < n <= 3 for n in sizes[1:])
+    assert sum(sizes[1:]) <= 12 * len(roots)
     for k, root in enumerate(roots, start=1):
         assert abs(root - k * math.pi) <= 1e-12
 
     # Near t = 9000 one ulp (1.8e-12) exceeds the 1e-12 tolerance, so the
     # bracket has to end at adjacent doubles instead.
-    calls.clear()
-
-    def g(t):
-        calls.append(t)
-        return math.cos(t - 9000.0) - 0.3
-
-    roots = bracketed_roots(g, 9001.0, 9001.5, 1, 1e-12)
+    fn, sizes = _rows_of([lambda t: math.cos(t - 9000.0) - 0.3])
+    (roots,) = bracketed_roots(fn, 9001.0, 9001.5, 1, 1e-12)
     assert len(roots) == 1
-    assert len(calls) - 2 <= 12, len(calls)
+    assert sizes[0] == 2 and len(sizes) - 1 <= 12, sizes
     assert abs(roots[0] - (9000.0 + math.acos(0.3))) <= 4e-12
 
 
 def test_bracketed_roots_without_sign_change_is_empty():
-    assert bracketed_roots(lambda x: x * x + 1.0, -2.0, 2.0, 16, 1e-12) == []
+    assert bracketed_roots(lambda rows, x: x * x + 1.0, -2.0, 2.0, 16,
+                           1e-12) == [[]]
 
 
 def test_bracketed_roots_counts_exact_zeros_and_skips_nan_ends():
-    # Samples at 0, 1, ..., 4: f(2) is exactly 0, and f is NaN at 3, so
-    # the sign changes around it are not roots.
-    def f(x):
-        if x == 3.0:
-            return math.nan
-        return {0.0: -1.0, 1.0: -1.0, 2.0: 0.0, 4.0: -1.0}.get(x, 1.0)
-
-    assert bracketed_roots(f, 0.0, 4.0, 4, 1e-12) == [2.0]
+    fn, sizes = _rows_of([_steps_and_nan])
+    assert bracketed_roots(fn, 0.0, 4.0, 4, 1e-12) == [[2.0]]
+    assert sizes == [5]  # the scan only: nothing to refine
 
 
 def test_bracketed_roots_takes_scan_values_computed_in_one_array_pass():
-    lo, hi, n = 1.0, 10.0, 64
-    # numpy reproduces the scan points bit for bit.
-    xs = lo + (hi - lo) * np.arange(n + 1) / n
-    assert xs.tolist() == [lo + (hi - lo) * i / n for i in range(n + 1)]
+    # Two rows with brackets of their own: one call evaluates both scans,
+    # at the points lo + (hi - lo) * i / n_scan of float arithmetic.
+    lo, hi, n = np.array([1.0, 0.5]), np.array([10.0, 4.0]), 64
     calls = []
 
-    def f(x):
-        calls.append(x)
-        return math.sin(x)
+    def fn(rows, x):
+        calls.append((rows, x))
+        return np.sin(x) - 0.5 * rows
 
-    roots = bracketed_roots(f, lo, hi, n, 1e-12, fs=np.sin(xs).tolist())
-    assert roots == bracketed_roots(math.sin, lo, hi, n, 1e-12)
-    assert len(calls) <= 3 * 12  # refinement only: no scan calls
-    with pytest.raises(ValueError, match="65 scan values"):
-        bracketed_roots(f, lo, hi, n, 1e-12, fs=[0.0] * n)
+    roots = bracketed_roots(fn, lo, hi, n, 1e-12)
+    rows, xs = calls[0]
+    assert rows.tolist() == [0] * (n + 1) + [1] * (n + 1)
+    assert xs.tolist() == [a + (b - a) * i / n for a, b in zip(lo, hi)
+                           for i in range(n + 1)]
+    assert roots[0] == _scalar_roots(math.sin, 1.0, 10.0, n, 1e-12)
+    assert roots[1] == _scalar_roots(lambda x: math.sin(x) - 0.5, 0.5, 4.0,
+                                     n, 1e-12)
+    assert len(calls) <= 1 + 12

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hopf_flow import checks
 from hopf_flow import first_integral as fi
 from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW,
                                       h_pde_residual, phi_flow_derivative,
@@ -156,6 +157,18 @@ def test_reconstruction_roundtrip():
         uv_table(xi0, psi).v.real, psi, 1.0, (),
         (0.7 * xi0, np.minimum(1.3 * xi0, 0.8)), 60)
     np.testing.assert_allclose(roots, xi0, rtol=1e-9)
+
+
+def test_battery_parameters_keep_their_bits():
+    # The parameters the h-pde and phi-flow checks reconstruct at their 12
+    # states: nine are scan points where v - r is exactly 0, three are
+    # refined; all equal the values of the scalar refiner.
+    r, psi, bracket = checks._h_pde_states()
+    with pytest.warns(UserWarning, match="2 parameter roots"):
+        xi_star, _, _ = fi._reconstruct_xi(r, psi, 1.0, (), bracket, 60)
+    assert xi_star.tolist() == [
+        0.2, 0.2, 0.2, 0.35, 0.35, 0.35, 0.5, 0.5, 0.5,
+        0.6500000000248873, 0.6500000000249552, 0.6500000000249644]
 
 
 def test_reconstruction_warns_on_two_parameter_roots():

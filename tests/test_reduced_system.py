@@ -91,6 +91,21 @@ def test_implicit_constant_domain_and_form_guards():
     assert arr.c_effective[-1] == rs.implicit_constant(600.0, 1.0).c_effective
 
 
+def test_radii_whose_terms_leave_the_float_range_are_refused():
+    # z = 50 is in the Bessel range, but 4 + r^2 is not a float; at
+    # r = 1e150, z = 5 and (4 + r^2) I0(z) is.
+    with pytest.raises(ValueError, match="float range"):
+        rs.implicit_constant(1e155, 1e-306)
+    inside = rs.implicit_constant(1e150, 1e-298).c_effective
+    assert math.isfinite(inside)
+    arr = rs.implicit_constant(np.array([1e155, 1e150]),
+                               np.array([1e-306, 1e-298]))
+    assert np.isnan(arr.c_effective[0]) and arr.c_effective[1] == inside
+    assert np.isnan(rs.implicit_residual(-4.9, np.array([1e155]), 1e-306)[0])
+    hs = rs.solve_implicit(-4.9, np.array([1e155, 1e156]), (1e-310, 1e-306))
+    assert np.isnan(hs).all()
+
+
 def test_out_of_range_inputs_are_refused_without_a_numpy_warning():
     with pytest.raises(ValueError, match="r0 must be positive"):
         rs.trace_reduced(0.0, 1e-300, 2.0)  # planar flow at r = 0 before
@@ -209,56 +224,59 @@ def test_array_solve_matches_scalar_solves(sweep):
             except ValueError:
                 singles.append(math.nan)
     singles = np.array(singles)
-    assert np.array_equal(np.isnan(batch), np.isnan(singles))
+    assert np.array_equal(batch, singles, equal_nan=True)
     assert np.isnan(batch).any() == (sweep == "gaps")
-    ok = ~np.isnan(batch)
-    assert np.max(np.abs(batch[ok] - singles[ok])) <= 1e-12
+
+
+def _recording_solver(monkeypatch):
+    """Record each call of solve_implicit's evaluator: its (rows, h), its
+    values and the Bessel calls it made (an array's size, None for a
+    float); returns the records and the list of all Bessel calls."""
+    quad, roots_fn = rs.bessel_quad, rs.bracketed_roots
+    bessel, evals = [], []
+
+    def counting_quad(z):
+        bessel.append(z.size if isinstance(z, np.ndarray) else None)
+        return quad(z)
+
+    def recording_roots(fn, *args):
+        def recorded(rows, h):
+            before = len(bessel)
+            values = fn(rows, h)
+            evals.append((rows, h, fn, values, bessel[before:]))
+            return values
+
+        return roots_fn(recorded, *args)
+
+    monkeypatch.setattr(rs, "bessel_quad", counting_quad)
+    monkeypatch.setattr(rs, "bracketed_roots", recording_roots)
+    return evals, bessel
 
 
 def test_array_solve_scans_in_one_bessel_call(monkeypatch):
-    # One array call covers every radius' scan; each root then costs at
-    # most 12 scalar calls in the shared refiner.
-    calls = []
-    quad = rs.bessel_quad
-
-    def counting_quad(z):
-        calls.append(z.size if isinstance(z, np.ndarray) else None)
-        return quad(z)
-
-    per_root = []
-    roots_fn = rs.bracketed_roots
-
-    def counting_roots(*args, **kwargs):
-        before = len(calls)
-        roots = roots_fn(*args, **kwargs)
-        if roots:
-            per_root.append((len(calls) - before) / len(roots))
-        return roots
-
-    monkeypatch.setattr(rs, "bessel_quad", counting_quad)
-    monkeypatch.setattr(rs, "bracketed_roots", counting_roots)
+    # One array call covers every radius' scan; then all roots are refined
+    # together, each round one evaluation of the live brackets: one array
+    # Bessel call while at least 32 are live, float calls below that.
+    evals, _ = _recording_solver(monkeypatch)
     start, (r_lo, r_hi), bracket = SWEEPS["cf"]
     c = rs.implicit_constant(*start).c_effective
-    calls.clear()
+    evals.clear()
     hs = rs.solve_implicit(c, np.linspace(r_lo, r_hi, 100), bracket)
-    assert calls[0] == 100 * 65
-    assert all(n is None for n in calls[1:])
-    assert len(per_root) == np.count_nonzero(np.isfinite(hs)) == 100
-    assert max(per_root) <= 12
+    assert np.count_nonzero(np.isfinite(hs)) == 100
+    (_, h, _, _, scan_bessel), *rounds = evals
+    assert h.size == 100 * 65 and scan_bessel == [100 * 65]
+    assert 1 <= len(rounds) <= 12
+    for _, h, _, _, bessel in rounds:
+        assert bessel == ([h.size] if h.size >= 32 else [None] * h.size)
+    # Each root is live in at most every round: <= 12 evaluations apiece.
+    assert rounds[0][1].size == 100
+    assert sum(h.size for _, h, _, _, _ in rounds) <= 12 * 100
 
 
 def test_array_scan_holds_the_refiner_values_at_the_scan_points(monkeypatch):
-    # The scan values handed to bracketed_roots are, bit for bit, what its
-    # own fn gives at its own points lo + (hi - lo) * i / n_scan.
-    seen = []
-    roots_fn = rs.bracketed_roots
-
-    def recording_roots(fn, lo, hi, n_scan, tol, fs):
-        xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-        seen.append((fs, [fn(x) for x in xs]))
-        return roots_fn(fn, lo, hi, n_scan, tol, fs=fs)
-
-    monkeypatch.setattr(rs, "bracketed_roots", recording_roots)
+    # The scan's array values are, bit for bit, what the float path gives
+    # at each scan point (one point at a time goes the float path).
+    evals, bessel = _recording_solver(monkeypatch)
     start, (r_lo, r_hi), _ = SWEEPS["gaps"]
     c = rs.implicit_constant(*start).c_effective
     # H > 1 and r < 0 are refused points: NaN on both paths.
@@ -266,10 +284,14 @@ def test_array_scan_holds_the_refiner_values_at_the_scan_points(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rs.solve_implicit(c, radii, (0.01, 1.2))
-    assert len(seen) == 12
-    for fs, direct in seen:
-        assert np.array_equal(fs, direct, equal_nan=True)
-    assert any(np.isnan(fs).any() for fs, _ in seen)
+    rows, h, fn, values, scan_bessel = evals[0]
+    assert h.size == 12 * 65 and scan_bessel == [12 * 65]
+    before = len(bessel)
+    direct = [fn(rows[j:j + 1], h[j:j + 1])[0] for j in range(h.size)]
+    # Float calls only (a refused point raises before it reaches one).
+    assert set(bessel[before:]) == {None}
+    assert np.array_equal(values, direct, equal_nan=True)
+    assert np.isnan(values).any()
 
 
 def test_array_solve_warns_once_for_rows_with_several_roots():
