@@ -30,6 +30,7 @@ F1 = 0, grids 20x20.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -200,8 +201,14 @@ def cmd_trace(ns) -> int:
     if dense > 0 and span != 0.0:
         between = np.setdiff1d(np.linspace(0.0, traj.t_end, dense + 1),
                                traj.ts)
-        rows = np.concatenate(
-            [rows, np.column_stack([between, traj.sample(between)])])
+        # An angle of the spherical chart may lie within an ulp or two of
+        # the largest float, where the interpolant can pass it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = traj.sample(between)
+        if not np.isfinite(samples).all():
+            raise ValueError("--dense samples between the integrator's "
+                             "nodes leave the float range")
+        rows = np.concatenate([rows, np.column_stack([between, samples])])
         rows = rows[np.argsort(rows[:, 0])]
     meta = {
         "chart": chart, "span": span, "t_end": traj.t_end,
@@ -343,7 +350,10 @@ def cmd_verify(ns) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads
+    it and leaves it unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="hopf-flow",
         description="Numerical laboratory for the unit-speed flow induced "

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .integrator import inlined_field
+
 # Chart guards: spherical integration must stop before these floors.
 RADIUS_FLOOR = 1e-6
 SIN_PSI_FLOOR = 1e-8
@@ -68,36 +70,48 @@ class SignReport:
     consistent: bool = True
 
 
-def cartesian_ode(t: float, p: Sequence[float]) -> tuple[float, float, float]:
+def _refuse_cartesian(x, y, z):
+    """Raise the error of a Cartesian state outside the field's domain: a
+    coordinate that is not finite, or |p|^2 + 4 at or past
+    _S_PLUS_4_MAX."""
+    if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        # float() so a list state and an array state read the same.
+        raise ValueError(f"Cartesian state ({float(x)!r}, {float(y)!r}, "
+                         f"{float(z)!r}) overflows the field: "
+                         f"(|p|^2 + 4)^2 exceeds the float range")
+    raise ValueError("non-finite Cartesian state")
+
+
+# Each field is written once, as text: `inlined_field` compiles it into
+# the public function, and `integrate` writes its body into the stages of
+# its steps, where a failing guard hands the stage to the function.
+cartesian_ode = inlined_field('''
+def cartesian_ode(t, p):
     """Unit-norm field (vx, vy, vz) at p = (x, y, z); t is unused (the
     field is autonomous)."""
     x, y, z = p
     # Each coordinate is bounded before anything is squared, so an array
     # state is refused without a numpy overflow warning.  NaN fails the
-    # bound; a finite |c| >= _COORD_MAX gives s + 4 >= _S_PLUS_4_MAX, so
-    # s = inf refuses exactly the states the sum would.
-    if abs(x) < _COORD_MAX and abs(y) < _COORD_MAX and abs(z) < _COORD_MAX:
-        s = x * x + y * y + z * z
-    elif math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-        s = math.inf
-    else:
-        raise ValueError("non-finite Cartesian state")
+    # bound, and a finite |c| >= _COORD_MAX would fail the next guard.
+    if not (abs(x) < _COORD_MAX and abs(y) < _COORD_MAX
+            and abs(z) < _COORD_MAX):
+        return _refuse_cartesian(x, y, z)
+    s = x * x + y * y + z * z
     if not s + 4.0 < _S_PLUS_4_MAX:
-        # float() so a list state and an array state read the same.
-        raise ValueError(f"Cartesian state ({float(x)!r}, {float(y)!r}, "
-                         f"{float(z)!r}) overflows the field: "
-                         f"(|p|^2 + 4)^2 exceeds the float range")
+        return _refuse_cartesian(x, y, z)
     d = (s + 4.0) ** 2
     return (8.0 * (4.0 * z * x - y * s + 4.0 * y) / d,
             8.0 * (4.0 * z * y + x * s - 4.0 * x) / d,
             (24.0 * x * x + 24.0 * y * y - 8.0 * z * z - s * s - 16.0) / d)
+''', globals())
 
 
-def spherical_ode(t: float, s: Sequence[float]) -> tuple[float, float, float]:
+spherical_ode = inlined_field('''
+def spherical_ode(t, s):
     """Spherical system (dr, dphi, dpsi) at s = (r, phi, psi): the
     reversed-time image of the Cartesian field.  It does not depend on
     phi or t."""
-    r, _, psi = s
+    r, phi, psi = s
     if r <= 0.0:
         raise ValueError("spherical evaluation requires r > 0")
     rr = r * r
@@ -109,6 +123,7 @@ def spherical_ode(t: float, s: Sequence[float]) -> tuple[float, float, float]:
     dr = (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0) * cos_psi / q
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / (r * q)
     return dr, dphi, dpsi
+''', globals())
 
 
 def to_spherical(p: Sequence[float]) -> tuple[float, float, float]:

@@ -13,7 +13,14 @@ list or a 1-D array; a wrong count raises ValueError at any call).
 Stage i is f(t + c_i h, y + sum_j (h a_ij) k_j); the new state is
 y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the local error
 is h sum_j e_j k_j, each sum written out over scalar locals by a step
-generated from one template per state dimension d.  The error norm is
+generated from one template per state dimension d and field.  A field
+that `inlined_field` defined from its text (the package's four:
+`fields.cartesian_ode`, `fields.spherical_ode`,
+`reduced_system.reduced_time_ode` and the dH/dr of `trace_h`) has its
+body written into every stage in place of the call, over the same
+locals and with the same bits; where one of its guards fails, the stage
+calls the field.  Any other callable, a wrapper of one of those four
+included, is called at every stage.  The error norm is
 the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
 where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  Each
 accepted step extends three flat `array('d')` buffers of times, states
@@ -38,9 +45,12 @@ ends the trajectory there.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import functools
 import linecache
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -201,15 +211,127 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     return min(100.0 * h0, h1, span)
 
 
+# The fields `inlined_field` defined, by the id of the function object:
+# the source that the steps generated for that field write out in place
+# of each field_fn call.
+_INLINED: dict[int, str] = {}
+
+
+def inlined_field(source: str, namespace: dict) -> Callable:
+    """The field function that `source` defines, compiled in `namespace`.
+
+    source is one `def name(t, y)`: an optional docstring, a statement
+    unpacking y into one name per component, assignments (never to t or
+    a component) and guards, and `return` of a tuple of one expression
+    per component.  A guard is an `if` with no else; its body is the
+    function's cold path (it returns or raises).  The function's globals
+    are `namespace` (a module's globals), and its text is kept in
+    linecache, so a traceback through it shows its line.
+
+    `integrate` writes the body of the very function returned (not of a
+    wrapper around it) into each stage of its step: where a guard's test
+    holds, the stage calls the function instead, which takes its cold
+    path.  The body is parsed, and the module-level names it reads are
+    bound, when the first step for it is generated.
+    """
+    name = re.match(r"\s*def (\w+)", source).group(1)
+    filename = f"<field {namespace['__name__']}.{name}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    local: dict = {}
+    exec(compile(source, filename, "exec"), namespace, local)
+    fn = local[name]
+    _INLINED[id(fn)] = source
+    return fn
+
+
+def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
+    """(stage, names) for writing field's body into a step.
+
+    stage(s, at, state) gives the lines that bind k{s}_0, k{s}_1, ... to
+    the field's slope at time `at` and the state whose components are the
+    expressions `state`.  The body's own names become f_<name>, and the
+    module-level and builtin names it reads g_<name>, so none meets a
+    name of the step; `names` binds the latter.
+    """
+    (fdef,) = ast.parse(_INLINED[id(field)]).body
+    body = fdef.body[1:] if ast.get_docstring(fdef) is not None else fdef.body
+    unpack, *statements, ret = body
+    time, arg = (a.arg for a in fdef.args.args)
+    target = unpack.targets[0] if isinstance(unpack, ast.Assign) else None
+    components = [n.id for n in getattr(target, "elts", ())
+                  if isinstance(n, ast.Name)]
+    assigned = {n.id for st in statements if isinstance(st, ast.Assign)
+                for t in st.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    if not (isinstance(target, (ast.Tuple, ast.List))
+            and len(components) == len(target.elts)
+            and isinstance(unpack.value, ast.Name)
+            and unpack.value.id == arg
+            and all(isinstance(st, ast.Assign)
+                    or isinstance(st, ast.If) and not st.orelse
+                    for st in statements)
+            and not assigned & {time, *components}
+            and isinstance(ret, ast.Return)
+            and isinstance(ret.value, ast.Tuple)
+            and len(ret.value.elts) == len(components)):
+        raise ValueError(f"{fdef.name}: not a field integrate can inline")
+    local = {time, *components, *assigned}
+    names: dict = {}
+    read: set[str] = set()
+
+    def rename(node: ast.AST) -> str:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id in local:
+                read.add(n.id)
+                n.id = f"f_{n.id}"
+            elif isinstance(n, ast.Name):
+                g = field.__globals__
+                names[f"g_{n.id}"] = (g[n.id] if n.id in g
+                                      else getattr(builtins, n.id))
+                n.id = f"g_{n.id}"
+        return ast.unparse(node)
+
+    # A guard's test is written out, not its body: the cold path is the
+    # field's own.
+    lines = [(True, rename(st.test)) if isinstance(st, ast.If)
+             else (False, rename(st)) for st in statements]
+    slopes = [rename(e) for e in ret.value.elts]
+    comps = [f"f_{c}" for c in components]
+
+    def stage(s: int, at: str, state: list[str]) -> list[str]:
+        ks = [f"k{s}_{i}" for i in range(len(comps))]
+        call = f"[{', '.join(ks)}] = field_fn({at}, [{', '.join(comps)}])"
+        out = [f"{c} = {v}" for c, v in zip(comps, state)]
+        if time in read:
+            out.append(f"f_{time} = {at}")
+        indent = ""
+        for guard, line in lines:
+            if guard:
+                out += [f"{indent}if {line}:", f"{indent}    {call}",
+                        f"{indent}else:"]
+                indent += "    "
+            else:
+                out.append(indent + line)
+        out += [f"{indent}{k} = {e}" for k, e in zip(ks, slopes)]
+        return ["    " + line for line in out]
+
+    return stage, names
+
+
 @functools.cache
-def _step_fn(d: int) -> Callable:
+def _step_fn(d: int, field: Callable | None = None) -> Callable:
     """The step for states of d components, generated on first use.
 
     step(field_fn, t, y, k1, hs, rel_tol, abs_tol) returns y_new (a
-    list), field_fn's slope k7 there, and the error norm.  Unpacking each
-    slope into d locals refuses a wrong-length one.  The source is kept
-    in linecache, so a traceback through a step shows its line.  Every
-    sum keeps a fixed term order, on which trajectories' bits rest.
+    list), field_fn's slope k7 there, and the error norm.  With `field`,
+    a function `inlined_field` defined, each stage is that field's body
+    written over the step's locals (see `inlined_field`); without, each
+    stage calls field_fn, and unpacking each slope into d locals refuses
+    a wrong-length one.  The source is kept in linecache, so a traceback
+    through a step shows its line.  Every sum keeps a fixed term order,
+    and an inlined body every operation of the field's, on which
+    trajectories' bits rest.
     """
     rows = [(f"a{s}", row) for s, row in enumerate(_A[:-1], start=2)]
     names = {f"{p}{j}": w for p, row in rows + [("b", _A[-1]), ("e", _E)]
@@ -217,9 +339,21 @@ def _step_fn(d: int) -> Callable:
     names.update({f"c{s}": c for s, c in enumerate(_C, start=1)},
                  sqrt=math.sqrt)
 
-    def each(expr: str, sep: str = ", ") -> str:
+    def every(expr: str) -> list[str]:
         """expr for every component, '#' standing for its index."""
-        return sep.join(expr.replace("#", str(i)) for i in range(d))
+        return [expr.replace("#", str(i)) for i in range(d)]
+
+    def each(expr: str, sep: str = ", ") -> str:
+        return sep.join(every(expr))
+
+    def called(s: int, at: str, state: list[str]) -> list[str]:
+        return [f"    [{each(f'k{s}_#')}] = field_fn({at}, "
+                f"[{', '.join(state)}])"]
+
+    stage = called
+    if field is not None:
+        stage, field_names = _inlined_stage(field)
+        names.update(field_names)
 
     def weigh(prefix: str, row: Sequence[float]) -> tuple[list[str], str]:
         """q_j = hs * w_j over the row's nonzero weights, and the sum
@@ -235,15 +369,18 @@ def _step_fn(d: int) -> Callable:
     for s, (prefix, row) in enumerate(rows, start=2):
         qs, incr = weigh(prefix, row)
         at = "t + hs" if _C[s - 1] == 1.0 else f"t + c{s} * hs"
-        src += qs + [f"    [{each(f'k{s}_#')}] = field_fn({at}, "
-                     f"[{each(f'y# + {incr}')}])"]
+        src += qs + stage(s, at, every(f"y# + {incr}"))
     # The 5th-order weights (b2 = 0); first-same-as-last: stage 7 sits
     # at (t + h, y_new).
     qs, incr = weigh("b", _A[-1])
     src += qs + [each(f"    n# = y# + {incr}", "\n"),
-                 f"    y_new = [{each('n#')}]",
-                 "    k7 = field_fn(t + hs, y_new)",
-                 f"    [{each('k7_#')}] = k7"]
+                 f"    y_new = [{each('n#')}]"]
+    if field is None:
+        src += ["    k7 = field_fn(t + hs, y_new)",
+                f"    [{each('k7_#')}] = k7"]
+    else:
+        src += stage(7, "t + hs", every("n#")) + [
+            f"    k7 = [{each('k7_#')}]"]
     # Local error h sum_j e_j k_j (e2 = 0) over the scale
     # abs_tol + rel_tol * max(|y|, |y_new|).
     e_sum = " + ".join(f"e{j} * k{j}_#" for j, w in enumerate(_E, start=1)
@@ -253,7 +390,8 @@ def _step_fn(d: int) -> Callable:
                  "\n"),
             f"    return y_new, k7, sqrt(({each('r# * r#', ' + ')}) / {d})"]
 
-    filename = f"<dp5 step d={d}>"
+    filename = f"<dp5 step d={d}>" if field is None else (
+        f"<dp5 step d={d} {field.__module__}.{field.__qualname__}>")
     text = "\n".join(src) + "\n"
     linecache.cache[filename] = (len(text), None, text.splitlines(True),
                                  filename)
@@ -314,7 +452,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     nreject = 0
     facold = 1e-4
     just_rejected = False
-    step = _step_fn(d)
+    step = _step_fn(
+        d, field_fn if id(field_fn) in _INLINED else None)
 
     for _ in range(MAX_STEPS):
         rem = abs(t1 - t)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .diagnostics import bracketed_roots, relative_to_terms, scan_points
 from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
-from .integrator import Event, Trajectory, integrate
+from .integrator import Event, Trajectory, inlined_field, integrate
 from .special_functions import Z_MAX, bessel_quad
 
 EPS_TURN = 1e-8
@@ -139,13 +139,18 @@ def psi_rhs(r: float, psi: float) -> float:
     return num / den
 
 
-def _h_rhs_raw(r: float, h: float) -> float:
+# dH/dr as trace_h integrates it, at (r, H = y[0]); written once as text
+# (see `inlined_field`).  On the turning locus the slope is +-inf.
+_dh_dr = inlined_field('''
+def _dh_dr(r, y):
+    (h,) = y
     rr = r * r
     num = -2.0 * h * (rr * rr + 40.0 * rr - 64.0 * h * rr + 16.0)
     den = r * (rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0)
     if den == 0.0:
-        return math.inf if num >= 0 else -math.inf
-    return num / den
+        return (math.inf if num >= 0 else -math.inf,)
+    return (num / den,)
+''', globals())
 
 
 def h_rhs(r: float, h: float) -> float:
@@ -157,7 +162,7 @@ def h_rhs(r: float, h: float) -> float:
     scale = r * (rr * rr + 8.0 * rr + 16.0)
     if abs(den) <= EPS_TURN * scale:
         raise TurningPointError(r, h, turning_locus(r), "H")
-    return _h_rhs_raw(r, h)
+    return _dh_dr(r, (h,))[0]
 
 
 def h_residual_terms(r: float, h: float, dh_dr: float) -> list[float]:
@@ -311,16 +316,18 @@ def trace_h(r0: float, h0: float, r1: float,
         Event(fn=lambda r, y: float(y[0]) - 1e-15, direction=-1,
               name="h-floor"),
     )
-    traj = integrate(lambda r, y: (_h_rhs_raw(r, y[0]),),
-                     [h0], (r0, r1), rel_tol=rel_tol, events=events)
+    traj = integrate(_dh_dr, [h0], (r0, r1), rel_tol=rel_tol,
+                     events=events)
     hs = traj.ys[:, 0]
     if hs.max() > 1.0 + 1e-9 or hs.min() < -1e-12:
         raise RuntimeError("H left [0, 1] without triggering a guard event")
     return traj
 
 
-def reduced_time_ode(s: float, y: Sequence[float]) -> tuple[float, float]:
-    """Planar (r, psi) flow, time rescaled by the positive factor (r^2+4)^2.
+reduced_time_ode = inlined_field('''
+def reduced_time_ode(s, y):
+    """Planar (r, psi) flow, time rescaled by the positive factor
+    (r^2+4)^2.
 
     Same curves as the spherical system with the azimuth dropped; the
     rescaling keeps the right side polynomial and fold-friendly.
@@ -332,6 +339,7 @@ def reduced_time_ode(s: float, y: Sequence[float]) -> tuple[float, float]:
     dr = cos_psi * (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0)
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / r
     return dr, dpsi
+''', globals())
 
 
 def _fold_clearance(r: float, psi: float) -> float:

@@ -2,8 +2,10 @@
 
 Supported argument range is z in (0, 300]: there I, K and the ratio K/I
 (~ pi e**(-2z), the scale of the implicit constant) are all normal
-doubles.  Each function is an exponentially scaled Chebyshev series on
-two intervals, with the interval split of Cephes (Moshier 1989):
+doubles.  The range leaves out the smallest subnormal, 5e-324, whose
+half, inside K's log(z/2), rounds to 0.  Each function is an
+exponentially scaled Chebyshev series on two intervals, with the
+interval split of Cephes (Moshier 1989):
 
 * I0 e**-z and I1 e**-z / z on (0, 8], t = z/4 - 1;
 * I0 e**-z sqrt(z) and I1 e**-z sqrt(z) on (8, 300], t = 16/z - 1;
@@ -95,7 +97,7 @@ def _k_large(z):
 
 
 def _quad_scalar(z: float) -> BesselQuad:
-    if not 0.0 < z <= Z_MAX:
+    if not (0.0 < 0.5 * z and z <= Z_MAX):
         raise ValueError(f"argument {z!r} outside supported range (0, {Z_MAX}]")
     i0, i1 = _i_small(z) if z <= _I_SPLIT else _i_large(z)
     k0, k1 = _k_small(z, i0, i1) if z <= _K_SPLIT else _k_large(z)
@@ -104,7 +106,7 @@ def _quad_scalar(z: float) -> BesselQuad:
 
 def _quad_array(z: np.ndarray) -> BesselQuad:
     i0, i1, k0, k1 = (np.full(z.shape, math.nan) for _ in range(4))
-    ok = (z > 0.0) & (z <= Z_MAX)
+    ok = (0.5 * z > 0.0) & (z <= Z_MAX)
     small_i = ok & (z <= _I_SPLIT)
     small_k = ok & (z <= _K_SPLIT)
     for mask, fn in ((small_i, _i_small), (ok & ~small_i, _i_large)):

@@ -90,9 +90,9 @@ def test_implicit_inversion_fails_on_a_planted_wrong_root(monkeypatch):
 def test_implicit_constant_fails_when_conservation_breaks(monkeypatch):
     # A 1e-4 fault in dH/dr moves the traced curves off the level sets:
     # neither form is conserved, and the check says so with a verdict.
-    rhs = reduced_system._h_rhs_raw
-    monkeypatch.setattr(reduced_system, "_h_rhs_raw",
-                        lambda r, h: rhs(r, h) * (1.0 + 1e-4))
+    rhs = reduced_system._dh_dr
+    monkeypatch.setattr(reduced_system, "_dh_dr",
+                        lambda r, y: (rhs(r, y)[0] * (1.0 + 1e-4),))
     rpt = checks.run_battery(only=["implicit-constant"])["checks"][0]
     assert rpt["verdict"] == "fail"
     assert rpt["max_abs"] > 1e-5

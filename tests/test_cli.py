@@ -400,6 +400,9 @@ _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 # Roots whose residual terms c1 (4 + r^2) I0 pass the float range.
 @example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8,
          as_config=True)
+# A scan point whose Bessel argument is the smallest subnormal.
+@example(rmin=4.2629375274477494e-216, rmax=0.0, c1=0.0,
+         bracket=(4.2629375274477494e-216, 1.0), n=1, as_config=False)
 def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
                                               as_config):
     values = {"rmin": rmin, "rmax": rmax, "c1": c1, "bracket": list(bracket),
@@ -422,6 +425,76 @@ def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
     message = err.getvalue()
     assert (code == 0 or (code == 2 and message.startswith("hopf-flow: "))
             or (code == 1 and "found no roots" in message)), (code, message)
+
+
+_TRACE_FLAGS = ("span", "tol", "dense", "chart")
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.tuples(*[_ANY_FLOAT | st.floats(-3.0, 3.0)
+                         | st.floats(0.1, 3.0)] * 3),
+       span=st.floats(-50.0, 50.0),
+       tol=(_ANY_FLOAT | st.floats(1e-14, 1e-2)
+            | st.sampled_from([1e-3, 1e-6, 1e-10])),
+       dense=st.integers(0, 50),
+       chart=st.sampled_from(["cartesian", "spherical"]),
+       in_config=st.sets(st.sampled_from(_TRACE_FLAGS)))
+# An escaping orbit whose state leaves the field's domain mid-run.
+@example(start=(1.0, 0.0, 0.0), span=1e300, tol=1e-3, dense=0,
+         chart="cartesian", in_config=set())
+# An angle at the largest float, which the dense interpolant overflows.
+@example(start=(1.25, 0.0, 1.7976931348623157e308), span=1.0,
+         tol=0.0078125, dense=3, chart="spherical", in_config=set())
+def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
+                                          in_config):
+    values = {"span": span, "tol": tol, "dense": dense, "chart": chart}
+    with tempfile.TemporaryDirectory() as tmp:
+        # --start is required on the command line.
+        argv = ["trace", "--start=" + ",".join(map(repr, start)),
+                "--out", os.path.join(tmp, "o")]
+        argv += [f"--{flag}={values[flag]!r}" if flag != "chart"
+                 else f"--chart={chart}"
+                 for flag in _TRACE_FLAGS if flag not in in_config]
+        if in_config:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="ascii") as fh:
+                json.dump({flag: values[flag] for flag in in_config}, fh)
+            argv += ["--config", cfg]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(*argv)
+    message = err.getvalue()
+    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")), (
+        code, message)
+
+
+def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
+    # One parser serves every call in a process: repeated flags, and
+    # values a --config file gave, must not carry over to the next call.
+    out = tmp_path / "o"
+
+    def doc(*argv):
+        assert run_cli(*argv, "--out", str(out)) == 0
+        return json.loads(out.read_text())
+
+    assert len(doc("field", "--point", "1,0,0", "--point", "0,1,0",
+                   "--format", "json")["rows"]) == 2
+    assert len(doc("field", "--point", "0,0,2",
+                   "--format", "json")["rows"]) == 1
+    assert len(doc("field", "--format", "json")["rows"]) == 5
+    for only in ("unit-norm", "bessel-wronskian"):
+        checks = doc("verify", "--only", only)["checks"]
+        assert [c["name"] for c in checks] == [only]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"span": 0.5, "dense": 3, "tol": 1e-6}))
+    meta = doc("trace", "--start", "1,0,0", "--config", str(cfg),
+               "--format", "json")["meta"]
+    assert (meta["span"], meta["dense_samples"], meta["rel_tol"]) == (
+        0.5, 3, 1e-6)
+    meta = doc("trace", "--start", "1,0,0", "--format", "json")["meta"]
+    assert (meta["span"], meta["dense_samples"], meta["rel_tol"]) == (
+        10.0, 0, 1e-10)
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):

@@ -6,8 +6,10 @@ import traceback
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hopf_flow import fields, integrator
+from hopf_flow import fields, integrator, reduced_system
 from hopf_flow.integrator import Event, integrate
 
 
@@ -273,6 +275,21 @@ def test_traceback_through_a_step_shows_the_stage_line():
     assert "[k3_0, k3_1] = field_fn(t + c3 * hs, " in text
 
 
+def test_traceback_through_an_inlined_step_shows_the_stage_line():
+    # An escaping orbit leaves the Cartesian field's domain inside a step:
+    # the inlined stage's guard fails, and the stage calls the field, which
+    # raises.
+    with pytest.raises(ValueError, match="overflows the field") as err:
+        integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 1e300),
+                  rel_tol=1e-3)
+    text = "".join(traceback.format_exception(err.value))
+    assert '"<dp5 step d=3 hopf_flow.fields.cartesian_ode>"' in text
+    assert ("[k4_0, k4_1, k4_2] = field_fn(t + c4 * hs, [f_x, f_y, f_z])"
+            in text)
+    assert '"<field hopf_flow.fields.cartesian_ode>"' in text
+    assert "return _refuse_cartesian(x, y, z)" in text
+
+
 def chain5(t, y):
     a, b, c, d, e = y
     return (b - 0.1 * a, c - a, d - b + 0.2 * e, e - c, -d - 0.3 * e)
@@ -283,9 +300,11 @@ _LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
 
 # SHA-256 of the ts, ys and fs bytes of fixed runs, one per state
 # dimension in use (d = 5 is used nowhere in the package), both time
-# directions and an event stop.  Any change to the arithmetic or the
-# order of a step's operations moves them; the spherical digest also
-# rests on the platform's libm sin and cos.
+# directions and an event stop, and one run of each of the package's four
+# fields, whose bodies the steps inline: their digests are those the step
+# that calls the field gave.  Any change to the arithmetic or the order of
+# a step's operations moves them; the spherical and reduced digests also
+# rest on the platform's libm sin and cos.
 @pytest.mark.parametrize("run, stop, digest", [
     (lambda: integrate(decay, [1.0], (0.0, 5.0), rel_tol=1e-9),
      "reached_end",
@@ -310,8 +329,16 @@ _LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
                        events=(_LEVEL,)),
      "event",
      "23d7232d0231eb1d7862bd4f8a856e90ffc35b41b76ba4d7c7ebd2210c509ee3"),
+    (lambda: reduced_system.trace_h(1.0, 0.5, 200.0),
+     "event",
+     "423aa4451ea6e4fd26ca0c202eca382deb753e56fcabe32a638d3562c50a4a88"),
+    (lambda: integrate(reduced_system.reduced_time_ode, [1.0, 0.7854],
+                       (0.0, 0.05)),
+     "reached_end",
+     "dfd6bb0a5003aa377488973aac4aacffce27d4637934e0b14175312dc9d20d4e"),
 ], ids=["decay-d1", "oscillator-d2", "oscillator-d2-backward",
-        "cartesian-d3", "spherical-d3", "linear-d5", "event-stop"])
+        "cartesian-d3", "spherical-d3", "linear-d5", "event-stop",
+        "trace-h-d1", "reduced-time-d2"])
 def test_trajectories_keep_their_bits(run, stop, digest):
     traj = run()
     assert traj.stop_reason == stop
@@ -351,3 +378,52 @@ def test_stored_slopes_are_the_field_at_the_stored_states():
     assert len(traj.ts) > 1000 and traj.nreject > 0
     for t, y, f in zip(traj.ts, traj.ys, traj.fs):
         assert np.asarray(fields.cartesian_ode(t, y)).tobytes() == f.tobytes()
+
+
+def _outcome(field, y0, span, rel_tol):
+    """A run's bits, stop reason and counters, or its exception."""
+    try:
+        traj = integrate(field, y0, span, rel_tol=rel_tol)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return (traj.ts.tobytes(), traj.ys.tobytes(), traj.fs.tobytes(),
+            traj.stop_reason, traj.nfev, traj.naccept, traj.nreject)
+
+
+_COORD = (st.floats(-10.0, 10.0)
+          | st.sampled_from([0.0, 1e77, -2e77, 8e76, 1e300, -1e-300]))
+# Each field of the package with a strategy for its starting states.
+_FIELDS = {
+    "cartesian": (fields.cartesian_ode, st.tuples(_COORD, _COORD, _COORD)),
+    "spherical": (fields.spherical_ode, st.tuples(
+        st.floats(1e-3, 10.0) | st.sampled_from([0.0, -1.0, 1e200]),
+        st.floats(-4.0, 4.0), st.floats(0.0, math.pi))),
+    "reduced-time": (reduced_system.reduced_time_ode, st.tuples(
+        st.floats(1e-3, 10.0) | st.sampled_from([0.0, 1e200]),
+        st.floats(-4.0, 4.0))),
+    "dh-dr": (reduced_system._dh_dr, st.tuples(st.floats(0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), t0=st.floats(0.1, 10.0), span=st.floats(-20.0, 20.0),
+       rel_tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+# An escaping Cartesian orbit at a loose tolerance, and a spherical one that
+# runs into r = 0, where the inlined guard hands a stage to the field.
+@example(data=None, t0=1.0, span=20.0, rel_tol=1e-3)
+def test_inlined_steps_give_the_bits_of_a_field_call(name, data, t0, span,
+                                                     rel_tol):
+    field, starts = _FIELDS[name]
+    if data is None:
+        y0 = {"cartesian": (0.8, 0.0, 0.0), "spherical": (0.1, 0.0, 3.1),
+              "reduced-time": (0.5, 3.0), "dh-dr": (0.5,)}[name]
+    else:
+        y0 = data.draw(starts, label="y0")
+    t_span = (t0, t0 + span) if name == "dh-dr" else (0.0, span)
+    # Across the turning locus dH/dr alternates accepted and rejected steps
+    # until the budget runs out; a small budget keeps every example short.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator, "MAX_STEPS", 3000)
+        called = _outcome(lambda t, y: field(t, y), y0, t_span, rel_tol)
+        assert _outcome(field, y0, t_span, rel_tol) == called

@@ -127,9 +127,12 @@ def test_package_import_leaves_mpmath_alone():
 
 
 def test_domain_guards():
-    for bad in (0.0, -1.0, sf.Z_MAX + 1e-9, math.nan):
+    for bad in (0.0, 5e-324, -1.0, sf.Z_MAX + 1e-9, math.nan):
         with pytest.raises(ValueError):
             sf.bessel_quad(bad)
+    # At the smallest subnormal z / 2 rounds to 0: refused, NaN in an
+    # array, and no numpy warning from log(0).
+    assert math.isnan(sf.bessel_quad(np.array([5e-324])).k0[0])
     q = sf.bessel_quad(sf.Z_MAX)
     assert all(math.isfinite(v) and v > 0.0 for v in (q.i0, q.i1, q.k0, q.k1))
     # K1 ~ 1/z passes the float range at a subnormal z: inf on both
