@@ -59,11 +59,12 @@ def _check_unit_norm(tol: float, documented: bool) -> ResidualReport:
     return summarize("unit-norm", residuals, tol, documented)
 
 
-def _micro_fd_rate(y: np.ndarray, quantity, h: float = 1e-5) -> float:
-    """d quantity/dt at state y via two tiny re-integrations."""
+def _micro_fd_rates(y: np.ndarray, quantities, h: float = 1e-5) -> list:
+    """d q/dt at state y for each q of quantities, by central differences
+    over one forward and one backward tiny re-integration."""
     fwd = integrate(fields.cartesian_ode, y, (0.0, h), rel_tol=1e-12).y_end
     bwd = integrate(fields.cartesian_ode, y, (0.0, -h), rel_tol=1e-12).y_end
-    return (quantity(fwd) - quantity(bwd)) / (2.0 * h)
+    return [(q(fwd) - q(bwd)) / (2.0 * h) for q in quantities]
 
 
 def _rate_residuals(starts, span: float, n_samples: int) -> list:
@@ -75,13 +76,13 @@ def _rate_residuals(starts, span: float, n_samples: int) -> list:
         for i in idx:
             y = traj.ys[i]
             rates = fields.derived_rates(y)
+            fd, fd2 = _micro_fd_rates(y, (lambda s: math.atan2(s[1], s[0]),
+                                          lambda s: s[0] ** 2 + s[1] ** 2))
             if y[0] ** 2 + y[1] ** 2 > 1e-3:
-                fd = _micro_fd_rate(y, lambda s: math.atan2(s[1], s[0]))
                 # atan2 jumps by 2 pi across the negative x half-plane.
                 err = fd - rates.rate_arctan
                 err -= 2.0 * math.pi * round(err / (2.0 * math.pi))
                 residuals.append(err)
-            fd2 = _micro_fd_rate(y, lambda s: s[0] ** 2 + s[1] ** 2)
             residuals.append((fd2 - rates.rate_r2)
                              / max(1.0, abs(rates.rate_r2)))
     return residuals

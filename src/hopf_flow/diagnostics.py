@@ -17,12 +17,15 @@ residual of 1e-16 means cancellation to machine precision regardless of
 the raw magnitudes involved.
 
 Every root solve of the package (the implicit Bessel relation for H, the
-parameter elimination v(xi, psi) = r and the integrator's events) goes
-through `bracketed_roots`.  It takes many rows at once: one evaluation
-covers every row's sign-change scan, and then all brackets advance
-through the Illinois rounds in lockstep, one evaluation per round over
-the brackets still live.  Each bracket does the arithmetic of a scalar
-refiner on floats, so a root does not depend on the other rows.
+parameter elimination v(xi, psi) = r and the integrator's events) runs
+one sign-change scan and one Illinois refiner.  `bracketed_roots` takes
+many rows at once: one evaluation covers every row's scan, and then all
+brackets advance through the Illinois rounds in lockstep, one evaluation
+per round over the brackets still live.  Each bracket does the
+arithmetic of a scalar refiner on floats, so a root does not depend on
+the other rows.  `float_roots` is the same scan and refiner for one row
+of a float function, without numpy: it gives the bits of that row of
+`bracketed_roots` at a fraction of its set-up cost.
 """
 
 from __future__ import annotations
@@ -177,6 +180,27 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     for k, x in zip(row.tolist(), roots):
         per_row[k].append(x)
     return per_row
+
+
+def float_roots(fn: Callable[[float], float], lo: float, hi: float,
+                n_scan: int, tol: float) -> list[float]:
+    """`bracketed_roots` for one row on floats: fn(x) takes and gives a
+    float, and the roots come back as one list, with the same bits."""
+    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
+    fs = [float(fn(x)) for x in xs]
+    roots = []
+    for i, (x, f) in enumerate(zip(xs, fs)):
+        if f == 0.0:
+            roots.append(x)
+        elif i < n_scan and f * fs[i + 1] < 0.0:
+            refiner = _illinois(x, xs[i + 1], f, fs[i + 1], tol)
+            try:
+                at = next(refiner)
+                while True:
+                    at = refiner.send(float(fn(at)))
+            except StopIteration as stop:
+                roots.append(stop.value)
+    return roots
 
 
 def _illinois(a: float, b: float, fa: float, fb: float,

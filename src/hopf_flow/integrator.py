@@ -7,14 +7,14 @@ steps.  Works in either time direction (t1 < t0 integrates backward); an
 empty span returns the single initial sample.  Runs are deterministic:
 identical inputs give bit-identical trajectories.
 
-A step runs on Python floats: the state is a list of d floats, and
-field_fn(t, y) receives such a list and returns d numbers (a tuple, a
-list or a 1-D array; a wrong count raises ValueError at any call).
-Stage i is f(t + c_i h, y + sum_j (h a_ij) k_j); the new state is
-y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the local error
-is h sum_j e_j k_j, each sum written out over scalar locals by a step
-generated from one template per state dimension d and field.  A field
-that `inlined_field` defined from its text (the package's four:
+A run is one function generated from one template per state dimension
+d and field, on Python floats: the state is d scalar locals, and
+field_fn(t, y) receives the state as a list of d floats and returns d
+numbers (a tuple, a list or a 1-D array; a wrong count raises ValueError
+at any call).  Stage i is f(t + c_i h, y + sum_j (h a_ij) k_j); the new
+state is y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the
+local error is h sum_j e_j k_j, each sum written out over the locals.  A
+field that `inlined_field` defined from its text (the package's four:
 `fields.cartesian_ode`, `fields.spherical_ode`,
 `reduced_system.reduced_time_ode` and the dH/dr of `trace_h`) has its
 body written into every stage in place of the call, over the same
@@ -22,25 +22,28 @@ locals and with the same bits; where one of its guards fails, the stage
 calls the field.  Any other callable, a wrapper of one of those four
 included, is called at every stage.  The error norm is
 the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
-where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  Each
-accepted step extends three flat `array('d')` buffers of times, states
-and slopes; the trajectory's arrays are numpy views of those buffers,
-made without a copy.  numpy enters only there and to locate an event.
-A run makes 2 RHS calls to start, 6 per attempted step and 1 more when
-an event stops it.
+where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  The
+same function runs the accept/reject loop around the step: the PI
+controller, the stop tests and the event sign test.  Each accepted step
+extends three flat `array('d')` buffers of times, states and slopes; the
+trajectory's arrays are numpy views of those buffers, made without a
+copy.  A run makes 2 RHS calls to start, 6 per attempted step and 1 more
+when an event stops it.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
-(`step_underflow`), or after MAX_STEPS attempted steps (`max_steps`);
-each returns the trajectory up to that point.
+(`step_underflow`), when STALL_WINDOW accepted steps in a row advance t
+by less than STALL_FRACTION of the span (`stalled`), or after MAX_STEPS
+attempted steps (`max_steps`); each returns the trajectory up to that
+point.  A stall is tested once per window.
 
 Every event stops the run.  When an event function changes sign over an
 accepted step, the crossing is located on that step's Hermite interpolant
-by the package's shared root refiner, `diagnostics.bracketed_roots`, as
-one row with one scan interval (the step), to EVENT_T_TOL in t (or to
-adjacent doubles where that is finer than one ulp); each refining round
-evaluates the event function once.  The earliest crossing in the step
-ends the trajectory there.
+on floats by `diagnostics.float_roots`, the shared root refiner's
+one-row path, with one scan interval (the step), to EVENT_T_TOL in t (or
+to adjacent doubles where that is finer than one ulp); each refining
+round evaluates the event function once.  The earliest crossing in the
+step ends the trajectory there.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import bracketed_roots
+from .diagnostics import float_roots
 
 # Dormand-Prince 5(4) tableau; row i of _A weighs stages 1..i+1 to form
 # stage i + 2, and the last row doubles as the 5th-order weights
@@ -84,11 +87,19 @@ _EXPO = 0.2 - _BETA * 0.75
 EVENT_T_TOL = 1e-12
 MIN_STEP = 1e-14
 MAX_STEPS = 1_000_000
+# A run whose window of STALL_WINDOW accepted steps advances t by less
+# than STALL_FRACTION of the span would need over 1e8 steps, 100 times
+# MAX_STEPS, to cross the span at that pace.  Measured: dH/dr stuck on
+# the turning locus advances ~8e-6 of its span per window; the longest
+# run of the package, `trace --span 1e4` (116k steps), 8.5e-2.
+STALL_WINDOW = 10_000
+STALL_FRACTION = 1e-4
 
 STOP_REACHED_END = "reached_end"
 STOP_EVENT = "event"
 STOP_UNDERFLOW = "step_underflow"
 STOP_MAX_STEPS = "max_steps"
+STOP_STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,8 @@ class Event:
     """Zero crossing of fn(t, y) that stops the integration.
 
     direction > 0 reacts only to rising crossings, < 0 only to falling
-    ones, 0 to both.  fn sees y as a list of floats at accepted steps and
-    as an array row while a crossing is located.
+    ones, 0 to both.  fn sees y as a list of floats, at accepted steps and
+    while a crossing is located.
     """
 
     fn: Callable[[float, Sequence[float]], float]
@@ -164,20 +175,35 @@ class Trajectory:
         return out if np.ndim(t) else out[0]
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1) -> np.ndarray:
-    """Cubic Hermite through (t0, y0, y0') and (t1, y1, y1'), at times t.
+def _hermite(t, t0, t1, y0, y1, f0, f1):
+    """Cubic Hermite through (t0, y0, y0') and (t1, y1, y1'), at time t.
 
-    t, t0 and t1 are scalars or arrays of one entry per query; y0, y1, f0
-    and f1 hold the matching state rows.  A zero-length step returns y0.
+    Either t, t0 and t1 are floats and y0, y1, f0 and f1 lists of d
+    floats, giving a list (events), or t, t0 and t1 are arrays of one
+    entry per query and y0, y1, f0 and f1 the matching (n, d) rows,
+    giving (n, d) rows (`sample`).  Both write the same expressions, but
+    a float's ** 2 is libm's pow and an array's numpy's square, which
+    differ in the last bit at ~1 in 1,000 points.  A zero-length step
+    returns y0.
     """
-    h = np.asarray(t1 - t0)
-    flat = h == 0.0
-    th = (t - t0) / np.where(flat, 1.0, h)
-    h00 = ((1.0 + 2.0 * th) * (1.0 - th) ** 2)[..., None]
-    h10 = (th * (1.0 - th) ** 2)[..., None]
-    h01 = (th * th * (3.0 - 2.0 * th))[..., None]
-    h11 = (th * th * (th - 1.0))[..., None]
-    out = (h00 * y0 + h01 * y1 + h[..., None] * (h10 * f0 + h11 * f1))
+    h = t1 - t0
+    rows = isinstance(h, np.ndarray)
+    if rows:
+        flat = h == 0.0
+        th = (t - t0) / np.where(flat, 1.0, h)
+    elif h == 0.0:
+        return list(y0)
+    else:
+        th = (t - t0) / h
+    h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
+    h10 = th * (1.0 - th) ** 2
+    h01 = th * th * (3.0 - 2.0 * th)
+    h11 = th * th * (th - 1.0)
+    if not rows:
+        return [h00 * a + h01 * b + h * (h10 * p + h11 * q)
+                for a, b, p, q in zip(y0, y1, f0, f1)]
+    h00, h10, h01, h11, h = (w[..., None] for w in (h00, h10, h01, h11, h))
+    out = h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
     return np.where(flat[..., None], y0, out)
 
 
@@ -212,7 +238,7 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
 
 
 # The fields `inlined_field` defined, by the id of the function object:
-# the source that the steps generated for that field write out in place
+# the source that the runs generated for that field write out in place
 # of each field_fn call.
 _INLINED: dict[int, str] = {}
 
@@ -229,10 +255,10 @@ def inlined_field(source: str, namespace: dict) -> Callable:
     linecache, so a traceback through it shows its line.
 
     `integrate` writes the body of the very function returned (not of a
-    wrapper around it) into each stage of its step: where a guard's test
+    wrapper around it) into each stage of its run: where a guard's test
     holds, the stage calls the function instead, which takes its cold
     path.  The body is parsed, and the module-level names it reads are
-    bound, when the first step for it is generated.
+    bound, when the first run for it is generated.
     """
     name = re.match(r"\s*def (\w+)", source).group(1)
     filename = f"<field {namespace['__name__']}.{name}>"
@@ -246,13 +272,13 @@ def inlined_field(source: str, namespace: dict) -> Callable:
 
 
 def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
-    """(stage, names) for writing field's body into a step.
+    """(stage, names) for writing field's body into a run.
 
     stage(s, at, state) gives the lines that bind k{s}_0, k{s}_1, ... to
     the field's slope at time `at` and the state whose components are the
     expressions `state`.  The body's own names become f_<name>, and the
     module-level and builtin names it reads g_<name>, so none meets a
-    name of the step; `names` binds the latter.
+    name of the run; `names` binds the latter.
     """
     (fdef,) = ast.parse(_INLINED[id(field)]).body
     body = fdef.body[1:] if ast.get_docstring(fdef) is not None else fdef.body
@@ -313,25 +339,29 @@ def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
                 indent += "    "
             else:
                 out.append(indent + line)
-        out += [f"{indent}{k} = {e}" for k, e in zip(ks, slopes)]
-        return ["    " + line for line in out]
+        return out + [f"{indent}{k} = {e}" for k, e in zip(ks, slopes)]
 
     return stage, names
 
 
 @functools.cache
-def _step_fn(d: int, field: Callable | None = None) -> Callable:
-    """The step for states of d components, generated on first use.
+def _run_fn(d: int, field: Callable | None = None) -> Callable:
+    """The run for states of d components, generated on first use.
 
-    step(field_fn, t, y, k1, hs, rel_tol, abs_tol) returns y_new (a
-    list), field_fn's slope k7 there, and the error norm.  With `field`,
-    a function `inlined_field` defined, each stage is that field's body
-    written over the step's locals (see `inlined_field`); without, each
-    stage calls field_fn, and unpacking each slope into d locals refuses
-    a wrong-length one.  The source is kept in linecache, so a traceback
-    through a step shows its line.  Every sum keeps a fixed term order,
-    and an inlined body every operation of the field's, on which
-    trajectories' bits rest.
+    run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, min_step,
+    max_steps, window, stall_dt, ts, ys, fs, ev_fns, ev_dirs, gs) steps
+    from (t, y, k1) toward t1, the first step of size h, appends each
+    accepted one to ts, ys and fs, and returns (stop_reason, naccept,
+    nreject, g_lo, g_hi): the event values ev_fns[i](t, y) (gs at the
+    start) at the last two rows, of which one event changed sign in its
+    direction ev_dirs[i] if the reason is STOP_EVENT.  With `field`, a
+    function `inlined_field` defined, each stage is that field's body
+    written over the run's locals, none of which starts with f_ or g_;
+    without, each stage calls field_fn, and unpacking each slope into d
+    locals refuses a wrong-length one.  The source is kept in linecache,
+    so a traceback through a run shows its line.  Every sum keeps a fixed
+    term order, and an inlined body every operation of the field's, on
+    which trajectories' bits rest.
     """
     rows = [(f"a{s}", row) for s, row in enumerate(_A[:-1], start=2)]
     names = {f"{p}{j}": w for p, row in rows + [("b", _A[-1]), ("e", _E)]
@@ -347,8 +377,7 @@ def _step_fn(d: int, field: Callable | None = None) -> Callable:
         return sep.join(every(expr))
 
     def called(s: int, at: str, state: list[str]) -> list[str]:
-        return [f"    [{each(f'k{s}_#')}] = field_fn({at}, "
-                f"[{', '.join(state)}])"]
+        return [f"[{each(f'k{s}_#')}] = field_fn({at}, [{', '.join(state)}])"]
 
     stage = called
     if field is not None:
@@ -360,43 +389,106 @@ def _step_fn(d: int, field: Callable | None = None) -> Callable:
         sum_j q_j k_j for component '#'."""
         js = [j for j, w in enumerate(row, start=1) if w != 0.0]
         terms = " + ".join(f"q{j} * k{j}_#" for j in js)
-        return ([f"    q{j} = hs * {prefix}{j}" for j in js],
+        return ([f"q{j} = hs * {prefix}{j}" for j in js],
                 terms if len(js) == 1 else f"({terms})")
 
-    src = ["def step(field_fn, t, y, k1, hs, rel_tol, abs_tol):",
-           f"    [{each('y#')}] = y", f"    [{each('k1_#')}] = k1"]
+    step = []
     # Stages k2..k6 at t + c_s h (c6 = 1), from the h-scaled rows.
     for s, (prefix, row) in enumerate(rows, start=2):
         qs, incr = weigh(prefix, row)
         at = "t + hs" if _C[s - 1] == 1.0 else f"t + c{s} * hs"
-        src += qs + stage(s, at, every(f"y# + {incr}"))
+        step += qs + stage(s, at, every(f"y# + {incr}"))
     # The 5th-order weights (b2 = 0); first-same-as-last: stage 7 sits
     # at (t + h, y_new).
     qs, incr = weigh("b", _A[-1])
-    src += qs + [each(f"    n# = y# + {incr}", "\n"),
-                 f"    y_new = [{each('n#')}]"]
-    if field is None:
-        src += ["    k7 = field_fn(t + hs, y_new)",
-                f"    [{each('k7_#')}] = k7"]
-    else:
-        src += stage(7, "t + hs", every("n#")) + [
-            f"    k7 = [{each('k7_#')}]"]
+    step += qs + every(f"n# = y# + {incr}") + stage(7, "t + hs", every("n#"))
     # Local error h sum_j e_j k_j (e2 = 0) over the scale
     # abs_tol + rel_tol * max(|y|, |y_new|).
     e_sum = " + ".join(f"e{j} * k{j}_#" for j, w in enumerate(_E, start=1)
                        if w != 0.0)
-    src += [each(f"    u# = abs(y#)\n    w# = abs(n#)\n    r# = hs * "
-                 f"({e_sum}) / (abs_tol + rel_tol * (u# if u# > w# else w#))",
-                 "\n"),
-            f"    return y_new, k7, sqrt(({each('r# * r#', ' + ')}) / {d})"]
+    step += every(f"u# = abs(y#)\nw# = abs(n#)\nr# = hs * ({e_sum}) / "
+                  f"(abs_tol + rel_tol * (u# if u# > w# else w#))")
+    step.append(f"err = sqrt(({each('r# * r#', ' + ')}) / {d})")
 
+    def stop(reason: str, g_hi: str = "gs") -> str:
+        return f"return {reason!r}, naccept, nreject, gs, {g_hi}"
+
+    # The PI controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+    # each min and max written as the comparison the builtin makes.
+    fac_lo, fac_hi = repr(1.0 / _FAC_MAX), repr(1.0 / _FAC_MIN)
+    src = [
+        "def run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, "
+        "min_step, max_steps, window, stall_dt, ts, ys, fs, ev_fns, "
+        "ev_dirs, gs):",
+        f"    [{each('y#')}] = y", f"    [{each('k1_#')}] = k1",
+        "    add_t, add_y, add_f = ts.append, ys.append, fs.append",
+        "    naccept = nreject = 0",
+        "    facold = 1e-4",
+        "    just_rejected = False",
+        "    t_mark = t",
+        "    mark = window",
+        "    for _ in range(max_steps):",
+        "        rem = abs(t1 - t)",
+        "        if rem < h:",
+        "            h = rem",
+        "        last = h == rem",
+        "        if not last and (h < min_step or t + sign * h == t):",
+        "            " + stop(STOP_UNDERFLOW),
+        "        hs = sign * h",
+        *("        " + line for text in step for line in text.split("\n")),
+        "        if err <= 1.0:",
+        # Accept.  Land exactly on t1 when the step was clamped to it.
+        "            facold = 1e-4 if err < 1e-4 else err",
+        "            t_new = t1 if last else t + hs",
+        "            add_t(t_new)",
+        *(f"            {line}" for line in every("add_y(n#)")
+          + every("add_f(k7_#)")),
+        "            naccept += 1",
+        "            if ev_fns:",
+        f"                y_new = [{each('n#')}]",
+        "                gs_new = [fn(t_new, y_new) for fn in ev_fns]",
+        # A sign change (or a landing on 0) in an event's direction.
+        "                for ga, gb, sense in zip(gs, gs_new, ev_dirs):",
+        "                    if (ga != 0.0 and ga * gb <= 0.0",
+        "                            and not sense * (gb - ga) < 0.0):",
+        "                        " + stop(STOP_EVENT, "gs_new"),
+        "                gs = gs_new",
+        "            t = t_new",
+        *(f"            {line}" for line in every("y# = n#")
+          + every("k1_# = k7_#")),
+        "            if last:",
+        "                " + stop(STOP_REACHED_END),
+        # Progress, once per window of accepted steps.
+        "            if naccept == mark:",
+        "                if abs(t - t_mark) < stall_dt:",
+        "                    " + stop(STOP_STALLED),
+        "                t_mark = t",
+        "                mark += window",
+        f"            fac = err ** {_EXPO!r} / facold ** {_BETA!r} / "
+        f"{_SAFETY!r}",
+        f"            if not fac < {fac_hi}:",
+        f"                fac = {fac_hi}",
+        f"            if not fac > {fac_lo}:",
+        f"                fac = {fac_lo}",
+        "            h_next = h / fac",
+        "            if just_rejected and h < h_next:",
+        "                h_next = h",
+        "            h = h_next",
+        "            just_rejected = False",
+        "        else:",
+        "            nreject += 1",
+        "            just_rejected = True",
+        f"            fac = err ** {_EXPO!r} / {_SAFETY!r}",
+        f"            h = h / (fac if fac < {fac_hi} else {fac_hi})",
+        "    " + stop(STOP_MAX_STEPS),
+    ]
     filename = f"<dp5 step d={d}>" if field is None else (
         f"<dp5 step d={d} {field.__module__}.{field.__qualname__}>")
     text = "\n".join(src) + "\n"
     linecache.cache[filename] = (len(text), None, text.splitlines(True),
                                  filename)
     exec(compile(text, filename, "exec"), names)
-    return names["step"]
+    return names["run"]
 
 
 def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
@@ -409,9 +501,10 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     field_fn(t, y) receives y as a list of d floats and returns d numbers
     (a tuple, a list or a 1-D array, not reused between calls).  Stops at
     the far end of the span, at the first event crossing, when the
-    controller can no longer resolve a step, or when the step budget runs
-    out; the stop reason is recorded on the trajectory.  A slope at y0
-    that is not finite, or too steep for a first step, raises ValueError.
+    controller can no longer resolve a step or no longer advances, or when
+    the step budget runs out; the stop reason is recorded on the
+    trajectory.  A slope at y0 that is not finite, or too steep for a
+    first step, raises ValueError.
     """
     abs_tol = rel_tol * 1e-2
     if not (1e-16 <= rel_tol < 1e-2 and 1e-16 <= abs_tol < 1e-2):
@@ -423,9 +516,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     y = y_arr.tolist()
     d = len(y)
 
-    t = t0
-    k1 = field_fn(t, y)
-    # Refused here with its shape; the step's unpacking refuses any later
+    k1 = field_fn(t0, y)
+    # Refused here with its shape; the run's unpacking refuses any later
     # wrong-length slope.
     if np.ndim(k1) != 1:
         raise ValueError(f"field_fn returned shape {np.shape(k1)}, not "
@@ -433,83 +525,36 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     if len(k1) != d:
         raise ValueError(f"field_fn returned {len(k1)} components for a "
                          f"state of {d}")
-    ts, ys, fs = array("d", [t]), array("d", y), array("d", k1)
+    ts, ys, fs = array("d", [t0]), array("d", y), array("d", k1)
     if t1 == t0:
         return Trajectory(ts=np.frombuffer(ts), ys=_rows(ys, d),
                           fs=_rows(fs, d), stop_reason=STOP_REACHED_END,
                           rel_tol=rel_tol, abs_tol=abs_tol, nfev=1)
 
     sign = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
     events = tuple(events)
-    h = _initial_step(field_fn, t, y, k1, sign, rel_tol, abs_tol,
-                      abs(t1 - t0))
-
-    g_prev = [ev.fn(t, y) for ev in events]
+    h = _initial_step(field_fn, t0, y, k1, sign, rel_tol, abs_tol, span)
+    run = _run_fn(d, field_fn if id(field_fn) in _INLINED else None)
+    stop_reason, naccept, nreject, g_lo, g_hi = run(
+        field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,
+        MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, fs,
+        tuple(ev.fn for ev in events), tuple(ev.direction for ev in events),
+        [ev.fn(t0, y) for ev in events])
 
     hit: EventHit | None = None
-    stop_reason = STOP_MAX_STEPS
-    naccept = 0
-    nreject = 0
-    facold = 1e-4
-    just_rejected = False
-    step = _step_fn(
-        d, field_fn if id(field_fn) in _INLINED else None)
-
-    for _ in range(MAX_STEPS):
-        rem = abs(t1 - t)
-        h = min(h, rem)
-        last = h == rem
-        if not last and (h < MIN_STEP or t + sign * h == t):
-            stop_reason = STOP_UNDERFLOW
-            break
-        hs = sign * h
-        y_new, k7, err = step(field_fn, t, y, k1, hs, rel_tol, abs_tol)
-
-        if err <= 1.0:
-            # Accept.  Land exactly on t1 when the step was clamped to it.
-            facold = max(err, 1e-4)
-            t_new = t1 if last else t + hs
-            ts.append(t_new)
-            ys.extend(y_new)
-            fs.extend(k7)
-            naccept += 1
-
-            if events:
-                g_new = [ev.fn(t_new, y_new) for ev in events]
-                hit = _first_crossing(events, g_prev, g_new, t, t_new,
-                                      y, y_new, k1, k7)
-                if hit is not None:
-                    # Truncate at the crossing: overwrite the last row.
-                    f_hit = array("d", field_fn(hit.t, hit.y.tolist()))
-                    if len(f_hit) != d:
-                        raise ValueError(f"field_fn returned {len(f_hit)} "
-                                         f"components for a state of {d}")
-                    ts[-1] = hit.t
-                    ys[-d:] = array("d", hit.y)
-                    fs[-d:] = f_hit
-                    stop_reason = STOP_EVENT
-                    break
-                g_prev = g_new
-
-            t, y, k1 = t_new, y_new, k7
-            if last:
-                stop_reason = STOP_REACHED_END
-                break
-
-            fac11 = err ** _EXPO
-            fac = fac11 / facold ** _BETA
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            h_next = h / fac
-            if just_rejected:
-                h_next = min(h_next, h)
-            h = h_next
-            just_rejected = False
-        else:
-            nreject += 1
-            just_rejected = True
-            fac11 = err ** _EXPO
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-
+    if stop_reason == STOP_EVENT:
+        # Truncate at the crossing: overwrite the last row.
+        hit = _first_crossing(events, g_lo, g_hi, ts[-2], ts[-1],
+                              ys[-2 * d:-d].tolist(), ys[-d:].tolist(),
+                              fs[-2 * d:-d].tolist(), fs[-d:].tolist())
+        f_hit = array("d", field_fn(hit.t, hit.y.tolist()))
+        if len(f_hit) != d:
+            raise ValueError(f"field_fn returned {len(f_hit)} "
+                             f"components for a state of {d}")
+        ts[-1] = hit.t
+        ys[-d:] = array("d", hit.y)
+        fs[-d:] = f_hit
     # Two evaluations start the run, each attempted step makes six, and a
     # located event one more.
     nfev = 2 + 6 * (naccept + nreject) + (hit is not None)
@@ -525,28 +570,26 @@ def _rows(buf: array, d: int) -> np.ndarray:
 
 
 def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
-                    t_lo: float, t_hi: float, y_lo: Sequence[float],
-                    y_hi: Sequence[float], f_lo: Sequence[float],
-                    f_hi: Sequence[float]) -> EventHit | None:
-    """The earliest event crossing inside one accepted step, if any."""
+                    t_lo: float, t_hi: float, y_lo: list[float],
+                    y_hi: list[float], f_lo: list[float],
+                    f_hi: list[float]) -> EventHit:
+    """The earliest event crossing inside one accepted step, which at
+    least one event crosses."""
     first: EventHit | None = None
     for index, (ev, ga, gb) in enumerate(zip(events, g_lo, g_hi)):
         # A sign change (or a landing on 0) in the event's direction.
         if ga == 0.0 or not ga * gb <= 0.0 or ev.direction * (gb - ga) < 0.0:
             continue
-        # The step's end rows as arrays, once, for the Hermite interpolant.
-        y_lo, y_hi, f_lo, f_hi = (np.asarray(v, dtype=float)
-                                  for v in (y_lo, y_hi, f_lo, f_hi))
 
-        def g(rows: np.ndarray, ts: np.ndarray, fn=ev.fn) -> list[float]:
-            return [fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
-                    for t in ts.tolist()]
+        def g(t: float, fn=ev.fn) -> float:
+            return fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
 
-        roots = bracketed_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)[0]
+        roots = float_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)
         # No root only when the scan's far end, lo + (hi - lo), rounds
         # past a crossing within one ulp of t_hi.
         t_ev = roots[0] if roots else t_hi
         if first is None or abs(t_ev - t_lo) < abs(first.t - t_lo):
             y_ev = _hermite(t_ev, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi)
-            first = EventHit(name=ev.name, t=t_ev, y=y_ev, index=index)
+            first = EventHit(name=ev.name, t=t_ev, y=np.array(y_ev),
+                             index=index)
     return first

@@ -275,13 +275,17 @@ def implicit_constant(r, h) -> ImplicitConstant:
 def implicit_residual(c_effective: float, r, h):
     """Scaled residual of the implicit relation at (r, H) for a given C.
 
-    Elementwise on arrays of r and H, NaN at refused points.  A constant
-    so large that its terms leave the float range gives NaN, on arrays
-    without a numpy warning."""
+    Elementwise on arrays of r and H, NaN at refused points.  Every term
+    is divided by max(1, |C|): the ratio stays the same (bit for bit for
+    |C| <= 1), and the C terms of any finite C stay in the float range.
+    Terms that still leave it give NaN, on arrays without a numpy
+    warning."""
     _, a, b, q = _bessel_terms(r, h)
+    scale = max(1.0, abs(c_effective))
+    c = c_effective / scale
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [c_effective * a * q.i0, -c_effective * b * q.i1,
-                 a * q.k0, b * q.k1]
+        terms = [c * a * q.i0, -c * b * q.i1,
+                 a / scale * q.k0, b / scale * q.k1]
         return relative_to_terms(terms)
 
 

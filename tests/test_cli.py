@@ -185,6 +185,38 @@ def test_trace_reports_an_exhausted_step_budget(tmp_path, monkeypatch):
     assert 0.0 < meta["t_end"] < 50.0
 
 
+def test_trace_and_reduce_report_a_stalled_run(tmp_path, monkeypatch):
+    # Every window of 5 accepted steps advances less than the whole span:
+    # each run stops "stalled" at its fifth accepted step.
+    monkeypatch.setattr(integrator, "STALL_WINDOW", 5)
+    monkeypatch.setattr(integrator, "STALL_FRACTION", 1.0)
+    out = tmp_path / "t.csv"
+    assert run_cli("trace", "--start", "1,0,0", "--span", "50",
+                   "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["stop_reason"] == "stalled"
+    assert meta["accepted_steps"] == 5 and 0.0 < meta["t_end"] < 50.0
+    out = tmp_path / "r.csv"
+    assert run_cli("reduce", "--start", "1,0.7854", "--target", "200",
+                   "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert not meta["reached"]
+    assert meta["stop_note"] == "stalled in r-parametrization"
+
+
+def test_implicit_residual_of_a_constant_near_the_float_range(tmp_path):
+    # The terms c1 (4 + r^2) I0 of so large a constant pass the float range
+    # unless scaled; the two rows the sweep solves have a finite residual.
+    out = tmp_path / "i.csv"
+    assert run_cli("implicit", "--c1=1e307", "--rmin", "1", "--rmax", "12",
+                   "--n", "8", "--bracket", "0.01,0.99",
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    solved = [float(resid) for _, h, resid in rows if h != "nan"]
+    assert len(solved) == 2
+    assert all(0.0 <= resid <= 1e-9 for resid in solved)
+
+
 def test_implicit_requires_bracket(tmp_path, capsys):
     assert run_cli("implicit", "--start", "1,0.5", "--rmin", "1",
                    "--rmax", "2") == 2

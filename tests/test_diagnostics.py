@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hopf_flow.diagnostics import (ResidualReport, bracketed_roots,
-                                   relative_to_terms, summarize)
+                                   float_roots, relative_to_terms, summarize)
 
 
 def test_summarize_verdict_thresholds():
@@ -161,6 +161,15 @@ def test_lockstep_roots_are_the_scalar_refiners_bit_for_bit(tol):
         assert sizes[0] == len(rows) * (n_scan + 1)
         found += sum(got, [])
     assert len(found) == 156 and 2.0 in found
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_float_roots_are_the_lockstep_rows_bit_for_bit(tol):
+    for f, lo, hi, n_scan in _ROWS:
+        fn, _ = _rows_of([f])
+        (want,) = bracketed_roots(fn, lo, hi, n_scan, tol)
+        got = float_roots(f, lo, hi, n_scan, tol)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_bracketed_roots_finds_every_sign_change():

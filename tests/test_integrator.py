@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 import traceback
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopf_flow import fields, integrator, reduced_system
+from hopf_flow.diagnostics import bracketed_roots, float_roots
 from hopf_flow.integrator import Event, integrate
 
 
@@ -356,6 +358,61 @@ def test_step_budget_is_a_stop_reason(monkeypatch):
     mid = traj.sample(0.5 * traj.t_end)
     np.testing.assert_allclose(mid, [math.cos(0.5 * traj.t_end),
                                      -math.sin(0.5 * traj.t_end)], atol=1e-8)
+
+
+def test_a_run_that_no_longer_advances_stops_stalled():
+    # dH/dr across the turning locus, without trace_h's guard events: H
+    # chatters on the locus near r = 8.17 at steps of ~4e-10, and each
+    # window of accepted steps advances r by ~4e-5 of the span of 5.  The
+    # budget alone would take ~1M steps and seconds.
+    start = time.perf_counter()
+    traj = integrate(reduced_system._dh_dr, [0.5], (10.0, 5.0), rel_tol=1e-6)
+    elapsed = time.perf_counter() - start
+    assert traj.stop_reason == integrator.STOP_STALLED == "stalled"
+    assert traj.naccept == 2 * integrator.STALL_WINDOW
+    assert 8.1 < traj.t_end < 8.2
+    assert elapsed < 1.0
+
+
+_TIMES = st.floats(-1e4, 1e4)
+_VALUES = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_lo=_TIMES, h=st.floats(1e-9, 10.0), backward=st.booleans(),
+       rows=st.lists(_VALUES, min_size=8, max_size=8),
+       frac=st.floats(0.0, 1.0), tilt=_VALUES,
+       direction=st.sampled_from([-1, 0, 1]),
+       tol=st.sampled_from([integrator.EVENT_T_TOL, 1e-15, 1e-9, 1e-4]))
+def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
+        t_lo, h, backward, rows, frac, tilt, direction, tol):
+    # One accepted step of a 2-component state and a linear event that the
+    # step crosses (or touches); the event's roots on floats must be those
+    # of the one-row array refiner, and the located hit its first root.
+    t_hi = t_lo - h if backward else t_lo + h
+    y_lo, y_hi, f_lo, f_hi = rows[0:2], rows[2:4], rows[4:6], rows[6:8]
+    level = (1.0 - frac) * (y_lo[0] + tilt * y_lo[1]) + frac * (
+        y_hi[0] + tilt * y_hi[1])
+    ev = Event(fn=lambda t, y: y[0] + tilt * y[1] - level,
+               direction=direction)
+
+    def g(t):
+        return ev.fn(t, integrator._hermite(t, t_lo, t_hi, y_lo, y_hi,
+                                            f_lo, f_hi))
+
+    (want,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
+                              t_lo, t_hi, 1, tol)
+    got = float_roots(g, t_lo, t_hi, 1, tol)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    g_lo, g_hi = ev.fn(t_lo, y_lo), ev.fn(t_hi, y_hi)
+    if g_lo == 0.0 or not g_lo * g_hi <= 0.0 or direction * (g_hi - g_lo) < 0:
+        return
+    hit = integrator._first_crossing((ev,), [g_lo], [g_hi], t_lo, t_hi,
+                                     y_lo, y_hi, f_lo, f_hi)
+    if tol == integrator.EVENT_T_TOL:
+        assert hit.t == (want[0] if want else t_hi)
+    assert hit.y.tolist() == integrator._hermite(hit.t, t_lo, t_hi, y_lo,
+                                                 y_hi, f_lo, f_hi)
 
 
 def test_accepted_steps_follow_the_dp5_stability_polynomial():

@@ -1,5 +1,6 @@
 """Reduced radial ODE, its Bessel first integral, and curve tracing."""
 
+import hashlib
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from hopf_flow import integrator
 from hopf_flow import reduced_system as rs
+from hopf_flow.diagnostics import relative_to_terms
 
 # Effective constants frozen from the continued form; regression anchors.
 FROZEN_C = {
@@ -136,6 +138,39 @@ def test_implicit_residual_zero_at_own_constant():
         ic = rs.implicit_constant(r, h)
         assert rs.implicit_residual(ic.c_effective, r, h) <= 1e-15
         assert rs.implicit_residual(ic.c_effective * (1.0 + 1e-6), r, h) > 1e-8
+
+
+def test_residual_scaling_keeps_the_bits_of_small_constants():
+    # Terms are divided by max(1, |C|): by 1 for |C| <= 1, so bit for bit
+    # the unscaled ratio; a larger C gives the same ratio to round-off.
+    r, h = np.array([1.5, 3.0, 9.0]), np.array([0.3, 0.7, 0.9])
+    _, a, b, q = rs._bessel_terms(r, h)
+    for c in (-0.9, 0.0, 1.0, -1.0):
+        plain = relative_to_terms([c * a * q.i0, -c * b * q.i1, a * q.k0,
+                                   b * q.k1])
+        assert rs.implicit_residual(c, r, h).tobytes() == plain.tobytes()
+    c = -4.931436008177052
+    plain = relative_to_terms([c * a * q.i0, -c * b * q.i1, a * q.k0,
+                               b * q.k1])
+    np.testing.assert_allclose(rs.implicit_residual(c, r, h), plain,
+                               rtol=1e-12)
+
+
+def test_the_chain_reduce_curve_keeps_its_bits():
+    # The curve `reduce --start 1,0.7854 --target 200` writes: SHA-256 of
+    # its rs, hs and psis bytes.  A change to the integrator's event
+    # location moves it here before it moves the benchmark's reduce rows.
+    # The 3 crossings and 6 segments include the known double count of one
+    # fold (a second, 2.5e-13 planar segment after a "fold-cleared" stop a
+    # hair short); ROADMAP item 1 fixes it together with
+    # bench/reference/reduce.json, and then these read 2 and 5.
+    curve = rs.trace_reduced(1.0, 0.7854, 200.0)
+    got = hashlib.sha256(curve.rs.tobytes() + curve.hs.tobytes()
+                         + curve.psis.tobytes()).hexdigest()
+    assert got == ("9ee2b6929d65d1894659c55a56a87b5f"
+                   "05c729f4d8ee1c70cbeeedd35dc70a1e")
+    assert curve.reached and len(curve.rs) == 1598
+    assert curve.turning_crossings == 3 and len(curve.segments) == 6
 
 
 def test_constant_is_conserved_along_traced_curve():
