@@ -22,12 +22,16 @@ from .fields import (
     to_spherical,
 )
 from .first_integral import (
+    HReconstruction,
     RhoTable,
     UVPair,
     h_pde_residual,
     phi_flow_derivative,
+    reconstruct_H,
     relation_residual,
+    rho_psi,
     rho_table,
+    uv_relation_residual,
     uv_table,
     xi_substitution_residual,
 )
@@ -62,6 +66,7 @@ __all__ = [
     "Event",
     "EventHit",
     "FormSelection",
+    "HReconstruction",
     "ImplicitConstant",
     "ReducedCurve",
     "ResidualReport",
@@ -83,8 +88,10 @@ __all__ = [
     "phi_flow_derivative",
     "pushforward_sign",
     "psi_rhs",
+    "reconstruct_H",
     "relation_residual",
     "relative_to_terms",
+    "rho_psi",
     "rho_table",
     "run_battery",
     "select_effective_form",
@@ -95,6 +102,7 @@ __all__ = [
     "trace_h",
     "trace_reduced",
     "turning_locus",
+    "uv_relation_residual",
     "uv_table",
     "value",
     "xi_substitution_residual",

@@ -11,6 +11,13 @@ first_integral functions in one array call each; the float path of the
 same functions is the bit-pinned reference that the tests compare those
 arrays against.
 
+Where several checks read the same intermediate, one run_battery call
+computes it once and each check reads it from there: the 10x10
+uv_table (legendre-identity, parametric-relation-*), the 20x20
+rho_table (linear-pde-*) and the reconstruct_H of the twelve H-equation
+states (h-pde-*, phi-flow-derivative).  Nothing is kept once the call
+returns, and a check called on its own computes what it reads.
+
 Four checks measure relations that are known not to hold in the form
 printed in the source material; they are expected to report
 "documented-discrepancy" and are allowlisted as such: the battery counts
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -42,6 +50,30 @@ ALLOWED_DISCREPANCIES = frozenset({
     "h-pde-v",
     "phi-flow-derivative",
 })
+
+
+# The intermediates several checks read, by name, while run_battery runs;
+# None outside it.
+_RUN_SHARED: ContextVar[dict | None] = ContextVar("run_shared", default=None)
+
+
+def _shared(name: str, compute: Callable[[], object]):
+    """compute()'s result, computed once per run_battery call under name
+    (simply computed outside one).  The warnings it raised are kept with
+    it and raised again for every check that reads it, so each reader's
+    report lists them as if it had computed it."""
+    shared = _RUN_SHARED.get()
+    if shared is None:
+        return compute()
+    if name not in shared:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = compute()
+        shared[name] = result, caught
+    result, caught = shared[name]
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result
 
 
 # -- individual checks -------------------------------------------------------
@@ -206,9 +238,16 @@ def _real_region_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi.ravel(), psi.ravel()
 
 
+def _grid_uv(n: int):
+    """The n x n real-region grid and its uv_table, once per battery."""
+    def compute():
+        xi, psi = _real_region_grid(n)
+        return xi, psi, first_integral.uv_table(xi, psi)
+    return _shared(f"uv_table {n}x{n}", compute)
+
+
 def _check_legendre(tol: float, documented: bool) -> ResidualReport:
-    xi, psi = _real_region_grid(10)
-    uv = first_integral.uv_table(xi, psi)
+    xi, psi, uv = _grid_uv(10)
     residuals = (np.abs(uv.v_xi - xi * uv.u_xi)
                  / np.maximum(1.0, np.abs(xi * uv.u_xi)))
     return summarize("legendre-identity", residuals, tol, documented)
@@ -216,15 +255,17 @@ def _check_legendre(tol: float, documented: bool) -> ResidualReport:
 
 def _pde_grid_check(name: str, variant: str, n: int, tol: float,
                     documented: bool) -> ResidualReport:
-    table = first_integral.rho_table(*_real_region_grid(n))
+    table = _shared(f"rho_table {n}x{n}", lambda: first_integral.rho_table(
+        *_real_region_grid(n)))
     return summarize(name, getattr(table, f"pde_{variant}"), tol, documented,
                      details={"variant": variant, "grid": f"{n}x{n}"})
 
 
 def _relation_grid_check(name: str, reading: str, n: int, tol: float,
                          documented: bool) -> ResidualReport:
-    residuals = first_integral.relation_residual(*_real_region_grid(n),
-                                                 reading=reading)
+    xi, psi, uv = _grid_uv(n)
+    residuals = first_integral.uv_relation_residual(uv, xi, psi,
+                                                    reading=reading)
     return summarize(name, residuals, tol, documented,
                      details={"reading": reading, "grid": f"{n}x{n}"})
 
@@ -240,25 +281,28 @@ def _h_pde_states():
     """The radius v(xi0, psi) of each point, its psi, and a parameter
     bracket around xi0 (one array each, so one reconstruction serves)."""
     xi0, psi = _H_PDE_POINTS.T
-    r = first_integral.uv_table(xi0, psi).v.real
+    r = first_integral.rho_table(xi0, psi).v.real
     return r, psi, (0.7 * xi0, np.minimum(1.3 * xi0, 0.8))
+
+
+def _h_reconstruction() -> first_integral.HReconstruction:
+    """H's partials at the twelve states, once per battery."""
+    def compute():
+        r, psi, bracket = _h_pde_states()
+        return first_integral.reconstruct_H(r, psi, bracket=bracket)
+    return _shared("reconstruct_H", compute)
 
 
 def _check_h_pde(name: str, reading: str, tol: float,
                  documented: bool) -> ResidualReport:
-    r, psi, bracket = _h_pde_states()
-    residuals = first_integral.h_pde_residual(r, psi, reading=reading,
-                                              bracket=bracket)
-    return summarize(name, residuals, tol, documented,
-                     details={"reading": reading})
+    return summarize(name, _h_reconstruction().h_pde_residual(reading), tol,
+                     documented, details={"reading": reading})
 
 
 def _check_phi_flow(tol: float, documented: bool) -> ResidualReport:
-    r, psi, bracket = _h_pde_states()
     return summarize("phi-flow-derivative",
-                     first_integral.phi_flow_derivative(r, psi,
-                                                        bracket=bracket),
-                     tol, documented)
+                     _h_reconstruction().phi_flow_derivative(), tol,
+                     documented)
 
 
 _F1_PROBE = (0.7, -0.3, 0.11, 2.0)
@@ -297,8 +341,7 @@ def _check_branch_continuity(tol: float, documented: bool) -> ResidualReport:
     boundaries = (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH)
     # Axes: side of the boundary, boundary, psi.
     xi = np.multiply.outer((1.0 - delta, 1.0 + delta), boundaries)[..., None]
-    lo, hi = first_integral.rho_table(xi, np.array([0.7, 1.2, 1.9, 2.5])
-                                      ).rho_psi
+    lo, hi = first_integral.rho_psi(xi, np.array([0.7, 1.2, 1.9, 2.5]))
     residuals = (np.abs(hi - lo) / np.maximum(1.0, np.abs(lo))).ravel()
     return summarize("branch-continuity", residuals, tol, documented,
                      details={"delta": delta,
@@ -423,12 +466,16 @@ def run_battery(only: Sequence[str] | None = None,
         selected = list(CHECKS)
 
     reports = []
-    for c in selected:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rpt = c.fn(c.tol * tol_scale, c.documented)
-        reports.append(replace(rpt, details={
-            **rpt.details, "warnings": [str(w.message) for w in caught]}))
+    shared = _RUN_SHARED.set({})
+    try:
+        for c in selected:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rpt = c.fn(c.tol * tol_scale, c.documented)
+            reports.append(replace(rpt, details={
+                **rpt.details, "warnings": [str(w.message) for w in caught]}))
+    finally:
+        _RUN_SHARED.reset(shared)
 
     passed = all(
         r.verdict == "pass"

@@ -19,9 +19,11 @@ but verify take --format csv|json.  Beyond its own flags, --tol (the
 integration rel_tol) goes to trace and reduce and scales the check
 tolerances for verify; --c2, --f1 and --grid go to rho alone.  A
 subcommand refuses any flag it does not read, on the command line and
-as a --config key.  Numbers in CSV carry 17 significant digits, so
-re-parsing reproduces every float bit-exactly.  Exit codes: 0 all good,
-1 check or runtime failure, 2 usage/config error.
+as a --config key.  The counts --grid, --dense and --n must be
+integers, and one whose output would pass MAX_OUTPUT_NUMBERS is refused
+before anything is allocated.  Numbers in CSV carry 17 significant
+digits, so re-parsing reproduces every float bit-exactly.  Exit codes:
+0 all good, 1 check or runtime failure, 2 usage/config error.
 
 Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
 F1 = 0, grids 20x20.
@@ -35,7 +37,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +58,13 @@ _CHECK_ERROR = 1
 # Rows formatted per write: enough to amortise the call, few enough that
 # the block's text stays a small fraction of a long trace's file.
 _CSV_BLOCK = 1024
+
+# The most numbers (rows x columns) a count flag may ask one output for,
+# refused before anything is allocated.  It keeps the largest allowed
+# request near 1 GB of working memory: `implicit` holds ~10 kB per
+# radius while it scans (`rho` ~1.1 kB per grid point).  The first sizes
+# refused are rho --grid 151, trace --dense 62501 and implicit --n 83334.
+MAX_OUTPUT_NUMBERS = 250_000
 
 
 @contextmanager
@@ -131,6 +140,30 @@ def _finite(ns, flag: str, default: float | None = None) -> float | None:
     return default if raw is None else _number(raw, f"--{flag}")
 
 
+def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
+           default: int | None = None) -> int:
+    """The count flag --<flag>, given on the command line or in --config
+    (`default` when unset): an int (not a bool) or an integer string, at
+    least `least`, whose output of numbers(count) numbers stays within
+    MAX_OUTPUT_NUMBERS.  A ValueError naming the flag otherwise."""
+    raw = getattr(ns, flag)
+    count = default if raw is None else raw
+    if isinstance(count, str):
+        try:
+            count = int(count)
+        except ValueError:
+            pass
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"--{flag}: expected an integer count, got {raw!r}")
+    if count < least:
+        raise ValueError(f"--{flag} must be at least {least}")
+    if numbers(count) > MAX_OUTPUT_NUMBERS:
+        raise ValueError(f"--{flag} {count} asks for {numbers(count)} "
+                         f"numbers, more than the {MAX_OUTPUT_NUMBERS} one "
+                         f"output may hold")
+    return count
+
+
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the --config JSON file, then from DEFAULTS.
 
@@ -178,9 +211,8 @@ def cmd_trace(ns) -> int:
     start = _floats(ns.start, 3, "--start")
     span = _finite(ns, "span", 10.0)
     chart = ns.chart or "cartesian"
-    dense = int(ns.dense or 0)
-    if dense < 0:
-        raise ValueError("--dense must be at least 0")
+    # A dense row is t and three coordinates.
+    dense = _count(ns, "dense", 0, lambda n: n * 4, default=0)
     if chart == "spherical":
         r, phi, psi = start
         if r <= 0.0:
@@ -262,7 +294,6 @@ def cmd_reduce(ns) -> int:
         "reached": curve.reached, "stop_note": curve.stop_note,
         "turning_crossings": int(curve.turning_crossings),
         "segments": len(curve.segments), "rows": len(rows),
-        "form": "continued",
         "rhs_evaluations": sum(seg.nfev for seg in curve.segments),
         "accepted_steps": sum(seg.naccept for seg in curve.segments),
         "rejected_steps": sum(seg.nreject for seg in curve.segments),
@@ -285,9 +316,8 @@ def cmd_implicit(ns) -> int:
         raise ValueError("implicit needs --c1 or --start r0,h0")
     if ns.rmin is None or ns.rmax is None:
         raise ValueError("implicit needs --rmin and --rmax for the sweep")
-    n = 25 if ns.n is None else int(ns.n)
-    if n < 1:
-        raise ValueError("--n must be at least 1")
+    header = ["r", "H", "resid"]
+    n = _count(ns, "n", 1, lambda n: n * len(header), default=25)
     r_lo, r_hi = _finite(ns, "rmin"), _finite(ns, "rmax")
     with np.errstate(over="ignore", invalid="ignore"):
         rs = np.linspace(r_lo, r_hi, n)
@@ -301,9 +331,8 @@ def cmd_implicit(ns) -> int:
     if solved == 0:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
-    meta = {"c_effective": c_eff, "form": "continued", "rows": len(rows),
-            "solved": solved}
-    _emit(ns, header=["r", "H", "resid"], rows=rows, meta=meta)
+    meta = {"c_effective": c_eff, "rows": len(rows), "solved": solved}
+    _emit(ns, header, rows, meta)
     return 0
 
 
@@ -311,9 +340,9 @@ def cmd_rho(ns) -> int:
     xi_lo, xi_hi = _floats(ns.xi, 2, "--xi") if ns.xi else (0.12, 0.72)
     psi_lo, psi_hi = (_floats(ns.psi, 2, "--psi") if ns.psi
                       else (0.3, math.pi - 0.3))
-    n = int(ns.grid)
-    if n < 1:
-        raise ValueError("--grid must be at least 1")
+    header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
+              "log_chi", "pde_direct", "pde_parametric"]
+    n = _count(ns, "grid", 1, lambda n: n * n * len(header))
     f1 = _f1_tuple(ns)
     c2 = float(ns.c2)
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
@@ -332,8 +361,6 @@ def cmd_rho(ns) -> int:
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
         table.u.imag, table.v.imag, log_chi, table.pde_direct,
         table.pde_parametric])
-    header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
-              "log_chi", "pde_direct", "pde_parametric"]
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
             "xi_range": [xi_lo, xi_hi], "psi_range": [psi_lo, psi_hi]}
     _emit(ns, header, rows, meta)

@@ -18,8 +18,8 @@ of the principal arctan, which makes the raw rho value jump by a
 locally-constant (gauge) amount across the boundary while psi-derivatives
 stay continuous.
 
-A point or a grid.  rho_table, uv_table, relation_residual,
-h_pde_residual and phi_flow_derivative follow the rule of
+A point or a grid.  rho_table, rho_psi, uv_table, relation_residual,
+reconstruct_H, h_pde_residual and phi_flow_derivative follow the rule of
 special_functions.bessel_quad: when every point argument is a scalar,
 the call runs the float path (cmath and math) and returns Python
 numbers; anything else broadcasts over numpy arrays.  The float path is
@@ -232,6 +232,15 @@ def rho_table(xi, psi, c2: float = 1.0,
                         pde_direct=pde[0], pde_parametric=pde[1])
 
 
+def rho_psi(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
+    """rho_psi alone, from one psi-seeded dual pass, at a float pair or
+    over broadcastable arrays: the bits of rho_table's rho_psi without
+    its nested pass and residuals, and the same domain guards."""
+    xi, psi = _grid(xi, psi)
+    with np.errstate(all="ignore"):
+        return rho_raw(xi + 0.0j, Dual(psi, 1.0), c2, tuple(f1)).eps
+
+
 def _uv_maps(x, psi, c2, f1):
     """u(x) = rho_xi and v(x) = x u(x) - rho(x) from one dual pass at x."""
     out = rho_raw(Dual(x, 1.0 + 0.0j), psi, c2, f1)
@@ -276,7 +285,15 @@ def relation_residual(xi, psi, c2: float = 1.0, f1: Sequence[float] = (),
     """
     _check_reading(reading)
     xi, psi = _grid(xi, psi)
-    uv = uv_table(xi, psi, c2, f1)
+    return uv_relation_residual(uv_table(xi, psi, c2, f1), xi, psi, c2,
+                                reading)
+
+
+def uv_relation_residual(uv: UVPair, xi, psi, c2: float = 1.0,
+                         reading: str = "xi"):
+    """relation_residual from the uv_table(xi, psi, c2, f1) already in
+    hand, so one table serves both readings."""
+    _check_reading(reading)
     w = xi if reading == "xi" else uv.v
     a = transport_coefficient(w, psi)
     b = source_coefficient(w, psi)
@@ -329,52 +346,81 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
     return xi_star.reshape(r.shape), r, psi
 
 
-def _h_partials(uv: UVPair):
-    """H_r = u_xi / v_xi and H_psi = u_psi - v_psi u_xi / v_xi."""
+@dataclass(frozen=True)
+class HReconstruction:
+    """H's partials at (r, psi), found through the parameter xi* with
+    v(xi*, psi) = r: H_r = u_xi / v_xi and H_psi = u_psi - v_psi u_xi /
+    v_xi at xi*.  Floats at one point, else arrays broadcast over r, psi
+    and the bracket ends.  The H-equation and flow-derivative residuals
+    are functions of it, so one reconstruction serves all of them."""
+
+    r: float | np.ndarray
+    psi: float | np.ndarray
+    xi_star: float | np.ndarray
+    h_r: complex | np.ndarray
+    h_psi: complex | np.ndarray
+    c2: float
+
+    def h_pde_residual(self, reading: str = "xi"):
+        """H_r and H_psi substituted into the quasilinear H-equation,
+        scaled, with coefficients at the parameter (reading="xi") or at
+        the radius r itself (reading="v")."""
+        _check_reading(reading)
+        w = self.xi_star if reading == "xi" else self.r
+        c2 = self.c2
+        return relative_to_terms([source_coefficient(w, self.psi) * self.h_r,
+                                  -transport_coefficient(w, self.psi)
+                                  * self.h_psi,
+                                  -8.0 * c2 * w ** 3,
+                                  32.0 * c2 * w])
+
+    def phi_flow_derivative(self):
+        """The scaled rate of change of Phi = c2 phi + H along the flow,
+        with the velocity from spherical_ode one point at a time: zero
+        means Phi is a first integral."""
+        r, psi = self.r, self.psi
+        # The spherical field does not depend on phi, so any phi serves.
+        vel = np.array([spherical_ode(0.0, (a, 0.0, b))
+                        for a, b in zip(np.ravel(r), np.ravel(psi))])
+        vel = vel.T.reshape((3,) + np.shape(r))
+        dr, dphi, dpsi = vel.tolist() if isinstance(r, float) else vel
+        return relative_to_terms([self.h_r.real * dr, self.c2 * dphi,
+                                  self.h_psi.real * dpsi])
+
+
+def reconstruct_H(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
+                  bracket=(0.05, 0.8), n_scan: int = 60) -> HReconstruction:
+    """Eliminate the parameter: xi* with v(xi*, psi) = r, then H's
+    partials from uv_table at xi*.  r, psi and the bracket ends
+    broadcast."""
+    xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
+    uv = uv_table(xi_star, psi, c2, f1)
     if np.any(np.abs(uv.v_xi) < 1e-12 * np.maximum(1.0, np.abs(uv.u_xi))):
         raise ValueError("chain-rule singularity: v_xi vanishes at the "
                          "reconstructed parameter")
-    return uv.u_xi / uv.v_xi, uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi
+    return HReconstruction(r=r, psi=psi, xi_star=xi_star,
+                           h_r=uv.u_xi / uv.v_xi,
+                           h_psi=uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi,
+                           c2=c2)
 
 
 def h_pde_residual(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
                    reading: str = "xi", bracket=(0.05, 0.8),
                    n_scan: int = 60):
-    """End-to-end scaled residual of the H-equation at (r, psi).
-
-    Reconstructs the parameter, forms H_r = u_xi / v_xi and
-    H_psi = u_psi - v_psi u_xi / v_xi, and substitutes into the
-    quasilinear H-equation with coefficients at the parameter
-    (reading="xi") or at the radius r itself (reading="v").  r, psi and
-    the bracket ends broadcast.
-    """
+    """End-to-end scaled residual of the H-equation at (r, psi):
+    HReconstruction.h_pde_residual of reconstruct_H.  r, psi and the
+    bracket ends broadcast."""
     _check_reading(reading)
-    xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
-    h_r, h_psi = _h_partials(uv_table(xi_star, psi, c2, f1))
-    w = xi_star if reading == "xi" else r
-    return relative_to_terms([source_coefficient(w, psi) * h_r,
-                              -transport_coefficient(w, psi) * h_psi,
-                              -8.0 * c2 * w ** 3,
-                              32.0 * c2 * w])
+    return reconstruct_H(r, psi, c2, f1, bracket,
+                         n_scan).h_pde_residual(reading)
 
 
 def phi_flow_derivative(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
                         bracket=(0.05, 0.8)):
-    """Scaled rate of change of Phi = c2 phi + H(r, psi) along the flow.
-
-    H comes from the parametric reconstruction; the derivative uses the
-    flow velocity from spherical_ode, one point at a time, so this
-    measures end to end whether Phi is conserved (zero means first
-    integral).  r, psi and the bracket ends broadcast.
-    """
-    xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, 60)
-    h_r, h_psi = _h_partials(uv_table(xi_star, psi, c2, f1))
-    # The spherical field does not depend on phi, so any phi serves.
-    vel = np.array([spherical_ode(0.0, (a, 0.0, b))
-                    for a, b in zip(np.ravel(r), np.ravel(psi))])
-    vel = vel.T.reshape((3,) + np.shape(r))
-    dr, dphi, dpsi = vel.tolist() if isinstance(r, float) else vel
-    return relative_to_terms([h_r.real * dr, c2 * dphi, h_psi.real * dpsi])
+    """Scaled rate of change of Phi = c2 phi + H(r, psi) along the flow,
+    end to end: HReconstruction.phi_flow_derivative of reconstruct_H.
+    r, psi and the bracket ends broadcast."""
+    return reconstruct_H(r, psi, c2, f1, bracket).phi_flow_derivative()
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,

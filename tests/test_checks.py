@@ -1,7 +1,9 @@
 """Check battery orchestration: naming, scaling, result schema."""
 
 import dataclasses
+import warnings
 
+import numpy as np
 import pytest
 
 from hopf_flow import checks, first_integral, reduced_system
@@ -141,3 +143,69 @@ def test_table_checks_fail_on_a_planted_u_xi_fault(monkeypatch, name, fault):
     monkeypatch.setattr(first_integral, "uv_table", faulty)
     rpt = checks.run_battery(only=[name])["checks"][0]
     assert rpt["verdict"] == "fail"
+
+
+def test_each_check_alone_reports_what_the_battery_does():
+    # Shared intermediates change where a value is computed, not what a
+    # check reports: run alone, each check gives its entry of the whole
+    # battery, warnings included.
+    whole = checks.run_battery()["checks"]
+    for name, entry in zip(checks.CHECK_NAMES, whole):
+        assert checks.run_battery(only=[name])["checks"][0] == entry, name
+
+
+def test_a_check_called_directly_computes_what_it_reads():
+    # Outside run_battery nothing is shared, and the report is the same.
+    by_name = {c.name: c for c in checks.CHECKS}
+    for entry in checks.run_battery(only=["h-pde-v", "parametric-relation-v",
+                                          "linear-pde-direct"])["checks"]:
+        c = by_name[entry["name"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = c.fn(c.tol, c.documented).to_dict()
+        got["details"]["warnings"] = [str(w.message) for w in caught]
+        assert got == entry, c.name
+
+
+def _count_calls(monkeypatch, name):
+    """Record the point count of every call of first_integral.<name>."""
+    sizes = []
+    fn = getattr(first_integral, name)
+
+    def counted(*args, **kw):
+        sizes.append(int(np.size(args[0])))
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(first_integral, name, counted)
+    return sizes
+
+
+def test_shared_intermediates_are_computed_once_per_battery_run(monkeypatch):
+    rebuilt = {name: _count_calls(monkeypatch, name)
+               for name in ("reconstruct_H", "uv_table", "rho_table")}
+    for run in (1, 2):
+        doc = checks.run_battery()
+        assert doc["passed"] is True
+        # Each run computes its own: nothing carries over between calls.
+        assert rebuilt["reconstruct_H"] == [12] * run
+        assert rebuilt["uv_table"].count(100) == run  # the 10x10 grid
+        assert rebuilt["rho_table"].count(400) == run  # the 20x20 grid
+        # The twelve H-equation states come from one rho_table call.
+        assert rebuilt["rho_table"].count(12) == run
+    assert checks._RUN_SHARED.get() is None
+
+
+def test_a_shared_computation_that_raises_leaves_nothing_behind(monkeypatch):
+    names = ["h-pde-xi", "h-pde-v", "phi-flow-derivative"]
+    clean = checks.run_battery(only=names)
+    reconstruct = first_integral.reconstruct_H
+
+    def broken(*args, **kw):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(first_integral, "reconstruct_H", broken)
+    with pytest.raises(ArithmeticError, match="planted"):
+        checks.run_battery(only=names)
+    assert checks._RUN_SHARED.get() is None
+    monkeypatch.setattr(first_integral, "reconstruct_H", reconstruct)
+    assert checks.run_battery(only=names) == clean

@@ -644,3 +644,120 @@ def test_module_entrypoint_runs_as_subprocess(tmp_path):
     header, rows = read_csv(out)
     assert header == ["t", "x", "y", "z"]
     assert len(rows) == 1  # zero span keeps the initial state only
+
+
+# Each count flag: the subcommand's other flags, the count's minimum and
+# the rows x columns it asks for.
+_COUNT_FLAGS = {
+    "grid": (("rho",), 1, lambda n: n * n * 11),
+    "dense": (("trace", "--start", "1,0,0", "--span", "1"), 0,
+              lambda n: n * 4),
+    "n": (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "4",
+           "--bracket", "0.3,0.95"), 1, lambda n: n * 3),
+}
+
+
+def _first_refused(flag: str) -> int:
+    _, n, numbers = _COUNT_FLAGS[flag]
+    while numbers(n) <= cli.MAX_OUTPUT_NUMBERS:
+        n += 1
+    return n
+
+
+def _run_count(flag: str, value, as_config: bool, tmp: str):
+    """(exit code, stderr) of the flag's subcommand given value."""
+    argv = [*_COUNT_FLAGS[flag][0], "--out", os.path.join(tmp, "o")]
+    if as_config:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({flag: value}, fh)
+        argv += ["--config", cfg]
+    else:
+        argv.append(f"--{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # A few radii of the implicit sweep have two roots in the bracket.
+        warnings.filterwarnings("ignore", r"\d+ of \d+ radii have several")
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses a flag's value
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("flag, value", [("grid", 2.7), ("grid", True),
+                                         ("dense", 2.9), ("n", "3.0"),
+                                         ("grid", [2]), ("n", False)])
+def test_config_counts_must_be_integers(flag, value, tmp_path):
+    code, err = _run_count(flag, value, True, str(tmp_path))
+    assert code == 2
+    assert f"--{flag}: expected an integer count, got {value!r}" in err
+
+
+@pytest.mark.parametrize("flag", list(_COUNT_FLAGS))
+@pytest.mark.parametrize("as_config", [False, True])
+def test_oversized_outputs_are_refused_before_allocating(flag, as_config,
+                                                         tmp_path):
+    n = _first_refused(flag)
+    tracemalloc.start()
+    try:
+        code, err = _run_count(flag, n, as_config, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"--{flag} {n} asks for" in err
+    assert f"more than the {cli.MAX_OUTPUT_NUMBERS}" in err
+    assert peak < 1e6
+    assert not (tmp_path / "o").exists()
+
+
+def _expected_count(value, as_config: bool):
+    """The count a run reads from value, or None where it must refuse."""
+    if as_config and value is None:
+        return "default"
+    if as_config and not isinstance(value, str):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        return value if ok else None
+    try:
+        return int(str(value))
+    except ValueError:
+        return None
+
+
+# Counts that run in a few milliseconds, or that pass the size cap.
+_SMALL = st.integers(-3, 12)
+_HUGE = st.integers(10 ** 5, 10 ** 30)
+
+
+@settings(max_examples=120, deadline=None)
+@given(flag=st.sampled_from(list(_COUNT_FLAGS)),
+       value=(_SMALL | _HUGE | _SMALL.map(str) | _HUGE.map(str)
+              | _SMALL.map(lambda n: f" {n}\t") | st.text(max_size=3)
+              | st.floats() | st.booleans() | st.none()
+              | st.lists(_SMALL, max_size=2)),
+       as_config=st.booleans())
+@example(flag="grid", value=2.7, as_config=True)
+@example(flag="grid", value=True, as_config=True)
+@example(flag="dense", value=2.9, as_config=True)
+@example(flag="grid", value="1e9", as_config=False)
+def test_count_flags_run_or_exit_2(flag, value, as_config):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_count(flag, value, as_config, tmp)
+    count = _expected_count(value, as_config)
+    _, low, numbers = _COUNT_FLAGS[flag]
+    runs = count == "default" or (count is not None and count >= low
+                                  and numbers(count) <= cli.MAX_OUTPUT_NUMBERS)
+    assert code == (0 if runs else 2), (code, err)
+    if code == 2:
+        assert err.startswith(("hopf-flow: ", "usage: ")), err
+
+
+def test_reduce_and_implicit_meta_carry_no_form_key(tmp_path):
+    out = str(tmp_path / "o.csv")
+    assert run_cli("reduce", "--start", "1,0.7854", "--target", "3",
+                   "--out", out) == 0
+    assert "form" not in json.loads(Path(out + ".meta.json").read_text())
+    assert run_cli(*_COUNT_FLAGS["n"][0], "--n", "3", "--out", out) == 0
+    assert "form" not in json.loads(Path(out + ".meta.json").read_text())

@@ -369,3 +369,52 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
                  ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")) == uv
     table = rho_table(xi, psi, c2, f1)
     assert (table.pde_direct.hex(), table.pde_parametric.hex()) == pde
+
+
+def test_rho_psi_has_the_bits_of_rho_table():
+    # branch-continuity's points straddle both discriminant boundaries.
+    xi = np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
+                           (DISC_XI_LOW, DISC_XI_HIGH))[..., None]
+    psi = np.array([0.7, 1.2, 1.9, 2.5])
+    assert fi.rho_psi(xi, psi).tobytes() == rho_table(xi, psi).rho_psi.tobytes()
+    for xi, psi in REAL_POINTS + OUTER_REAL_POINTS + COMPLEX_POINTS:
+        got = fi.rho_psi(xi, psi, 0.5, (0.1, -0.2))
+        assert type(got) is complex
+        assert got == rho_table(xi, psi, 0.5, (0.1, -0.2)).rho_psi
+    # The domain guards of rho_table, with its messages.
+    for xi, psi in ((0.0, 1.0), (0.5, math.pi), ([0.3, 0.4], [1.0, 0.0])):
+        with pytest.raises(ValueError) as want:
+            rho_table(xi, psi)
+        with pytest.raises(ValueError) as got:
+            fi.rho_psi(xi, psi)
+        assert str(got.value) == str(want.value)
+
+
+def test_residuals_of_a_result_in_hand_keep_their_bits():
+    # The battery forms these from one uv_table and one reconstruct_H.
+    xi, psi = checks._real_region_grid(10)
+    uv = uv_table(xi, psi)
+    for reading in ("xi", "v"):
+        assert (fi.uv_relation_residual(uv, xi, psi, reading=reading).tobytes()
+                == relation_residual(xi, psi, reading=reading).tobytes())
+    r, psi, bracket = checks._h_pde_states()
+    with pytest.warns(UserWarning, match="2 parameter roots"):
+        rec = fi.reconstruct_H(r, psi, bracket=bracket)
+    with pytest.warns(UserWarning, match="2 parameter roots"):
+        for reading in ("xi", "v"):
+            assert (rec.h_pde_residual(reading).tobytes()
+                    == h_pde_residual(r, psi, reading=reading,
+                                      bracket=bracket).tobytes())
+        assert (rec.phi_flow_derivative().tobytes()
+                == phi_flow_derivative(r, psi, bracket=bracket).tobytes())
+    with pytest.raises(ValueError, match="reading"):
+        rec.h_pde_residual("w")
+    with pytest.raises(ValueError, match="reading"):
+        fi.uv_relation_residual(uv, xi, psi, reading="w")
+    # A float point gives Python numbers.
+    one = fi.reconstruct_H(float(r[0]), float(psi[0]),
+                           bracket=(float(bracket[0][0]),
+                                    float(bracket[1][0])))
+    assert type(one.xi_star) is float and type(one.h_r) is complex
+    assert type(one.h_pde_residual()) is float
+    assert type(one.phi_flow_derivative()) is float
