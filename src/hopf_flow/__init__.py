@@ -25,13 +25,9 @@ from .first_integral import (
     HReconstruction,
     RhoTable,
     UVPair,
-    h_pde_residual,
-    phi_flow_derivative,
     reconstruct_H,
-    relation_residual,
     rho_psi,
     rho_table,
-    uv_relation_residual,
     uv_table,
     xi_substitution_residual,
 )
@@ -80,16 +76,13 @@ __all__ = [
     "derivative",
     "derived_rates",
     "from_spherical",
-    "h_pde_residual",
     "h_rhs",
     "implicit_constant",
     "implicit_residual",
     "integrate",
-    "phi_flow_derivative",
     "pushforward_sign",
     "psi_rhs",
     "reconstruct_H",
-    "relation_residual",
     "relative_to_terms",
     "rho_psi",
     "rho_table",
@@ -102,7 +95,6 @@ __all__ = [
     "trace_h",
     "trace_reduced",
     "turning_locus",
-    "uv_relation_residual",
     "uv_table",
     "value",
     "xi_substitution_residual",

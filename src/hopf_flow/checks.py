@@ -1,15 +1,20 @@
 """The verification battery behind `hopf-flow verify`.
 
-Each named check measures one contract of the package and folds its
-residuals into a ResidualReport, whose details list the warnings the
-check raised.  Checks are pure and deterministic (fixed seeds) and run
-one after another, and call only the public functions of the modules
-they measure.  Those of the parametric chain (legendre-identity,
-linear-pde-*, parametric-relation-*, h-pde-*, phi-flow-derivative,
-gauge-invariance, dual-vs-fd, branch-continuity) pass whole grids to the
-first_integral functions in one array call each; the float path of the
-same functions is the bit-pinned reference that the tests compare those
-arrays against.
+Each named check only measures one contract of the package: it returns
+its residuals and the details its report carries.  run_battery alone
+judges them, folding each check's residuals into a ResidualReport under
+the check's name, its tolerance times tol_scale and its documented flag;
+the report's details also list the warnings the check raised.  Checks
+are pure and deterministic (fixed seeds) and run one after another, and
+call only the public functions of the modules they measure.  Those of
+the parametric chain (legendre-identity, linear-pde-*,
+parametric-relation-*, h-pde-*, phi-flow-derivative, gauge-invariance,
+dual-vs-fd, branch-continuity) pass whole grids to the first_integral
+functions in one array call each, and read each residual from the one
+method of the table it is formed from (uv_table(...).relation_residual,
+reconstruct_H(...).h_pde_residual and .phi_flow_derivative); the float
+path of the same functions is the bit-pinned reference that the tests
+compare those arrays against.
 
 Where several checks read the same intermediate, one run_battery call
 computes it once and each check reads it from there: the 10x10
@@ -30,27 +35,17 @@ from __future__ import annotations
 import math
 import warnings
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import fields, first_integral, reduced_system, special_functions
-from .diagnostics import ResidualReport, summarize
+from .diagnostics import summarize
 from .integrator import integrate
 
 SCHEMA = "hopf-flow-verify/1"
-
-# Checks that measure relations that fail as printed; their
-# documented-discrepancy verdict is expected and does not fail the
-# battery.
-ALLOWED_DISCREPANCIES = frozenset({
-    "linear-pde-direct",
-    "parametric-relation-v",
-    "h-pde-v",
-    "phi-flow-derivative",
-})
-
 
 # The intermediates several checks read, by name, while run_battery runs;
 # None outside it.
@@ -77,9 +72,11 @@ def _shared(name: str, compute: Callable[[], object]):
 
 
 # -- individual checks -------------------------------------------------------
+#
+# Each returns its residuals and the details its report carries.
 
 
-def _check_unit_norm(tol: float, documented: bool) -> ResidualReport:
+def _check_unit_norm():
     rng = np.random.default_rng(314159)
     pts = rng.uniform(-5.7, 5.7, size=(2000, 3))
     residuals = []
@@ -88,23 +85,26 @@ def _check_unit_norm(tol: float, documented: bool) -> ResidualReport:
     for p in pts.tolist():
         vx, vy, vz = fields.cartesian_ode(0.0, p)
         residuals.append(math.sqrt(vx * vx + vy * vy + vz * vz) - 1.0)
-    return summarize("unit-norm", residuals, tol, documented)
+    return residuals, {}
 
 
-def _micro_fd_rates(y: np.ndarray, quantities, h: float = 1e-5) -> list:
+def _micro_fd_rates(y: np.ndarray, quantities) -> list:
     """d q/dt at state y for each q of quantities, by central differences
     over one forward and one backward tiny re-integration."""
+    h = 1e-5
     fwd = integrate(fields.cartesian_ode, y, (0.0, h), rel_tol=1e-12).y_end
     bwd = integrate(fields.cartesian_ode, y, (0.0, -h), rel_tol=1e-12).y_end
     return [(q(fwd) - q(bwd)) / (2.0 * h) for q in quantities]
 
 
-def _rate_residuals(starts, span: float, n_samples: int) -> list:
+def _check_rate_identities():
     residuals = []
-    for y0 in starts:
+    # Ten states along each of two orbits, finite differences against
+    # the derived rates.
+    for y0 in [(1.0, 0.2, 0.3), (0.5, -1.1, 2.0)]:
         traj = integrate(fields.cartesian_ode, np.asarray(y0, float),
-                         (0.0, span), rel_tol=1e-10)
-        idx = np.unique(np.linspace(0, len(traj.ts) - 1, n_samples).astype(int))
+                         (0.0, 8.0), rel_tol=1e-10)
+        idx = np.unique(np.linspace(0, len(traj.ts) - 1, 10).astype(int))
         for i in idx:
             y = traj.ys[i]
             rates = fields.derived_rates(y)
@@ -117,12 +117,6 @@ def _rate_residuals(starts, span: float, n_samples: int) -> list:
                 residuals.append(err)
             residuals.append((fd2 - rates.rate_r2)
                              / max(1.0, abs(rates.rate_r2)))
-    return residuals
-
-
-def _check_rate_identities(tol: float, documented: bool) -> ResidualReport:
-    residuals = _rate_residuals([(1.0, 0.2, 0.3), (0.5, -1.1, 2.0)],
-                                span=8.0, n_samples=10)
     rng = np.random.default_rng(271828)
     on_sphere = 0
     for _ in range(200):
@@ -133,18 +127,16 @@ def _check_rate_identities(tol: float, documented: bool) -> ResidualReport:
         rate = fields.derived_rates(u).rate_arctan
         residuals.append(rate / 1e-8)  # scaled so tol maps to 1e-14
         on_sphere += 1
-    return summarize("rate-identities", residuals, tol, documented,
-                     details={"sphere_probes": on_sphere})
+    return residuals, {"sphere_probes": on_sphere}
 
 
-def _check_pushforward_sign(tol: float, documented: bool) -> ResidualReport:
+def _check_pushforward_sign():
     rep = fields.pushforward_sign()
-    return summarize("pushforward-sign", [rep.max_residual], tol, documented,
-                     details={"sigma": rep.sigma, "samples": rep.samples,
-                              "consistent": rep.consistent})
+    return [rep.max_residual], {"sigma": rep.sigma, "samples": rep.samples,
+                                "consistent": rep.consistent}
 
 
-def _check_pushforward_trajectories(tol: float, documented: bool) -> ResidualReport:
+def _check_pushforward_trajectories():
     residuals = []
     for start in [(1.0, 0.5, 0.25), (2.5, -1.0, 1.5)]:
         y0 = np.asarray(start, float)
@@ -155,27 +147,25 @@ def _check_pushforward_trajectories(tol: float, documented: bool) -> ResidualRep
         ts = np.linspace(0.0, 5.0, 30)
         for yc, ys in zip(cart.sample(ts), sph.sample(-ts)):
             residuals.append(math.dist(fields.from_spherical(ys), tuple(yc)))
-    return summarize("pushforward-trajectories", residuals, tol, documented)
+    return residuals, {}
 
 
-def _check_bessel_wronskian(tol: float, documented: bool) -> ResidualReport:
+def _check_bessel_wronskian():
     zs = np.geomspace(1e-3, special_functions.Z_MAX, 1000)
-    residuals = special_functions.bessel_quad(zs).wronskian_defect()
-    return summarize("bessel-wronskian", residuals, tol, documented)
+    return special_functions.bessel_quad(zs).wronskian_defect(), {}
 
 
 _CURVES = ((1.0, 0.5, 4.0), (3.0, 0.2, 6.0), (5.0, 0.8, 5.6))
 
 
-def _check_implicit_constant(tol: float, documented: bool) -> ResidualReport:
+def _check_implicit_constant():
     sel = reduced_system.select_effective_form(_CURVES)
-    return summarize("implicit-constant", sel.spreads["continued"], tol,
-                     documented, details={"curves": list(_CURVES),
-                                          "form": sel.chosen,
-                                          "spreads": sel.spreads})
+    return sel.spreads["continued"], {"curves": list(_CURVES),
+                                      "form": sel.chosen,
+                                      "spreads": sel.spreads}
 
 
-def _check_implicit_inversion(tol: float, documented: bool) -> ResidualReport:
+def _check_implicit_inversion():
     residuals = []
     # (2, 0.45) etc. sit away from the turning locus H = (r^2+4)^2/(64 r^2),
     # where the level curve would be tangent and the root unbracketable.
@@ -183,10 +173,10 @@ def _check_implicit_inversion(tol: float, documented: bool) -> ResidualReport:
         c = reduced_system.implicit_constant(r, h).c_effective
         h_back = reduced_system.solve_implicit(c, r, (h - 0.13, h + 0.21))
         residuals.append((h_back - h) / h)
-    return summarize("implicit-inversion", residuals, tol, documented)
+    return residuals, {}
 
 
-def _check_reduced_substitution(tol: float, documented: bool) -> ResidualReport:
+def _check_reduced_substitution():
     # Solve the implicit relation for H on tight radius triples, then
     # feed each triple to the finite-difference substitution check.  Root
     # refinement is exact to 1e-12, so the FD error is set by the triple
@@ -207,11 +197,10 @@ def _check_reduced_substitution(tol: float, documented: bool) -> ResidualReport:
             solved[float(r)] = float(hs[1])
             psis = np.arcsin(np.sqrt(hs))
             residuals.append(reduced_system.substitution_check(triple, psis))
-    return summarize("reduced-substitution", residuals, tol, documented,
-                     details={"curves": len(anchors), "delta": delta})
+    return residuals, {"curves": len(anchors), "delta": delta}
 
 
-def _check_turning_slope(tol: float, documented: bool) -> ResidualReport:
+def _check_turning_slope():
     slope = reduced_system.h_rhs(2.0, 1.0)
     residuals = [(slope + 1.0 / 3.0) * 3.0]
     rng = np.random.default_rng(987654)
@@ -227,8 +216,13 @@ def _check_turning_slope(tol: float, documented: bool) -> ResidualReport:
         chain = 2.0 * math.sin(psi) * math.cos(psi) * ph
         residuals.append((hh - chain) / max(1.0, abs(hh)))
         pairs += 1
-    return summarize("turning-slope", residuals, tol, documented,
-                     details={"chain_rule_pairs": pairs})
+    return residuals, {"chain_rule_pairs": pairs}
+
+
+# Points per axis of the real-region grids of the uv_table checks
+# (legendre-identity, parametric-relation-*) and of linear-pde-*.
+_UV_GRID = 10
+_RHO_GRID = 20
 
 
 def _real_region_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -238,36 +232,28 @@ def _real_region_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xi.ravel(), psi.ravel()
 
 
-def _grid_uv(n: int):
-    """The n x n real-region grid and its uv_table, once per battery."""
-    def compute():
-        xi, psi = _real_region_grid(n)
-        return xi, psi, first_integral.uv_table(xi, psi)
-    return _shared(f"uv_table {n}x{n}", compute)
+def _grid_uv() -> first_integral.UVPair:
+    """The uv_table of the _UV_GRID real-region grid, once per battery."""
+    return _shared("uv_table", lambda: first_integral.uv_table(
+        *_real_region_grid(_UV_GRID)))
 
 
-def _check_legendre(tol: float, documented: bool) -> ResidualReport:
-    xi, psi, uv = _grid_uv(10)
-    residuals = (np.abs(uv.v_xi - xi * uv.u_xi)
-                 / np.maximum(1.0, np.abs(xi * uv.u_xi)))
-    return summarize("legendre-identity", residuals, tol, documented)
+def _check_legendre():
+    uv = _grid_uv()
+    return (np.abs(uv.v_xi - uv.xi * uv.u_xi)
+            / np.maximum(1.0, np.abs(uv.xi * uv.u_xi))), {}
 
 
-def _pde_grid_check(name: str, variant: str, n: int, tol: float,
-                    documented: bool) -> ResidualReport:
-    table = _shared(f"rho_table {n}x{n}", lambda: first_integral.rho_table(
-        *_real_region_grid(n)))
-    return summarize(name, getattr(table, f"pde_{variant}"), tol, documented,
-                     details={"variant": variant, "grid": f"{n}x{n}"})
+def _pde_grid_check(variant: str):
+    table = _shared("rho_table", lambda: first_integral.rho_table(
+        *_real_region_grid(_RHO_GRID)))
+    return getattr(table, f"pde_{variant}"), {
+        "variant": variant, "grid": f"{_RHO_GRID}x{_RHO_GRID}"}
 
 
-def _relation_grid_check(name: str, reading: str, n: int, tol: float,
-                         documented: bool) -> ResidualReport:
-    xi, psi, uv = _grid_uv(n)
-    residuals = first_integral.uv_relation_residual(uv, xi, psi,
-                                                    reading=reading)
-    return summarize(name, residuals, tol, documented,
-                     details={"reading": reading, "grid": f"{n}x{n}"})
+def _relation_grid_check(reading: str):
+    return _grid_uv().relation_residual(reading), {
+        "reading": reading, "grid": f"{_UV_GRID}x{_UV_GRID}"}
 
 
 # Parameter points whose reconstructed radius v(xi, psi) is positive,
@@ -293,34 +279,29 @@ def _h_reconstruction() -> first_integral.HReconstruction:
     return _shared("reconstruct_H", compute)
 
 
-def _check_h_pde(name: str, reading: str, tol: float,
-                 documented: bool) -> ResidualReport:
-    return summarize(name, _h_reconstruction().h_pde_residual(reading), tol,
-                     documented, details={"reading": reading})
+def _check_h_pde(reading: str):
+    return _h_reconstruction().h_pde_residual(reading), {"reading": reading}
 
 
-def _check_phi_flow(tol: float, documented: bool) -> ResidualReport:
-    return summarize("phi-flow-derivative",
-                     _h_reconstruction().phi_flow_derivative(), tol,
-                     documented)
+def _check_phi_flow():
+    return _h_reconstruction().phi_flow_derivative(), {}
 
 
 _F1_PROBE = (0.7, -0.3, 0.11, 2.0)
 
 
-def _check_gauge(tol: float, documented: bool) -> ResidualReport:
+def _check_gauge():
     xi, psi = _real_region_grid(5)
     base = first_integral.rho_table(xi, psi).pde_parametric
     gauged = first_integral.rho_table(xi, psi, f1=_F1_PROBE).pde_parametric
-    relation = first_integral.relation_residual(xi, psi, f1=_F1_PROBE)
-    return summarize("gauge-invariance", np.append(gauged - base, relation),
-                     tol, documented,
-                     details={"pde_residual_bitwise_equal":
-                              bool(np.array_equal(base, gauged)),
-                              "f1": list(_F1_PROBE)})
+    relation = first_integral.uv_table(xi, psi,
+                                       f1=_F1_PROBE).relation_residual()
+    return np.append(gauged - base, relation), {
+        "pde_residual_bitwise_equal": bool(np.array_equal(base, gauged)),
+        "f1": list(_F1_PROBE)}
 
 
-def _check_dual_vs_fd(tol: float, documented: bool) -> ResidualReport:
+def _check_dual_vs_fd():
     # One probe per row, xi drawn before psi.
     xi, psi = np.random.default_rng(55555).uniform(
         (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
@@ -332,20 +313,17 @@ def _check_dual_vs_fd(tol: float, documented: bool) -> ResidualReport:
     fd_psi = (rho_raw(xi_c, psi + h) - rho_raw(xi_c, psi - h)) / (2.0 * h)
     residuals = [np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
                  for fd, exact in ((fd_xi, table.u), (fd_psi, table.rho_psi))]
-    return summarize("dual-vs-fd", np.concatenate(residuals), tol, documented,
-                     details={"probes": 100, "step": h})
+    return np.concatenate(residuals), {"probes": 100, "step": h}
 
 
-def _check_branch_continuity(tol: float, documented: bool) -> ResidualReport:
+def _check_branch_continuity():
     delta = 1e-9
     boundaries = (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH)
     # Axes: side of the boundary, boundary, psi.
     xi = np.multiply.outer((1.0 - delta, 1.0 + delta), boundaries)[..., None]
     lo, hi = first_integral.rho_psi(xi, np.array([0.7, 1.2, 1.9, 2.5]))
     residuals = (np.abs(hi - lo) / np.maximum(1.0, np.abs(lo))).ravel()
-    return summarize("branch-continuity", residuals, tol, documented,
-                     details={"delta": delta,
-                              "boundaries": list(boundaries)})
+    return residuals, {"delta": delta, "boundaries": list(boundaries)}
 
 
 def _xi_sub_tests() -> list[tuple[Callable, float, float, float]]:
@@ -368,14 +346,12 @@ def _xi_sub_tests() -> list[tuple[Callable, float, float, float]]:
     return cases
 
 
-def _check_xi_substitution(tol: float, documented: bool) -> ResidualReport:
-    residuals = [first_integral.xi_substitution_residual(r, phi, psi, fn)
-                 for fn, r, phi, psi in _xi_sub_tests()]
-    return summarize("xi-substitution", residuals, tol, documented,
-                     details={"test_functions": 3})
+def _check_xi_substitution():
+    return [first_integral.xi_substitution_residual(r, phi, psi, fn)
+            for fn, r, phi, psi in _xi_sub_tests()], {"test_functions": 3}
 
 
-def _check_integrator_order(tol: float, documented: bool) -> ResidualReport:
+def _check_integrator_order():
     y0 = np.array([1.0, 0.0, 0.0])
     span = (0.0, 4.0)
     ref = integrate(fields.cartesian_ode, y0, span, rel_tol=1e-13).y_end
@@ -387,15 +363,17 @@ def _check_integrator_order(tol: float, documented: bool) -> ResidualReport:
             hs.append(span[1] / traj.naccept)
             errs.append(err)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return summarize("integrator-order", [max(0.0, 3.5 - slope)], tol,
-                     documented, details={"slope": slope,
-                                          "steps": hs, "errors": errs})
+    return [max(0.0, 3.5 - slope)], {"slope": slope, "steps": hs,
+                                     "errors": errs}
 
 
 @dataclass(frozen=True)
 class CheckDef:
+    """A named check: fn() measures (residuals, details); run_battery
+    judges them against tol and the documented flag."""
+
     name: str
-    fn: Callable[[float, bool], ResidualReport]
+    fn: Callable[[], tuple[Sequence[float], dict]]
     tol: float
     documented: bool = False
 
@@ -411,27 +389,16 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("reduced-substitution", _check_reduced_substitution, 1e-6),
     CheckDef("turning-slope", _check_turning_slope, 1e-12),
     CheckDef("legendre-identity", _check_legendre, 1e-12),
-    CheckDef("linear-pde-parametric",
-             lambda tol, doc: _pde_grid_check("linear-pde-parametric",
-                                              "parametric", 20, tol, doc),
+    CheckDef("linear-pde-parametric", partial(_pde_grid_check, "parametric"),
              1e-8),
-    CheckDef("linear-pde-direct",
-             lambda tol, doc: _pde_grid_check("linear-pde-direct",
-                                              "direct", 20, tol, doc),
-             1e-8, documented=True),
-    CheckDef("parametric-relation-xi",
-             lambda tol, doc: _relation_grid_check("parametric-relation-xi",
-                                                   "xi", 10, tol, doc),
+    CheckDef("linear-pde-direct", partial(_pde_grid_check, "direct"), 1e-8,
+             documented=True),
+    CheckDef("parametric-relation-xi", partial(_relation_grid_check, "xi"),
              1e-8),
-    CheckDef("parametric-relation-v",
-             lambda tol, doc: _relation_grid_check("parametric-relation-v",
-                                                   "v", 10, tol, doc),
+    CheckDef("parametric-relation-v", partial(_relation_grid_check, "v"),
              1e-8, documented=True),
-    CheckDef("h-pde-xi",
-             lambda tol, doc: _check_h_pde("h-pde-xi", "xi", tol, doc), 1e-6),
-    CheckDef("h-pde-v",
-             lambda tol, doc: _check_h_pde("h-pde-v", "v", tol, doc),
-             1e-6, documented=True),
+    CheckDef("h-pde-xi", partial(_check_h_pde, "xi"), 1e-6),
+    CheckDef("h-pde-v", partial(_check_h_pde, "v"), 1e-6, documented=True),
     CheckDef("phi-flow-derivative", _check_phi_flow, 1e-6, documented=True),
     CheckDef("gauge-invariance", _check_gauge, 1e-11),
     CheckDef("dual-vs-fd", _check_dual_vs_fd, 1e-6),
@@ -440,6 +407,10 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("integrator-order", _check_integrator_order, 1e-9),
 )
 
+# Checks that measure relations that fail as printed; their
+# documented-discrepancy verdict is expected and does not fail the
+# battery.
+ALLOWED_DISCREPANCIES = frozenset(c.name for c in CHECKS if c.documented)
 CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
@@ -471,9 +442,10 @@ def run_battery(only: Sequence[str] | None = None,
         for c in selected:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                rpt = c.fn(c.tol * tol_scale, c.documented)
-            reports.append(replace(rpt, details={
-                **rpt.details, "warnings": [str(w.message) for w in caught]}))
+                residuals, details = c.fn()
+            reports.append(summarize(
+                c.name, residuals, c.tol * tol_scale, c.documented,
+                {**details, "warnings": [str(w.message) for w in caught]}))
     finally:
         _RUN_SHARED.reset(shared)
 

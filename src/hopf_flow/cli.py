@@ -19,11 +19,14 @@ but verify take --format csv|json.  Beyond its own flags, --tol (the
 integration rel_tol) goes to trace and reduce and scales the check
 tolerances for verify; --c2, --f1 and --grid go to rho alone.  A
 subcommand refuses any flag it does not read, on the command line and
-as a --config key.  The counts --grid, --dense and --n must be
-integers, and one whose output would pass MAX_OUTPUT_NUMBERS is refused
-before anything is allocated.  Numbers in CSV carry 17 significant
-digits, so re-parsing reproduces every float bit-exactly.  Exit codes:
-0 all good, 1 check or runtime failure, 2 usage/config error.
+as a --config key.  Each flag has one reader, which takes its value
+from the command line or from --config alike, and a subcommand reads
+every value before it does any work: a number must be finite (not a
+bool), a choice one of its words, a count an integer whose output
+stays within MAX_OUTPUT_NUMBERS, or the run exits 2 naming the flag.
+Numbers in CSV carry 17 significant digits, so re-parsing reproduces
+every float bit-exactly.  Exit codes: 0 all good, 1 check or runtime
+failure, 2 usage/config error.
 
 Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
 F1 = 0, grids 20x20.
@@ -44,13 +47,8 @@ import numpy as np
 from . import checks, fields, first_integral, reduced_system
 from .integrator import integrate
 
-DEFAULTS = {
-    "tol": 1e-10,
-    "c2": 1.0,
-    "f1": (),
-    "grid": 20,
-    "format": "csv",
-}
+# trace's and reduce's integration rel_tol when --tol is unset.
+_REL_TOL = 1e-10
 
 _USAGE_ERROR = 2
 _CHECK_ERROR = 1
@@ -98,21 +96,27 @@ def write_csv(path: str | None, header: Sequence[str],
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _emit(ns, header: Sequence[str], rows: np.ndarray, meta) -> None:
-    """rows, a 2-D float array, as CSV (with a .meta.json sidecar when
-    writing to a file) or as one JSON document."""
-    if ns.format == "json":
-        _write_json(ns.out, {"header": list(header), "rows": rows.tolist(),
-                             "meta": meta})
+def _emit(sink: tuple[str | None, str], header: Sequence[str],
+          rows: np.ndarray, meta) -> None:
+    """rows, a 2-D float array, to the (--out, --format) sink: as CSV
+    (with a .meta.json sidecar when writing to a file) or as one JSON
+    document."""
+    out, fmt = sink
+    if fmt == "json":
+        _write_json(out, {"header": list(header), "rows": rows.tolist(),
+                          "meta": meta})
     else:
-        write_csv(ns.out, header, rows)
-        if ns.out is not None and meta is not None:
-            _write_json(ns.out + ".meta.json", meta)
+        write_csv(out, header, rows)
+        if out is not None:
+            _write_json(out + ".meta.json", meta)
 
 
 def _number(raw, what: str) -> float:
-    """raw as a finite float; a ValueError naming `what` otherwise."""
+    """raw as a finite float; a ValueError naming `what` otherwise (a
+    bool is no number here)."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         val = float(raw)
     except (TypeError, ValueError):
         raise ValueError(f"{what}: expected a number, got {raw!r}") from None
@@ -123,11 +127,13 @@ def _number(raw, what: str) -> float:
     return val
 
 
-def _floats(raw, n: int, what: str) -> tuple[float, ...]:
-    """n finite floats from a comma-separated string, or from a JSON list
-    that --config gave; a ValueError naming `what` otherwise."""
-    parts = raw.split(",") if isinstance(raw, str) else raw
-    if not isinstance(parts, list) or len(parts) != n:
+def _floats(raw, what: str, n: int | None = None) -> tuple[float, ...]:
+    """Finite floats, n of them when n is given, from a comma-separated
+    string, or from a JSON list or number that --config gave; a
+    ValueError naming `what` otherwise."""
+    parts = (raw.split(",") if isinstance(raw, str)
+             else raw if isinstance(raw, list) else [raw])
+    if n is not None and len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated numbers, "
                          f"got {raw!r}")
     return tuple(_number(p, what) for p in parts)
@@ -138,6 +144,42 @@ def _finite(ns, flag: str, default: float | None = None) -> float | None:
     --config, as a finite float; `default` when it is unset."""
     raw = getattr(ns, flag)
     return default if raw is None else _number(raw, f"--{flag}")
+
+
+def _choice(ns, flag: str, words: Sequence[str]) -> str:
+    """The flag --<flag>, given on the command line or in --config, as
+    one of words; the first of them when it is unset."""
+    raw = getattr(ns, flag)
+    if raw is None:
+        return words[0]
+    if raw not in words:
+        raise ValueError(f"--{flag}: expected one of {', '.join(words)}, "
+                         f"got {raw!r}")
+    return raw
+
+
+def _texts(ns, flag: str) -> list[str] | None:
+    """The repeatable flag --<flag> as its strings: the command line gives
+    a list, --config a list or one string alone.  None when unset."""
+    raw = getattr(ns, flag)
+    if raw is None:
+        return None
+    given = raw if isinstance(raw, list) else [raw]
+    if not all(isinstance(t, str) for t in given):
+        raise ValueError(f"--{flag}: expected strings, got {raw!r}")
+    return given
+
+
+def _out(ns) -> str | None:
+    """--out as a file path; None (stdout) when it is unset."""
+    if ns.out is not None and not isinstance(ns.out, str):
+        raise ValueError(f"--out: expected a file path, got {ns.out!r}")
+    return ns.out
+
+
+def _sink(ns) -> tuple[str | None, str]:
+    """The (--out, --format) pair that _emit writes to."""
+    return _out(ns), _choice(ns, "format", ("csv", "json"))
 
 
 def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
@@ -165,7 +207,7 @@ def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
 
 
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON file, then from DEFAULTS.
+    """Fill unset flags from the --config JSON file.
 
     The file's keys must be flag names (argparse dests) of the
     subcommand, so a typo or a flag it does not take is a usage error.
@@ -185,32 +227,18 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
     for key, val in config.items():
         if getattr(ns, key) is None:
             setattr(ns, key, val)
-    for key, val in DEFAULTS.items():
-        if key == "tol" and ns.command == "verify":
-            continue  # verify's --tol is a tolerance scale, default 1.0
-        if hasattr(ns, key) and getattr(ns, key) is None:
-            setattr(ns, key, val)
     return ns
-
-
-def _f1_tuple(ns) -> tuple[float, ...]:
-    """--f1 as finite floats: a comma-separated string, or a JSON list or
-    number from --config."""
-    raw = ns.f1
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    elif not isinstance(raw, (list, tuple)):
-        raw = [raw]
-    return tuple(_number(p, "--f1") for p in raw)
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_trace(ns) -> int:
-    start = _floats(ns.start, 3, "--start")
+    sink = _sink(ns)
+    start = _floats(ns.start, "--start", 3)
     span = _finite(ns, "span", 10.0)
-    chart = ns.chart or "cartesian"
+    rel_tol = _finite(ns, "tol", _REL_TOL)
+    chart = _choice(ns, "chart", ("cartesian", "spherical"))
     # A dense row is t and three coordinates.
     dense = _count(ns, "dense", 0, lambda n: n * 4, default=0)
     if chart == "spherical":
@@ -226,7 +254,7 @@ def cmd_trace(ns) -> int:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
     traj = integrate(ode, np.asarray(start, float), (0.0, span),
-                     rel_tol=float(ns.tol))
+                     rel_tol=rel_tol)
     # The accepted rows as they are (the interpolant returns a node's own
     # state there); only dense times between nodes are sampled.
     rows = np.column_stack([traj.ts, traj.ys])
@@ -249,15 +277,16 @@ def cmd_trace(ns) -> int:
         "stop_reason": traj.stop_reason, "rel_tol": traj.rel_tol,
         "abs_tol": traj.abs_tol, "dense_samples": dense,
     }
-    _emit(ns, header, rows, meta)
+    _emit(sink, header, rows, meta)
     return 0
 
 
 def cmd_field(ns) -> int:
-    if ns.point:
+    sink = _sink(ns)
+    if ns.point is not None:
         # Repeated flags give a list; --config may give one point alone.
         given = ns.point if isinstance(ns.point, list) else [ns.point]
-        points = [_floats(p, 3, "--point") for p in given]
+        points = [_floats(p, "--point", 3) for p in given]
     else:
         points = [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, -1.2, 2.0),
                   (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
@@ -269,17 +298,19 @@ def cmd_field(ns) -> int:
         rates = fields.derived_rates(p)
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
-    rows = np.array(rows)
-    _emit(ns, header, rows, {"points": len(rows)})
+    rows = np.array(rows).reshape(-1, len(header))
+    _emit(sink, header, rows, {"points": len(rows)})
     return 0
 
 
 def cmd_reduce(ns) -> int:
+    sink = _sink(ns)
     if ns.start is None or ns.target is None:
         raise ValueError("reduce needs --start r0,psi0 and --target r1")
-    r0, psi0 = _floats(ns.start, 2, "--start")
-    curve = reduced_system.trace_reduced(r0, psi0, _finite(ns, "target"),
-                                         rel_tol=float(ns.tol))
+    r0, psi0 = _floats(ns.start, "--start", 2)
+    target = _finite(ns, "target")
+    rel_tol = _finite(ns, "tol", _REL_TOL)
+    curve = reduced_system.trace_reduced(r0, psi0, target, rel_tol=rel_tol)
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     # No constant within 1e-10 of H = 0 or of the H = 1 fold.
     hs = np.where((curve.hs > 1e-10) & (curve.hs < 1.0 - 1e-10), curve.hs,
@@ -298,27 +329,28 @@ def cmd_reduce(ns) -> int:
         "accepted_steps": sum(seg.naccept for seg in curve.segments),
         "rejected_steps": sum(seg.nreject for seg in curve.segments),
     }
-    _emit(ns, header, rows, meta)
+    _emit(sink, header, rows, meta)
     return 0
 
 
 def cmd_implicit(ns) -> int:
+    sink = _sink(ns)
     if ns.bracket is None:
         raise ValueError("implicit needs --bracket lo,hi (an H bracket for "
                          "the root solve)")
-    bracket = _floats(ns.bracket, 2, "--bracket")
-    if ns.c1 is not None:
-        c_eff = _finite(ns, "c1")
-    elif ns.start is not None:
-        r0, h0 = _floats(ns.start, 2, "--start")
-        c_eff = reduced_system.implicit_constant(r0, h0).c_effective
-    else:
-        raise ValueError("implicit needs --c1 or --start r0,h0")
+    if (ns.c1 is None) == (ns.start is None):
+        raise ValueError("implicit needs exactly one of --c1 and --start "
+                         "r0,h0")
     if ns.rmin is None or ns.rmax is None:
         raise ValueError("implicit needs --rmin and --rmax for the sweep")
+    bracket = _floats(ns.bracket, "--bracket", 2)
+    c1 = _finite(ns, "c1")
+    start = None if ns.start is None else _floats(ns.start, "--start", 2)
     header = ["r", "H", "resid"]
     n = _count(ns, "n", 1, lambda n: n * len(header), default=25)
     r_lo, r_hi = _finite(ns, "rmin"), _finite(ns, "rmax")
+    c_eff = (c1 if start is None
+             else reduced_system.implicit_constant(*start).c_effective)
     with np.errstate(over="ignore", invalid="ignore"):
         rs = np.linspace(r_lo, r_hi, n)
     if not np.isfinite(rs).all():
@@ -332,19 +364,21 @@ def cmd_implicit(ns) -> int:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
     meta = {"c_effective": c_eff, "rows": len(rows), "solved": solved}
-    _emit(ns, header, rows, meta)
+    _emit(sink, header, rows, meta)
     return 0
 
 
 def cmd_rho(ns) -> int:
-    xi_lo, xi_hi = _floats(ns.xi, 2, "--xi") if ns.xi else (0.12, 0.72)
-    psi_lo, psi_hi = (_floats(ns.psi, 2, "--psi") if ns.psi
+    sink = _sink(ns)
+    xi_lo, xi_hi = (_floats(ns.xi, "--xi", 2) if ns.xi is not None
+                    else (0.12, 0.72))
+    psi_lo, psi_hi = (_floats(ns.psi, "--psi", 2) if ns.psi is not None
                       else (0.3, math.pi - 0.3))
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
-    n = _count(ns, "grid", 1, lambda n: n * n * len(header))
-    f1 = _f1_tuple(ns)
-    c2 = float(ns.c2)
+    n = _count(ns, "grid", 1, lambda n: n * n * len(header), default=20)
+    f1 = () if ns.f1 is None else _floats(ns.f1, "--f1")
+    c2 = _finite(ns, "c2", 1.0)
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
     # Rows run xi outer, psi inner.  log(tan(psi/2)) in the half-angle form
@@ -363,14 +397,16 @@ def cmd_rho(ns) -> int:
         table.pde_parametric])
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
             "xi_range": [xi_lo, xi_hi], "psi_range": [psi_lo, psi_hi]}
-    _emit(ns, header, rows, meta)
+    _emit(sink, header, rows, meta)
     return 0
 
 
 def cmd_verify(ns) -> int:
-    tol_scale = float(ns.tol) if ns.tol is not None else 1.0
-    doc = checks.run_battery(only=ns.only or None, tol_scale=tol_scale)
-    _write_json(ns.out, doc)
+    out = _out(ns)
+    tol_scale = (1.0 if ns.tol is None
+                 else _number(ns.tol, "--tol (the tolerance scale)"))
+    doc = checks.run_battery(only=_texts(ns, "only"), tol_scale=tol_scale)
+    _write_json(out, doc)
     return 0 if doc["passed"] else _CHECK_ERROR
 
 
@@ -391,16 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of defaults; flags override")
         p.add_argument("--out", help="output path (default stdout)")
         if fmt:
-            p.add_argument("--format", choices=("csv", "json"))
+            p.add_argument("--format", help="csv (default) or json")
 
     p_trace = sub.add_parser("trace", help="integrate the flow")
     common(p_trace)
-    p_trace.add_argument("--tol", type=float, help="integration rel_tol")
+    p_trace.add_argument("--tol", help="integration rel_tol")
     p_trace.add_argument("--start", required=True,
                          help="x,y,z (or r,phi,psi with --chart spherical)")
-    p_trace.add_argument("--span", type=float)
-    p_trace.add_argument("--chart", choices=("cartesian", "spherical"))
-    p_trace.add_argument("--dense", type=int,
+    p_trace.add_argument("--span")
+    p_trace.add_argument("--chart", help="cartesian (default) or spherical")
+    p_trace.add_argument("--dense",
                          help="additional uniformly spaced output samples")
 
     p_field = sub.add_parser("field", help="probe the velocity field")
@@ -410,31 +446,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="trace the reduced (r,H) curve")
     common(p_reduce)
-    p_reduce.add_argument("--tol", type=float, help="integration rel_tol")
+    p_reduce.add_argument("--tol", help="integration rel_tol")
     p_reduce.add_argument("--start", help="r0,psi0")
-    p_reduce.add_argument("--target", type=float, help="target radius")
+    p_reduce.add_argument("--target", help="target radius")
 
     p_impl = sub.add_parser("implicit",
                             help="solve the implicit Bessel relation over r")
     common(p_impl)
-    p_impl.add_argument("--c1", type=float, help="effective constant")
+    p_impl.add_argument("--c1", help="effective constant")
     p_impl.add_argument("--start", help="r0,h0 fixing the constant instead")
-    p_impl.add_argument("--rmin", type=float)
-    p_impl.add_argument("--rmax", type=float)
-    p_impl.add_argument("--n", type=int, help="sweep points (default 25)")
+    p_impl.add_argument("--rmin")
+    p_impl.add_argument("--rmax")
+    p_impl.add_argument("--n", help="sweep points (default 25)")
     p_impl.add_argument("--bracket", help="H bracket lo,hi for the root solve")
 
     p_rho = sub.add_parser("rho", help="tabulate the generating function")
     common(p_rho)
-    p_rho.add_argument("--c2", type=float, help="first-integral slope c2")
+    p_rho.add_argument("--c2", help="first-integral slope c2")
     p_rho.add_argument("--f1", help="comma-separated ascending F1 coefficients")
-    p_rho.add_argument("--grid", type=int, help="points per grid axis")
+    p_rho.add_argument("--grid", help="points per grid axis (default 20)")
     p_rho.add_argument("--xi", help="xi range lo,hi")
     p_rho.add_argument("--psi", help="psi range lo,hi")
 
     p_verify = sub.add_parser("verify", help="run the check battery")
     common(p_verify, fmt=False)  # the report is always JSON
-    p_verify.add_argument("--tol", type=float,
+    p_verify.add_argument("--tol",
                           help="scale applied to every check tolerance")
     p_verify.add_argument("--only", action="append",
                           help="run only this check (repeatable)")

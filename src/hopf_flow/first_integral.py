@@ -18,11 +18,10 @@ of the principal arctan, which makes the raw rho value jump by a
 locally-constant (gauge) amount across the boundary while psi-derivatives
 stay continuous.
 
-A point or a grid.  rho_table, rho_psi, uv_table, relation_residual,
-reconstruct_H, h_pde_residual and phi_flow_derivative follow the rule of
-special_functions.bessel_quad: when every point argument is a scalar,
-the call runs the float path (cmath and math) and returns Python
-numbers; anything else broadcasts over numpy arrays.  The float path is
+A point or a grid.  rho_table, rho_psi, uv_table and reconstruct_H
+follow the rule of special_functions.bessel_quad: when every point
+argument is a scalar, the call runs the float path (cmath and math) and
+returns Python numbers; anything else broadcasts over numpy arrays.  The float path is
 the bit-pinned reference that the tests freeze.  Array entries match it
 to round-off, not bitwise, because numpy and libm round transcendentals
 differently.  Where rho_table's residuals are indeterminate, a float
@@ -48,6 +47,13 @@ parametric relation and the H-equation accept reading="xi" (coefficient
 polynomials evaluated at the parameter) or reading="v" (evaluated at the
 reconstructed radius): the chain closes at round-off under the xi
 reading only, and both numbers are reported.
+
+Each residual of the chain has one entry, a method of the result it is
+formed from, so one table serves every residual read from it: the
+parametric relation is uv_table(...).relation_residual(reading), and
+the H-equation and the flow derivative of Phi are
+reconstruct_H(...).h_pde_residual(reading) and
+reconstruct_H(...).phi_flow_derivative().
 """
 
 from __future__ import annotations
@@ -65,18 +71,6 @@ from .fields import spherical_ode
 
 DISC_XI_LOW = 2.0 * math.sqrt(2.0) - 2.0
 DISC_XI_HIGH = 2.0 * math.sqrt(2.0) + 2.0
-
-
-@dataclass(frozen=True)
-class UVPair:
-    """u = rho_xi and v = xi rho_xi - rho with their exact partials."""
-
-    u: complex
-    v: complex
-    u_xi: complex
-    u_psi: complex
-    v_xi: complex
-    v_psi: complex
 
 
 def poly_eval(coeffs: Sequence[float], x):
@@ -247,61 +241,64 @@ def _uv_maps(x, psi, c2, f1):
     return out.eps, x * out.eps - out.val
 
 
-def _uv_pair(xi, psi, c2, f1) -> UVPair:
-    """u, v and their partials at complex xi, scalars or arrays alike.
-
-    The psi-partials come from `_nested_pass`, the xi-partials from the
-    u and v maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
-    measurement of the implementation (the product rule executes in
-    floating point), not a restatement of the algebra."""
-    rho, u, rho_psi, u_psi = _nested_pass(xi, psi, c2, f1)
-    u_dual, v_dual = _uv_maps(Dual(xi, 1.0 + 0.0j), psi, c2, f1)
-    return UVPair(u=u, v=xi * u - rho, u_xi=u_dual.eps, u_psi=u_psi,
-                  v_xi=v_dual.eps, v_psi=xi * u_psi - rho_psi)
-
-
-def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
-    """u, v and their four partials by exact forward-mode seeding
-    (`_uv_pair`), at a float pair or over broadcastable arrays."""
-    xi, psi = _grid(xi, psi)
-    with np.errstate(all="ignore"):
-        return _uv_pair(xi + 0.0j, psi, c2, tuple(f1))
-
-
 def _check_reading(reading: str) -> None:
     if reading not in ("xi", "v"):
         raise ValueError(f"unknown reading {reading!r}")
 
 
-def relation_residual(xi, psi, c2: float = 1.0, f1: Sequence[float] = (),
-                      reading: str = "xi"):
-    """Scaled residual of the parametric (u, v) relation at (xi, psi).
+@dataclass(frozen=True)
+class UVPair:
+    """u = rho_xi and v = xi rho_xi - rho with their exact partials at
+    (xi, psi) for the slope c2: values at one point, or one array entry
+    per point.  The parametric-relation residual is a function of it, so
+    one table serves both readings."""
 
-    reading="xi" evaluates the coefficient polynomials at the parameter
-    xi; reading="v" evaluates them at the reconstructed radius v(xi,psi)
-    as the substitution rules would dictate.  The closed form satisfies
-    the xi reading at round-off; the v reading does not (reported, not
-    hidden).
-    """
-    _check_reading(reading)
+    xi: float | np.ndarray
+    psi: float | np.ndarray
+    u: complex | np.ndarray
+    v: complex | np.ndarray
+    u_xi: complex | np.ndarray
+    u_psi: complex | np.ndarray
+    v_xi: complex | np.ndarray
+    v_psi: complex | np.ndarray
+    c2: float
+
+    def relation_residual(self, reading: str = "xi"):
+        """Scaled residual of the parametric (u, v) relation.
+
+        reading="xi" evaluates the coefficient polynomials at the
+        parameter xi; reading="v" evaluates them at the reconstructed
+        radius v(xi, psi) as the substitution rules would dictate.  The
+        closed form satisfies the xi reading at round-off; the v reading
+        does not (reported, not hidden).
+        """
+        _check_reading(reading)
+        w = self.xi if reading == "xi" else self.v
+        a = transport_coefficient(w, self.psi)
+        b = source_coefficient(w, self.psi)
+        return relative_to_terms([-a * self.u_psi * self.v_xi,
+                                  a * self.u_xi * self.v_psi,
+                                  b * self.u_xi,
+                                  -8.0 * self.c2 * w ** 3 * self.v_xi,
+                                  32.0 * self.c2 * w * self.v_xi])
+
+
+def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
+    """u, v and their four partials by exact forward-mode seeding, at a
+    float pair or over broadcastable arrays.
+
+    The psi-partials come from `_nested_pass`, the xi-partials from the
+    u and v maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
+    measurement of the implementation (the product rule executes in
+    floating point), not a restatement of the algebra."""
     xi, psi = _grid(xi, psi)
-    return uv_relation_residual(uv_table(xi, psi, c2, f1), xi, psi, c2,
-                                reading)
-
-
-def uv_relation_residual(uv: UVPair, xi, psi, c2: float = 1.0,
-                         reading: str = "xi"):
-    """relation_residual from the uv_table(xi, psi, c2, f1) already in
-    hand, so one table serves both readings."""
-    _check_reading(reading)
-    w = xi if reading == "xi" else uv.v
-    a = transport_coefficient(w, psi)
-    b = source_coefficient(w, psi)
-    return relative_to_terms([-a * uv.u_psi * uv.v_xi,
-                              a * uv.u_xi * uv.v_psi,
-                              b * uv.u_xi,
-                              -8.0 * c2 * w ** 3 * uv.v_xi,
-                              32.0 * c2 * w * uv.v_xi])
+    xi_c, f1 = xi + 0.0j, tuple(f1)
+    with np.errstate(all="ignore"):
+        rho, u, rho_psi, u_psi = _nested_pass(xi_c, psi, c2, f1)
+        u_dual, v_dual = _uv_maps(Dual(xi_c, 1.0 + 0.0j), psi, c2, f1)
+        return UVPair(xi=xi, psi=psi, u=u, v=xi_c * u - rho, u_xi=u_dual.eps,
+                      u_psi=u_psi, v_xi=v_dual.eps,
+                      v_psi=xi_c * u_psi - rho_psi, c2=c2)
 
 
 def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
@@ -402,25 +399,6 @@ def reconstruct_H(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
                            h_r=uv.u_xi / uv.v_xi,
                            h_psi=uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi,
                            c2=c2)
-
-
-def h_pde_residual(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
-                   reading: str = "xi", bracket=(0.05, 0.8),
-                   n_scan: int = 60):
-    """End-to-end scaled residual of the H-equation at (r, psi):
-    HReconstruction.h_pde_residual of reconstruct_H.  r, psi and the
-    bracket ends broadcast."""
-    _check_reading(reading)
-    return reconstruct_H(r, psi, c2, f1, bracket,
-                         n_scan).h_pde_residual(reading)
-
-
-def phi_flow_derivative(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
-                        bracket=(0.05, 0.8)):
-    """Scaled rate of change of Phi = c2 phi + H(r, psi) along the flow,
-    end to end: HReconstruction.phi_flow_derivative of reconstruct_H.
-    r, psi and the bracket ends broadcast."""
-    return reconstruct_H(r, psi, c2, f1, bracket).phi_flow_derivative()
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,

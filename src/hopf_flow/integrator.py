@@ -22,7 +22,7 @@ locals and with the same bits; where one of its guards fails, the stage
 calls the field.  Any other callable, a wrapper of one of those four
 included, is called at every stage.  The error norm is
 the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
-where abs_tol = rel_tol * 1e-2 and both must lie in [1e-16, 1e-2).  The
+where abs_tol = rel_tol * 1e-2 and rel_tol must lie in [1e-14, 1e-2).  The
 same function runs the accept/reject loop around the step: the PI
 controller, the stop tests and the event sign test.  Each accepted step
 extends three flat `array('d')` buffers of times, states and slopes; the
@@ -506,9 +506,9 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     trajectory.  A slope at y0 that is not finite, or too steep for a
     first step, raises ValueError.
     """
+    if not 1e-14 <= rel_tol < 1e-2:
+        raise ValueError(f"rel_tol must lie in [1e-14, 1e-2), got {rel_tol!r}")
     abs_tol = rel_tol * 1e-2
-    if not (1e-16 <= rel_tol < 1e-2 and 1e-16 <= abs_tol < 1e-2):
-        raise ValueError("tolerances must lie in [1e-16, 1e-2)")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.asarray(y0, dtype=float)
     if y_arr.ndim != 1:

@@ -51,6 +51,14 @@ _RESUME_MARGIN = 2e-6
 _R_AWAY_MIN = 1e-3
 _R_AWAY_MAX = 100.0
 
+# trace_reduced's budget: segments in all, and the planar-flow parameter
+# span of one fold hand-over.
+_MAX_SEGMENTS = 8
+_MAX_PARAM = 50.0
+
+# Radii per curve at which select_effective_form compares the forms.
+_FORM_SAMPLES = 24
+
 # An array `_combination` costs ~0.3 ms whatever its size below a few
 # hundred points, about as much as 30 float calls, so `solve_implicit`
 # evaluates fewer points than this one by one on the float path.
@@ -356,8 +364,7 @@ def _fold_clearance(r: float, psi: float) -> float:
 
 
 def trace_reduced(r0: float, psi0: float, r_target: float,
-                  rel_tol: float = 1e-12, max_segments: int = 8,
-                  max_param: float = 50.0) -> ReducedCurve:
+                  rel_tol: float = 1e-12) -> ReducedCurve:
     """Trace the reduced curve from (r0, psi0) toward r = r_target.
 
     Runs in r-parametrization while the graph H(r) is single-valued and
@@ -390,7 +397,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
         psis.append(seg_psi)
         curve.segments.append(traj)
 
-    for _ in range(max_segments):
+    for _ in range(_MAX_SEGMENTS):
         if abs(r - r_target) <= 1e-12 * max(1.0, abs(r_target)):
             curve.reached = True
             break
@@ -439,7 +446,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                   direction=-1, name="axis"),
         )
         traj = integrate(reduced_time_ode, [r, psi],
-                         (0.0, s_sign * max_param), rel_tol=rel_tol,
+                         (0.0, s_sign * _MAX_PARAM), rel_tol=rel_tol,
                          events=events)
         rs.append(traj.ys[:, 0].copy())
         psis.append(traj.ys[:, 1].copy())
@@ -472,11 +479,11 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     return curve
 
 
-def select_effective_form(curves: Sequence[tuple[float, float, float]],
-                          n_samples: int = 24) -> FormSelection:
+def select_effective_form(
+        curves: Sequence[tuple[float, float, float]]) -> FormSelection:
     """Measure which implicit-constant form is conserved.
 
-    Traces H(r) from each (r0, h0) toward r1 and samples n_samples
+    Traces H(r) from each (r0, h0) toward r1 and samples _FORM_SAMPLES
     radii from r0 to where the trace ended; every sample of every curve
     is evaluated in one array Bessel pass.  A form's spread on a curve
     is (max - min) / |mean| of its constants there.  The form whose
@@ -486,7 +493,7 @@ def select_effective_form(curves: Sequence[tuple[float, float, float]],
     rs, hs = [], []
     for r0, h0, r1 in curves:
         traj = trace_h(r0, h0, r1)
-        r_grid = np.linspace(r0, traj.t_end, n_samples)
+        r_grid = np.linspace(r0, traj.t_end, _FORM_SAMPLES)
         rs.append(r_grid)
         hs.append(traj.sample(r_grid)[:, 0])
     _, a, b, q = _bessel_terms(np.array(rs), np.array(hs))
@@ -499,7 +506,7 @@ def select_effective_form(curves: Sequence[tuple[float, float, float]],
     conserved = [form for form, spread in spreads.items()
                  if all(s <= 1e-8 for s in spread)]
     return FormSelection(chosen=conserved[0] if len(conserved) == 1 else None,
-                         spreads=spreads, samples=n_samples)
+                         spreads=spreads, samples=_FORM_SAMPLES)
 
 
 def solve_implicit(c_effective: float, r, bracket: tuple[float, float],

@@ -191,8 +191,8 @@ def test_A6_pde_chain_audit():
     for reading in ("xi", "v"):
         vals = []
         for xi, psi in ((0.2, 1.1), (0.5, 1.4), (0.65, 2.1)):
-            a = first_integral.relation_residual(xi, psi, reading=reading)
-            b = first_integral.relation_residual(xi, psi, reading=reading)
+            a = first_integral.uv_table(xi, psi).relation_residual(reading)
+            b = first_integral.uv_table(xi, psi).relation_residual(reading)
             assert a == b  # deterministic re-measurement
             vals.append(a)
         rel[reading] = max(vals)
@@ -202,9 +202,8 @@ def test_A6_pde_chain_audit():
         for xi0, psi in ((0.2, 1.1), (0.65, 1.8), (0.65, 2.1)):
             v = first_integral.uv_table(xi0, psi).v.real
             bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
-            vals.append(first_integral.h_pde_residual(v, psi,
-                                                      reading=reading,
-                                                      bracket=bracket))
+            vals.append(first_integral.reconstruct_H(
+                v, psi, bracket=bracket).h_pde_residual(reading))
         hp[reading] = max(vals)
     ok = (direct_clause and parametric_max <= 1e-8
           and stab_parametric <= 1e-10 and legendre_max <= 1e-12

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hopf_flow import checks, first_integral, reduced_system
+from hopf_flow.diagnostics import summarize
 
 # Every check's verdict; the four documented discrepancies are the
 # allowlisted relations that do not hold as printed.
@@ -162,9 +163,10 @@ def test_a_check_called_directly_computes_what_it_reads():
         c = by_name[entry["name"]]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = c.fn(c.tol, c.documented).to_dict()
-        got["details"]["warnings"] = [str(w.message) for w in caught]
-        assert got == entry, c.name
+            residuals, details = c.fn()
+        details["warnings"] = [str(w.message) for w in caught]
+        got = summarize(c.name, residuals, c.tol, c.documented, details)
+        assert got.to_dict() == entry, c.name
 
 
 def _count_calls(monkeypatch, name):

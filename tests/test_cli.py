@@ -331,8 +331,12 @@ def test_config_keys_the_subcommand_does_not_take_are_usage_errors(
     (("field",), {"point": [[0, 0, 3], "1e-3,2,-1"]},
      ("--point=0,0,3", "--point=1e-3,2,-1")),
     (("field",), {"point": "1,2,3"}, ("--point=1,2,3",)),
+    (("verify",), {"only": "unit-norm"}, ("--only=unit-norm",)),
+    (("verify",), {"only": ["unit-norm", "turning-slope"]},
+     ("--only=unit-norm", "--only=turning-slope")),
 ], ids=["rho-xi-psi", "reduce-start", "implicit-start-bracket",
-        "field-points", "field-one-point"])
+        "field-points", "field-one-point", "verify-one-only",
+        "verify-only-list"])
 def test_config_lists_for_comma_flags(argv, config, flags, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -501,6 +505,67 @@ def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
         code, message)
 
 
+# A number flag's value as --config holds it: numbers finite or not,
+# their strings, other words, bools and lists.
+_NUMBER_VALUES = (st.floats() | st.integers(-10 ** 400, 10 ** 400)
+                  | st.floats().map(repr)
+                  | st.sampled_from(["nan", "-inf", "1e999", "x", "", "1,2"])
+                  | st.booleans() | st.lists(st.floats(-3.0, 3.0), max_size=3))
+# Each subcommand with its two number flags; rho's grid is 2x2.
+_NUMBER_FLAGS = {"rho": (("rho", "--grid", "2"), ("c2", "f1")),
+                 "reduce": (("reduce", "--start", "1,0.7854"),
+                            ("target", "tol"))}
+
+
+def _as_flag(value) -> str:
+    """A --config value as the command line would spell it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return repr(value)
+
+
+def _or_in(usual: st.SearchStrategy) -> st.SearchStrategy:
+    """A value drawn from usual half of the time, else from
+    _NUMBER_VALUES, so that runs with both flags usable are common."""
+    return st.tuples(st.booleans(), usual, _NUMBER_VALUES).map(
+        lambda t: t[1] if t[0] else t[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(list(_NUMBER_FLAGS)),
+       values=st.tuples(_or_in(st.floats(-5.0, 250.0)),
+                        _or_in(st.floats(1e-14, 1e-2))),
+       in_config=st.tuples(st.booleans(), st.booleans()))
+@example(command="rho", values=(math.nan, ()), in_config=(False, False))
+@example(command="rho", values=(True, [math.inf]), in_config=(True, True))
+@example(command="reduce", values=(200.0, 1e-14), in_config=(False, True))
+@example(command="reduce", values=(-1.0, "nan"), in_config=(True, False))
+def test_number_flags_run_or_exit_2(command, values, in_config):
+    argv, flags = _NUMBER_FLAGS[command]
+    config = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv += ("--out", os.path.join(tmp, "o"))
+        for flag, value, config_it in zip(flags, values, in_config):
+            if config_it:
+                config[flag] = value
+            else:
+                argv += (f"--{flag}={_as_flag(value)}",)
+        if config:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="ascii") as fh:
+                json.dump(config, fh)
+            argv += ("--config", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(*argv)
+    message = err.getvalue()
+    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")), (
+        code, message)
+
+
 def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
     # One parser serves every call in a process: repeated flags, and
     # values a --config file gave, must not carry over to the next call.
@@ -566,20 +631,52 @@ def test_non_finite_span_is_usage_error(span, capsys):
      "--f1: expected a number"),
     (("rho", "--grid", "2"), {"f1": [0.25, math.inf]}, "--f1 must be finite"),
     (("rho", "--grid", "2"), {"f1": "nan"}, "--f1 must be finite"),
+    (("rho", "--grid", "2", "--c2", "nan"), None, "--c2 must be finite"),
+    (("rho", "--grid", "2", "--c2", "inf"), None, "--c2 must be finite"),
+    (("rho", "--grid", "2"), {"c2": [1]}, "--c2: expected a number"),
+    (("trace", "--start", "1,0,0"), {"tol": [1]},
+     "--tol: expected a number"),
+    (("reduce", "--start", "1,0.7854", "--target", "3"), {"tol": [1]},
+     "--tol: expected a number"),
+    (("verify", "--only", "unit-norm"), {"tol": [1]},
+     "--tol (the tolerance scale): expected a number"),
+    (("trace", "--start", "1,0,0"), {"chart": 5},
+     "--chart: expected one of cartesian, spherical, got 5"),
+    (("trace", "--start", "1,0,0"), {"format": "xml"},
+     "--format: expected one of csv, json, got 'xml'"),
+    (("trace", "--start", "1,0,0"), {"span": True},
+     "--span: expected a number, got True"),
+    (("trace", "--start", "1,0,0"), {"out": 1},
+     "--out: expected a file path, got 1"),
+    (("verify",), {"only": [5]}, "--only: expected strings, got [5]"),
+    (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
+      "--rmax", "2", "--bracket", "0.3,0.9"), None,
+     "exactly one of --c1 and --start"),
 ], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
         "implicit-bracket", "implicit-config-rmax", "rho-f1-nan",
         "rho-f1-inf", "rho-f1-word", "rho-config-f1-list",
-        "rho-config-f1-string"])
+        "rho-config-f1-string", "rho-c2-nan", "rho-c2-inf",
+        "rho-config-c2-list", "trace-config-tol-list",
+        "reduce-config-tol-list", "verify-config-tol-list",
+        "trace-config-chart-number", "trace-config-format-word",
+        "trace-config-span-bool", "trace-config-out-number",
+        "verify-config-only-number", "implicit-c1-and-start"])
 def test_non_finite_input_is_usage_error(argv, config, message, tmp_path,
                                          capsys):
+    out = ()
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ("--config", str(cfg))
+    if "out" not in (config or {}):
+        out = ("--out", str(tmp_path / "o.csv"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == 2
-    assert message in capsys.readouterr().err
+        assert run_cli(*argv, *out) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    # Every value is read before any work: nothing is written.
+    assert captured.out == ""
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -9,8 +9,7 @@ import pytest
 from hopf_flow import checks
 from hopf_flow import first_integral as fi
 from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW,
-                                      h_pde_residual, phi_flow_derivative,
-                                      relation_residual, rho_table, uv_table,
+                                      reconstruct_H, rho_table, uv_table,
                                       xi_substitution_residual)
 
 # The discriminant is positive below DISC_XI_LOW and above DISC_XI_HIGH;
@@ -68,19 +67,20 @@ def test_gauge_polynomial_does_not_move_residuals():
         bare = rho_table(xi, psi).pde_parametric
         gauged = rho_table(xi, psi, f1=f1).pde_parametric
         assert abs(bare - gauged) <= 1e-11
-        rel_bare = relation_residual(xi, psi, reading="xi")
-        rel_gauged = relation_residual(xi, psi, f1=f1, reading="xi")
+        rel_bare = uv_table(xi, psi).relation_residual("xi")
+        rel_gauged = uv_table(xi, psi, f1=f1).relation_residual("xi")
         assert abs(rel_bare - rel_gauged) <= 1e-11
 
 
 def test_parametric_relation_readings_split():
     for xi, psi in REAL_POINTS:
-        assert relation_residual(xi, psi, reading="xi") <= 1e-12
+        uv = uv_table(xi, psi)
+        assert uv.relation_residual("xi") <= 1e-12
         # The alternative coefficient reading misses by many orders.
-        assert (relation_residual(xi, psi, reading="v")
-                > 1e8 * relation_residual(xi, psi, reading="xi"))
+        assert (uv.relation_residual("v")
+                > 1e8 * uv.relation_residual("xi"))
     with pytest.raises(ValueError):
-        relation_residual(0.5, 1.0, reading="w")
+        uv_table(0.5, 1.0).relation_residual("w")
 
 
 def test_legendre_pairing_of_uv():
@@ -134,9 +134,9 @@ def test_h_pde_readings_split_at_physical_states():
         v = uv_table(xi0, psi).v
         assert v.real > 0.0
         bracket = (0.7 * xi0, min(1.3 * xi0, 0.8))
-        assert h_pde_residual(v.real, psi, bracket=bracket) <= 1e-10
-        assert h_pde_residual(v.real, psi, reading="v",
-                              bracket=bracket) > 1e-2
+        rec = reconstruct_H(v.real, psi, bracket=bracket)
+        assert rec.h_pde_residual("xi") <= 1e-10
+        assert rec.h_pde_residual("v") > 1e-2
 
 
 def _reconstructed_h(r, psi, bracket):
@@ -183,13 +183,13 @@ def test_reconstruction_warns_on_two_parameter_roots():
 def test_reconstruction_refuses_complex_bracket():
     # A bracket inside the complexified band has no real radius map.
     with pytest.raises(ValueError, match="real region"):
-        h_pde_residual(1.0, 0.9, bracket=(2.0, 3.0))
+        reconstruct_H(1.0, 0.9, bracket=(2.0, 3.0))
     # A real bracket that never attains the requested radius.
     with pytest.raises(ValueError, match="no root"):
-        h_pde_residual(1.0, 0.9, bracket=(5.0, 6.0))
+        reconstruct_H(1.0, 0.9, bracket=(5.0, 6.0))
     # Both scan points are real, but the refiner steps into the band.
     with pytest.raises(ValueError, match="real region"):
-        h_pde_residual(-100.0, 0.9, bracket=(0.5, 5.0), n_scan=1)
+        reconstruct_H(-100.0, 0.9, bracket=(0.5, 5.0), n_scan=1)
 
 
 def test_xi_substitution_is_exact_below_equator():
@@ -244,21 +244,22 @@ _PARITY_CASES = {
                    "pde_parametric"), 1),
     "uv_table": (uv_table, _three_bands, _UV_FIELDS, 0),
     "relation_residual-xi": (
-        lambda xi, psi: relation_residual(xi, psi, reading="xi"),
+        lambda xi, psi: uv_table(xi, psi).relation_residual("xi"),
         _three_bands, None, 0),
     "relation_residual-v": (
-        lambda xi, psi: relation_residual(xi, psi, reading="v"),
+        lambda xi, psi: uv_table(xi, psi).relation_residual("v"),
         _three_bands, None, 0),
     "h_pde_residual-xi": (
-        lambda r, psi, lo, hi: h_pde_residual(r, psi, reading="xi",
-                                              bracket=(lo, hi)),
+        lambda r, psi, lo, hi: reconstruct_H(
+            r, psi, bracket=(lo, hi)).h_pde_residual("xi"),
         _physical_states, None, 0),
     "h_pde_residual-v": (
-        lambda r, psi, lo, hi: h_pde_residual(r, psi, reading="v",
-                                              bracket=(lo, hi)),
+        lambda r, psi, lo, hi: reconstruct_H(
+            r, psi, bracket=(lo, hi)).h_pde_residual("v"),
         _physical_states, None, 0),
     "phi_flow_derivative": (
-        lambda r, psi, lo, hi: phi_flow_derivative(r, psi, bracket=(lo, hi)),
+        lambda r, psi, lo, hi: reconstruct_H(
+            r, psi, bracket=(lo, hi)).phi_flow_derivative(),
         _physical_states, None, 0),
 }
 
@@ -391,26 +392,19 @@ def test_rho_psi_has_the_bits_of_rho_table():
 
 
 def test_residuals_of_a_result_in_hand_keep_their_bits():
-    # The battery forms these from one uv_table and one reconstruct_H.
+    # The battery forms these from one uv_table and one reconstruct_H,
+    # each of which carries the points it was computed at.
     xi, psi = checks._real_region_grid(10)
     uv = uv_table(xi, psi)
-    for reading in ("xi", "v"):
-        assert (fi.uv_relation_residual(uv, xi, psi, reading=reading).tobytes()
-                == relation_residual(xi, psi, reading=reading).tobytes())
+    assert (uv.xi.tobytes(), uv.psi.tobytes()) == (xi.tobytes(),
+                                                   psi.tobytes())
     r, psi, bracket = checks._h_pde_states()
     with pytest.warns(UserWarning, match="2 parameter roots"):
         rec = fi.reconstruct_H(r, psi, bracket=bracket)
-    with pytest.warns(UserWarning, match="2 parameter roots"):
-        for reading in ("xi", "v"):
-            assert (rec.h_pde_residual(reading).tobytes()
-                    == h_pde_residual(r, psi, reading=reading,
-                                      bracket=bracket).tobytes())
-        assert (rec.phi_flow_derivative().tobytes()
-                == phi_flow_derivative(r, psi, bracket=bracket).tobytes())
     with pytest.raises(ValueError, match="reading"):
         rec.h_pde_residual("w")
     with pytest.raises(ValueError, match="reading"):
-        fi.uv_relation_residual(uv, xi, psi, reading="w")
+        uv.relation_residual("w")
     # A float point gives Python numbers.
     one = fi.reconstruct_H(float(r[0]), float(psi[0]),
                            bracket=(float(bracket[0][0]),
@@ -418,3 +412,4 @@ def test_residuals_of_a_result_in_hand_keep_their_bits():
     assert type(one.xi_star) is float and type(one.h_r) is complex
     assert type(one.h_pde_residual()) is float
     assert type(one.phi_flow_derivative()) is float
+    assert type(uv_table(0.35, 0.8).relation_residual()) is float

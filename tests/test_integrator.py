@@ -152,8 +152,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         integrate(decay, [1.0], (0.0, 1.0), rel_tol=0.5)
     with pytest.raises(ValueError):
-        # abs_tol = rel_tol * 1e-2 = 1e-17 falls below 1e-16.
         integrate(decay, [1.0], (0.0, 1.0), rel_tol=1e-15)
+    # The accepted range is [1e-14, 1e-2), as the message states.
+    assert integrate(decay, [1.0], (0.0, 1.0),
+                     rel_tol=1e-14).stop_reason == "reached_end"
+    below = math.nextafter(1e-14, 0.0)
+    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-14, "
+                       r"1e-2\), got 9\.99"):
+        integrate(decay, [1.0], (0.0, 1.0), rel_tol=below)
     with pytest.raises(ValueError):
         integrate(decay, [[1.0, 2.0]], (0.0, 1.0))
 
