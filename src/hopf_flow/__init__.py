@@ -27,6 +27,7 @@ from .first_integral import (
     UVPair,
     reconstruct_H,
     rho_psi,
+    rho_xi,
     rho_table,
     uv_table,
     xi_substitution_residual,
@@ -85,6 +86,7 @@ __all__ = [
     "reconstruct_H",
     "relative_to_terms",
     "rho_psi",
+    "rho_xi",
     "rho_table",
     "run_battery",
     "select_effective_form",

@@ -16,11 +16,11 @@ verify    run the full check battery and emit one JSON document.
 Every subcommand takes --config, a JSON file of defaults (explicit
 flags override it), and --out, a file to write instead of stdout; all
 but verify take --format csv|json.  Beyond its own flags, --tol (the
-integration rel_tol) goes to trace and reduce and scales the check
-tolerances for verify; --c2, --f1 and --grid go to rho alone.  A
-subcommand refuses any flag it does not read, on the command line and
-as a --config key.  Each flag has one reader, which takes its value
-from the command line or from --config alike, and a subcommand reads
+integration rel_tol, in [1e-14, 1e-2)) goes to trace and reduce and
+scales the check tolerances for verify; --c2, --f1 and --grid go to rho
+alone.  A subcommand refuses any flag it does not read, on the command
+line and as a --config key.  Each flag has one reader, which takes its
+value from the command line or from --config alike, and a subcommand reads
 every value before it does any work: a number must be finite (not a
 bool), a choice one of its words, a count an integer whose output
 stays within MAX_OUTPUT_NUMBERS, or the run exits 2 naming the flag.
@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import checks, fields, first_integral, reduced_system
-from .integrator import integrate
+from .integrator import check_rel_tol, integrate
 
 # trace's and reduce's integration rel_tol when --tol is unset.
 _REL_TOL = 1e-10
@@ -146,6 +146,15 @@ def _finite(ns, flag: str, default: float | None = None) -> float | None:
     return default if raw is None else _number(raw, f"--{flag}")
 
 
+def _rel_tol(ns) -> float:
+    """--tol of trace and reduce, given on the command line or in
+    --config, as the integration rel_tol: a finite float in the range
+    `integrate` takes; _REL_TOL when it is unset."""
+    rel_tol = _finite(ns, "tol", _REL_TOL)
+    check_rel_tol(rel_tol, "--tol")
+    return rel_tol
+
+
 def _choice(ns, flag: str, words: Sequence[str]) -> str:
     """The flag --<flag>, given on the command line or in --config, as
     one of words; the first of them when it is unset."""
@@ -237,7 +246,7 @@ def cmd_trace(ns) -> int:
     sink = _sink(ns)
     start = _floats(ns.start, "--start", 3)
     span = _finite(ns, "span", 10.0)
-    rel_tol = _finite(ns, "tol", _REL_TOL)
+    rel_tol = _rel_tol(ns)
     chart = _choice(ns, "chart", ("cartesian", "spherical"))
     # A dense row is t and three coordinates.
     dense = _count(ns, "dense", 0, lambda n: n * 4, default=0)
@@ -309,7 +318,9 @@ def cmd_reduce(ns) -> int:
         raise ValueError("reduce needs --start r0,psi0 and --target r1")
     r0, psi0 = _floats(ns.start, "--start", 2)
     target = _finite(ns, "target")
-    rel_tol = _finite(ns, "tol", _REL_TOL)
+    if not target > 0.0:
+        raise ValueError(f"--target must be positive, got {target!r}")
+    rel_tol = _rel_tol(ns)
     curve = reduced_system.trace_reduced(r0, psi0, target, rel_tol=rel_tol)
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     # No constant within 1e-10 of H = 0 or of the H = 1 fold.
@@ -391,6 +402,16 @@ def cmd_rho(ns) -> int:
         raise ValueError(f"--psi must lie in (0, pi), clear of its ends, "
                          f"got {psi_lo!r},{psi_hi!r}") from None
     table = first_integral.rho_table(xi, psi, c2, f1)
+    lost = ~(np.isfinite(table.rho) & np.isfinite(table.u)
+             & np.isfinite(table.v))
+    # The c2 terms' products can overflow where their sum would not: a
+    # point that c2 = 1 keeps finite is lost to --c2 alone.
+    if lost.any() and c2 != 1.0:
+        kept = first_integral.rho_table(xi[lost], psi[lost], 1.0, f1)
+        if np.isfinite(kept.rho).any():
+            raise ValueError(f"--c2 {c2!r} takes rho, u or v past the "
+                             f"float range at {int(lost.sum())} of the "
+                             f"{len(xi)} grid points")
     rows = np.column_stack([
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
         table.u.imag, table.v.imag, log_chi, table.pde_direct,

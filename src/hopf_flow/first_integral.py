@@ -18,10 +18,11 @@ of the principal arctan, which makes the raw rho value jump by a
 locally-constant (gauge) amount across the boundary while psi-derivatives
 stay continuous.
 
-A point or a grid.  rho_table, rho_psi, uv_table and reconstruct_H
-follow the rule of special_functions.bessel_quad: when every point
-argument is a scalar, the call runs the float path (cmath and math) and
-returns Python numbers; anything else broadcasts over numpy arrays.  The float path is
+A point or a grid.  rho_table, rho_psi, rho_xi, uv_table and
+reconstruct_H follow the rule of special_functions.bessel_quad: when
+every point argument is a scalar, the call runs the float path (cmath
+and math) and returns Python numbers; anything else broadcasts over
+numpy arrays.  The float path is
 the bit-pinned reference that the tests freeze.  Array entries match it
 to round-off, not bitwise, because numpy and libm round transcendentals
 differently.  Where rho_table's residuals are indeterminate, a float
@@ -233,6 +234,15 @@ def rho_psi(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
     xi, psi = _grid(xi, psi)
     with np.errstate(all="ignore"):
         return rho_raw(xi + 0.0j, Dual(psi, 1.0), c2, tuple(f1)).eps
+
+
+def rho_xi(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
+    """u = rho_xi alone, from one xi-seeded dual pass, at a float pair or
+    over broadcastable arrays: the bits of rho_table's u without its
+    nested pass and residuals, and the same domain guards."""
+    xi, psi = _grid(xi, psi)
+    with np.errstate(all="ignore"):
+        return _uv_maps(xi + 0.0j, psi, c2, tuple(f1))[0]
 
 
 def _uv_maps(x, psi, c2, f1):

@@ -1,34 +1,43 @@
-"""Explicit Dormand-Prince 5(4) integrator with PI step control.
+"""Explicit Dormand-Prince 8(5,3) integrator (DOP853) with dense output.
 
 `integrate(field_fn, y0, t_span, rel_tol=, events=)` is the one way to
-integrate: an embedded 7-stage pair with the first-same-as-last property,
-a PI stepsize controller, and cubic Hermite dense output over accepted
-steps.  Works in either time direction (t1 < t0 integrates backward); an
-empty span returns the single initial sample.  Runs are deterministic:
-identical inputs give bit-identical trajectories.
+integrate: Dormand and Prince's 8th-order pair with the combined 5th- and
+3rd-order error estimate, the first-same-as-last property and the
+method's own 7th-order dense output over accepted steps (Hairer, Norsett
+& Wanner, Solving ODEs I, II.5 and II.10, and the code DOP853).  Works in
+either time direction (t1 < t0 integrates backward); an empty span
+returns the single initial sample.  Runs are deterministic: identical
+inputs give bit-identical trajectories.
 
 A run is one function generated from one template per state dimension
 d and field, on Python floats: the state is d scalar locals, and
 field_fn(t, y) receives the state as a list of d floats and returns d
 numbers (a tuple, a list or a 1-D array; a wrong count raises ValueError
-at any call).  Stage i is f(t + c_i h, y + sum_j (h a_ij) k_j); the new
-state is y + sum_j (h b_j) k_j (stage 7 is evaluated there), and the
-local error is h sum_j e_j k_j, each sum written out over the locals.  A
-field that `inlined_field` defined from its text (the package's four:
+at any call).  Stage s is f(t + c_s h, y + h sum_j a_sj k_j); an
+attempted step evaluates stages 2 to 12, and the new state is
+y + h sum_j b_j k_j, each sum written out over the locals.  The error
+norm is h E5^2 / sqrt((E5^2 + 0.01 E3^2) d), where E5^2 and E3^2 are the
+sums of squares of the two error estimates sum_j e_j k_j over the scale
+abs_tol + rel_tol * max(|y0|, |y1|), abs_tol = rel_tol * 1e-2, and
+rel_tol must lie in [1e-14, 1e-2).  Only once a step is accepted does
+the run evaluate stage 13, the field at the new state, which is the next
+step's first stage, and the three stages of the dense output, and form
+the step's interpolant y0 + th (F0 + (1 - th) (F1 + th (F2 + ...))) in
+th = (t - t0) / h, seven coefficients F0..F6 per component.  A field
+that `inlined_field` defined from its text (the package's four:
 `fields.cartesian_ode`, `fields.spherical_ode`,
 `reduced_system.reduced_time_ode` and the dH/dr of `trace_h`) has its
 body written into every stage in place of the call, over the same
 locals and with the same bits; where one of its guards fails, the stage
 calls the field.  Any other callable, a wrapper of one of those four
-included, is called at every stage.  The error norm is
-the RMS of that error over the scale abs_tol + rel_tol * max(|y0|, |y1|),
-where abs_tol = rel_tol * 1e-2 and rel_tol must lie in [1e-14, 1e-2).  The
-same function runs the accept/reject loop around the step: the PI
-controller, the stop tests and the event sign test.  Each accepted step
-extends three flat `array('d')` buffers of times, states and slopes; the
-trajectory's arrays are numpy views of those buffers, made without a
-copy.  A run makes 2 RHS calls to start, 6 per attempted step and 1 more
-when an event stops it.
+included, is called at every stage.  The same function runs the
+accept/reject loop around the step: the step-size controller, the stop
+tests and the event sign test.  Each accepted step extends flat
+`array('d')` buffers of times, states, step lengths and interpolant
+coefficients; the trajectory's arrays are numpy views of those buffers,
+made without a copy.  A run makes 2 RHS calls to start, 11 per attempted
+step and 4 more per accepted one.  At loose tolerances an 8th-order
+step costs more than it saves: see the README for measured counts.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
@@ -38,12 +47,14 @@ attempted steps (`max_steps`); each returns the trajectory up to that
 point.  A stall is tested once per window.
 
 Every event stops the run.  When an event function changes sign over an
-accepted step, the crossing is located on that step's Hermite interpolant
-on floats by `diagnostics.float_roots`, the shared root refiner's
-one-row path, with one scan interval (the step), to EVENT_T_TOL in t (or
-to adjacent doubles where that is finer than one ulp); each refining
-round evaluates the event function once.  The earliest crossing in the
-step ends the trajectory there.
+accepted step, the crossing is located on that step's interpolant on
+floats by `diagnostics.float_roots`, the shared root refiner's one-row
+path, with one scan interval (the step), to EVENT_T_TOL in t (or to
+adjacent doubles where that is finer than one ulp); each refining round
+evaluates the event function once.  The earliest crossing in the step
+ends the trajectory there: its last row becomes the crossing, and the
+last step keeps its length and interpolant, so `sample` gives the
+crossing's state with the bits the event saw.
 """
 
 from __future__ import annotations
@@ -62,27 +73,163 @@ import numpy as np
 
 from .diagnostics import float_roots
 
-# Dormand-Prince 5(4) tableau; row i of _A weighs stages 1..i+1 to form
-# stage i + 2, and the last row doubles as the 5th-order weights
-# (first-same-as-last).  _E is the difference against the embedded
-# 4th-order pair.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# DOP853 as the decimal literals of Hairer's dop853.f (its nodes involve
+# sqrt(6), so no exact rational form exists).  _C[s - 1] is the node of
+# stage s.  _A[s - 2] maps each j to the weight a_sj of stage j in stage
+# s; stage 13's row holds the 8th-order weights b_j, so stage 13 is the
+# field at the new state (first-same-as-last), and stages 14-16 serve
+# the dense output alone.  _E5 weighs stages into the 5th-order error
+# estimate; the 3rd-order one is b less _BHH.  _D[r] weighs stages into
+# the dense coefficient F_{r + 3}.
+_C = (0.0, 0.526001519587677318785587544488e-01,
+      0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+      0.281649658092772603273242802490, 0.333333333333333333333333333333,
+      0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6,
+      0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+      0.777777777777777777777777777778)
 _A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    {1: 5.26001519587677318785587544488e-2},
+    {1: 1.97250569845378994544595329183e-2,
+     2: 5.91751709536136983633785987549e-2},
+    {1: 2.95875854768068491816892993775e-2,
+     3: 8.87627564304205475450678981324e-2},
+    {1: 2.41365134159266685502369798665e-1,
+     3: -8.84549479328286085344864962717e-1,
+     4: 9.24834003261792003115737966543e-1},
+    {1: 3.7037037037037037037037037037e-2,
+     4: 1.70828608729473871279604482173e-1,
+     5: 1.25467687566822425016691814123e-1},
+    {1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+     5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2},
+    {1: 3.70920001185047927108779319836e-2,
+     4: 1.70383925712239993810214054705e-1,
+     5: 1.07262030446373284651809199168e-1,
+     6: -1.53194377486244017527936158236e-2,
+     7: 8.27378916381402288758473766002e-3},
+    {1: 6.24110958716075717114429577812e-1,
+     4: -3.36089262944694129406857109825,
+     5: -8.68219346841726006818189891453e-1,
+     6: 2.75920996994467083049415600797e1,
+     7: 2.01540675504778934086186788979e1,
+     8: -4.34898841810699588477366255144e1},
+    {1: 4.77662536438264365890433908527e-1,
+     4: -2.48811461997166764192642586468,
+     5: -5.90290826836842996371446475743e-1,
+     6: 2.12300514481811942347288949897e1,
+     7: 1.52792336328824235832596922938e1,
+     8: -3.32882109689848629194453265587e1,
+     9: -2.03312017085086261358222928593e-2},
+    {1: -9.3714243008598732571704021658e-1,
+     4: 5.18637242884406370830023853209, 5: 1.09143734899672957818500254654,
+     6: -8.14978701074692612513997267357,
+     7: -1.85200656599969598641566180701e1,
+     8: 2.27394870993505042818970056734e1, 9: 2.49360555267965238987089396762,
+     10: -3.0467644718982195003823669022},
+    {1: 2.27331014751653820792359768449,
+     4: -1.05344954667372501984066689879e1,
+     5: -2.00087205822486249909675718444,
+     6: -1.79589318631187989172765950534e1,
+     7: 2.79488845294199600508499808837e1,
+     8: -2.85899827713502369474065508674, 9: -8.87285693353062954433549289258,
+     10: 1.23605671757943030647266201528e1,
+     11: 6.43392746015763530355970484046e-1},
+    {1: 5.42937341165687622380535766363e-2,
+     6: 4.45031289275240888144113950566, 7: 1.89151789931450038304281599044,
+     8: -5.8012039600105847814672114227, 9: 3.1116436695781989440891606237e-1,
+     10: -1.52160949662516078556178806805e-1,
+     11: 2.01365400804030348374776537501e-1,
+     12: 4.47106157277725905176885569043e-2},
+    {1: 5.61675022830479523392909219681e-2,
+     7: 2.53500210216624811088794765333e-1,
+     8: -2.46239037470802489917441475441e-1,
+     9: -1.24191423263816360469010140626e-1,
+     10: 1.5329179827876569731206322685e-1,
+     11: 8.20105229563468988491666602057e-3,
+     12: 7.56789766054569976138603589584e-3, 13: -8.298e-3},
+    {1: 3.18346481635021405060768473261e-2,
+     6: 2.83009096723667755288322961402e-2,
+     7: 5.35419883074385676223797384372e-2,
+     8: -5.49237485713909884646569340306e-2,
+     11: -1.08347328697249322858509316994e-4,
+     12: 3.82571090835658412954920192323e-4,
+     13: -3.40465008687404560802977114492e-4,
+     14: 1.41312443674632500278074618366e-1},
+    {1: -4.28896301583791923408573538692e-1,
+     6: -4.69762141536116384314449447206, 7: 7.68342119606259904184240953878,
+     8: 4.06898981839711007970213554331,
+     9: 3.56727187455281109270669543021e-1,
+     13: -1.39902416515901462129418009734e-3,
+     14: 2.9475147891527723389556272149, 15: -9.15095847217987001081870187138},
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
-      -1 / 40)
-
+_B = _A[13 - 2]
+_BHH = {1: 0.244094488188976377952755905512,
+        9: 0.733846688281611857341361741547,
+        12: 0.220588235294117647058823529412e-1}
+_E5 = {1: 0.1312004499419488073250102996e-1,
+       6: -0.1225156446376204440720569753e+1,
+       7: -0.4957589496572501915214079952,
+       8: 0.1664377182454986536961530415e+1,
+       9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+       11: 0.8192320648511571246570742613e-1,
+       12: -0.2235530786388629525884427845e-1}
+_D = (
+    {1: -0.84289382761090128651353491142e+1,
+     6: 0.56671495351937776962531783590,
+     7: -0.30689499459498916912797304727e+1,
+     8: 0.23846676565120698287728149680e+1,
+     9: 0.21170345824450282767155149946e+1,
+     10: -0.87139158377797299206789907490,
+     11: 0.22404374302607882758541771650e+1,
+     12: 0.63157877876946881815570249290,
+     13: -0.88990336451333310820698117400e-1,
+     14: 0.18148505520854727256656404962e+2,
+     15: -0.91946323924783554000451984436e+1,
+     16: -0.44360363875948939664310572000e+1},
+    {1: 0.10427508642579134603413151009e+2,
+     6: 0.24228349177525818288430175319e+3,
+     7: 0.16520045171727028198505394887e+3,
+     8: -0.37454675472269020279518312152e+3,
+     9: -0.22113666853125306036270938578e+2,
+     10: 0.77334326684722638389603898808e+1,
+     11: -0.30674084731089398182061213626e+2,
+     12: -0.93321305264302278729567221706e+1,
+     13: 0.15697238121770843886131091075e+2,
+     14: -0.31139403219565177677282850411e+2,
+     15: -0.93529243588444783865713862664e+1,
+     16: 0.35816841486394083752465898540e+2},
+    {1: 0.19985053242002433820987653617e+2,
+     6: -0.38703730874935176555105901742e+3,
+     7: -0.18917813819516756882830838328e+3,
+     8: 0.52780815920542364900561016686e+3,
+     9: -0.11573902539959630126141871134e+2,
+     10: 0.68812326946963000169666922661e+1,
+     11: -0.10006050966910838403183860980e+1,
+     12: 0.77771377980534432092869265740,
+     13: -0.27782057523535084065932004339e+1,
+     14: -0.60196695231264120758267380846e+2,
+     15: 0.84320405506677161018159903784e+2,
+     16: 0.11992291136182789328035130030e+2},
+    {1: -0.25693933462703749003312586129e+2,
+     6: -0.15418974869023643374053993627e+3,
+     7: -0.23152937917604549567536039109e+3,
+     8: 0.35763911791061412378285349910e+3,
+     9: 0.93405324183624310003907691704e+2,
+     10: -0.37458323136451633156875139351e+2,
+     11: 0.10409964950896230045147246184e+3,
+     12: 0.29840293426660503123344363579e+2,
+     13: -0.43533456590011143754432175058e+2,
+     14: 0.96324553959188282948394950600e+2,
+     15: -0.39177261675615439165231486172e+2,
+     16: -0.14972683625798562581422125276e+3},
+)
+# dop853.f's default step-size control: safety factor, bounds on the
+# ratio of a new step to the last, no PI term (beta = 0), and the
+# exponent 1/8 of the order.
 _SAFETY = 0.9
-_FAC_MIN = 0.2
-_FAC_MAX = 5.0
-_BETA = 0.04
-_EXPO = 0.2 - _BETA * 0.75
+_FAC_MIN = 0.333
+_FAC_MAX = 6.0
+_EXPO = 0.125
 
 EVENT_T_TOL = 1e-12
 MIN_STEP = 1e-14
@@ -90,8 +237,8 @@ MAX_STEPS = 1_000_000
 # A run whose window of STALL_WINDOW accepted steps advances t by less
 # than STALL_FRACTION of the span would need over 1e8 steps, 100 times
 # MAX_STEPS, to cross the span at that pace.  Measured: dH/dr stuck on
-# the turning locus advances ~8e-6 of its span per window; the longest
-# run of the package, `trace --span 1e4` (116k steps), 8.5e-2.
+# the turning locus advances ~2e-7 of its span per window; the longest
+# run of the package, `trace --span 1e4` (17.8k steps), 0.56.
 STALL_WINDOW = 10_000
 STALL_FRACTION = 1e-4
 
@@ -128,16 +275,19 @@ class EventHit:
 class Trajectory:
     """Accepted-step skeleton of one integration run.
 
-    ts, ys, fs hold the accepted times, states, and derivatives (one row
-    per point), as views of the flat buffers the run filled; `sample`
-    interpolates between rows with the cubic Hermite matching both
-    endpoint values and slopes.  `event` is the crossing that stopped the
-    run, if one did.
+    ts and ys hold the accepted times and states (one row per point);
+    steps and dense hold, per accepted step, its signed length h and the
+    (7, d) coefficients of its interpolant.  All four are views of the
+    flat buffers the run filled.  `sample` evaluates the step's
+    interpolant at th = (t - t0) / h.  `event` is the crossing that
+    stopped the run, if one did; the last row is then the crossing,
+    inside the last step.
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
+    steps: np.ndarray
+    dense: np.ndarray
     stop_reason: str
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -155,7 +305,12 @@ class Trajectory:
         return self.ys[-1].copy()
 
     def sample(self, t: float | Sequence[float]) -> np.ndarray:
-        """Dense output at time(s) t inside the integrated span."""
+        """Dense output at time(s) t inside the integrated span.
+
+        At a row's time other than the last the result is that row's
+        state; at the last, the last step's interpolant at th = 1, within
+        an ulp of it.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         forward = self.ts[-1] >= self.ts[0]
         ts = self.ts if forward else self.ts[::-1]
@@ -166,45 +321,24 @@ class Trajectory:
         if len(self.ts) == 1:
             out = np.repeat(self.ys[:1], len(t_arr), axis=0)
             return out if np.ndim(t) else out[0]
-        i = np.clip(np.searchsorted(ts, t_arr, side="right") - 1,
-                    0, len(ts) - 2)
+        # The step that starts at t when t is a row's time.
+        i = np.clip(np.searchsorted(ts, t_arr, side="right" if forward
+                                    else "left") - 1, 0, len(ts) - 2)
         if not forward:
             i = len(self.ts) - 2 - i
-        out = _hermite(t_arr, self.ts[i], self.ts[i + 1], self.ys[i],
-                       self.ys[i + 1], self.fs[i], self.fs[i + 1])
+        th = ((t_arr - self.ts[i]) / self.steps[i])[:, None]
+        out = _interpolant(th, self.ys[i], *self.dense[i].transpose(1, 0, 2))
         return out if np.ndim(t) else out[0]
 
 
-def _hermite(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite through (t0, y0, y0') and (t1, y1, y1'), at time t.
-
-    Either t, t0 and t1 are floats and y0, y1, f0 and f1 lists of d
-    floats, giving a list (events), or t, t0 and t1 are arrays of one
-    entry per query and y0, y1, f0 and f1 the matching (n, d) rows,
-    giving (n, d) rows (`sample`).  Both write the same expressions, but
-    a float's ** 2 is libm's pow and an array's numpy's square, which
-    differ in the last bit at ~1 in 1,000 points.  A zero-length step
-    returns y0.
-    """
-    h = t1 - t0
-    rows = isinstance(h, np.ndarray)
-    if rows:
-        flat = h == 0.0
-        th = (t - t0) / np.where(flat, 1.0, h)
-    elif h == 0.0:
-        return list(y0)
-    else:
-        th = (t - t0) / h
-    h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-    h10 = th * (1.0 - th) ** 2
-    h01 = th * th * (3.0 - 2.0 * th)
-    h11 = th * th * (th - 1.0)
-    if not rows:
-        return [h00 * a + h01 * b + h * (h10 * p + h11 * q)
-                for a, b, p, q in zip(y0, y1, f0, f1)]
-    h00, h10, h01, h11, h = (w[..., None] for w in (h00, h10, h01, h11, h))
-    out = h00 * y0 + h01 * y1 + h * (h10 * f0 + h11 * f1)
-    return np.where(flat[..., None], y0, out)
+def _interpolant(th, y0, f0, f1, f2, f3, f4, f5, f6):
+    """y0 + th (f0 + (1 - th) (f1 + th (f2 + ... + th f6))), the dense
+    output of one step, written once for floats (one component, events)
+    and for arrays that broadcast (`sample`), so both give the same bits
+    at the same th."""
+    s1 = 1.0 - th
+    return y0 + th * (f0 + s1 * (f1 + th * (f2 + s1 * (
+        f3 + th * (f4 + s1 * (f5 + th * f6))))))
 
 
 def _rms(values: list[float]) -> float:
@@ -233,7 +367,7 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** _EXPO
     return min(100.0 * h0, h1, span)
 
 
@@ -349,25 +483,22 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     """The run for states of d components, generated on first use.
 
     run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, min_step,
-    max_steps, window, stall_dt, ts, ys, fs, ev_fns, ev_dirs, gs) steps
-    from (t, y, k1) toward t1, the first step of size h, appends each
-    accepted one to ts, ys and fs, and returns (stop_reason, naccept,
-    nreject, g_lo, g_hi): the event values ev_fns[i](t, y) (gs at the
-    start) at the last two rows, of which one event changed sign in its
-    direction ev_dirs[i] if the reason is STOP_EVENT.  With `field`, a
-    function `inlined_field` defined, each stage is that field's body
-    written over the run's locals, none of which starts with f_ or g_;
-    without, each stage calls field_fn, and unpacking each slope into d
-    locals refuses a wrong-length one.  The source is kept in linecache,
-    so a traceback through a run shows its line.  Every sum keeps a fixed
-    term order, and an inlined body every operation of the field's, on
-    which trajectories' bits rest.
+    max_steps, window, stall_dt, ts, ys, steps, dense, ev_fns, ev_dirs,
+    gs) steps from (t, y, k1) toward t1, the first step of size h,
+    appends each accepted one to ts, ys, steps and dense, and returns
+    (stop_reason, naccept, nreject, g_lo, g_hi): the event values
+    ev_fns[i](t, y) (gs at the start) at the last two rows, of which one
+    event changed sign in its direction ev_dirs[i] if the reason is
+    STOP_EVENT.  With `field`, a function `inlined_field` defined, each
+    stage is that field's body written over the run's locals, none of
+    which starts with f_ or g_; without, each stage calls field_fn, and
+    unpacking each slope into d locals refuses a wrong-length one.  The
+    weights are written into the source as float literals.  The source is
+    kept in linecache, so a traceback through a run shows its line.
+    Every sum keeps a fixed term order, and an inlined body every
+    operation of the field's, on which trajectories' bits rest.
     """
-    rows = [(f"a{s}", row) for s, row in enumerate(_A[:-1], start=2)]
-    names = {f"{p}{j}": w for p, row in rows + [("b", _A[-1]), ("e", _E)]
-             for j, w in enumerate(row, start=1)}
-    names.update({f"c{s}": c for s, c in enumerate(_C, start=1)},
-                 sqrt=math.sqrt)
+    names: dict = {"sqrt": math.sqrt}
 
     def every(expr: str) -> list[str]:
         """expr for every component, '#' standing for its index."""
@@ -384,46 +515,53 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         stage, field_names = _inlined_stage(field)
         names.update(field_names)
 
-    def weigh(prefix: str, row: Sequence[float]) -> tuple[list[str], str]:
-        """q_j = hs * w_j over the row's nonzero weights, and the sum
-        sum_j q_j k_j for component '#'."""
-        js = [j for j, w in enumerate(row, start=1) if w != 0.0]
-        terms = " + ".join(f"q{j} * k{j}_#" for j in js)
-        return ([f"q{j} = hs * {prefix}{j}" for j in js],
-                terms if len(js) == 1 else f"({terms})")
+    def weighed(row: dict) -> str:
+        """(sum_j w_j k_j) for component '#', in stage order."""
+        return f"({' + '.join(f'{w!r} * k{j}_#' for j, w in row.items())})"
 
-    step = []
-    # Stages k2..k6 at t + c_s h (c6 = 1), from the h-scaled rows.
-    for s, (prefix, row) in enumerate(rows, start=2):
-        qs, incr = weigh(prefix, row)
-        at = "t + hs" if _C[s - 1] == 1.0 else f"t + c{s} * hs"
-        step += qs + stage(s, at, every(f"y# + {incr}"))
-    # The 5th-order weights (b2 = 0); first-same-as-last: stage 7 sits
-    # at (t + h, y_new).
-    qs, incr = weigh("b", _A[-1])
-    step += qs + every(f"n# = y# + {incr}") + stage(7, "t + hs", every("n#"))
-    # Local error h sum_j e_j k_j (e2 = 0) over the scale
-    # abs_tol + rel_tol * max(|y|, |y_new|).
-    e_sum = " + ".join(f"e{j} * k{j}_#" for j, w in enumerate(_E, start=1)
-                       if w != 0.0)
-    step += every(f"u# = abs(y#)\nw# = abs(n#)\nr# = hs * ({e_sum}) / "
-                  f"(abs_tol + rel_tol * (u# if u# > w# else w#))")
-    step.append(f"err = sqrt(({each('r# * r#', ' + ')}) / {d})")
+    def stages(first: int, last: int) -> list[str]:
+        """Stages first..last, each at t + c_s h and y + h sum_j a_sj k_j."""
+        out = []
+        for s in range(first, last + 1):
+            c = _C[s - 1]
+            at = "t + hs" if c == 1.0 else f"t + {c!r} * hs"
+            out += stage(s, at, every(f"y# + hs * {weighed(_A[s - 2])}"))
+        return out
+
+    # An attempt: stages 2-12, the new state, and the error norm over the
+    # scale abs_tol + rel_tol * max(|y|, |y_new|).
+    attempt = stages(2, 12) + every(f"s# = {weighed(_B)}\nn# = y# + hs * s#")
+    attempt += every(f"u# = abs(y#)\nw# = abs(n#)\n"
+                     f"w# = abs_tol + rel_tol * (u# if u# > w# else w#)\n"
+                     f"p# = {weighed(_E5)} / w#\n"
+                     f"q# = (s# - {weighed(_BHH)}) / w#")
+    attempt += [f"err5 = {each('p# * p#', ' + ')}",
+                f"err3 = {each('q# * q#', ' + ')}",
+                "deno = err5 + 0.01 * err3",
+                f"err = 0.0 if deno == 0.0 else h * err5 / sqrt(deno * {d})"]
+    # An accepted step: stage 13 at the new state (the next k1), the
+    # dense output's stages 14-16 and its coefficients.
+    accepted = stage(13, "t + hs", every("n#")) + stages(14, 16)
+    accepted += every("F0_# = n# - y#\nF1_# = hs * k1_# - F0_#\n"
+                      "F2_# = F0_# - hs * k13_# - F1_#")
+    for r, row in enumerate(_D, start=3):
+        accepted += every(f"F{r}_# = hs * {weighed(row)}")
+    coefficients = ", ".join(f"F{r}_{i}" for r in range(7) for i in range(d))
 
     def stop(reason: str, g_hi: str = "gs") -> str:
         return f"return {reason!r}, naccept, nreject, gs, {g_hi}"
 
-    # The PI controller (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
-    # each min and max written as the comparison the builtin makes.
+    # dop853.f's controller, each min and max written as the comparison
+    # the builtin makes.
     fac_lo, fac_hi = repr(1.0 / _FAC_MAX), repr(1.0 / _FAC_MIN)
     src = [
         "def run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, "
-        "min_step, max_steps, window, stall_dt, ts, ys, fs, ev_fns, "
-        "ev_dirs, gs):",
+        "min_step, max_steps, window, stall_dt, ts, ys, steps, dense, "
+        "ev_fns, ev_dirs, gs):",
         f"    [{each('y#')}] = y", f"    [{each('k1_#')}] = k1",
-        "    add_t, add_y, add_f = ts.append, ys.append, fs.append",
+        "    add_t, add_y, add_h, add_dense = (ts.append, ys.extend, "
+        "steps.append, dense.extend)",
         "    naccept = nreject = 0",
-        "    facold = 1e-4",
         "    just_rejected = False",
         "    t_mark = t",
         "    mark = window",
@@ -435,14 +573,17 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "        if not last and (h < min_step or t + sign * h == t):",
         "            " + stop(STOP_UNDERFLOW),
         "        hs = sign * h",
-        *("        " + line for text in step for line in text.split("\n")),
+        *("        " + line for text in attempt for line in text.split("\n")),
+        f"        fac = err ** {_EXPO!r} / {_SAFETY!r}",
         "        if err <= 1.0:",
         # Accept.  Land exactly on t1 when the step was clamped to it.
-        "            facold = 1e-4 if err < 1e-4 else err",
+        *("            " + line for text in accepted
+          for line in text.split("\n")),
         "            t_new = t1 if last else t + hs",
         "            add_t(t_new)",
-        *(f"            {line}" for line in every("add_y(n#)")
-          + every("add_f(k7_#)")),
+        f"            add_y(({each('n#')},))",
+        "            add_h(hs)",
+        f"            add_dense(({coefficients}))",
         "            naccept += 1",
         "            if ev_fns:",
         f"                y_new = [{each('n#')}]",
@@ -455,7 +596,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "                gs = gs_new",
         "            t = t_new",
         *(f"            {line}" for line in every("y# = n#")
-          + every("k1_# = k7_#")),
+          + every("k1_# = k13_#")),
         "            if last:",
         "                " + stop(STOP_REACHED_END),
         # Progress, once per window of accepted steps.
@@ -464,8 +605,6 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "                    " + stop(STOP_STALLED),
         "                t_mark = t",
         "                mark += window",
-        f"            fac = err ** {_EXPO!r} / facold ** {_BETA!r} / "
-        f"{_SAFETY!r}",
         f"            if not fac < {fac_hi}:",
         f"                fac = {fac_hi}",
         f"            if not fac > {fac_lo}:",
@@ -478,17 +617,22 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "        else:",
         "            nreject += 1",
         "            just_rejected = True",
-        f"            fac = err ** {_EXPO!r} / {_SAFETY!r}",
         f"            h = h / (fac if fac < {fac_hi} else {fac_hi})",
         "    " + stop(STOP_MAX_STEPS),
     ]
-    filename = f"<dp5 step d={d}>" if field is None else (
-        f"<dp5 step d={d} {field.__module__}.{field.__qualname__}>")
+    filename = f"<dop853 step d={d}>" if field is None else (
+        f"<dop853 step d={d} {field.__module__}.{field.__qualname__}>")
     text = "\n".join(src) + "\n"
     linecache.cache[filename] = (len(text), None, text.splitlines(True),
                                  filename)
     exec(compile(text, filename, "exec"), names)
     return names["run"]
+
+
+def check_rel_tol(rel_tol: float, what: str = "rel_tol") -> None:
+    """Raise ValueError, naming `what`, unless 1e-14 <= rel_tol < 1e-2."""
+    if not 1e-14 <= rel_tol < 1e-2:
+        raise ValueError(f"{what} must lie in [1e-14, 1e-2), got {rel_tol!r}")
 
 
 def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
@@ -506,8 +650,7 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     trajectory.  A slope at y0 that is not finite, or too steep for a
     first step, raises ValueError.
     """
-    if not 1e-14 <= rel_tol < 1e-2:
-        raise ValueError(f"rel_tol must lie in [1e-14, 1e-2), got {rel_tol!r}")
+    check_rel_tol(rel_tol)
     abs_tol = rel_tol * 1e-2
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.asarray(y0, dtype=float)
@@ -525,11 +668,11 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     if len(k1) != d:
         raise ValueError(f"field_fn returned {len(k1)} components for a "
                          f"state of {d}")
-    ts, ys, fs = array("d", [t0]), array("d", y), array("d", k1)
+    ts, ys, steps, dense = (array("d", [t0]), array("d", y), array("d"),
+                            array("d"))
     if t1 == t0:
-        return Trajectory(ts=np.frombuffer(ts), ys=_rows(ys, d),
-                          fs=_rows(fs, d), stop_reason=STOP_REACHED_END,
-                          rel_tol=rel_tol, abs_tol=abs_tol, nfev=1)
+        return _trajectory(ts, ys, steps, dense, STOP_REACHED_END, rel_tol,
+                           nfev=1)
 
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
@@ -538,43 +681,54 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     run = _run_fn(d, field_fn if id(field_fn) in _INLINED else None)
     stop_reason, naccept, nreject, g_lo, g_hi = run(
         field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,
-        MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, fs,
-        tuple(ev.fn for ev in events), tuple(ev.direction for ev in events),
-        [ev.fn(t0, y) for ev in events])
+        MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, steps,
+        dense, tuple(ev.fn for ev in events),
+        tuple(ev.direction for ev in events), [ev.fn(t0, y) for ev in events])
 
     hit: EventHit | None = None
     if stop_reason == STOP_EVENT:
-        # Truncate at the crossing: overwrite the last row.
-        hit = _first_crossing(events, g_lo, g_hi, ts[-2], ts[-1],
-                              ys[-2 * d:-d].tolist(), ys[-d:].tolist(),
-                              fs[-2 * d:-d].tolist(), fs[-d:].tolist())
-        f_hit = array("d", field_fn(hit.t, hit.y.tolist()))
-        if len(f_hit) != d:
-            raise ValueError(f"field_fn returned {len(f_hit)} "
-                             f"components for a state of {d}")
+        # The crossing becomes the last row; the last step keeps its
+        # length and interpolant.
+        hit = _first_crossing(events, g_lo, g_hi, ts[-2], ts[-1], steps[-1],
+                              ys[-2 * d:-d].tolist(),
+                              dense[-7 * d:].tolist())
         ts[-1] = hit.t
         ys[-d:] = array("d", hit.y)
-        fs[-d:] = f_hit
-    # Two evaluations start the run, each attempted step makes six, and a
-    # located event one more.
-    nfev = 2 + 6 * (naccept + nreject) + (hit is not None)
-    return Trajectory(ts=np.frombuffer(ts), ys=_rows(ys, d),
-                      fs=_rows(fs, d), stop_reason=stop_reason,
-                      rel_tol=rel_tol, abs_tol=abs_tol, event=hit,
-                      nfev=nfev, naccept=naccept, nreject=nreject)
+    # Two evaluations start the run, each attempted step makes 11 and each
+    # accepted one 4 more.
+    nfev = 2 + 11 * (naccept + nreject) + 4 * naccept
+    return _trajectory(ts, ys, steps, dense, stop_reason, rel_tol, nfev=nfev,
+                       event=hit, naccept=naccept, nreject=nreject)
 
 
-def _rows(buf: array, d: int) -> np.ndarray:
-    """A flat buffer of d-entry rows as a (rows, d) view, without a copy."""
-    return np.frombuffer(buf).reshape(-1, d)
+def _trajectory(ts: array, ys: array, steps: array, dense: array,
+                stop_reason: str, rel_tol: float, **counts) -> Trajectory:
+    """The Trajectory whose arrays are views of the run's flat buffers,
+    made without a copy."""
+    d = len(ys) // len(ts)
+    return Trajectory(
+        ts=np.frombuffer(ts), ys=np.frombuffer(ys).reshape(-1, d),
+        steps=np.frombuffer(steps),
+        dense=np.frombuffer(dense).reshape(-1, 7, d),
+        stop_reason=stop_reason, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2,
+        **counts)
+
+
+def _state_at(t: float, t_lo: float, h: float, y_lo: list[float],
+              coefficients: list[float]) -> list[float]:
+    """The interpolant of the step of length h from (t_lo, y_lo) at time
+    t, on floats; coefficients are its 7 x d coefficients, flat."""
+    th = (t - t_lo) / h
+    d = len(y_lo)
+    return [_interpolant(th, y, *coefficients[i::d])
+            for i, y in enumerate(y_lo)]
 
 
 def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
-                    t_lo: float, t_hi: float, y_lo: list[float],
-                    y_hi: list[float], f_lo: list[float],
-                    f_hi: list[float]) -> EventHit:
-    """The earliest event crossing inside one accepted step, which at
-    least one event crosses."""
+                    t_lo: float, t_hi: float, h: float, y_lo: list[float],
+                    coefficients: list[float]) -> EventHit:
+    """The earliest event crossing inside one accepted step, of length h
+    from (t_lo, y_lo) to t_hi, which at least one event crosses."""
     first: EventHit | None = None
     for index, (ev, ga, gb) in enumerate(zip(events, g_lo, g_hi)):
         # A sign change (or a landing on 0) in the event's direction.
@@ -582,14 +736,14 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
             continue
 
         def g(t: float, fn=ev.fn) -> float:
-            return fn(t, _hermite(t, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi))
+            return fn(t, _state_at(t, t_lo, h, y_lo, coefficients))
 
         roots = float_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)
         # No root only when the scan's far end, lo + (hi - lo), rounds
         # past a crossing within one ulp of t_hi.
         t_ev = roots[0] if roots else t_hi
         if first is None or abs(t_ev - t_lo) < abs(first.t - t_lo):
-            y_ev = _hermite(t_ev, t_lo, t_hi, y_lo, y_hi, f_lo, f_hi)
+            y_ev = _state_at(t_ev, t_lo, h, y_lo, coefficients)
             first = EventHit(name=ev.name, t=t_ev, y=np.array(y_ev),
                              index=index)
     return first

@@ -562,8 +562,22 @@ def test_number_flags_run_or_exit_2(command, values, in_config):
             warnings.simplefilter("error", RuntimeWarning)
             code = run_cli(*argv)
     message = err.getvalue()
-    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")), (
+    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")
+                         and any(f"--{flag}" in message for flag in flags)), (
         code, message)
+
+
+def test_rho_refuses_a_c2_whose_terms_overflow(tmp_path, capsys):
+    # At xi = 0.12 the product 256 c2 overflows before x^4 scales it down,
+    # so c2 = 1e308 gives NaN rows; c2 = -1e300 still gives finite ones.
+    grid = ("rho", "--grid", "1", "--xi", "0.12,0.2", "--psi", "0.3,1")
+    assert run_cli(*grid, "--c2", "1e308") == 2
+    assert ("hopf-flow: --c2 1e+308 takes rho, u or v past the float range "
+            "at 1 of the 1 grid points") in capsys.readouterr().err
+    out = tmp_path / "rho.csv"
+    assert run_cli(*grid, "--c2=-1e300", "--out", str(out)) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.isfinite(rows[:, 2:8]).all()
 
 
 def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
@@ -652,6 +666,12 @@ def test_non_finite_span_is_usage_error(span, capsys):
     (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
       "--rmax", "2", "--bracket", "0.3,0.9"), None,
      "exactly one of --c1 and --start"),
+    (("trace", "--start", "1,0,0", "--tol", "1e-15"), None,
+     "--tol must lie in [1e-14, 1e-2), got 1e-15"),
+    (("reduce", "--start", "1,0.7854", "--target", "3", "--tol", "0.5"), None,
+     "--tol must lie in [1e-14, 1e-2), got 0.5"),
+    (("trace", "--start", "1,0,0"), {"tol": 0.01},
+     "--tol must lie in [1e-14, 1e-2), got 0.01"),
 ], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
         "implicit-bracket", "implicit-config-rmax", "rho-f1-nan",
         "rho-f1-inf", "rho-f1-word", "rho-config-f1-list",
@@ -660,7 +680,8 @@ def test_non_finite_span_is_usage_error(span, capsys):
         "reduce-config-tol-list", "verify-config-tol-list",
         "trace-config-chart-number", "trace-config-format-word",
         "trace-config-span-bool", "trace-config-out-number",
-        "verify-config-only-number", "implicit-c1-and-start"])
+        "verify-config-only-number", "implicit-c1-and-start",
+        "trace-tol-range", "reduce-tol-range", "trace-config-tol-range"])
 def test_non_finite_input_is_usage_error(argv, config, message, tmp_path,
                                          capsys):
     out = ()

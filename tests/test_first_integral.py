@@ -372,23 +372,38 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
     assert (table.pde_direct.hex(), table.pde_parametric.hex()) == pde
 
 
-def test_rho_psi_has_the_bits_of_rho_table():
+def _has_the_bits_of_rho_table(fn, name):
+    """fn, a single-dual pass, gives rho_table's `name` bit for bit, on
+    arrays and on float points, with rho_table's domain guards."""
     # branch-continuity's points straddle both discriminant boundaries.
     xi = np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
                            (DISC_XI_LOW, DISC_XI_HIGH))[..., None]
     psi = np.array([0.7, 1.2, 1.9, 2.5])
-    assert fi.rho_psi(xi, psi).tobytes() == rho_table(xi, psi).rho_psi.tobytes()
+    assert fn(xi, psi).tobytes() == getattr(rho_table(xi, psi),
+                                            name).tobytes()
     for xi, psi in REAL_POINTS + OUTER_REAL_POINTS + COMPLEX_POINTS:
-        got = fi.rho_psi(xi, psi, 0.5, (0.1, -0.2))
+        got = fn(xi, psi, 0.5, (0.1, -0.2))
         assert type(got) is complex
-        assert got == rho_table(xi, psi, 0.5, (0.1, -0.2)).rho_psi
+        assert got == getattr(rho_table(xi, psi, 0.5, (0.1, -0.2)), name)
     # The domain guards of rho_table, with its messages.
     for xi, psi in ((0.0, 1.0), (0.5, math.pi), ([0.3, 0.4], [1.0, 0.0])):
         with pytest.raises(ValueError) as want:
             rho_table(xi, psi)
         with pytest.raises(ValueError) as got:
-            fi.rho_psi(xi, psi)
+            fn(xi, psi)
         assert str(got.value) == str(want.value)
+
+
+def test_rho_psi_has_the_bits_of_rho_table():
+    _has_the_bits_of_rho_table(fi.rho_psi, "rho_psi")
+
+
+def test_rho_xi_has_the_bits_of_rho_table():
+    # dual-vs-fd's probes too, so the check's figure is the table's.
+    xi, psi = np.random.default_rng(55555).uniform(
+        (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
+    assert fi.rho_xi(xi, psi).tobytes() == rho_table(xi, psi).u.tobytes()
+    _has_the_bits_of_rho_table(fi.rho_xi, "u")
 
 
 def test_residuals_of_a_result_in_hand_keep_their_bits():

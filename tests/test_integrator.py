@@ -2,8 +2,13 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import traceback
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +45,7 @@ def test_exponential_decay_accuracy_tracks_tolerance():
 
 def test_convergence_order_exceeds_four():
     # Global error versus mean step size over a tolerance ladder; the
-    # pair is fifth order, so the slope should clear 4 comfortably.
+    # pair is eighth order, so the slope should clear 4 comfortably.
     errs, hbars = [], []
     y_ref = np.array([math.cos(4.0), -math.sin(4.0)])
     for rel in (1e-5, 1e-7, 1e-9, 1e-11):
@@ -144,8 +149,12 @@ def test_sample_on_an_array_matches_scalar_samples_bitwise(span):
     ts = np.linspace(span[0], span[1], 41)
     stacked = np.array([traj.sample(float(t)) for t in ts])
     assert traj.sample(ts).tobytes() == stacked.tobytes()
-    # At the knots the interpolant returns the accepted states themselves.
-    assert traj.sample(traj.ts).tobytes() == traj.ys.tobytes()
+    # At a row's time the step that starts there gives its state itself
+    # (th = 0); at the last, the last step gives it within an ulp (th = 1).
+    at_rows = traj.sample(traj.ts)
+    assert at_rows[:-1].tobytes() == traj.ys[:-1].tobytes()
+    assert np.all(np.abs(at_rows[-1] - traj.ys[-1])
+                  <= np.spacing(np.abs(traj.ys[-1])))
 
 
 def test_config_validation():
@@ -165,16 +174,27 @@ def test_config_validation():
 
 
 def test_step_counters_are_consistent():
-    traj = integrate(oscillator, [1.0, 0.0], (0.0, 5.0))
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0))
     assert traj.stop_reason == "reached_end"
-    assert traj.naccept == len(traj.ts) - 1
+    assert traj.naccept == len(traj.ts) - 1 == len(traj.steps)
+    assert traj.nreject > 0
     # Two evaluations start a run (k1 and the initial-step probe), every
-    # attempted step makes six fresh ones, and a located event one more.
-    assert traj.nfev == 2 + 6 * (traj.naccept + traj.nreject)
+    # attempted step makes 11 fresh ones, and every accepted one 4 more
+    # (the next k1 and the dense output's three stages); locating an
+    # event makes none.
+    assert traj.nfev == 2 + 11 * (traj.naccept + traj.nreject) + 4 * (
+        traj.naccept)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return oscillator(t, y)
+
     ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
-    stopped = integrate(oscillator, [1.0, 0.0], (0.0, 5.0), events=(ev,))
+    stopped = integrate(counted, [1.0, 0.0], (0.0, 5.0), events=(ev,))
     assert stopped.stop_reason == "event"
-    assert stopped.nfev == 3 + 6 * (stopped.naccept + stopped.nreject)
+    assert stopped.nfev == len(calls) == 2 + 11 * (
+        stopped.naccept + stopped.nreject) + 4 * stopped.naccept
     assert integrate(oscillator, [1.0, 0.0], (2.0, 2.0)).nfev == 1
 
 
@@ -182,7 +202,7 @@ def test_hopf_orbit_keeps_its_step_counts():
     # Accepted, rejected and RHS counts of a fixed run: a change to the
     # step arithmetic that moves the controller shows here first.
     traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0))
-    assert (traj.naccept, traj.nreject, traj.nfev) == (562, 2, 3386)
+    assert (traj.naccept, traj.nreject, traj.nfev) == (86, 11, 1413)
 
 
 def test_rhs_return_container_does_not_change_the_bits():
@@ -200,7 +220,7 @@ def test_rhs_return_container_does_not_change_the_bits():
     for other in runs[1:]:
         assert other.ts.tobytes() == runs[0].ts.tobytes()
         assert other.ys.tobytes() == runs[0].ys.tobytes()
-        assert other.fs.tobytes() == runs[0].fs.tobytes()
+        assert other.dense.tobytes() == runs[0].dense.tobytes()
 
 
 @pytest.mark.parametrize("span", [(0.0, 1.0), (0.0, 0.0)],
@@ -239,24 +259,6 @@ def test_wrong_length_rhs_mid_run_is_refused(short_from):
     assert len(calls) == short_from
 
 
-def test_wrong_length_rhs_at_the_event_is_refused():
-    # The event's own slope is the run's last call; one short there must
-    # not shift the rows of the flat buffers.
-    level = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
-    last = integrate(oscillator, [1.0, 0.0], (0.0, 5.0),
-                     events=(level,)).nfev
-    calls = []
-
-    def field(t, y):
-        calls.append(t)
-        slope = oscillator(t, y)
-        return slope if len(calls) < last else slope[:-1]
-
-    with pytest.raises(ValueError, match="returned 1 components"):
-        integrate(field, [1.0, 0.0], (0.0, 5.0), events=(level,))
-    assert len(calls) == last
-
-
 @pytest.mark.parametrize("field, y0", [
     (lambda t, y: [math.nan], [1.0]),
     (lambda t, y: [1e300], [1.0]),
@@ -279,8 +281,10 @@ def test_traceback_through_a_step_shows_the_stage_line():
     with pytest.raises(ZeroDivisionError) as err:
         integrate(field, [1.0, 2.0], (0.0, 1.0))
     text = "".join(traceback.format_exception(err.value))
-    assert '"<dp5 step d=2>"' in text
-    assert "[k3_0, k3_1] = field_fn(t + c3 * hs, " in text
+    assert '"<dop853 step d=2>"' in text
+    assert ("[k3_0, k3_1] = field_fn(t + 0.0789002279381516 * hs, "
+            "[y0 + hs * (0.0197250569845379 * k1_0 + 0.0591751709536137 "
+            "* k2_0)" in text)
 
 
 def test_traceback_through_an_inlined_step_shows_the_stage_line():
@@ -291,9 +295,9 @@ def test_traceback_through_an_inlined_step_shows_the_stage_line():
         integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 1e300),
                   rel_tol=1e-3)
     text = "".join(traceback.format_exception(err.value))
-    assert '"<dp5 step d=3 hopf_flow.fields.cartesian_ode>"' in text
-    assert ("[k4_0, k4_1, k4_2] = field_fn(t + c4 * hs, [f_x, f_y, f_z])"
-            in text)
+    assert '"<dop853 step d=3 hopf_flow.fields.cartesian_ode>"' in text
+    assert ("[k9_0, k9_1, k9_2] = field_fn(t + 0.6512820512820513 * hs, "
+            "[f_x, f_y, f_z])" in text)
     assert '"<field hopf_flow.fields.cartesian_ode>"' in text
     assert "return _refuse_cartesian(x, y, z)" in text
 
@@ -306,7 +310,7 @@ def chain5(t, y):
 _LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
 
 
-# SHA-256 of the ts, ys and fs bytes of fixed runs, one per state
+# SHA-256 of the ts, ys, steps and dense bytes of fixed runs, one per state
 # dimension in use (d = 5 is used nowhere in the package), both time
 # directions and an event stop, and one run of each of the package's four
 # fields, whose bodies the steps inline: their digests are those the step
@@ -316,34 +320,34 @@ _LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
 @pytest.mark.parametrize("run, stop, digest", [
     (lambda: integrate(decay, [1.0], (0.0, 5.0), rel_tol=1e-9),
      "reached_end",
-     "2f1d7f7d9db60c8beed59f5731672df903f6da4600584629937b88d56757064b"),
+     "9b9d31361b832ef7962fe1d99dda1940bb7722997b2a8f08b2bb6a698e010852"),
     (lambda: integrate(oscillator, [1.0, 0.0], (0.0, 7.0), rel_tol=1e-9),
      "reached_end",
-     "08e1e9f8887eedad58d6f0ce010c6866a94756279fcbd43bb7e495c43d1350b2"),
+     "d5a21bef8c2cc353cb6942256f9248a5a39c9c5907096b4d023d319d9d878d43"),
     (lambda: integrate(oscillator, [1.0, 0.0], (0.0, -7.0), rel_tol=1e-9),
      "reached_end",
-     "b374eefa9c42854ef31f507cb7437076c45fac19761f3fdcf1de974efd21eda0"),
+     "c0ea582be50371750b0ccad9791ceb1ab345574cf717994e87d1738394700221"),
     (lambda: integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0)),
      "reached_end",
-     "a712deb88f32e318ed82d07a77c907e87bc61fe415e120603fca04a0b55e912e"),
+     "df66bdb879c36c5fab1523a3e27702f85135d191b32a19cdf98756195338bc6a"),
     (lambda: integrate(fields.spherical_ode, [1.2, 0.3, 1.0], (0.0, 20.0)),
      "reached_end",
-     "77d96cb7f251fb5acfef1613d2c5a568c53a308db7d15e5401f51290f3e64459"),
+     "56ce4d597abc14277f10e42628b626387eab0d34ba5104514537d14228b4e181"),
     (lambda: integrate(chain5, [1.0, 0.5, -0.25, 0.0, 2.0], (0.0, 10.0),
                        rel_tol=1e-8),
      "reached_end",
-     "cc648162e948ee7a9009f0dcdacc43bcad1430afe43947eb58658e45fe83b74a"),
+     "00d64ae49651e55ec23552e7d10f149acaf9cf2402ce273f5ac7ac3be2770558"),
     (lambda: integrate(oscillator, [1.0, 0.0], (0.0, 10.0),
                        events=(_LEVEL,)),
      "event",
-     "23d7232d0231eb1d7862bd4f8a856e90ffc35b41b76ba4d7c7ebd2210c509ee3"),
+     "69768d09a6b514e55edcdf039ad3ca867e8cb1804692c1eb106840eeed33e53b"),
     (lambda: reduced_system.trace_h(1.0, 0.5, 200.0),
      "event",
-     "423aa4451ea6e4fd26ca0c202eca382deb753e56fcabe32a638d3562c50a4a88"),
+     "8de6c25af2ded6dd9f561534f74c851fe94faa353328f4290c31fdf743be33e3"),
     (lambda: integrate(reduced_system.reduced_time_ode, [1.0, 0.7854],
                        (0.0, 0.05)),
      "reached_end",
-     "dfd6bb0a5003aa377488973aac4aacffce27d4637934e0b14175312dc9d20d4e"),
+     "6aa11aa3bc09b1b60278384184950538460cb01639fdb9ea8b7051957f5aa3aa"),
 ], ids=["decay-d1", "oscillator-d2", "oscillator-d2-backward",
         "cartesian-d3", "spherical-d3", "linear-d5", "event-stop",
         "trace-h-d1", "reduced-time-d2"])
@@ -351,7 +355,8 @@ def test_trajectories_keep_their_bits(run, stop, digest):
     traj = run()
     assert traj.stop_reason == stop
     got = hashlib.sha256(traj.ts.tobytes() + traj.ys.tobytes()
-                         + traj.fs.tobytes()).hexdigest()
+                         + traj.steps.tobytes()
+                         + traj.dense.tobytes()).hexdigest()
     assert got == digest
 
 
@@ -368,8 +373,8 @@ def test_step_budget_is_a_stop_reason(monkeypatch):
 
 def test_a_run_that_no_longer_advances_stops_stalled():
     # dH/dr across the turning locus, without trace_h's guard events: H
-    # chatters on the locus near r = 8.17 at steps of ~4e-10, and each
-    # window of accepted steps advances r by ~4e-5 of the span of 5.  The
+    # chatters on the locus near r = 8.17 at steps of ~1e-10, and each
+    # window of accepted steps advances r by ~2e-7 of the span of 5.  The
     # budget alone would take ~1M steps and seconds.
     start = time.perf_counter()
     traj = integrate(reduced_system._dh_dr, [0.5], (10.0, 5.0), rel_tol=1e-6)
@@ -386,25 +391,31 @@ _VALUES = st.floats(-10.0, 10.0)
 
 @settings(max_examples=300, deadline=None)
 @given(t_lo=_TIMES, h=st.floats(1e-9, 10.0), backward=st.booleans(),
-       rows=st.lists(_VALUES, min_size=8, max_size=8),
+       rows=st.lists(_VALUES, min_size=16, max_size=16),
        frac=st.floats(0.0, 1.0), tilt=_VALUES,
        direction=st.sampled_from([-1, 0, 1]),
        tol=st.sampled_from([integrator.EVENT_T_TOL, 1e-15, 1e-9, 1e-4]))
 def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
         t_lo, h, backward, rows, frac, tilt, direction, tol):
-    # One accepted step of a 2-component state and a linear event that the
+    # One accepted step of a 2-component state, its start and the 7 x 2
+    # coefficients of its interpolant drawn, and a linear event that the
     # step crosses (or touches); the event's roots on floats must be those
     # of the one-row array refiner, and the located hit its first root.
     t_hi = t_lo - h if backward else t_lo + h
-    y_lo, y_hi, f_lo, f_hi = rows[0:2], rows[2:4], rows[4:6], rows[6:8]
+    step = t_hi - t_lo
+    y_lo, coefficients = rows[:2], rows[2:]
+
+    def state(t):
+        return integrator._state_at(t, t_lo, step, y_lo, coefficients)
+
+    y_hi = state(t_hi)
     level = (1.0 - frac) * (y_lo[0] + tilt * y_lo[1]) + frac * (
         y_hi[0] + tilt * y_hi[1])
     ev = Event(fn=lambda t, y: y[0] + tilt * y[1] - level,
                direction=direction)
 
     def g(t):
-        return ev.fn(t, integrator._hermite(t, t_lo, t_hi, y_lo, y_hi,
-                                            f_lo, f_hi))
+        return ev.fn(t, state(t))
 
     (want,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
                               t_lo, t_hi, 1, tol)
@@ -413,34 +424,168 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
     g_lo, g_hi = ev.fn(t_lo, y_lo), ev.fn(t_hi, y_hi)
     if g_lo == 0.0 or not g_lo * g_hi <= 0.0 or direction * (g_hi - g_lo) < 0:
         return
-    hit = integrator._first_crossing((ev,), [g_lo], [g_hi], t_lo, t_hi,
-                                     y_lo, y_hi, f_lo, f_hi)
+    hit = integrator._first_crossing((ev,), [g_lo], [g_hi], t_lo, t_hi, step,
+                                     y_lo, coefficients)
     if tol == integrator.EVENT_T_TOL:
         assert hit.t == (want[0] if want else t_hi)
-    assert hit.y.tolist() == integrator._hermite(hit.t, t_lo, t_hi, y_lo,
-                                                 y_hi, f_lo, f_hi)
+    assert hit.y.tolist() == state(hit.t)
 
 
-def test_accepted_steps_follow_the_dp5_stability_polynomial():
-    # On y' = -y one Dormand-Prince step multiplies y by
-    # R(z) = sum_{k<=5} z^k / k! + z^6 / 600 at z = -h (in exact
-    # arithmetic); the z^6 coefficient is particular to this tableau.
+def _stability_coefficients() -> list[Fraction]:
+    """b A^(k-1) 1 for k = 1..12, exactly, over the tableau's doubles."""
+    rows = [{}] + list(integrator._A[:11])
+    a = [[Fraction(row.get(j, 0.0)) for j in range(1, 13)] for row in rows]
+    b = [Fraction(integrator._B.get(j, 0.0)) for j in range(1, 13)]
+    v = [Fraction(1)] * 12
+    out = []
+    for _ in range(12):
+        out.append(sum(x * y for x, y in zip(b, v)))
+        v = [sum(x * y for x, y in zip(row, v)) for row in a]
+    return out
+
+
+def test_accepted_steps_follow_the_dop853_stability_polynomial():
+    # On y' = -y one step multiplies y by R(z) = 1 + sum_k g_k z^k at
+    # z = -h (in exact arithmetic), g_k = b A^(k-1) 1 over the 12 stages:
+    # g_k = 1/k! through k = 8, and g_9..g_12 are particular to this
+    # tableau.
+    g = _stability_coefficients()
+    for k in range(1, 9):
+        assert abs(float(g[k - 1]) * math.factorial(k) - 1.0) <= 1e-14
     traj = integrate(decay, [1.0], (0.0, 8.0), rel_tol=1e-6)
     assert traj.naccept >= 10
-    z = -np.diff(traj.ts)
-    want = sum(z ** k / math.factorial(k) for k in range(6)) + z ** 6 / 600.0
+    z = -traj.steps
+    want = 1.0 + sum(float(c) * z ** k for k, c in enumerate(g, start=1))
     got = traj.ys[1:, 0] / traj.ys[:-1, 0]
-    assert np.max(z * z) > 0.1  # steps long enough for z^6 to register
+    # Steps long enough for the 9th-order term's departure from e^z to
+    # register.
+    assert np.max(np.abs((float(g[8]) - 1 / math.factorial(9)) * z ** 9)
+                  / np.abs(want)) > 1e-11
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def test_stored_slopes_are_the_field_at_the_stored_states():
-    # Every fs row must be the field at its own (t, y) row, not a stage of
-    # a later attempt left in a reused buffer.
+def test_tableau_rows_sum_to_their_nodes():
+    # sum_j a_sj = c_s for each of the 16 stages, to the rounding of the
+    # 30-digit literals to doubles; stage 13 (the new state) sits at c = 1.
+    assert len(integrator._A) == 15 and len(integrator._C) == 16
+    assert integrator._C[12] == 1.0
+    for s, row in enumerate(integrator._A, start=2):
+        assert max(row) < s
+        size = math.fsum(abs(w) for w in row.values())
+        assert abs(math.fsum(row.values()) - integrator._C[s - 1]) <= (
+            4e-16 * size)
+
+
+def test_weights_meet_the_quadrature_conditions_through_order_8():
+    # sum_j b_j c_j^(k-1) = 1/k for k <= 8: the weights integrate
+    # polynomials of degree 7 exactly, as an 8th-order method's must.
+    c, b = integrator._C, integrator._B
+    for k in range(1, 9):
+        got = math.fsum(w * c[j - 1] ** (k - 1) for j, w in b.items())
+        assert abs(got - 1.0 / k) <= 1e-15
+
+
+def test_error_estimates_vanish_on_polynomials_of_their_order():
+    # The 5th-order estimate's weights annihilate c^(k-1) for k <= 5, and
+    # the 3rd-order one's (b less the embedded weights) for k <= 3.
+    c, b, bhh = integrator._C, integrator._B, integrator._BHH
+    e3 = {j: w - bhh.get(j, 0.0) for j, w in b.items()}
+    for e, order in ((integrator._E5, 5), (e3, 3)):
+        size = math.fsum(abs(w) for w in e.values())
+        for k in range(1, order + 1):
+            got = math.fsum(w * c[j - 1] ** (k - 1) for j, w in e.items())
+            assert abs(got) <= 1e-15 * size
+
+
+def test_interpolant_meets_the_step_at_both_ends():
+    # At th = 1 each step's interpolant gives the new state to an ulp of
+    # the larger end; its slopes at th = 0 and 1 are h times the field at
+    # the step's two rows.
     traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 100.0))
-    assert len(traj.ts) > 1000 and traj.nreject > 0
-    for t, y, f in zip(traj.ts, traj.ys, traj.fs):
-        assert np.asarray(fields.cartesian_ode(t, y)).tobytes() == f.tobytes()
+    y0, y1 = traj.ys[:-1], traj.ys[1:]
+    f0, f1, f2, *rest = traj.dense.transpose(1, 0, 2)
+    at_one = integrator._interpolant(1.0, y0, f0, f1, f2, *rest)
+    ulp = np.spacing(np.maximum(np.abs(y0), np.abs(y1)))
+    assert np.all(np.abs(at_one - y1) <= ulp)
+    slopes = np.array([fields.cartesian_ode(t, y) for t, y in
+                       zip(traj.ts.tolist(), traj.ys.tolist())])
+    h = traj.steps[:, None]
+    np.testing.assert_allclose((f0 + f1) / h, slopes[:-1], rtol=0.0,
+                               atol=1e-13)
+    np.testing.assert_allclose((f0 - f1 - f2) / h, slopes[1:], rtol=0.0,
+                               atol=1e-13)
+
+
+def test_mid_step_interpolation_error_falls_like_h8():
+    # One step of y' = -y from 1 (the span is within the first step the
+    # controller picks); the interpolant's error at mid-step is O(h^8),
+    # one order below the step's own.
+    hs, errs = [0.3, 0.25, 0.2, 0.15], []
+    for h in hs:
+        traj = integrate(decay, [1.0], (0.0, h), rel_tol=9e-3)
+        assert traj.naccept == 1 and traj.nreject == 0
+        errs.append(abs(traj.sample(0.5 * h)[0] - math.exp(-0.5 * h)))
+    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    assert 7.5 <= slope <= 8.5
+
+
+def test_sample_and_event_location_share_the_bits():
+    # The array path of `sample` and the float path events are located on
+    # evaluate the same interpolant with the same operations.
+    level = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
+    traj = integrate(oscillator, [1.0, 0.0], (0.0, 10.0), rel_tol=1e-8,
+                     events=(level,))
+    assert traj.stop_reason == "event"
+    assert traj.sample(traj.event.t).tobytes() == traj.event.y.tobytes()
+    assert traj.ys[-1].tobytes() == traj.event.y.tobytes()
+    ts = np.linspace(0.0, traj.t_end, 97)
+    i = np.clip(np.searchsorted(traj.ts, ts, side="right") - 1, 0,
+                len(traj.steps) - 1)
+    floats = [integrator._state_at(t, traj.ts[k], traj.steps[k],
+                                   traj.ys[k].tolist(),
+                                   traj.dense[k].ravel().tolist())
+              for t, k in zip(ts.tolist(), i.tolist())]
+    assert traj.sample(ts).tobytes() == np.array(floats).tobytes()
+
+
+def test_integrating_never_loads_scipy(tmp_path):
+    # The method's coefficients are literals of the source: integrating,
+    # tracing and the order check import nothing of scipy, which is no
+    # dependency.
+    src = str(Path(integrator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import hopf_flow\n"
+        "from hopf_flow import cli, fields\n"
+        "hopf_flow.integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], "
+        "(0.0, 5.0))\n"
+        "assert cli.main(['trace', '--start', '1,0,0', '--span', '5', "
+        "'--dense', '10', '--out', sys.argv[1]]) == 0\n"
+        "doc = hopf_flow.run_battery(only=['integrator-order'])\n"
+        "assert doc['passed']\n"
+        "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_stored_slopes_are_the_field_at_the_stored_states():
+    # Each step's interpolant is formed from the field at its own two rows,
+    # F1 = h f(t0, y0) - F0 and F2 = F0 - h f(t1, y1) - F1 with
+    # F0 = y1 - y0, not from a stage of a later attempt left in a reused
+    # local.
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 500.0))
+    assert len(traj.ts) > 800 and traj.nreject > 0
+    f = np.array([fields.cartesian_ode(t, y) for t, y in
+                  zip(traj.ts.tolist(), traj.ys.tolist())])
+    h = traj.steps[:, None]
+    f0, f1, f2 = (traj.dense[:, k] for k in range(3))
+    assert f0.tobytes() == (traj.ys[1:] - traj.ys[:-1]).tobytes()
+    assert f1.tobytes() == (h * f[:-1] - f0).tobytes()
+    assert f2.tobytes() == (f0 - h * f[1:] - f1).tobytes()
 
 
 def _outcome(field, y0, span, rel_tol):
@@ -449,8 +594,9 @@ def _outcome(field, y0, span, rel_tol):
         traj = integrate(field, y0, span, rel_tol=rel_tol)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return (traj.ts.tobytes(), traj.ys.tobytes(), traj.fs.tobytes(),
-            traj.stop_reason, traj.nfev, traj.naccept, traj.nreject)
+    return (traj.ts.tobytes(), traj.ys.tobytes(), traj.steps.tobytes(),
+            traj.dense.tobytes(), traj.stop_reason, traj.nfev, traj.naccept,
+            traj.nreject)
 
 
 _COORD = (st.floats(-10.0, 10.0)

@@ -121,7 +121,7 @@ def test_out_of_range_inputs_are_refused_without_a_numpy_warning():
 def test_array_implicit_constant_is_the_float_path_bit_for_bit():
     # The (r, H) points `reduce --start 1,0.7854 --target 200` writes.
     curve = rs.trace_reduced(1.0, 0.7854, 200.0, rel_tol=1e-10)
-    assert len(curve.rs) == 683
+    assert len(curve.rs) == 275
     arr = rs.implicit_constant(curve.rs, curve.hs)
     # Every point is in the float path's domain, the two on the H = 1 fold
     # (which reduce leaves blank) too; refused points are NaN by the guards
@@ -167,9 +167,9 @@ def test_the_chain_reduce_curve_keeps_its_bits():
     curve = rs.trace_reduced(1.0, 0.7854, 200.0)
     got = hashlib.sha256(curve.rs.tobytes() + curve.hs.tobytes()
                          + curve.psis.tobytes()).hexdigest()
-    assert got == ("9ee2b6929d65d1894659c55a56a87b5f"
-                   "05c729f4d8ee1c70cbeeedd35dc70a1e")
-    assert curve.reached and len(curve.rs) == 1598
+    assert got == ("49013076ef187bb407285bfaa96f99f3"
+                   "fa7a8f27b8fa7f5c8b10aa5e762ab726")
+    assert curve.reached and len(curve.rs) == 439
     assert curve.turning_crossings == 3 and len(curve.segments) == 6
 
 
