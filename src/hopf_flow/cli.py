@@ -401,17 +401,26 @@ def cmd_rho(ns) -> int:
     except (ValueError, ZeroDivisionError):  # tan(psi/2) <= 0 or infinite
         raise ValueError(f"--psi must lie in (0, pi), clear of its ends, "
                          f"got {psi_lo!r},{psi_hi!r}") from None
-    table = first_integral.rho_table(xi, psi, c2, f1)
-    lost = ~(np.isfinite(table.rho) & np.isfinite(table.u)
-             & np.isfinite(table.v))
-    # The c2 terms' products can overflow where their sum would not: a
-    # point that c2 = 1 keeps finite is lost to --c2 alone.
-    if lost.any() and c2 != 1.0:
-        kept = first_integral.rho_table(xi[lost], psi[lost], 1.0, f1)
-        if np.isfinite(kept.rho).any():
-            raise ValueError(f"--c2 {c2!r} takes rho, u or v past the "
-                             f"float range at {int(lost.sum())} of the "
-                             f"{len(xi)} grid points")
+    def lost_at(c2: float, rows=slice(None)):
+        """The rho_table of the grid points in rows at c2, and where its
+        rho, u or v is not finite."""
+        table = first_integral.rho_table(xi[rows], psi[rows], c2, f1)
+        return table, ~(np.isfinite(table.rho) & np.isfinite(table.u)
+                        & np.isfinite(table.v))
+
+    table, lost = lost_at(c2)
+    if lost.any():
+        # The c2 terms' products can overflow where their sum would not: a
+        # point that c2 = 1 keeps finite is lost to --c2 alone.  Past the
+        # --psi guard above, a point that c2 = 1 loses too is lost to its
+        # xi: above ~1e51 (x^6 overflows), below ~1e-152, or on a root of
+        # the discriminant.
+        if c2 != 1.0 and not lost_at(1.0, lost)[1].all():
+            flag = f"--c2 {c2!r}"
+        else:
+            flag = f"--xi {xi_lo!r},{xi_hi!r}"
+        raise ValueError(f"{flag} takes rho, u or v past the float range "
+                         f"at {int(lost.sum())} of the {len(xi)} grid points")
     rows = np.column_stack([
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
         table.u.imag, table.v.imag, log_chi, table.pde_direct,

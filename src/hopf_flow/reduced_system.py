@@ -509,8 +509,7 @@ def select_effective_form(
                          spreads=spreads, samples=_FORM_SAMPLES)
 
 
-def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
-                   n_scan: int = 64):
+def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
     """Solve the implicit relation for H at fixed r and effective constant.
 
     The bracket is scanned for sign changes of (C(r, H) - c_effective)
@@ -519,39 +518,48 @@ def solve_implicit(c_effective: float, r, bracket: tuple[float, float],
     |dH| <= 1e-12, and with several roots the one nearest the bracket
     midpoint is returned with a multiplicity warning.
 
-    `r` is a float or a 1-d array.  `bracketed_roots` scans every radius
-    in one evaluation and then refines all their roots together, one
-    evaluation per round; an evaluation of at least _ARRAY_MIN_POINTS
-    points is one array pass, a smaller one goes point by point on the
-    float path, with the same bits.  A float raises ValueError when no
-    root is bracketed; an array returns H with NaN in those rows.
+    `r`, `c_effective` and each end of `bracket` are floats or 1-d
+    arrays, broadcast against each other: row k solves for H at r[k] with
+    constant c_effective[k] in the bracket (lo[k], hi[k]) and keeps the
+    root nearest that bracket's midpoint, with the bits of the same call
+    on row k's floats.  `bracketed_roots` scans every row in one
+    evaluation and then refines all their roots together, one evaluation
+    per round; an evaluation of at least _ARRAY_MIN_POINTS points is one
+    array pass, a smaller one goes point by point on the float path, with
+    the same bits.  When every input is a float the result is a float,
+    and no bracketed root raises ValueError; otherwise it is an array
+    with NaN in the rows without a root.
     """
-    target = float(c_effective)
-    h_lo, h_hi = float(bracket[0]), float(bracket[1])
-    if not h_lo < h_hi:
+    inputs = (r, c_effective, bracket[0], bracket[1])
+    if any(np.ndim(x) > 1 for x in inputs):
+        raise ValueError("r, c_effective and the bracket ends must be "
+                         "floats or 1-d arrays")
+    try:
+        rs, targets, h_lo, h_hi = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs))
+    except ValueError:
+        raise ValueError(f"r, c_effective and the bracket ends do not "
+                         f"broadcast: shapes "
+                         f"{[np.shape(x) for x in inputs]}") from None
+    if not (h_lo < h_hi).all():
         raise ValueError("empty bracket")
-    scalar = np.ndim(r) == 0
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    if rs.ndim != 1:
-        raise ValueError("r must be a float or a 1-d array")
 
     def gap(rows: np.ndarray, h: np.ndarray):
         if h.size >= _ARRAY_MIN_POINTS:
             _, num, den = _combination(rs[rows], h)
             with np.errstate(over="ignore", invalid="ignore"):
-                return num - target * den
-        return [_gap(r_k, h_k, target)
-                for r_k, h_k in zip(rs[rows].tolist(), h.tolist())]
+                return num - targets[rows] * den
+        return [_gap(r_k, h_k, target_k) for r_k, h_k, target_k in
+                zip(rs[rows].tolist(), h.tolist(), targets[rows].tolist())]
 
-    found = bracketed_roots(gap, np.full(rs.shape, h_lo),
-                            np.full(rs.shape, h_hi), n_scan, 1e-12)
-    mid = 0.5 * (h_lo + h_hi)
+    found = bracketed_roots(gap, h_lo, h_hi, n_scan, 1e-12)
+    mids = (0.5 * (h_lo + h_hi)).tolist()
     out = np.array([min(roots, key=lambda h: abs(h - mid)) if roots
-                    else math.nan for roots in found])
-    if scalar:
+                    else math.nan for roots, mid in zip(found, mids)])
+    if all(np.ndim(x) == 0 for x in inputs):
         if not found[0]:
-            raise _no_root_error(target, float(rs[0]),
-                                 scan_points(h_lo, h_hi, n_scan)[0])
+            raise _no_root_error(float(targets[0]), float(rs[0]),
+                                 scan_points(h_lo[0], h_hi[0], n_scan)[0])
         if len(found[0]) > 1:
             warnings.warn(f"{len(found[0])} roots in bracket; returning the "
                           f"one nearest the midpoint", stacklevel=2)

@@ -1,6 +1,7 @@
 """Check battery orchestration: naming, scaling, result schema."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -211,3 +212,91 @@ def test_a_shared_computation_that_raises_leaves_nothing_behind(monkeypatch):
     assert checks._RUN_SHARED.get() is None
     monkeypatch.setattr(first_integral, "reconstruct_H", reconstruct)
     assert checks.run_battery(only=names) == clean
+
+
+def _serial_substitution_walk():
+    """reduced-substitution's residuals from the walk test_A5 makes: one
+    radius at a time, outward from each anchor, each bracket centred on
+    the nearest radius already solved, one float solve per point."""
+    delta = 1e-4
+    residuals = []
+    for r0, h0 in ((1.2, 0.7), (2.5, 0.55), (4.0, 0.65)):
+        c1 = reduced_system.implicit_constant(r0, h0).c_effective
+        solved = {}
+        radii = np.linspace(0.9 * r0, 1.1 * r0, 9)
+        for r in sorted(map(float, radii), key=lambda r: abs(r - r0)):
+            near = min(solved, key=lambda s: abs(s - r)) if solved else None
+            h_mid = solved[near] if near is not None else h0
+            bracket = (max(0.01, h_mid - 0.12), min(0.9999, h_mid + 0.12))
+            hs = [reduced_system.solve_implicit(c1, rc, bracket, n_scan=8)
+                  for rc in (r - delta, r, r + delta)]
+            solved[r] = hs[1]
+            residuals.append(reduced_system.substitution_check(
+                np.array([r - delta, r, r + delta]), np.arcsin(np.sqrt(hs))))
+    return residuals
+
+
+def test_reduced_substitution_rings_give_the_serial_walks_bits():
+    residuals, details = checks._check_reduced_substitution()
+    assert details == {"curves": 3, "delta": 1e-4}
+    assert list(residuals) == _serial_substitution_walk()
+    assert len(residuals) == 27 and 0.0 < max(residuals) <= 1e-6
+
+
+def test_battery_solves_the_implicit_relation_in_six_calls(monkeypatch):
+    # One call per continuation ring of reduced-substitution (the anchors,
+    # then 1..4 steps out) and one for implicit-inversion's three points.
+    rows = []
+    solve = reduced_system.solve_implicit
+
+    def counted(c, r, *args, **kw):
+        rows.append(np.size(r))
+        return solve(c, r, *args, **kw)
+
+    monkeypatch.setattr(reduced_system, "solve_implicit", counted)
+    assert checks.run_battery()["passed"] is True
+    assert rows == [3, 9, 18, 18, 18, 18]
+
+
+def test_reduced_substitution_fails_on_a_planted_h_fault(monkeypatch):
+    # H off its level curve by a relative 1e-3 r no longer solves dH/dr.
+    solve = reduced_system.solve_implicit
+    monkeypatch.setattr(reduced_system, "solve_implicit",
+                        lambda c, r, *args, **kw:
+                        solve(c, r, *args, **kw) * (1.0 + 1e-3 * r))
+    rpt = checks.run_battery(only=["reduced-substitution"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+
+
+def test_integrator_order_reports_a_measured_margin():
+    rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
+    assert rpt["verdict"] == "pass"
+    # 2^(3.5 - slope) at the DOP853 slope of ~10.
+    slope = rpt["details"]["slope"]
+    assert slope > 8.0
+    assert rpt["max_abs"] == 2.0 ** (3.5 - slope) > 0.0
+
+
+@pytest.mark.parametrize("slope, verdict", [
+    (3.5, "pass"), (float(np.nextafter(3.5, 0.0)), "fail"), (3.0, "fail"),
+    (-500.0, "fail"), (math.nan, "fail")])
+def test_integrator_order_fails_below_slope_3_5(monkeypatch, slope, verdict):
+    monkeypatch.setattr(np, "polyfit", lambda *args: np.array([slope, 0.0]))
+    rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
+    assert rpt["verdict"] == verdict
+
+
+def test_integrator_order_fails_on_a_planted_third_order_error(monkeypatch):
+    # An error of h^3 on every run but the reference fits a slope of ~3.
+    run = checks.integrate
+
+    def third_order(fn, y0, span, rel_tol):
+        traj = run(fn, y0, span, rel_tol=rel_tol)
+        if rel_tol > 1e-13:
+            traj.ys[-1] += (span[1] / traj.naccept) ** 3
+        return traj
+
+    monkeypatch.setattr(checks, "integrate", third_order)
+    rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["details"]["slope"] < 3.5

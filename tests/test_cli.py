@@ -580,6 +580,19 @@ def test_rho_refuses_a_c2_whose_terms_overflow(tmp_path, capsys):
     assert np.isfinite(rows[:, 2:8]).all()
 
 
+@pytest.mark.parametrize("xi, lost", [("1e52,1e53", 4), ("1e50,1e53", 2),
+                                      ("1e-200,1e-160", 4)])
+def test_rho_refuses_an_xi_range_that_overflows(capsys, xi, lost):
+    # Above xi ~1e51 (x^6 overflows) and below ~1e-152 rho, u or v is
+    # lost at --c2 1 as at any other: the grid itself is out of range.
+    grid = ("rho", "--grid", "2", "--xi", xi, "--psi", "0.3,1")
+    for c2 in ("1", "2"):
+        assert run_cli(*grid, "--c2", c2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hopf-flow: --xi ")
+        assert f"at {lost} of the 4 grid points" in err
+
+
 def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
     # One parser serves every call in a process: repeated flags, and
     # values a --config file gave, must not carry over to the next call.

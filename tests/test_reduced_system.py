@@ -339,6 +339,57 @@ def test_array_solve_warns_once_for_rows_with_several_roots():
         rs.solve_implicit(c, np.ones((2, 2)), (0.1, 0.45))
 
 
+# Per-row (c_effective, r, lo, hi): two curves, a row whose bracket
+# misses its curve and a row whose bracket cuts its curve twice.
+PER_ROW = [
+    (rs.implicit_constant(1.0, 0.5).c_effective, 1.3, 0.6, 0.85),
+    (rs.implicit_constant(1.2, 0.7).c_effective, 1.1, 0.55, 0.75),
+    (rs.implicit_constant(1.0, 0.5).c_effective, 1.3, 0.05, 0.4),
+    (rs.implicit_constant(2.0, 0.2).c_effective, 2.0, 0.1, 0.45),
+]
+
+
+@pytest.mark.parametrize("n_scan", [64, 6])  # array and float scans
+def test_per_row_targets_and_brackets_are_each_rows_scalar_solve(n_scan):
+    c, r, lo, hi = (np.array(col) for col in zip(*PER_ROW))
+    with pytest.warns(UserWarning, match="1 of 4 radii have several roots"):
+        batch = rs.solve_implicit(c, r, (lo, hi), n_scan=n_scan)
+    singles = []
+    for row in PER_ROW:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                singles.append(rs.solve_implicit(row[0], row[1], row[2:],
+                                                 n_scan=n_scan))
+            except ValueError:
+                singles.append(math.nan)
+        assert len(caught) == (row is PER_ROW[3])
+    assert np.array_equal(batch, singles, equal_nan=True)
+    assert np.isnan(batch).tolist() == [False, False, True, False]
+    # A float end broadcasts like an array of it.
+    same = rs.solve_implicit(c[:2], r[:2], (lo[:2], 0.9), n_scan=n_scan)
+    assert np.array_equal(same, [rs.solve_implicit(c_k, r_k, (lo_k, 0.9),
+                                                   n_scan=n_scan)
+                                 for c_k, r_k, lo_k in zip(c[:2], r[:2],
+                                                           lo[:2])])
+
+
+def test_per_row_inputs_are_checked():
+    c, r = np.array([-4.9, -2.0]), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="empty bracket"):
+        rs.solve_implicit(c, r, (np.array([0.1, 0.5]), np.array([0.4, 0.5])))
+    with pytest.raises(ValueError, match="empty bracket"):
+        rs.solve_implicit(-4.9, r, (np.array([0.1, math.nan]), 0.9))
+    with pytest.raises(ValueError, match="broadcast"):
+        rs.solve_implicit(np.array([-4.9, -2.0, -1.0]), r, (0.1, 0.9))
+    with pytest.raises(ValueError, match="broadcast"):
+        rs.solve_implicit(c, r, (np.array([0.1, 0.2, 0.3]), 0.9))
+    with pytest.raises(ValueError, match="1-d"):
+        rs.solve_implicit(np.ones((2, 2)), r, (0.1, 0.9))
+    with pytest.raises(ValueError, match="1-d"):
+        rs.solve_implicit(c, r, (0.1, np.ones((1, 2))))
+
+
 def test_implicit_residual_on_arrays_matches_scalars():
     radii = np.array([1.0, 2.5, 4.0, -1.0])
     hs = np.array([0.5, 0.7, 0.2, 0.5])
