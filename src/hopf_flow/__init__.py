@@ -9,7 +9,7 @@ differentiation, residual diagnostics) needed to measure every claimed
 identity rather than assume it.
 """
 
-from .diagnostics import ResidualReport, relative_to_terms
+from .diagnostics import relative_to_terms
 from .dual import Dual, derivative, value
 from .fields import (
     DerivedRates,
@@ -66,7 +66,6 @@ __all__ = [
     "HReconstruction",
     "ImplicitConstant",
     "ReducedCurve",
-    "ResidualReport",
     "RhoTable",
     "SignReport",
     "Trajectory",

@@ -1,12 +1,14 @@
 """The verification battery behind `hopf-flow verify`.
 
 Each named check only measures one contract of the package: it returns
-its residuals and the details its report carries.  run_battery alone
-judges them, folding each check's residuals into a ResidualReport under
-the check's name, its tolerance times tol_scale and its documented flag;
-the report's details also list the warnings the check raised.  Checks
-are pure and deterministic (fixed seeds) and run one after another, and
-call only the public functions of the modules they measure.  Those of
+its residuals and the details its entry carries.  run_battery alone
+judges them: `summarize` folds each check's residuals into the check's
+entry of the document under its name, its tolerance times tol_scale and
+its documented flag, and a NaN or infinite residual fails the check
+rather than the run; the entry's details also list the warnings the
+check raised.  Checks are pure and deterministic (fixed seeds) and run
+one after another, and call only the public functions of the modules
+they measure.  Those of
 the parametric chain (legendre-identity, linear-pde-*,
 parametric-relation-*, h-pde-*, phi-flow-derivative, gauge-invariance,
 dual-vs-fd, branch-continuity) pass whole grids to the first_integral
@@ -32,9 +34,9 @@ returns, and a check called on its own computes what it reads.
 
 Four checks measure relations that are known not to hold in the form
 printed in the source material; they are expected to report
-"documented-discrepancy" and are allowlisted as such: the battery counts
-them as passing only under that verdict (or better).  Everything else
-must pass outright.
+"documented-discrepancy" and are allowlisted as such: only those
+checks can get that verdict, and the battery passes when no entry is
+"fail".
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _shared(name: str, compute: Callable[[], object]):
     """compute()'s result, computed once per run_battery call under name
     (simply computed outside one).  The warnings it raised are kept with
     it and raised again for every check that reads it, so each reader's
-    report lists them as if it had computed it."""
+    entry lists them as if it had computed it."""
     shared = _RUN_SHARED.get()
     if shared is None:
         return compute()
@@ -80,7 +82,7 @@ def _shared(name: str, compute: Callable[[], object]):
 
 # -- individual checks -------------------------------------------------------
 #
-# Each returns its residuals and the details its report carries.
+# Each returns its residuals and the details its entry carries.
 
 
 def _check_unit_norm():
@@ -408,29 +410,29 @@ class CheckDef:
 CHECKS: tuple[CheckDef, ...] = (
     CheckDef("unit-norm", _check_unit_norm, 1e-12),
     CheckDef("rate-identities", _check_rate_identities, 1e-6),
-    CheckDef("pushforward-sign", _check_pushforward_sign, 1e-10),
-    CheckDef("pushforward-trajectories", _check_pushforward_trajectories, 1e-6),
-    CheckDef("bessel-wronskian", _check_bessel_wronskian, 1e-10),
-    CheckDef("implicit-constant", _check_implicit_constant, 1e-6),
+    CheckDef("pushforward-sign", _check_pushforward_sign, 1e-11),
+    CheckDef("pushforward-trajectories", _check_pushforward_trajectories, 1e-7),
+    CheckDef("bessel-wronskian", _check_bessel_wronskian, 1e-11),
+    CheckDef("implicit-constant", _check_implicit_constant, 1e-8),
     CheckDef("implicit-inversion", _check_implicit_inversion, 1e-9),
     CheckDef("reduced-substitution", _check_reduced_substitution, 1e-6),
     CheckDef("turning-slope", _check_turning_slope, 1e-12),
     CheckDef("legendre-identity", _check_legendre, 1e-12),
     CheckDef("linear-pde-parametric", partial(_pde_grid_check, "parametric"),
-             1e-8),
+             1e-11),
     CheckDef("linear-pde-direct", partial(_pde_grid_check, "direct"), 1e-8,
              documented=True),
     CheckDef("parametric-relation-xi", partial(_relation_grid_check, "xi"),
-             1e-8),
+             1e-10),
     CheckDef("parametric-relation-v", partial(_relation_grid_check, "v"),
              1e-8, documented=True),
-    CheckDef("h-pde-xi", partial(_check_h_pde, "xi"), 1e-6),
+    CheckDef("h-pde-xi", partial(_check_h_pde, "xi"), 1e-12),
     CheckDef("h-pde-v", partial(_check_h_pde, "v"), 1e-6, documented=True),
     CheckDef("phi-flow-derivative", _check_phi_flow, 1e-6, documented=True),
     CheckDef("gauge-invariance", _check_gauge, 1e-11),
     CheckDef("dual-vs-fd", _check_dual_vs_fd, 1e-6),
     CheckDef("branch-continuity", _check_branch_continuity, 1e-6),
-    CheckDef("xi-substitution", _check_xi_substitution, 1e-10),
+    CheckDef("xi-substitution", _check_xi_substitution, 1e-12),
     CheckDef("integrator-order", _check_integrator_order, 1.0),
 )
 
@@ -447,8 +449,7 @@ def run_battery(only: Sequence[str] | None = None,
 
     tol_scale multiplies every check's tolerance; passing 1e-3 tightens
     all checks a thousandfold.  It must be finite and positive.  The
-    document's "passed" is true iff no check fails and every
-    documented-discrepancy verdict belongs to the allowlist.
+    document's "passed" is true iff no check fails.
     """
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise ValueError(f"tolerance scale must be finite and positive, "
@@ -463,28 +464,23 @@ def run_battery(only: Sequence[str] | None = None,
     else:
         selected = list(CHECKS)
 
-    reports = []
+    entries = []
     shared = _RUN_SHARED.set({})
     try:
         for c in selected:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 residuals, details = c.fn()
-            reports.append(summarize(
+            entries.append(summarize(
                 c.name, residuals, c.tol * tol_scale, c.documented,
                 {**details, "warnings": [str(w.message) for w in caught]}))
     finally:
         _RUN_SHARED.reset(shared)
 
-    passed = all(
-        r.verdict == "pass"
-        or (r.verdict == "documented-discrepancy"
-            and r.name in ALLOWED_DISCREPANCIES)
-        for r in reports)
     return {
         "schema": SCHEMA,
         "tol_scale": tol_scale,
         "allowed_discrepancies": sorted(ALLOWED_DISCREPANCIES),
-        "passed": passed,
-        "checks": [r.to_dict() for r in reports],
+        "passed": all(e["verdict"] != "fail" for e in entries),
+        "checks": entries,
     }

@@ -410,11 +410,20 @@ def cmd_rho(ns) -> int:
 
     table, lost = lost_at(c2)
     if lost.any():
+        # Within 2e4 ulps of either root of the discriminant, it is exactly
+        # 0 at DISC_XI_HIGH alone (at DISC_XI_LOW it rounds to a tiny
+        # value): there s = 0 divides rho's atan terms by zero at any c2.
+        on_root = lost & (xi == first_integral.DISC_XI_HIGH)
+        if on_root.any():
+            raise ValueError(
+                f"--xi {xi_lo!r},{xi_hi!r} puts {int(on_root.sum())} of the "
+                f"{len(xi)} grid points on the discriminant root "
+                f"xi = {first_integral.DISC_XI_HIGH!r}, where rho divides "
+                f"by zero")
         # The c2 terms' products can overflow where their sum would not: a
         # point that c2 = 1 keeps finite is lost to --c2 alone.  Past the
         # --psi guard above, a point that c2 = 1 loses too is lost to its
-        # xi: above ~1e51 (x^6 overflows), below ~1e-152, or on a root of
-        # the discriminant.
+        # xi: above ~1e51 (x^6 overflows) or below ~1e-152.
         if c2 != 1.0 and not lost_at(1.0, lost)[1].all():
             flag = f"--c2 {c2!r}"
         else:

@@ -1,12 +1,17 @@
-"""Residual reporting, the term-scaled residual and the shared root finder.
+"""The verdict, the term-scaled residual and the shared root finder.
 
 Every check in this package reduces to a set of per-sample residuals
-that are summarized in a ResidualReport: the sample count, the largest
-absolute residual, the root-mean-square residual, the tolerance the
-check was held to, and a verdict.  Verdicts are three-valued:
+that `summarize` folds into the check's entry of the verify document:
+its name, the sample count, the largest absolute residual, the
+root-mean-square residual, a verdict, the tolerance the check was held
+to, and its details.  Verdicts are three-valued:
 
-- "pass": max_abs <= tolerance.
-- "fail": max_abs > tolerance and the check is expected to pass.
+- "pass": every residual is finite and max_abs <= tolerance.
+- "fail": max_abs > tolerance and the check is expected to pass, or any
+  residual is NaN or infinite, documented checks included.  The count of
+  those goes in details["non_finite"], and max_abs and rms are taken
+  over the finite residuals (0.0 when there are none), so the entry
+  stays standard JSON.
 - "documented-discrepancy": max_abs > tolerance for a check that
   measures a relation known not to hold as printed; the number is
   reported honestly instead of being hidden or the tolerance widened.
@@ -23,19 +28,13 @@ many rows at once: one evaluation covers every row's scan, and then all
 brackets advance through the Illinois rounds in lockstep, one evaluation
 per round over the brackets still live.  Each bracket does the
 arithmetic of a scalar refiner on floats, so a root does not depend on
-the other rows.  `float_roots` is the same scan and refiner for one row
-of a float function, without numpy: it gives the bits of that row of
-`bracketed_roots` at a fraction of its set-up cost.
-"""
+the other rows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
-
-VERDICTS = ("pass", "fail", "documented-discrepancy")
 
 # Refining rounds per bracket at most.
 _MAX_ROUNDS = 200
@@ -63,57 +62,30 @@ def relative_to_terms(terms: Sequence) -> float | np.ndarray:
     return abs(total) / np.where(scale == 0.0, 1.0, scale)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Summary of one residual battery over a sample set."""
-
-    name: str
-    samples: int
-    max_abs: float
-    rms: float
-    verdict: str
-    tolerance: float
-    details: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.samples > 0 and self.max_abs < self.rms * (1.0 - 1e-12):
-            raise ValueError("max_abs must dominate rms")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "details": dict(self.details),
-        }
-
-
 def summarize(name: str, residuals: Sequence[float], tolerance: float,
               documented: bool = False,
-              details: Mapping[str, object] | None = None) -> ResidualReport:
-    """Fold raw residuals into a report with the three-valued verdict."""
+              details: Mapping[str, object] | None = None) -> dict:
+    """The check's entry of the verify document: the residuals folded
+    into the three-valued verdict."""
     arr = np.asarray([float(r) for r in residuals], dtype=float)
     if arr.size == 0:
         raise ValueError("no residual samples")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
-        raise ValueError(f"{bad} non-finite residuals in {name!r}")
-    max_abs = float(np.max(np.abs(arr)))
-    rms = float(np.sqrt(np.mean(arr * arr)))
-    if max_abs <= tolerance:
+    finite = arr[np.isfinite(arr)]
+    details = dict(details or {})
+    max_abs = float(np.max(np.abs(finite), initial=0.0))
+    rms = float(np.sqrt(np.mean(finite * finite))) if finite.size else 0.0
+    if finite.size < arr.size:
+        details["non_finite"] = arr.size - finite.size
+        verdict = "fail"
+    elif max_abs <= tolerance:
         verdict = "pass"
     elif documented:
         verdict = "documented-discrepancy"
     else:
         verdict = "fail"
-    return ResidualReport(name=name, samples=int(arr.size), max_abs=max_abs,
-                          rms=rms, verdict=verdict, tolerance=tolerance,
-                          details=dict(details or {}))
+    return {"name": name, "samples": arr.size, "max_abs": max_abs,
+            "rms": rms, "verdict": verdict, "tolerance": tolerance,
+            "details": details}
 
 
 def scan_points(lo, hi, n_scan: int) -> np.ndarray:
@@ -180,27 +152,6 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     for k, x in zip(row.tolist(), roots):
         per_row[k].append(x)
     return per_row
-
-
-def float_roots(fn: Callable[[float], float], lo: float, hi: float,
-                n_scan: int, tol: float) -> list[float]:
-    """`bracketed_roots` for one row on floats: fn(x) takes and gives a
-    float, and the roots come back as one list, with the same bits."""
-    xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
-    fs = [float(fn(x)) for x in xs]
-    roots = []
-    for i, (x, f) in enumerate(zip(xs, fs)):
-        if f == 0.0:
-            roots.append(x)
-        elif i < n_scan and f * fs[i + 1] < 0.0:
-            refiner = _illinois(x, xs[i + 1], f, fs[i + 1], tol)
-            try:
-                at = next(refiner)
-                while True:
-                    at = refiner.send(float(fn(at)))
-            except StopIteration as stop:
-                roots.append(stop.value)
-    return roots
 
 
 def _illinois(a: float, b: float, fa: float, fb: float,

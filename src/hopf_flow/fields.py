@@ -60,8 +60,9 @@ class SignReport:
 
     `sigma` is the factor in J V_cartesian = sigma V_spherical, J the
     Jacobian of the chart map.  `max_residual` is the worst componentwise
-    mismatch under the winning sign, relative to the larger speed.  When
-    no single sign fits every probe, `consistent` is False and sigma 0.
+    mismatch under the sign most probes fit, relative to the larger speed,
+    so a probe that fits the other sign shows its mismatch.  When no
+    single sign fits every probe, `consistent` is False and sigma 0.
     """
 
     sigma: int
@@ -192,25 +193,24 @@ def pushforward_sign(
 
     At each probe (x, y, z) the pushforward of the Cartesian velocity is
     compared against the spherical right-hand side at the image point
-    under both candidate signs; one sign must win everywhere, and its
-    worst relative mismatch is reported.  Disagreement between probes
-    yields an inconsistency report, not an exception.
+    under both candidate signs; one sign must win everywhere.  Every probe
+    is scored under the sign most probes pick (-1 on a tie), and the worst
+    relative mismatch is reported.  Disagreement between probes yields an
+    inconsistency report, not an exception.
     """
     if probe_set is None:
         probe_set = default_probes(100)
-    votes: set[int] = set()
-    worst = 0.0
+    # Per probe, the mismatch under sigma = +1 and under sigma = -1.
+    scores = []
     for p in probe_set:
         push = _pushforward_rates(p)
         sph = spherical_ode(0.0, to_spherical(p))
         scale = max(map(abs, push + sph))
-        res_plus = max(abs(a - b) for a, b in zip(push, sph)) / scale
-        res_minus = max(abs(a + b) for a, b in zip(push, sph)) / scale
-        sign = 1 if res_plus < res_minus else -1
-        votes.add(sign)
-        worst = max(worst, min(res_plus, res_minus))
-    if len(votes) != 1:
-        return SignReport(sigma=0, max_residual=worst, samples=len(probe_set),
-                          consistent=False)
-    return SignReport(sigma=votes.pop(), max_residual=worst,
-                      samples=len(probe_set))
+        scores.append((max(abs(a - b) for a, b in zip(push, sph)) / scale,
+                       max(abs(a + b) for a, b in zip(push, sph)) / scale))
+    n_plus = sum(p < m for p, m in scores)
+    sigma = 1 if 2 * n_plus > len(scores) else -1
+    worst = max((m if sigma < 0 else p for p, m in scores), default=0.0)
+    consistent = len(scores) > 0 and n_plus in (0, len(scores))
+    return SignReport(sigma=sigma if consistent else 0, max_residual=worst,
+                      samples=len(probe_set), consistent=consistent)

@@ -48,8 +48,8 @@ point.  A stall is tested once per window.
 
 Every event stops the run.  When an event function changes sign over an
 accepted step, the crossing is located on that step's interpolant on
-floats by `diagnostics.float_roots`, the shared root refiner's one-row
-path, with one scan interval (the step), to EVENT_T_TOL in t (or to
+floats by `diagnostics.bracketed_roots`, the shared root refiner, as one
+row with one scan interval (the step), to EVENT_T_TOL in t (or to
 adjacent doubles where that is finer than one ulp); each refining round
 evaluates the event function once.  The earliest crossing in the step
 ends the trajectory there: its last row becomes the crossing, and the
@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import float_roots
+from .diagnostics import bracketed_roots
 
 # DOP853 as the decimal literals of Hairer's dop853.f (its nodes involve
 # sqrt(6), so no exact rational form exists).  _C[s - 1] is the node of
@@ -738,7 +738,8 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
         def g(t: float, fn=ev.fn) -> float:
             return fn(t, _state_at(t, t_lo, h, y_lo, coefficients))
 
-        roots = float_roots(g, t_lo, t_hi, 1, EVENT_T_TOL)
+        (roots,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
+                                   t_lo, t_hi, 1, EVENT_T_TOL)
         # No root only when the scan's far end, lo + (hi - lo), rounds
         # past a crossing within one ulp of t_hi.
         t_ev = roots[0] if roots else t_hi

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hopf_flow import checks, first_integral, reduced_system
+from hopf_flow import (checks, fields, first_integral, reduced_system,
+                       special_functions)
 from hopf_flow.diagnostics import summarize
+from hopf_flow.dual import Dual, atan
 
 # Every check's verdict; the four documented discrepancies are the
 # allowlisted relations that do not hold as printed.
@@ -129,7 +131,7 @@ def test_run_battery_records_each_checks_warnings():
 
 
 # legendre-identity moves by the relative fault itself; h-pde-xi by ~3.4
-# times it, so 1e-6 is the smallest decade its 1e-6 tolerance catches.
+# times it, so a 1e-6 fault lands ~6.5 decades above its 1e-12 tolerance.
 @pytest.mark.parametrize("name, fault", [("legendre-identity", 1e-9),
                                          ("h-pde-xi", 1e-6)])
 def test_table_checks_fail_on_a_planted_u_xi_fault(monkeypatch, name, fault):
@@ -166,8 +168,8 @@ def test_a_check_called_directly_computes_what_it_reads():
             warnings.simplefilter("always")
             residuals, details = c.fn()
         details["warnings"] = [str(w.message) for w in caught]
-        got = summarize(c.name, residuals, c.tol, c.documented, details)
-        assert got.to_dict() == entry, c.name
+        assert summarize(c.name, residuals, c.tol, c.documented,
+                         details) == entry, c.name
 
 
 def _count_calls(monkeypatch, name):
@@ -300,3 +302,116 @@ def test_integrator_order_fails_on_a_planted_third_order_error(monkeypatch):
     rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
     assert rpt["verdict"] == "fail"
     assert rpt["details"]["slope"] < 3.5
+
+
+def test_pushforward_sign_fails_when_the_probes_disagree(monkeypatch):
+    # The spherical field negated where phi > 0: each probe still fits one
+    # sign, but not the one most probes pick, and shows its mismatch.
+    field = fields.spherical_ode
+
+    def flipped(t, s):
+        v = field(t, s)
+        return tuple(-c for c in v) if s[1] > 0.0 else v
+
+    monkeypatch.setattr(fields, "spherical_ode", flipped)
+    rpt = checks.run_battery(only=["pushforward-sign"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["max_abs"] > 0.5
+    assert rpt["details"]["sigma"] == 0
+    assert rpt["details"]["consistent"] is False
+
+
+def _plant_field_term(monkeypatch, eps):
+    # The 4 y term of the Cartesian vx off by a relative eps; integrate
+    # calls a wrapped field at every stage.
+    field = fields.cartesian_ode
+
+    def faulty(t, p):
+        vx, vy, vz = field(t, p)
+        x, y, z = p
+        return vx + 32.0 * eps * y / (x * x + y * y + z * z + 4.0) ** 2, vy, vz
+
+    monkeypatch.setattr(fields, "cartesian_ode", faulty)
+
+
+def _plant_rho_term(monkeypatch, eps, gauged_only=False):
+    # rho's term -xi log(chi^2 + 1) off by a relative eps (only where a
+    # gauge F1 is given, if gauged_only).
+    raw = first_integral.rho_raw
+
+    def faulty(xi, psi, c2=1.0, f1=()):
+        rho = raw(xi, psi, c2, f1)
+        if gauged_only and not f1:
+            return rho
+        chi = first_integral.half_angle_tan(psi)
+        return rho - eps * xi * first_integral.log(chi * chi + 1.0)
+
+    monkeypatch.setattr(first_integral, "rho_raw", faulty)
+
+
+def _plant_atan_rule(monkeypatch, denominator):
+    # The dual atan rule d atan(q) = dq / (1 + q^2) with denominator(q)
+    # in place of 1 + q^2, on the outer dual level.
+    def faulty(q):
+        if not isinstance(q, Dual):
+            return atan(q)
+        return Dual(atan(q.val), q.eps / denominator(q.val))
+
+    monkeypatch.setattr(first_integral, "atan", faulty)
+
+
+def _plant_dh_dr_term(monkeypatch, eps):
+    # The constant 16 of dH/dr's numerator off by a relative eps.
+    rhs = reduced_system._dh_dr
+
+    def faulty(r, y):
+        (h,) = y
+        rr = r * r
+        den = r * (rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0)
+        return (rhs(r, y)[0] - 32.0 * eps * h / den,)
+
+    monkeypatch.setattr(reduced_system, "_dh_dr", faulty)
+
+
+def _plant_sqrt(monkeypatch, eps):
+    # xi-substitution's root sqrt(1 - xi^2), its only square root, off by
+    # a relative eps.
+    sqrt = math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda x: sqrt(x) * (1.0 + eps))
+
+
+def _plant_chebyshev(monkeypatch, eps):
+    # a_0 of the small-z I1 series off by a relative eps.
+    *rest, a0 = special_functions.I1_SMALL
+    monkeypatch.setattr(special_functions, "I1_SMALL",
+                        (*rest, a0 * (1.0 + eps)))
+
+
+# The smallest natural fault in each check's own target, at a size the
+# check's tolerance catches with a margin of at least ~3.
+_PLANTED_FAULTS = {
+    "unit-norm": lambda mp: _plant_field_term(mp, 1e-10),
+    "rate-identities": lambda mp: _plant_field_term(mp, 1e-4),
+    "pushforward-trajectories": lambda mp: _plant_field_term(mp, 1e-6),
+    "bessel-wronskian": lambda mp: _plant_chebyshev(mp, 1e-10),
+    "turning-slope": lambda mp: _plant_dh_dr_term(mp, 1e-10),
+    "linear-pde-parametric": lambda mp: _plant_rho_term(mp, 1e-10),
+    "parametric-relation-xi": lambda mp: _plant_rho_term(mp, 1e-9),
+    "gauge-invariance": lambda mp: _plant_rho_term(mp, 1e-10,
+                                                   gauged_only=True),
+    "dual-vs-fd": lambda mp: _plant_atan_rule(
+        mp, lambda q: 1.0 + 1e-5 + q * q),
+    # 1 + |q|^2 is 1 + q^2 for real q only: rho_psi jumps where the
+    # discriminant's root turns imaginary.
+    "branch-continuity": lambda mp: _plant_atan_rule(
+        mp, lambda q: 1.0 + abs(q) ** 2),
+    "xi-substitution": lambda mp: _plant_sqrt(mp, 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED_FAULTS))
+def test_each_check_fails_on_a_planted_fault(monkeypatch, name):
+    _PLANTED_FAULTS[name](monkeypatch)
+    rpt = checks.run_battery(only=[name])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["max_abs"] > 3.0 * rpt["tolerance"]

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopf_flow import cli, fields, integrator, reduced_system
+from hopf_flow import cli, fields, first_integral, integrator, reduced_system
 from hopf_flow.integrator import integrate
 
 
@@ -293,6 +294,25 @@ def test_verify_tol_scales_tolerances(tmp_path):
 def test_verify_unknown_check_is_usage_error(capsys):
     assert run_cli("verify", "--only", "made-up-name") == 2
     assert "made-up-name" in capsys.readouterr().err
+
+
+def test_verify_reports_a_nan_residual_as_a_failed_check(tmp_path,
+                                                         monkeypatch):
+    # A NaN figure fails its check, not the run: the other checks still
+    # run and the document is written.
+    measured = fields.pushforward_sign()
+    monkeypatch.setattr(fields, "pushforward_sign", lambda: dataclasses.replace(
+        measured, max_residual=math.nan))
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--only", "pushforward-sign", "--only",
+                   "unit-norm", "--out", str(out)) == 1
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    unit, sign = doc["checks"]
+    assert unit["name"] == "unit-norm" and unit["verdict"] == "pass"
+    assert sign["name"] == "pushforward-sign" and sign["verdict"] == "fail"
+    assert sign["details"]["non_finite"] == 1
+    assert sign["max_abs"] == sign["rms"] == 0.0
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -591,6 +611,26 @@ def test_rho_refuses_an_xi_range_that_overflows(capsys, xi, lost):
         err = capsys.readouterr().err
         assert err.startswith("hopf-flow: --xi ")
         assert f"at {lost} of the 4 grid points" in err
+
+
+def test_rho_names_the_discriminant_root_it_divides_by_zero_at(tmp_path,
+                                                               capsys):
+    # At DISC_XI_HIGH the discriminant is exactly 0, so s = 0 divides the
+    # atan terms by zero at any c2; at DISC_XI_LOW it rounds to a tiny s
+    # and rho stays finite.
+    high = first_integral.DISC_XI_HIGH
+    for c2 in ("1", "2"):
+        assert run_cli("rho", "--grid", "2", "--xi", f"{high!r},5",
+                       "--psi", "0.3,1", "--c2", c2) == 2
+        assert capsys.readouterr().err == (
+            f"hopf-flow: --xi {high!r},5.0 puts 2 of the 4 grid points on the "
+            f"discriminant root xi = {high!r}, where rho divides by zero\n")
+    out = tmp_path / "rho.csv"
+    assert run_cli("rho", "--grid", "2", "--xi",
+                   f"{first_integral.DISC_XI_LOW!r},1", "--psi", "0.3,1",
+                   "--out", str(out)) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.isfinite(rows[:, 2:8]).all()
 
 
 def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):

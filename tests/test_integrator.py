@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopf_flow import fields, integrator, reduced_system
-from hopf_flow.diagnostics import bracketed_roots, float_roots
+from hopf_flow.diagnostics import bracketed_roots
 from hopf_flow.integrator import Event, integrate
 
 
@@ -399,8 +399,8 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
         t_lo, h, backward, rows, frac, tilt, direction, tol):
     # One accepted step of a 2-component state, its start and the 7 x 2
     # coefficients of its interpolant drawn, and a linear event that the
-    # step crosses (or touches); the event's roots on floats must be those
-    # of the one-row array refiner, and the located hit its first root.
+    # step crosses (or touches); the located hit must be the first root
+    # of the shared refiner's one row, at the interpolant's state there.
     t_hi = t_lo - h if backward else t_lo + h
     step = t_hi - t_lo
     y_lo, coefficients = rows[:2], rows[2:]
@@ -419,8 +419,6 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
 
     (want,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
                               t_lo, t_hi, 1, tol)
-    got = float_roots(g, t_lo, t_hi, 1, tol)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
     g_lo, g_hi = ev.fn(t_lo, y_lo), ev.fn(t_hi, y_hi)
     if g_lo == 0.0 or not g_lo * g_hi <= 0.0 or direction * (g_hi - g_lo) < 0:
         return
