@@ -7,7 +7,7 @@ element, so a whole grid is differentiated in one pass), or other
 Duals; nesting Duals therefore yields exact second and mixed partial
 derivatives without any finite differencing.
 
-The module-level math functions (`sqrt`, `log`, `exp`, ...) dispatch on
+The module-level math functions (`sqrt`, `log`, `sin`, ...) dispatch on
 their argument: Duals get the differentiation rule, numpy arrays the
 matching numpy ufunc (principal branches for complex dtypes), complex
 numbers go through :mod:`cmath` (principal branches), and plain floats
@@ -85,15 +85,6 @@ class Dual:
             return Dual(q, -q * self.eps / self.val)
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("Dual power supports integer exponents only")
-        if n == 0:
-            return Dual(self.val * 0 + 1, self.eps * 0)
-        if n < 0:
-            return 1.0 / self.__pow__(-n)
-        return Dual(self.val ** n, n * self.val ** (n - 1) * self.eps)
-
 
 def _lift(fn_real, fn_cplx, fn_array, x):
     if isinstance(x, np.ndarray):
@@ -116,13 +107,6 @@ def log(x):
     return _lift(math.log, cmath.log, np.log, x)
 
 
-def exp(x):
-    if isinstance(x, Dual):
-        e = exp(x.val)
-        return Dual(e, e * x.eps)
-    return _lift(math.exp, cmath.exp, np.exp, x)
-
-
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.val), cos(x.val) * x.eps)
@@ -133,13 +117,6 @@ def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.val), -sin(x.val) * x.eps)
     return _lift(math.cos, cmath.cos, np.cos, x)
-
-
-def tan(x):
-    if isinstance(x, Dual):
-        t = tan(x.val)
-        return Dual(t, (1.0 + t * t) * x.eps)
-    return _lift(math.tan, cmath.tan, np.tan, x)
 
 
 def atan(x):

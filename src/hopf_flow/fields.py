@@ -11,8 +11,10 @@ A point is plain coordinates: any sequence of three floats (a tuple, a
 list or an array row), (x, y, z) in the Cartesian chart and (r, phi, psi)
 in the spherical one.  `cartesian_ode(t, p)` and `spherical_ode(t, s)` are
 the one field per chart, in the integrator's signature; a caller probing
-one point passes t = 0.0.  Results come back as tuples, of Python floats
-when the point's coordinates are Python floats; `derived_rates` and
+one point passes t = 0.0.  Both are ordinary functions under the
+`integrator.inlined_field` decorator, so `integrate` writes their bodies
+into its steps.  Results come back as tuples, of Python floats when the
+point's coordinates are Python floats; `derived_rates` and
 `pushforward_sign` return small named records.
 
 The Cartesian field has unit Euclidean norm at every point, so its flow
@@ -83,10 +85,7 @@ def _refuse_cartesian(x, y, z):
     raise ValueError("non-finite Cartesian state")
 
 
-# Each field is written once, as text: `inlined_field` compiles it into
-# the public function, and `integrate` writes its body into the stages of
-# its steps, where a failing guard hands the stage to the function.
-cartesian_ode = inlined_field('''
+@inlined_field
 def cartesian_ode(t, p):
     """Unit-norm field (vx, vy, vz) at p = (x, y, z); t is unused (the
     field is autonomous)."""
@@ -104,10 +103,9 @@ def cartesian_ode(t, p):
     return (8.0 * (4.0 * z * x - y * s + 4.0 * y) / d,
             8.0 * (4.0 * z * y + x * s - 4.0 * x) / d,
             (24.0 * x * x + 24.0 * y * y - 8.0 * z * z - s * s - 16.0) / d)
-''', globals())
 
 
-spherical_ode = inlined_field('''
+@inlined_field
 def spherical_ode(t, s):
     """Spherical system (dr, dphi, dpsi) at s = (r, phi, psi): the
     reversed-time image of the Cartesian field.  It does not depend on
@@ -124,7 +122,6 @@ def spherical_ode(t, s):
     dr = (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0) * cos_psi / q
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / (r * q)
     return dr, dphi, dpsi
-''', globals())
 
 
 def to_spherical(p: Sequence[float]) -> tuple[float, float, float]:
@@ -173,12 +170,12 @@ def _pushforward_rates(p: Sequence[float]) -> tuple[float, float, float]:
     return dr, dphi, dpsi
 
 
-def default_probes(n: int = 100,
-                   seed: int = 20260819) -> list[tuple[float, float, float]]:
-    """Reproducible off-axis probe set with radii spread over (0.3, 8)."""
-    rng = np.random.default_rng(seed)
+def default_probes() -> list[tuple[float, float, float]]:
+    """Reproducible set of 100 off-axis probes with radii spread over
+    (0.3, 8)."""
+    rng = np.random.default_rng(20260819)
     probes = []
-    while len(probes) < n:
+    while len(probes) < 100:
         p = rng.uniform(-4.0, 4.0, size=3)
         rho_sq = p[0] * p[0] + p[1] * p[1]
         r = math.sqrt(rho_sq + p[2] * p[2])
@@ -187,22 +184,21 @@ def default_probes(n: int = 100,
     return probes
 
 
-def pushforward_sign(
-        probe_set: Sequence[Sequence[float]] | None = None) -> SignReport:
+def pushforward_sign() -> SignReport:
     """Measure the orientation factor between the two presentations.
 
-    At each probe (x, y, z) the pushforward of the Cartesian velocity is
-    compared against the spherical right-hand side at the image point
-    under both candidate signs; one sign must win everywhere.  Every probe
-    is scored under the sign most probes pick (-1 on a tie), and the worst
-    relative mismatch is reported.  Disagreement between probes yields an
-    inconsistency report, not an exception.
+    At each of the `default_probes` (x, y, z) the pushforward of the
+    Cartesian velocity is compared against the spherical right-hand side
+    at the image point under both candidate signs; one sign must win
+    everywhere.  Every probe is scored under the sign most probes pick
+    (-1 on a tie), and the worst relative mismatch is reported.
+    Disagreement between probes yields an inconsistency report, not an
+    exception.
     """
-    if probe_set is None:
-        probe_set = default_probes(100)
+    probes = default_probes()
     # Per probe, the mismatch under sigma = +1 and under sigma = -1.
     scores = []
-    for p in probe_set:
+    for p in probes:
         push = _pushforward_rates(p)
         sph = spherical_ode(0.0, to_spherical(p))
         scale = max(map(abs, push + sph))
@@ -210,7 +206,7 @@ def pushforward_sign(
                        max(abs(a + b) for a, b in zip(push, sph)) / scale))
     n_plus = sum(p < m for p, m in scores)
     sigma = 1 if 2 * n_plus > len(scores) else -1
-    worst = max((m if sigma < 0 else p for p, m in scores), default=0.0)
-    consistent = len(scores) > 0 and n_plus in (0, len(scores))
+    worst = max(m if sigma < 0 else p for p, m in scores)
+    consistent = n_plus in (0, len(scores))
     return SignReport(sigma=sigma if consistent else 0, max_residual=worst,
-                      samples=len(probe_set), consistent=consistent)
+                      samples=len(probes), consistent=consistent)

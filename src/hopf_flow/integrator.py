@@ -24,10 +24,11 @@ the run evaluate stage 13, the field at the new state, which is the next
 step's first stage, and the three stages of the dense output, and form
 the step's interpolant y0 + th (F0 + (1 - th) (F1 + th (F2 + ...))) in
 th = (t - t0) / h, seven coefficients F0..F6 per component.  A field
-that `inlined_field` defined from its text (the package's four:
+decorated with `inlined_field` (the package's four:
 `fields.cartesian_ode`, `fields.spherical_ode`,
-`reduced_system.reduced_time_ode` and the dH/dr of `trace_h`) has its
-body written into every stage in place of the call, over the same
+`reduced_system.reduced_time_ode` and the dH/dr of `trace_h`, each an
+ordinary module-level def) has its body, parsed from its module's
+source, written into every stage in place of the call, over the same
 locals and with the same bits; where one of its guards fails, the stage
 calls the field.  Any other callable, a wrapper of one of those four
 included, is called at every stage.  The same function runs the
@@ -62,9 +63,9 @@ from __future__ import annotations
 import ast
 import builtins
 import functools
+import itertools
 import linecache
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -268,7 +269,6 @@ class EventHit:
     name: str
     t: float
     y: np.ndarray
-    index: int
 
 
 @dataclass
@@ -371,38 +371,28 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     return min(100.0 * h0, h1, span)
 
 
-# The fields `inlined_field` defined, by the id of the function object:
-# the source that the runs generated for that field write out in place
-# of each field_fn call.
-_INLINED: dict[int, str] = {}
+# The fields `inlined_field` decorated, by the id of the function object.
+_INLINED: dict[int, Callable] = {}
 
 
-def inlined_field(source: str, namespace: dict) -> Callable:
-    """The field function that `source` defines, compiled in `namespace`.
+def inlined_field(field: Callable) -> Callable:
+    """Decorator: `integrate` writes field's body into the stages of its
+    runs, parsed from its module's source when the first run for it is
+    generated; a stage whose state fails one of field's guards calls
+    field, which takes its cold path.  field is returned unchanged, and a
+    wrapper of it is called at every stage.
 
-    source is one `def name(t, y)`: an optional docstring, a statement
-    unpacking y into one name per component, assignments (never to t or
-    a component) and guards, and `return` of a tuple of one expression
-    per component.  A guard is an `if` with no else; its body is the
-    function's cold path (it returns or raises).  The function's globals
-    are `namespace` (a module's globals), and its text is kept in
-    linecache, so a traceback through it shows its line.
-
-    `integrate` writes the body of the very function returned (not of a
-    wrapper around it) into each stage of its run: where a guard's test
-    holds, the stage calls the function instead, which takes its cold
-    path.  The body is parsed, and the module-level names it reads are
-    bound, when the first run for it is generated.
+    field is a module-level `def name(t, y)` (a lambda or a nested def
+    raises ValueError): an optional docstring, a statement unpacking y
+    into one name per component, assignments (never to t or a component)
+    and guards (an `if` with no else, whose body returns or raises), and
+    `return` of a tuple of one expression per component.
     """
-    name = re.match(r"\s*def (\w+)", source).group(1)
-    filename = f"<field {namespace['__name__']}.{name}>"
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    local: dict = {}
-    exec(compile(source, filename, "exec"), namespace, local)
-    fn = local[name]
-    _INLINED[id(fn)] = source
-    return fn
+    if field.__qualname__ != field.__name__ or field.__name__ == "<lambda>":
+        raise ValueError(f"{field.__qualname__}: not a module-level def "
+                         f"integrate can inline")
+    _INLINED[id(field)] = field
+    return field
 
 
 def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
@@ -412,9 +402,20 @@ def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
     the field's slope at time `at` and the state whose components are the
     expressions `state`.  The body's own names become f_<name>, and the
     module-level and builtin names it reads g_<name>, so none meets a
-    name of the run; `names` binds the latter.
+    name of the run; `names` binds the latter.  The field's text runs
+    from its `def` line to the next unindented line of its module's file,
+    read a line at a time, so that no copy of the module's text is kept
+    (linecache would keep one for the process's life).
     """
-    (fdef,) = ast.parse(_INLINED[id(field)]).body
+    code = field.__code__
+    lines: list[str] = []
+    with open(code.co_filename, encoding="utf-8") as f:
+        for line in itertools.islice(f, code.co_firstlineno - 1, None):
+            if lines and not line[0].isspace():
+                break
+            if not line.startswith("@"):  # the def's decorators
+                lines.append(line)
+    (fdef,) = ast.parse("".join(lines)).body
     body = fdef.body[1:] if ast.get_docstring(fdef) is not None else fdef.body
     unpack, *statements, ret = body
     time, arg = (a.arg for a in fdef.args.args)
@@ -489,7 +490,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     (stop_reason, naccept, nreject, g_lo, g_hi): the event values
     ev_fns[i](t, y) (gs at the start) at the last two rows, of which one
     event changed sign in its direction ev_dirs[i] if the reason is
-    STOP_EVENT.  With `field`, a function `inlined_field` defined, each
+    STOP_EVENT.  With `field`, a function `inlined_field` decorated, each
     stage is that field's body written over the run's locals, none of
     which starts with f_ or g_; without, each stage calls field_fn, and
     unpacking each slope into d locals refuses a wrong-length one.  The
@@ -678,7 +679,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     span = abs(t1 - t0)
     events = tuple(events)
     h = _initial_step(field_fn, t0, y, k1, sign, rel_tol, abs_tol, span)
-    run = _run_fn(d, field_fn if id(field_fn) in _INLINED else None)
+    run = _run_fn(d, field_fn if _INLINED.get(id(field_fn)) is field_fn
+                  else None)
     stop_reason, naccept, nreject, g_lo, g_hi = run(
         field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,
         MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, steps,
@@ -730,7 +732,7 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
     """The earliest event crossing inside one accepted step, of length h
     from (t_lo, y_lo) to t_hi, which at least one event crosses."""
     first: EventHit | None = None
-    for index, (ev, ga, gb) in enumerate(zip(events, g_lo, g_hi)):
+    for ev, ga, gb in zip(events, g_lo, g_hi):
         # A sign change (or a landing on 0) in the event's direction.
         if ga == 0.0 or not ga * gb <= 0.0 or ev.direction * (gb - ga) < 0.0:
             continue
@@ -745,6 +747,5 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
         t_ev = roots[0] if roots else t_hi
         if first is None or abs(t_ev - t_lo) < abs(first.t - t_lo):
             y_ev = _state_at(t_ev, t_lo, h, y_lo, coefficients)
-            first = EventHit(name=ev.name, t=t_ev, y=np.array(y_ev),
-                             index=index)
+            first = EventHit(name=ev.name, t=t_ev, y=np.array(y_ev))
     return first

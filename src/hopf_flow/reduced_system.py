@@ -24,7 +24,10 @@ measures both along traced curves.
 The coefficient of dH/dr vanishes on the turning locus
 H = (r^2+4)^2 / (64 r^2), reachable (H <= 1) for r in [4-2*sqrt(3),
 4+2*sqrt(3)]; there the graph H(r) folds and r-parametrized tracing must
-hand over to the two-dimensional flow, which `trace_reduced` does.
+hand over to the two-dimensional flow, which `trace_reduced` does.  That
+planar flow, `reduced_time_ode`, and `trace_h`'s dH/dr are ordinary
+functions under the `integrator.inlined_field` decorator, so `integrate`
+writes their bodies into its steps.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ _ARRAY_MIN_POINTS = 32
 # products with the Bessel values (see `_bessel_terms`).
 _FLOAT_ROOM = 0.25 * sys.float_info.max
 
+# The largest radius of the scalar slopes: r^5 <= 1e305 keeps
+# r (r^4 + 120 r^2 + 16), the largest of their terms, in the float range.
+_R_MAX = 1e61
+
 
 class TurningPointError(ArithmeticError):
     """Evaluation too close to a vanishing-derivative-coefficient locus."""
@@ -87,15 +94,11 @@ class ImplicitConstant:
 
     `c1` carries the full complex constant, `c_effective` + i pi;
     `c_effective` is the quantity compared across samples.  From arrays,
-    c1, c_effective and z are arrays, and c1 and c_effective are NaN at
-    refused points; r and h are kept as given.
+    both are arrays, NaN at refused points.
     """
 
     c1: complex | np.ndarray
     c_effective: float | np.ndarray
-    r: float | np.ndarray
-    h: float | np.ndarray
-    z: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,6 @@ class FormSelection:
 
     chosen: str | None
     spreads: dict[str, list[float]]
-    samples: int
 
 
 @dataclass
@@ -127,15 +129,21 @@ class ReducedCurve:
     stop_note: str = ""
 
 
+def _check_radius(r: float) -> None:
+    """Raise ValueError, naming r, unless 0 < r <= _R_MAX."""
+    if not 0.0 < r <= _R_MAX:
+        raise ValueError(f"need 0 < r <= {_R_MAX!r}, got r={r!r}")
+
+
 def turning_locus(r: float) -> float:
     """H value at which the dH/dr coefficient vanishes for this r."""
+    _check_radius(r)
     return (r * r + 4.0) ** 2 / (64.0 * r * r)
 
 
 def psi_rhs(r: float, psi: float) -> float:
     """dpsi/dr of the reduced scalar ODE."""
-    if r <= 0.0:
-        raise ValueError("need r > 0")
+    _check_radius(r)
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     c2 = cos_psi * cos_psi
     rr = r * r
@@ -147,9 +155,9 @@ def psi_rhs(r: float, psi: float) -> float:
     return num / den
 
 
-# dH/dr as trace_h integrates it, at (r, H = y[0]); written once as text
-# (see `inlined_field`).  On the turning locus the slope is +-inf.
-_dh_dr = inlined_field('''
+# dH/dr as trace_h integrates it, at (r, H = y[0]).  On the turning locus
+# the slope is +-inf.
+@inlined_field
 def _dh_dr(r, y):
     (h,) = y
     rr = r * r
@@ -158,13 +166,11 @@ def _dh_dr(r, y):
     if den == 0.0:
         return (math.inf if num >= 0 else -math.inf,)
     return (num / den,)
-''', globals())
 
 
 def h_rhs(r: float, h: float) -> float:
     """dH/dr of the reduced ODE under H = sin(psi)^2."""
-    if r <= 0.0:
-        raise ValueError("need r > 0")
+    _check_radius(r)
     rr = r * r
     den = r * (rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0)
     scale = r * (rr * rr + 8.0 * rr + 16.0)
@@ -216,7 +222,7 @@ def substitution_check(rs, psis) -> float:
 
 
 def _bessel_terms(r, h):
-    """(z, a, b, Bessel quad at z) of C(r, H): z = sqrt(H) r / 2,
+    """(a, b, Bessel quad at z) of C(r, H): z = sqrt(H) r / 2,
     a = 4 + r^2, b = 8 sqrt(H) r.
 
     Floats outside r > 0, H in (0, 1] or z in (0, Z_MAX] raise
@@ -248,14 +254,14 @@ def _bessel_terms(r, h):
     elif r > math.sqrt(_FLOAT_ROOM / max(1.0, q.i0, q.k0)):
         raise ValueError(f"r={r!r} too large: 4 + r^2 times the Bessel "
                          f"values leaves the float range")
-    return z, 4.0 + r * r, 8.0 * sqrt_h * r, q
+    return 4.0 + r * r, 8.0 * sqrt_h * r, q
 
 
 def _combination(r, h):
-    """(z, numerator, denominator) of C(r, H) = numerator / denominator,
+    """(numerator, denominator) of C(r, H) = numerator / denominator,
     elementwise on arrays (see `_bessel_terms` for refused points)."""
-    z, a, b, q = _bessel_terms(r, h)
-    return z, -(a * q.k0 + b * q.k1), a * q.i0 - b * q.i1
+    a, b, q = _bessel_terms(r, h)
+    return -(a * q.k0 + b * q.k1), a * q.i0 - b * q.i1
 
 
 def implicit_constant(r, h) -> ImplicitConstant:
@@ -266,18 +272,17 @@ def implicit_constant(r, h) -> ImplicitConstant:
     broadcast, elementwise with the same bits as the float path, and give
     NaN at those points instead.
     """
-    z, num, den = _combination(r, h)
+    num, den = _combination(r, h)
     if isinstance(num, np.ndarray):
         c_eff = np.divide(num, den, out=np.full(num.shape, math.nan),
                           where=np.abs(den) >= 1e-300)
         c1 = c_eff + 1j * np.where(np.isnan(c_eff), math.nan, math.pi)
-        return ImplicitConstant(c1=c1, c_effective=c_eff, r=r, h=h, z=z)
+        return ImplicitConstant(c1=c1, c_effective=c_eff)
     if abs(den) < 1e-300:
         raise ValueError(f"degenerate sample: I-combination vanishes at "
                          f"(r={r!r}, H={h!r})")
     c_eff = num / den
-    return ImplicitConstant(c1=complex(c_eff, math.pi), c_effective=c_eff,
-                            r=r, h=h, z=z)
+    return ImplicitConstant(c1=complex(c_eff, math.pi), c_effective=c_eff)
 
 
 def implicit_residual(c_effective: float, r, h):
@@ -288,7 +293,7 @@ def implicit_residual(c_effective: float, r, h):
     |C| <= 1), and the C terms of any finite C stay in the float range.
     Terms that still leave it give NaN, on arrays without a numpy
     warning."""
-    _, a, b, q = _bessel_terms(r, h)
+    a, b, q = _bessel_terms(r, h)
     scale = max(1.0, abs(c_effective))
     c = c_effective / scale
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,7 +341,7 @@ def trace_h(r0: float, h0: float, r1: float,
     return traj
 
 
-reduced_time_ode = inlined_field('''
+@inlined_field
 def reduced_time_ode(s, y):
     """Planar (r, psi) flow, time rescaled by the positive factor
     (r^2+4)^2.
@@ -351,7 +356,6 @@ def reduced_time_ode(s, y):
     dr = cos_psi * (rr * rr + 8.0 * rr - 64.0 * rr * s2 + 16.0)
     dpsi = -sin_psi * (rr * rr + 40.0 * rr - 64.0 * rr * s2 + 16.0) / r
     return dr, dpsi
-''', globals())
 
 
 def _fold_clearance(r: float, psi: float) -> float:
@@ -496,7 +500,7 @@ def select_effective_form(
         r_grid = np.linspace(r0, traj.t_end, _FORM_SAMPLES)
         rs.append(r_grid)
         hs.append(traj.sample(r_grid)[:, 0])
-    _, a, b, q = _bessel_terms(np.array(rs), np.array(hs))
+    a, b, q = _bessel_terms(np.array(rs), np.array(hs))
     den = a * q.i0 - b * q.i1
     spreads = {}
     for form, k1_term in (("continued", b * q.k1), ("naive", -b * q.k1)):
@@ -506,7 +510,7 @@ def select_effective_form(
     conserved = [form for form, spread in spreads.items()
                  if all(s <= 1e-8 for s in spread)]
     return FormSelection(chosen=conserved[0] if len(conserved) == 1 else None,
-                         spreads=spreads, samples=_FORM_SAMPLES)
+                         spreads=spreads)
 
 
 def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
@@ -546,7 +550,7 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
 
     def gap(rows: np.ndarray, h: np.ndarray):
         if h.size >= _ARRAY_MIN_POINTS:
-            _, num, den = _combination(rs[rows], h)
+            num, den = _combination(rs[rows], h)
             with np.errstate(over="ignore", invalid="ignore"):
                 return num - targets[rows] * den
         return [_gap(r_k, h_k, target_k) for r_k, h_k, target_k in
@@ -576,7 +580,7 @@ def _gap(r: float, h: float, target: float) -> float:
     """C(r, H) - target times the I-combination, on the float path; NaN
     at a refused sample."""
     try:
-        _, num, den = _combination(r, h)
+        num, den = _combination(r, h)
     except ValueError:
         return math.nan
     return num - target * den

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import hopf_flow
+from hopf_flow import integrator
 
 # Generated Chebyshev coefficients, imported by name.
 _GENERATED = {"_bessel_tables"}
@@ -50,3 +53,30 @@ def test_no_module_reads_a_siblings_private_names():
     reads = {path.name: _private_reads(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: r for name, r in reads.items() if r} == {}
+
+
+def test_only_the_run_generator_compiles_text():
+    # Fields are ordinary functions; the one text compiled is the
+    # generated run.
+    package = Path(hopf_flow.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            calls += [(path.stem, getattr(top, "name", "<module>"),
+                       node.func.id) for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id in ("exec", "compile")]
+    assert sorted(calls) == [("integrator", "_run_fn", "compile"),
+                             ("integrator", "_run_fn", "exec")]
+
+
+def test_inlined_field_refuses_what_is_not_a_module_level_def():
+    def nested(t, y):
+        (a,) = y
+        return (a,)
+
+    with pytest.raises(ValueError, match=r"\.nested: not a module-level def"):
+        integrator.inlined_field(nested)
+    with pytest.raises(ValueError, match="<lambda>: not a module-level def"):
+        integrator.inlined_field(lambda t, y: (y[0],))
