@@ -32,7 +32,7 @@ from .first_integral import (
     uv_table,
     xi_substitution_residual,
 )
-from .integrator import Event, EventHit, Trajectory, integrate
+from .integrator import Event, Trajectory, integrate
 from .reduced_system import (
     FormSelection,
     ImplicitConstant,
@@ -61,7 +61,6 @@ __all__ = [
     "DerivedRates",
     "Dual",
     "Event",
-    "EventHit",
     "FormSelection",
     "HReconstruction",
     "ImplicitConstant",

@@ -23,12 +23,12 @@ the raw magnitudes involved.
 
 Every root solve of the package (the implicit Bessel relation for H, the
 parameter elimination v(xi, psi) = r and the integrator's events) runs
-one sign-change scan and one Illinois refiner.  `bracketed_roots` takes
-many rows at once: one evaluation covers every row's scan, and then all
-brackets advance through the Illinois rounds in lockstep, one evaluation
-per round over the brackets still live.  Each bracket does the
-arithmetic of a scalar refiner on floats, so a root does not depend on
-the other rows."""
+one Illinois refiner on floats.  `bracketed_roots` scans many rows for
+sign changes in one evaluation, then refines all brackets in lockstep,
+one evaluation per round over the brackets still live; `refine` refines
+one bracket whose ends' values the caller holds, such as a step over
+which an event changed sign.  A root does not depend on the other rows.
+"""
 
 from __future__ import annotations
 
@@ -88,33 +88,26 @@ def summarize(name: str, residuals: Sequence[float], tolerance: float,
             "details": details}
 
 
-def scan_points(lo, hi, n_scan: int) -> np.ndarray:
-    """The scan grid of each row: lo + (hi - lo) * i / n_scan for
-    i = 0..n_scan, as a (rows, n_scan + 1) array for float or 1-d lo and
-    hi.  The arithmetic is a float's, point by point; an overflowing
-    width gives inf or NaN points without a warning."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
-    with np.errstate(all="ignore"):
-        return lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
-
-
 def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
                     lo, hi, n_scan: int, tol: float) -> list[list[float]]:
     """Every root of each row's function that a sign-change scan brackets.
 
-    Row k (of float or 1-d lo and hi) is scanned at its `scan_points`.
+    Row k (of float or 1-d lo and hi) is scanned at lo + (hi - lo) * i /
+    n_scan for i = 0..n_scan (inf or NaN where the width overflows).
     fn(rows, x) evaluates the functions: `rows` holds row indices and `x`
     points, two 1-d arrays of one length, and it returns the value of row
     rows[j] at x[j] for every j (an array or a sequence of floats).  One
     call evaluates the whole scan.  A sample where the value is exactly 0
     is a root; each interval whose ends change sign is a bracket, refined
-    until it is at most tol wide.  Intervals with a NaN end never count
-    as changing sign.  All brackets are refined together, one call of fn
-    per round over the brackets still live.  Returns one list per row,
-    its roots in scan order.
+    as `refine` does.  Intervals with a NaN end never count as changing
+    sign.  All brackets are refined together, one call of fn per round
+    over the brackets still live.  Returns one list per row, its roots in
+    scan order.
     """
-    xs = scan_points(lo, hi, n_scan)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
+    with np.errstate(all="ignore"):
+        xs = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
     n_rows, width = xs.shape
     fs = np.asarray(fn(np.repeat(np.arange(n_rows), width), xs.ravel()),
                     dtype=float).reshape(xs.shape)
@@ -152,6 +145,22 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     for k, x in zip(row.tolist(), roots):
         per_row[k].append(x)
     return per_row
+
+
+def refine(fn: Callable[[float], float], a: float, b: float, fa: float,
+           fb: float, tol: float) -> float:
+    """The root of fn in [a, b], whose ends' values fa and fb do not share
+    a sign: an end where the value is 0, else the bracket refined until it
+    is at most tol wide, one call of fn per round."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    refiner = _illinois(a, b, fa, fb, tol)
+    try:
+        x = next(refiner)
+        while True:
+            x = refiner.send(fn(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _illinois(a: float, b: float, fa: float, fb: float,

@@ -48,14 +48,14 @@ attempted steps (`max_steps`); each returns the trajectory up to that
 point.  A stall is tested once per window.
 
 Every event stops the run.  When an event function changes sign over an
-accepted step, the crossing is located on that step's interpolant on
-floats by `diagnostics.bracketed_roots`, the shared root refiner, as one
-row with one scan interval (the step), to EVENT_T_TOL in t (or to
-adjacent doubles where that is finer than one ulp); each refining round
-evaluates the event function once.  The earliest crossing in the step
-ends the trajectory there: its last row becomes the crossing, and the
-last step keeps its length and interpolant, so `sample` gives the
-crossing's state with the bits the event saw.
+accepted step, the run returns the event's values at the step's two
+rows, and `diagnostics.refine`, the shared Illinois refiner, locates the
+crossing from that bracket, with no scan, on the step's interpolant on
+floats, to EVENT_T_TOL in t (or to adjacent doubles where that is finer
+than one ulp), one event evaluation per round.  The earliest crossing in
+the step becomes the trajectory's last row, and `Trajectory.event` the
+name of its event; the last step keeps its length and interpolant, so
+`sample` gives the crossing's state with the bits the event saw.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diagnostics import bracketed_roots
+from .diagnostics import refine
 
 # DOP853 as the decimal literals of Hairer's dop853.f (its nodes involve
 # sqrt(6), so no exact rational form exists).  _C[s - 1] is the node of
@@ -264,13 +264,6 @@ class Event:
     name: str = "event"
 
 
-@dataclass(frozen=True)
-class EventHit:
-    name: str
-    t: float
-    y: np.ndarray
-
-
 @dataclass
 class Trajectory:
     """Accepted-step skeleton of one integration run.
@@ -279,8 +272,8 @@ class Trajectory:
     steps and dense hold, per accepted step, its signed length h and the
     (7, d) coefficients of its interpolant.  All four are views of the
     flat buffers the run filled.  `sample` evaluates the step's
-    interpolant at th = (t - t0) / h.  `event` is the crossing that
-    stopped the run, if one did; the last row is then the crossing,
+    interpolant at th = (t - t0) / h.  `event` is the name of the event
+    that stopped the run, if one did; the last row is then its crossing,
     inside the last step.
     """
 
@@ -291,7 +284,7 @@ class Trajectory:
     stop_reason: str
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    event: EventHit | None = None
+    event: str | None = None
     nfev: int = 0
     naccept: int = 0
     nreject: int = 0
@@ -687,20 +680,18 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
         dense, tuple(ev.fn for ev in events),
         tuple(ev.direction for ev in events), [ev.fn(t0, y) for ev in events])
 
-    hit: EventHit | None = None
+    event = None
     if stop_reason == STOP_EVENT:
-        # The crossing becomes the last row; the last step keeps its
-        # length and interpolant.
-        hit = _first_crossing(events, g_lo, g_hi, ts[-2], ts[-1], steps[-1],
-                              ys[-2 * d:-d].tolist(),
-                              dense[-7 * d:].tolist())
-        ts[-1] = hit.t
-        ys[-d:] = array("d", hit.y)
+        # The crossing becomes the last row, inside the last step.
+        event, ts[-1], y_event = _first_crossing(
+            events, g_lo, g_hi, ts[-2], ts[-1], steps[-1],
+            ys[-2 * d:-d].tolist(), dense[-7 * d:].tolist())
+        ys[-d:] = array("d", y_event)
     # Two evaluations start the run, each attempted step makes 11 and each
     # accepted one 4 more.
     nfev = 2 + 11 * (naccept + nreject) + 4 * naccept
     return _trajectory(ts, ys, steps, dense, stop_reason, rel_tol, nfev=nfev,
-                       event=hit, naccept=naccept, nreject=nreject)
+                       event=event, naccept=naccept, nreject=nreject)
 
 
 def _trajectory(ts: array, ys: array, steps: array, dense: array,
@@ -728,24 +719,20 @@ def _state_at(t: float, t_lo: float, h: float, y_lo: list[float],
 
 def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
                     t_lo: float, t_hi: float, h: float, y_lo: list[float],
-                    coefficients: list[float]) -> EventHit:
-    """The earliest event crossing inside one accepted step, of length h
-    from (t_lo, y_lo) to t_hi, which at least one event crosses."""
-    first: EventHit | None = None
+                    coefficients: list[float]) -> tuple[str, float, list]:
+    """(name, t, y) of the earliest event crossing inside one accepted
+    step, of length h from (t_lo, y_lo) to t_hi, which at least one event
+    crosses; g_lo and g_hi are the events' values at its two rows."""
+    def state(t: float) -> list[float]:
+        return _state_at(t, t_lo, h, y_lo, coefficients)
+
+    crossings = []
     for ev, ga, gb in zip(events, g_lo, g_hi):
         # A sign change (or a landing on 0) in the event's direction.
         if ga == 0.0 or not ga * gb <= 0.0 or ev.direction * (gb - ga) < 0.0:
             continue
-
-        def g(t: float, fn=ev.fn) -> float:
-            return fn(t, _state_at(t, t_lo, h, y_lo, coefficients))
-
-        (roots,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
-                                   t_lo, t_hi, 1, EVENT_T_TOL)
-        # No root only when the scan's far end, lo + (hi - lo), rounds
-        # past a crossing within one ulp of t_hi.
-        t_ev = roots[0] if roots else t_hi
-        if first is None or abs(t_ev - t_lo) < abs(first.t - t_lo):
-            y_ev = _state_at(t_ev, t_lo, h, y_lo, coefficients)
-            first = EventHit(name=ev.name, t=t_ev, y=np.array(y_ev))
-    return first
+        t_ev = refine(lambda t: ev.fn(t, state(t)), t_lo, t_hi, ga, gb,
+                      EVENT_T_TOL)
+        crossings.append((abs(t_ev - t_lo), ev.name, t_ev))
+    _, name, t_ev = min(crossings, key=lambda c: c[0])
+    return name, t_ev, state(t_ev)

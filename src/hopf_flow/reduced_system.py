@@ -40,9 +40,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import bracketed_roots, relative_to_terms, scan_points
+from .diagnostics import bracketed_roots, relative_to_terms
 from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
-from .integrator import Event, Trajectory, inlined_field, integrate
+from .integrator import (STOP_EVENT, STOP_REACHED_END, Event, Trajectory,
+                         inlined_field, integrate)
 from .special_functions import Z_MAX, bessel_quad
 
 EPS_TURN = 1e-8
@@ -136,8 +137,11 @@ def _check_radius(r: float) -> None:
 
 
 def turning_locus(r: float) -> float:
-    """H value at which the dH/dr coefficient vanishes for this r."""
+    """H value at which the dH/dr coefficient vanishes for this r; at
+    r <= 2^-513, where 64 r^2 <= 2^-1020, it is past the float range."""
     _check_radius(r)
+    if not r > 2.0 ** -513:
+        raise ValueError(f"need r > 2^-513 for a finite locus, got r={r!r}")
     return (r * r + 4.0) ** 2 / (64.0 * r * r)
 
 
@@ -172,11 +176,15 @@ def h_rhs(r: float, h: float) -> float:
     """dH/dr of the reduced ODE under H = sin(psi)^2."""
     _check_radius(r)
     rr = r * r
-    den = r * (rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0)
+    q = rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0
     scale = r * (rr * rr + 8.0 * rr + 16.0)
-    if abs(den) <= EPS_TURN * scale:
+    if abs(r * q) <= EPS_TURN * scale:
         raise TurningPointError(r, h, turning_locus(r), "H")
-    return _dh_dr(r, (h,))[0]
+    slope = _dh_dr(r, (h,))[0]
+    # Where the numerator -2H (q + 32 r^2) left the float range through
+    # its 128 H^2 r^2 term: the same slope, with no H^2 term.
+    return (slope if math.isfinite(slope)
+            else -2.0 * (h / r) * (1.0 + 32.0 * rr / q))
 
 
 def h_residual_terms(r: float, h: float, dh_dr: float) -> list[float]:
@@ -307,10 +315,9 @@ def _turning_guard_event(r0: float, h0: float) -> Event:
     d0 = rr0 * rr0 + 8.0 * rr0 - 64.0 * rr0 * h0 + 16.0
     s0 = 1.0 if d0 >= 0.0 else -1.0
 
-    def g(r: float, y: np.ndarray) -> float:
-        h = float(y[0])
+    def g(r: float, y: Sequence[float]) -> float:
         rr = r * r
-        d = rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0
+        d = rr * rr + 8.0 * rr - 64.0 * rr * y[0] + 16.0
         return s0 * d / (rr * rr + 8.0 * rr + 16.0) - _GUARD_MARGIN
 
     return Event(fn=g, direction=-1, name="turning-locus")
@@ -328,10 +335,8 @@ def trace_h(r0: float, h0: float, r1: float,
         raise ValueError("radial span must stay positive")
     events = (
         _turning_guard_event(r0, h0),
-        Event(fn=lambda r, y: float(y[0]) - 1.0, direction=1,
-              name="h-ceiling"),
-        Event(fn=lambda r, y: float(y[0]) - 1e-15, direction=-1,
-              name="h-floor"),
+        Event(fn=lambda r, y: y[0] - 1.0, direction=1, name="h-ceiling"),
+        Event(fn=lambda r, y: y[0] - 1e-15, direction=-1, name="h-floor"),
     )
     traj = integrate(_dh_dr, [h0], (r0, r1), rel_tol=rel_tol,
                      events=events)
@@ -419,17 +424,17 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
             h = float(np.clip(traj.y_end[0], 0.0, 1.0))
             base = math.asin(math.sqrt(h))
             psi = math.pi - base if upper else base
-            if traj.stop_reason == "reached_end":
+            if traj.stop_reason == STOP_REACHED_END:
                 if r_end == r_target:
                     curve.reached = True
                 else:
                     curve.stop_note = "ran to the radial bound"
                 break
-            if traj.stop_reason != "event":  # step_underflow, max_steps
+            if traj.stop_reason != STOP_EVENT:  # step_underflow, max_steps
                 curve.stop_note = (f"{traj.stop_reason.replace('_', ' ')} "
                                    f"in r-parametrization")
                 break
-            if traj.event is not None and traj.event.name == "h-floor":
+            if traj.event == "h-floor":
                 curve.stop_note = "H collapsed to 0"
                 break
             # Fold ahead: fall through to the planar flow.
@@ -440,13 +445,13 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
             break
         s_sign = 1.0 if v[0] * direction >= 0.0 else -1.0
         events = (
-            Event(fn=lambda s, y: _fold_clearance(float(y[0]), float(y[1])),
-                  direction=1, name="fold-cleared"),
-            Event(fn=lambda s, y: float(y[0]) - r_target, direction=0,
+            Event(fn=lambda s, y: _fold_clearance(*y), direction=1,
+                  name="fold-cleared"),
+            Event(fn=lambda s, y: y[0] - r_target, direction=0,
                   name="target-radius"),
-            Event(fn=lambda s, y: float(y[0]) - RADIUS_FLOOR, direction=-1,
+            Event(fn=lambda s, y: y[0] - RADIUS_FLOOR, direction=-1,
                   name="radius-floor"),
-            Event(fn=lambda s, y: abs(math.sin(float(y[1]))) - SIN_PSI_FLOOR,
+            Event(fn=lambda s, y: abs(math.sin(y[1])) - SIN_PSI_FLOOR,
                   direction=-1, name="axis"),
         )
         traj = integrate(reduced_time_ode, [r, psi],
@@ -456,18 +461,17 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
         psis.append(traj.ys[:, 1].copy())
         curve.segments.append(traj)
         r, psi = float(traj.y_end[0]), float(traj.y_end[1])
-        if traj.stop_reason != "event":
+        if traj.stop_reason != STOP_EVENT:
             curve.stop_note = ("planar flow exhausted its parameter budget"
-                               if traj.stop_reason == "reached_end" else
+                               if traj.stop_reason == STOP_REACHED_END else
                                f"{traj.stop_reason.replace('_', ' ')} in "
                                f"the planar flow")
             break
-        last = traj.event.name
-        if last == "target-radius":
+        if traj.event == "target-radius":
             curve.reached = True
             break
-        if last in ("radius-floor", "axis"):
-            curve.stop_note = f"stopped at chart guard: {last}"
+        if traj.event in ("radius-floor", "axis"):
+            curve.stop_note = f"stopped at chart guard: {traj.event}"
             break
         # Fold crossed; new travel direction is whatever the flow imposes.
         curve.turning_crossings += 1
@@ -563,7 +567,7 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
     if all(np.ndim(x) == 0 for x in inputs):
         if not found[0]:
             raise _no_root_error(float(targets[0]), float(rs[0]),
-                                 scan_points(h_lo[0], h_hi[0], n_scan)[0])
+                                 np.linspace(h_lo[0], h_hi[0], n_scan + 1))
         if len(found[0]) > 1:
             warnings.warn(f"{len(found[0])} roots in bracket; returning the "
                           f"one nearest the midpoint", stacklevel=2)
@@ -589,8 +593,8 @@ def _gap(r: float, h: float, target: float) -> float:
 def _no_root_error(target: float, r: float, hs: np.ndarray) -> ValueError:
     """Why no root was bracketed: a tangency, or no crossing at all.
 
-    Reads C - c1 at the scan points; points that `implicit_constant`
-    refuses (NaN) are skipped.
+    Reads C - c1 at the points hs across the bracket; points that
+    `implicit_constant` refuses (NaN) are skipped.
     """
     gaps = implicit_constant(r, hs).c_effective - target
     if not np.isnan(gaps).all():

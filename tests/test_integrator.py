@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopf_flow import fields, integrator, reduced_system
-from hopf_flow.diagnostics import bracketed_roots
+from hopf_flow import cli, diagnostics, fields, integrator, reduced_system
+from hopf_flow.diagnostics import refine
 from hopf_flow.integrator import Event, integrate
 
 
@@ -93,10 +93,7 @@ def test_event_crossing_located_and_terminal():
     traj = integrate(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
                      events=(ev,))
     assert traj.stop_reason == "event"
-    hit = traj.event
-    assert hit is not None
-    assert hit.name == "level"
-    np.testing.assert_allclose(hit.t, 2.5, atol=1e-10)
+    assert traj.event == "level"
     np.testing.assert_allclose(traj.t_end, 2.5, atol=1e-10)
 
 
@@ -107,7 +104,7 @@ def test_event_direction_filtering():
     traj = integrate(oscillator, [0.0, 1.0], (0.0, 10.0), rel_tol=1e-10,
                      events=(ev,))
     assert traj.stop_reason == "event"
-    np.testing.assert_allclose(traj.event.t, math.pi, atol=1e-8)
+    np.testing.assert_allclose(traj.t_end, math.pi, atol=1e-8)
 
 
 @pytest.mark.parametrize("t0", [9000.0, 1e5])
@@ -118,9 +115,8 @@ def test_event_located_at_large_times(t0):
     traj = integrate(oscillator, [1.0, 0.0], (t0, t0 + 10.0), events=(ev,))
     assert traj.stop_reason == "event"
     t_want = t0 + math.acos(0.3)
-    assert abs(traj.event.t - t_want) <= 1e-9
-    np.testing.assert_allclose(traj.event.y[0], 0.3, atol=1e-9)
-    assert traj.t_end == traj.event.t
+    assert abs(traj.t_end - t_want) <= 1e-9
+    np.testing.assert_allclose(traj.ys[-1, 0], 0.3, atol=1e-9)
 
 
 def test_backward_event_located():
@@ -129,9 +125,33 @@ def test_backward_event_located():
     ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
     traj = integrate(oscillator, [1.0, 0.0], (0.0, -10.0), events=(ev,))
     assert traj.stop_reason == "event"
-    np.testing.assert_allclose(traj.event.t, -math.acos(0.3), atol=1e-9)
-    assert traj.t_end == traj.event.t
+    np.testing.assert_allclose(traj.t_end, -math.acos(0.3), atol=1e-9)
     assert np.all(np.diff(traj.ts) < 0.0)
+
+
+def test_events_are_refined_from_the_flagged_step_without_a_scan(
+        monkeypatch, tmp_path):
+    # Event location refines the bracket the run flagged; the scanning
+    # root finder is never called, wherever it is bound.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an event was located by a scan")
+
+    monkeypatch.setattr(diagnostics, "bracketed_roots", no_scan)
+    monkeypatch.setattr(integrator, "bracketed_roots", no_scan, raising=False)
+    refined = []
+
+    def counted(*args):
+        refined.append(args)
+        return diagnostics.refine(*args)
+
+    monkeypatch.setattr(integrator, "refine", counted)
+    traj = reduced_system.trace_h(2.0, 0.4, 1.5)
+    assert (traj.stop_reason, traj.event) == ("event", "turning-locus")
+    assert len(refined) == 1
+    out = tmp_path / "reduce.csv"
+    assert cli.main(["reduce", "--start", "1,0.7854", "--target", "200",
+                     "--out", str(out)]) == 0
+    assert len(refined) == 1 + 5
 
 
 def test_bitwise_determinism():
@@ -400,8 +420,9 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
         t_lo, h, backward, rows, frac, tilt, direction):
     # One accepted step of a 2-component state, its start and the 7 x 2
     # coefficients of its interpolant drawn, and a linear event that the
-    # step crosses (or touches); the located hit must be the first root
-    # of the shared refiner's one row, at the interpolant's state there.
+    # step crosses (or touches); the located crossing must be the shared
+    # refiner's root from the bracket of the step's ends and the event
+    # values there, at the interpolant's state there.
     t_hi = t_lo - h if backward else t_lo + h
     step = t_hi - t_lo
     y_lo, coefficients = rows[:2], rows[2:]
@@ -418,15 +439,13 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
     def g(t):
         return ev.fn(t, state(t))
 
-    (want,) = bracketed_roots(lambda _, ts: [g(t) for t in ts.tolist()],
-                              t_lo, t_hi, 1, integrator.EVENT_T_TOL)
     g_lo, g_hi = ev.fn(t_lo, y_lo), ev.fn(t_hi, y_hi)
     if g_lo == 0.0 or not g_lo * g_hi <= 0.0 or direction * (g_hi - g_lo) < 0:
         return
-    hit = integrator._first_crossing((ev,), [g_lo], [g_hi], t_lo, t_hi, step,
-                                     y_lo, coefficients)
-    assert hit.t == (want[0] if want else t_hi)
-    assert hit.y.tolist() == state(hit.t)
+    want = refine(g, t_lo, t_hi, g_lo, g_hi, integrator.EVENT_T_TOL)
+    assert integrator._first_crossing(
+        (ev,), [g_lo], [g_hi], t_lo, t_hi, step, y_lo, coefficients) == (
+            "event", want, state(want))
 
 
 def _stability_coefficients() -> list[Fraction]:
@@ -534,8 +553,7 @@ def test_sample_and_event_location_share_the_bits():
     traj = integrate(oscillator, [1.0, 0.0], (0.0, 10.0), rel_tol=1e-8,
                      events=(level,))
     assert traj.stop_reason == "event"
-    assert traj.sample(traj.event.t).tobytes() == traj.event.y.tobytes()
-    assert traj.ys[-1].tobytes() == traj.event.y.tobytes()
+    assert traj.sample(traj.t_end).tobytes() == traj.ys[-1].tobytes()
     ts = np.linspace(0.0, traj.t_end, 97)
     i = np.clip(np.searchsorted(traj.ts, ts, side="right") - 1, 0,
                 len(traj.steps) - 1)

@@ -3,8 +3,10 @@
 import hashlib
 import math
 import re
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +84,46 @@ def test_radii_past_the_float_range_are_refused_naming_r():
             fn(r, other)
     with pytest.raises(ValueError, match=re.escape(f"got r={first!r}")):
         rs.turning_locus(first)
+
+
+def test_radii_whose_turning_locus_is_past_the_float_range_are_refused():
+    # 64 r^2 <= 2^-1020 at r <= 2^-513, so the locus was inf there, and a
+    # ZeroDivisionError once r^2 underflowed to 0; the slopes keep their
+    # values at such radii.
+    first = 2.0 ** -513  # the largest refused double
+    for r in (first, 1e-170):
+        with pytest.raises(ValueError, match=re.escape(f"got r={r!r}")):
+            rs.turning_locus(r)
+    assert math.isfinite(rs.turning_locus(math.nextafter(first, 1.0)))
+    assert math.isfinite(rs.turning_locus(3.8e-155))
+    assert rs.turning_locus(2.0) == 0.25
+    assert rs.h_rhs(1e-170, 0.5) == -1e170
+    assert math.isfinite(rs.psi_rhs(1e-170, 0.3))
+
+
+def test_slope_at_a_huge_h_is_the_finite_slope():
+    # The numerator's 128 H^2 r^2 term leaves the float range first (at
+    # |H| ~ 1.2e153 for r = 1), where the slope is still ~ -2H/r; from
+    # there on the slope is formed without an H^2 term.  Against a
+    # 50-digit evaluation, on both sides of that switch and at every
+    # radius; a slope past the float range is an infinity of its sign.
+    assert rs.h_rhs(1.0, 1e300) == -2e300
+    assert rs.h_rhs(1.0, -1e300) == 2e300
+    assert rs.h_rhs(1.0, 1e150) == -2e150
+    for r in (0.5, 1.0, 7.0, 1e3, rs._R_MAX):
+        for h in np.geomspace(1e100, 1.7e308, 60).tolist():
+            for h in (h, -h):
+                with mpmath.workdps(50):
+                    rr, big_h = mpmath.mpf(r) ** 2, mpmath.mpf(h)
+                    num = -2 * big_h * (rr * rr + 40 * rr - 64 * big_h * rr
+                                        + 16)
+                    want = num / (r * (rr * rr + 8 * rr - 64 * rr * big_h
+                                       + 16))
+                got = rs.h_rhs(r, h)
+                if abs(want) > sys.float_info.max:
+                    assert got == (math.inf if want > 0 else -math.inf)
+                else:
+                    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_residual_terms_sum_to_zero_on_the_slope():
@@ -446,7 +488,7 @@ def test_substitution_check_input_validation():
 def test_trace_h_stops_at_turning_guard():
     traj = rs.trace_h(2.0, 0.4, 1.5)
     assert traj.stop_reason == "event"
-    assert traj.event.name == "turning-locus"
+    assert traj.event == "turning-locus"
     np.testing.assert_allclose(traj.t_end, 1.9207650650284926, atol=1e-6)
     # The guard keeps a margin: the rhs is still evaluable at the stop.
     rs.h_rhs(traj.t_end, float(traj.y_end[0]))
@@ -455,7 +497,7 @@ def test_trace_h_stops_at_turning_guard():
 def test_trace_h_stops_at_equator_ceiling():
     traj = rs.trace_h(1.0, 0.98, 0.5)
     assert traj.stop_reason == "event"
-    assert traj.event.name == "h-ceiling"
+    assert traj.event == "h-ceiling"
     np.testing.assert_allclose(traj.y_end[0], 1.0, atol=1e-9)
     np.testing.assert_allclose(traj.t_end, 0.9307, atol=1e-3)
 
