@@ -26,8 +26,6 @@ from .first_integral import (
     RhoTable,
     UVPair,
     reconstruct_H,
-    rho_psi,
-    rho_xi,
     rho_table,
     uv_table,
     xi_substitution_residual,
@@ -83,8 +81,6 @@ __all__ = [
     "psi_rhs",
     "reconstruct_H",
     "relative_to_terms",
-    "rho_psi",
-    "rho_xi",
     "rho_table",
     "run_battery",
     "select_effective_form",

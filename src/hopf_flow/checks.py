@@ -14,7 +14,8 @@ parametric-relation-*, h-pde-*, phi-flow-derivative, gauge-invariance,
 dual-vs-fd, branch-continuity) pass whole grids to the first_integral
 functions in one array call each, and read each residual from the one
 method of the table it is formed from (uv_table(...).relation_residual,
-reconstruct_H(...).h_pde_residual and .phi_flow_derivative); the float
+reconstruct_H(...).h_pde_residual and .phi_flow_derivative) or, in
+dual-vs-fd and branch-continuity, rho_table's u and rho_psi; the float
 path of the same functions is the bit-pinned reference that the tests
 compare those arrays against.
 
@@ -335,9 +336,9 @@ def _check_dual_vs_fd():
     rho_raw = first_integral.rho_raw
     fd_xi = (rho_raw(xi_c + h, psi) - rho_raw(xi_c - h, psi)) / (2.0 * h)
     fd_psi = (rho_raw(xi_c, psi + h) - rho_raw(xi_c, psi - h)) / (2.0 * h)
+    table = first_integral.rho_table(xi, psi)
     residuals = [np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
-                 for fd, exact in ((fd_xi, first_integral.rho_xi(xi, psi)),
-                                   (fd_psi, first_integral.rho_psi(xi, psi)))]
+                 for fd, exact in ((fd_xi, table.u), (fd_psi, table.rho_psi))]
     return np.concatenate(residuals), {"probes": 100, "step": h}
 
 
@@ -346,7 +347,7 @@ def _check_branch_continuity():
     boundaries = (first_integral.DISC_XI_LOW, first_integral.DISC_XI_HIGH)
     # Axes: side of the boundary, boundary, psi.
     xi = np.multiply.outer((1.0 - delta, 1.0 + delta), boundaries)[..., None]
-    lo, hi = first_integral.rho_psi(xi, np.array([0.7, 1.2, 1.9, 2.5]))
+    lo, hi = first_integral.rho_table(xi, [0.7, 1.2, 1.9, 2.5]).rho_psi
     residuals = (np.abs(hi - lo) / np.maximum(1.0, np.abs(lo))).ravel()
     return residuals, {"delta": delta, "boundaries": list(boundaries)}
 

@@ -23,11 +23,11 @@ the raw magnitudes involved.
 
 Every root solve of the package (the implicit Bessel relation for H, the
 parameter elimination v(xi, psi) = r and the integrator's events) runs
-one Illinois refiner on floats.  `bracketed_roots` scans many rows for
-sign changes in one evaluation, then refines all brackets in lockstep,
-one evaluation per round over the brackets still live; `refine` refines
-one bracket whose ends' values the caller holds, such as a step over
-which an event changed sign.  A root does not depend on the other rows.
+one Illinois refiner on floats.  `bracketed_roots` scans many rows in
+one evaluation, refines all brackets in lockstep, one evaluation per
+round, and returns each row's root nearest its midpoint and root count;
+`refine` refines one bracket whose ends' values the caller holds (an
+event's step).  A root does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def summarize(name: str, residuals: Sequence[float], tolerance: float,
 
 
 def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
-                    lo, hi, n_scan: int, tol: float) -> list[list[float]]:
-    """Every root of each row's function that a sign-change scan brackets.
+                    lo, hi, n_scan: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's root nearest its midpoint, and its number of roots.
 
     Row k (of float or 1-d lo and hi) is scanned at lo + (hi - lo) * i /
     n_scan for i = 0..n_scan (inf or NaN where the width overflows).
@@ -101,13 +102,15 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     is a root; each interval whose ends change sign is a bracket, refined
     as `refine` does.  Intervals with a NaN end never count as changing
     sign.  All brackets are refined together, one call of fn per round
-    over the brackets still live.  Returns one list per row, its roots in
-    scan order.
+    over the brackets still live.  Returns two arrays, one entry per row:
+    the root nearest 0.5 * (lo + hi) (the first in scan order on a tie,
+    NaN where there is none) and the number of roots.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
     hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
     with np.errstate(all="ignore"):
         xs = lo + (hi - lo) * np.arange(n_scan + 1) / n_scan
+        mids = (0.5 * (lo + hi)).ravel().tolist()
     n_rows, width = xs.shape
     fs = np.asarray(fn(np.repeat(np.arange(n_rows), width), xs.ravel()),
                     dtype=float).reshape(xs.shape)
@@ -141,10 +144,12 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
         values = fn(row[js], np.array([x for _, x in asks.values()]))
         pending = {j: (asks[j][0], f) for j, f in
                    zip(js, np.asarray(values, dtype=float).tolist())}
-    per_row: list[list[float]] = [[] for _ in range(n_rows)]
+    nearest, counts = [np.nan] * n_rows, [0] * n_rows
     for k, x in zip(row.tolist(), roots):
-        per_row[k].append(x)
-    return per_row
+        if not counts[k] or abs(x - mids[k]) < abs(nearest[k] - mids[k]):
+            nearest[k] = x
+        counts[k] += 1
+    return np.array(nearest), np.array(counts)
 
 
 def refine(fn: Callable[[float], float], a: float, b: float, fa: float,

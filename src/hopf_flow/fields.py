@@ -148,7 +148,12 @@ def from_spherical(s: Sequence[float]) -> tuple[float, float, float]:
 def derived_rates(p: Sequence[float]) -> DerivedRates:
     """Closed-form azimuth and planar-radius rates at p = (x, y, z)."""
     x, y, z = p
+    if not (abs(x) < _COORD_MAX and abs(y) < _COORD_MAX
+            and abs(z) < _COORD_MAX):
+        _refuse_cartesian(x, y, z)
     s = x * x + y * y + z * z
+    if not s + 4.0 < _S_PLUS_4_MAX:
+        _refuse_cartesian(x, y, z)
     d = (s + 4.0) ** 2
     rho_sq = x * x + y * y
     rate_arctan = 8.0 * (s - 4.0) / d if rho_sq > 0.0 else math.nan

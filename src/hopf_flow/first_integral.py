@@ -18,15 +18,15 @@ of the principal arctan, which makes the raw rho value jump by a
 locally-constant (gauge) amount across the boundary while psi-derivatives
 stay continuous.
 
-A point or a grid.  rho_table, rho_psi, rho_xi, uv_table and
-reconstruct_H follow the rule of special_functions.bessel_quad: when
-every point argument is a scalar, the call runs the float path (cmath
-and math) and returns Python numbers; anything else broadcasts over
-numpy arrays.  The float path is
+A point or a grid.  rho_table, uv_table and reconstruct_H follow the
+rule of special_functions.bessel_quad: when every point argument is a
+scalar, the call runs the float path (cmath and math) and returns Python
+numbers; anything else broadcasts over numpy arrays.  The float path is
 the bit-pinned reference that the tests freeze.  Array entries match it
 to round-off, not bitwise, because numpy and libm round transcendentals
-differently.  Where rho_table's residuals are indeterminate, a float
-point raises ValueError and an array holds NaN.
+differently.  A float point raises ValueError where rho, u or v is not
+finite, naming xi, and where rho_table's residuals are indeterminate; an
+array holds NaN there.
 
 Residual conventions.  Every residual is scaled by the largest additive
 term at the point ("relative to terms").  Two variants of the linear PDE
@@ -59,6 +59,7 @@ reconstruct_H(...).phi_flow_derivative().
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,11 +140,6 @@ def source_coefficient(w, psi):
             + 16.0 * w * cos_psi)
 
 
-def _transport_vanishes(xi, a):
-    """Whether A(xi, psi) = a is round-off, leaving rho_psi undetermined."""
-    return abs(a) < 1e-12 * (xi ** 4 + 8.0 * xi ** 2 + 16.0 * xi ** 2 + 16.0)
-
-
 def _linear_pde_terms(xi, psi, c2, a, rho_psi, variant: str) -> list:
     """The additive terms of the linear PDE for rho (module docstring)."""
     cos_psi = cos(psi)
@@ -157,19 +153,6 @@ def _linear_pde_terms(xi, psi, c2, a, rho_psi, variant: str) -> list:
             xi ** 5 * cos_psi, -8.0 * xi ** 3 * cos_psi,
             16.0 * xi ** 3 * cos_3psi, 16.0 * xi * cos_psi,
             32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
-
-
-def _nested_pass(xi, psi, c2, f1):
-    """rho, rho_xi, rho_psi and rho_xipsi from one two-variable pass.
-
-    Complex xi is seeded at the inner dual level and psi at the outer
-    level (sibling flat seeds would merge the two derivative channels).
-    Scalars and broadcastable arrays alike.
-    """
-    xi_2 = Dual(Dual(xi, 1.0 + 0.0j), Dual(0.0j, 0.0j))
-    psi_2 = Dual(Dual(psi, 0.0), Dual(1.0, 0.0))
-    mixed = rho_raw(xi_2, psi_2, c2, f1)
-    return mixed.val.val, mixed.val.eps, mixed.eps.val, mixed.eps.eps
 
 
 @dataclass(frozen=True)
@@ -191,7 +174,8 @@ def _grid(xi, psi):
     scalar = np.ndim(xi) == 0 and np.ndim(psi) == 0
     xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(psi, dtype=float))
-    if not np.all((0.0 < psi) & (psi < math.pi)):
+    # At the least double, 5e-324, chi = tan(psi/2) rounds to 0.
+    if not np.all((math.ulp(0.0) < psi) & (psi < math.pi)):
         raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
                          "degenerates at the ends")
     if not np.all(xi > 0.0):
@@ -199,9 +183,27 @@ def _grid(xi, psi):
     return (float(xi), float(psi)) if scalar else (xi, psi)
 
 
+def _finite_at_a_point(table):
+    """table, but a float pair whose float path divides by zero, overflows
+    or leaves u or v not finite raises ValueError naming xi."""
+    @functools.wraps(table)
+    def guarded(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
+        try:
+            out = table(xi, psi, c2, f1)
+            if np.ndim(out.u) or np.isfinite([out.u, out.v]).all():
+                return out
+        except ArithmeticError:
+            pass
+        raise ValueError(f"rho, u and v are not finite at xi={xi!r} "
+                         f"(psi={psi!r})")
+    return guarded
+
+
+@_finite_at_a_point
 def rho_table(xi, psi, c2: float = 1.0,
               f1: Sequence[float] = ()) -> RhoTable:
-    """rho, u = rho_xi, v, rho_psi and both linear-PDE residuals.
+    """rho, u = rho_xi and v from one xi-seeded dual pass, rho_psi from
+    one psi-seeded pass, and both linear-PDE residuals.
 
     The residuals are scaled relative to terms (module docstring).  The
     gauge term F1 never enters them (no xi-derivative of rho appears),
@@ -210,45 +212,29 @@ def rho_table(xi, psi, c2: float = 1.0,
     leaves rho_psi undetermined; arrays give NaN residuals there.
     """
     xi, psi = _grid(xi, psi)
-    xi_c = xi + 0.0j
+    xi_c, f1 = xi + 0.0j, tuple(f1)
     with np.errstate(all="ignore"):
         a = transport_coefficient(xi, psi)
-        vanishes = _transport_vanishes(xi, a)
+        vanishes = abs(a) < 1e-12 * (xi ** 4 + 8.0 * xi ** 2
+                                     + 16.0 * xi ** 2 + 16.0)
         if isinstance(xi, float) and vanishes:
             raise ValueError("indeterminate point: transport coefficient "
                              "vanishes")
-        rho, u, rho_psi, _ = _nested_pass(xi_c, psi, c2, tuple(f1))
+        rho, u, v = _uv_maps(xi_c, psi, c2, f1)
+        rho_psi = rho_raw(xi_c, Dual(psi, 1.0), c2, f1).eps
         pde = [relative_to_terms(_linear_pde_terms(xi, psi, c2, a, rho_psi,
                                                    variant))
                for variant in ("direct", "parametric")]
         if not isinstance(xi, float):
             pde = [np.where(vanishes, math.nan, p) for p in pde]
-        return RhoTable(rho=rho, u=u, v=xi_c * u - rho, rho_psi=rho_psi,
+        return RhoTable(rho=rho, u=u, v=v, rho_psi=rho_psi,
                         pde_direct=pde[0], pde_parametric=pde[1])
 
 
-def rho_psi(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
-    """rho_psi alone, from one psi-seeded dual pass, at a float pair or
-    over broadcastable arrays: the bits of rho_table's rho_psi without
-    its nested pass and residuals, and the same domain guards."""
-    xi, psi = _grid(xi, psi)
-    with np.errstate(all="ignore"):
-        return rho_raw(xi + 0.0j, Dual(psi, 1.0), c2, tuple(f1)).eps
-
-
-def rho_xi(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()):
-    """u = rho_xi alone, from one xi-seeded dual pass, at a float pair or
-    over broadcastable arrays: the bits of rho_table's u without its
-    nested pass and residuals, and the same domain guards."""
-    xi, psi = _grid(xi, psi)
-    with np.errstate(all="ignore"):
-        return _uv_maps(xi + 0.0j, psi, c2, tuple(f1))[0]
-
-
 def _uv_maps(x, psi, c2, f1):
-    """u(x) = rho_xi and v(x) = x u(x) - rho(x) from one dual pass at x."""
+    """rho, u = rho_xi and v = x u - rho at x, from one dual pass."""
     out = rho_raw(Dual(x, 1.0 + 0.0j), psi, c2, f1)
-    return out.eps, x * out.eps - out.val
+    return out.val, out.eps, x * out.eps - out.val
 
 
 def _check_reading(reading: str) -> None:
@@ -293,22 +279,27 @@ class UVPair:
                                   32.0 * self.c2 * w * self.v_xi])
 
 
+@_finite_at_a_point
 def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
     """u, v and their four partials by exact forward-mode seeding, at a
     float pair or over broadcastable arrays.
 
-    The psi-partials come from `_nested_pass`, the xi-partials from the
-    u and v maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
+    The psi-partials come from one pass seeding complex xi at the inner
+    dual level and psi at the outer, the xi-partials from the u and v
+    maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
     measurement of the implementation (the product rule executes in
     floating point), not a restatement of the algebra."""
     xi, psi = _grid(xi, psi)
     xi_c, f1 = xi + 0.0j, tuple(f1)
     with np.errstate(all="ignore"):
-        rho, u, rho_psi, u_psi = _nested_pass(xi_c, psi, c2, f1)
-        u_dual, v_dual = _uv_maps(Dual(xi_c, 1.0 + 0.0j), psi, c2, f1)
-        return UVPair(xi=xi, psi=psi, u=u, v=xi_c * u - rho, u_xi=u_dual.eps,
-                      u_psi=u_psi, v_xi=v_dual.eps,
-                      v_psi=xi_c * u_psi - rho_psi, c2=c2)
+        mixed = rho_raw(Dual(Dual(xi_c, 1.0 + 0.0j), Dual(0.0j, 0.0j)),
+                        Dual(Dual(psi, 0.0), Dual(1.0, 0.0)), c2, f1)
+        # mixed.val is Dual(rho, u), mixed.eps Dual(rho_psi, u_psi).
+        v, v_psi = (xi_c * d.eps - d.val for d in (mixed.val, mixed.eps))
+        _, u_dual, v_dual = _uv_maps(Dual(xi_c, 1.0 + 0.0j), psi, c2, f1)
+        return UVPair(xi=xi, psi=psi, u=mixed.val.eps, v=v, u_xi=u_dual.eps,
+                      u_psi=mixed.eps.eps, v_xi=v_dual.eps, v_psi=v_psi,
+                      c2=c2)
 
 
 def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
@@ -330,7 +321,7 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
     def v_gap(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """v(x, psi) - r of the given rows, refusing a complex v."""
         with np.errstate(all="ignore"):
-            v = _uv_maps(x + 0.0j, psi_rows[rows], c2, f1)[1]
+            v = _uv_maps(x + 0.0j, psi_rows[rows], c2, f1)[2]
         off = np.abs(v.imag) > 1e-6 * np.maximum(1.0, np.abs(v))
         if off.any():
             raise ValueError(f"v is not real at xi={float(x[off][0])!r} "
@@ -338,16 +329,14 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
                              f"leaves the real region")
         return v.real - r_rows[rows]
 
-    found = bracketed_roots(v_gap, lo, hi, n_scan, 1e-10)
-    xi_star = np.empty(r_rows.shape)
-    for k, roots in enumerate(found):
-        if not roots:
+    xi_star, counts = bracketed_roots(v_gap, lo, hi, n_scan, 1e-10)
+    for k, count in enumerate(counts.tolist()):
+        if not count:
             raise ValueError("no root of v(xi, psi) = r in the bracket")
-        if len(roots) > 1:
-            warnings.warn(f"{len(roots)} parameter roots of v(xi, "
+        if count > 1:
+            warnings.warn(f"{count} parameter roots of v(xi, "
                           f"{psi_rows[k]}) = {r_rows[k]} in bracket; using "
                           f"the one nearest its midpoint", stacklevel=3)
-        xi_star[k] = min(roots, key=lambda x: abs(x - 0.5 * (lo[k] + hi[k])))
     if scalar:
         return float(xi_star[0]), float(r), float(psi)
     return xi_star.reshape(r.shape), r, psi

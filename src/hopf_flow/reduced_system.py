@@ -117,8 +117,9 @@ class ReducedCurve:
     """Result of `trace_reduced`: segments in mixed parametrizations.
 
     rs/hs/psis concatenate the accepted sample points of every segment in
-    traversal order.  `turning_crossings` counts folds passed through by
-    handing over to the two-dimensional flow.
+    traversal order, or hold the start point alone when there is none.
+    `turning_crossings` counts folds passed through by handing over to
+    the two-dimensional flow.
     """
 
     rs: np.ndarray
@@ -205,11 +206,14 @@ def substitution_check(rs, psis) -> float:
     H is taken as sin(psi)^2 and differentiated by central differences on
     the given grid; the curve is split wherever psi crosses pi/2 (the
     H-form folds there) and interior points of each piece are tested.
+    Radii outside (0, 1e61] are refused, as the slopes refuse them.
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
     if rs.shape != psis.shape or rs.ndim != 1 or len(rs) < 3:
         raise ValueError("need matching 1-d arrays of length >= 3")
+    for r in rs.tolist():
+        _check_radius(r)
     hs = np.sin(psis) ** 2
     side = np.sign(psis - math.pi / 2.0)
     worst = 0.0
@@ -480,10 +484,11 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     else:
         curve.stop_note = "segment budget exhausted"
 
-    if rs:
-        curve.rs = np.concatenate(rs)
-        curve.psis = np.concatenate(psis)
-        curve.hs = np.sin(curve.psis) ** 2
+    if not rs:
+        rs, psis = [np.array([float(r0)])], [np.array([float(psi0)])]
+    curve.rs = np.concatenate(rs)
+    curve.psis = np.concatenate(psis)
+    curve.hs = np.sin(curve.psis) ** 2
     return curve
 
 
@@ -560,19 +565,16 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
         return [_gap(r_k, h_k, target_k) for r_k, h_k, target_k in
                 zip(rs[rows].tolist(), h.tolist(), targets[rows].tolist())]
 
-    found = bracketed_roots(gap, h_lo, h_hi, n_scan, 1e-12)
-    mids = (0.5 * (h_lo + h_hi)).tolist()
-    out = np.array([min(roots, key=lambda h: abs(h - mid)) if roots
-                    else math.nan for roots, mid in zip(found, mids)])
+    out, counts = bracketed_roots(gap, h_lo, h_hi, n_scan, 1e-12)
     if all(np.ndim(x) == 0 for x in inputs):
-        if not found[0]:
+        if not counts[0]:
             raise _no_root_error(float(targets[0]), float(rs[0]),
                                  np.linspace(h_lo[0], h_hi[0], n_scan + 1))
-        if len(found[0]) > 1:
-            warnings.warn(f"{len(found[0])} roots in bracket; returning the "
+        if counts[0] > 1:
+            warnings.warn(f"{counts[0]} roots in bracket; returning the "
                           f"one nearest the midpoint", stacklevel=2)
         return float(out[0])
-    several = sum(len(roots) > 1 for roots in found)
+    several = int(np.count_nonzero(counts > 1))
     if several:
         warnings.warn(f"{several} of {len(rs)} radii have several roots in "
                       f"the bracket; returning the one nearest the midpoint",

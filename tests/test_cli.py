@@ -165,6 +165,22 @@ def test_reduce_keeps_constant_level(tmp_path):
     assert meta["reached"] is True
 
 
+def test_reduce_at_its_own_target_writes_its_start_point(tmp_path):
+    # A target within 1e-12 relative of r0 traces no segment; the curve
+    # is then the start point, not an empty CSV.
+    for target in ("1", "1.0000000000001"):
+        out = tmp_path / "r.csv"
+        assert run_cli("reduce", "--start", "1,0.7854", "--target", target,
+                       "--out", str(out)) == 0
+        _, rows = read_csv(out)
+        assert [[float(x) for x in row[:3]] for row in rows] == \
+            [[1.0, math.sin(0.7854) ** 2, 0.7854]]
+        assert float(rows[0][5]) == 0.0
+        meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+        assert (meta["reached"], meta["rows"], meta["segments"]) == \
+            (True, 1, 0)
+
+
 def test_reduce_meta_carries_work_counters(tmp_path):
     out = tmp_path / "r.csv"
     assert run_cli("reduce", "--start", "1,0.7854", "--target", "3",

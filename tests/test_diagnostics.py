@@ -154,32 +154,47 @@ _ROWS = [
      for k in range(1, 41)]
 
 
+def _nearest(roots, lo, hi):
+    """The pick of bracketed_roots from every root of a row: the one
+    nearest the midpoint, the first on a tie, NaN where there is none."""
+    mid = 0.5 * (lo + hi)
+    return min(roots, key=lambda x: abs(x - mid)) if roots else math.nan
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 def test_lockstep_roots_are_the_scalar_refiners_bit_for_bit(tol):
     # Rows of one scan size share a call; between them they hold 156
     # roots, among them the exact zero at 2.
-    found = []
+    counted, picked = 0, []
     for n_scan in sorted({n for *_, n in _ROWS}):
         rows = [row for row in _ROWS if row[3] == n_scan]
         fn, sizes = _rows_of([f for f, *_ in rows])
-        got = bracketed_roots(fn, [lo for _, lo, _, _ in rows],
-                              [hi for _, _, hi, _ in rows], n_scan, tol)
-        want = [_scalar_roots(f, lo, hi, n_scan, tol)
-                for f, lo, hi, _ in rows]
-        assert [[x.hex() for x in r] for r in got] == \
-            [[x.hex() for x in r] for r in want]
+        roots, counts = bracketed_roots(fn, [lo for _, lo, _, _ in rows],
+                                        [hi for _, _, hi, _ in rows],
+                                        n_scan, tol)
+        every = [_scalar_roots(f, lo, hi, n_scan, tol)
+                 for f, lo, hi, _ in rows]
+        want = [_nearest(r, lo, hi) for r, (_, lo, hi, _) in zip(every, rows)]
+        assert [x.hex() for x in roots.tolist()] == [x.hex() for x in want]
+        assert counts.tolist() == [len(r) for r in every]
         # One call scans every row; each later call is one round.
         assert sizes[0] == len(rows) * (n_scan + 1)
-        found += sum(got, [])
-    assert len(found) == 156 and 2.0 in found
+        counted += int(counts.sum())
+        picked += roots.tolist()
+    assert counted == 156 and 2.0 in picked
 
 
 def test_bracketed_roots_finds_every_sign_change():
-    (roots,) = bracketed_roots(lambda rows, x: np.sin(x), 1.0, 10.0, 64,
-                               1e-12)
-    assert len(roots) == 3
-    for k, root in enumerate(roots, start=1):
-        assert abs(root - k * math.pi) <= 1e-12
+    # Roots at pi, 2 pi and 3 pi: 2 pi is nearest the midpoint 5.5.
+    roots, counts = bracketed_roots(lambda rows, x: np.sin(x), 1.0, 10.0,
+                                    64, 1e-12)
+    assert counts.tolist() == [3]
+    assert abs(roots[0] - 2.0 * math.pi) <= 1e-12
+    # Exact zeros at 1 and 3 lie 1 from the midpoint 2 each: the first in
+    # scan order wins the tie.
+    roots, counts = bracketed_roots(lambda rows, x: (x - 1.0) * (x - 3.0),
+                                    0.0, 4.0, 4, 1e-12)
+    assert roots.tolist() == [1.0] and counts.tolist() == [2]
 
 
 def test_bracketed_roots_refines_each_root_in_few_calls():
@@ -187,32 +202,33 @@ def test_bracketed_roots_refines_each_root_in_few_calls():
     # still live, at most three here; bisection to 1e-12 would take ~37
     # rounds.
     fn, sizes = _rows_of([math.sin])
-    (roots,) = bracketed_roots(fn, 1.0, 10.0, 64, 1e-12)
-    assert len(roots) == 3
+    roots, counts = bracketed_roots(fn, 1.0, 10.0, 64, 1e-12)
+    assert counts.tolist() == [3]
     assert sizes[0] == 65
     assert 1 <= len(sizes) - 1 <= 12, sizes
     assert all(0 < n <= 3 for n in sizes[1:])
-    assert sum(sizes[1:]) <= 12 * len(roots)
-    for k, root in enumerate(roots, start=1):
-        assert abs(root - k * math.pi) <= 1e-12
+    assert sum(sizes[1:]) <= 12 * 3
+    assert abs(roots[0] - 2.0 * math.pi) <= 1e-12
 
     # Near t = 9000 one ulp (1.8e-12) exceeds the 1e-12 tolerance, so the
     # bracket has to end at adjacent doubles instead.
     fn, sizes = _rows_of([lambda t: math.cos(t - 9000.0) - 0.3])
-    (roots,) = bracketed_roots(fn, 9001.0, 9001.5, 1, 1e-12)
-    assert len(roots) == 1
+    roots, counts = bracketed_roots(fn, 9001.0, 9001.5, 1, 1e-12)
+    assert counts.tolist() == [1]
     assert sizes[0] == 2 and len(sizes) - 1 <= 12, sizes
     assert abs(roots[0] - (9000.0 + math.acos(0.3))) <= 4e-12
 
 
 def test_bracketed_roots_without_sign_change_is_empty():
-    assert bracketed_roots(lambda rows, x: x * x + 1.0, -2.0, 2.0, 16,
-                           1e-12) == [[]]
+    roots, counts = bracketed_roots(lambda rows, x: x * x + 1.0, -2.0, 2.0,
+                                    16, 1e-12)
+    assert np.isnan(roots).all() and counts.tolist() == [0]
 
 
 def test_bracketed_roots_counts_exact_zeros_and_skips_nan_ends():
     fn, sizes = _rows_of([_steps_and_nan])
-    assert bracketed_roots(fn, 0.0, 4.0, 4, 1e-12) == [[2.0]]
+    roots, counts = bracketed_roots(fn, 0.0, 4.0, 4, 1e-12)
+    assert roots.tolist() == [2.0] and counts.tolist() == [1]
     assert sizes == [5]  # the scan only: nothing to refine
 
 
@@ -226,12 +242,14 @@ def test_bracketed_roots_takes_scan_values_computed_in_one_array_pass():
         calls.append((rows, x))
         return np.sin(x) - 0.5 * rows
 
-    roots = bracketed_roots(fn, lo, hi, n, 1e-12)
+    roots, counts = bracketed_roots(fn, lo, hi, n, 1e-12)
     rows, xs = calls[0]
     assert rows.tolist() == [0] * (n + 1) + [1] * (n + 1)
     assert xs.tolist() == [a + (b - a) * i / n for a, b in zip(lo, hi)
                            for i in range(n + 1)]
-    assert roots[0] == _scalar_roots(math.sin, 1.0, 10.0, n, 1e-12)
-    assert roots[1] == _scalar_roots(lambda x: math.sin(x) - 0.5, 0.5, 4.0,
-                                     n, 1e-12)
+    every = [_scalar_roots(math.sin, 1.0, 10.0, n, 1e-12),
+             _scalar_roots(lambda x: math.sin(x) - 0.5, 0.5, 4.0, n, 1e-12)]
+    assert roots.tolist() == [_nearest(r, a, b)
+                              for r, a, b in zip(every, lo, hi)]
+    assert counts.tolist() == [len(r) for r in every]
     assert len(calls) <= 1 + 12

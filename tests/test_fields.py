@@ -196,9 +196,15 @@ def test_a_point_is_any_sequence_of_three_floats(form):
     assert all(type(g) is tuple for g in got[:4])
     if form is not _array_row:
         assert all(type(c) is float for g in got for c in g)
+    # derived_rates refuses what the field refuses; at (1e80, 0, 1) its
+    # float `**` raised OverflowError.
     for bad, message in (((1e200, 0.0, 0.0), "overflows the field"),
+                         ((1e80, 0.0, 1.0), "overflows the field"),
+                         ((9e76, 9e76, 9e76), "overflows the field"),
                          ((math.nan, 0.0, 0.0), "^non-finite")):
         with pytest.raises(ValueError, match=message):
             cartesian_ode(0.0, form(bad))
+        with pytest.raises(ValueError, match=message):
+            derived_rates(form(bad))
     with pytest.raises(ValueError, match="requires r > 0"):
         spherical_ode(0.0, form((-1.0, 0.4, 1.1)))

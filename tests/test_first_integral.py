@@ -2,9 +2,13 @@
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopf_flow import checks
 from hopf_flow import first_integral as fi
@@ -372,38 +376,92 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
     assert (table.pde_direct.hex(), table.pde_parametric.hex()) == pde
 
 
-def _has_the_bits_of_rho_table(fn, name):
-    """fn, a single-dual pass, gives rho_table's `name` bit for bit, on
-    arrays and on float points, with rho_table's domain guards."""
-    # branch-continuity's points straddle both discriminant boundaries.
-    xi = np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
-                           (DISC_XI_LOW, DISC_XI_HIGH))[..., None]
-    psi = np.array([0.7, 1.2, 1.9, 2.5])
-    assert fn(xi, psi).tobytes() == getattr(rho_table(xi, psi),
-                                            name).tobytes()
+def _nested_rho(xi, psi, c2=1.0, f1=()):
+    """rho, rho_xi and rho_psi from one nested (mixed-partial) dual pass,
+    complex xi seeded at the inner level and psi at the outer."""
+    from hopf_flow.dual import Dual
+    with np.errstate(all="ignore"):
+        mixed = fi.rho_raw(Dual(Dual(xi + 0.0j, 1.0 + 0.0j),
+                                Dual(0.0j, 0.0j)),
+                           Dual(Dual(psi, 0.0), Dual(1.0, 0.0)), c2, f1)
+    return mixed.val.val, mixed.val.eps, mixed.eps.val
+
+
+def _has_the_bits_of_a_nested_pass(names, index):
+    """rho_table's columns `names` are the nested pass's entries `index`,
+    bit for bit: on the battery's rho grid, on dual-vs-fd's probes, on
+    branch-continuity's points, which straddle both discriminant
+    boundaries, and at float points."""
+    probes = np.random.default_rng(55555).uniform(
+        (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
+    straddle = np.broadcast_arrays(
+        np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
+                          (DISC_XI_LOW, DISC_XI_HIGH))[..., None],
+        np.array([0.7, 1.2, 1.9, 2.5]))
+    for xi, psi in (checks._real_region_grid(checks._RHO_GRID), probes,
+                    straddle):
+        table = rho_table(xi, psi)
+        want = _nested_rho(xi, psi)
+        assert [getattr(table, name).tobytes() for name in names] == \
+            [want[i].tobytes() for i in index]
     for xi, psi in REAL_POINTS + OUTER_REAL_POINTS + COMPLEX_POINTS:
-        got = fn(xi, psi, 0.5, (0.1, -0.2))
-        assert type(got) is complex
-        assert got == getattr(rho_table(xi, psi, 0.5, (0.1, -0.2)), name)
-    # The domain guards of rho_table, with its messages.
-    for xi, psi in ((0.0, 1.0), (0.5, math.pi), ([0.3, 0.4], [1.0, 0.0])):
-        with pytest.raises(ValueError) as want:
-            rho_table(xi, psi)
-        with pytest.raises(ValueError) as got:
-            fn(xi, psi)
-        assert str(got.value) == str(want.value)
+        table = rho_table(xi, psi, 0.5, (0.1, -0.2))
+        want = _nested_rho(xi, psi, 0.5, (0.1, -0.2))
+        assert all(type(want[i]) is complex for i in index)
+        assert [repr(getattr(table, name)) for name in names] == \
+            [repr(want[i]) for i in index]
 
 
 def test_rho_psi_has_the_bits_of_rho_table():
-    _has_the_bits_of_rho_table(fi.rho_psi, "rho_psi")
+    # The psi-seeded pass gives the nested pass's rho_psi.
+    _has_the_bits_of_a_nested_pass(("rho_psi",), (2,))
 
 
 def test_rho_xi_has_the_bits_of_rho_table():
-    # dual-vs-fd's probes too, so the check's figure is the table's.
-    xi, psi = np.random.default_rng(55555).uniform(
-        (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
-    assert fi.rho_xi(xi, psi).tobytes() == rho_table(xi, psi).u.tobytes()
-    _has_the_bits_of_rho_table(fi.rho_xi, "u")
+    # The xi-seeded pass gives the nested pass's rho and u = rho_xi, so
+    # dual-vs-fd's figure is the nested pass's too.
+    _has_the_bits_of_a_nested_pass(("rho", "u"), (0, 1))
+
+
+@pytest.mark.parametrize("table_fn, xi, psi", [
+    (uv_table, 3.06e-187, 3.06e-187),
+    (rho_table, 1e-170, 1.0),
+    (rho_table, DISC_XI_HIGH, 1.0),
+    (rho_table, 2.2e221, 2.4e-123),
+    (rho_table, 1e60, 1.0),
+    (uv_table, 1e60, 1.0),
+], ids=["uv-tiny", "rho-tiny", "rho-disc-root", "rho-huge-tiny-psi",
+        "rho-huge", "uv-huge"])
+def test_float_pairs_past_the_float_range_are_refused(table_fn, xi, psi):
+    # These raised ZeroDivisionError or OverflowError, or (uv-huge) gave
+    # u = v = nan+nanj; arrays keep their NaN there.
+    message = re.escape(f"not finite at xi={xi!r}")
+    with pytest.raises(ValueError, match=message):
+        table_fn(xi, psi)
+    table = table_fn(np.array([xi]), psi)
+    assert not (np.isfinite(table.u) & np.isfinite(table.v)).any()
+
+
+_FINITE_XI = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_OPEN_PSI = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                      exclude_max=True)
+
+
+@pytest.mark.parametrize("table_fn", [rho_table, uv_table])
+@settings(max_examples=200, deadline=None)
+@given(xi=_FINITE_XI | st.floats(0.01, 10.0), psi=_OPEN_PSI)
+@example(xi=0.5, psi=5e-324)  # tan(psi/2) rounds to 0
+def test_a_float_pair_gives_a_finite_table_or_a_value_error(table_fn, xi,
+                                                           psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            table = table_fn(xi, psi)
+        except ValueError:
+            return
+    assert cmath.isfinite(table.u) and cmath.isfinite(table.v)
+    if table_fn is rho_table:
+        assert cmath.isfinite(table.rho)
 
 
 def test_residuals_of_a_result_in_hand_keep_their_bits():

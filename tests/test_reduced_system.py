@@ -483,6 +483,13 @@ def test_substitution_check_input_validation():
         rs.substitution_check([1.0, 2.0], [0.3, 0.4])
     with pytest.raises(ValueError):
         rs.substitution_check([1.0, 2.0, 3.0], [0.3, 0.4])
+    # Radii the slopes refuse; those of 1e186 overflowed numpy scalars
+    # with a RuntimeWarning.
+    first = math.nextafter(rs._R_MAX, math.inf)
+    for radii, bad in (([1.2e186, 1.3e186, 1.4e186], 1.2e186),
+                       ([1.0, 2.0, -3.0], -3.0), ([1.0, first, 3.0], first)):
+        with pytest.raises(ValueError, match=re.escape(f"got r={bad!r}")):
+            rs.substitution_check(radii, [0.5] * 3)
 
 
 def test_trace_h_stops_at_turning_guard():
