@@ -7,91 +7,42 @@ generating function for first integrals of the full flow, and the
 numerical machinery (adaptive Runge-Kutta integration, dual-number
 differentiation, residual diagnostics) needed to measure every claimed
 identity rather than assume it.
+
+Importing the package imports none of its modules: each exported name is
+looked up in its defining module on first access (PEP 562), so a caller
+pays only for the modules it reads.
 """
 
-from .diagnostics import relative_to_terms
-from .dual import Dual, derivative, value
-from .fields import (
-    DerivedRates,
-    SignReport,
-    cartesian_ode,
-    derived_rates,
-    from_spherical,
-    pushforward_sign,
-    spherical_ode,
-    to_spherical,
-)
-from .first_integral import (
-    HReconstruction,
-    RhoTable,
-    UVPair,
-    reconstruct_H,
-    rho_table,
-    uv_table,
-    xi_substitution_residual,
-)
-from .integrator import Event, Trajectory, integrate
-from .reduced_system import (
-    FormSelection,
-    ImplicitConstant,
-    ReducedCurve,
-    TurningPointError,
-    h_rhs,
-    implicit_constant,
-    implicit_residual,
-    psi_rhs,
-    select_effective_form,
-    solve_implicit,
-    substitution_check,
-    trace_h,
-    trace_reduced,
-    turning_locus,
-)
-from .special_functions import BesselQuad, bessel_quad
-from .checks import ALLOWED_DISCREPANCIES, CHECK_NAMES, run_battery
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALLOWED_DISCREPANCIES",
-    "BesselQuad",
-    "CHECK_NAMES",
-    "DerivedRates",
-    "Dual",
-    "Event",
-    "FormSelection",
-    "HReconstruction",
-    "ImplicitConstant",
-    "ReducedCurve",
-    "RhoTable",
-    "SignReport",
-    "Trajectory",
-    "TurningPointError",
-    "UVPair",
-    "bessel_quad",
-    "cartesian_ode",
-    "derivative",
-    "derived_rates",
-    "from_spherical",
-    "h_rhs",
-    "implicit_constant",
-    "implicit_residual",
-    "integrate",
-    "pushforward_sign",
-    "psi_rhs",
-    "reconstruct_H",
-    "relative_to_terms",
-    "rho_table",
-    "run_battery",
-    "select_effective_form",
-    "solve_implicit",
-    "spherical_ode",
-    "substitution_check",
-    "to_spherical",
-    "trace_h",
-    "trace_reduced",
-    "turning_locus",
-    "uv_table",
-    "value",
-    "xi_substitution_residual",
-]
+# Each exported name and the module that defines it.
+_HOME = {name: module for module, names in {
+    "checks": "ALLOWED_DISCREPANCIES CHECK_NAMES run_battery",
+    "diagnostics": "relative_to_terms",
+    "dual": "Dual derivative value",
+    "fields": "DerivedRates SignReport cartesian_ode derived_rates "
+              "from_spherical pushforward_sign spherical_ode to_spherical",
+    "first_integral": "HReconstruction RhoTable UVPair reconstruct_H "
+                      "rho_table uv_table xi_substitution_residual",
+    "integrator": "Event Trajectory integrate",
+    "reduced_system": "FormSelection ImplicitConstant ReducedCurve "
+                      "TurningPointError h_rhs implicit_constant "
+                      "implicit_residual psi_rhs select_effective_form "
+                      "solve_implicit substitution_check trace_h "
+                      "trace_reduced turning_locus",
+    "special_functions": "BesselQuad bessel_quad",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

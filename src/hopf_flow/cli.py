@@ -36,16 +36,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
-
-from . import checks, fields, first_integral, reduced_system
-from .integrator import check_rel_tol, integrate
 
 # trace's and reduce's integration rel_tol when --tol is unset.
 _REL_TOL = 1e-10
@@ -81,9 +77,9 @@ def _write_json(path: str | None, doc) -> None:
 
 
 def write_csv(path: str | None, header: Sequence[str],
-              rows: np.ndarray) -> None:
-    """One line per row of the 2-D float array, each number to 17
-    significant digits, so that it parses back to the identical float.
+              rows: Sequence[Sequence[float]]) -> None:
+    """One line per row of floats, each number to 17 significant digits,
+    so that it parses back to the identical float.
 
     Rows are formatted and written a block at a time, so the text of the
     whole file is never held at once.
@@ -93,17 +89,17 @@ def write_csv(path: str | None, header: Sequence[str],
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
             block = rows[start:start + _CSV_BLOCK]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write((row_fmt * len(block))
+                     % tuple(itertools.chain.from_iterable(block)))
 
 
 def _emit(sink: tuple[str | None, str], header: Sequence[str],
-          rows: np.ndarray, meta) -> None:
-    """rows, a 2-D float array, to the (--out, --format) sink: as CSV
-    (with a .meta.json sidecar when writing to a file) or as one JSON
-    document."""
+          rows: Sequence[Sequence[float]], meta) -> None:
+    """rows of floats to the (--out, --format) sink: as CSV (with a
+    .meta.json sidecar when writing to a file) or as one JSON document."""
     out, fmt = sink
     if fmt == "json":
-        _write_json(out, {"header": list(header), "rows": rows.tolist(),
+        _write_json(out, {"header": list(header), "rows": rows,
                           "meta": meta})
     else:
         write_csv(out, header, rows)
@@ -150,6 +146,8 @@ def _rel_tol(ns) -> float:
     """--tol of trace and reduce, given on the command line or in
     --config, as the integration rel_tol: a finite float in the range
     `integrate` takes; _REL_TOL when it is unset."""
+    from .integrator import check_rel_tol
+
     rel_tol = _finite(ns, "tol", _REL_TOL)
     check_rel_tol(rel_tol, "--tol")
     return rel_tol
@@ -243,6 +241,9 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def cmd_trace(ns) -> int:
+    from . import fields
+    from .integrator import integrate
+
     sink = _sink(ns)
     start = _floats(ns.start, "--start", 3)
     span = _finite(ns, "span", 10.0)
@@ -262,12 +263,15 @@ def cmd_trace(ns) -> int:
     else:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
-    traj = integrate(ode, np.asarray(start, float), (0.0, span),
-                     rel_tol=rel_tol)
-    # The accepted rows as they are (the interpolant returns a node's own
-    # state there); only dense times between nodes are sampled.
-    rows = np.column_stack([traj.ts, traj.ys])
+    traj = integrate(ode, start, (0.0, span), rel_tol=rel_tol)
+    # The accepted rows as they are, (t, *y) from the run's flat buffers
+    # (the interpolant returns a node's own state there); only dense times
+    # between nodes are sampled.
+    ts, ys = traj.buffers[:2]
+    rows = list(zip(ts, *[iter(ys)] * 3))
     if dense > 0 and span != 0.0:
+        import numpy as np
+
         between = np.setdiff1d(np.linspace(0.0, traj.t_end, dense + 1),
                                traj.ts)
         # An angle of the spherical chart may lie within an ulp or two of
@@ -277,8 +281,9 @@ def cmd_trace(ns) -> int:
         if not np.isfinite(samples).all():
             raise ValueError("--dense samples between the integrator's "
                              "nodes leave the float range")
-        rows = np.concatenate([rows, np.column_stack([between, samples])])
-        rows = rows[np.argsort(rows[:, 0])]
+        # No time between nodes is a node's time, so the order is unique.
+        rows = sorted(rows + np.column_stack([between, samples]).tolist(),
+                      key=lambda row: row[0])
     meta = {
         "chart": chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
@@ -291,6 +296,8 @@ def cmd_trace(ns) -> int:
 
 
 def cmd_field(ns) -> int:
+    from . import fields
+
     sink = _sink(ns)
     if ns.point is not None:
         # Repeated flags give a list; --config may give one point alone.
@@ -307,12 +314,15 @@ def cmd_field(ns) -> int:
         rates = fields.derived_rates(p)
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
-    rows = np.array(rows).reshape(-1, len(header))
     _emit(sink, header, rows, {"points": len(rows)})
     return 0
 
 
 def cmd_reduce(ns) -> int:
+    import numpy as np
+
+    from . import reduced_system
+
     sink = _sink(ns)
     if ns.start is None or ns.target is None:
         raise ValueError("reduce needs --start r0,psi0 and --target r1")
@@ -340,11 +350,15 @@ def cmd_reduce(ns) -> int:
         "accepted_steps": sum(seg.naccept for seg in curve.segments),
         "rejected_steps": sum(seg.nreject for seg in curve.segments),
     }
-    _emit(sink, header, rows, meta)
+    _emit(sink, header, rows.tolist(), meta)
     return 0
 
 
 def cmd_implicit(ns) -> int:
+    import numpy as np
+
+    from . import reduced_system
+
     sink = _sink(ns)
     if ns.bracket is None:
         raise ValueError("implicit needs --bracket lo,hi (an H bracket for "
@@ -375,11 +389,15 @@ def cmd_implicit(ns) -> int:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
     meta = {"c_effective": c_eff, "rows": len(rows), "solved": solved}
-    _emit(sink, header, rows, meta)
+    _emit(sink, header, rows.tolist(), meta)
     return 0
 
 
 def cmd_rho(ns) -> int:
+    import numpy as np
+
+    from . import first_integral
+
     sink = _sink(ns)
     xi_lo, xi_hi = (_floats(ns.xi, "--xi", 2) if ns.xi is not None
                     else (0.12, 0.72))
@@ -436,11 +454,13 @@ def cmd_rho(ns) -> int:
         table.pde_parametric])
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
             "xi_range": [xi_lo, xi_hi], "psi_range": [psi_lo, psi_hi]}
-    _emit(sink, header, rows, meta)
+    _emit(sink, header, rows.tolist(), meta)
     return 0
 
 
 def cmd_verify(ns) -> int:
+    from . import checks
+
     out = _out(ns)
     tol_scale = (1.0 if ns.tol is None
                  else _number(ns.tol, "--tol (the tolerance scale)"))

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .integrator import inlined_field
 
 # Chart guards: spherical integration must stop before these floors.
@@ -178,6 +176,8 @@ def _pushforward_rates(p: Sequence[float]) -> tuple[float, float, float]:
 def default_probes() -> list[tuple[float, float, float]]:
     """Reproducible set of 100 off-axis probes with radii spread over
     (0.3, 8)."""
+    import numpy as np
+
     rng = np.random.default_rng(20260819)
     probes = []
     while len(probes) < 100:

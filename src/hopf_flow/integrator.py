@@ -36,7 +36,7 @@ accept/reject loop around the step: the step-size controller, the stop
 tests and the event sign test.  Each accepted step extends flat
 `array('d')` buffers of times, states, step lengths and interpolant
 coefficients; the trajectory's arrays are numpy views of those buffers,
-made without a copy.  A run makes 2 RHS calls to start, 11 per attempted
+made on first access.  A run makes 2 RHS calls to start, 11 per attempted
 step and 4 more per accepted one.  At loose tolerances an 8th-order
 step costs more than it saves: see the README for measured counts.
 
@@ -69,10 +69,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
-
-from .diagnostics import refine
 
 # DOP853 as the decimal literals of Hairer's dop853.f (its nodes involve
 # sqrt(6), so no exact rational form exists).  _C[s - 1] is the node of
@@ -268,19 +264,18 @@ class Event:
 class Trajectory:
     """Accepted-step skeleton of one integration run.
 
+    `buffers` are the flat `array('d')` buffers the run filled, of
+    accepted times, states, step lengths and interpolant coefficients.
     ts and ys hold the accepted times and states (one row per point);
     steps and dense hold, per accepted step, its signed length h and the
-    (7, d) coefficients of its interpolant.  All four are views of the
-    flat buffers the run filled.  `sample` evaluates the step's
+    (7, d) coefficients of its interpolant.  All four are numpy views of
+    the buffers, made on first access.  `sample` evaluates the step's
     interpolant at th = (t - t0) / h.  `event` is the name of the event
     that stopped the run, if one did; the last row is then its crossing,
     inside the last step.
     """
 
-    ts: np.ndarray
-    ys: np.ndarray
-    steps: np.ndarray
-    dense: np.ndarray
+    buffers: tuple[array, array, array, array]
     stop_reason: str
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -289,9 +284,26 @@ class Trajectory:
     naccept: int = 0
     nreject: int = 0
 
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        return _view(self.buffers[0])
+
+    @functools.cached_property
+    def ys(self) -> np.ndarray:
+        ts, ys = self.buffers[:2]
+        return _view(ys, len(ys) // len(ts))
+
+    @functools.cached_property
+    def steps(self) -> np.ndarray:
+        return _view(self.buffers[2])
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        return _view(self.buffers[3], 7, self.ys.shape[1])
+
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self.buffers[0][-1]
 
     @property
     def y_end(self) -> np.ndarray:
@@ -304,6 +316,8 @@ class Trajectory:
         state; at the last, the last step's interpolant at th = 1, within
         an ulp of it.
         """
+        import numpy as np
+
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         forward = self.ts[-1] >= self.ts[0]
         ts = self.ts if forward else self.ts[::-1]
@@ -322,6 +336,13 @@ class Trajectory:
         th = ((t_arr - self.ts[i]) / self.steps[i])[:, None]
         out = _interpolant(th, self.ys[i], *self.dense[i].transpose(1, 0, 2))
         return out if np.ndim(t) else out[0]
+
+
+def _view(buffer: array, *row_shape: int) -> np.ndarray:
+    """buffer as a float64 array of rows of row_shape, without a copy."""
+    import numpy as np
+
+    return np.frombuffer(buffer).reshape(-1, *row_shape)
 
 
 def _interpolant(th, y0, f0, f1, f2, f3, f4, f5, f6):
@@ -647,18 +668,22 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     check_rel_tol(rel_tol)
     abs_tol = rel_tol * 1e-2
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y_arr = np.asarray(y0, dtype=float)
-    if y_arr.ndim != 1:
-        raise ValueError("state must be one-dimensional")
-    y = y_arr.tolist()
+    try:
+        y = [float(v) for v in y0]
+    except TypeError:  # a scalar, or a component that is a sequence
+        raise ValueError("state must be one-dimensional") from None
     d = len(y)
 
     k1 = field_fn(t0, y)
     # Refused here with its shape; the run's unpacking refuses any later
     # wrong-length slope.
-    if np.ndim(k1) != 1:
+    try:
+        [float(v) for v in k1]
+    except TypeError:
+        import numpy as np
+
         raise ValueError(f"field_fn returned shape {np.shape(k1)}, not "
-                         f"{d} components")
+                         f"{d} components") from None
     if len(k1) != d:
         raise ValueError(f"field_fn returned {len(k1)} components for a "
                          f"state of {d}")
@@ -696,15 +721,9 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
 
 def _trajectory(ts: array, ys: array, steps: array, dense: array,
                 stop_reason: str, rel_tol: float, **counts) -> Trajectory:
-    """The Trajectory whose arrays are views of the run's flat buffers,
-    made without a copy."""
-    d = len(ys) // len(ts)
-    return Trajectory(
-        ts=np.frombuffer(ts), ys=np.frombuffer(ys).reshape(-1, d),
-        steps=np.frombuffer(steps),
-        dense=np.frombuffer(dense).reshape(-1, 7, d),
-        stop_reason=stop_reason, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2,
-        **counts)
+    """The Trajectory over the run's flat buffers."""
+    return Trajectory((ts, ys, steps, dense), stop_reason, rel_tol=rel_tol,
+                      abs_tol=rel_tol * 1e-2, **counts)
 
 
 def _state_at(t: float, t_lo: float, h: float, y_lo: list[float],
@@ -723,6 +742,8 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
     """(name, t, y) of the earliest event crossing inside one accepted
     step, of length h from (t_lo, y_lo) to t_hi, which at least one event
     crosses; g_lo and g_hi are the events' values at its two rows."""
+    from .diagnostics import refine
+
     def state(t: float) -> list[float]:
         return _state_at(t, t_lo, h, y_lo, coefficients)
 

@@ -206,7 +206,8 @@ def substitution_check(rs, psis) -> float:
     H is taken as sin(psi)^2 and differentiated by central differences on
     the given grid; the curve is split wherever psi crosses pi/2 (the
     H-form folds there) and interior points of each piece are tested.
-    Radii outside (0, 1e61] are refused, as the slopes refuse them.
+    Radii outside (0, 1e61] are refused, as the slopes refuse them, and so
+    is a tested point whose three radii do not difference (two coincide).
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
@@ -221,13 +222,16 @@ def substitution_check(rs, psis) -> float:
     boundaries = list(np.nonzero(side[1:] * side[:-1] < 0)[0] + 1) + [len(rs)]
     for seg_end in boundaries:
         seg = slice(seg_start, seg_end)
-        r_seg, h_seg = rs[seg], hs[seg]
+        r_seg, h_seg = rs[seg].tolist(), hs[seg].tolist()
         for i in range(1, len(r_seg) - 1):
             hp = r_seg[i + 1] - r_seg[i]
             hm = r_seg[i] - r_seg[i - 1]
+            if hp * hm * (hp + hm) == 0.0:
+                raise ValueError(f"need three distinct radii to difference, "
+                                 f"got r={r_seg[i - 1:i + 2]!r}")
             dh = (hm * hm * h_seg[i + 1] + (hp * hp - hm * hm) * h_seg[i]
                   - hp * hp * h_seg[i - 1]) / (hp * hm * (hp + hm))
-            terms = h_residual_terms(float(r_seg[i]), float(h_seg[i]), float(dh))
+            terms = h_residual_terms(r_seg[i], h_seg[i], dh)
             worst = max(worst, relative_to_terms(terms))
         seg_start = seg_end
     return worst

@@ -79,10 +79,11 @@ def test_trace_writes_a_negative_zero_start_as_given(tmp_path):
 
 def test_write_csv_streams_blocks_of_rows(tmp_path):
     rows = np.random.default_rng(5).standard_normal((50_000, 4))
+    floats = rows.tolist()
     out = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        cli.write_csv(str(out), ["a", "b", "c", "d"], rows)
+        cli.write_csv(str(out), ["a", "b", "c", "d"], floats)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -831,6 +832,31 @@ def test_module_entrypoint_runs_as_subprocess(tmp_path):
     header, rows = read_csv(out)
     assert header == ["t", "x", "y", "z"]
     assert len(rows) == 1  # zero span keeps the initial state only
+
+
+def test_field_and_trace_never_load_numpy(tmp_path):
+    # A fresh interpreter: importing the package loads none of its
+    # modules, and field and trace (without --dense) run on floats alone.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import hopf_flow\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hopf_flow.')))\n"
+        "import hopf_flow.cli\n"
+        "hopf_flow.cli.build_parser()\n"
+        "assert hopf_flow.cli.main(['field', '--out', sys.argv[1]]) == 0\n"
+        "assert hopf_flow.cli.main(['trace', '--start=1,0,0', '--span', '5', "
+        "'--out', sys.argv[2]]) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "f.csv"),
+         str(tmp_path / "g.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "False"]
+    assert len(read_csv(tmp_path / "f.csv")[1]) == 5
+    assert len(read_csv(tmp_path / "g.csv")[1]) > 1
 
 
 # Each count flag: the subcommand's other flags, the count's minimum and

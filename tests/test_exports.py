@@ -1,6 +1,7 @@
 """The package's public surface: its export list and module boundaries."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,31 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(hopf_flow, n)]
     assert missing == []
+
+
+def test_the_package_root_lists_and_resolves_its_exports_lazily():
+    assert set(hopf_flow.__all__) <= set(dir(hopf_flow))
+    for name in hopf_flow.__all__:
+        home = importlib.import_module(
+            f"hopf_flow.{hopf_flow._HOME[name]}")
+        assert getattr(hopf_flow, name) is getattr(home, name), name
+    assert hopf_flow.integrate is integrator.integrate
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        hopf_flow.no_such_name
+
+
+def test_start_up_modules_import_numpy_only_where_they_use_it():
+    # numpy is imported inside the functions that need it, so importing
+    # these modules, and running field and trace, never loads it.
+    package = Path(hopf_flow.__file__).parent
+    for stem in ("__init__", "cli", "fields", "integrator"):
+        source = (package / f"{stem}.py").read_text(encoding="utf-8")
+        body = ast.parse(source).body
+        modules = [a.name for node in body if isinstance(node, ast.Import)
+                   for a in node.names]
+        modules += [node.module for node in body
+                    if isinstance(node, ast.ImportFrom) and node.module]
+        assert [m for m in modules if m.split(".")[0] == "numpy"] == [], stem
 
 
 def _private(name: str) -> bool:

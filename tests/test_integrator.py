@@ -142,9 +142,10 @@ def test_events_are_refined_from_the_flagged_step_without_a_scan(
 
     def counted(*args):
         refined.append(args)
-        return diagnostics.refine(*args)
+        return refine(*args)
 
-    monkeypatch.setattr(integrator, "refine", counted)
+    # integrate imports the refiner when an event must be located.
+    monkeypatch.setattr(diagnostics, "refine", counted)
     traj = reduced_system.trace_h(2.0, 0.4, 1.5)
     assert (traj.stop_reason, traj.event) == ("event", "turning-locus")
     assert len(refined) == 1
@@ -191,6 +192,30 @@ def test_config_validation():
         integrate(decay, [1.0], (0.0, 1.0), rel_tol=below)
     with pytest.raises(ValueError):
         integrate(decay, [[1.0, 2.0]], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("y0", [[[1.0, 2.0]], np.ones((2, 2)), 1.0,
+                                np.float64(1.0)],
+                         ids=["nested-list", "2-d-array", "float", "scalar"])
+def test_a_state_that_is_not_one_dimensional_is_refused(y0):
+    with pytest.raises(ValueError, match="state must be one-dimensional"):
+        integrate(decay, y0, (0.0, 1.0))
+
+
+def test_a_nested_slope_is_refused_with_its_shape():
+    with pytest.raises(ValueError, match=r"returned shape \(1, 2\), not 2 "
+                       r"components"):
+        integrate(lambda t, y: [y], [1.0, 0.0], (0.0, 1.0))
+
+
+def test_the_initial_state_container_does_not_change_the_bits():
+    runs = [integrate(fields.cartesian_ode, y0, (0.0, 5.0))
+            for y0 in ([1.0, 0.5, 0.0], (1.0, 0.5, 0.0),
+                       np.array([1.0, 0.5, 0.0]))]
+    for other in runs[1:]:
+        for name in ("ts", "ys", "steps", "dense"):
+            assert (getattr(other, name).tobytes()
+                    == getattr(runs[0], name).tobytes()), name
 
 
 def test_step_counters_are_consistent():

@@ -490,6 +490,10 @@ def test_substitution_check_input_validation():
                        ([1.0, 2.0, -3.0], -3.0), ([1.0, first, 3.0], first)):
         with pytest.raises(ValueError, match=re.escape(f"got r={bad!r}")):
             rs.substitution_check(radii, [0.5] * 3)
+    # Repeated radii leave the central difference nothing to divide by.
+    for radii in ([1.0, 1.0, 1.0], [1.0, 2.0, 2.0]):
+        with pytest.raises(ValueError, match=re.escape(f"got r={radii!r}")):
+            rs.substitution_check(radii, [0.5] * 3)
 
 
 def test_trace_h_stops_at_turning_guard():
