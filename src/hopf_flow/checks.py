@@ -6,9 +6,12 @@ judges them: `summarize` folds each check's residuals into the check's
 entry of the document under its name, its tolerance times tol_scale and
 its documented flag, and a NaN or infinite residual fails the check
 rather than the run; the entry's details also list the warnings the
-check raised.  Checks are pure and deterministic (fixed seeds) and run
-one after another, and call only the public functions of the modules
-they measure.  Those of
+check raised.  Checks are pure and deterministic and run one after
+another, and call only the public functions of the modules they
+measure.  The sampled ones (unit-norm, rate-identities' sphere probes,
+turning-slope, dual-vs-fd) draw from random.Random streams with fixed
+seeds, every draw lo + (hi - lo) * random(), so no numpy.random is
+loaded; integrator-order fits its slope in closed form.  Those of
 the parametric chain (legendre-identity, linear-pde-*,
 parametric-relation-*, h-pde-*, phi-flow-derivative, gauge-invariance,
 dual-vs-fd, branch-continuity) pass whole grids to the first_integral
@@ -43,11 +46,13 @@ checks can get that verdict, and the battery passes when no entry is
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,18 +86,55 @@ def _shared(name: str, compute: Callable[[], object]):
     return result
 
 
+# -- samplers ----------------------------------------------------------------
+#
+# Every random draw of the battery is lo + (hi - lo) * random() of one
+# random.Random(seed), a stream Python keeps from version to version.
+
+
+def _uniform_rows(seed: int, *bounds: tuple[float, float]) -> Iterator:
+    """Endless rows of random.Random(seed)'s draws, one per (lo, hi) of
+    bounds, each uniform on [lo, hi)."""
+    rng = random.Random(seed)
+    while True:
+        yield tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds)
+
+
+def _sphere_points(seed: int, radius: float) -> Iterator:
+    """Endless points uniform on the sphere of radius, each direction a
+    point of the cube [-1, 1]^3 drawn until one lies in the unit ball."""
+    for u in _uniform_rows(seed, *[(-1.0, 1.0)] * 3):
+        n2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        if 0.0 < n2 <= 1.0:
+            yield tuple(c * (radius / math.sqrt(n2)) for c in u)
+
+
+def _dual_vs_fd_probes() -> tuple[np.ndarray, np.ndarray]:
+    """dual-vs-fd's 100 (xi, psi) probes as two arrays, xi drawn before
+    psi in each."""
+    rows = islice(_uniform_rows(55555, (0.15, 0.7), (0.5, 2.6)), 100)
+    xi, psi = np.array(list(rows)).T
+    return xi, psi
+
+
+def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The least-squares slope of ys against xs; NaN unless two xs
+    differ."""
+    if len(set(xs)) < 2:
+        return math.nan
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
 # -- individual checks -------------------------------------------------------
 #
 # Each returns its residuals and the details its entry carries.
 
 
 def _check_unit_norm():
-    rng = np.random.default_rng(314159)
-    pts = rng.uniform(-5.7, 5.7, size=(2000, 3))
     residuals = []
-    # Rows as Python floats: the field's arithmetic on numpy scalars gives
-    # the same bits at several times the cost.
-    for p in pts.tolist():
+    for p in islice(_uniform_rows(314159, *[(-5.7, 5.7)] * 3), 2000):
         vx, vy, vz = fields.cartesian_ode(0.0, p)
         residuals.append(math.sqrt(vx * vx + vy * vy + vz * vz) - 1.0)
     return residuals, {}
@@ -114,8 +156,9 @@ def _check_rate_identities():
     for y0 in [(1.0, 0.2, 0.3), (0.5, -1.1, 2.0)]:
         traj = integrate(fields.cartesian_ode, np.asarray(y0, float),
                          (0.0, 8.0), rel_tol=1e-10)
-        idx = np.unique(np.linspace(0, len(traj.ts) - 1, 10).astype(int))
-        for i in idx:
+        # The rows linspace(0, last, 10) truncates to, each once.
+        last = len(traj.ts) - 1
+        for i in sorted({int(k * (last / 9)) for k in range(9)} | {last}):
             y = traj.ys[i]
             rates = fields.derived_rates(y)
             fd, fd2 = _micro_fd_rates(y, (lambda s: math.atan2(s[1], s[0]),
@@ -127,11 +170,8 @@ def _check_rate_identities():
                 residuals.append(err)
             residuals.append((fd2 - rates.rate_r2)
                              / max(1.0, abs(rates.rate_r2)))
-    rng = np.random.default_rng(271828)
     on_sphere = 0
-    for _ in range(200):
-        u = rng.normal(size=3)
-        u *= 2.0 / np.linalg.norm(u)
+    for u in islice(_sphere_points(271828, 2.0), 200):
         if u[0] ** 2 + u[1] ** 2 < 1e-3:
             continue
         rate = fields.derived_rates(u).rate_arctan
@@ -229,11 +269,10 @@ def _check_reduced_substitution():
 def _check_turning_slope():
     slope = reduced_system.h_rhs(2.0, 1.0)
     residuals = [(slope + 1.0 / 3.0) * 3.0]
-    rng = np.random.default_rng(987654)
+    draws = _uniform_rows(987654, (0.5, 8.0), (0.1, math.pi - 0.1))
     pairs = 0
     while pairs < 50:
-        r = float(rng.uniform(0.5, 8.0))
-        psi = float(rng.uniform(0.1, math.pi - 0.1))
+        r, psi = next(draws)
         try:
             ph = reduced_system.psi_rhs(r, psi)
             hh = reduced_system.h_rhs(r, math.sin(psi) ** 2)
@@ -328,9 +367,7 @@ def _check_gauge():
 
 
 def _check_dual_vs_fd():
-    # One probe per row, xi drawn before psi.
-    xi, psi = np.random.default_rng(55555).uniform(
-        (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
+    xi, psi = _dual_vs_fd_probes()
     h = 1e-6
     xi_c = xi.astype(complex)
     rho_raw = first_integral.rho_raw
@@ -378,17 +415,17 @@ def _check_xi_substitution():
 
 
 def _check_integrator_order():
-    y0 = np.array([1.0, 0.0, 0.0])
+    y0 = (1.0, 0.0, 0.0)
     span = (0.0, 4.0)
     ref = integrate(fields.cartesian_ode, y0, span, rel_tol=1e-13).y_end
     hs, errs = [], []
     for rt in (1e-6, 1e-8, 1e-10, 1e-12):
         traj = integrate(fields.cartesian_ode, y0, span, rel_tol=rt)
-        err = float(np.linalg.norm(traj.y_end - ref))
+        err = math.dist(traj.y_end, ref)
         if err > 0.0:
             hs.append(span[1] / traj.naccept)
             errs.append(err)
-    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    slope = _fit_slope(list(map(math.log, hs)), list(map(math.log, errs)))
     # 2^(3.5 - slope): by how much less than h^3.5 predicts the error
     # falls when the step halves; it passes (<= 1) exactly for a slope of
     # at least 3.5.  Capped at 2^64, which a NaN slope reads as too.

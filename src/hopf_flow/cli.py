@@ -272,8 +272,8 @@ def cmd_trace(ns) -> int:
     if dense > 0 and span != 0.0:
         import numpy as np
 
-        between = np.setdiff1d(np.linspace(0.0, traj.t_end, dense + 1),
-                               traj.ts)
+        between = sorted(set(np.linspace(0.0, traj.t_end,
+                                         dense + 1).tolist()).difference(ts))
         # An angle of the spherical chart may lie within an ulp or two of
         # the largest float, where the interpolant can pass it.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -15,7 +15,8 @@ one point passes t = 0.0.  Both are ordinary functions under the
 `integrator.inlined_field` decorator, so `integrate` writes their bodies
 into its steps.  Results come back as tuples, of Python floats when the
 point's coordinates are Python floats; `derived_rates` and
-`pushforward_sign` return small named records.
+`pushforward_sign` return small named records.  The module imports no
+numpy: `default_probes` draws from a seeded random.Random.
 
 The Cartesian field has unit Euclidean norm at every point, so its flow
 parameter is arclength.  Two derived rates admit closed forms: the
@@ -28,6 +29,7 @@ the sphere s = 4, where orbits close.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -175,17 +177,16 @@ def _pushforward_rates(p: Sequence[float]) -> tuple[float, float, float]:
 
 def default_probes() -> list[tuple[float, float, float]]:
     """Reproducible set of 100 off-axis probes with radii spread over
-    (0.3, 8)."""
-    import numpy as np
-
-    rng = np.random.default_rng(20260819)
+    (0.3, 8): points of the cube [-4, 4)^3, each coordinate
+    -4 + 8 * random() of random.Random(20260819), kept when they qualify."""
+    rng = random.Random(20260819)
     probes = []
     while len(probes) < 100:
-        p = rng.uniform(-4.0, 4.0, size=3)
+        p = tuple(-4.0 + 8.0 * rng.random() for _ in range(3))
         rho_sq = p[0] * p[0] + p[1] * p[1]
         r = math.sqrt(rho_sq + p[2] * p[2])
         if rho_sq > 0.01 and 0.3 < r < 8.0:
-            probes.append(tuple(map(float, p)))
+            probes.append(p)
     return probes
 
 

@@ -30,10 +30,11 @@ decorated with `inlined_field` (the package's four:
 ordinary module-level def) has its body, parsed from its module's
 source, written into every stage in place of the call, over the same
 locals and with the same bits; where one of its guards fails, the stage
-calls the field.  Any other callable, a wrapper of one of those four
-included, is called at every stage.  The same function runs the
-accept/reject loop around the step: the step-size controller, the stop
-tests and the event sign test.  Each accepted step extends flat
+calls the field, and where the source cannot be read (a sourceless
+install) every stage does.  Any other callable, a wrapper of one of
+those four included, is called at every stage.  The same function runs
+the accept/reject loop around the step: the step-size controller, the
+stop tests and the event sign test.  Each accepted step extends flat
 `array('d')` buffers of times, states, step lengths and interpolant
 coefficients; the trajectory's arrays are numpy views of those buffers,
 made on first access.  A run makes 2 RHS calls to start, 11 per attempted
@@ -506,7 +507,8 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     event changed sign in its direction ev_dirs[i] if the reason is
     STOP_EVENT.  With `field`, a function `inlined_field` decorated, each
     stage is that field's body written over the run's locals, none of
-    which starts with f_ or g_; without, each stage calls field_fn, and
+    which starts with f_ or g_, or, when its source cannot be read, the
+    run without; without, each stage calls field_fn, and
     unpacking each slope into d locals refuses a wrong-length one.  The
     weights are written into the source as float literals.  The source is
     kept in linecache, so a traceback through a run shows its line.
@@ -527,7 +529,10 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
 
     stage = called
     if field is not None:
-        stage, field_names = _inlined_stage(field)
+        try:
+            stage, field_names = _inlined_stage(field)
+        except OSError:  # no source to read, as in a sourceless install
+            return _run_fn(d)
         names.update(field_names)
 
     def weighed(row: dict) -> str:

@@ -337,10 +337,13 @@ def trace_h(r0: float, h0: float, r1: float,
 
     Guard events: approach to the turning locus, H reaching 1 (the
     psi = pi/2 fold), H collapsing to 0.  The trajectory's stop reason
-    and event name say which.
+    and event name say which.  h0 must lie in [0, 1], and r0 and r1 in
+    (0, 1e61].
     """
-    if r0 <= 0.0 or r1 <= 0.0:
-        raise ValueError("radial span must stay positive")
+    if not 0.0 <= h0 <= 1.0:
+        raise ValueError(f"need 0 <= h0 <= 1, got h0={h0!r}")
+    _check_radius(r0)
+    _check_radius(r1)
     events = (
         _turning_guard_event(r0, h0),
         Event(fn=lambda r, y: y[0] - 1.0, direction=1, name="h-ceiling"),

@@ -283,9 +283,52 @@ def test_integrator_order_reports_a_measured_margin():
     (3.5, "pass"), (float(np.nextafter(3.5, 0.0)), "fail"), (3.0, "fail"),
     (-500.0, "fail"), (math.nan, "fail")])
 def test_integrator_order_fails_below_slope_3_5(monkeypatch, slope, verdict):
-    monkeypatch.setattr(np, "polyfit", lambda *args: np.array([slope, 0.0]))
+    monkeypatch.setattr(checks, "_fit_slope", lambda *args: slope)
     rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
     assert rpt["verdict"] == verdict
+
+
+def test_fit_slope_is_polyfits_slope_on_the_batterys_points():
+    details = checks.run_battery(only=["integrator-order"])["checks"][0][
+        "details"]
+    xs, ys = np.log(details["steps"]), np.log(details["errors"])
+    assert len(xs) == 4
+    want = np.polyfit(xs, ys, 1)[0]
+    assert abs(checks._fit_slope(xs.tolist(), ys.tolist()) - want) <= 1e-12
+    assert math.isnan(checks._fit_slope([1.0, 1.0], [2.0, 3.0]))
+
+
+def test_the_batterys_first_draws_are_pinned(monkeypatch):
+    # Each sampled check draws from a random.Random stream, which Python
+    # keeps from version to version; the first row of each, by seed.
+    first = {}
+    uniform_rows = checks._uniform_rows
+
+    def recording(seed, *bounds):
+        rows = uniform_rows(seed, *bounds)
+        row = next(rows)
+        first.setdefault(seed, [x.hex() for x in row])
+        yield row
+        yield from rows
+
+    monkeypatch.setattr(checks, "_uniform_rows", recording)
+    checks.run_battery(only=["unit-norm", "rate-identities", "turning-slope",
+                             "dual-vs-fd"])
+    assert first == {
+        314159: ["-0x1.c0e71ad115b65p+1", "-0x1.370a1c5accc78p+1",
+                 "-0x1.16980a37297edp+2"],
+        271828: ["0x1.7a0b32ced9068p-2", "0x1.e50b8f938c42ap-1",
+                 "0x1.a2d7288c9bb86p-1"],
+        987654: ["0x1.62749116c0b66p+0", "0x1.3ea2f24bce112p+0"],
+        55555: ["0x1.81dffb80338fap-3", "0x1.c845bb127ebd0p-1"]}
+    # The first sphere probe is the first cube point in the unit ball,
+    # scaled to radius 2.
+    assert [x.hex() for x in next(checks._sphere_points(271828, 2.0))] == [
+        "-0x1.f291d2953e508p-2", "0x1.c970aaf71c031p+0",
+        "0x1.828ee8af4badfp-1"]
+    assert [x.hex() for x in fields.default_probes()[0]] == [
+        "-0x1.5e03d905ebdc0p-4", "0x1.268107bc9c150p-2",
+        "0x1.e96b304bf09b0p-1"]
 
 
 def test_integrator_order_fails_on_a_planted_third_order_error(monkeypatch):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -834,6 +835,33 @@ def test_module_entrypoint_runs_as_subprocess(tmp_path):
     assert len(rows) == 1  # zero span keeps the initial state only
 
 
+def test_a_sourceless_install_gives_the_source_installs_bits(tmp_path):
+    # A bytecode-only copy of the package, as a sourceless install ships
+    # it, has no field source to inline: its runs call the fields.
+    package = Path(cli.__file__).resolve().parent
+    copy = tmp_path / "sourceless" / "hopf_flow"
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    subprocess.run([sys.executable, "-m", "compileall", "-b", "-q",
+                    str(copy)], check=True)
+    for source in copy.glob("*.py"):
+        source.unlink()
+    for argv in (("trace", "--start", "1,0,0", "--span", "5"),
+                 ("reduce", "--start", "1,0.7854", "--target", "4")):
+        outputs = []
+        for root in (package.parent, copy.parent):
+            out = tmp_path / f"{argv[0]}-{len(outputs)}.csv"
+            path = os.pathsep.join(filter(None, [
+                str(root), os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopf_flow.cli", *argv, "--out",
+                 str(out)], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], argv[0]
+
+
 def test_field_and_trace_never_load_numpy(tmp_path):
     # A fresh interpreter: importing the package loads none of its
     # modules, and field and trace (without --dense) run on floats alone.
@@ -857,6 +885,32 @@ def test_field_and_trace_never_load_numpy(tmp_path):
     assert proc.stdout.split("\n")[:2] == ["[]", "False"]
     assert len(read_csv(tmp_path / "f.csv")[1]) == 5
     assert len(read_csv(tmp_path / "g.csv")[1]) > 1
+
+
+def test_no_subcommand_loads_numpy_random_or_numpy_ma(tmp_path):
+    # The battery draws from random.Random and the dedups are Python's,
+    # so a fresh interpreter that runs every subcommand loads neither.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [["field"], ["trace", "--start=1,0,0", "--span", "5"],
+            ["trace", "--start=1,0,0", "--span", "5", "--dense", "20"],
+            ["reduce", "--start", "1,0.7854", "--target", "4"],
+            ["implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "4",
+             "--bracket", "0.3,0.95", "--n", "8"],
+            ["rho", "--grid", "4"], ["verify"]]
+    code = (
+        "import json, sys\n"
+        "import hopf_flow.cli\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    out = f'{sys.argv[2]}/{k}'\n"
+        "    assert hopf_flow.cli.main([*argv, '--out', out]) == 0, argv\n"
+        "print(sorted({'numpy', 'numpy.random', 'numpy.ma'} & "
+        "set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy']"
 
 
 # Each count flag: the subcommand's other flags, the count's minimum and

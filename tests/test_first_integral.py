@@ -392,8 +392,7 @@ def _has_the_bits_of_a_nested_pass(names, index):
     bit for bit: on the battery's rho grid, on dual-vs-fd's probes, on
     branch-continuity's points, which straddle both discriminant
     boundaries, and at float points."""
-    probes = np.random.default_rng(55555).uniform(
-        (0.15, 0.5), (0.7, 2.6), size=(100, 2)).T
+    probes = checks._dual_vs_fd_probes()
     straddle = np.broadcast_arrays(
         np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
                           (DISC_XI_LOW, DISC_XI_HIGH))[..., None],

@@ -513,6 +513,24 @@ def test_trace_h_stops_at_equator_ceiling():
     np.testing.assert_allclose(traj.t_end, 0.9307, atol=1e-3)
 
 
+@pytest.mark.parametrize("r0, h0, r1", [
+    (1.0, 2.0, 3.0), (1.0, -0.5, 3.0), (9.7e-46, -2.2e230, 9.7e-46),
+    (1.0, math.nan, 3.0)])
+def test_trace_h_refuses_h0_outside_0_1_before_integrating(
+        monkeypatch, r0, h0, r1):
+    # Each once integrated and then raised "H left [0, 1]".
+    monkeypatch.setattr(rs, "integrate", None)
+    with pytest.raises(ValueError, match="h0="):
+        rs.trace_h(r0, h0, r1)
+
+
+@pytest.mark.parametrize("r0, r1", [(1e62, 2.0), (1.0, math.inf),
+                                    (math.nan, 2.0)])
+def test_trace_h_takes_its_radii_through_the_radius_guard(r0, r1):
+    with pytest.raises(ValueError, match="need 0 < r <= "):
+        rs.trace_h(r0, 0.5, r1)
+
+
 def test_trace_h_rejects_nonpositive_radii():
     with pytest.raises(ValueError):
         rs.trace_h(-1.0, 0.5, 2.0)
