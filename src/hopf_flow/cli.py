@@ -13,20 +13,20 @@ rho       tabulate the closed-form generating function and its PDE
           residuals on a (xi, psi) grid.
 verify    run the full check battery and emit one JSON document.
 
-Every subcommand takes --config, a JSON file of defaults (explicit
-flags override it), and --out, a file to write instead of stdout; all
+Every subcommand takes --out, a file to write instead of stdout; all
 but verify take --format csv|json.  Beyond its own flags, --tol (the
 integration rel_tol, in [1e-14, 1e-2)) goes to trace and reduce and
 scales the check tolerances for verify; --c2, --f1 and --grid go to rho
-alone.  A subcommand refuses any flag it does not read, on the command
-line and as a --config key.  Each flag has one reader, which takes its
-value from the command line or from --config alike, and a subcommand reads
-every value before it does any work: a number must be finite (not a
-bool), a choice one of its words, a count an integer whose output
-stays within MAX_OUTPUT_NUMBERS, or the run exits 2 naming the flag.
-Numbers in CSV carry 17 significant digits, so re-parsing reproduces
-every float bit-exactly.  Exit codes: 0 all good, 1 check or runtime
-failure, 2 usage/config error.
+alone.  A subcommand refuses any flag it does not read.  An argument
+@FILE stands for the arguments in FILE, one per line, so a flag file
+placed first gives defaults that later flags override (a repeatable
+flag adds to them); any argument that starts with @ names such a file.
+Each flag has one reader, and a subcommand reads every value before it
+does any work: a number must be finite, a choice one of its words, a
+count an integer whose output stays within MAX_OUTPUT_NUMBERS, or the
+run exits 2 naming the flag.  Numbers in CSV carry 17 significant
+digits, so re-parsing reproduces every float bit-exactly.  Exit codes:
+0 all good, 1 check or runtime failure, 2 usage error.
 
 Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
 F1 = 0, grids 20x20.
@@ -107,28 +107,21 @@ def _emit(sink: tuple[str | None, str], header: Sequence[str],
             _write_json(out + ".meta.json", meta)
 
 
-def _number(raw, what: str) -> float:
-    """raw as a finite float; a ValueError naming `what` otherwise (a
-    bool is no number here)."""
+def _number(raw: str, what: str) -> float:
+    """raw as a finite float; a ValueError naming `what` otherwise."""
     try:
-        if isinstance(raw, bool):
-            raise TypeError
         val = float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"{what}: expected a number, got {raw!r}") from None
-    except OverflowError:  # an integer beyond the float range
-        val = math.inf
     if not math.isfinite(val):
         raise ValueError(f"{what} must be finite, got {raw!r}")
     return val
 
 
-def _floats(raw, what: str, n: int | None = None) -> tuple[float, ...]:
+def _floats(raw: str, what: str, n: int | None = None) -> tuple[float, ...]:
     """Finite floats, n of them when n is given, from a comma-separated
-    string, or from a JSON list or number that --config gave; a
-    ValueError naming `what` otherwise."""
-    parts = (raw.split(",") if isinstance(raw, str)
-             else raw if isinstance(raw, list) else [raw])
+    string; a ValueError naming `what` otherwise."""
+    parts = raw.split(",")
     if n is not None and len(parts) != n:
         raise ValueError(f"{what}: expected {n} comma-separated numbers, "
                          f"got {raw!r}")
@@ -136,16 +129,15 @@ def _floats(raw, what: str, n: int | None = None) -> tuple[float, ...]:
 
 
 def _finite(ns, flag: str, default: float | None = None) -> float | None:
-    """The scalar flag --<flag>, given on the command line or in
-    --config, as a finite float; `default` when it is unset."""
+    """The scalar flag --<flag> as a finite float; `default` when it is
+    unset."""
     raw = getattr(ns, flag)
     return default if raw is None else _number(raw, f"--{flag}")
 
 
 def _rel_tol(ns) -> float:
-    """--tol of trace and reduce, given on the command line or in
-    --config, as the integration rel_tol: a finite float in the range
-    `integrate` takes; _REL_TOL when it is unset."""
+    """--tol of trace and reduce as the integration rel_tol: a finite
+    float in the range `integrate` takes; _REL_TOL when it is unset."""
     from .integrator import check_rel_tol
 
     rel_tol = _finite(ns, "tol", _REL_TOL)
@@ -154,8 +146,8 @@ def _rel_tol(ns) -> float:
 
 
 def _choice(ns, flag: str, words: Sequence[str]) -> str:
-    """The flag --<flag>, given on the command line or in --config, as
-    one of words; the first of them when it is unset."""
+    """The flag --<flag> as one of words; the first of them when it is
+    unset."""
     raw = getattr(ns, flag)
     if raw is None:
         return words[0]
@@ -165,45 +157,22 @@ def _choice(ns, flag: str, words: Sequence[str]) -> str:
     return raw
 
 
-def _texts(ns, flag: str) -> list[str] | None:
-    """The repeatable flag --<flag> as its strings: the command line gives
-    a list, --config a list or one string alone.  None when unset."""
-    raw = getattr(ns, flag)
-    if raw is None:
-        return None
-    given = raw if isinstance(raw, list) else [raw]
-    if not all(isinstance(t, str) for t in given):
-        raise ValueError(f"--{flag}: expected strings, got {raw!r}")
-    return given
-
-
-def _out(ns) -> str | None:
-    """--out as a file path; None (stdout) when it is unset."""
-    if ns.out is not None and not isinstance(ns.out, str):
-        raise ValueError(f"--out: expected a file path, got {ns.out!r}")
-    return ns.out
-
-
 def _sink(ns) -> tuple[str | None, str]:
     """The (--out, --format) pair that _emit writes to."""
-    return _out(ns), _choice(ns, "format", ("csv", "json"))
+    return ns.out, _choice(ns, "format", ("csv", "json"))
 
 
 def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
            default: int | None = None) -> int:
-    """The count flag --<flag>, given on the command line or in --config
-    (`default` when unset): an int (not a bool) or an integer string, at
+    """The count flag --<flag> (`default` when unset) as an integer, at
     least `least`, whose output of numbers(count) numbers stays within
     MAX_OUTPUT_NUMBERS.  A ValueError naming the flag otherwise."""
     raw = getattr(ns, flag)
-    count = default if raw is None else raw
-    if isinstance(count, str):
-        try:
-            count = int(count)
-        except ValueError:
-            pass
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError(f"--{flag}: expected an integer count, got {raw!r}")
+    try:
+        count = default if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"--{flag}: expected an integer count, "
+                         f"got {raw!r}") from None
     if count < least:
         raise ValueError(f"--{flag} must be at least {least}")
     if numbers(count) > MAX_OUTPUT_NUMBERS:
@@ -211,30 +180,6 @@ def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
                          f"numbers, more than the {MAX_OUTPUT_NUMBERS} one "
                          f"output may hold")
     return count
-
-
-def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the --config JSON file.
-
-    The file's keys must be flag names (argparse dests) of the
-    subcommand, so a typo or a flag it does not take is a usage error.
-    """
-    config = {}
-    if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("--config must contain a JSON object")
-    flags = sorted(set(vars(ns)) - {"command", "config"})
-    unknown = sorted(set(config) - set(flags))
-    if unknown:
-        raise ValueError(f"--config: {ns.command} takes no "
-                         f"{', '.join(map(repr, unknown))}; its keys are "
-                         f"{', '.join(flags)}")
-    for key, val in config.items():
-        if getattr(ns, key) is None:
-            setattr(ns, key, val)
-    return ns
 
 
 # -- subcommands --------------------------------------------------------------
@@ -300,9 +245,7 @@ def cmd_field(ns) -> int:
 
     sink = _sink(ns)
     if ns.point is not None:
-        # Repeated flags give a list; --config may give one point alone.
-        given = ns.point if isinstance(ns.point, list) else [ns.point]
-        points = [_floats(p, "--point", 3) for p in given]
+        points = [_floats(p, "--point", 3) for p in ns.point]
     else:
         points = [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, -1.2, 2.0),
                   (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
@@ -410,11 +353,11 @@ def cmd_rho(ns) -> int:
     c2 = _finite(ns, "c2", 1.0)
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
-    # Rows run xi outer, psi inner.  log(tan(psi/2)) in the half-angle form
-    # through math.log, which is exactly 0 at the floating-point pi/2.
+    # Rows run xi outer, psi inner.  log(tan(psi/2)) of half_angle_tan on
+    # floats, through math.log, which is exactly 0 at the floating-point pi/2.
     xi, psi = (g.ravel() for g in np.meshgrid(xis, psis, indexing="ij"))
     try:
-        log_chi = np.tile([math.log(math.sin(q) / (1.0 + math.cos(q)))
+        log_chi = np.tile([math.log(first_integral.half_angle_tan(q))
                            for q in psis.tolist()], len(xis))
     except (ValueError, ZeroDivisionError):  # tan(psi/2) <= 0 or infinite
         raise ValueError(f"--psi must lie in (0, pi), clear of its ends, "
@@ -461,11 +404,10 @@ def cmd_rho(ns) -> int:
 def cmd_verify(ns) -> int:
     from . import checks
 
-    out = _out(ns)
     tol_scale = (1.0 if ns.tol is None
                  else _number(ns.tol, "--tol (the tolerance scale)"))
-    doc = checks.run_battery(only=_texts(ns, "only"), tol_scale=tol_scale)
-    _write_json(out, doc)
+    doc = checks.run_battery(only=ns.only, tol_scale=tol_scale)
+    _write_json(ns.out, doc)
     return 0 if doc["passed"] else _CHECK_ERROR
 
 
@@ -477,13 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing reads
     it and leaves it unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
-        prog="hopf-flow",
+        prog="hopf-flow", fromfile_prefix_chars="@",
         description="Numerical laboratory for the unit-speed flow induced "
                     "by the Hopf fibration and its first integrals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
-        p.add_argument("--config", help="JSON file of defaults; flags override")
         p.add_argument("--out", help="output path (default stdout)")
         if fmt:
             p.add_argument("--format", help="csv (default) or json")
@@ -550,9 +491,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        ns = _merge_config(ns)
         return _DISPATCH[ns.command](ns)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"hopf-flow: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (RuntimeError, ArithmeticError) as exc:

@@ -59,6 +59,7 @@ reconstruct_H(...).phi_flow_derivative().
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -93,8 +94,24 @@ def rho_raw(xi, psi, c2=1.0, f1: Sequence[float] = ()):
     """The closed-form generating function, generic over Dual inputs.
 
     Callers must pass complex (or Dual-of-complex) xi whenever the
-    discriminant can go negative; no promotion happens here.
+    discriminant can go negative; no promotion happens here.  At a pair
+    of plain numbers (int, float or complex) it returns a finite number
+    or raises ValueError naming xi and psi; arrays hold NaN or inf there.
     """
+    if not (isinstance(xi, (int, float, complex))
+            and isinstance(psi, (int, float, complex))):
+        return _rho_terms(xi, psi, c2, f1)
+    try:
+        rho = _rho_terms(xi, psi, c2, f1)
+    except (ArithmeticError, ValueError):  # math's zero divisor or domain
+        rho = math.nan
+    if not cmath.isfinite(rho):
+        raise ValueError(f"rho is not finite at xi={xi!r}, psi={psi!r}")
+    return rho
+
+
+def _rho_terms(xi, psi, c2, f1):
+    """rho_raw's nine terms and gauge polynomial, unguarded."""
     chi = half_angle_tan(psi)
     chi2 = chi * chi
     x2 = xi * xi

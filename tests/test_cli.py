@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,14 @@ def read_csv(path):
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def flag_file(path, *lines) -> str:
+    """The argument @path, after writing lines, one argument each, to
+    the file at path."""
+    Path(path).write_text("".join(f"{line}\n" for line in lines),
+                          encoding="utf-8")
+    return f"@{path}"
 
 
 def test_trace_csv_is_bit_exact_against_library(tmp_path):
@@ -334,75 +343,72 @@ def test_verify_reports_a_nan_residual_as_a_failed_check(tmp_path,
 
 
 def test_config_file_supplies_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"span": 1.0, "chart": "cartesian"}))
+    # A flag file placed first gives defaults; a flag after it wins.
+    flags = flag_file(tmp_path / "flags", "--span", "1.0", "--chart=cartesian")
     out = tmp_path / "t.csv"
-    assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg),
-                   "--out", str(out)) == 0
+    assert run_cli("trace", flags, "--start", "1,0,0", "--out", str(out)) == 0
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["span"] == 1.0
-    # Explicit flags beat the config file.
-    assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg),
-                   "--span", "0.5", "--out", str(out)) == 0
+    assert run_cli("trace", flags, "--start", "1,0,0", "--span", "0.5",
+                   "--out", str(out)) == 0
     meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
     assert meta["span"] == 0.5
 
 
 def test_config_keys_the_subcommand_does_not_take_are_usage_errors(
         tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    # "c2" is a flag of rho only; "tole" is a typo of "tol".
-    cfg.write_text(json.dumps({"c2": 5, "tole": 1}))
-    assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg)) == 2
+    # "--c2" is a flag of rho only; "--tole" is a typo of "--tol".
+    flags = flag_file(tmp_path / "flags", "--c2", "5", "--tole=1")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("trace", "--start", "1,0,0", flags)
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "'c2'" in err and "'tole'" in err
+    assert "unrecognized arguments: --c2 5 --tole=1" in err
 
 
-@pytest.mark.parametrize("argv, config, flags", [
-    (("rho", "--grid", "2"), {"xi": [0.1, 0.5], "psi": ["0.5", 2]},
-     ("--xi=0.1,0.5", "--psi=0.5,2")),
-    (("reduce", "--target", "3"), {"start": [1, 0.7854]},
-     ("--start=1,0.7854",)),
+# A flag file lists the flags, comma-separated and repeatable ones too, as
+# the command line spells them, one argument per line.
+@pytest.mark.parametrize("argv, flags", [
+    (("rho", "--grid", "2"), ("--xi=0.1,0.5", "--psi=0.5,2")),
+    (("reduce", "--target", "3"), ("--start=1,0.7854",)),
     (("implicit", "--rmin", "1", "--rmax", "2", "--n", "3"),
-     {"start": [1, 0.5], "bracket": [0.3, 0.95]},
-     ("--start=1,0.5", "--bracket=0.3,0.95")),
-    (("field",), {"point": [[0, 0, 3], "1e-3,2,-1"]},
-     ("--point=0,0,3", "--point=1e-3,2,-1")),
-    (("field",), {"point": "1,2,3"}, ("--point=1,2,3",)),
-    (("verify",), {"only": "unit-norm"}, ("--only=unit-norm",)),
-    (("verify",), {"only": ["unit-norm", "turning-slope"]},
-     ("--only=unit-norm", "--only=turning-slope")),
+     ("--start=1,0.5", "--bracket", "0.3,0.95")),
+    (("field",), ("--point=0,0,3", "--point=1e-3,2,-1")),
+    (("field",), ("--point", "1,2,3")),
+    (("verify",), ("--only=unit-norm",)),
+    (("verify",), ("--only=unit-norm", "--only=turning-slope")),
+    (("trace",), ("--start=1,0,0", "--span", "2", "--dense=7", "--tol=1e-8")),
 ], ids=["rho-xi-psi", "reduce-start", "implicit-start-bracket",
         "field-points", "field-one-point", "verify-one-only",
-        "verify-only-list"])
-def test_config_lists_for_comma_flags(argv, config, flags, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    from_config, from_flags = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(*argv, "--config", str(cfg), "--out",
-                   str(from_config)) == 0
-    assert run_cli(*argv, *flags, "--out", str(from_flags)) == 0
-    assert from_config.read_bytes() == from_flags.read_bytes()
+        "verify-only-list", "trace-start-span-dense-tol"])
+def test_config_lists_for_comma_flags(argv, flags, tmp_path):
+    from_file, inline = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(*argv, flag_file(tmp_path / "flags", *flags), "--out",
+                   str(from_file)) == 0
+    assert run_cli(*argv, *flags, "--out", str(inline)) == 0
+    assert from_file.read_bytes() == inline.read_bytes()
+    meta = Path(f"{from_file}.meta.json")
+    if meta.exists():
+        assert meta.read_bytes() == Path(f"{inline}.meta.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv, config, message", [
-    (("rho", "--grid", "2"), {"xi": [0.1]}, "--xi: expected 2"),
-    (("rho", "--grid", "2"), {"psi": 0.5}, "--psi: expected 2"),
-    (("rho", "--grid", "2"), {"xi": {"lo": 0.1}}, "--xi: expected 2"),
-    (("reduce", "--target", "3"), {"start": [1, "x"]},
+# JSON pasted into a flag file is refused as the command line refuses it.
+@pytest.mark.parametrize("argv, flags, message", [
+    (("rho", "--grid", "2"), ("--xi=0.1",), "--xi: expected 2"),
+    (("rho", "--grid", "2"), ("--psi", "0.5"), "--psi: expected 2"),
+    (("rho", "--grid", "2"), ('--xi={"lo": 0.1}',), "--xi: expected 2"),
+    (("reduce", "--target", "3"), ("--start=1,x",),
      "--start: expected a number"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
-     {"bracket": [0.3, [0.9]]}, "--bracket: expected a number"),
+     ("--bracket=0.3,[0.9]",), "--bracket: expected a number"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
-     {"bracket": [0.3, 10 ** 400]}, "--bracket must be finite"),
-    (("field",), {"point": 5}, "--point: expected 3"),
+     (f"--bracket=0.3,{10 ** 400}",), "--bracket must be finite"),
+    (("field",), ("--point=5",), "--point: expected 3"),
 ], ids=["short-list", "number", "object", "word", "nested", "huge-int",
         "point-number"])
 def test_malformed_config_values_for_comma_flags_are_usage_errors(
-        argv, config, message, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli(*argv, "--config", str(cfg)) == 2
+        argv, flags, message, tmp_path, capsys):
+    assert run_cli(*argv, flag_file(tmp_path / "flags", *flags)) == 2
     assert message in capsys.readouterr().err
 
 
@@ -433,19 +439,11 @@ _COMMA_FLAGS = [
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_COMMA_FLAGS),
        values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                       | st.integers(), max_size=4),
-       as_config=st.booleans())
-def test_finite_comma_flag_values_run_or_exit_2(case, values, as_config):
+                       | st.integers(), max_size=4))
+def test_finite_comma_flag_values_run_or_exit_2(case, values):
     argv, flag = case
     with tempfile.TemporaryDirectory() as tmp:
-        # trace's --start is required on the command line.
-        if as_config and argv[0] != "trace":
-            cfg = os.path.join(tmp, "cfg.json")
-            with open(cfg, "w", encoding="ascii") as fh:
-                json.dump({flag: values}, fh)
-            argv += ("--config", cfg)
-        else:
-            argv += (f"--{flag}=" + ",".join(map(repr, values)),)
+        argv += (f"--{flag}=" + ",".join(map(repr, values)),)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run_cli(*argv, "--out", os.path.join(tmp, "o"))
@@ -466,32 +464,23 @@ _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
        c1=_ANY_FLOAT | st.floats(-10.0, 2.0),
        bracket=st.tuples(_ANY_FLOAT | st.floats(-0.1, 1.1),
                          _ANY_FLOAT | st.floats(-0.1, 1.1)),
-       n=st.integers(1, 8), as_config=st.booleans())
+       n=st.integers(1, 8))
 # H so small that z = sqrt(H) r / 2 is in the Bessel range while 4 + r^2
 # is not a float.
-@example(rmin=1e155, rmax=1e156, c1=-4.9, bracket=(1e-310, 1e-306), n=2,
-         as_config=False)
+@example(rmin=1e155, rmax=1e156, c1=-4.9, bracket=(1e-310, 1e-306), n=2)
 # Roots whose residual terms c1 (4 + r^2) I0 pass the float range.
-@example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8,
-         as_config=True)
+@example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8)
 # A scan point whose Bessel argument is the smallest subnormal.
 @example(rmin=4.2629375274477494e-216, rmax=0.0, c1=0.0,
-         bracket=(4.2629375274477494e-216, 1.0), n=1, as_config=False)
-def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
-                                              as_config):
+         bracket=(4.2629375274477494e-216, 1.0), n=1)
+def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n):
     values = {"rmin": rmin, "rmax": rmax, "c1": c1, "bracket": list(bracket),
               "n": n}
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["implicit", "--out", os.path.join(tmp, "o")]
-        if as_config:
-            cfg = os.path.join(tmp, "cfg.json")
-            with open(cfg, "w", encoding="ascii") as fh:
-                json.dump(values, fh)
-            argv += ["--config", cfg]
-        else:
-            argv += [f"--{flag}=" + (",".join(map(repr, value))
-                                     if flag == "bracket" else repr(value))
-                     for flag, value in values.items()]
+        argv += [f"--{flag}=" + (",".join(map(repr, value))
+                                 if flag == "bracket" else repr(value))
+                 for flag, value in values.items()]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -501,9 +490,6 @@ def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
             or (code == 1 and "found no roots" in message)), (code, message)
 
 
-_TRACE_FLAGS = ("span", "tol", "dense", "chart")
-
-
 @settings(max_examples=150, deadline=None)
 @given(start=st.tuples(*[_ANY_FLOAT | st.floats(-3.0, 3.0)
                          | st.floats(0.1, 3.0)] * 3),
@@ -511,29 +497,18 @@ _TRACE_FLAGS = ("span", "tol", "dense", "chart")
        tol=(_ANY_FLOAT | st.floats(1e-14, 1e-2)
             | st.sampled_from([1e-3, 1e-6, 1e-10])),
        dense=st.integers(0, 50),
-       chart=st.sampled_from(["cartesian", "spherical"]),
-       in_config=st.sets(st.sampled_from(_TRACE_FLAGS)))
+       chart=st.sampled_from(["cartesian", "spherical"]))
 # An escaping orbit whose state leaves the field's domain mid-run.
 @example(start=(1.0, 0.0, 0.0), span=1e300, tol=1e-3, dense=0,
-         chart="cartesian", in_config=set())
+         chart="cartesian")
 # An angle at the largest float, which the dense interpolant overflows.
 @example(start=(1.25, 0.0, 1.7976931348623157e308), span=1.0,
-         tol=0.0078125, dense=3, chart="spherical", in_config=set())
-def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
-                                          in_config):
-    values = {"span": span, "tol": tol, "dense": dense, "chart": chart}
+         tol=0.0078125, dense=3, chart="spherical")
+def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart):
     with tempfile.TemporaryDirectory() as tmp:
-        # --start is required on the command line.
         argv = ["trace", "--start=" + ",".join(map(repr, start)),
-                "--out", os.path.join(tmp, "o")]
-        argv += [f"--{flag}={values[flag]!r}" if flag != "chart"
-                 else f"--chart={chart}"
-                 for flag in _TRACE_FLAGS if flag not in in_config]
-        if in_config:
-            cfg = os.path.join(tmp, "cfg.json")
-            with open(cfg, "w", encoding="ascii") as fh:
-                json.dump({flag: values[flag] for flag in in_config}, fh)
-            argv += ["--config", cfg]
+                f"--span={span!r}", f"--tol={tol!r}", f"--dense={dense}",
+                f"--chart={chart}", "--out", os.path.join(tmp, "o")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -543,8 +518,8 @@ def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
         code, message)
 
 
-# A number flag's value as --config holds it: numbers finite or not,
-# their strings, other words, bools and lists.
+# A number flag's value, spelt on the command line by _as_flag: numbers
+# finite or not, their strings, other words, bools and lists.
 _NUMBER_VALUES = (st.floats() | st.integers(-10 ** 400, 10 ** 400)
                   | st.floats().map(repr)
                   | st.sampled_from(["nan", "-inf", "1e999", "x", "", "1,2"])
@@ -556,7 +531,7 @@ _NUMBER_FLAGS = {"rho": (("rho", "--grid", "2"), ("c2", "f1")),
 
 
 def _as_flag(value) -> str:
-    """A --config value as the command line would spell it."""
+    """value as the command line spells it."""
     if isinstance(value, str):
         return value
     if isinstance(value, list):
@@ -574,27 +549,17 @@ def _or_in(usual: st.SearchStrategy) -> st.SearchStrategy:
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(list(_NUMBER_FLAGS)),
        values=st.tuples(_or_in(st.floats(-5.0, 250.0)),
-                        _or_in(st.floats(1e-14, 1e-2))),
-       in_config=st.tuples(st.booleans(), st.booleans()))
-@example(command="rho", values=(math.nan, ()), in_config=(False, False))
-@example(command="rho", values=(True, [math.inf]), in_config=(True, True))
-@example(command="reduce", values=(200.0, 1e-14), in_config=(False, True))
-@example(command="reduce", values=(-1.0, "nan"), in_config=(True, False))
-def test_number_flags_run_or_exit_2(command, values, in_config):
+                        _or_in(st.floats(1e-14, 1e-2))))
+@example(command="rho", values=(math.nan, ()))
+@example(command="rho", values=(True, [math.inf]))
+@example(command="reduce", values=(200.0, 1e-14))
+@example(command="reduce", values=(-1.0, "nan"))
+def test_number_flags_run_or_exit_2(command, values):
     argv, flags = _NUMBER_FLAGS[command]
-    config = {}
     with tempfile.TemporaryDirectory() as tmp:
         argv += ("--out", os.path.join(tmp, "o"))
-        for flag, value, config_it in zip(flags, values, in_config):
-            if config_it:
-                config[flag] = value
-            else:
-                argv += (f"--{flag}={_as_flag(value)}",)
-        if config:
-            cfg = os.path.join(tmp, "cfg.json")
-            with open(cfg, "w", encoding="ascii") as fh:
-                json.dump(config, fh)
-            argv += ("--config", cfg)
+        argv += tuple(f"--{flag}={_as_flag(value)}"
+                      for flag, value in zip(flags, values))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -653,7 +618,7 @@ def test_rho_names_the_discriminant_root_it_divides_by_zero_at(tmp_path,
 
 def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
     # One parser serves every call in a process: repeated flags, and
-    # values a --config file gave, must not carry over to the next call.
+    # values a flag file gave, must not carry over to the next call.
     out = tmp_path / "o"
 
     def doc(*argv):
@@ -668,10 +633,9 @@ def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
     for only in ("unit-norm", "bessel-wronskian"):
         checks = doc("verify", "--only", only)["checks"]
         assert [c["name"] for c in checks] == [only]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"span": 0.5, "dense": 3, "tol": 1e-6}))
-    meta = doc("trace", "--start", "1,0,0", "--config", str(cfg),
-               "--format", "json")["meta"]
+    flags = flag_file(tmp_path / "flags", "--span=0.5", "--dense=3",
+                      "--tol=1e-6")
+    meta = doc("trace", flags, "--start", "1,0,0", "--format", "json")["meta"]
     assert (meta["span"], meta["dense_samples"], meta["rel_tol"]) == (
         0.5, 3, 1e-6)
     meta = doc("trace", "--start", "1,0,0", "--format", "json")["meta"]
@@ -680,9 +644,15 @@ def test_back_to_back_calls_leak_nothing_into_each_other(tmp_path):
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{not json")
-    assert run_cli("trace", "--start", "1,0,0", "--config", str(cfg)) == 2
+    # A line that is no flag of trace, and a flag file that is missing.
+    for flags in (flag_file(tmp_path / "bad", "{not json"),
+                  f"@{tmp_path / 'missing'}"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "--start", "1,0,0", flags)
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: {not json" in err
+    assert "missing" in err
 
 
 def test_unwritable_output_is_usage_error(tmp_path):
@@ -697,7 +667,8 @@ def test_non_finite_span_is_usage_error(span, capsys):
     assert "--span must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, config, message", [
+# Each case's flags, when given, are read from a flag file.
+@pytest.mark.parametrize("argv, flags, message", [
     (("reduce", "--start", "nan,0.7854", "--target", "3"), None,
      "--start must be finite"),
     (("reduce", "--start", "1,0.7854", "--target", "nan"), None,
@@ -709,31 +680,29 @@ def test_non_finite_span_is_usage_error(span, capsys):
     (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "2",
       "--bracket", "0.3,inf"), None, "--bracket must be finite"),
     (("implicit", "--start", "1,0.5", "--bracket", "0.3,0.9"),
-     {"rmin": 1.0, "rmax": "inf"}, "--rmax must be finite"),
+     ("--rmin=1.0", "--rmax=inf"), "--rmax must be finite"),
     (("rho", "--grid", "2", "--f1", "nan"), None, "--f1 must be finite"),
     (("rho", "--grid", "2", "--f1", "0.5,inf"), None, "--f1 must be finite"),
     (("rho", "--grid", "2", "--f1", "0.5,x"), None,
      "--f1: expected a number"),
-    (("rho", "--grid", "2"), {"f1": [0.25, math.inf]}, "--f1 must be finite"),
-    (("rho", "--grid", "2"), {"f1": "nan"}, "--f1 must be finite"),
+    (("rho", "--grid", "2"), ("--f1=0.25,inf",), "--f1 must be finite"),
+    (("rho", "--grid", "2"), ("--f1=nan",), "--f1 must be finite"),
     (("rho", "--grid", "2", "--c2", "nan"), None, "--c2 must be finite"),
     (("rho", "--grid", "2", "--c2", "inf"), None, "--c2 must be finite"),
-    (("rho", "--grid", "2"), {"c2": [1]}, "--c2: expected a number"),
-    (("trace", "--start", "1,0,0"), {"tol": [1]},
+    (("rho", "--grid", "2"), ("--c2=[1]",), "--c2: expected a number"),
+    (("trace", "--start", "1,0,0"), ("--tol=[1]",),
      "--tol: expected a number"),
-    (("reduce", "--start", "1,0.7854", "--target", "3"), {"tol": [1]},
+    (("reduce", "--start", "1,0.7854", "--target", "3"), ("--tol=[1]",),
      "--tol: expected a number"),
-    (("verify", "--only", "unit-norm"), {"tol": [1]},
+    (("verify", "--only", "unit-norm"), ("--tol=[1]",),
      "--tol (the tolerance scale): expected a number"),
-    (("trace", "--start", "1,0,0"), {"chart": 5},
-     "--chart: expected one of cartesian, spherical, got 5"),
-    (("trace", "--start", "1,0,0"), {"format": "xml"},
+    (("trace", "--start", "1,0,0"), ("--chart=5",),
+     "--chart: expected one of cartesian, spherical, got '5'"),
+    (("trace", "--start", "1,0,0"), ("--format=xml",),
      "--format: expected one of csv, json, got 'xml'"),
-    (("trace", "--start", "1,0,0"), {"span": True},
-     "--span: expected a number, got True"),
-    (("trace", "--start", "1,0,0"), {"out": 1},
-     "--out: expected a file path, got 1"),
-    (("verify",), {"only": [5]}, "--only: expected strings, got [5]"),
+    (("trace", "--start", "1,0,0"), ("--span=True",),
+     "--span: expected a number, got 'True'"),
+    (("verify",), ("--only=5",), "unknown checks: 5"),
     (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
       "--rmax", "2", "--bracket", "0.3,0.9"), None,
      "exactly one of --c1 and --start"),
@@ -741,7 +710,7 @@ def test_non_finite_span_is_usage_error(span, capsys):
      "--tol must lie in [1e-14, 1e-2), got 1e-15"),
     (("reduce", "--start", "1,0.7854", "--target", "3", "--tol", "0.5"), None,
      "--tol must lie in [1e-14, 1e-2), got 0.5"),
-    (("trace", "--start", "1,0,0"), {"tol": 0.01},
+    (("trace", "--start", "1,0,0"), ("--tol=0.01",),
      "--tol must lie in [1e-14, 1e-2), got 0.01"),
 ], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
         "implicit-bracket", "implicit-config-rmax", "rho-f1-nan",
@@ -750,21 +719,16 @@ def test_non_finite_span_is_usage_error(span, capsys):
         "rho-config-c2-list", "trace-config-tol-list",
         "reduce-config-tol-list", "verify-config-tol-list",
         "trace-config-chart-number", "trace-config-format-word",
-        "trace-config-span-bool", "trace-config-out-number",
-        "verify-config-only-number", "implicit-c1-and-start",
-        "trace-tol-range", "reduce-tol-range", "trace-config-tol-range"])
-def test_non_finite_input_is_usage_error(argv, config, message, tmp_path,
+        "trace-config-span-bool", "verify-config-only-number",
+        "implicit-c1-and-start", "trace-tol-range", "reduce-tol-range",
+        "trace-config-tol-range"])
+def test_non_finite_input_is_usage_error(argv, flags, message, tmp_path,
                                          capsys):
-    out = ()
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv += ("--config", str(cfg))
-    if "out" not in (config or {}):
-        out = ("--out", str(tmp_path / "o.csv"))
+    if flags is not None:
+        argv += (flag_file(tmp_path / "flags", *flags),)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run_cli(*argv, *out) == 2
+        assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     # Every value is read before any work: nothing is written.
@@ -811,7 +775,8 @@ def test_verify_rejects_bad_tol(tol, capsys):
 @pytest.mark.parametrize("argv", [
     ("trace", "--start", "1,0,0", "--c2", "1"),
     ("rho", "--grid", "2", "--tol", "1e-8"),
-], ids=["trace-c2", "rho-tol"])
+    ("trace", "--start", "1,0,0", "--config", "x.json"),
+], ids=["trace-c2", "rho-tol", "trace-config"])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
@@ -931,16 +896,13 @@ def _first_refused(flag: str) -> int:
     return n
 
 
-def _run_count(flag: str, value, as_config: bool, tmp: str):
-    """(exit code, stderr) of the flag's subcommand given value."""
+def _run_count(flag: str, value, from_file: bool, tmp: str):
+    """(exit code, stderr) of the flag's subcommand given value, on the
+    command line or from a flag file."""
     argv = [*_COUNT_FLAGS[flag][0], "--out", os.path.join(tmp, "o")]
-    if as_config:
-        cfg = os.path.join(tmp, "cfg.json")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            json.dump({flag: value}, fh)
-        argv += ["--config", cfg]
-    else:
-        argv.append(f"--{flag}={value}")
+    given = f"--{flag}={value}"
+    argv.append(flag_file(os.path.join(tmp, "flags"), given) if from_file
+                else given)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -959,17 +921,17 @@ def _run_count(flag: str, value, as_config: bool, tmp: str):
 def test_config_counts_must_be_integers(flag, value, tmp_path):
     code, err = _run_count(flag, value, True, str(tmp_path))
     assert code == 2
-    assert f"--{flag}: expected an integer count, got {value!r}" in err
+    assert f"--{flag}: expected an integer count, got {str(value)!r}" in err
 
 
 @pytest.mark.parametrize("flag", list(_COUNT_FLAGS))
-@pytest.mark.parametrize("as_config", [False, True])
-def test_oversized_outputs_are_refused_before_allocating(flag, as_config,
+@pytest.mark.parametrize("from_file", [False, True])
+def test_oversized_outputs_are_refused_before_allocating(flag, from_file,
                                                          tmp_path):
     n = _first_refused(flag)
     tracemalloc.start()
     try:
-        code, err = _run_count(flag, n, as_config, str(tmp_path))
+        code, err = _run_count(flag, n, from_file, str(tmp_path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -980,13 +942,8 @@ def test_oversized_outputs_are_refused_before_allocating(flag, as_config,
     assert not (tmp_path / "o").exists()
 
 
-def _expected_count(value, as_config: bool):
+def _expected_count(value):
     """The count a run reads from value, or None where it must refuse."""
-    if as_config and value is None:
-        return "default"
-    if as_config and not isinstance(value, str):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        return value if ok else None
     try:
         return int(str(value))
     except ValueError:
@@ -1003,19 +960,18 @@ _HUGE = st.integers(10 ** 5, 10 ** 30)
        value=(_SMALL | _HUGE | _SMALL.map(str) | _HUGE.map(str)
               | _SMALL.map(lambda n: f" {n}\t") | st.text(max_size=3)
               | st.floats() | st.booleans() | st.none()
-              | st.lists(_SMALL, max_size=2)),
-       as_config=st.booleans())
-@example(flag="grid", value=2.7, as_config=True)
-@example(flag="grid", value=True, as_config=True)
-@example(flag="dense", value=2.9, as_config=True)
-@example(flag="grid", value="1e9", as_config=False)
-def test_count_flags_run_or_exit_2(flag, value, as_config):
+              | st.lists(_SMALL, max_size=2)))
+@example(flag="grid", value=2.7)
+@example(flag="grid", value=True)
+@example(flag="dense", value=2.9)
+@example(flag="grid", value="1e9")
+def test_count_flags_run_or_exit_2(flag, value):
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _run_count(flag, value, as_config, tmp)
-    count = _expected_count(value, as_config)
+        code, err = _run_count(flag, value, False, tmp)
+    count = _expected_count(value)
     _, low, numbers = _COUNT_FLAGS[flag]
-    runs = count == "default" or (count is not None and count >= low
-                                  and numbers(count) <= cli.MAX_OUTPUT_NUMBERS)
+    runs = (count is not None and count >= low
+            and numbers(count) <= cli.MAX_OUTPUT_NUMBERS)
     assert code == (0 if runs else 2), (code, err)
     if code == 2:
         assert err.startswith(("hopf-flow: ", "usage: ")), err
@@ -1028,3 +984,20 @@ def test_reduce_and_implicit_meta_carry_no_form_key(tmp_path):
     assert "form" not in json.loads(Path(out + ".meta.json").read_text())
     assert run_cli(*_COUNT_FLAGS["n"][0], "--n", "3", "--out", out) == 0
     assert "form" not in json.loads(Path(out + ".meta.json").read_text())
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `hopf-flow` line in the sh block of the
+    README's "Command line" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hopf-flow ")]
+
+
+def test_the_readme_command_line_examples_run(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for k, argv in enumerate(commands):
+        assert run_cli(*argv, "--out", str(tmp_path / f"{k}")) == 0, argv

@@ -463,6 +463,36 @@ def test_a_float_pair_gives_a_finite_table_or_a_value_error(table_fn, xi,
         assert cmath.isfinite(table.rho)
 
 
+@pytest.mark.parametrize("xi, psi", [
+    (0.0, 0.0), (0j, 1.0), (1e-170 + 0j, 1.0), (0.5 + 0j, math.pi - 1e-9),
+    (2.0, 1.0), (1e60, 1.0),
+], ids=["zero", "complex-zero", "tiny", "psi-near-pi", "real-xi-past-disc",
+        "huge"])
+def test_rho_raw_refuses_a_number_pair_where_rho_is_not_finite(xi, psi):
+    # These raised ZeroDivisionError, a bare "math domain error" (a real xi
+    # where the discriminant is negative) or gave nan.
+    with pytest.raises(ValueError, match=re.escape(f"xi={xi!r}, psi={psi!r}")):
+        fi.rho_raw(xi, psi)
+
+
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+           | st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi=_NUMBER | st.floats(0.01, 10.0), psi=_NUMBER | _OPEN_PSI)
+@example(xi=0.0, psi=0.0)
+def test_rho_raw_on_numbers_is_finite_or_a_value_error(xi, psi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            rho = fi.rho_raw(xi, psi)
+        except ValueError as exc:
+            assert f"xi={xi!r}, psi={psi!r}" in str(exc)
+            return
+    assert cmath.isfinite(rho)
+
+
 def test_residuals_of_a_result_in_hand_keep_their_bits():
     # The battery forms these from one uv_table and one reconstruct_H,
     # each of which carries the points it was computed at.
