@@ -22,12 +22,11 @@ dual-vs-fd and branch-continuity, rho_table's u and rho_psi; the float
 path of the same functions is the bit-pinned reference that the tests
 compare those arrays against.
 
-The implicit relation is solved in as few calls as the walk allows:
+The implicit relation is solved in one call per check:
 implicit-inversion solves its three points in one solve_implicit call,
-and reduced-substitution walks its three curves outward from their
-anchors in rings, each ring (the radii the same number of steps out, on
-every curve) in one call with per-row constants and brackets, each
-bracket the one a radius-by-radius walk would give it.
+and reduced-substitution the 81 radii of its 27 triples on three curves
+in another, each row with its curve's constant and a bracket centred on
+the curve's tangent at its anchor.
 
 Where several checks read the same intermediate, one run_battery call
 computes it once and each check reads it from there: the 10x10
@@ -219,10 +218,8 @@ def _check_implicit_inversion():
     # (2, 0.45) etc. sit away from the turning locus H = (r^2+4)^2/(64 r^2),
     # where the level curve would be tangent and the root unbracketable.
     r, h = np.array([(2.0, 0.45), (1.5, 0.35), (4.0, 0.6)]).T
-    c = [reduced_system.implicit_constant(r_k, h_k).c_effective
-         for r_k, h_k in zip(r.tolist(), h.tolist())]
-    h_back = reduced_system.solve_implicit(np.array(c), r,
-                                           (h - 0.13, h + 0.21))
+    c = reduced_system.implicit_constant(r, h).c_effective
+    h_back = reduced_system.solve_implicit(c, r, (h - 0.13, h + 0.21))
     return (h_back - h) / h, {}
 
 
@@ -231,38 +228,24 @@ def _check_reduced_substitution():
     # feed each triple to the finite-difference substitution check.  Root
     # refinement is exact to 1e-12, so the FD error is set by the triple
     # half-width alone; anchors keep H well clear of the turning locus.
-    # Each curve walks outward from its anchor, each bracket centred on
-    # the H of the nearest radius already solved, which for the radii k
-    # steps out (ring k) is ring k - 1's on the same side: one
-    # solve_implicit call solves a ring of every curve.
-    anchors = ((1.2, 0.7), (2.5, 0.55), (4.0, 0.65))
+    # Each bracket is centred on its curve's tangent at the anchor, which
+    # stays within 0.061 of the curve over r0 +- 10%, half the bracket's
+    # half-width: one solve_implicit call solves every triple.
+    anchors = np.array([(1.2, 0.7), (2.5, 0.55), (4.0, 0.65)])
     delta = 1e-4
-    rings = 4  # steps out from each anchor, on either side
-    c1s = [reduced_system.implicit_constant(r0, h0).c_effective
-           for r0, h0 in anchors]
-    walks = [sorted(np.linspace(0.9 * r0, 1.1 * r0, 2 * rings + 1).tolist(),
-                    key=lambda r: abs(r - r0)) for r0, _ in anchors]
-    # Per curve: the H solved at each radius, and its triple's residual.
-    solved: list[dict[float, float]] = [{} for _ in anchors]
-    residuals: list[dict[float, float]] = [{} for _ in anchors]
-    for ring in range(rings + 1):
-        rows = []
-        for k, ((_, h0), walk) in enumerate(zip(anchors, walks)):
-            for r in walk[max(0, 2 * ring - 1):2 * ring + 1]:
-                near = (min(solved[k], key=lambda s: abs(s - r))
-                        if solved[k] else None)
-                h_mid = solved[k][near] if near is not None else h0
-                rows.append((k, r, c1s[k], max(0.01, h_mid - 0.12),
-                             min(0.9999, h_mid + 0.12)))
-        _, centre, c1, lo, hi = (np.repeat(col, 3) for col in zip(*rows))
-        triples = centre + np.tile([-delta, 0.0, delta], len(rows))
-        hs = reduced_system.solve_implicit(c1, triples, (lo, hi), n_scan=8)
-        for (k, r, *_), triple, h in zip(rows, triples.reshape(-1, 3),
-                                         hs.reshape(-1, 3)):
-            solved[k][r] = float(h[1])
-            residuals[k][r] = reduced_system.substitution_check(
-                triple, np.arcsin(np.sqrt(h)))
-    return [res[r] for res, walk in zip(residuals, walks) for r in walk], {
+    c1s = reduced_system.implicit_constant(*anchors.T).c_effective
+    rows = []  # (c1, r, lo, hi) of each radius of each triple
+    for (r0, h0), c1 in zip(anchors.tolist(), c1s.tolist()):
+        slope = reduced_system.h_rhs(r0, h0)
+        for r in np.linspace(0.9 * r0, 1.1 * r0, 9).tolist():
+            h_mid = h0 + slope * (r - r0)
+            rows += [(c1, r + step, max(0.01, h_mid - 0.12),
+                      min(0.9999, h_mid + 0.12))
+                     for step in (-delta, 0.0, delta)]
+    c1, radii, lo, hi = map(np.array, zip(*rows))
+    hs = reduced_system.solve_implicit(c1, radii, (lo, hi), n_scan=8)
+    return [reduced_system.substitution_check(triple, np.arcsin(np.sqrt(h)))
+            for triple, h in zip(radii.reshape(-1, 3), hs.reshape(-1, 3))], {
         "curves": len(anchors), "delta": delta}
 
 

@@ -208,6 +208,8 @@ def substitution_check(rs, psis) -> float:
     H-form folds there) and interior points of each piece are tested.
     Radii outside (0, 1e61] are refused, as the slopes refuse them, and so
     is a tested point whose three radii do not difference (two coincide).
+    The result is NaN when any tested point's residual is NaN: a NaN psi
+    at the point or a neighbour, or terms past the float range.
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
@@ -217,7 +219,7 @@ def substitution_check(rs, psis) -> float:
         _check_radius(r)
     hs = np.sin(psis) ** 2
     side = np.sign(psis - math.pi / 2.0)
-    worst = 0.0
+    residuals = []
     seg_start = 0
     boundaries = list(np.nonzero(side[1:] * side[:-1] < 0)[0] + 1) + [len(rs)]
     for seg_end in boundaries:
@@ -231,10 +233,13 @@ def substitution_check(rs, psis) -> float:
                                  f"got r={r_seg[i - 1:i + 2]!r}")
             dh = (hm * hm * h_seg[i + 1] + (hp * hp - hm * hm) * h_seg[i]
                   - hp * hp * h_seg[i - 1]) / (hp * hm * (hp + hm))
-            terms = h_residual_terms(r_seg[i], h_seg[i], dh)
-            worst = max(worst, relative_to_terms(terms))
+            residuals.append(relative_to_terms(
+                h_residual_terms(r_seg[i], h_seg[i], dh)))
         seg_start = seg_end
-    return worst
+    # max alone would keep its other argument over a NaN.
+    if any(map(math.isnan, residuals)):
+        return math.nan
+    return max(residuals, default=0.0)
 
 
 def _bessel_terms(r, h):

@@ -136,6 +136,8 @@ def test_A5_inversion_consistency():
             solved[r] = hs[1]
             res = reduced_system.substitution_check(
                 np.array([r - delta, r, r + delta]), np.arcsin(np.sqrt(hs)))
+            # max would keep segment_worst over a NaN.
+            assert math.isfinite(res), f"r={r} on the curve through {r0}"
             segment_worst = max(segment_worst, res)
         assert segment_worst <= 1e-6, f"curve through ({r0}, {h0})"
         worst = max(worst, segment_worst)

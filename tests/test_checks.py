@@ -216,48 +216,72 @@ def test_a_shared_computation_that_raises_leaves_nothing_behind(monkeypatch):
     assert checks.run_battery(only=names) == clean
 
 
-def _serial_substitution_walk():
-    """reduced-substitution's residuals from the walk test_A5 makes: one
-    radius at a time, outward from each anchor, each bracket centred on
-    the nearest radius already solved, one float solve per point."""
-    delta = 1e-4
-    residuals = []
-    for r0, h0 in ((1.2, 0.7), (2.5, 0.55), (4.0, 0.65)):
-        c1 = reduced_system.implicit_constant(r0, h0).c_effective
-        solved = {}
-        radii = np.linspace(0.9 * r0, 1.1 * r0, 9)
-        for r in sorted(map(float, radii), key=lambda r: abs(r - r0)):
-            near = min(solved, key=lambda s: abs(s - r)) if solved else None
-            h_mid = solved[near] if near is not None else h0
-            bracket = (max(0.01, h_mid - 0.12), min(0.9999, h_mid + 0.12))
-            hs = [reduced_system.solve_implicit(c1, rc, bracket, n_scan=8)
-                  for rc in (r - delta, r, r + delta)]
-            solved[r] = hs[1]
-            residuals.append(reduced_system.substitution_check(
-                np.array([r - delta, r, r + delta]), np.arcsin(np.sqrt(hs))))
-    return residuals
+def _spy_solve_implicit(monkeypatch):
+    """Record the H that every solve_implicit call returns."""
+    calls = []
+    solve = reduced_system.solve_implicit
+
+    def spied(*args, **kw):
+        calls.append(solve(*args, **kw))
+        return calls[-1]
+
+    monkeypatch.setattr(reduced_system, "solve_implicit", spied)
+    return calls
 
 
-def test_reduced_substitution_rings_give_the_serial_walks_bits():
+def test_reduced_substitution_gives_a_per_triple_loops_residuals(
+        monkeypatch):
+    # One float solve per radius, each bracket centred on the tangent of
+    # its curve at the anchor, as the one call's rows are.
+    calls = _spy_solve_implicit(monkeypatch)
     residuals, details = checks._check_reduced_substitution()
     assert details == {"curves": 3, "delta": 1e-4}
-    assert list(residuals) == _serial_substitution_walk()
+    (hs,) = calls
+    assert hs.shape == (81,) and np.isfinite(hs).all()
+    delta = 1e-4
+    loop = []
+    for r0, h0 in ((1.2, 0.7), (2.5, 0.55), (4.0, 0.65)):
+        c1 = reduced_system.implicit_constant(r0, h0).c_effective
+        slope = reduced_system.h_rhs(r0, h0)
+        for r in np.linspace(0.9 * r0, 1.1 * r0, 9).tolist():
+            h_mid = h0 + slope * (r - r0)
+            bracket = (max(0.01, h_mid - 0.12), min(0.9999, h_mid + 0.12))
+            triple = [r - delta, r, r + delta]
+            h = [reduced_system.solve_implicit(c1, rc, bracket, n_scan=8)
+                 for rc in triple]
+            loop.append(reduced_system.substitution_check(
+                triple, np.arcsin(np.sqrt(h))))
+    assert residuals == loop
     assert len(residuals) == 27 and 0.0 < max(residuals) <= 1e-6
 
 
-def test_battery_solves_the_implicit_relation_in_six_calls(monkeypatch):
-    # One call per continuation ring of reduced-substitution (the anchors,
-    # then 1..4 steps out) and one for implicit-inversion's three points.
-    rows = []
+def test_battery_solves_the_implicit_relation_in_two_calls(monkeypatch):
+    # implicit-inversion's three points, then reduced-substitution's 27
+    # radius triples, one call each.
+    calls = _spy_solve_implicit(monkeypatch)
+    doc = checks.run_battery()
+    assert doc["passed"] is True
+    assert [h.size for h in calls] == [3, 81]
+    assert all(np.isfinite(h).all() for h in calls)
+    (entry,) = [c for c in doc["checks"]
+                if c["name"] == "reduced-substitution"]
+    assert entry["details"]["warnings"] == []
+
+
+def test_reduced_substitution_fails_on_a_root_it_did_not_find(monkeypatch):
+    # One radius of one triple without a root (NaN, as solve_implicit
+    # gives a row it finds none in) is a NaN residual, not a pass.
     solve = reduced_system.solve_implicit
 
-    def counted(c, r, *args, **kw):
-        rows.append(np.size(r))
-        return solve(c, r, *args, **kw)
+    def missed(*args, **kw):
+        hs = solve(*args, **kw).copy()
+        hs[-1] = math.nan
+        return hs
 
-    monkeypatch.setattr(reduced_system, "solve_implicit", counted)
-    assert checks.run_battery()["passed"] is True
-    assert rows == [3, 9, 18, 18, 18, 18]
+    monkeypatch.setattr(reduced_system, "solve_implicit", missed)
+    rpt = checks.run_battery(only=["reduced-substitution"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["details"]["non_finite"] == 1
 
 
 def test_reduced_substitution_fails_on_a_planted_h_fault(monkeypatch):

@@ -9,6 +9,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hopf_flow import integrator
 from hopf_flow import reduced_system as rs
@@ -464,7 +466,7 @@ def test_substitution_check_on_tightly_sampled_solution():
     # Implicitly solved H at radius triples; FD truncation stays below
     # the acceptance tolerance because the triples are tight.
     delta = 1e-4
-    worst = 0.0
+    residuals = []
     for r0, h0 in ((1.2, 0.7), (2.5, 0.55)):
         c = rs.implicit_constant(r0, h0).c_effective
         for r in np.linspace(0.92 * r0, 1.08 * r0, 5):
@@ -472,10 +474,93 @@ def test_substitution_check_on_tightly_sampled_solution():
             hs = [rs.solve_implicit(c, float(rc), bracket, n_scan=8)
                   for rc in (r - delta, r, r + delta)]
             psis = np.arcsin(np.sqrt(hs))
-            worst = max(worst, rs.substitution_check(
+            residuals.append(rs.substitution_check(
                 np.array([r - delta, r, r + delta]), psis))
-    print(f"substitution residual {worst:.3e}")
-    assert worst <= 1e-6
+    print(f"substitution residual {max(residuals):.3e}")
+    assert all(map(math.isfinite, residuals))
+    assert max(residuals) <= 1e-6
+
+
+@pytest.mark.parametrize("radii, psis", [
+    ([1.0, 1.1, 1.2], [math.nan] * 3),
+    ([1.0, 1.1, 1.2], [0.8, math.nan, 0.9]),
+    ([1.0, 1.1, 1.2, 1.3], [0.8, 0.85, 0.9, math.nan]),
+], ids=["all-nan", "tested-point-nan", "end-point-nan"])
+def test_substitution_check_is_nan_where_a_tested_point_is(radii, psis):
+    # Each returned 0.0 or the finite points' worst: max dropped the NaN.
+    assert math.isnan(rs.substitution_check(radii, psis))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _near_a_curve(r0, h0, ratio, *ends):
+    """(c_effective, r, *ends): the constant of the curve through (r0, h0)
+    at a radius near r0."""
+    return (rs.implicit_constant(r0, h0).c_effective, r0 * ratio, *ends)
+
+
+# (c_effective, r, bracket end, bracket end)
+_SOLVE_ROW = st.builds(_near_a_curve, st.floats(0.05, 12.0),
+                       st.floats(0.01, 1.0), st.floats(0.8, 1.25),
+                       st.floats(0.0, 1.0), st.floats(0.0, 1.0)) | st.tuples(
+    _FINITE, _FINITE, _FINITE, _FINITE)
+
+
+@settings(max_examples=60, deadline=5000)
+@given(rows=st.lists(_SOLVE_ROW, min_size=1, max_size=40),
+       n_scan=st.sampled_from([2, 8, 64]))
+def test_an_array_solve_is_each_rows_float_solve(rows, n_scan):
+    rows = [(c, r, *sorted(ends)) for c, r, *ends in rows]
+    assume(all(lo < hi for *_, lo, hi in rows))
+    singles = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        for c, r, lo, hi in rows:
+            try:
+                singles.append(rs.solve_implicit(c, r, (lo, hi), n_scan))
+            except ValueError:
+                singles.append(math.nan)
+        several = len(caught)
+        caught.clear()
+        c, r, lo, hi = (np.array(col) for col in zip(*rows))
+        batch = rs.solve_implicit(c, r, (lo, hi), n_scan)
+    assert np.array_equal(batch, singles, equal_nan=True)
+    # One warning counts the rows whose float solve warned.
+    assert len(caught) == (several > 0)
+    assert all(str(w.message).startswith(f"{several} of {len(rows)} radii")
+               for w in caught)
+
+
+_RADIUS = st.floats(min_value=0.0, max_value=rs._R_MAX, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(points=st.lists(st.tuples(_RADIUS | st.floats(0.5, 8.0),
+                                 _FINITE | st.floats(0.0, math.pi)),
+                       min_size=3, max_size=8, unique_by=lambda p: p[0]))
+@example(points=[(5e-324, 0.1), (1e-323, 0.5), (1.0, 1.0)])  # dH/dr = inf
+def test_substitution_check_is_nan_only_where_terms_are_not_finite(points):
+    radii, psis = (list(col) for col in zip(*points))
+    tested = []
+    terms_of = rs.h_residual_terms
+
+    def recorded(*args):
+        tested.append(terms_of(*args))
+        return tested[-1]
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("error")
+        mp.setattr(rs, "h_residual_terms", recorded)
+        try:
+            worst = rs.substitution_check(radii, psis)
+        except ValueError as exc:
+            assert "got r=" in str(exc)
+            return
+    assert type(worst) is float
+    assert math.isnan(worst) == any(not math.isfinite(t)
+                                    for terms in tested for t in terms)
 
 
 def test_substitution_check_input_validation():
