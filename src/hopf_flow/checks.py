@@ -405,7 +405,9 @@ def _check_integrator_order():
     for rt in (1e-6, 1e-8, 1e-10, 1e-12):
         traj = integrate(fields.cartesian_ode, y0, span, rel_tol=rt)
         err = math.dist(traj.y_end, ref)
-        if err > 0.0:
+        # An exact end point has no logarithm; a NaN one is kept, and
+        # fails the fit.
+        if err != 0.0:
             hs.append(span[1] / traj.naccept)
             errs.append(err)
     slope = _fit_slope(list(map(math.log, hs)), list(map(math.log, errs)))

@@ -14,22 +14,21 @@ rho       tabulate the closed-form generating function and its PDE
 verify    run the full check battery and emit one JSON document.
 
 Every subcommand takes --out, a file to write instead of stdout; all
-but verify take --format csv|json.  Beyond its own flags, --tol (the
-integration rel_tol, in [1e-14, 1e-2)) goes to trace and reduce and
-scales the check tolerances for verify; --c2, --f1 and --grid go to rho
-alone.  A subcommand refuses any flag it does not read.  An argument
+but verify take --format csv|json.  `hopf-flow SUBCOMMAND --help` lists
+a subcommand's flags, marks the required ones and gives every other
+flag's default; the parser refuses a missing required flag, and any
+flag the subcommand does not read, with exit 2 naming it.  An argument
 @FILE stands for the arguments in FILE, one per line, so a flag file
 placed first gives defaults that later flags override (a repeatable
 flag adds to them); any argument that starts with @ names such a file.
-Each flag has one reader, and a subcommand reads every value before it
-does any work: a number must be finite, a choice one of its words, a
-count an integer whose output stays within MAX_OUTPUT_NUMBERS, or the
-run exits 2 naming the flag.  Numbers in CSV carry 17 significant
-digits, so re-parsing reproduces every float bit-exactly.  Exit codes:
-0 all good, 1 check or runtime failure, 2 usage error.
-
-Defaults: rel_tol 1e-10 (abs_tol follows at 1e-2 of it), c2 = 1,
-F1 = 0, grids 20x20.
+Each flag has one reader, which parses the given value or the parser's
+default string, and a subcommand reads every value before it does any
+work: a number must be finite, a choice one of its words, a count an
+integer whose output stays within MAX_OUTPUT_NUMBERS, or the run exits
+2 naming the flag.  A subcommand returns its (header, rows, meta), and
+`main` writes them to the (--out, --format) sink.  Numbers in CSV carry
+17 significant digits, so re-parsing reproduces every float bit-exactly.
+Exit codes: 0 all good, 1 check or runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ import math
 import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
-
-# trace's and reduce's integration rel_tol when --tol is unset.
-_REL_TOL = 1e-10
 
 _USAGE_ERROR = 2
 _CHECK_ERROR = 1
@@ -93,18 +89,18 @@ def write_csv(path: str | None, header: Sequence[str],
                      % tuple(itertools.chain.from_iterable(block)))
 
 
-def _emit(sink: tuple[str | None, str], header: Sequence[str],
-          rows: Sequence[Sequence[float]], meta) -> None:
-    """rows of floats to the (--out, --format) sink: as CSV (with a
-    .meta.json sidecar when writing to a file) or as one JSON document."""
-    out, fmt = sink
-    if fmt == "json":
-        _write_json(out, {"header": list(header), "rows": rows,
-                          "meta": meta})
-    else:
+def _emit(out: str | None, fmt: str, header: Sequence[str] | None,
+          rows: Sequence[Sequence[float]] | None, meta: dict) -> None:
+    """A subcommand's result to the (--out, --format) sink: rows of floats
+    as CSV (with a .meta.json sidecar when writing to a file) or as one
+    JSON document; verify's report, which has no rows, is its meta."""
+    if fmt == "csv":
         write_csv(out, header, rows)
         if out is not None:
             _write_json(out + ".meta.json", meta)
+    else:
+        _write_json(out, meta if header is None else
+                    {"header": list(header), "rows": rows, "meta": meta})
 
 
 def _number(raw: str, what: str) -> float:
@@ -128,55 +124,38 @@ def _floats(raw: str, what: str, n: int | None = None) -> tuple[float, ...]:
     return tuple(_number(p, what) for p in parts)
 
 
-def _finite(ns, flag: str, default: float | None = None) -> float | None:
-    """The scalar flag --<flag> as a finite float; `default` when it is
-    unset."""
-    raw = getattr(ns, flag)
-    return default if raw is None else _number(raw, f"--{flag}")
-
-
-def _rel_tol(ns) -> float:
+def _rel_tol(raw: str) -> float:
     """--tol of trace and reduce as the integration rel_tol: a finite
-    float in the range `integrate` takes; _REL_TOL when it is unset."""
+    float in the range `integrate` takes."""
     from .integrator import check_rel_tol
 
-    rel_tol = _finite(ns, "tol", _REL_TOL)
+    rel_tol = _number(raw, "--tol")
     check_rel_tol(rel_tol, "--tol")
     return rel_tol
 
 
-def _choice(ns, flag: str, words: Sequence[str]) -> str:
-    """The flag --<flag> as one of words; the first of them when it is
-    unset."""
-    raw = getattr(ns, flag)
-    if raw is None:
-        return words[0]
+def _choice(raw: str, what: str, words: Sequence[str]) -> str:
+    """raw as one of words; a ValueError naming `what` otherwise."""
     if raw not in words:
-        raise ValueError(f"--{flag}: expected one of {', '.join(words)}, "
+        raise ValueError(f"{what}: expected one of {', '.join(words)}, "
                          f"got {raw!r}")
     return raw
 
 
-def _sink(ns) -> tuple[str | None, str]:
-    """The (--out, --format) pair that _emit writes to."""
-    return ns.out, _choice(ns, "format", ("csv", "json"))
-
-
-def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
-           default: int | None = None) -> int:
-    """The count flag --<flag> (`default` when unset) as an integer, at
-    least `least`, whose output of numbers(count) numbers stays within
-    MAX_OUTPUT_NUMBERS.  A ValueError naming the flag otherwise."""
-    raw = getattr(ns, flag)
+def _count(raw: str, what: str, least: int,
+           numbers: Callable[[int], int]) -> int:
+    """raw as an integer count, at least `least`, whose output of
+    numbers(count) numbers stays within MAX_OUTPUT_NUMBERS.  A ValueError
+    naming `what` otherwise."""
     try:
-        count = default if raw is None else int(raw)
+        count = int(raw)
     except ValueError:
-        raise ValueError(f"--{flag}: expected an integer count, "
+        raise ValueError(f"{what}: expected an integer count, "
                          f"got {raw!r}") from None
     if count < least:
-        raise ValueError(f"--{flag} must be at least {least}")
+        raise ValueError(f"{what} must be at least {least}")
     if numbers(count) > MAX_OUTPUT_NUMBERS:
-        raise ValueError(f"--{flag} {count} asks for {numbers(count)} "
+        raise ValueError(f"{what} {count} asks for {numbers(count)} "
                          f"numbers, more than the {MAX_OUTPUT_NUMBERS} one "
                          f"output may hold")
     return count
@@ -185,17 +164,16 @@ def _count(ns, flag: str, least: int, numbers: Callable[[int], int],
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_trace(ns) -> int:
+def cmd_trace(ns) -> tuple:
     from . import fields
     from .integrator import integrate
 
-    sink = _sink(ns)
     start = _floats(ns.start, "--start", 3)
-    span = _finite(ns, "span", 10.0)
-    rel_tol = _rel_tol(ns)
-    chart = _choice(ns, "chart", ("cartesian", "spherical"))
+    span = _number(ns.span, "--span")
+    rel_tol = _rel_tol(ns.tol)
+    chart = _choice(ns.chart, "--chart", ("cartesian", "spherical"))
     # A dense row is t and three coordinates.
-    dense = _count(ns, "dense", 0, lambda n: n * 4, default=0)
+    dense = _count(ns.dense, "--dense", 0, lambda n: n * 4)
     if chart == "spherical":
         r, phi, psi = start
         if r <= 0.0:
@@ -226,9 +204,11 @@ def cmd_trace(ns) -> int:
         if not np.isfinite(samples).all():
             raise ValueError("--dense samples between the integrator's "
                              "nodes leave the float range")
-        # No time between nodes is a node's time, so the order is unique.
+        # Rows run in the direction of travel, as the nodes do.  No time
+        # between nodes is a node's time, so the order is unique.
+        sign = math.copysign(1.0, span)
         rows = sorted(rows + np.column_stack([between, samples]).tolist(),
-                      key=lambda row: row[0])
+                      key=lambda row: sign * row[0])
     meta = {
         "chart": chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
@@ -236,14 +216,12 @@ def cmd_trace(ns) -> int:
         "stop_reason": traj.stop_reason, "rel_tol": traj.rel_tol,
         "abs_tol": traj.abs_tol, "dense_samples": dense,
     }
-    _emit(sink, header, rows, meta)
-    return 0
+    return header, rows, meta
 
 
-def cmd_field(ns) -> int:
+def cmd_field(ns) -> tuple:
     from . import fields
 
-    sink = _sink(ns)
     if ns.point is not None:
         points = [_floats(p, "--point", 3) for p in ns.point]
     else:
@@ -257,23 +235,19 @@ def cmd_field(ns) -> int:
         rates = fields.derived_rates(p)
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
-    _emit(sink, header, rows, {"points": len(rows)})
-    return 0
+    return header, rows, {"points": len(rows)}
 
 
-def cmd_reduce(ns) -> int:
+def cmd_reduce(ns) -> tuple:
     import numpy as np
 
     from . import reduced_system
 
-    sink = _sink(ns)
-    if ns.start is None or ns.target is None:
-        raise ValueError("reduce needs --start r0,psi0 and --target r1")
     r0, psi0 = _floats(ns.start, "--start", 2)
-    target = _finite(ns, "target")
-    if not target > 0.0:
-        raise ValueError(f"--target must be positive, got {target!r}")
-    rel_tol = _rel_tol(ns)
+    reduced_system.check_radius(r0, "--start r0")
+    target = _number(ns.target, "--target")
+    reduced_system.check_radius(target, "--target")
+    rel_tol = _rel_tol(ns.tol)
     curve = reduced_system.trace_reduced(r0, psi0, target, rel_tol=rel_tol)
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     # No constant within 1e-10 of H = 0 or of the H = 1 fold.
@@ -293,30 +267,21 @@ def cmd_reduce(ns) -> int:
         "accepted_steps": sum(seg.naccept for seg in curve.segments),
         "rejected_steps": sum(seg.nreject for seg in curve.segments),
     }
-    _emit(sink, header, rows.tolist(), meta)
-    return 0
+    return header, rows.tolist(), meta
 
 
-def cmd_implicit(ns) -> int:
+def cmd_implicit(ns) -> tuple:
     import numpy as np
 
     from . import reduced_system
 
-    sink = _sink(ns)
-    if ns.bracket is None:
-        raise ValueError("implicit needs --bracket lo,hi (an H bracket for "
-                         "the root solve)")
-    if (ns.c1 is None) == (ns.start is None):
-        raise ValueError("implicit needs exactly one of --c1 and --start "
-                         "r0,h0")
-    if ns.rmin is None or ns.rmax is None:
-        raise ValueError("implicit needs --rmin and --rmax for the sweep")
     bracket = _floats(ns.bracket, "--bracket", 2)
-    c1 = _finite(ns, "c1")
+    # The parser gives exactly one of --c1 and --start.
+    c1 = None if ns.c1 is None else _number(ns.c1, "--c1")
     start = None if ns.start is None else _floats(ns.start, "--start", 2)
     header = ["r", "H", "resid"]
-    n = _count(ns, "n", 1, lambda n: n * len(header), default=25)
-    r_lo, r_hi = _finite(ns, "rmin"), _finite(ns, "rmax")
+    n = _count(ns.n, "--n", 1, lambda n: n * len(header))
+    r_lo, r_hi = _number(ns.rmin, "--rmin"), _number(ns.rmax, "--rmax")
     c_eff = (c1 if start is None
              else reduced_system.implicit_constant(*start).c_effective)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,25 +297,21 @@ def cmd_implicit(ns) -> int:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
     meta = {"c_effective": c_eff, "rows": len(rows), "solved": solved}
-    _emit(sink, header, rows.tolist(), meta)
-    return 0
+    return header, rows.tolist(), meta
 
 
-def cmd_rho(ns) -> int:
+def cmd_rho(ns) -> tuple:
     import numpy as np
 
     from . import first_integral
 
-    sink = _sink(ns)
-    xi_lo, xi_hi = (_floats(ns.xi, "--xi", 2) if ns.xi is not None
-                    else (0.12, 0.72))
-    psi_lo, psi_hi = (_floats(ns.psi, "--psi", 2) if ns.psi is not None
-                      else (0.3, math.pi - 0.3))
+    xi_lo, xi_hi = _floats(ns.xi, "--xi", 2)
+    psi_lo, psi_hi = _floats(ns.psi, "--psi", 2)
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
-    n = _count(ns, "grid", 1, lambda n: n * n * len(header), default=20)
+    n = _count(ns.grid, "--grid", 1, lambda n: n * n * len(header))
     f1 = () if ns.f1 is None else _floats(ns.f1, "--f1")
-    c2 = _finite(ns, "c2", 1.0)
+    c2 = _number(ns.c2, "--c2")
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
     # Rows run xi outer, psi inner.  log(tan(psi/2)) of half_angle_tan on
@@ -397,18 +358,14 @@ def cmd_rho(ns) -> int:
         table.pde_parametric])
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
             "xi_range": [xi_lo, xi_hi], "psi_range": [psi_lo, psi_hi]}
-    _emit(sink, header, rows.tolist(), meta)
-    return 0
+    return header, rows.tolist(), meta
 
 
-def cmd_verify(ns) -> int:
+def cmd_verify(ns) -> tuple:
     from . import checks
 
-    tol_scale = (1.0 if ns.tol is None
-                 else _number(ns.tol, "--tol (the tolerance scale)"))
-    doc = checks.run_battery(only=ns.only, tol_scale=tol_scale)
-    _write_json(ns.out, doc)
-    return 0 if doc["passed"] else _CHECK_ERROR
+    tol_scale = _number(ns.tol, "--tol (the tolerance scale)")
+    return None, None, checks.run_battery(only=ns.only, tol_scale=tol_scale)
 
 
 # -- parser -------------------------------------------------------------------
@@ -417,63 +374,77 @@ def cmd_verify(ns) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing reads
-    it and leaves it unchanged, so every `main` call shares it."""
+    it and leaves it unchanged, so every `main` call shares it.  It holds
+    each subcommand's contract: its flags, which of them are required, and
+    the default string of every other that its reader parses."""
     parser = argparse.ArgumentParser(
         prog="hopf-flow", fromfile_prefix_chars="@",
         description="Numerical laboratory for the unit-speed flow induced "
                     "by the Hopf fibration and its first integrals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, fmt: bool = True) -> None:
+    def command(name: str, summary: str, *, fmt: bool = True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", help="output path (default stdout)")
         if fmt:
-            p.add_argument("--format", help="csv (default) or json")
+            p.add_argument("--format", default="csv",
+                           help="csv or json (default %(default)s)")
+        else:  # the report is always JSON
+            p.set_defaults(format="json")
+        return p
 
-    p_trace = sub.add_parser("trace", help="integrate the flow")
-    common(p_trace)
-    p_trace.add_argument("--tol", help="integration rel_tol")
-    p_trace.add_argument("--start", required=True,
-                         help="x,y,z (or r,phi,psi with --chart spherical)")
-    p_trace.add_argument("--span")
-    p_trace.add_argument("--chart", help="cartesian (default) or spherical")
-    p_trace.add_argument("--dense",
-                         help="additional uniformly spaced output samples")
+    p = command("trace", "integrate the flow")
+    p.add_argument("--tol", default="1e-10",
+                   help="integration rel_tol (default %(default)s)")
+    p.add_argument("--start", required=True,
+                   help="x,y,z (or r,phi,psi with --chart spherical)")
+    p.add_argument("--span", default="10",
+                   help="time span (default %(default)s)")
+    p.add_argument("--chart", default="cartesian",
+                   help="cartesian or spherical (default %(default)s)")
+    p.add_argument("--dense", default="0", help="additional uniformly "
+                   "spaced output samples (default %(default)s)")
 
-    p_field = sub.add_parser("field", help="probe the velocity field")
-    common(p_field)
-    p_field.add_argument("--point", action="append",
-                         help="x,y,z probe (repeatable)")
+    p = command("field", "probe the velocity field")
+    p.add_argument("--point", action="append",
+                   help="x,y,z probe (repeatable; default five built-in "
+                        "probes)")
 
-    p_reduce = sub.add_parser("reduce", help="trace the reduced (r,H) curve")
-    common(p_reduce)
-    p_reduce.add_argument("--tol", help="integration rel_tol")
-    p_reduce.add_argument("--start", help="r0,psi0")
-    p_reduce.add_argument("--target", help="target radius")
+    p = command("reduce", "trace the reduced (r,H) curve")
+    p.add_argument("--tol", default="1e-10",
+                   help="integration rel_tol (default %(default)s)")
+    p.add_argument("--start", required=True, help="r0,psi0")
+    p.add_argument("--target", required=True, help="target radius")
 
-    p_impl = sub.add_parser("implicit",
-                            help="solve the implicit Bessel relation over r")
-    common(p_impl)
-    p_impl.add_argument("--c1", help="effective constant")
-    p_impl.add_argument("--start", help="r0,h0 fixing the constant instead")
-    p_impl.add_argument("--rmin")
-    p_impl.add_argument("--rmax")
-    p_impl.add_argument("--n", help="sweep points (default 25)")
-    p_impl.add_argument("--bracket", help="H bracket lo,hi for the root solve")
+    p = command("implicit", "solve the implicit Bessel relation over r")
+    constant = p.add_mutually_exclusive_group(required=True)
+    constant.add_argument("--c1", help="effective constant")
+    constant.add_argument("--start", help="r0,h0 fixing the constant")
+    p.add_argument("--rmin", required=True, help="first sweep radius")
+    p.add_argument("--rmax", required=True, help="last sweep radius")
+    p.add_argument("--n", default="25",
+                   help="sweep points (default %(default)s)")
+    p.add_argument("--bracket", required=True,
+                   help="H bracket lo,hi for the root solve")
 
-    p_rho = sub.add_parser("rho", help="tabulate the generating function")
-    common(p_rho)
-    p_rho.add_argument("--c2", help="first-integral slope c2")
-    p_rho.add_argument("--f1", help="comma-separated ascending F1 coefficients")
-    p_rho.add_argument("--grid", help="points per grid axis (default 20)")
-    p_rho.add_argument("--xi", help="xi range lo,hi")
-    p_rho.add_argument("--psi", help="psi range lo,hi")
+    p = command("rho", "tabulate the generating function")
+    p.add_argument("--c2", default="1",
+                   help="first-integral slope c2 (default %(default)s)")
+    p.add_argument("--f1", help="comma-separated ascending F1 coefficients "
+                                "(default none)")
+    p.add_argument("--grid", default="20",
+                   help="points per grid axis (default %(default)s)")
+    p.add_argument("--xi", default="0.12,0.72",
+                   help="xi range lo,hi (default %(default)s)")
+    p.add_argument("--psi", default="0.3,2.8415926535897933",
+                   help="psi range lo,hi (default %(default)s: 0.3 to "
+                        "pi - 0.3)")
 
-    p_verify = sub.add_parser("verify", help="run the check battery")
-    common(p_verify, fmt=False)  # the report is always JSON
-    p_verify.add_argument("--tol",
-                          help="scale applied to every check tolerance")
-    p_verify.add_argument("--only", action="append",
-                          help="run only this check (repeatable)")
+    p = command("verify", "run the check battery", fmt=False)
+    p.add_argument("--tol", default="1", help="scale applied to every check "
+                   "tolerance (default %(default)s)")
+    p.add_argument("--only", action="append",
+                   help="run only this check (repeatable; default all)")
     return parser
 
 
@@ -488,16 +459,19 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[ns.command](ns)
+        fmt = _choice(ns.format, "--format", ("csv", "json"))
+        header, rows, meta = _DISPATCH[ns.command](ns)
+        _emit(ns.out, fmt, header, rows, meta)
     except (ValueError, OSError) as exc:
         print(f"hopf-flow: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (RuntimeError, ArithmeticError) as exc:
         print(f"hopf-flow: {exc}", file=sys.stderr)
         return _CHECK_ERROR
+    # Only verify's report says whether it passed.
+    return 0 if meta.get("passed", True) else _CHECK_ERROR
 
 
 if __name__ == "__main__":

@@ -46,19 +46,19 @@ def relative_to_terms(terms: Sequence) -> float | np.ndarray:
     Terms are numbers or broadcastable arrays; arrays give the ratio
     elementwise.  The terms are summed one after another in list order,
     as `sum` does, so scalar terms give a float with the same bits.  The
-    ratio is 0 where every term is 0.
+    ratio is 0 where every term is 0, and NaN where a term is NaN.
     """
     terms = list(terms)
     total = terms[0]
     for t in terms[1:]:
         total = total + t
     mags = [abs(t) for t in terms]
-    if not any(isinstance(m, np.ndarray) for m in mags):
-        scale = max(mags)
-        return 0.0 if scale == 0.0 else abs(total) / scale
-    scale = np.maximum.reduce(np.broadcast_arrays(*mags))
     # Where scale is 0 every term, and so the sum, is 0: dividing by 1
-    # gives that 0 without a 0/0.
+    # gives that 0 without a 0/0.  A NaN term makes the sum NaN, whichever
+    # magnitude the builtin max keeps.
+    if not any(isinstance(m, np.ndarray) for m in mags):
+        return abs(total) / (max(mags) or 1.0)
+    scale = np.maximum.reduce(np.broadcast_arrays(*mags))
     return abs(total) / np.where(scale == 0.0, 1.0, scale)
 
 

@@ -190,6 +190,13 @@ def default_probes() -> list[tuple[float, float, float]]:
     return probes
 
 
+def _nan_max(values) -> float:
+    """The largest of values, or NaN where one is NaN: the builtin max
+    keeps a NaN only in first place."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def pushforward_sign() -> SignReport:
     """Measure the orientation factor between the two presentations.
 
@@ -197,9 +204,9 @@ def pushforward_sign() -> SignReport:
     Cartesian velocity is compared against the spherical right-hand side
     at the image point under both candidate signs; one sign must win
     everywhere.  Every probe is scored under the sign most probes pick
-    (-1 on a tie), and the worst relative mismatch is reported.
-    Disagreement between probes yields an inconsistency report, not an
-    exception.
+    (-1 on a tie), and the worst relative mismatch is reported (NaN when
+    a probe's rates are).  Disagreement between probes yields an
+    inconsistency report, not an exception.
     """
     probes = default_probes()
     # Per probe, the mismatch under sigma = +1 and under sigma = -1.
@@ -207,12 +214,13 @@ def pushforward_sign() -> SignReport:
     for p in probes:
         push = _pushforward_rates(p)
         sph = spherical_ode(0.0, to_spherical(p))
-        scale = max(map(abs, push + sph))
+        # A NaN rate makes the scale, and so both scores, NaN.
+        scale = _nan_max(map(abs, push + sph))
         scores.append((max(abs(a - b) for a, b in zip(push, sph)) / scale,
                        max(abs(a + b) for a, b in zip(push, sph)) / scale))
     n_plus = sum(p < m for p, m in scores)
     sigma = 1 if 2 * n_plus > len(scores) else -1
-    worst = max(m if sigma < 0 else p for p, m in scores)
+    worst = _nan_max(m if sigma < 0 else p for p, m in scores)
     consistent = n_plus in (0, len(scores))
     return SignReport(sigma=sigma if consistent else 0, max_residual=worst,
                       samples=len(probes), consistent=consistent)

@@ -320,20 +320,18 @@ class Trajectory:
         import numpy as np
 
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        forward = self.ts[-1] >= self.ts[0]
-        ts = self.ts if forward else self.ts[::-1]
-        lo, hi = ts[0], ts[-1]
-        pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
-        if np.any(t_arr < lo - pad) or np.any(t_arr > hi + pad):
+        # Times signed by the direction of travel ascend along the rows.
+        sign = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        keys, key = sign * self.ts, sign * t_arr
+        pad = 1e-9 * (1.0 + abs(keys[0]) + abs(keys[-1]))
+        if np.any(key < keys[0] - pad) or np.any(key > keys[-1] + pad):
             raise ValueError("sample time outside the integrated span")
         if len(self.ts) == 1:
             out = np.repeat(self.ys[:1], len(t_arr), axis=0)
             return out if np.ndim(t) else out[0]
         # The step that starts at t when t is a row's time.
-        i = np.clip(np.searchsorted(ts, t_arr, side="right" if forward
-                                    else "left") - 1, 0, len(ts) - 2)
-        if not forward:
-            i = len(self.ts) - 2 - i
+        i = np.clip(np.searchsorted(keys, key, side="right") - 1, 0,
+                    len(keys) - 2)
         th = ((t_arr - self.ts[i]) / self.steps[i])[:, None]
         out = _interpolant(th, self.ys[i], *self.dense[i].transpose(1, 0, 2))
         return out if np.ndim(t) else out[0]

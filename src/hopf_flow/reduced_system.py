@@ -131,16 +131,17 @@ class ReducedCurve:
     stop_note: str = ""
 
 
-def _check_radius(r: float) -> None:
-    """Raise ValueError, naming r, unless 0 < r <= _R_MAX."""
+def check_radius(r: float, what: str = "r") -> None:
+    """Raise ValueError, naming `what`, unless 0 < r <= 1e61, the radii
+    every function here takes."""
     if not 0.0 < r <= _R_MAX:
-        raise ValueError(f"need 0 < r <= {_R_MAX!r}, got r={r!r}")
+        raise ValueError(f"need 0 < r <= {_R_MAX!r}, got {what}={r!r}")
 
 
 def turning_locus(r: float) -> float:
     """H value at which the dH/dr coefficient vanishes for this r; at
     r <= 2^-513, where 64 r^2 <= 2^-1020, it is past the float range."""
-    _check_radius(r)
+    check_radius(r)
     if not r > 2.0 ** -513:
         raise ValueError(f"need r > 2^-513 for a finite locus, got r={r!r}")
     return (r * r + 4.0) ** 2 / (64.0 * r * r)
@@ -148,7 +149,7 @@ def turning_locus(r: float) -> float:
 
 def psi_rhs(r: float, psi: float) -> float:
     """dpsi/dr of the reduced scalar ODE."""
-    _check_radius(r)
+    check_radius(r)
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     c2 = cos_psi * cos_psi
     rr = r * r
@@ -175,7 +176,7 @@ def _dh_dr(r, y):
 
 def h_rhs(r: float, h: float) -> float:
     """dH/dr of the reduced ODE under H = sin(psi)^2."""
-    _check_radius(r)
+    check_radius(r)
     rr = r * r
     q = rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0
     scale = r * (rr * rr + 8.0 * rr + 16.0)
@@ -216,7 +217,7 @@ def substitution_check(rs, psis) -> float:
     if rs.shape != psis.shape or rs.ndim != 1 or len(rs) < 3:
         raise ValueError("need matching 1-d arrays of length >= 3")
     for r in rs.tolist():
-        _check_radius(r)
+        check_radius(r)
     hs = np.sin(psis) ** 2
     side = np.sign(psis - math.pi / 2.0)
     residuals = []
@@ -347,8 +348,8 @@ def trace_h(r0: float, h0: float, r1: float,
     """
     if not 0.0 <= h0 <= 1.0:
         raise ValueError(f"need 0 <= h0 <= 1, got h0={h0!r}")
-    _check_radius(r0)
-    _check_radius(r1)
+    check_radius(r0)
+    check_radius(r1)
     events = (
         _turning_guard_event(r0, h0),
         Event(fn=lambda r, y: y[0] - 1.0, direction=1, name="h-ceiling"),
@@ -580,8 +581,10 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
     out, counts = bracketed_roots(gap, h_lo, h_hi, n_scan, 1e-12)
     if all(np.ndim(x) == 0 for x in inputs):
         if not counts[0]:
-            raise _no_root_error(float(targets[0]), float(rs[0]),
-                                 np.linspace(h_lo[0], h_hi[0], n_scan + 1))
+            # The scan points, inf or NaN where the width overflows.
+            with np.errstate(over="ignore", invalid="ignore"):
+                scan = np.linspace(h_lo[0], h_hi[0], n_scan + 1)
+            raise _no_root_error(float(targets[0]), float(rs[0]), scan)
         if counts[0] > 1:
             warnings.warn(f"{counts[0]} roots in bracket; returning the "
                           f"one nearest the midpoint", stacklevel=2)

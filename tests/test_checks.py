@@ -371,6 +371,40 @@ def test_integrator_order_fails_on_a_planted_third_order_error(monkeypatch):
     assert rpt["details"]["slope"] < 3.5
 
 
+def test_integrator_order_fails_on_a_planted_nan_end_point(monkeypatch):
+    # A NaN end point is no exact one: the fit keeps it and fails.
+    run = checks.integrate
+
+    def nan_end(fn, y0, span, rel_tol):
+        traj = run(fn, y0, span, rel_tol=rel_tol)
+        if rel_tol == 1e-8:
+            traj.ys[-1, 0] = math.nan
+        return traj
+
+    monkeypatch.setattr(checks, "integrate", nan_end)
+    rpt = checks.run_battery(only=["integrator-order"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert len(rpt["details"]["errors"]) == 4
+    assert math.isnan(rpt["details"]["slope"])
+
+
+def test_pushforward_sign_fails_on_a_planted_nan_probe(monkeypatch):
+    # One probe's spherical rate NaN, in a component the builtin max
+    # would pass over: the report's worst mismatch is NaN.
+    field = fields.spherical_ode
+    probe = fields.to_spherical(fields.default_probes()[3])
+
+    def one_nan(t, s):
+        v = field(t, s)
+        return (v[0], math.nan, v[2]) if tuple(s) == tuple(probe) else v
+
+    monkeypatch.setattr(fields, "spherical_ode", one_nan)
+    assert math.isnan(fields.pushforward_sign().max_residual)
+    rpt = checks.run_battery(only=["pushforward-sign"])["checks"][0]
+    assert rpt["verdict"] == "fail"
+    assert rpt["details"]["non_finite"] == 1
+
+
 def test_pushforward_sign_fails_when_the_probes_disagree(monkeypatch):
     # The spherical field negated where phi > 0: each probe still fits one
     # sign, but not the one most probes pick, and shows its mismatch.

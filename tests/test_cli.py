@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, numeric round-trips."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -41,6 +43,22 @@ def flag_file(path, *lines) -> str:
     Path(path).write_text("".join(f"{line}\n" for line in lines),
                           encoding="utf-8")
     return f"@{path}"
+
+
+@contextlib.contextmanager
+def several_roots_recorded():
+    """Records the warnings raised within, a RuntimeWarning raising, and
+    asserts that each is the one an implicit sweep may raise: radii with
+    several roots in the bracket."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+    for w in caught:
+        assert w.category is UserWarning
+        assert re.fullmatch(r"\d+ of \d+ radii have several roots in the "
+                            r"bracket; returning the one nearest the "
+                            r"midpoint", str(w.message)), str(w.message)
 
 
 def test_trace_csv_is_bit_exact_against_library(tmp_path):
@@ -202,6 +220,20 @@ def test_reduce_meta_carries_work_counters(tmp_path):
     assert meta["rhs_evaluations"] > 6 * meta["accepted_steps"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--start", "1,0.7854", "--target", "1e62"),
+     "hopf-flow: need 0 < r <= 1e+61, got --target=1e+62"),
+    (("--start", "1e62,0.7854", "--target", "2"),
+     "hopf-flow: need 0 < r <= 1e+61, got --start r0=1e+62"),
+    (("--start", "1,0.7854", "--target=-1"),
+     "hopf-flow: need 0 < r <= 1e+61, got --target=-1.0"),
+], ids=["target", "start", "negative-target"])
+def test_reduce_names_the_flag_of_a_radius_out_of_range(argv, message,
+                                                        capsys):
+    assert run_cli("reduce", *argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_trace_reports_an_exhausted_step_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", 10)
     out = tmp_path / "t.csv"
@@ -246,9 +278,64 @@ def test_implicit_residual_of_a_constant_near_the_float_range(tmp_path):
 
 
 def test_implicit_requires_bracket(tmp_path, capsys):
-    assert run_cli("implicit", "--start", "1,0.5", "--rmin", "1",
-                   "--rmax", "2") == 2
-    assert "bracket" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "2")
+    assert exc.value.code == 2
+    assert ("hopf-flow implicit: error: the following arguments are "
+            "required: --bracket") in capsys.readouterr().err
+
+
+# The parser holds each subcommand's contract: a missing required flag, or
+# both or neither of implicit's --c1 and --start, exits 2 naming them.
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--span", "1"), "the following arguments are required: "
+     "--start"),
+    (("reduce", "--start", "1,0.7854"), "the following arguments are "
+     "required: --target"),
+    (("reduce",), "the following arguments are required: --start, --target"),
+    (("implicit", "--start", "1,0.5", "--bracket", "0.3,0.9"),
+     "the following arguments are required: --rmin, --rmax"),
+    (("implicit", "--rmin", "1", "--rmax", "2", "--bracket", "0.3,0.9"),
+     "one of the arguments --c1 --start is required"),
+    (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
+      "--rmax", "2", "--bracket", "0.3,0.9"),
+     "argument --start: not allowed with argument --c1"),
+], ids=["trace-start", "reduce-target", "reduce-both", "implicit-radii",
+        "implicit-neither-constant", "implicit-both-constants"])
+def test_the_parser_refuses_a_missing_required_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+# Each subcommand's flags, as `--help` lists them.
+_FLAGS = {
+    "trace": {"--out", "--format", "--tol", "--start", "--span", "--chart",
+              "--dense"},
+    "field": {"--out", "--format", "--point"},
+    "reduce": {"--out", "--format", "--tol", "--start", "--target"},
+    "implicit": {"--out", "--format", "--c1", "--start", "--rmin", "--rmax",
+                 "--n", "--bracket"},
+    "rho": {"--out", "--format", "--c2", "--f1", "--grid", "--xi", "--psi"},
+    "verify": {"--out", "--tol", "--only"},
+}
+
+
+def test_each_subcommand_takes_its_flags_and_help_states_the_defaults():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_FLAGS)
+    for name, parser in commands.items():
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--") and s != "--help"}
+        assert flags == _FLAGS[name], name
+        text = " ".join(parser.format_help().split())
+        for action in parser._actions:
+            if action.option_strings[0] != "-h" and action.default:
+                assert f"(default {action.default}" in text, (name, action)
 
 
 def test_implicit_sweep_matches_traced_curve(tmp_path):
@@ -445,7 +532,7 @@ def test_finite_comma_flag_values_run_or_exit_2(case, values):
     with tempfile.TemporaryDirectory() as tmp:
         argv += (f"--{flag}=" + ",".join(map(repr, values)),)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), several_roots_recorded():
             code = run_cli(*argv, "--out", os.path.join(tmp, "o"))
     # An implicit sweep whose well-formed bracket holds no root anywhere
     # is a runtime failure by design (exit 1).
@@ -482,8 +569,7 @@ def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n):
                                  if flag == "bracket" else repr(value))
                  for flag, value in values.items()]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stderr(err), several_roots_recorded():
             code = run_cli(*argv)
     message = err.getvalue()
     assert (code == 0 or (code == 2 and message.startswith("hopf-flow: "))
@@ -504,18 +590,33 @@ def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n):
 # An angle at the largest float, which the dense interpolant overflows.
 @example(start=(1.25, 0.0, 1.7976931348623157e308), span=1.0,
          tol=0.0078125, dense=3, chart="spherical")
+# A backward span, whose rows run from t = 0 down.
+@example(start=(1.0, 0.0, 0.0), span=-2.0, tol=1e-10, dense=4,
+         chart="cartesian")
 def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart):
+    argv = ["trace", "--start=" + ",".join(map(repr, start)),
+            f"--span={span!r}", f"--tol={tol!r}", f"--chart={chart}"]
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["trace", "--start=" + ",".join(map(repr, start)),
-                f"--span={span!r}", f"--tol={tol!r}", f"--dense={dense}",
-                f"--chart={chart}", "--out", os.path.join(tmp, "o")]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run_cli(*argv)
-    message = err.getvalue()
-    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")), (
-        code, message)
+        runs = []
+        for count in dict.fromkeys([dense, 0]):
+            out = os.path.join(tmp, f"o{count}")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run_cli(*argv, f"--dense={count}", "--out", out)
+            message = err.getvalue()
+            assert code == 0 or (code == 2
+                                 and message.startswith("hopf-flow: ")), (
+                code, message)
+            if code != 0:
+                return
+            runs.append(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2))
+    # Rows run in the direction of travel, and the node rows are the
+    # --dense 0 rows.
+    rows, nodes = runs[0], runs[-1]
+    assert np.all(np.diff(math.copysign(1.0, span) * rows[:, 0]) > 0)
+    on_node = np.isin(rows[:, 0], nodes[:, 0])
+    assert rows[on_node].tobytes() == nodes.tobytes()
 
 
 # A number flag's value, spelt on the command line by _as_flag: numbers
@@ -554,6 +655,8 @@ def _or_in(usual: st.SearchStrategy) -> st.SearchStrategy:
 @example(command="rho", values=(True, [math.inf]))
 @example(command="reduce", values=(200.0, 1e-14))
 @example(command="reduce", values=(-1.0, "nan"))
+# Past reduced_system's radius bound of 1e61.
+@example(command="reduce", values=(1.0000000000000001e+61, 1e-10))
 def test_number_flags_run_or_exit_2(command, values):
     argv, flags = _NUMBER_FLAGS[command]
     with tempfile.TemporaryDirectory() as tmp:
@@ -705,7 +808,7 @@ def test_non_finite_span_is_usage_error(span, capsys):
     (("verify",), ("--only=5",), "unknown checks: 5"),
     (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
       "--rmax", "2", "--bracket", "0.3,0.9"), None,
-     "exactly one of --c1 and --start"),
+     "argument --start: not allowed with argument --c1"),
     (("trace", "--start", "1,0,0", "--tol", "1e-15"), None,
      "--tol must lie in [1e-14, 1e-2), got 1e-15"),
     (("reduce", "--start", "1,0.7854", "--target", "3", "--tol", "0.5"), None,
@@ -728,7 +831,11 @@ def test_non_finite_input_is_usage_error(argv, flags, message, tmp_path,
         argv += (flag_file(tmp_path / "flags", *flags),)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run_cli(*argv, "--out", str(tmp_path / "o.csv")) == 2
+        try:
+            code = run_cli(*argv, "--out", str(tmp_path / "o.csv"))
+        except SystemExit as exc:  # the parser refuses the flags
+            code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert message in captured.err
     # Every value is read before any work: nothing is written.
@@ -904,10 +1011,8 @@ def _run_count(flag: str, value, from_file: bool, tmp: str):
     argv.append(flag_file(os.path.join(tmp, "flags"), given) if from_file
                 else given)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        # A few radii of the implicit sweep have two roots in the bracket.
-        warnings.filterwarnings("ignore", r"\d+ of \d+ radii have several")
+    # A few radii of the implicit sweep have two roots in the bracket.
+    with contextlib.redirect_stderr(err), several_roots_recorded():
         try:
             code = run_cli(*argv)
         except SystemExit as exc:  # argparse refuses a flag's value

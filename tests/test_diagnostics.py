@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopf_flow.diagnostics import bracketed_roots, relative_to_terms, summarize
 
@@ -70,6 +72,31 @@ def test_relative_to_terms_is_elementwise_on_arrays():
     got = relative_to_terms(terms)
     want = [relative_to_terms([t[k] if np.ndim(t) else t for t in terms])
             for k in range(3)]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_relative_to_terms_keeps_a_nan_term_on_floats():
+    # The builtin max keeps 0.0 over a later NaN; the ratio stays NaN.
+    assert math.isnan(relative_to_terms([0.0, math.nan]))
+    assert math.isnan(relative_to_terms([math.nan, 0.0]))
+    assert math.isnan(relative_to_terms([0.0, math.inf]))
+
+
+# Any float, the zeros and the non-finite ones drawn often.
+_TERM = st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]) \
+    | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_TERM, min_size=n, max_size=n), min_size=1, max_size=4)))
+@example(rows=[[0.0], [math.nan]])
+def test_relative_to_terms_on_floats_is_the_array_path_elementwise(rows):
+    # rows[k] holds term k at every element, NaN and inf included.
+    with np.errstate(all="ignore"):
+        got = relative_to_terms([np.array(row) for row in rows])
+    want = [relative_to_terms([row[j] for row in rows])
+            for j in range(len(rows[0]))]
     np.testing.assert_array_equal(got, want)
 
 

@@ -510,6 +510,9 @@ _SOLVE_ROW = st.builds(_near_a_curve, st.floats(0.05, 12.0),
 @settings(max_examples=60, deadline=5000)
 @given(rows=st.lists(_SOLVE_ROW, min_size=1, max_size=40),
        n_scan=st.sampled_from([2, 8, 64]))
+# A bracket whose width overflows, refused as holding no root.
+@example(rows=[(0.0, 0.0, 1.7976931348623157e308, -9.9792015476736e291)],
+         n_scan=2)
 def test_an_array_solve_is_each_rows_float_solve(rows, n_scan):
     rows = [(c, r, *sorted(ends)) for c, r, *ends in rows]
     assume(all(lo < hi for *_, lo, hi in rows))
