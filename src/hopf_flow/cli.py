@@ -16,19 +16,21 @@ verify    run the full check battery and emit one JSON document.
 Every subcommand takes --out, a file to write instead of stdout; all
 but verify take --format csv|json.  `hopf-flow SUBCOMMAND --help` lists
 a subcommand's flags, marks the required ones and gives every other
-flag's default; the parser refuses a missing required flag, and any
-flag the subcommand does not read, with exit 2 naming it.  An argument
-@FILE stands for the arguments in FILE, one per line, so a flag file
-placed first gives defaults that later flags override (a repeatable
-flag adds to them); any argument that starts with @ names such a file.
-Each flag has one reader, which parses the given value or the parser's
-default string, and a subcommand reads every value before it does any
-work: a number must be finite, a choice one of its words, a count an
-integer whose output stays within MAX_OUTPUT_NUMBERS, or the run exits
-2 naming the flag.  A subcommand returns its (header, rows, meta), and
-`main` writes them to the (--out, --format) sink.  Numbers in CSV carry
-17 significant digits, so re-parsing reproduces every float bit-exactly.
-Exit codes: 0 all good, 1 check or runtime failure, 2 usage error.
+flag's default.  An argument @FILE stands for the arguments in FILE, one
+per line, so a flag file placed first gives defaults that later flags
+override (a repeatable flag adds to them); any argument that starts with
+@ names such a file.  The parser reads each value, given or default,
+with the flag's one reader before any work (a number must be finite, a
+count an integer whose output stays within MAX_OUTPUT_NUMBERS) and
+refuses a bad one with "hopf-flow SUBCOMMAND: error: argument --FLAG:
+...", as it refuses a missing or unknown flag.  What spans flags or
+needs computing (a spherical start, the radii, --psi's ends, rho's
+overflow) the subcommand refuses with "hopf-flow: ...", naming the flag.  It
+returns its (header, rows, meta), and `main` writes them to the (--out,
+--format) sink.  Numbers in CSV carry 17 significant digits, so
+re-parsing reproduces every float bit-exactly.  `main` returns the exit
+code and raises no SystemExit: 0 all good (--help too), 1 check or
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import itertools
 import json
 import math
 import sys
+from argparse import ArgumentTypeError
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -89,76 +92,76 @@ def write_csv(path: str | None, header: Sequence[str],
                      % tuple(itertools.chain.from_iterable(block)))
 
 
-def _emit(out: str | None, fmt: str, header: Sequence[str] | None,
-          rows: Sequence[Sequence[float]] | None, meta: dict) -> None:
-    """A subcommand's result to the (--out, --format) sink: rows of floats
-    as CSV (with a .meta.json sidecar when writing to a file) or as one
-    JSON document; verify's report, which has no rows, is its meta."""
-    if fmt == "csv":
-        write_csv(out, header, rows)
-        if out is not None:
-            _write_json(out + ".meta.json", meta)
-    else:
-        _write_json(out, meta if header is None else
-                    {"header": list(header), "rows": rows, "meta": meta})
-
-
-def _number(raw: str, what: str) -> float:
-    """raw as a finite float; a ValueError naming `what` otherwise."""
+def _number(raw: str) -> float:
+    """raw as a finite float."""
     try:
         val = float(raw)
     except ValueError:
-        raise ValueError(f"{what}: expected a number, got {raw!r}") from None
+        raise ArgumentTypeError(f"expected a number, got {raw!r}") from None
     if not math.isfinite(val):
-        raise ValueError(f"{what} must be finite, got {raw!r}")
+        raise ArgumentTypeError(f"must be finite, got {raw!r}")
     return val
 
 
-def _floats(raw: str, what: str, n: int | None = None) -> tuple[float, ...]:
-    """Finite floats, n of them when n is given, from a comma-separated
-    string; a ValueError naming `what` otherwise."""
+def _floats(raw: str, n: int | None = None) -> tuple[float, ...]:
+    """Finite floats from a comma-separated string, n of them if given."""
     parts = raw.split(",")
     if n is not None and len(parts) != n:
-        raise ValueError(f"{what}: expected {n} comma-separated numbers, "
-                         f"got {raw!r}")
-    return tuple(_number(p, what) for p in parts)
+        raise ArgumentTypeError(
+            f"expected {n} comma-separated numbers, got {raw!r}")
+    return tuple(map(_number, parts))
 
 
 def _rel_tol(raw: str) -> float:
-    """--tol of trace and reduce as the integration rel_tol: a finite
-    float in the range `integrate` takes."""
+    """--tol of trace and reduce: a rel_tol that `integrate` takes."""
     from .integrator import check_rel_tol
 
-    rel_tol = _number(raw, "--tol")
-    check_rel_tol(rel_tol, "--tol")
+    rel_tol = _number(raw)
+    try:
+        check_rel_tol(rel_tol)
+    except ValueError as exc:
+        raise ArgumentTypeError(str(exc)) from None
     return rel_tol
 
 
-def _choice(raw: str, what: str, words: Sequence[str]) -> str:
-    """raw as one of words; a ValueError naming `what` otherwise."""
-    if raw not in words:
-        raise ValueError(f"{what}: expected one of {', '.join(words)}, "
-                         f"got {raw!r}")
+def _tol_scale(raw: str) -> float:
+    """--tol of verify, the scale on every check tolerance: finite, > 0."""
+    scale = _number(raw)
+    if not scale > 0.0:
+        raise ArgumentTypeError(
+            f"the tolerance scale must be positive, got {raw!r}")
+    return scale
+
+
+def _check_name(raw: str) -> str:
+    """--only of verify: the name of a check in the battery."""
+    from .checks import CHECK_NAMES
+
+    if raw not in CHECK_NAMES:
+        raise ArgumentTypeError(
+            f"unknown check {raw!r}; known: {', '.join(CHECK_NAMES)}")
     return raw
 
 
-def _count(raw: str, what: str, least: int,
-           numbers: Callable[[int], int]) -> int:
-    """raw as an integer count, at least `least`, whose output of
-    numbers(count) numbers stays within MAX_OUTPUT_NUMBERS.  A ValueError
-    naming `what` otherwise."""
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"{what}: expected an integer count, "
-                         f"got {raw!r}") from None
-    if count < least:
-        raise ValueError(f"{what} must be at least {least}")
-    if numbers(count) > MAX_OUTPUT_NUMBERS:
-        raise ValueError(f"{what} {count} asks for {numbers(count)} "
-                         f"numbers, more than the {MAX_OUTPUT_NUMBERS} one "
-                         f"output may hold")
-    return count
+def _count(least: int, numbers: Callable[[int], int]) -> Callable[[str], int]:
+    """The reader of a count: an integer, at least `least`, whose output
+    of numbers(count) = rows x columns numbers stays within
+    MAX_OUTPUT_NUMBERS (a trace row has 4 columns, a sweep's 3, a grid
+    point's 11)."""
+    def read(raw: str) -> int:
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ArgumentTypeError(
+                f"expected an integer count, got {raw!r}") from None
+        if count < least:
+            raise ArgumentTypeError(f"must be at least {least}, got {count}")
+        if numbers(count) > MAX_OUTPUT_NUMBERS:
+            raise ArgumentTypeError(
+                f"{count} asks for {numbers(count)} numbers, more than the "
+                f"{MAX_OUTPUT_NUMBERS} one output may hold")
+        return count
+    return read
 
 
 # -- subcommands --------------------------------------------------------------
@@ -168,25 +171,21 @@ def cmd_trace(ns) -> tuple:
     from . import fields
     from .integrator import integrate
 
-    start = _floats(ns.start, "--start", 3)
-    span = _number(ns.span, "--span")
-    rel_tol = _rel_tol(ns.tol)
-    chart = _choice(ns.chart, "--chart", ("cartesian", "spherical"))
-    # A dense row is t and three coordinates.
-    dense = _count(ns.dense, "--dense", 0, lambda n: n * 4)
-    if chart == "spherical":
-        r, phi, psi = start
+    span, dense = ns.span, ns.dense
+    if ns.chart == "spherical":
+        r, phi, psi = ns.start
         if r <= 0.0:
-            raise ValueError("spherical start needs r > 0")
+            raise ValueError(f"--start needs r > 0 in the spherical chart, "
+                             f"got r={r!r}")
         if abs(math.sin(psi)) < fields.SIN_PSI_FLOOR:
-            raise ValueError("start lies on the z-axis where the spherical "
+            raise ValueError("--start lies on the z-axis where the spherical "
                              "chart is singular; use the cartesian chart")
         ode = fields.spherical_ode
         header = ["t", "r", "phi", "psi"]
     else:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
-    traj = integrate(ode, start, (0.0, span), rel_tol=rel_tol)
+    traj = integrate(ode, ns.start, (0.0, span), rel_tol=ns.tol)
     # The accepted rows as they are, (t, *y) from the run's flat buffers
     # (the interpolant returns a node's own state there); only dense times
     # between nodes are sampled.
@@ -210,7 +209,7 @@ def cmd_trace(ns) -> tuple:
         rows = sorted(rows + np.column_stack([between, samples]).tolist(),
                       key=lambda row: sign * row[0])
     meta = {
-        "chart": chart, "span": span, "t_end": traj.t_end,
+        "chart": ns.chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
         "rejected_steps": int(traj.nreject), "rhs_evaluations": int(traj.nfev),
         "stop_reason": traj.stop_reason, "rel_tol": traj.rel_tol,
@@ -222,11 +221,8 @@ def cmd_trace(ns) -> tuple:
 def cmd_field(ns) -> tuple:
     from . import fields
 
-    if ns.point is not None:
-        points = [_floats(p, "--point", 3) for p in ns.point]
-    else:
-        points = [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, -1.2, 2.0),
-                  (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
+    points = ns.point or [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, -1.2, 2.0),
+                          (3.0, 0.2, -0.4), (-2.0, 1.0, 0.3)]
     header = ["x", "y", "z", "vx", "vy", "vz", "norm",
               "rate_arctan", "rate_r2"]
     rows = []
@@ -243,12 +239,13 @@ def cmd_reduce(ns) -> tuple:
 
     from . import reduced_system
 
-    r0, psi0 = _floats(ns.start, "--start", 2)
+    r0, psi0 = ns.start
     reduced_system.check_radius(r0, "--start r0")
-    target = _number(ns.target, "--target")
-    reduced_system.check_radius(target, "--target")
-    rel_tol = _rel_tol(ns.tol)
-    curve = reduced_system.trace_reduced(r0, psi0, target, rel_tol=rel_tol)
+    if not 0.0 < psi0 < math.pi:
+        raise ValueError(f"--start psi0 must lie in (0, pi), got {psi0!r}")
+    reduced_system.check_radius(ns.target, "--target")
+    curve = reduced_system.trace_reduced(r0, psi0, ns.target,
+                                         rel_tol=ns.tol)
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     # No constant within 1e-10 of H = 0 or of the H = 1 fold.
     hs = np.where((curve.hs > 1e-10) & (curve.hs < 1.0 - 1e-10), curve.hs,
@@ -275,21 +272,13 @@ def cmd_implicit(ns) -> tuple:
 
     from . import reduced_system
 
-    bracket = _floats(ns.bracket, "--bracket", 2)
+    reduced_system.check_radius(ns.rmin, "--rmin")
+    reduced_system.check_radius(ns.rmax, "--rmax")
     # The parser gives exactly one of --c1 and --start.
-    c1 = None if ns.c1 is None else _number(ns.c1, "--c1")
-    start = None if ns.start is None else _floats(ns.start, "--start", 2)
-    header = ["r", "H", "resid"]
-    n = _count(ns.n, "--n", 1, lambda n: n * len(header))
-    r_lo, r_hi = _number(ns.rmin, "--rmin"), _number(ns.rmax, "--rmax")
-    c_eff = (c1 if start is None
-             else reduced_system.implicit_constant(*start).c_effective)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rs = np.linspace(r_lo, r_hi, n)
-    if not np.isfinite(rs).all():
-        raise ValueError(f"--rmin {r_lo!r} to --rmax {r_hi!r} in {n} radii "
-                         f"leaves the float range")
-    hs = reduced_system.solve_implicit(c_eff, rs, (bracket[0], bracket[1]))
+    c_eff = (ns.c1 if ns.start is None
+             else reduced_system.implicit_constant(*ns.start).c_effective)
+    rs = np.linspace(ns.rmin, ns.rmax, ns.n)
+    hs = reduced_system.solve_implicit(c_eff, rs, ns.bracket)
     resids = reduced_system.implicit_residual(c_eff, rs, hs)
     rows = np.column_stack([rs, hs, resids])
     solved = int(np.count_nonzero(np.isfinite(hs)))
@@ -297,7 +286,7 @@ def cmd_implicit(ns) -> tuple:
         raise RuntimeError("implicit sweep found no roots anywhere in the "
                            "bracket; widen --bracket or the r range")
     meta = {"c_effective": c_eff, "rows": len(rows), "solved": solved}
-    return header, rows.tolist(), meta
+    return ["r", "H", "resid"], rows.tolist(), meta
 
 
 def cmd_rho(ns) -> tuple:
@@ -305,13 +294,10 @@ def cmd_rho(ns) -> tuple:
 
     from . import first_integral
 
-    xi_lo, xi_hi = _floats(ns.xi, "--xi", 2)
-    psi_lo, psi_hi = _floats(ns.psi, "--psi", 2)
+    (xi_lo, xi_hi), (psi_lo, psi_hi) = ns.xi, ns.psi
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
-    n = _count(ns.grid, "--grid", 1, lambda n: n * n * len(header))
-    f1 = () if ns.f1 is None else _floats(ns.f1, "--f1")
-    c2 = _number(ns.c2, "--c2")
+    n, c2, f1 = ns.grid, ns.c2, ns.f1 or ()
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
     # Rows run xi outer, psi inner.  log(tan(psi/2)) of half_angle_tan on
@@ -364,8 +350,7 @@ def cmd_rho(ns) -> tuple:
 def cmd_verify(ns) -> tuple:
     from . import checks
 
-    tol_scale = _number(ns.tol, "--tol (the tolerance scale)")
-    return None, None, checks.run_battery(only=ns.only, tol_scale=tol_scale)
+    return None, None, checks.run_battery(only=ns.only, tol_scale=ns.tol)
 
 
 # -- parser -------------------------------------------------------------------
@@ -375,96 +360,109 @@ def cmd_verify(ns) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing reads
     it and leaves it unchanged, so every `main` call shares it.  It holds
-    each subcommand's contract: its flags, which of them are required, and
-    the default string of every other that its reader parses."""
+    each subcommand's contract: its flags, which of them are required,
+    the default string of every other, and each flag's one reader."""
     parser = argparse.ArgumentParser(
         prog="hopf-flow", fromfile_prefix_chars="@",
         description="Numerical laboratory for the unit-speed flow induced "
                     "by the Hopf fibration and its first integrals.")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair, triple = (functools.partial(_floats, n=n) for n in (2, 3))
 
-    def command(name: str, summary: str, *, fmt: bool = True):
+    def command(name: str, summary: str, run: Callable, *,
+                fmt: bool = True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--out", help="output path (default stdout)")
         if fmt:
-            p.add_argument("--format", default="csv",
+            p.add_argument("--format", default="csv", metavar="FORMAT",
+                           choices=("csv", "json"),
                            help="csv or json (default %(default)s)")
         else:  # the report is always JSON
             p.set_defaults(format="json")
         return p
 
-    p = command("trace", "integrate the flow")
-    p.add_argument("--tol", default="1e-10",
+    p = command("trace", "integrate the flow", cmd_trace)
+    p.add_argument("--tol", default="1e-10", type=_rel_tol,
                    help="integration rel_tol (default %(default)s)")
-    p.add_argument("--start", required=True,
+    p.add_argument("--start", required=True, type=triple,
                    help="x,y,z (or r,phi,psi with --chart spherical)")
-    p.add_argument("--span", default="10",
+    p.add_argument("--span", default="10", type=_number,
                    help="time span (default %(default)s)")
-    p.add_argument("--chart", default="cartesian",
+    p.add_argument("--chart", default="cartesian", metavar="CHART",
+                   choices=("cartesian", "spherical"),
                    help="cartesian or spherical (default %(default)s)")
-    p.add_argument("--dense", default="0", help="additional uniformly "
-                   "spaced output samples (default %(default)s)")
+    p.add_argument("--dense", default="0", type=_count(0, lambda n: n * 4),
+                   help="additional uniformly spaced output samples "
+                        "(default %(default)s)")
 
-    p = command("field", "probe the velocity field")
-    p.add_argument("--point", action="append",
+    p = command("field", "probe the velocity field", cmd_field)
+    p.add_argument("--point", action="append", type=triple,
                    help="x,y,z probe (repeatable; default five built-in "
                         "probes)")
 
-    p = command("reduce", "trace the reduced (r,H) curve")
-    p.add_argument("--tol", default="1e-10",
+    p = command("reduce", "trace the reduced (r,H) curve", cmd_reduce)
+    p.add_argument("--tol", default="1e-10", type=_rel_tol,
                    help="integration rel_tol (default %(default)s)")
-    p.add_argument("--start", required=True, help="r0,psi0")
-    p.add_argument("--target", required=True, help="target radius")
+    p.add_argument("--start", required=True, type=pair, help="r0,psi0")
+    p.add_argument("--target", required=True, type=_number,
+                   help="target radius")
 
-    p = command("implicit", "solve the implicit Bessel relation over r")
+    p = command("implicit", "solve the implicit Bessel relation over r",
+                cmd_implicit)
     constant = p.add_mutually_exclusive_group(required=True)
-    constant.add_argument("--c1", help="effective constant")
-    constant.add_argument("--start", help="r0,h0 fixing the constant")
-    p.add_argument("--rmin", required=True, help="first sweep radius")
-    p.add_argument("--rmax", required=True, help="last sweep radius")
-    p.add_argument("--n", default="25",
+    constant.add_argument("--c1", type=_number, help="effective constant")
+    constant.add_argument("--start", type=pair,
+                          help="r0,h0 fixing the constant")
+    p.add_argument("--rmin", required=True, type=_number,
+                   help="first sweep radius")
+    p.add_argument("--rmax", required=True, type=_number,
+                   help="last sweep radius")
+    p.add_argument("--n", default="25", type=_count(1, lambda n: n * 3),
                    help="sweep points (default %(default)s)")
-    p.add_argument("--bracket", required=True,
+    p.add_argument("--bracket", required=True, type=pair,
                    help="H bracket lo,hi for the root solve")
 
-    p = command("rho", "tabulate the generating function")
-    p.add_argument("--c2", default="1",
+    p = command("rho", "tabulate the generating function", cmd_rho)
+    p.add_argument("--c2", default="1", type=_number,
                    help="first-integral slope c2 (default %(default)s)")
-    p.add_argument("--f1", help="comma-separated ascending F1 coefficients "
-                                "(default none)")
+    p.add_argument("--f1", type=_floats, help="comma-separated ascending "
+                   "F1 coefficients (default none)")
     p.add_argument("--grid", default="20",
+                   type=_count(1, lambda n: n * n * 11),
                    help="points per grid axis (default %(default)s)")
-    p.add_argument("--xi", default="0.12,0.72",
+    p.add_argument("--xi", default="0.12,0.72", type=pair,
                    help="xi range lo,hi (default %(default)s)")
-    p.add_argument("--psi", default="0.3,2.8415926535897933",
+    p.add_argument("--psi", default="0.3,2.8415926535897933", type=pair,
                    help="psi range lo,hi (default %(default)s: 0.3 to "
                         "pi - 0.3)")
 
-    p = command("verify", "run the check battery", fmt=False)
-    p.add_argument("--tol", default="1", help="scale applied to every check "
-                   "tolerance (default %(default)s)")
-    p.add_argument("--only", action="append",
+    p = command("verify", "run the check battery", cmd_verify, fmt=False)
+    p.add_argument("--tol", default="1", type=_tol_scale, help="scale "
+                   "applied to every check tolerance (default %(default)s)")
+    p.add_argument("--only", action="append", type=_check_name,
                    help="run only this check (repeatable; default all)")
     return parser
 
 
-_DISPATCH = {
-    "trace": cmd_trace,
-    "field": cmd_field,
-    "reduce": cmd_reduce,
-    "implicit": cmd_implicit,
-    "rho": cmd_rho,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    """Run the subcommand argv names and return its exit code: 2 for any
+    usage error, the parser's too, and 0 for --help; no SystemExit."""
     try:
-        fmt = _choice(ns.format, "--format", ("csv", "json"))
-        header, rows, meta = _DISPATCH[ns.command](ns)
-        _emit(ns.out, fmt, header, rows, meta)
-    except (ValueError, OSError) as exc:
+        ns = build_parser().parse_args(argv)
+        header, rows, meta = ns.run(ns)
+        # Rows of floats as CSV, with a .meta.json sidecar in a file, or as
+        # one JSON document; verify's report, which has no rows, is its meta.
+        if ns.format == "csv":
+            write_csv(ns.out, header, rows)
+            if ns.out is not None:
+                _write_json(ns.out + ".meta.json", meta)
+        else:
+            _write_json(ns.out, meta if header is None else
+                        {"header": list(header), "rows": rows, "meta": meta})
+    except SystemExit as exc:  # the parser printed the help or a refusal
+        return exc.code
+    except (ValueError, OSError) as exc:  # a flag file that is no text too
         print(f"hopf-flow: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (RuntimeError, ArithmeticError) as exc:

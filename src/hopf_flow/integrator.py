@@ -647,10 +647,10 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     return names["run"]
 
 
-def check_rel_tol(rel_tol: float, what: str = "rel_tol") -> None:
-    """Raise ValueError, naming `what`, unless 1e-14 <= rel_tol < 1e-2."""
+def check_rel_tol(rel_tol: float) -> None:
+    """Raise ValueError unless 1e-14 <= rel_tol < 1e-2."""
     if not 1e-14 <= rel_tol < 1e-2:
-        raise ValueError(f"{what} must lie in [1e-14, 1e-2), got {rel_tol!r}")
+        raise ValueError(f"rel_tol must lie in [1e-14, 1e-2), got {rel_tol!r}")
 
 
 def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],

@@ -400,10 +400,8 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     along the physical curve; the result then reports reached=False with
     the traversed samples.
     """
-    if not (math.isfinite(r0) and math.isfinite(r_target)):
-        raise ValueError("r0 and r_target must be finite")
-    if not r0 > 0.0:
-        raise ValueError("r0 must be positive")
+    check_radius(r0, "r0")
+    check_radius(r_target, "r_target")
     if not 0.0 < psi0 < math.pi:
         raise ValueError("psi0 must lie in (0, pi)")
     curve = ReducedCurve(rs=np.empty(0), hs=np.empty(0), psis=np.empty(0))

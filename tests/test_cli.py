@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopf_flow import cli, fields, first_integral, integrator, reduced_system
@@ -59,6 +60,26 @@ def several_roots_recorded():
         assert re.fullmatch(r"\d+ of \d+ radii have several roots in the "
                             r"bracket; returning the one nearest the "
                             r"midpoint", str(w.message)), str(w.message)
+
+
+def run_quietly(*argv) -> tuple[int, str]:
+    """(exit code, stderr) of main(argv), which returns 0, 1 or 2 and
+    raises no SystemExit; within, a RuntimeWarning raises and implicit's
+    several roots are the only warning allowed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), several_roots_recorded():
+        code = run_cli(*argv)
+    assert code in (0, 1, 2), code
+    return code, err.getvalue()
+
+
+def given_flags(values: dict, from_file: bool, tmp: str) -> list[str]:
+    """The arguments --FLAG=VALUE of values: on the command line, or in a
+    flag file under tmp when from_file."""
+    args = [f"--{flag}={value}" for flag, value in values.items()]
+    if from_file:
+        return [flag_file(os.path.join(tmp, "flags"), *args)]
+    return args
 
 
 def test_trace_csv_is_bit_exact_against_library(tmp_path):
@@ -278,9 +299,8 @@ def test_implicit_residual_of_a_constant_near_the_float_range(tmp_path):
 
 
 def test_implicit_requires_bracket(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "2")
-    assert exc.value.code == 2
+    assert run_cli("implicit", "--start", "1,0.5", "--rmin", "1",
+                   "--rmax", "2") == 2
     assert ("hopf-flow implicit: error: the following arguments are "
             "required: --bracket") in capsys.readouterr().err
 
@@ -303,12 +323,100 @@ def test_implicit_requires_bracket(tmp_path, capsys):
 ], ids=["trace-start", "reduce-target", "reduce-both", "implicit-radii",
         "implicit-neither-constant", "implicit-both-constants"])
 def test_the_parser_refuses_a_missing_required_flag(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    assert exc.value.code == 2
+    assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
+        capsys):
+    assert run_cli("trace", "--help") == 0
+    assert capsys.readouterr().out.startswith("usage: hopf-flow trace ")
+    assert run_cli() == 2
+    assert capsys.readouterr().err.endswith(
+        "hopf-flow: error: the following arguments are required: command\n")
+
+
+# Refusals that need several flags' values, or computing, are the
+# subcommands' own; each names its flag, as the parser's do.
+@pytest.mark.parametrize("argv, message", [
+    (("implicit", "--start", "1,0.5", "--rmin=-1", "--rmax", "2", "--n", "4",
+      "--bracket", "0.3,0.95"),
+     "hopf-flow: need 0 < r <= 1e+61, got --rmin=-1.0\n"),
+    (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "1e62",
+      "--n", "4", "--bracket", "0.3,0.95"),
+     "hopf-flow: need 0 < r <= 1e+61, got --rmax=1e+62\n"),
+    (("reduce", "--start", "1,4", "--target", "2"),
+     "hopf-flow: --start psi0 must lie in (0, pi), got 4.0\n"),
+    (("trace", "--chart", "spherical", "--start=-1,0,1"),
+     "hopf-flow: --start needs r > 0 in the spherical chart, got r=-1.0\n"),
+    (("trace", "--chart", "spherical", "--start", "2,0,0"),
+     "hopf-flow: --start lies on the z-axis where the spherical chart is "
+     "singular; use the cartesian chart\n"),
+    (("verify", "--only", "nope"),
+     "hopf-flow verify: error: argument --only: unknown check 'nope'; "
+     "known: unit-norm, rate-identities, "),
+    (("verify", "--tol", "0"),
+     "hopf-flow verify: error: argument --tol: the tolerance scale must be "
+     "positive, got '0'\n"),
+], ids=["implicit-rmin", "implicit-rmax", "reduce-psi0", "trace-spherical-r",
+        "trace-spherical-axis", "verify-only", "verify-tol"])
+def test_each_refusal_names_its_flag(argv, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def _bench_workloads(monkeypatch):
+    """The benchmark's bench/workloads.py, imported from its file without
+    writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# What the parser reads from the benchmark's seed-0 invocations.
+_BENCH_SEED_0 = {
+    "rho": {"grid": 32, "xi": (0.12, 0.72),
+            "psi": (0.3, 2.8415926535897933), "c2": 1.0, "f1": None,
+            "format": "csv"},
+    "implicit-series": {"start": (1.0, 0.5), "c1": None, "rmin": 1.0,
+                        "rmax": 4.0, "n": 100, "bracket": (0.3, 0.95)},
+    "implicit-cf": {"start": (10.0, 0.5), "c1": None, "rmin": 8.5,
+                    "rmax": 20.0, "n": 100, "bracket": (0.05, 0.99)},
+    "trace": {"start": (1.0, 0.0, 0.0), "span": 500.0, "dense": 500,
+              "tol": 1e-10, "chart": "cartesian", "format": "csv"},
+    "reduce": {"start": (1.0, 0.7854), "target": 200.0, "tol": 1e-10},
+    "verify": {"tol": 1.0, "only": None, "format": "json"},
+}
+
+
+def test_the_parser_reads_every_benchmark_invocation(monkeypatch):
+    workloads = _bench_workloads(monkeypatch)
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        for seed, tiny in [(0, False), (1, False), (2, False), (3, False),
+                           (0, True)]:
+            for inv in workloads.invocations(name, seed, tiny):
+                argv = [*inv.argv, "--out", f"{inv.name}.{inv.ext}"]
+                try:
+                    ns = parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"the parser refuses {argv}")
+                assert ns.command == inv.argv[0]
+                if (seed, tiny) == (0, False):
+                    pinned = _BENCH_SEED_0[inv.name]
+                    assert {k: getattr(ns, k) for k in pinned} == pinned, (
+                        inv.name)
+    assert {inv.name for name in workloads.WORKLOADS
+            for inv in workloads.invocations(name, 0)} == set(_BENCH_SEED_0)
 
 
 # Each subcommand's flags, as `--help` lists them.
@@ -446,9 +554,7 @@ def test_config_keys_the_subcommand_does_not_take_are_usage_errors(
         tmp_path, capsys):
     # "--c2" is a flag of rho only; "--tole" is a typo of "--tol".
     flags = flag_file(tmp_path / "flags", "--c2", "5", "--tole=1")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("trace", "--start", "1,0,0", flags)
-    assert exc.value.code == 2
+    assert run_cli("trace", "--start", "1,0,0", flags) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --c2 5 --tole=1" in err
 
@@ -481,16 +587,17 @@ def test_config_lists_for_comma_flags(argv, flags, tmp_path):
 
 # JSON pasted into a flag file is refused as the command line refuses it.
 @pytest.mark.parametrize("argv, flags, message", [
-    (("rho", "--grid", "2"), ("--xi=0.1",), "--xi: expected 2"),
-    (("rho", "--grid", "2"), ("--psi", "0.5"), "--psi: expected 2"),
-    (("rho", "--grid", "2"), ('--xi={"lo": 0.1}',), "--xi: expected 2"),
+    (("rho", "--grid", "2"), ("--xi=0.1",), "argument --xi: expected 2"),
+    (("rho", "--grid", "2"), ("--psi", "0.5"), "argument --psi: expected 2"),
+    (("rho", "--grid", "2"), ('--xi={"lo": 0.1}',),
+     "argument --xi: expected 2"),
     (("reduce", "--target", "3"), ("--start=1,x",),
-     "--start: expected a number"),
+     "argument --start: expected a number"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
-     ("--bracket=0.3,[0.9]",), "--bracket: expected a number"),
+     ("--bracket=0.3,[0.9]",), "argument --bracket: expected a number"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2"),
-     (f"--bracket=0.3,{10 ** 400}",), "--bracket must be finite"),
-    (("field",), ("--point=5",), "--point: expected 3"),
+     (f"--bracket=0.3,{10 ** 400}",), "argument --bracket: must be finite"),
+    (("field",), ("--point=5",), "argument --point: expected 3"),
 ], ids=["short-list", "number", "object", "word", "nested", "huge-int",
         "point-number"])
 def test_malformed_config_values_for_comma_flags_are_usage_errors(
@@ -519,26 +626,43 @@ _COMMA_FLAGS = [
      "bracket"),
     (("rho", "--grid", "2"), "xi"),
     (("rho", "--grid", "2"), "psi"),
+    (("rho", "--grid", "2"), "f1"),
     (("field",), "point"),
 ]
+# Words no number reader takes: non-finite numbers, a number past the
+# float range, malformed numbers and two numbers for one.
+_NOT_NUMBERS = st.sampled_from(["nan", "-inf", "1e999", str(10 ** 400), "x",
+                                "", "True", "[1]", "1,2"])
+
+
+def _refusal(message: str, command: str, flags) -> str | None:
+    """Who refused a run that exited 2 with message: "parser" when the
+    parser named one of flags as "argument --FLAG:", "subcommand" for a
+    refusal of the subcommand's own; None for anything else."""
+    if any(f"\nhopf-flow {command}: error: argument --{flag}: " in message
+           for flag in flags):
+        return "parser"
+    return "subcommand" if message.startswith("hopf-flow: ") else None
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_COMMA_FLAGS),
-       values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                       | st.integers(), max_size=4))
-def test_finite_comma_flag_values_run_or_exit_2(case, values):
+       values=st.lists((st.floats(allow_nan=False, allow_infinity=False)
+                        | st.integers()).map(repr) | _NOT_NUMBERS,
+                       max_size=4),
+       from_file=st.booleans())
+def test_finite_comma_flag_values_run_or_exit_2(case, values, from_file):
     argv, flag = case
     with tempfile.TemporaryDirectory() as tmp:
-        argv += (f"--{flag}=" + ",".join(map(repr, values)),)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), several_roots_recorded():
-            code = run_cli(*argv, "--out", os.path.join(tmp, "o"))
+        code, message = run_quietly(
+            *argv, *given_flags({flag: ",".join(values)}, from_file, tmp),
+            "--out", os.path.join(tmp, "o"))
     # An implicit sweep whose well-formed bracket holds no root anywhere
     # is a runtime failure by design (exit 1).
     no_roots = (argv[0] == "implicit" and code == 1
-                and "found no roots" in err.getvalue())
-    assert code in (0, 2) or no_roots, err.getvalue()
+                and "found no roots" in message)
+    assert (code == 0 or no_roots
+            or (code == 2 and _refusal(message, argv[0], [flag]))), message
 
 
 # Any finite number, or one where the sweep can find roots.
@@ -551,62 +675,60 @@ _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
        c1=_ANY_FLOAT | st.floats(-10.0, 2.0),
        bracket=st.tuples(_ANY_FLOAT | st.floats(-0.1, 1.1),
                          _ANY_FLOAT | st.floats(-0.1, 1.1)),
-       n=st.integers(1, 8))
-# H so small that z = sqrt(H) r / 2 is in the Bessel range while 4 + r^2
-# is not a float.
-@example(rmin=1e155, rmax=1e156, c1=-4.9, bracket=(1e-310, 1e-306), n=2)
+       n=st.integers(1, 8), from_file=st.booleans())
+# Radii past reduced_system's bound of 1e61, where 4 + r^2 is not a float
+# while z = sqrt(H) r / 2 is in the Bessel range: refused, naming --rmin.
+@example(rmin=1e155, rmax=1e156, c1=-4.9, bracket=(1e-310, 1e-306), n=2,
+         from_file=False)
 # Roots whose residual terms c1 (4 + r^2) I0 pass the float range.
-@example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8)
+@example(rmin=1.0, rmax=12.0, c1=1e307, bracket=(0.01, 0.99), n=8,
+         from_file=False)
 # A scan point whose Bessel argument is the smallest subnormal.
-@example(rmin=4.2629375274477494e-216, rmax=0.0, c1=0.0,
-         bracket=(4.2629375274477494e-216, 1.0), n=1)
-def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n):
-    values = {"rmin": rmin, "rmax": rmax, "c1": c1, "bracket": list(bracket),
-              "n": n}
+@example(rmin=4.2629375274477494e-216, rmax=4.2629375274477494e-216, c1=0.0,
+         bracket=(4.2629375274477494e-216, 1.0), n=1, from_file=False)
+def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
+                                             from_file):
+    values = {"rmin": repr(rmin), "rmax": repr(rmax), "c1": repr(c1),
+              "bracket": ",".join(map(repr, bracket)), "n": n}
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["implicit", "--out", os.path.join(tmp, "o")]
-        argv += [f"--{flag}=" + (",".join(map(repr, value))
-                                 if flag == "bracket" else repr(value))
-                 for flag, value in values.items()]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), several_roots_recorded():
-            code = run_cli(*argv)
-    message = err.getvalue()
-    assert (code == 0 or (code == 2 and message.startswith("hopf-flow: "))
+        code, message = run_quietly(
+            "implicit", *given_flags(values, from_file, tmp),
+            "--out", os.path.join(tmp, "o"))
+    assert (code == 0 or (code == 2 and _refusal(message, "implicit", values))
             or (code == 1 and "found no roots" in message)), (code, message)
 
 
 @settings(max_examples=150, deadline=None)
 @given(start=st.tuples(*[_ANY_FLOAT | st.floats(-3.0, 3.0)
                          | st.floats(0.1, 3.0)] * 3),
-       span=st.floats(-50.0, 50.0),
+       span=st.floats(-50.0, 50.0) | _NOT_NUMBERS,
        tol=(_ANY_FLOAT | st.floats(1e-14, 1e-2)
-            | st.sampled_from([1e-3, 1e-6, 1e-10])),
+            | st.sampled_from([1e-3, 1e-6, 1e-10]) | _NOT_NUMBERS),
        dense=st.integers(0, 50),
-       chart=st.sampled_from(["cartesian", "spherical"]))
+       chart=st.sampled_from(["cartesian", "spherical", "polar", ""]),
+       from_file=st.booleans())
 # An escaping orbit whose state leaves the field's domain mid-run.
 @example(start=(1.0, 0.0, 0.0), span=1e300, tol=1e-3, dense=0,
-         chart="cartesian")
+         chart="cartesian", from_file=False)
 # An angle at the largest float, which the dense interpolant overflows.
 @example(start=(1.25, 0.0, 1.7976931348623157e308), span=1.0,
-         tol=0.0078125, dense=3, chart="spherical")
+         tol=0.0078125, dense=3, chart="spherical", from_file=False)
 # A backward span, whose rows run from t = 0 down.
 @example(start=(1.0, 0.0, 0.0), span=-2.0, tol=1e-10, dense=4,
-         chart="cartesian")
-def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart):
-    argv = ["trace", "--start=" + ",".join(map(repr, start)),
-            f"--span={span!r}", f"--tol={tol!r}", f"--chart={chart}"]
+         chart="cartesian", from_file=False)
+def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
+                                          from_file):
+    values = {"start": ",".join(map(repr, start)), "span": _as_flag(span),
+              "tol": _as_flag(tol), "chart": chart}
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for count in dict.fromkeys([dense, 0]):
             out = os.path.join(tmp, f"o{count}")
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = run_cli(*argv, f"--dense={count}", "--out", out)
-            message = err.getvalue()
-            assert code == 0 or (code == 2
-                                 and message.startswith("hopf-flow: ")), (
+            code, message = run_quietly(
+                "trace", *given_flags({**values, "dense": count}, from_file,
+                                      tmp), "--out", out)
+            assert code == 0 or (code == 2 and _refusal(message, "trace",
+                                                        values)), (
                 code, message)
             if code != 0:
                 return
@@ -614,7 +736,7 @@ def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart):
     # Rows run in the direction of travel, and the node rows are the
     # --dense 0 rows.
     rows, nodes = runs[0], runs[-1]
-    assert np.all(np.diff(math.copysign(1.0, span) * rows[:, 0]) > 0)
+    assert np.all(np.diff(math.copysign(1.0, float(span)) * rows[:, 0]) > 0)
     on_node = np.isin(rows[:, 0], nodes[:, 0])
     assert rows[on_node].tobytes() == nodes.tobytes()
 
@@ -625,10 +747,26 @@ _NUMBER_VALUES = (st.floats() | st.integers(-10 ** 400, 10 ** 400)
                   | st.floats().map(repr)
                   | st.sampled_from(["nan", "-inf", "1e999", "x", "", "1,2"])
                   | st.booleans() | st.lists(st.floats(-3.0, 3.0), max_size=3))
-# Each subcommand with its two number flags; rho's grid is 2x2.
-_NUMBER_FLAGS = {"rho": (("rho", "--grid", "2"), ("c2", "f1")),
-                 "reduce": (("reduce", "--start", "1,0.7854"),
-                            ("target", "tol"))}
+# Each subcommand with the flags that keep its runs short, and each of its
+# number and word flags with the values it usually takes: rho's grid is
+# 2x2, implicit sweeps three radii and verify runs one check.
+_NUMBER_FLAGS = {
+    "rho": (("rho", "--grid", "2"),
+            {"c2": st.floats(-5.0, 250.0), "f1": st.floats(1e-14, 1e-2)}),
+    "reduce": (("reduce", "--start", "1,0.7854"),
+               {"target": st.floats(-5.0, 250.0),
+                "tol": st.floats(1e-14, 1e-2)}),
+    "implicit": (("implicit", "--n", "3", "--bracket", "0.3,0.95"),
+                 {"c1": st.floats(-10.0, 2.0), "rmin": st.floats(-1.0, 25.0),
+                  "rmax": st.floats(-1.0, 25.0)}),
+    "verify": (("verify",), {"tol": st.floats(1e-3, 1e3),
+                             "only": st.sampled_from(["unit-norm",
+                                                      "bessel-wronskian"])}),
+    "trace": (("trace", "--start", "1,0,1", "--span", "0.5"),
+              {"chart": st.sampled_from(["cartesian", "spherical"]),
+               "format": st.sampled_from(["csv", "json"])}),
+    "field": (("field",), {"format": st.sampled_from(["csv", "json"])}),
+}
 
 
 def _as_flag(value) -> str:
@@ -642,35 +780,39 @@ def _as_flag(value) -> str:
 
 def _or_in(usual: st.SearchStrategy) -> st.SearchStrategy:
     """A value drawn from usual half of the time, else from
-    _NUMBER_VALUES, so that runs with both flags usable are common."""
+    _NUMBER_VALUES, so that runs with every flag usable are common."""
     return st.tuples(st.booleans(), usual, _NUMBER_VALUES).map(
         lambda t: t[1] if t[0] else t[2])
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(list(_NUMBER_FLAGS)),
-       values=st.tuples(_or_in(st.floats(-5.0, 250.0)),
-                        _or_in(st.floats(1e-14, 1e-2))))
-@example(command="rho", values=(math.nan, ()))
-@example(command="rho", values=(True, [math.inf]))
-@example(command="reduce", values=(200.0, 1e-14))
-@example(command="reduce", values=(-1.0, "nan"))
+@given(case=st.sampled_from(list(_NUMBER_FLAGS)).flatmap(
+           lambda command: st.tuples(st.just(command), st.tuples(
+               *map(_or_in, _NUMBER_FLAGS[command][1].values())))),
+       from_file=st.booleans())
+@example(case=("rho", (math.nan, ())), from_file=False)
+@example(case=("rho", (True, [math.inf])), from_file=False)
+@example(case=("reduce", (200.0, 1e-14)), from_file=False)
+@example(case=("reduce", (-1.0, "nan")), from_file=False)
 # Past reduced_system's radius bound of 1e61.
-@example(command="reduce", values=(1.0000000000000001e+61, 1e-10))
-def test_number_flags_run_or_exit_2(command, values):
+@example(case=("reduce", (1.0000000000000001e+61, 1e-10)), from_file=False)
+@example(case=("implicit", (-4.9, -1.0, 2.0)), from_file=True)
+@example(case=("verify", (0.0, "nope")), from_file=False)
+def test_number_flags_run_or_exit_2(case, from_file):
+    command, values = case
     argv, flags = _NUMBER_FLAGS[command]
     with tempfile.TemporaryDirectory() as tmp:
-        argv += ("--out", os.path.join(tmp, "o"))
-        argv += tuple(f"--{flag}={_as_flag(value)}"
-                      for flag, value in zip(flags, values))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run_cli(*argv)
-    message = err.getvalue()
-    assert code == 0 or (code == 2 and message.startswith("hopf-flow: ")
-                         and any(f"--{flag}" in message for flag in flags)), (
-        code, message)
+        given = dict(zip(flags, map(_as_flag, values)))
+        code, message = run_quietly(*argv, *given_flags(given, from_file, tmp),
+                                    "--out", os.path.join(tmp, "o"))
+    refusal = code == 2 and _refusal(message, command, flags)
+    # A subcommand's refusal names one of the flags too.
+    named = refusal == "parser" or (refusal == "subcommand" and any(
+        f"--{flag}" in message for flag in flags))
+    # A sweep that finds no root, or a check that fails, exits 1.
+    failed = code == 1 and ((command, message) == ("verify", "") or (
+        command == "implicit" and "found no roots" in message))
+    assert code == 0 or named or failed, (code, message)
 
 
 def test_rho_refuses_a_c2_whose_terms_overflow(tmp_path, capsys):
@@ -750,12 +892,15 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
     # A line that is no flag of trace, and a flag file that is missing.
     for flags in (flag_file(tmp_path / "bad", "{not json"),
                   f"@{tmp_path / 'missing'}"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("trace", "--start", "1,0,0", flags)
-        assert exc.value.code == 2
+        assert run_cli("trace", "--start", "1,0,0", flags) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: {not json" in err
     assert "missing" in err
+    # A flag file that is not text.
+    (tmp_path / "binary").write_bytes(b"--span=\xff\n")
+    assert run_cli("trace", "--start", "1,0,0", f"@{tmp_path / 'binary'}") == 2
+    assert capsys.readouterr().err.startswith(
+        "hopf-flow: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_unwritable_output_is_usage_error(tmp_path):
@@ -767,54 +912,64 @@ def test_unwritable_output_is_usage_error(tmp_path):
 @pytest.mark.parametrize("span", ["inf", "nan"])
 def test_non_finite_span_is_usage_error(span, capsys):
     assert run_cli("trace", "--start", "1,0,0", "--span", span) == 2
-    assert "--span must be finite" in capsys.readouterr().err
+    assert (f"hopf-flow trace: error: argument --span: must be finite, "
+            f"got '{span}'\n") in capsys.readouterr().err
 
 
 # Each case's flags, when given, are read from a flag file.
 @pytest.mark.parametrize("argv, flags, message", [
     (("reduce", "--start", "nan,0.7854", "--target", "3"), None,
-     "--start must be finite"),
+     "argument --start: must be finite"),
     (("reduce", "--start", "1,0.7854", "--target", "nan"), None,
-     "--target must be finite"),
+     "argument --target: must be finite"),
     (("implicit", "--start", "1,0.5", "--rmin", "nan", "--rmax", "2",
-      "--bracket", "0.3,0.9"), None, "--rmin must be finite"),
+      "--bracket", "0.3,0.9"), None, "argument --rmin: must be finite"),
     (("implicit", "--c1", "inf", "--rmin", "1", "--rmax", "2",
-      "--bracket", "0.3,0.9"), None, "--c1 must be finite"),
+      "--bracket", "0.3,0.9"), None, "argument --c1: must be finite"),
     (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "2",
-      "--bracket", "0.3,inf"), None, "--bracket must be finite"),
+      "--bracket", "0.3,inf"), None, "argument --bracket: must be finite"),
     (("implicit", "--start", "1,0.5", "--bracket", "0.3,0.9"),
-     ("--rmin=1.0", "--rmax=inf"), "--rmax must be finite"),
-    (("rho", "--grid", "2", "--f1", "nan"), None, "--f1 must be finite"),
-    (("rho", "--grid", "2", "--f1", "0.5,inf"), None, "--f1 must be finite"),
+     ("--rmin=1.0", "--rmax=inf"), "argument --rmax: must be finite"),
+    (("rho", "--grid", "2", "--f1", "nan"), None,
+     "argument --f1: must be finite"),
+    (("rho", "--grid", "2", "--f1", "0.5,inf"), None,
+     "argument --f1: must be finite"),
     (("rho", "--grid", "2", "--f1", "0.5,x"), None,
-     "--f1: expected a number"),
-    (("rho", "--grid", "2"), ("--f1=0.25,inf",), "--f1 must be finite"),
-    (("rho", "--grid", "2"), ("--f1=nan",), "--f1 must be finite"),
-    (("rho", "--grid", "2", "--c2", "nan"), None, "--c2 must be finite"),
-    (("rho", "--grid", "2", "--c2", "inf"), None, "--c2 must be finite"),
-    (("rho", "--grid", "2"), ("--c2=[1]",), "--c2: expected a number"),
+     "argument --f1: expected a number"),
+    (("rho", "--grid", "2"), ("--f1=0.25,inf",),
+     "argument --f1: must be finite"),
+    (("rho", "--grid", "2"), ("--f1=nan",), "argument --f1: must be finite"),
+    (("rho", "--grid", "2", "--c2", "nan"), None,
+     "argument --c2: must be finite"),
+    (("rho", "--grid", "2", "--c2", "inf"), None,
+     "argument --c2: must be finite"),
+    (("rho", "--grid", "2"), ("--c2=[1]",),
+     "argument --c2: expected a number"),
     (("trace", "--start", "1,0,0"), ("--tol=[1]",),
-     "--tol: expected a number"),
+     "argument --tol: expected a number"),
     (("reduce", "--start", "1,0.7854", "--target", "3"), ("--tol=[1]",),
-     "--tol: expected a number"),
+     "argument --tol: expected a number"),
     (("verify", "--only", "unit-norm"), ("--tol=[1]",),
-     "--tol (the tolerance scale): expected a number"),
+     "argument --tol: expected a number, got '[1]'"),
     (("trace", "--start", "1,0,0"), ("--chart=5",),
-     "--chart: expected one of cartesian, spherical, got '5'"),
+     "argument --chart: invalid choice: '5' (choose from 'cartesian', "
+     "'spherical')"),
     (("trace", "--start", "1,0,0"), ("--format=xml",),
-     "--format: expected one of csv, json, got 'xml'"),
+     "argument --format: invalid choice: 'xml' (choose from 'csv', "
+     "'json')"),
     (("trace", "--start", "1,0,0"), ("--span=True",),
-     "--span: expected a number, got 'True'"),
-    (("verify",), ("--only=5",), "unknown checks: 5"),
+     "argument --span: expected a number, got 'True'"),
+    (("verify",), ("--only=5",),
+     "argument --only: unknown check '5'; known: unit-norm, "),
     (("implicit", "--c1", "-4.9", "--start", "1,0.5", "--rmin", "1",
       "--rmax", "2", "--bracket", "0.3,0.9"), None,
      "argument --start: not allowed with argument --c1"),
     (("trace", "--start", "1,0,0", "--tol", "1e-15"), None,
-     "--tol must lie in [1e-14, 1e-2), got 1e-15"),
+     "argument --tol: rel_tol must lie in [1e-14, 1e-2), got 1e-15"),
     (("reduce", "--start", "1,0.7854", "--target", "3", "--tol", "0.5"), None,
-     "--tol must lie in [1e-14, 1e-2), got 0.5"),
+     "argument --tol: rel_tol must lie in [1e-14, 1e-2), got 0.5"),
     (("trace", "--start", "1,0,0"), ("--tol=0.01",),
-     "--tol must lie in [1e-14, 1e-2), got 0.01"),
+     "argument --tol: rel_tol must lie in [1e-14, 1e-2), got 0.01"),
 ], ids=["reduce-start", "reduce-target", "implicit-rmin", "implicit-c1",
         "implicit-bracket", "implicit-config-rmax", "rho-f1-nan",
         "rho-f1-inf", "rho-f1-word", "rho-config-f1-list",
@@ -831,10 +986,7 @@ def test_non_finite_input_is_usage_error(argv, flags, message, tmp_path,
         argv += (flag_file(tmp_path / "flags", *flags),)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = run_cli(*argv, "--out", str(tmp_path / "o.csv"))
-        except SystemExit as exc:  # the parser refuses the flags
-            code = exc.code
+        code = run_cli(*argv, "--out", str(tmp_path / "o.csv"))
     assert code == 2
     captured = capsys.readouterr()
     assert message in captured.err
@@ -862,21 +1014,26 @@ def test_overflowing_state_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("rho", "--grid", "0"), "--grid must be at least 1"),
+    (("rho", "--grid", "0"), "argument --grid: must be at least 1, got 0"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2", "--bracket",
-      "0.1,0.9", "--n", "0"), "--n must be at least 1"),
+      "0.1,0.9", "--n", "0"), "argument --n: must be at least 1, got 0"),
     (("trace", "--start", "1,0,0", "--dense", "-3"),
-     "--dense must be at least 0"),
+     "argument --dense: must be at least 0, got -3"),
 ], ids=["rho-grid", "implicit-n", "trace-dense"])
 def test_count_below_its_minimum_is_usage_error(argv, message, capsys):
     assert run_cli(*argv) == 2
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-def test_verify_rejects_bad_tol(tol, capsys):
+@pytest.mark.parametrize("tol, reason", [
+    ("-1", "the tolerance scale must be positive, got '-1'"),
+    ("0", "the tolerance scale must be positive, got '0'"),
+    ("nan", "must be finite, got 'nan'"),
+    ("inf", "must be finite, got 'inf'")], ids=["-1", "0", "nan", "inf"])
+def test_verify_rejects_bad_tol(tol, reason, capsys):
     assert run_cli("verify", "--only", "unit-norm", "--tol", tol) == 2
-    assert "tolerance scale" in capsys.readouterr().err
+    assert (f"hopf-flow verify: error: argument --tol: {reason}\n"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -885,9 +1042,7 @@ def test_verify_rejects_bad_tol(tol, capsys):
     ("trace", "--start", "1,0,0", "--config", "x.json"),
 ], ids=["trace-c2", "rho-tol", "trace-config"])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    assert exc.value.code == 2
+    assert run_cli(*argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -1006,18 +1161,9 @@ def _first_refused(flag: str) -> int:
 def _run_count(flag: str, value, from_file: bool, tmp: str):
     """(exit code, stderr) of the flag's subcommand given value, on the
     command line or from a flag file."""
-    argv = [*_COUNT_FLAGS[flag][0], "--out", os.path.join(tmp, "o")]
-    given = f"--{flag}={value}"
-    argv.append(flag_file(os.path.join(tmp, "flags"), given) if from_file
-                else given)
-    err = io.StringIO()
     # A few radii of the implicit sweep have two roots in the bracket.
-    with contextlib.redirect_stderr(err), several_roots_recorded():
-        try:
-            code = run_cli(*argv)
-        except SystemExit as exc:  # argparse refuses a flag's value
-            code = exc.code
-    return code, err.getvalue()
+    return run_quietly(*_COUNT_FLAGS[flag][0], "--out", os.path.join(tmp, "o"),
+                       *given_flags({flag: value}, from_file, tmp))
 
 
 @pytest.mark.parametrize("flag, value", [("grid", 2.7), ("grid", True),
@@ -1026,7 +1172,8 @@ def _run_count(flag: str, value, from_file: bool, tmp: str):
 def test_config_counts_must_be_integers(flag, value, tmp_path):
     code, err = _run_count(flag, value, True, str(tmp_path))
     assert code == 2
-    assert f"--{flag}: expected an integer count, got {str(value)!r}" in err
+    assert (f"argument --{flag}: expected an integer count, "
+            f"got {str(value)!r}") in err
 
 
 @pytest.mark.parametrize("flag", list(_COUNT_FLAGS))
@@ -1041,7 +1188,7 @@ def test_oversized_outputs_are_refused_before_allocating(flag, from_file,
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert f"--{flag} {n} asks for" in err
+    assert f"argument --{flag}: {n} asks for" in err
     assert f"more than the {cli.MAX_OUTPUT_NUMBERS}" in err
     assert peak < 1e6
     assert not (tmp_path / "o").exists()
@@ -1065,21 +1212,25 @@ _HUGE = st.integers(10 ** 5, 10 ** 30)
        value=(_SMALL | _HUGE | _SMALL.map(str) | _HUGE.map(str)
               | _SMALL.map(lambda n: f" {n}\t") | st.text(max_size=3)
               | st.floats() | st.booleans() | st.none()
-              | st.lists(_SMALL, max_size=2)))
-@example(flag="grid", value=2.7)
-@example(flag="grid", value=True)
-@example(flag="dense", value=2.9)
-@example(flag="grid", value="1e9")
-def test_count_flags_run_or_exit_2(flag, value):
+              | st.lists(_SMALL, max_size=2)),
+       from_file=st.booleans())
+@example(flag="grid", value=2.7, from_file=False)
+@example(flag="grid", value=True, from_file=False)
+@example(flag="dense", value=2.9, from_file=False)
+@example(flag="grid", value="1e9", from_file=False)
+@example(flag="n", value=10 ** 30, from_file=True)
+def test_count_flags_run_or_exit_2(flag, value, from_file):
+    # A flag file holds one argument a line.
+    assume(not from_file or len(f"-{value}-".splitlines()) == 1)
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _run_count(flag, value, False, tmp)
+        code, err = _run_count(flag, value, from_file, tmp)
     count = _expected_count(value)
     _, low, numbers = _COUNT_FLAGS[flag]
     runs = (count is not None and count >= low
             and numbers(count) <= cli.MAX_OUTPUT_NUMBERS)
     assert code == (0 if runs else 2), (code, err)
     if code == 2:
-        assert err.startswith(("hopf-flow: ", "usage: ")), err
+        assert _refusal(err, _COUNT_FLAGS[flag][0][0], [flag]) == "parser", err
 
 
 def test_reduce_and_implicit_meta_carry_no_form_key(tmp_path):

@@ -172,7 +172,7 @@ def test_radii_whose_terms_leave_the_float_range_are_refused():
 
 
 def test_out_of_range_inputs_are_refused_without_a_numpy_warning():
-    with pytest.raises(ValueError, match="r0 must be positive"):
+    with pytest.raises(ValueError, match=r"got r0=0\.0$"):
         rs.trace_reduced(0.0, 1e-300, 2.0)  # planar flow at r = 0 before
     # An H bracket whose width overflows scans inf/NaN points: no root.
     hs = rs.solve_implicit(-4.9, np.array([1.0, 2.0]), (0.5, 1.7e308))
@@ -666,6 +666,20 @@ def test_trace_reduced_validates_psi0():
         rs.trace_reduced(1.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         rs.trace_reduced(1.0, math.pi, 2.0)
-    for r0, r_target in ((math.nan, 2.0), (1.0, math.inf)):
-        with pytest.raises(ValueError, match="finite"):
+    for r0, r_target, name in ((math.nan, 2.0, "r0=nan"),
+                               (1.0, math.inf, "r_target=inf")):
+        with pytest.raises(ValueError, match=f"got {name}$"):
             rs.trace_reduced(r0, 0.5, r_target)
+
+
+@pytest.mark.parametrize("r0, r_target, message", [
+    (1.0, 1e62, "need 0 < r <= 1e+61, got r_target=1e+62"),
+    (0.0, 2.0, "need 0 < r <= 1e+61, got r0=0.0"),
+    (1e62, 2.0, "need 0 < r <= 1e+61, got r0=1e+62"),
+    (1.0, -1.0, "need 0 < r <= 1e+61, got r_target=-1.0"),
+], ids=["far-target", "zero-start", "far-start", "negative-target"])
+def test_trace_reduced_checks_its_radii_as_trace_h_does(r0, r_target,
+                                                        message):
+    with pytest.raises(ValueError) as exc:
+        rs.trace_reduced(r0, 0.7854, r_target)
+    assert str(exc.value) == message
