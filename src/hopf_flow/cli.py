@@ -274,9 +274,15 @@ def cmd_implicit(ns) -> tuple:
 
     reduced_system.check_radius(ns.rmin, "--rmin")
     reduced_system.check_radius(ns.rmax, "--rmax")
-    # The parser gives exactly one of --c1 and --start.
-    c_eff = (ns.c1 if ns.start is None
-             else reduced_system.implicit_constant(*ns.start).c_effective)
+    h_lo, h_hi = ns.bracket
+    if not h_lo < h_hi:
+        raise ValueError(f"--bracket {h_lo!r},{h_hi!r} is an empty bracket; "
+                         f"need lo < hi")
+    try:  # the parser gives exactly one of --c1 and --start
+        c_eff = ns.c1 if ns.start is None else (
+            reduced_system.implicit_constant(*ns.start).c_effective)
+    except ValueError as exc:
+        raise ValueError(f"--start {ns.start[0]!r},{ns.start[1]!r}: {exc}")
     rs = np.linspace(ns.rmin, ns.rmax, ns.n)
     hs = reduced_system.solve_implicit(c_eff, rs, ns.bracket)
     resids = reduced_system.implicit_residual(c_eff, rs, hs)
@@ -299,6 +305,8 @@ def cmd_rho(ns) -> tuple:
               "log_chi", "pde_direct", "pde_parametric"]
     n, c2, f1 = ns.grid, ns.c2, ns.f1 or ()
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
+    if not (xis > 0.0).all():
+        raise ValueError(f"--xi must be positive, got {xi_lo!r},{xi_hi!r}")
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
     # Rows run xi outer, psi inner.  log(tan(psi/2)) of half_angle_tan on
     # floats, through math.log, which is exactly 0 at the floating-point pi/2.

@@ -23,16 +23,17 @@ the raw magnitudes involved.
 
 Every root solve of the package (the implicit Bessel relation for H, the
 parameter elimination v(xi, psi) = r and the integrator's events) runs
-one Illinois refiner on floats.  `bracketed_roots` scans many rows in
-one evaluation, refines all brackets in lockstep, one evaluation per
+one Illinois rule.  `bracketed_roots` scans many rows in one evaluation,
+refines all brackets in lockstep as numpy lanes, one evaluation per
 round, and returns each row's root nearest its midpoint and root count;
-`refine` refines one bracket whose ends' values the caller holds (an
-event's step).  A root does not depend on the other rows.
+`refine` is the float loop for one bracket whose ends' values the caller
+holds (an event's step).  Both do the same float operations, so a root
+does not depend on the other rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -99,12 +100,13 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     points, two 1-d arrays of one length, and it returns the value of row
     rows[j] at x[j] for every j (an array or a sequence of floats).  One
     call evaluates the whole scan.  A sample where the value is exactly 0
-    is a root; each interval whose ends change sign is a bracket, refined
-    as `refine` does.  Intervals with a NaN end never count as changing
-    sign.  All brackets are refined together, one call of fn per round
-    over the brackets still live.  Returns two arrays, one entry per row:
-    the root nearest 0.5 * (lo + hi) (the first in scan order on a tie,
-    NaN where there is none) and the number of roots.
+    is a root; each interval whose ends' values have opposite signs is a
+    bracket, refined by `refine`'s rule with its bits.  Intervals with a
+    NaN end never count as changing sign.  All brackets are refined
+    together as numpy lanes, one call of fn per round over the lanes
+    still live.  Returns two arrays, one entry per row: the root nearest
+    0.5 * (lo + hi) (the first in scan order on a tie, NaN where there is
+    none) and the number of roots.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
     hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
@@ -118,34 +120,16 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     # so nonzero() lists each row's roots in scan order.
     found = np.zeros((n_rows, 2 * width), dtype=bool)
     found[:, 0::2] = fs == 0.0
-    with np.errstate(over="ignore"):  # a huge product is still < 0
-        found[:, 1:-1:2] = fs[:, :-1] * fs[:, 1:] < 0.0
+    fa, fb = fs[:, :-1], fs[:, 1:]
+    found[:, 1:-1:2] = (fa < 0.0) & (0.0 < fb) | (fa > 0.0) & (0.0 > fb)
     row, slot = np.nonzero(found)
-    roots = xs[row, slot // 2].tolist()
-    # Each bracket's refiner runs until it asks for the value at its next
-    # point; one call of fn answers every ask, and the next round sends
-    # each refiner its value.
+    roots = xs[row, slot // 2]
     brackets = np.flatnonzero(slot % 2)
     k, i = row[brackets], slot[brackets] // 2
-    pending = {j: (_illinois(a, b, fa, fb, tol), None)
-               for j, a, b, fa, fb in zip(
-                   brackets.tolist(), xs[k, i].tolist(), xs[k, i + 1].tolist(),
-                   fs[k, i].tolist(), fs[k, i + 1].tolist())}
-    while pending:
-        asks = {}
-        for j, (refiner, value) in pending.items():
-            try:
-                asks[j] = refiner, refiner.send(value)
-            except StopIteration as stop:
-                roots[j] = stop.value
-        if not asks:
-            break
-        js = list(asks)
-        values = fn(row[js], np.array([x for _, x in asks.values()]))
-        pending = {j: (asks[j][0], f) for j, f in
-                   zip(js, np.asarray(values, dtype=float).tolist())}
+    roots[brackets] = _refine_lanes(fn, k, xs[k, i], xs[k, i + 1], fs[k, i],
+                                    fs[k, i + 1], tol)
     nearest, counts = [np.nan] * n_rows, [0] * n_rows
-    for k, x in zip(row.tolist(), roots):
+    for k, x in zip(row.tolist(), roots.tolist()):
         if not counts[k] or abs(x - mids[k]) < abs(nearest[k] - mids[k]):
             nearest[k] = x
         counts[k] += 1
@@ -159,19 +143,6 @@ def refine(fn: Callable[[float], float], a: float, b: float, fa: float,
     is at most tol wide, one call of fn per round."""
     if fa == 0.0 or fb == 0.0:
         return a if fa == 0.0 else b
-    refiner = _illinois(a, b, fa, fb, tol)
-    try:
-        x = next(refiner)
-        while True:
-            x = refiner.send(fn(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _illinois(a: float, b: float, fa: float, fb: float,
-              tol: float) -> Generator[float, float, float]:
-    """Refine one bracket: yields each point it needs f at, is sent f
-    there, and returns the root."""
     # Illinois rule (Dowell & Jarratt 1971, BIT 11:168): regula falsi on
     # the bracket [a, b], whose ends keep f of opposite signs, but an end
     # kept twice in a row has its stored f halved, so the next secant
@@ -192,7 +163,7 @@ def _illinois(a: float, b: float, fa: float, fb: float,
             x = 0.5 * (a + b)  # NaN from overflow, or tol below round-off
             if not lo < x < hi:
                 break
-        fx = yield x
+        fx = fn(x)
         if fx == 0.0:
             return x
         if (fx > 0.0) == (fa > 0.0):
@@ -206,3 +177,47 @@ def _illinois(a: float, b: float, fa: float, fb: float,
                 fa *= 0.5
             kept = "a"
     return 0.5 * (a + b)
+
+
+def _refine_lanes(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
+                  rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  fa: np.ndarray, fb: np.ndarray, tol: float) -> np.ndarray:
+    """The root in each bracket [a[j], b[j]] of row rows[j], its ends'
+    values fa[j] and fb[j] of opposite signs: `refine`'s operations on
+    every lane at once, one call of fn per round over the live lanes."""
+    roots = np.empty(len(a))
+    live = np.arange(len(a))
+    # Whether a moved last round (-1, neither, before the first round).
+    moved_a = np.full(len(a), -1)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            x = np.minimum(np.maximum(b - fb * (b - a) / (fb - fa),
+                                      lo + 0.5 * tol), hi - 0.5 * tol)
+            mid = 0.5 * (a + b)
+            x = np.where((lo < x) & (x < hi), x, mid)
+            # A NaN width leaves no x inside, so it ends its lane too.
+            going = (hi - lo > tol) & (lo < x) & (x < hi)
+            n_going = np.count_nonzero(going)
+            if n_going < len(live):
+                roots[live[~going]] = mid[~going]
+                live, rows, a, b, fa, fb, moved_a, x = (
+                    v[going] for v in (live, rows, a, b, fa, fb, moved_a, x))
+            if not n_going:
+                return roots
+            fx = np.asarray(fn(rows, x), dtype=float)
+            zero = fx == 0.0
+            if np.count_nonzero(zero):
+                roots[live[zero]] = x[zero]
+                live, rows, a, b, fa, fb, moved_a, x, fx = (v[~zero] for v in (
+                    live, rows, a, b, fa, fb, moved_a, x, fx))
+            # Where fx has fa's sign a moves to x, else b; an end kept
+            # twice in a row is halved (times 1.0 keeps the others' bits).
+            moves_a = (fx > 0.0) == (fa > 0.0)
+            halve = np.where(moved_a == moves_a, 0.5, 1.0)
+            fa = np.where(moves_a, fx, halve * fa)
+            fb = np.where(moves_a, halve * fb, fx)
+            a, b = np.where(moves_a, x, a), np.where(moves_a, b, x)
+            moved_a = moves_a
+    roots[live] = 0.5 * (a + b)
+    return roots

@@ -324,9 +324,11 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
     """xi* with v(xi*, psi) = r, elementwise over broadcast r, psi and
     bracket ends, returned with r and psi: floats when all four are
     scalars, else broadcast arrays.  `bracketed_roots` scans every
-    bracket in one array pass of v and refines all their roots to 1e-10
-    together, one array pass per round; of several roots the one nearest
-    the bracket midpoint is taken, with a warning."""
+    bracket in one array pass of v, brackets each sign change (signs
+    compared, never multiplied) and refines all roots to 1e-10 together
+    as numpy lanes with `refine`'s bits, one array pass per round; of
+    several roots the one nearest the bracket midpoint is taken, with a
+    warning."""
     scalar = all(np.ndim(a) == 0 for a in (r, psi, *bracket))
     r, psi, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (r, psi, *bracket)))

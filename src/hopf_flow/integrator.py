@@ -49,8 +49,9 @@ attempted steps (`max_steps`); each returns the trajectory up to that
 point.  A stall is tested once per window.
 
 Every event stops the run.  When an event function changes sign over an
-accepted step, the run returns the event's values at the step's two
-rows, and `diagnostics.refine`, the shared Illinois refiner, locates the
+accepted step (decided by comparing signs, never by a product that can
+underflow), the run returns the event's values at the step's two rows,
+and `diagnostics.refine`, the Illinois rule's float loop, locates the
 crossing from that bracket, with no scan, on the step's interpolant on
 floats, to EVENT_T_TOL in t (or to adjacent doubles where that is finer
 than one ulp), one event evaluation per round.  The earliest crossing in
@@ -513,7 +514,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     Every sum keeps a fixed term order, and an inlined body every
     operation of the field's, on which trajectories' bits rest.
     """
-    names: dict = {"sqrt": math.sqrt}
+    names: dict = {"sqrt": math.sqrt, "crosses": _crosses}
 
     def every(expr: str) -> list[str]:
         """expr for every component, '#' standing for its index."""
@@ -606,10 +607,8 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "            if ev_fns:",
         f"                y_new = [{each('n#')}]",
         "                gs_new = [fn(t_new, y_new) for fn in ev_fns]",
-        # A sign change (or a landing on 0) in an event's direction.
         "                for ga, gb, sense in zip(gs, gs_new, ev_dirs):",
-        "                    if (ga != 0.0 and ga * gb <= 0.0",
-        "                            and not sense * (gb - ga) < 0.0):",
+        "                    if crosses(ga, gb, sense):",
         "                        " + stop(STOP_EVENT, "gs_new"),
         "                gs = gs_new",
         "            t = t_new",
@@ -739,6 +738,13 @@ def _state_at(t: float, t_lo: float, h: float, y_lo: list[float],
             for i, y in enumerate(y_lo)]
 
 
+def _crosses(ga: float, gb: float, direction: int) -> bool:
+    """Whether an event going from ga to gb over a step changes sign, or
+    lands on 0, in its direction; a NaN never does."""
+    return ((ga < 0.0 <= gb or ga > 0.0 >= gb)
+            and not direction * (gb - ga) < 0.0)
+
+
 def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
                     t_lo: float, t_hi: float, h: float, y_lo: list[float],
                     coefficients: list[float]) -> tuple[str, float, list]:
@@ -752,8 +758,7 @@ def _first_crossing(events: Sequence[Event], g_lo: list, g_hi: list,
 
     crossings = []
     for ev, ga, gb in zip(events, g_lo, g_hi):
-        # A sign change (or a landing on 0) in the event's direction.
-        if ga == 0.0 or not ga * gb <= 0.0 or ev.direction * (gb - ga) < 0.0:
+        if not _crosses(ga, gb, ev.direction):
             continue
         t_ev = refine(lambda t: ev.fn(t, state(t)), t_lo, t_hi, ga, gb,
                       EVENT_T_TOL)

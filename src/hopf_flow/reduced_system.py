@@ -547,8 +547,9 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
     constant c_effective[k] in the bracket (lo[k], hi[k]) and keeps the
     root nearest that bracket's midpoint, with the bits of the same call
     on row k's floats.  `bracketed_roots` scans every row in one
-    evaluation and then refines all their roots together, one evaluation
-    per round; an evaluation of at least _ARRAY_MIN_POINTS points is one
+    evaluation, brackets each sign change (signs compared, never
+    multiplied) and refines all roots together as numpy lanes with
+    `refine`'s bits, one evaluation per round; an evaluation of at least _ARRAY_MIN_POINTS points is one
     array pass, a smaller one goes point by point on the float path, with
     the same bits.  When every input is a float the result is a float,
     and no bracketed root raises ValueError; otherwise it is an array

@@ -347,6 +347,14 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
     (("implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "1e62",
       "--n", "4", "--bracket", "0.3,0.95"),
      "hopf-flow: need 0 < r <= 1e+61, got --rmax=1e+62\n"),
+    (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2",
+      "--bracket", "0.5,0.5"),
+     "hopf-flow: --bracket 0.5,0.5 is an empty bracket; need lo < hi\n"),
+    (("implicit", "--start", "1,2", "--rmin", "1", "--rmax", "2",
+      "--bracket", "0.3,0.95"),
+     "hopf-flow: --start 1.0,2.0: need r > 0 and H in (0, 1]\n"),
+    (("rho", "--xi=-1,1"),
+     "hopf-flow: --xi must be positive, got -1.0,1.0\n"),
     (("reduce", "--start", "1,4", "--target", "2"),
      "hopf-flow: --start psi0 must lie in (0, pi), got 4.0\n"),
     (("trace", "--chart", "spherical", "--start=-1,0,1"),
@@ -360,7 +368,8 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
     (("verify", "--tol", "0"),
      "hopf-flow verify: error: argument --tol: the tolerance scale must be "
      "positive, got '0'\n"),
-], ids=["implicit-rmin", "implicit-rmax", "reduce-psi0", "trace-spherical-r",
+], ids=["implicit-rmin", "implicit-rmax", "implicit-bracket",
+        "implicit-start", "rho-xi", "reduce-psi0", "trace-spherical-r",
         "trace-spherical-axis", "verify-only", "verify-tol"])
 def test_each_refusal_names_its_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "o"

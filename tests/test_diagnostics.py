@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopf_flow.diagnostics import bracketed_roots, relative_to_terms, summarize
+from hopf_flow.diagnostics import (bracketed_roots, refine, relative_to_terms,
+                                   summarize)
 
 
 def test_summarize_verdict_thresholds():
@@ -101,8 +102,8 @@ def test_relative_to_terms_on_floats_is_the_array_path_elementwise(rows):
 
 
 def _refine_root(fn, a, b, fa, fb, tol):
-    # The scalar Illinois refiner that `bracketed_roots` refined each
-    # bracket with, one bracket at a time: the oracle for its bits.
+    # The Illinois rule on floats, one bracket at a time: the oracle for
+    # the bits of `refine` and of each lane of `bracketed_roots`.
     kept = None
     for _ in range(200):
         lo, hi = min(a, b), max(a, b)
@@ -138,7 +139,8 @@ def _scalar_roots(fn, lo, hi, n_scan, tol):
     for i in range(n_scan + 1):
         if fs[i] == 0.0:
             roots.append(xs[i])
-        elif i < n_scan and fs[i] * fs[i + 1] < 0.0:
+        elif i < n_scan and (fs[i] < 0.0 < fs[i + 1]
+                             or fs[i] > 0.0 > fs[i + 1]):
             roots.append(_refine_root(fn, xs[i], xs[i + 1], fs[i], fs[i + 1],
                                       tol))
     return roots
@@ -177,6 +179,8 @@ _ROWS = [
     (_steps_and_nan, 0.0, 4.0, 4),
     (_nan_inside, 0.0, 1.0, 1),
     (lambda x: x * x + 1.0, -2.0, 2.0, 16),
+    # Values near 1e-301, whose neighbours' products underflow to 0.
+    (lambda x: (x - 0.5) * 1e-300, 0.0, 1.0, 3),
 ] + [(lambda x, k=k: math.sin(k * x) - 0.02 * k, 0.1, 3.0, 9)
      for k in range(1, 41)]
 
@@ -190,7 +194,7 @@ def _nearest(roots, lo, hi):
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 def test_lockstep_roots_are_the_scalar_refiners_bit_for_bit(tol):
-    # Rows of one scan size share a call; between them they hold 156
+    # Rows of one scan size share a call; between them they hold 157
     # roots, among them the exact zero at 2.
     counted, picked = 0, []
     for n_scan in sorted({n for *_, n in _ROWS}):
@@ -208,7 +212,23 @@ def test_lockstep_roots_are_the_scalar_refiners_bit_for_bit(tol):
         assert sizes[0] == len(rows) * (n_scan + 1)
         counted += int(counts.sum())
         picked += roots.tolist()
-    assert counted == 156 and 2.0 in picked
+    assert counted == 157 and 2.0 in picked
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_event_refiner_is_the_scalar_refiner_bit_for_bit(tol):
+    # `refine` on every bracket the scans of _ROWS find, against the same
+    # oracle as the lockstep lanes.
+    brackets = 0
+    for f, lo, hi, n_scan in _ROWS:
+        xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
+        fs = [f(x) for x in xs]
+        for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
+            if fa < 0.0 < fb or fa > 0.0 > fb:
+                want = _refine_root(f, a, b, fa, fb, tol)
+                assert refine(f, a, b, fa, fb, tol).hex() == want.hex()
+                brackets += 1
+    assert brackets == 156
 
 
 def test_bracketed_roots_finds_every_sign_change():

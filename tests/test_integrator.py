@@ -129,6 +129,18 @@ def test_backward_event_located():
     assert np.all(np.diff(traj.ts) < 0.0)
 
 
+@pytest.mark.parametrize("slope, y0", [(0.0, 1e-200), (-1e-200, 3e-200)],
+                         ids=["constant", "falling"])
+def test_tiny_event_values_of_one_sign_are_no_crossing(slope, y0):
+    # y stays positive over the span, but the product of two event values
+    # near 1e-200 underflows to 0: a crossing is decided by signs, so the
+    # run neither divides by fb - fa = 0 nor stops early.
+    ev = Event(fn=lambda t, y: y[0])
+    traj = integrate(lambda t, y: [slope], [y0], (0.0, 1.0), events=(ev,))
+    assert traj.stop_reason == "reached_end" and traj.event is None
+    assert traj.t_end == 1.0 and traj.y_end[0] > 0.0
+
+
 def test_events_are_refined_from_the_flagged_step_without_a_scan(
         monkeypatch, tmp_path):
     # Event location refines the bracket the run flagged; the scanning
@@ -465,7 +477,8 @@ def test_float_event_location_is_the_one_row_refiner_bit_for_bit(
         return ev.fn(t, state(t))
 
     g_lo, g_hi = ev.fn(t_lo, y_lo), ev.fn(t_hi, y_hi)
-    if g_lo == 0.0 or not g_lo * g_hi <= 0.0 or direction * (g_hi - g_lo) < 0:
+    if (not (g_lo < 0.0 <= g_hi or g_lo > 0.0 >= g_hi)
+            or direction * (g_hi - g_lo) < 0):
         return
     want = refine(g, t_lo, t_hi, g_lo, g_hi, integrator.EVENT_T_TOL)
     assert integrator._first_crossing(
