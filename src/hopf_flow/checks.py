@@ -94,9 +94,10 @@ def _shared(name: str, compute: Callable[[], object]):
 def _uniform_rows(seed: int, *bounds: tuple[float, float]) -> Iterator:
     """Endless rows of random.Random(seed)'s draws, one per (lo, hi) of
     bounds, each uniform on [lo, hi)."""
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
+    spans = [(lo, hi - lo) for lo, hi in bounds]
     while True:
-        yield tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds)
+        yield tuple([lo + width * draw() for lo, width in spans])
 
 
 def _sphere_points(seed: int, radius: float) -> Iterator:

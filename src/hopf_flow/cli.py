@@ -185,6 +185,14 @@ def cmd_trace(ns) -> tuple:
     else:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
+    start = ",".join(map(repr, ns.start))
+    try:
+        slope = ode(0.0, ns.start)
+    except ValueError as exc:
+        raise ValueError(f"--start {start}: {exc}") from None
+    if not all(map(math.isfinite, slope)):
+        raise ValueError(f"--start {start}: the field's slope there, "
+                         f"{[float(v) for v in slope]}, is not finite")
     traj = integrate(ode, ns.start, (0.0, span), rel_tol=ns.tol)
     # The accepted rows as they are, (t, *y) from the run's flat buffers
     # (the interpolant returns a node's own state there); only dense times

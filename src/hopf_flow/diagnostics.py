@@ -151,13 +151,16 @@ def refine(fn: Callable[[float], float], a: float, b: float, fa: float,
     # round-off, the secant step would land on it again, while the tol/2
     # step closes the bracket at once.  Where tol is below one ulp of the
     # ends, the bracket stops at adjacent doubles, where even the midpoint
-    # rounds onto an end.
+    # rounds onto an end.  Where fb * (b - a) underflows, the secant step
+    # would stall on b, so the step is the midpoint; an end's value is
+    # never halved to 0, so the ends keep their signs.
     kept = None
     for _ in range(_MAX_ROUNDS):
         lo, hi = min(a, b), max(a, b)
         if hi - lo <= tol:
             break
-        x = b - fb * (b - a) / (fb - fa)
+        step = fb * (b - a)
+        x = b - step / (fb - fa) if step != 0.0 else 0.5 * (a + b)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         if not lo < x < hi:
             x = 0.5 * (a + b)  # NaN from overflow, or tol below round-off
@@ -169,12 +172,12 @@ def refine(fn: Callable[[float], float], a: float, b: float, fa: float,
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
             if kept == "b":
-                fb *= 0.5
+                fb = fb * 0.5 or fb
             kept = "b"
         else:
             b, fb = x, fx
             if kept == "a":
-                fa *= 0.5
+                fa = fa * 0.5 or fa
             kept = "a"
     return 0.5 * (a + b)
 
@@ -192,9 +195,9 @@ def _refine_lanes(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ROUNDS):
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            x = np.minimum(np.maximum(b - fb * (b - a) / (fb - fa),
-                                      lo + 0.5 * tol), hi - 0.5 * tol)
-            mid = 0.5 * (a + b)
+            step, mid = fb * (b - a), 0.5 * (a + b)
+            x = np.where(step == 0.0, mid, b - step / (fb - fa))
+            x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
             x = np.where((lo < x) & (x < hi), x, mid)
             # A NaN width leaves no x inside, so it ends its lane too.
             going = (hi - lo > tol) & (lo < x) & (x < hi)
@@ -212,11 +215,13 @@ def _refine_lanes(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
                 live, rows, a, b, fa, fb, moved_a, x, fx = (v[~zero] for v in (
                     live, rows, a, b, fa, fb, moved_a, x, fx))
             # Where fx has fa's sign a moves to x, else b; an end kept
-            # twice in a row is halved (times 1.0 keeps the others' bits).
+            # twice in a row is halved (times 1.0 keeps the others' bits)
+            # unless that makes it 0.
             moves_a = (fx > 0.0) == (fa > 0.0)
             halve = np.where(moved_a == moves_a, 0.5, 1.0)
-            fa = np.where(moves_a, fx, halve * fa)
-            fb = np.where(moves_a, halve * fb, fx)
+            half_a, half_b = halve * fa, halve * fb
+            fa = np.where(moves_a, fx, np.where(half_a == 0.0, fa, half_a))
+            fb = np.where(moves_a, np.where(half_b == 0.0, fb, half_b), fx)
             a, b = np.where(moves_a, x, a), np.where(moves_a, b, x)
             moved_a = moves_a
     roots[live] = 0.5 * (a + b)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import random
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -353,6 +355,17 @@ def test_the_batterys_first_draws_are_pinned(monkeypatch):
     assert [x.hex() for x in fields.default_probes()[0]] == [
         "-0x1.5e03d905ebdc0p-4", "0x1.268107bc9c150p-2",
         "0x1.e96b304bf09b0p-1"]
+
+
+def test_uniform_rows_are_the_streams_draws_in_order():
+    # Row by row, each bound takes the stream's next draw.
+    bounds = [(-5.7, 5.7), (0.15, 0.7), (0.5, 2.6)]
+    rng = random.Random(271828)
+    want = [tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds)
+            for _ in range(4)]
+    got = list(islice(checks._uniform_rows(271828, *bounds), 4))
+    assert [[x.hex() for x in row] for row in got] == [
+        [x.hex() for x in row] for row in want]
 
 
 def test_integrator_order_fails_on_a_planted_third_order_error(monkeypatch):

@@ -362,6 +362,12 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
     (("trace", "--chart", "spherical", "--start", "2,0,0"),
      "hopf-flow: --start lies on the z-axis where the spherical chart is "
      "singular; use the cartesian chart\n"),
+    (("trace", "--start", "1e200,0,0"),
+     "hopf-flow: --start 1e+200,0.0,0.0: Cartesian state (1e+200, 0.0, 0.0) "
+     "overflows the field"),
+    (("trace", "--chart", "spherical", "--start", "1e200,0,1"),
+     "hopf-flow: --start 1e+200,0.0,1.0: the field's slope there, "
+     "[nan, nan, nan], is not finite\n"),
     (("verify", "--only", "nope"),
      "hopf-flow verify: error: argument --only: unknown check 'nope'; "
      "known: unit-norm, rate-identities, "),
@@ -370,7 +376,8 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
      "positive, got '0'\n"),
 ], ids=["implicit-rmin", "implicit-rmax", "implicit-bracket",
         "implicit-start", "rho-xi", "reduce-psi0", "trace-spherical-r",
-        "trace-spherical-axis", "verify-only", "verify-tol"])
+        "trace-spherical-axis", "trace-cartesian-overflow",
+        "trace-spherical-overflow", "verify-only", "verify-tol"])
 def test_each_refusal_names_its_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(*argv, "--out", str(out)) == 2

@@ -109,7 +109,8 @@ def _refine_root(fn, a, b, fa, fb, tol):
         lo, hi = min(a, b), max(a, b)
         if hi - lo <= tol:
             break
-        x = b - fb * (b - a) / (fb - fa)
+        step = fb * (b - a)
+        x = b - step / (fb - fa) if step != 0.0 else 0.5 * (a + b)
         x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
         if not lo < x < hi:
             x = 0.5 * (a + b)
@@ -121,12 +122,12 @@ def _refine_root(fn, a, b, fa, fb, tol):
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
             if kept == "b":
-                fb *= 0.5
+                fb = fb * 0.5 or fb
             kept = "b"
         else:
             b, fb = x, fx
             if kept == "a":
-                fa *= 0.5
+                fa = fa * 0.5 or fa
             kept = "a"
     return 0.5 * (a + b)
 
@@ -229,6 +230,24 @@ def test_event_refiner_is_the_scalar_refiner_bit_for_bit(tol):
                 assert refine(f, a, b, fa, fb, tol).hex() == want.hex()
                 brackets += 1
     assert brackets == 156
+
+
+def _smallest_step(x):
+    # The smallest subnormal, of opposite signs either side of 0.3: half
+    # of it rounds to 0, so every secant product fb * (b - a) below a
+    # width of 1 underflows.
+    return 5e-324 if x > 0.3 else -5e-324
+
+
+def test_a_root_whose_values_underflow_is_still_found():
+    # Secant steps alone stall on an end and stop at the midpoint 0.25 of
+    # a still-wide bracket.
+    f = _smallest_step
+    assert abs(refine(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12) - 0.3) <= 1e-12
+    roots, counts = bracketed_roots(
+        lambda rows, x: [f(t) for t in x.tolist()], 0.0, 1.0, 1, 1e-12)
+    assert counts.tolist() == [1]
+    assert abs(roots[0] - 0.3) <= 1e-12
 
 
 def test_bracketed_roots_finds_every_sign_change():

@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hopf_flow import _bessel_tables, reduced_system
 from hopf_flow import special_functions as sf
@@ -73,22 +77,75 @@ def _around(z: float) -> list[float]:
     return pts
 
 
-def test_array_quad_matches_scalar_quad():
-    zs = np.array(_around(2.0) + _around(8.0) + [1e-3, 0.7, 3.0, 42.0, 300.0]
-                  + np.geomspace(1e-3, sf.Z_MAX, 200).tolist())
+def _scalar_quads(zs) -> np.ndarray:
+    """The float path at each point of zs, rows I0, I1, K0, K1: NaN where
+    it raises."""
+    values = []
+    for z in zs:
+        try:
+            values.append(sf.bessel_quad(z)[1:])
+        except ValueError:
+            values.append((math.nan,) * 4)
+    return np.array(values).T
+
+
+def _assert_float_bits(zs: np.ndarray) -> None:
+    """bessel_quad(zs) keeps zs's shape, is NaN exactly where the float
+    path raises, and has the float path's bits everywhere else."""
     batch = sf.bessel_quad(zs)
-    assert batch.z.shape == zs.shape
-    for name in ("i0", "i1", "k0", "k1"):
-        scalar = np.array([getattr(sf.bessel_quad(float(z)), name)
-                           for z in zs])
-        ulps = (np.abs(getattr(batch, name) - scalar)
-                / np.spacing(np.abs(scalar)))
-        assert ulps.max() <= 2.0, name
-    # Shape is kept, and a refused element is NaN where a float raises.
-    grid = sf.bessel_quad(np.array([[0.5, -1.0], [300.5, math.nan]]))
-    assert grid.k1.shape == (2, 2)
-    assert math.isfinite(grid.i0[0, 0])
-    assert np.isnan([grid.i0[0, 1], grid.k0[1, 0], grid.k1[1, 1]]).all()
+    assert batch.z.shape == zs.shape and batch.k1.shape == zs.shape
+    got = np.array(batch[1:]).reshape(4, -1)
+    want = _scalar_quads(zs.ravel().tolist())
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
+
+
+def test_array_quad_matches_scalar_quad():
+    n = sf._STACK_MAX
+    rng = np.random.default_rng(7)
+    # Each region pair alone, at sizes either side of the stacked pass's
+    # limit: (I small, K small), (I small, K large), (I large, K large).
+    for lo, hi in ((1e-3, 2.0), (2.0, 8.0), (8.0, sf.Z_MAX)):
+        for size in (1, 12, 100, n, n + 1, 6500):
+            _assert_float_bits(rng.uniform(lo, hi, size))
+    # The joins and their neighbours, every pair in one array.
+    _assert_float_bits(np.array(
+        _around(2.0) + _around(8.0) + [1e-3, 0.7, 3.0, 42.0, 300.0]
+        + np.geomspace(1e-3, sf.Z_MAX, 200).tolist()))
+    # Refused points among accepted ones, on both sides of the limit.
+    refused = [-1.0, 0.0, 5e-324, 300.5, math.nan, math.inf]
+    for size in (12, n + 1):
+        zs = rng.uniform(1e-3, sf.Z_MAX, size)
+        zs[rng.permutation(size)[:len(refused)]] = refused
+        _assert_float_bits(zs)
+    # Shape is kept.
+    _assert_float_bits(np.array([[0.5, -1.0], [300.5, math.nan]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 2 * sf._STACK_MAX),
+                  elements=st.one_of(st.floats(0.0, 310.0), st.floats())))
+def test_array_quad_keeps_the_float_bits_on_any_array(zs):
+    # Arrays up to twice the stacked pass's limit, half their points drawn
+    # near the range and half from every float: no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_float_bits(zs)
+
+
+def test_a_planted_chebyshev_fault_reaches_every_array_size(monkeypatch):
+    # a_0 of the small-z I1 series off by a relative 1e-10, read at call
+    # time by the stacked pass and by the one-series-at-a-time pass.
+    small = np.linspace(0.3, 1.9, 12)
+    large = np.linspace(0.3, 1.9, 6500)
+    before = [sf.bessel_quad(zs).i1 for zs in (small, large)]
+    *rest, a0 = sf.I1_SMALL
+    monkeypatch.setattr(sf, "I1_SMALL", (*rest, a0 * (1.0 + 1e-10)))
+    for zs, i1 in zip((small, large), before):
+        after = sf.bessel_quad(zs)
+        assert (after.i1 != i1).all()
+        assert np.array_equal(after.i1, _scalar_quads(zs.tolist())[1])
 
 
 def test_interval_joins_are_continuous():
