@@ -185,15 +185,15 @@ def cmd_trace(ns) -> tuple:
     else:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
-    start = ",".join(map(repr, ns.start))
-    try:
+    try:  # the field at the start, or a slope too steep for a first step
         slope = ode(0.0, ns.start)
+        if not all(map(math.isfinite, slope)):
+            raise ValueError(f"the field's slope there, "
+                             f"{[float(v) for v in slope]}, is not finite")
+        traj = integrate(ode, ns.start, (0.0, span), rel_tol=ns.tol)
     except ValueError as exc:
-        raise ValueError(f"--start {start}: {exc}") from None
-    if not all(map(math.isfinite, slope)):
-        raise ValueError(f"--start {start}: the field's slope there, "
-                         f"{[float(v) for v in slope]}, is not finite")
-    traj = integrate(ode, ns.start, (0.0, span), rel_tol=ns.tol)
+        raise ValueError(f"--start {','.join(map(repr, ns.start))}: "
+                         f"{exc}") from None
     # The accepted rows as they are, (t, *y) from the run's flat buffers
     # (the interpolant returns a node's own state there); only dense times
     # between nodes are sampled.
@@ -235,8 +235,12 @@ def cmd_field(ns) -> tuple:
               "rate_arctan", "rate_r2"]
     rows = []
     for p in points:
-        vx, vy, vz = fields.cartesian_ode(0.0, p)
-        rates = fields.derived_rates(p)
+        try:
+            vx, vy, vz = fields.cartesian_ode(0.0, p)
+            rates = fields.derived_rates(p)
+        except ValueError as exc:
+            raise ValueError(f"--point {','.join(map(repr, p))}: "
+                             f"{exc}") from None
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
     return header, rows, {"points": len(rows)}

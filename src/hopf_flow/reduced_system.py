@@ -63,10 +63,11 @@ _MAX_PARAM = 50.0
 # Radii per curve at which select_effective_form compares the forms.
 _FORM_SAMPLES = 24
 
-# An array `_combination` costs ~0.3 ms whatever its size below a few
-# hundred points, about as much as 30 float calls, so `solve_implicit`
-# evaluates fewer points than this one by one on the float path.
-_ARRAY_MIN_POINTS = 32
+# An array `_combination` costs ~0.12-0.4 ms below a few hundred points,
+# more the more Bessel region pairs they span, and a float `_gap` ~8-12 us
+# a point (crossover ~16 points in one pair, ~24-30 across three, on a
+# 2-core host), so `solve_implicit` evaluates fewer points one by one.
+_ARRAY_MIN_POINTS = 20
 
 # A quarter of the largest float: the bound on a = 4 + r^2 and on its
 # products with the Bessel values (see `_bessel_terms`).
@@ -542,18 +543,18 @@ def solve_implicit(c_effective, r, bracket, n_scan: int = 64):
     |dH| <= 1e-12, and with several roots the one nearest the bracket
     midpoint is returned with a multiplicity warning.
 
-    `r`, `c_effective` and each end of `bracket` are floats or 1-d
-    arrays, broadcast against each other: row k solves for H at r[k] with
-    constant c_effective[k] in the bracket (lo[k], hi[k]) and keeps the
-    root nearest that bracket's midpoint, with the bits of the same call
-    on row k's floats.  `bracketed_roots` scans every row in one
-    evaluation, brackets each sign change (signs compared, never
-    multiplied) and refines all roots together as numpy lanes with
-    `refine`'s bits, one evaluation per round; an evaluation of at least _ARRAY_MIN_POINTS points is one
-    array pass, a smaller one goes point by point on the float path, with
-    the same bits.  When every input is a float the result is a float,
-    and no bracketed root raises ValueError; otherwise it is an array
-    with NaN in the rows without a root.
+    `r`, `c_effective` and each end of `bracket` are floats or 1-d arrays,
+    broadcast against each other: row k solves for H at r[k] with constant
+    c_effective[k] in the bracket (lo[k], hi[k]) and keeps the root nearest
+    that bracket's midpoint, with the bits of the same call on row k's
+    floats.  `bracketed_roots` scans every row in one evaluation, brackets
+    each sign change (signs compared, never multiplied) and refines all
+    roots together as numpy lanes with `refine`'s bits, one evaluation per
+    round; an evaluation of at least _ARRAY_MIN_POINTS points is one array
+    pass, a smaller one goes point by point on the float path, with the same
+    bits.  When every input is a float the result is a float, and no
+    bracketed root raises ValueError; otherwise it is an array with NaN in
+    the rows without a root.
     """
     inputs = (r, c_effective, bracket[0], bracket[1])
     if any(np.ndim(x) > 1 for x in inputs):

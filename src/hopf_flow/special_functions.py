@@ -15,17 +15,20 @@ interval split of Cephes (Moshier 1989):
 
 The coefficients in `_bessel_tables` are written by
 tools/make_bessel_tables.py from 40-digit mpmath values; each series is
-summed by the Clenshaw recurrence (Clenshaw 1955).  A float sums one
-series at a time in Python float arithmetic.  An ndarray groups its
-points by region pair, (I, K) on (0, 2], (2, 8] and (8, 300]: a pair of
-at most _STACK_MAX = 1024 points sums its four series as the rows of one
-2-d pass, the I pair alone until the shorter K pair begins, and a larger
-one sums them one at a time.  Both array passes write in place, do the
-float recurrence's operations in its order and take exp and log from
-numpy, as the float path does, so an array element equals the float
-result bit for bit.  Against 40-digit mpmath the largest relative error
-over 2000 log-spaced points in [1e-3, 300] is 7.8e-16 for I0, 1.4e-15
-for I1, 1.2e-15 for K0 and 6.2e-16 for K1.
+summed by the Clenshaw recurrence (Clenshaw 1955).  Each region pair,
+(I, K) on (0, 2], (2, 8] and (8, 300], is stated once: `_region` gives
+its four series and their Chebyshev variables, `_finish` its scaling,
+for a float or an array alike.  A float sums its four series in Python
+float arithmetic.  An ndarray groups its points by region pair: a pair
+of at most _STACK_MAX = 1024 points sums its four series as the rows of
+one 2-d pass, the longer I pair alone until the K pair's first
+coefficient, and a larger one sums them one at a time.  Both array
+passes write in place and do the float recurrence's operations in its
+order, and both paths take exp, sqrt and log from numpy, so an array
+element equals the float result bit for bit.  Against 40-digit
+mpmath the largest relative error over 2000 log-spaced points in
+[1e-3, 300] is 7.8e-16 for I0, 1.4e-15 for I1, 1.2e-15 for K0 and
+6.2e-16 for K1.
 """
 
 from __future__ import annotations
@@ -74,44 +77,47 @@ def _clenshaw(coeffs, t):
 
 
 def _apply(ufunc, x):
-    # numpy's exp and log on both paths: their results do not depend on an
-    # array's length or layout, so a float and an array element agree bit
-    # for bit (math.exp and numpy's exp differ by an ulp at some points).
+    # numpy's exp, sqrt and log on both paths: their results do not depend
+    # on an array's length or layout, so a float and an array element agree
+    # bit for bit (math.exp and numpy's exp differ by an ulp at some points).
     y = ufunc(x)
     return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _i_small(z):
-    t = 0.25 * z - 1.0
+def _region(z, i_small, k_small):
+    """The four series (I0, I1, K0, K1) of the region pair I on (0, 8]
+    or (8, 300] and K on (0, 2] or (2, 300], and the Chebyshev variable
+    of each at z, a float or an array."""
+    t_i = 0.25 * z - 1.0 if i_small else 16.0 / z - 1.0
+    t_k = 0.5 * z * z - 1.0 if k_small else 4.0 / z - 1.0
+    series = (((I0_SMALL, I1_SMALL) if i_small else (I0_LARGE, I1_LARGE))
+              + ((K0_SMALL, K1_SMALL) if k_small else (K0_LARGE, K1_LARGE)))
+    return series, (t_i, t_i, t_k, t_k)
+
+
+def _finish(z, i_small, k_small, sums):
+    """I0, I1, K0 and K1 at z from the region pair's four sums."""
+    s0, s1, s2, s3 = sums
     ez = _apply(np.exp, z)
-    return _clenshaw(I0_SMALL, t) * ez, _clenshaw(I1_SMALL, t) * z * ez
-
-
-def _i_large(z):
-    t = 16.0 / z - 1.0
-    scale = _apply(np.exp, z) / _apply(np.sqrt, z)
-    return _clenshaw(I0_LARGE, t) * scale, _clenshaw(I1_LARGE, t) * scale
-
-
-def _k_small(z, i0, i1):
-    t = 0.5 * z * z - 1.0
+    if i_small:
+        i0, i1 = s0 * ez, s1 * z * ez
+    else:
+        scale = ez / _apply(np.sqrt, z)
+        i0, i1 = s0 * scale, s1 * scale
+    if not k_small:
+        scale = _apply(np.exp, -z) / _apply(np.sqrt, z)
+        return i0, i1, s2 * scale, s3 * scale
     log = _apply(np.log, 0.5 * z)
-    return (_clenshaw(K0_SMALL, t) - log * i0,
-            log * i1 + _clenshaw(K1_SMALL, t) / z)
-
-
-def _k_large(z):
-    t = 4.0 / z - 1.0
-    scale = _apply(np.exp, -z) / _apply(np.sqrt, z)
-    return _clenshaw(K0_LARGE, t) * scale, _clenshaw(K1_LARGE, t) * scale
+    return i0, i1, s2 - log * i0, log * i1 + s3 / z
 
 
 def _quad_scalar(z: float) -> BesselQuad:
     if not (0.0 < 0.5 * z and z <= Z_MAX):
         raise ValueError(f"argument {z!r} outside supported range (0, {Z_MAX}]")
-    i0, i1 = _i_small(z) if z <= _I_SPLIT else _i_large(z)
-    k0, k1 = _k_small(z, i0, i1) if z <= _K_SPLIT else _k_large(z)
-    return BesselQuad(z=z, i0=i0, i1=i1, k0=k0, k1=k1)
+    i_small, k_small = z <= _I_SPLIT, z <= _K_SPLIT
+    series, ts = _region(z, i_small, k_small)
+    return BesselQuad(z, *_finish(z, i_small, k_small,
+                                  map(_clenshaw, series, ts)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -134,11 +140,10 @@ def _clenshaw_rows(series, t):
     written in place."""
     width = t.shape[1]
     t2 = t + t
-    bufs = [np.zeros(t.shape) for _ in range(3)]
+    b1, b2, tmp = (np.zeros(t.shape) for _ in range(3))
     mul, sub, add = np.multiply, np.subtract, np.add
     for rows, block in _phases(*series):
-        b1, b2, tmp = (b[:rows] for b in bufs)
-        t2_rows = t2[:rows]
+        b1, b2, tmp, t2_rows = b1[:rows], b2[:rows], tmp[:rows], t2[:rows]
         # A narrow pass is bound by numpy's per-call cost, and adding a
         # (rows, 1) column costs it ~3x adding a full-width block.
         for a in (np.repeat(block, width, axis=2) if width <= _STACK_MAX
@@ -147,10 +152,9 @@ def _clenshaw_rows(series, t):
             sub(tmp, b2, tmp)
             add(tmp, a, tmp)
             b1, b2, tmp = tmp, b1, b2
-        # Each step turned the three buffers' roles once.
-        shift = len(block) % 3
-        bufs = bufs[-shift:] + bufs[:-shift]
-    b1, b2, tmp = bufs
+        # The phase's views turned roles at each step; their bases are the
+        # whole buffers, in the roles they ended in.
+        b1, b2, tmp = b1.base, b2.base, tmp.base
     return sub(b1, mul(t, b2, tmp), tmp)
 
 
@@ -167,27 +171,16 @@ def _quad_array(z: np.ndarray) -> BesselQuad:
         if not mask.any():
             continue
         x = flat[mask]
-        t_i = 0.25 * x - 1.0 if i_small else 16.0 / x - 1.0
-        t_k = 0.5 * x * x - 1.0 if k_small else 4.0 / x - 1.0
-        series = (((I0_SMALL, I1_SMALL) if i_small else (I0_LARGE, I1_LARGE))
-                  + ((K0_SMALL, K1_SMALL) if k_small else (K0_LARGE, K1_LARGE)))
-        ts = (t_i, t_i, t_k, t_k)
-        s = (_clenshaw_rows(series, np.stack(ts)) if x.size <= _STACK_MAX
-             else [_clenshaw_rows((a,), t[None])[0] for a, t in zip(series, ts)])
-        ez = np.exp(x)
-        scale = ez if i_small else ez / np.sqrt(x)
-        i0, i1 = s[0] * scale, (s[1] * x if i_small else s[1]) * scale
-        if k_small:
-            log = np.log(0.5 * x)
-            # K1 ~ 1/z passes the float range below z ~ 5.6e-309: inf, as
-            # on the float path.
-            with np.errstate(over="ignore"):
-                k0, k1 = s[2] - log * i0, log * i1 + s[3] / x
-        else:
-            scale = np.exp(-x) / np.sqrt(x)
-            k0, k1 = s[2] * scale, s[3] * scale
-        for row, values in zip(quad, (i0, i1, k0, k1)):
-            row[mask] = values
+        series, ts = _region(x, i_small, k_small)
+        sums = (_clenshaw_rows(series, np.stack(ts)) if x.size <= _STACK_MAX
+                else [_clenshaw_rows((a,), t[None])[0]
+                      for a, t in zip(series, ts)])
+        # K1 ~ 1/z passes the float range below z ~ 5.6e-309: inf, as on
+        # the float path.
+        with np.errstate(over="ignore"):
+            values = _finish(x, i_small, k_small, sums)
+        for row, value in zip(quad, values):
+            row[mask] = value
     i0, i1, k0, k1 = quad.reshape((4,) + z.shape)
     return BesselQuad(z=z, i0=i0, i1=i1, k0=k0, k1=k1)
 

@@ -54,6 +54,14 @@ def test_run_battery_rejects_unknown_names():
         checks.run_battery(only=["no-such-check"])
 
 
+@pytest.mark.parametrize("tol_scale", [0.0, -1.0, math.nan, math.inf])
+def test_run_battery_refuses_a_tolerance_scale_not_finite_and_positive(
+        tol_scale):
+    with pytest.raises(ValueError,
+                       match="tolerance scale must be finite and positive"):
+        checks.run_battery(tol_scale=tol_scale)
+
+
 def test_run_battery_single_check_document():
     doc = checks.run_battery(only=["legendre-identity"])
     assert doc["schema"] == "hopf-flow-verify/1"

@@ -368,6 +368,13 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
     (("trace", "--chart", "spherical", "--start", "1e200,0,1"),
      "hopf-flow: --start 1e+200,0.0,1.0: the field's slope there, "
      "[nan, nan, nan], is not finite\n"),
+    (("trace", "--chart", "spherical", "--start", "1e-300,0,1"),
+     "hopf-flow: --start 1e-300,0.0,1.0: the slope at the start, "
+     "[0.5403023058681398, 2.0, -8.414709848078965e+299], is not finite or "
+     "too steep to take a step\n"),
+    (("field", "--point", "1e77,0,0"),
+     "hopf-flow: --point 1e+77,0.0,0.0: Cartesian state (1e+77, 0.0, 0.0) "
+     "overflows the field"),
     (("verify", "--only", "nope"),
      "hopf-flow verify: error: argument --only: unknown check 'nope'; "
      "known: unit-norm, rate-identities, "),
@@ -377,7 +384,8 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
 ], ids=["implicit-rmin", "implicit-rmax", "implicit-bracket",
         "implicit-start", "rho-xi", "reduce-psi0", "trace-spherical-r",
         "trace-spherical-axis", "trace-cartesian-overflow",
-        "trace-spherical-overflow", "verify-only", "verify-tol"])
+        "trace-spherical-overflow", "trace-spherical-steep",
+        "field-point-overflow", "verify-only", "verify-tol"])
 def test_each_refusal_names_its_flag(argv, message, tmp_path, capsys):
     out = tmp_path / "o"
     assert run_cli(*argv, "--out", str(out)) == 2

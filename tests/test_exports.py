@@ -98,6 +98,21 @@ def test_only_the_run_generator_compiles_text():
                              ("integrator", "_run_fn", "exec")]
 
 
+@integrator.inlined_field
+def looped_field(t, y):
+    (a,) = y
+    for _ in range(2):
+        a = a + 1.0
+    return (a,)
+
+
+def test_integrate_refuses_a_decorated_field_it_cannot_inline():
+    # A loop is none of the statements a run's stage can hold.
+    with pytest.raises(ValueError,
+                       match="looped_field: not a field integrate can inline"):
+        integrator.integrate(looped_field, [1.0], (0.0, 1.0))
+
+
 def test_inlined_field_refuses_what_is_not_a_module_level_def():
     def nested(t, y):
         (a,) = y

@@ -196,6 +196,12 @@ def test_reconstruction_refuses_complex_bracket():
         reconstruct_H(-100.0, 0.9, bracket=(0.5, 5.0), n_scan=1)
 
 
+@pytest.mark.parametrize("bracket", [(0.5, 0.2), (0.0, 0.5)])
+def test_reconstruction_refuses_a_bracket_not_ordered_above_0(bracket):
+    with pytest.raises(ValueError, match="bracket must satisfy 0 < lo < hi"):
+        reconstruct_H(1.0, 0.9, bracket=bracket)
+
+
 def test_xi_substitution_is_exact_below_equator():
     def probe(r, phi, x):
         return r * r * x + 0.3 * phi

@@ -411,8 +411,11 @@ PER_ROW = [
 ]
 
 
-@pytest.mark.parametrize("n_scan", [64, 6])  # array and float scans
+@pytest.mark.parametrize("n_scan", [64, 3])  # array and float scans
 def test_per_row_targets_and_brackets_are_each_rows_scalar_solve(n_scan):
+    # The scan of 3 steps evaluates 4 x 4 points one by one, that of 64
+    # steps 4 x 65 points as one array.
+    assert 4 * (3 + 1) < rs._ARRAY_MIN_POINTS <= 4 * (64 + 1)
     c, r, lo, hi = (np.array(col) for col in zip(*PER_ROW))
     with pytest.warns(UserWarning, match="1 of 4 radii have several roots"):
         batch = rs.solve_implicit(c, r, (lo, hi), n_scan=n_scan)

@@ -148,13 +148,21 @@ def test_a_planted_chebyshev_fault_reaches_every_array_size(monkeypatch):
         assert np.array_equal(after.i1, _scalar_quads(zs.tolist())[1])
 
 
+def _region_quad(z: float, i_small: bool, k_small: bool) -> tuple:
+    """I0, I1, K0 and K1 at z from the given region pair's series."""
+    series, ts = sf._region(z, i_small, k_small)
+    sums = [sf._clenshaw(a, t) for a, t in zip(series, ts)]
+    return sf._finish(z, i_small, k_small, sums)
+
+
 def test_interval_joins_are_continuous():
-    # Both series of an interval join evaluated at the join itself.
-    i0, i1 = sf._i_small(2.0)
-    for left, right in zip(sf._k_small(2.0, i0, i1), sf._k_large(2.0)):
-        assert abs(left - right) <= 2e-15 * abs(left)
-    for left, right in zip(sf._i_small(8.0), sf._i_large(8.0)):
-        assert abs(left - right) <= 2e-15 * abs(left)
+    # Both region pairs of an interval join evaluated at the join itself:
+    # the K series at z = 2, the I series at z = 8.
+    for z, below, above in ((2.0, (True, True), (True, False)),
+                            (8.0, (True, False), (False, False))):
+        for left, right in zip(_region_quad(z, *below),
+                               _region_quad(z, *above)):
+            assert abs(left - right) <= 2e-15 * abs(left)
 
 
 def test_tables_are_what_the_generator_writes():
