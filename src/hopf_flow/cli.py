@@ -23,14 +23,14 @@ override (a repeatable flag adds to them); any argument that starts with
 with the flag's one reader before any work (a number must be finite, a
 count an integer whose output stays within MAX_OUTPUT_NUMBERS) and
 refuses a bad one with "hopf-flow SUBCOMMAND: error: argument --FLAG:
-...", as it refuses a missing or unknown flag.  What spans flags or
-needs computing (a spherical start, the radii, --psi's ends, rho's
-overflow) the subcommand refuses with "hopf-flow: ...", naming the flag.  It
-returns its (header, rows, meta), and `main` writes them to the (--out,
---format) sink.  Numbers in CSV carry 17 significant digits, so
-re-parsing reproduces every float bit-exactly.  `main` returns the exit
-code and raises no SystemExit: 0 all good (--help too), 1 check or
-runtime failure, 2 usage error.
+...", as it refuses a missing or unknown flag.  A rule that spans flags
+or needs computing is stated once, by the library function that needs
+it, and the subcommand names the flags around the call: "hopf-flow:
+--FLAG VALUES: ...".  It returns its (header, rows, meta), and `main`
+writes them to the (--out, --format) sink.  Numbers in CSV carry 17
+significant digits, so re-parsing reproduces every float bit-exactly.
+`main` returns the exit code and raises no SystemExit: 0 all good
+(--help too), 1 check or runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -68,6 +68,24 @@ def _output(path: str | None) -> Iterator:
     else:
         with open(path, "w", encoding="ascii") as fh:
             yield fh
+
+
+def _flags(**flags: Sequence[float]) -> str:
+    """Each of flags that is given values, as "--FLAG V1,V2", joined by
+    spaces."""
+    return " ".join(f"--{flag} {','.join(map(repr, values))}"
+                    for flag, values in flags.items() if values)
+
+
+@contextmanager
+def _naming(**flags: Sequence[float]) -> Iterator[None]:
+    """Within, a library's ValueError is re-raised as "--FLAG VALUES:
+    message" for each of flags, the values the call was given: the one way
+    a subcommand names the flags of a rule the library states."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{_flags(**flags)}: {exc}") from None
 
 
 def _write_json(path: str | None, doc) -> None:
@@ -173,11 +191,7 @@ def cmd_trace(ns) -> tuple:
 
     span, dense = ns.span, ns.dense
     if ns.chart == "spherical":
-        r, phi, psi = ns.start
-        if r <= 0.0:
-            raise ValueError(f"--start needs r > 0 in the spherical chart, "
-                             f"got r={r!r}")
-        if abs(math.sin(psi)) < fields.SIN_PSI_FLOOR:
+        if abs(math.sin(ns.start[2])) < fields.SIN_PSI_FLOOR:
             raise ValueError("--start lies on the z-axis where the spherical "
                              "chart is singular; use the cartesian chart")
         ode = fields.spherical_ode
@@ -185,15 +199,8 @@ def cmd_trace(ns) -> tuple:
     else:
         ode = fields.cartesian_ode
         header = ["t", "x", "y", "z"]
-    try:  # the field at the start, or a slope too steep for a first step
-        slope = ode(0.0, ns.start)
-        if not all(map(math.isfinite, slope)):
-            raise ValueError(f"the field's slope there, "
-                             f"{[float(v) for v in slope]}, is not finite")
+    with _naming(start=ns.start):
         traj = integrate(ode, ns.start, (0.0, span), rel_tol=ns.tol)
-    except ValueError as exc:
-        raise ValueError(f"--start {','.join(map(repr, ns.start))}: "
-                         f"{exc}") from None
     # The accepted rows as they are, (t, *y) from the run's flat buffers
     # (the interpolant returns a node's own state there); only dense times
     # between nodes are sampled.
@@ -235,12 +242,9 @@ def cmd_field(ns) -> tuple:
               "rate_arctan", "rate_r2"]
     rows = []
     for p in points:
-        try:
+        with _naming(point=p):
             vx, vy, vz = fields.cartesian_ode(0.0, p)
             rates = fields.derived_rates(p)
-        except ValueError as exc:
-            raise ValueError(f"--point {','.join(map(repr, p))}: "
-                             f"{exc}") from None
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
     return header, rows, {"points": len(rows)}
@@ -251,13 +255,10 @@ def cmd_reduce(ns) -> tuple:
 
     from . import reduced_system
 
-    r0, psi0 = ns.start
-    reduced_system.check_radius(r0, "--start r0")
-    if not 0.0 < psi0 < math.pi:
-        raise ValueError(f"--start psi0 must lie in (0, pi), got {psi0!r}")
     reduced_system.check_radius(ns.target, "--target")
-    curve = reduced_system.trace_reduced(r0, psi0, ns.target,
-                                         rel_tol=ns.tol)
+    with _naming(start=ns.start):
+        curve = reduced_system.trace_reduced(*ns.start, ns.target,
+                                             rel_tol=ns.tol)
     header = ["r", "H", "psi", "C1_re", "C1_im", "C1_rel_dev"]
     # No constant within 1e-10 of H = 0 or of the H = 1 fold.
     hs = np.where((curve.hs > 1e-10) & (curve.hs < 1.0 - 1e-10), curve.hs,
@@ -286,17 +287,13 @@ def cmd_implicit(ns) -> tuple:
 
     reduced_system.check_radius(ns.rmin, "--rmin")
     reduced_system.check_radius(ns.rmax, "--rmax")
-    h_lo, h_hi = ns.bracket
-    if not h_lo < h_hi:
-        raise ValueError(f"--bracket {h_lo!r},{h_hi!r} is an empty bracket; "
-                         f"need lo < hi")
-    try:  # the parser gives exactly one of --c1 and --start
-        c_eff = ns.c1 if ns.start is None else (
-            reduced_system.implicit_constant(*ns.start).c_effective)
-    except ValueError as exc:
-        raise ValueError(f"--start {ns.start[0]!r},{ns.start[1]!r}: {exc}")
+    c_eff = ns.c1  # the parser gives exactly one of --c1 and --start
+    if ns.start is not None:
+        with _naming(start=ns.start):
+            c_eff = reduced_system.implicit_constant(*ns.start).c_effective
     rs = np.linspace(ns.rmin, ns.rmax, ns.n)
-    hs = reduced_system.solve_implicit(c_eff, rs, ns.bracket)
+    with _naming(bracket=ns.bracket):
+        hs = reduced_system.solve_implicit(c_eff, rs, ns.bracket)
     resids = reduced_system.implicit_residual(c_eff, rs, hs)
     rows = np.column_stack([rs, hs, resids])
     solved = int(np.count_nonzero(np.isfinite(hs)))
@@ -317,26 +314,18 @@ def cmd_rho(ns) -> tuple:
               "log_chi", "pde_direct", "pde_parametric"]
     n, c2, f1 = ns.grid, ns.c2, ns.f1 or ()
     xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
-    if not (xis > 0.0).all():
-        raise ValueError(f"--xi must be positive, got {xi_lo!r},{xi_hi!r}")
     psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
-    # Rows run xi outer, psi inner.  log(tan(psi/2)) of half_angle_tan on
-    # floats, through math.log, which is exactly 0 at the floating-point pi/2.
+    # Rows run xi outer, psi inner.
     xi, psi = (g.ravel() for g in np.meshgrid(xis, psis, indexing="ij"))
-    try:
-        log_chi = np.tile([math.log(first_integral.half_angle_tan(q))
-                           for q in psis.tolist()], len(xis))
-    except (ValueError, ZeroDivisionError):  # tan(psi/2) <= 0 or infinite
-        raise ValueError(f"--psi must lie in (0, pi), clear of its ends, "
-                         f"got {psi_lo!r},{psi_hi!r}") from None
-    def lost_at(c2: float, rows=slice(None)):
-        """The rho_table of the grid points in rows at c2, and where its
-        rho, u or v is not finite."""
+    def lost_at(c2: float, f1: Sequence[float], rows=slice(None)):
+        """The rho_table of the grid points in rows at c2 and f1, and where
+        its rho, u or v is not finite."""
         table = first_integral.rho_table(xi[rows], psi[rows], c2, f1)
         return table, ~(np.isfinite(table.rho) & np.isfinite(table.u)
                         & np.isfinite(table.v))
 
-    table, lost = lost_at(c2)
+    with _naming(xi=ns.xi, psi=ns.psi):
+        table, lost = lost_at(c2, f1)
     if lost.any():
         # Within 2e4 ulps of either root of the discriminant, it is exactly
         # 0 at DISC_XI_HIGH alone (at DISC_XI_LOW it rounds to a tiny
@@ -344,20 +333,25 @@ def cmd_rho(ns) -> tuple:
         on_root = lost & (xi == first_integral.DISC_XI_HIGH)
         if on_root.any():
             raise ValueError(
-                f"--xi {xi_lo!r},{xi_hi!r} puts {int(on_root.sum())} of the "
+                f"{_flags(xi=ns.xi)} puts {int(on_root.sum())} of the "
                 f"{len(xi)} grid points on the discriminant root "
                 f"xi = {first_integral.DISC_XI_HIGH!r}, where rho divides "
                 f"by zero")
-        # The c2 terms' products can overflow where their sum would not: a
-        # point that c2 = 1 keeps finite is lost to --c2 alone.  Past the
-        # --psi guard above, a point that c2 = 1 loses too is lost to its
-        # xi: above ~1e51 (x^6 overflows) or below ~1e-152.
-        if c2 != 1.0 and not lost_at(1.0, lost)[1].all():
-            flag = f"--c2 {c2!r}"
+        # The c2 terms' products and the F1 polynomial can overflow where
+        # the rest would not: a point that c2 = 1 without F1 keeps finite is
+        # lost to --c2 or --f1, whichever is given.  With psi accepted by
+        # rho_table, a point lost there too is lost to its xi: above ~1e51
+        # (x^6 overflows) or below ~1e-152.
+        if lost_at(1.0, (), lost)[1].all():
+            flag = _flags(xi=ns.xi)
         else:
-            flag = f"--xi {xi_lo!r},{xi_hi!r}"
+            flag = _flags(c2=(c2,) if c2 != 1.0 else (), f1=f1)
         raise ValueError(f"{flag} takes rho, u or v past the float range "
                          f"at {int(lost.sum())} of the {len(xi)} grid points")
+    # log(tan(psi/2)) of half_angle_tan on the floats rho_table accepted,
+    # through math.log, which is exactly 0 at the floating-point pi/2.
+    log_chi = np.tile([math.log(first_integral.half_angle_tan(q))
+                       for q in psis.tolist()], len(xis))
     rows = np.column_stack([
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
         table.u.imag, table.v.imag, log_chi, table.pde_direct,

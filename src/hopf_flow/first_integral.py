@@ -187,12 +187,15 @@ class RhoTable:
 
 def _grid(xi, psi):
     """xi and psi as floats for a scalar pair, else as broadcast float
-    arrays; raises unless every xi > 0 and every psi lies in (0, pi)."""
+    arrays; raises unless every xi > 0 and every psi lies in (0, pi) with
+    chi = tan(psi/2) = sin(psi) / (1 + cos(psi)) finite and positive."""
     scalar = np.ndim(xi) == 0 and np.ndim(psi) == 0
     xi, psi = np.broadcast_arrays(np.asarray(xi, dtype=float),
                                   np.asarray(psi, dtype=float))
-    # At the least double, 5e-324, chi = tan(psi/2) rounds to 0.
-    if not np.all((math.ulp(0.0) < psi) & (psi < math.pi)):
+    # At the least double, 5e-324, chi rounds to 0; within ~1e-8 of pi
+    # cos(psi) rounds to -1, and chi divides by zero.
+    if not (np.all((math.ulp(0.0) < psi) & (psi < math.pi))
+            and np.all(np.cos(psi) > -1.0)):
         raise ValueError("psi must lie in (0, pi): chi = tan(psi/2) "
                          "degenerates at the ends")
     if not np.all(xi > 0.0):

@@ -370,7 +370,9 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     d0 = _rms([v / s for v, s in zip(y0, sc)])
     d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    if not h0 > 0.0:  # d1 is NaN, or too large for any step to resolve
+    # A slope that is NaN or infinite at any start, or too large for any
+    # step to resolve.
+    if not (h0 > 0.0 and all(map(math.isfinite, f0))):
         raise ValueError(f"the slope at the start, {[float(v) for v in f0]}"
                          f", is not finite or too steep to take a step")
     h0 = min(h0, span)
@@ -664,8 +666,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     the far end of the span, at the first event crossing, when the
     controller can no longer resolve a step or no longer advances, or when
     the step budget runs out; the stop reason is recorded on the
-    trajectory.  A slope at y0 that is not finite, or too steep for a
-    first step, raises ValueError.
+    trajectory.  Over a span of nonzero length, a slope at y0 that is not
+    finite, or too steep for a first step, raises ValueError.
     """
     check_rel_tol(rel_tol)
     abs_tol = rel_tol * 1e-2

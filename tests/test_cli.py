@@ -245,7 +245,7 @@ def test_reduce_meta_carries_work_counters(tmp_path):
     (("--start", "1,0.7854", "--target", "1e62"),
      "hopf-flow: need 0 < r <= 1e+61, got --target=1e+62"),
     (("--start", "1e62,0.7854", "--target", "2"),
-     "hopf-flow: need 0 < r <= 1e+61, got --start r0=1e+62"),
+     "hopf-flow: --start 1e+62,0.7854: need 0 < r <= 1e+61, got r0=1e+62"),
     (("--start", "1,0.7854", "--target=-1"),
      "hopf-flow: need 0 < r <= 1e+61, got --target=-1.0"),
 ], ids=["target", "start", "negative-target"])
@@ -349,16 +349,18 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
      "hopf-flow: need 0 < r <= 1e+61, got --rmax=1e+62\n"),
     (("implicit", "--c1", "-4.9", "--rmin", "1", "--rmax", "2",
       "--bracket", "0.5,0.5"),
-     "hopf-flow: --bracket 0.5,0.5 is an empty bracket; need lo < hi\n"),
+     "hopf-flow: --bracket 0.5,0.5: empty bracket\n"),
     (("implicit", "--start", "1,2", "--rmin", "1", "--rmax", "2",
       "--bracket", "0.3,0.95"),
      "hopf-flow: --start 1.0,2.0: need r > 0 and H in (0, 1]\n"),
     (("rho", "--xi=-1,1"),
-     "hopf-flow: --xi must be positive, got -1.0,1.0\n"),
+     "hopf-flow: --xi -1.0,1.0 --psi 0.3,2.8415926535897933: xi must be "
+     "positive\n"),
     (("reduce", "--start", "1,4", "--target", "2"),
-     "hopf-flow: --start psi0 must lie in (0, pi), got 4.0\n"),
+     "hopf-flow: --start 1.0,4.0: psi0 must lie in (0, pi)\n"),
     (("trace", "--chart", "spherical", "--start=-1,0,1"),
-     "hopf-flow: --start needs r > 0 in the spherical chart, got r=-1.0\n"),
+     "hopf-flow: --start -1.0,0.0,1.0: spherical evaluation requires "
+     "r > 0\n"),
     (("trace", "--chart", "spherical", "--start", "2,0,0"),
      "hopf-flow: --start lies on the z-axis where the spherical chart is "
      "singular; use the cartesian chart\n"),
@@ -366,8 +368,8 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
      "hopf-flow: --start 1e+200,0.0,0.0: Cartesian state (1e+200, 0.0, 0.0) "
      "overflows the field"),
     (("trace", "--chart", "spherical", "--start", "1e200,0,1"),
-     "hopf-flow: --start 1e+200,0.0,1.0: the field's slope there, "
-     "[nan, nan, nan], is not finite\n"),
+     "hopf-flow: --start 1e+200,0.0,1.0: the slope at the start, "
+     "[nan, nan, nan], is not finite or too steep to take a step\n"),
     (("trace", "--chart", "spherical", "--start", "1e-300,0,1"),
      "hopf-flow: --start 1e-300,0.0,1.0: the slope at the start, "
      "[0.5403023058681398, 2.0, -8.414709848078965e+299], is not finite or "
@@ -635,7 +637,8 @@ def test_malformed_config_values_for_comma_flags_are_usage_errors(
 def test_psi_range_at_or_past_its_ends_is_usage_error(psi, capsys):
     # tan(psi/2) is 0 or infinite there (1 + cos rounds to 0 near pi).
     assert run_cli("rho", "--grid", "2", f"--psi={psi}") == 2
-    assert "--psi must lie in (0, pi)" in capsys.readouterr().err
+    assert re.match(r"hopf-flow: --xi 0\.12,0\.72 --psi \S+: psi must lie "
+                    r"in \(0, pi\)", capsys.readouterr().err)
 
 
 # Each comma-separated flag with its subcommand, set up so that every run
@@ -659,14 +662,21 @@ _NOT_NUMBERS = st.sampled_from(["nan", "-inf", "1e999", str(10 ** 400), "x",
                                 "", "True", "[1]", "1,2"])
 
 
-def _refusal(message: str, command: str, flags) -> str | None:
-    """Who refused a run that exited 2 with message: "parser" when the
-    parser named one of flags as "argument --FLAG:", "subcommand" for a
-    refusal of the subcommand's own; None for anything else."""
-    if any(f"\nhopf-flow {command}: error: argument --{flag}: " in message
+def _refusal(message: str, argv, flags) -> str | None:
+    """Who refused a run of argv (the subcommand and its fixed flags) and
+    flags that exited 2 with message: "parser" when the parser named one
+    of flags as "argument --FLAG:", "subcommand" when a refusal of the
+    subcommand's own names a flag of the command line, one of flags or of
+    argv; None for anything else."""
+    if any(f"\nhopf-flow {argv[0]}: error: argument --{flag}: " in message
            for flag in flags):
         return "parser"
-    return "subcommand" if message.startswith("hopf-flow: ") else None
+    given = [*flags, *(arg[2:].partition("=")[0] for arg in argv
+                       if arg.startswith("--"))]
+    if message.startswith("hopf-flow: ") and any(
+            re.search(rf"--{flag}\b", message) for flag in given):
+        return "subcommand"
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -675,6 +685,13 @@ def _refusal(message: str, command: str, flags) -> str | None:
                         | st.integers()).map(repr) | _NOT_NUMBERS,
                        max_size=4),
        from_file=st.booleans())
+# A start whose slope no step can resolve, refused inside trace_reduced.
+@example(case=(("reduce", "--target", "2"), "start"),
+         values=["1e-300", "0.7"], from_file=False)
+# An F1 coefficient that takes rho past the float range at a grid whose
+# --xi is its default.
+@example(case=(("rho", "--grid", "2"), "f1"),
+         values=["0.0", "0.0", "1.2483980103210529e+308"], from_file=False)
 def test_finite_comma_flag_values_run_or_exit_2(case, values, from_file):
     argv, flag = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -686,7 +703,7 @@ def test_finite_comma_flag_values_run_or_exit_2(case, values, from_file):
     no_roots = (argv[0] == "implicit" and code == 1
                 and "found no roots" in message)
     assert (code == 0 or no_roots
-            or (code == 2 and _refusal(message, argv[0], [flag]))), message
+            or (code == 2 and _refusal(message, argv, [flag]))), message
 
 
 # Any finite number, or one where the sweep can find roots.
@@ -718,7 +735,8 @@ def test_finite_implicit_flags_run_or_exit_2(rmin, rmax, c1, bracket, n,
         code, message = run_quietly(
             "implicit", *given_flags(values, from_file, tmp),
             "--out", os.path.join(tmp, "o"))
-    assert (code == 0 or (code == 2 and _refusal(message, "implicit", values))
+    assert (code == 0 or (code == 2
+                          and _refusal(message, ("implicit",), values))
             or (code == 1 and "found no roots" in message)), (code, message)
 
 
@@ -751,9 +769,8 @@ def test_finite_trace_flags_run_or_exit_2(start, span, tol, dense, chart,
             code, message = run_quietly(
                 "trace", *given_flags({**values, "dense": count}, from_file,
                                       tmp), "--out", out)
-            assert code == 0 or (code == 2 and _refusal(message, "trace",
-                                                        values)), (
-                code, message)
+            assert code == 0 or (code == 2 and _refusal(
+                message, ("trace",), [*values, "dense"])), (code, message)
             if code != 0:
                 return
             runs.append(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2))
@@ -829,7 +846,7 @@ def test_number_flags_run_or_exit_2(case, from_file):
         given = dict(zip(flags, map(_as_flag, values)))
         code, message = run_quietly(*argv, *given_flags(given, from_file, tmp),
                                     "--out", os.path.join(tmp, "o"))
-    refusal = code == 2 and _refusal(message, command, flags)
+    refusal = code == 2 and _refusal(message, argv, flags)
     # A subcommand's refusal names one of the flags too.
     named = refusal == "parser" or (refusal == "subcommand" and any(
         f"--{flag}" in message for flag in flags))
@@ -1254,7 +1271,7 @@ def test_count_flags_run_or_exit_2(flag, value, from_file):
             and numbers(count) <= cli.MAX_OUTPUT_NUMBERS)
     assert code == (0 if runs else 2), (code, err)
     if code == 2:
-        assert _refusal(err, _COUNT_FLAGS[flag][0][0], [flag]) == "parser", err
+        assert _refusal(err, _COUNT_FLAGS[flag][0], [flag]) == "parser", err
 
 
 def test_reduce_and_implicit_meta_carry_no_form_key(tmp_path):

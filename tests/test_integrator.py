@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopf_flow import cli, diagnostics, fields, integrator, reduced_system
@@ -324,6 +324,28 @@ def test_a_slope_no_step_can_resolve_is_refused(field, y0):
     # A NaN first step would loop to MAX_STEPS; a zero one divided by 0.
     with pytest.raises(ValueError, match="not finite or too steep"):
         integrate(field, y0, (0.0, 1.0))
+
+
+# Starts of 1-3 finite components, zeros and subnormals among them, where
+# the scaled norm of the start may fall below the 1e-5 that picks a fixed
+# first trial step; slope components that are NaN or infinite half the time.
+_STARTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308])
+_SLOPES = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(_STARTS, min_size=d, max_size=d),
+    st.lists(_SLOPES, min_size=d, max_size=d))))
+@example(case=([0.0], [math.nan]))
+@example(case=([0.0], [math.inf]))
+@example(case=([0.0, 0.0], [math.inf, 1.0]))
+def test_a_slope_that_is_not_finite_is_refused_at_any_start(case):
+    y0, slope = case
+    assume(not all(map(math.isfinite, slope)))
+    with pytest.raises(ValueError, match="is not finite"):
+        integrate(lambda t, y: tuple(slope), y0, (0.0, 1.0))
 
 
 def test_traceback_through_a_step_shows_the_stage_line():

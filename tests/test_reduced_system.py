@@ -654,6 +654,15 @@ def test_trace_reduced_reports_unreachable_target():
     assert curve.rs.min() > 0.2
 
 
+def test_a_closed_loop_exhausts_the_segment_budget():
+    # From (1, 1.5) the curve is a closed loop in (r, psi): it turns at
+    # r ~ 0.9855 and r ~ 5.7203 across psi = pi/2 and never nears 1e-4.
+    curve = rs.trace_reduced(1.0, 1.5, 1e-4)
+    assert not curve.reached
+    assert curve.stop_note == "segment budget exhausted"
+    assert ((0.98 <= curve.rs) & (curve.rs <= 5.73)).all()
+
+
 def test_exhausted_step_budget_ends_the_trace(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", 5)
     traj = rs.trace_h(1.0, 0.5, 4.0)

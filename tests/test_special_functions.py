@@ -39,6 +39,45 @@ def test_frozen_point_values():
                                    rtol=5e-15)
 
 
+# float.hex of I0, I1, K0 and K1, frozen from this module, at three points
+# of each region pair: (0, 2], (2, 8] and (8, 300].  The float path and
+# both array passes share `_finish`, so comparing them with each other
+# cannot see a change in its arithmetic; these bits can (reassociating
+# s1 * z * ez moves I1 at 0.7, 5.5 and 7.25 by an ulp).
+EXACT_BITS = {
+    0.1: ("0x1.00a3f142fda6cp+0", "0x1.9a1cba0413c0fp-5",
+          "0x1.36aa32a31d694p+1", "0x1.3b52b24a36628p+3"),
+    0.7: ("0x1.20556505038aap+0", "0x1.7cce06b865a70p-2",
+          "0x1.522fa8b96341ep-1", "0x1.0cdf61bbb23d2p+0"),
+    2.0: ("0x1.23c97380fce31p+1", "0x1.9733fa167ac96p+0",
+          "0x1.d28261aac8d50p-4", "0x1.1e7200e1d3484p-3"),
+    3.0: ("0x1.385ee7ddb65f1p+2", "0x1.fa0809085cc04p+1",
+          "0x1.1c960566fc75fp-5", "0x1.48f623cd6df0ap-5"),
+    5.5: ("0x1.558ea21e0c16ep+5", "0x1.34b48fa67e52fp+5",
+          "0x1.185326b15f79bp-9", "0x1.30d125acd9981p-9"),
+    7.25: ("0x1.a91ddee49473cp+7", "0x1.8a9a66d755030p+7",
+           "0x1.550dc094aaff8p-12", "0x1.6bdb453f15d86p-12"),
+    10.0: ("0x1.5ff6ee9ed23e3p+11", "0x1.4ddfa02f156cfp+11",
+           "0x1.2a4cc9425b783p-16", "0x1.38dfdf41990d3p-16"),
+    42.0: ("0x1.7d863809d59e3p+56", "0x1.78f462c921acep+56",
+           "0x1.05c504fe5ffa8p-63", "0x1.08de27690aaa7p-63"),
+    300.0: ("0x1.4a9a6ce9552ffp+427", "0x1.4a0d4007baf76p+427",
+            "0x1.5250d1dcd3a99p-437", "0x1.52e10c4454569p-437"),
+}
+
+
+def test_every_path_gives_the_frozen_bits():
+    zs = list(EXACT_BITS)
+    want = [EXACT_BITS[z] for z in zs]
+    assert [tuple(map(float.hex, sf.bessel_quad(z)[1:])) for z in zs] == want
+    # A stacked pass per region pair, and past _STACK_MAX points in each
+    # pair, the pass of one series at a time.
+    for copies in (1, sf._STACK_MAX):
+        quad = sf.bessel_quad(np.tile(zs, copies))
+        got = [tuple(map(float.hex, col)) for col in zip(*quad[1:])]
+        assert got == want * copies
+
+
 def test_accuracy_against_mpmath_grid():
     # Max relative error measured over 2000 points of the same range:
     # I0 7.8e-16, I1 1.4e-15, K0 1.2e-15, K1 6.2e-16.
