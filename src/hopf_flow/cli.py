@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-trace     integrate the Cartesian (or spherical) flow from an initial
-          point; CSV columns t,x,y,z (or t,r,phi,psi).
+trace     integrate the Cartesian flow from an initial point, or the
+          spherical chart's, whose time runs the orbit backward; CSV
+          columns t,x,y,z (or t,r,phi,psi).
 field     evaluate the velocity field and derived rates at probe points.
 reduce    trace the reduced (r, H) curve through folds; CSV columns
           r,H,psi,C1_re,C1_im plus a constancy-deviation column.
@@ -405,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time span (default %(default)s)")
     p.add_argument("--chart", default="cartesian", metavar="CHART",
                    choices=("cartesian", "spherical"),
-                   help="cartesian or spherical (default %(default)s)")
+                   help="cartesian or spherical, whose time runs the "
+                   "orbit backward (default %(default)s)")
     p.add_argument("--dense", default="0", type=_count(0, lambda n: n * 4),
                    help="additional uniformly spaced output samples "
                         "(default %(default)s)")

@@ -331,7 +331,8 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
     compared, never multiplied) and refines all roots to 1e-10 together
     as numpy lanes with `refine`'s bits, one array pass per round; of
     several roots the one nearest the bracket midpoint is taken, with a
-    warning."""
+    warning.  A float point without a root raises ValueError, an array
+    row without one is NaN."""
     scalar = all(np.ndim(a) == 0 for a in (r, psi, *bracket))
     r, psi, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (r, psi, *bracket)))
@@ -352,9 +353,9 @@ def _reconstruct_xi(r, psi, c2: float, f1: Sequence[float], bracket,
         return v.real - r_rows[rows]
 
     xi_star, counts = bracketed_roots(v_gap, lo, hi, n_scan, 1e-10)
+    if scalar and not counts[0]:
+        raise ValueError("no root of v(xi, psi) = r in the bracket")
     for k, count in enumerate(counts.tolist()):
-        if not count:
-            raise ValueError("no root of v(xi, psi) = r in the bracket")
         if count > 1:
             warnings.warn(f"{count} parameter roots of v(xi, "
                           f"{psi_rows[k]}) = {r_rows[k]} in bracket; using "
@@ -410,16 +411,26 @@ def reconstruct_H(r, psi, c2: float = 1.0, f1: Sequence[float] = (),
                   bracket=(0.05, 0.8), n_scan: int = 60) -> HReconstruction:
     """Eliminate the parameter: xi* with v(xi*, psi) = r, then H's
     partials from uv_table at xi*.  r, psi and the bracket ends
-    broadcast."""
+    broadcast.  A float point raises ValueError where the bracket holds
+    no root or v_xi vanishes at xi*; an array row is NaN in xi_star, h_r
+    and h_psi there.  A bracket whose scan or refinement leaves the real
+    region refuses the whole call."""
     xi_star, r, psi = _reconstruct_xi(r, psi, c2, f1, bracket, n_scan)
-    uv = uv_table(xi_star, psi, c2, f1)
-    if np.any(np.abs(uv.v_xi) < 1e-12 * np.maximum(1.0, np.abs(uv.u_xi))):
+    # A rootless row is read at xi = 1, then blanked.
+    uv = uv_table(np.nan_to_num(xi_star, nan=1.0), psi, c2, f1)
+    singular = np.abs(uv.v_xi) < 1e-12 * np.maximum(1.0, np.abs(uv.u_xi))
+    if isinstance(xi_star, float) and singular:
         raise ValueError("chain-rule singularity: v_xi vanishes at the "
                          "reconstructed parameter")
-    return HReconstruction(r=r, psi=psi, xi_star=xi_star,
-                           h_r=uv.u_xi / uv.v_xi,
-                           h_psi=uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi,
-                           c2=c2)
+    with np.errstate(all="ignore"):
+        h_r = uv.u_xi / uv.v_xi
+        h_psi = uv.u_psi - uv.v_psi * uv.u_xi / uv.v_xi
+    if not isinstance(xi_star, float):
+        blank = np.isnan(xi_star) | singular
+        xi_star, h_r, h_psi = (np.where(blank, math.nan, a)
+                               for a in (xi_star, h_r, h_psi))
+    return HReconstruction(r=r, psi=psi, xi_star=xi_star, h_r=h_r,
+                           h_psi=h_psi, c2=c2)
 
 
 def xi_substitution_residual(r: float, phi: float, psi: float,

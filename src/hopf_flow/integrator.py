@@ -27,19 +27,20 @@ th = (t - t0) / h, seven coefficients F0..F6 per component.  A field
 decorated with `inlined_field` (the package's four:
 `fields.cartesian_ode`, `fields.spherical_ode`,
 `reduced_system.reduced_time_ode` and the dH/dr of `trace_h`, each an
-ordinary module-level def) has its body, parsed from its module's
-source, written into every stage in place of the call, over the same
-locals and with the same bits; where one of its guards fails, the stage
-calls the field, and where the source cannot be read (a sourceless
-install) every stage does.  Any other callable, a wrapper of one of
-those four included, is called at every stage.  The same function runs
-the accept/reject loop around the step: the step-size controller, the
-stop tests and the event sign test.  Each accepted step extends flat
-`array('d')` buffers of times, states, step lengths and interpolant
-coefficients; the trajectory's arrays are numpy views of those buffers,
-made on first access.  A run makes 2 RHS calls to start, 11 per attempted
-step and 4 more per accepted one.  At loose tolerances an 8th-order
-step costs more than it saves: see the README for measured counts.
+ordinary module-level def) has its body, read from its module's source
+as the module is imported, written into every stage in place of the
+call, over the same locals and with the same bits; where one of its
+guards fails, the stage calls the field, and where the source cannot be
+read (a sourceless install) every stage does.  Any other callable, a
+wrapper of one of those four included, is called at every stage.  The
+same function runs the accept/reject loop around the step: the
+step-size controller, the stop tests and the event sign test.  Each
+accepted step extends flat `array('d')` buffers of times, states, step
+lengths and interpolant coefficients; the trajectory's arrays are numpy
+views of those buffers, made on first access.  A run makes 2 RHS calls
+to start, 11 per attempted step and 4 more per accepted one.  At loose
+tolerances an 8th-order step costs more than it saves: see the README
+for measured counts.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
@@ -65,7 +66,6 @@ from __future__ import annotations
 import ast
 import builtins
 import functools
-import itertools
 import linecache
 import math
 from array import array
@@ -387,51 +387,53 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     return min(100.0 * h0, h1, span)
 
 
-# The fields `inlined_field` decorated, by the id of the function object.
-_INLINED: dict[int, Callable] = {}
+# id(field): (field, its def's text), for each def `inlined_field` read.
+_INLINED: dict[int, tuple[Callable, str]] = {}
 
 
 def inlined_field(field: Callable) -> Callable:
     """Decorator: `integrate` writes field's body into the stages of its
-    runs, parsed from its module's source when the first run for it is
-    generated; a stage whose state fails one of field's guards calls
-    field, which takes its cold path.  field is returned unchanged, and a
+    runs; a stage whose state fails one of field's guards calls field,
+    which takes its cold path.  field is returned unchanged, and a
     wrapper of it is called at every stage.
 
     field is a module-level `def name(t, y)` (a lambda or a nested def
     raises ValueError): an optional docstring, a statement unpacking y
     into one name per component, assignments (never to t or a component)
     and guards (an `if` with no else, whose body returns or raises), and
-    `return` of a tuple of one expression per component.
+    `return` of a tuple of one expression per component.  Its text, the
+    `def` line to the next unindented one, is read here, as its module is
+    imported (linecache finds it in a zip too), and parsed when the first
+    run for it is generated; a def with no source, as in a sourceless
+    install, is not recorded, so its runs call it.
     """
     if field.__qualname__ != field.__name__ or field.__name__ == "<lambda>":
         raise ValueError(f"{field.__qualname__}: not a module-level def "
                          f"integrate can inline")
-    _INLINED[id(field)] = field
+    code = field.__code__
+    linecache.checkcache(code.co_filename)  # drop a stale copy
+    lines: list[str] = []
+    for line in linecache.getlines(code.co_filename, field.__globals__)[
+            code.co_firstlineno - 1:]:
+        if lines and not line[0].isspace():
+            break
+        if not line.startswith("@"):  # the def's decorators
+            lines.append(line)
+    if lines:
+        _INLINED[id(field)] = field, "".join(lines)
     return field
 
 
 def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
-    """(stage, names) for writing field's body into a run.
+    """(stage, names) for writing field's recorded body into a run.
 
     stage(s, at, state) gives the lines that bind k{s}_0, k{s}_1, ... to
     the field's slope at time `at` and the state whose components are the
     expressions `state`.  The body's own names become f_<name>, and the
     module-level and builtin names it reads g_<name>, so none meets a
-    name of the run; `names` binds the latter.  The field's text runs
-    from its `def` line to the next unindented line of its module's file,
-    read a line at a time, so that no copy of the module's text is kept
-    (linecache would keep one for the process's life).
+    name of the run; `names` binds the latter.
     """
-    code = field.__code__
-    lines: list[str] = []
-    with open(code.co_filename, encoding="utf-8") as f:
-        for line in itertools.islice(f, code.co_firstlineno - 1, None):
-            if lines and not line[0].isspace():
-                break
-            if not line.startswith("@"):  # the def's decorators
-                lines.append(line)
-    (fdef,) = ast.parse("".join(lines)).body
+    (fdef,) = ast.parse(_INLINED[id(field)][1]).body
     body = fdef.body[1:] if ast.get_docstring(fdef) is not None else fdef.body
     unpack, *statements, ret = body
     time, arg = (a.arg for a in fdef.args.args)
@@ -506,10 +508,9 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     (stop_reason, naccept, nreject, g_lo, g_hi): the event values
     ev_fns[i](t, y) (gs at the start) at the last two rows, of which one
     event changed sign in its direction ev_dirs[i] if the reason is
-    STOP_EVENT.  With `field`, a function `inlined_field` decorated, each
+    STOP_EVENT.  With `field`, a function `inlined_field` recorded, each
     stage is that field's body written over the run's locals, none of
-    which starts with f_ or g_, or, when its source cannot be read, the
-    run without; without, each stage calls field_fn, and
+    which starts with f_ or g_; without, each stage calls field_fn, and
     unpacking each slope into d locals refuses a wrong-length one.  The
     weights are written into the source as float literals.  The source is
     kept in linecache, so a traceback through a run shows its line.
@@ -530,10 +531,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
 
     stage = called
     if field is not None:
-        try:
-            stage, field_names = _inlined_stage(field)
-        except OSError:  # no source to read, as in a sourceless install
-            return _run_fn(d)
+        stage, field_names = _inlined_stage(field)
         names.update(field_names)
 
     def weighed(row: dict) -> str:
@@ -701,8 +699,8 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     span = abs(t1 - t0)
     events = tuple(events)
     h = _initial_step(field_fn, t0, y, k1, sign, rel_tol, abs_tol, span)
-    run = _run_fn(d, field_fn if _INLINED.get(id(field_fn)) is field_fn
-                  else None)
+    inlined, _ = _INLINED.get(id(field_fn), (None, ""))
+    run = _run_fn(d, field_fn if inlined is field_fn else None)
     stop_reason, naccept, nreject, g_lo, g_hi = run(
         field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,
         MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, steps,

@@ -373,6 +373,9 @@ def reduced_time_ode(s, y):
     rescaling keeps the right side polynomial and fold-friendly.
     """
     r, psi = y
+    # A trial psi past the float range: NaN slopes reject the step.
+    if not abs(psi) < math.inf:
+        return (math.nan, math.nan)
     rr = r * r
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     s2 = sin_psi * sin_psi

@@ -241,6 +241,30 @@ def test_reduce_meta_carries_work_counters(tmp_path):
     assert meta["rhs_evaluations"] > 6 * meta["accepted_steps"]
 
 
+def test_reduce_rejects_a_step_whose_trial_psi_overflows(tmp_path):
+    # From psi0 = pi - 1e-3 at r = 10 a trial stage of the planar flow
+    # takes psi past the float range: that step is rejected, and the
+    # valid start is not refused.
+    out = tmp_path / "r.csv"
+    assert run_cli("reduce", "--start", "10,3.1405926535897932",
+                   "--target", "50", "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert (meta["reached"], meta["segments"]) == (True, 1)
+    _, rows = read_csv(out)
+    assert float(rows[-1][0]) == pytest.approx(50.0, rel=1e-6)
+
+
+def test_reduce_from_near_the_axis_stops_at_its_guard(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli("reduce", "--start", "0.05,1e-6", "--target", "3",
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 13
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert (meta["reached"], meta["stop_note"]) == (
+        False, "stopped at chart guard: axis")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--start", "1,0.7854", "--target", "1e62"),
      "hopf-flow: need 0 < r <= 1e+61, got --target=1e+62"),

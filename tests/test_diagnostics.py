@@ -250,6 +250,14 @@ def test_a_root_whose_values_underflow_is_still_found():
     assert abs(roots[0] - 0.3) <= 1e-12
 
 
+def test_refine_returns_an_end_whose_value_is_0_without_a_call():
+    def fn(x):
+        raise AssertionError(f"called at {x}")
+
+    assert refine(fn, 0.25, 0.75, 0.0, 1.0, 1e-12) == 0.25
+    assert refine(fn, 0.25, 0.75, -1.0, 0.0, 1e-12) == 0.75
+
+
 def test_bracketed_roots_finds_every_sign_change():
     # Roots at pi, 2 pi and 3 pi: 2 pi is nearest the midpoint 5.5.
     roots, counts = bracketed_roots(lambda rows, x: np.sin(x), 1.0, 10.0,

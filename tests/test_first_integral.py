@@ -1,6 +1,7 @@
 """Parametric first-integral chain: rho, (u, v), transport residuals."""
 
 import cmath
+import dataclasses
 import math
 import re
 import warnings
@@ -194,6 +195,44 @@ def test_reconstruction_refuses_complex_bracket():
     # Both scan points are real, but the refiner steps into the band.
     with pytest.raises(ValueError, match="real region"):
         reconstruct_H(-100.0, 0.9, bracket=(0.5, 5.0), n_scan=1)
+
+
+def test_an_array_row_without_a_root_is_nan():
+    # Row 0's bracket holds its root xi = 0.2, row 1's none: row 1 is NaN,
+    # row 0 has the bits of the same array call without row 1 and the
+    # float call's root, and the float call at row 1 raises.
+    psi = np.array([1.1, 0.8])
+    r = rho_table([0.2, 0.35], psi).v.real
+    rec = reconstruct_H(r, psi, bracket=([0.14, 0.6], [0.26, 0.7]))
+    alone = reconstruct_H(r[:1], psi[:1], bracket=([0.14], [0.26]))
+    one = reconstruct_H(float(r[0]), 1.1, bracket=(0.14, 0.26))
+    assert rec.xi_star[0] == one.xi_star == 0.2
+    for name in ("xi_star", "h_r", "h_psi"):
+        got = getattr(rec, name)
+        assert cmath.isnan(got[1]), name
+        assert got[:1].tobytes() == getattr(alone, name).tobytes(), name
+        assert abs(got[0] - getattr(one, name)) <= 1e-12 * abs(got[0])
+    with pytest.raises(ValueError, match="no root"):
+        reconstruct_H(float(r[1]), 0.8, bracket=(0.6, 0.7))
+
+
+def test_a_row_where_v_xi_vanishes_is_nan(monkeypatch):
+    # v_xi planted at 0 at row 1's root, xi = 0.5: that row is NaN, and
+    # the float call raises.
+    def planted(xi, psi, c2=1.0, f1=()):
+        uv = uv_table(xi, psi, c2, f1)
+        return dataclasses.replace(uv, v_xi=np.where(
+            np.abs(np.asarray(xi) - 0.5) < 1e-9, 0.0, uv.v_xi))
+
+    monkeypatch.setattr(fi, "uv_table", planted)
+    psi = np.array([1.1, 1.8])
+    r = rho_table([0.2, 0.5], psi).v.real
+    rec = reconstruct_H(r, psi, bracket=([0.14, 0.35], [0.26, 0.65]))
+    assert [cmath.isnan(getattr(rec, name)[k]) for name in
+            ("xi_star", "h_r", "h_psi") for k in (0, 1)] == [
+        False, True] * 3
+    with pytest.raises(ValueError, match="v_xi vanishes"):
+        reconstruct_H(float(r[1]), 1.8, bracket=(0.35, 0.65))
 
 
 @pytest.mark.parametrize("bracket", [(0.5, 0.2), (0.0, 0.5)])

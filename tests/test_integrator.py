@@ -1,12 +1,15 @@
 """Adaptive Runge-Kutta integration: accuracy, events, dense output."""
 
 import hashlib
+import importlib.util
+import linecache
 import math
 import os
 import subprocess
 import sys
 import time
 import traceback
+import zipfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -712,3 +715,72 @@ def test_inlined_steps_give_the_bits_of_a_field_call(name, data, t0, span,
         patch.setattr(integrator, "MAX_STEPS", 3000)
         called = _outcome(lambda t, y: field(t, y), y0, t_span, rel_tol)
         assert _outcome(field, y0, t_span, rel_tol) == called
+
+
+# One run of each of the package's four fields in a fresh interpreter,
+# then the module the fields came from and the inlined runs linecache
+# holds: a field whose run silently calls it registers no such name.
+_RUN_EACH_FIELD = """
+import linecache
+from hopf_flow import fields, reduced_system
+from hopf_flow.integrator import integrate
+integrate(fields.cartesian_ode, [1.0, 0.2, 0.3], (0.0, 1.0))
+integrate(fields.spherical_ode, [1.2, 0.3, 1.0], (0.0, 1.0))
+integrate(reduced_system.reduced_time_ode, [1.0, 0.7854], (0.0, 0.05))
+integrate(reduced_system._dh_dr, [0.5], (1.0, 1.1))
+print(fields.__file__)
+print(sorted(n for n in linecache.cache if n.startswith("<dop853 step d=")))
+"""
+
+
+@pytest.mark.parametrize("install", ["source", "zip"])
+def test_each_package_field_is_inlined(install, tmp_path):
+    # A zip on PYTHONPATH has no file to open; linecache reads the
+    # field's text through the zip's loader, so its runs inline too.
+    package = Path(integrator.__file__).resolve().parent
+    root = str(package.parent)
+    if install == "zip":
+        root = str(tmp_path / "hopf_flow.zip")
+        with zipfile.ZipFile(root, "w") as archive:
+            for path in sorted(package.glob("*.py")):
+                archive.write(path, f"hopf_flow/{path.name}")
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_EACH_FIELD],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    where, names = proc.stdout.splitlines()
+    assert where.startswith(root)
+    assert names == str([
+        "<dop853 step d=1 hopf_flow.reduced_system._dh_dr>",
+        "<dop853 step d=2 hopf_flow.reduced_system.reduced_time_ode>",
+        "<dop853 step d=3 hopf_flow.fields.cartesian_ode>",
+        "<dop853 step d=3 hopf_flow.fields.spherical_ode>"])
+
+
+def test_an_edit_of_the_fields_file_after_import_changes_no_run(tmp_path):
+    # The def's text is read as its module is imported, so a line inserted
+    # above it and a changed coefficient, written after, leave the inlined
+    # run on the function Python compiled.
+    source = tmp_path / "edited_field.py"
+    text = ("from hopf_flow.integrator import inlined_field\n\n\n"
+            "@inlined_field\n"
+            "def field(t, y):\n"
+            "    a, b = y\n"
+            "    if a > 1e300:\n"
+            "        raise ValueError('escaped')\n"
+            "    return (b + 0.5 * a * t, -8.0 * a)\n")
+    source.write_text(text, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("edited_field", source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source.write_text(text.replace("@inlined_field", "# A new line.\n@"
+                                   "inlined_field").replace("-8.0", "-9.0"),
+                      encoding="utf-8")
+    called = integrate(lambda t, y: module.field(t, y), [1.0, 0.2],
+                       (0.0, 1.0))
+    inlined = integrate(module.field, [1.0, 0.2], (0.0, 1.0))
+    assert [a.tobytes() for a in inlined.buffers] == \
+        [a.tobytes() for a in called.buffers]
+    assert any(name.endswith("edited_field.field>")
+               for name in linecache.cache)

@@ -663,6 +663,23 @@ def test_a_closed_loop_exhausts_the_segment_budget():
     assert ((0.98 <= curve.rs) & (curve.rs <= 5.73)).all()
 
 
+def test_a_start_near_the_axis_stops_at_the_axis_guard():
+    # H starts inside the resume margin, so the planar flow runs from the
+    # start; it falls toward psi = 0, and the axis event stops it at
+    # |sin psi| = 1e-8, before evaluation would refuse.
+    curve = rs.trace_reduced(0.05, 1e-6, 3.0)
+    assert not curve.reached
+    assert curve.stop_note == "stopped at chart guard: axis"
+    assert len(curve.segments) == 1
+    assert 1e-8 <= curve.psis.min() <= 1e-8 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("psi", [math.inf, -math.inf, math.nan])
+def test_a_trial_psi_past_the_float_range_gives_nan_slopes(psi):
+    # NaN slopes reject the trial step, as any NaN slope does.
+    assert all(map(math.isnan, rs.reduced_time_ode(0.0, (1.0, psi))))
+
+
 def test_exhausted_step_budget_ends_the_trace(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", 5)
     traj = rs.trace_h(1.0, 0.5, 4.0)
