@@ -243,9 +243,12 @@ def cmd_field(ns) -> tuple:
               "rate_arctan", "rate_r2"]
     rows = []
     for p in points:
-        with _naming(point=p):
-            vx, vy, vz = fields.cartesian_ode(0.0, p)
-            rates = fields.derived_rates(p)
+        vx, vy, vz = fields.cartesian_ode(0.0, p)
+        # The slopes alone: on the z-axis rate_arctan is NaN by design.
+        if not all(map(math.isfinite, (vx, vy, vz))):
+            raise ValueError(f"{_flags(point=p)}: the field overflows there:"
+                             f" (|p|^2 + 4)^2 exceeds the float range")
+        rates = fields.derived_rates(p)
         rows.append([*p, vx, vy, vz, math.sqrt(vx * vx + vy * vy + vz * vz),
                      rates.rate_arctan, rates.rate_r2])
     return header, rows, {"points": len(rows)}

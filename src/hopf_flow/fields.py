@@ -16,7 +16,11 @@ one point passes t = 0.0.  Both are ordinary functions under the
 into its steps.  Results come back as tuples, of Python floats when the
 point's coordinates are Python floats; `derived_rates` and
 `pushforward_sign` return small named records.  The module imports no
-numpy: `default_probes` draws from a seeded random.Random.
+numpy: `default_probes` draws from a seeded random.Random.  Off its
+domain a field returns NaN slopes and never raises, so `integrate`
+refuses such a start and rejects a step with a stage there: the
+Cartesian domain is the finite states with (|p|^2 + 4)^2 in the float
+range, the spherical one r > 0 with psi finite.
 
 The Cartesian field has unit Euclidean norm at every point, so its flow
 parameter is arclength.  Two derived rates admit closed forms: the
@@ -73,32 +77,20 @@ class SignReport:
     consistent: bool = True
 
 
-def _refuse_cartesian(x, y, z):
-    """Raise the error of a Cartesian state outside the field's domain: a
-    coordinate that is not finite, or |p|^2 + 4 at or past
-    _S_PLUS_4_MAX."""
-    if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-        # float() so a list state and an array state read the same.
-        raise ValueError(f"Cartesian state ({float(x)!r}, {float(y)!r}, "
-                         f"{float(z)!r}) overflows the field: "
-                         f"(|p|^2 + 4)^2 exceeds the float range")
-    raise ValueError("non-finite Cartesian state")
-
-
 @inlined_field
 def cartesian_ode(t, p):
     """Unit-norm field (vx, vy, vz) at p = (x, y, z); t is unused (the
     field is autonomous)."""
     x, y, z = p
     # Each coordinate is bounded before anything is squared, so an array
-    # state is refused without a numpy overflow warning.  NaN fails the
-    # bound, and a finite |c| >= _COORD_MAX would fail the next guard.
+    # state leaves the domain without a numpy overflow warning.  NaN fails
+    # the bound, and a finite |c| >= _COORD_MAX would fail the next guard.
     if not (abs(x) < _COORD_MAX and abs(y) < _COORD_MAX
             and abs(z) < _COORD_MAX):
-        return _refuse_cartesian(x, y, z)
+        return (math.nan, math.nan, math.nan)
     s = x * x + y * y + z * z
     if not s + 4.0 < _S_PLUS_4_MAX:
-        return _refuse_cartesian(x, y, z)
+        return (math.nan, math.nan, math.nan)
     d = (s + 4.0) ** 2
     return (8.0 * (4.0 * z * x - y * s + 4.0 * y) / d,
             8.0 * (4.0 * z * y + x * s - 4.0 * x) / d,
@@ -111,8 +103,8 @@ def spherical_ode(t, s):
     reversed-time image of the Cartesian field.  It does not depend on
     phi or t."""
     r, phi, psi = s
-    if r <= 0.0:
-        raise ValueError("spherical evaluation requires r > 0")
+    if not (r > 0.0 and abs(psi) < math.inf):
+        return (math.nan, math.nan, math.nan)
     rr = r * r
     q = 16.0 + rr * (8.0 + rr)
     sin_psi = math.sin(psi)
@@ -146,14 +138,14 @@ def from_spherical(s: Sequence[float]) -> tuple[float, float, float]:
 
 
 def derived_rates(p: Sequence[float]) -> DerivedRates:
-    """Closed-form azimuth and planar-radius rates at p = (x, y, z)."""
+    """Closed-form azimuth and planar-radius rates at p = (x, y, z); NaN
+    where cartesian_ode's slopes are."""
     x, y, z = p
     if not (abs(x) < _COORD_MAX and abs(y) < _COORD_MAX
-            and abs(z) < _COORD_MAX):
-        _refuse_cartesian(x, y, z)
+            and abs(z) < _COORD_MAX
+            and x * x + y * y + z * z + 4.0 < _S_PLUS_4_MAX):
+        return DerivedRates(rate_arctan=math.nan, rate_r2=math.nan)
     s = x * x + y * y + z * z
-    if not s + 4.0 < _S_PLUS_4_MAX:
-        _refuse_cartesian(x, y, z)
     d = (s + 4.0) ** 2
     rho_sq = x * x + y * y
     rate_arctan = 8.0 * (s - 4.0) / d if rho_sq > 0.0 else math.nan

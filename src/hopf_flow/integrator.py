@@ -403,9 +403,9 @@ def inlined_field(field: Callable) -> Callable:
     and guards (an `if` with no else, whose body returns or raises), and
     `return` of a tuple of one expression per component.  Its text, the
     `def` line to the next unindented one, is read here, as its module is
-    imported (linecache finds it in a zip too), and parsed when the first
-    run for it is generated; a def with no source, as in a sourceless
-    install, is not recorded, so its runs call it.
+    imported (linecache finds it in a zip too, and keeps none of it), and
+    parsed when the first run for it is generated; a def with no source,
+    as in a sourceless install, is not recorded, so its runs call it.
     """
     if field.__qualname__ != field.__name__ or field.__name__ == "<lambda>":
         raise ValueError(f"{field.__qualname__}: not a module-level def "
@@ -419,6 +419,7 @@ def inlined_field(field: Callable) -> Callable:
             break
         if not line.startswith("@"):  # the def's decorators
             lines.append(line)
+    linecache.cache.pop(code.co_filename, None)  # keep the def alone
     if lines:
         _INLINED[id(field)] = field, "".join(lines)
     return field

@@ -27,7 +27,9 @@ H = (r^2+4)^2 / (64 r^2), reachable (H <= 1) for r in [4-2*sqrt(3),
 hand over to the two-dimensional flow, which `trace_reduced` does.  That
 planar flow, `reduced_time_ode`, and `trace_h`'s dH/dr are ordinary
 functions under the `integrator.inlined_field` decorator, so `integrate`
-writes their bodies into its steps.
+writes their bodies into its steps.  As in `fields`, off its domain
+each returns slopes that are not finite (dH/dr +-inf on the turning
+locus) and raises nothing.
 """
 
 from __future__ import annotations
@@ -373,8 +375,8 @@ def reduced_time_ode(s, y):
     rescaling keeps the right side polynomial and fold-friendly.
     """
     r, psi = y
-    # A trial psi past the float range: NaN slopes reject the step.
-    if not abs(psi) < math.inf:
+    # At r = 0 or a psi past the float range: NaN slopes reject the step.
+    if not (r != 0.0 and abs(psi) < math.inf):
         return (math.nan, math.nan)
     rr = r * r
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)

@@ -173,6 +173,22 @@ def test_trace_spherical_chart_and_axis_refusal(tmp_path, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, stop, t_end", [
+    (("--chart", "spherical", "--start", "1e-12,0,3", "--span", "10"),
+     "reached_end", 10.0),
+    (("--start", "10,0,0", "--span", "1e100"), "step_underflow", 1e77),
+], ids=["spherical-through-origin", "cartesian-escape"])
+def test_a_valid_start_whose_stage_leaves_the_domain_runs(argv, stop, t_end,
+                                                          tmp_path):
+    # A trial stage off the field's domain gets NaN slopes, and its step
+    # is rejected; the valid --start is not refused.
+    out = tmp_path / "t.csv"
+    assert run_cli("trace", *argv, "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+    assert meta["stop_reason"] == stop and meta["rejected_steps"] > 0
+    assert meta["t_end"] == pytest.approx(t_end, rel=1e-12)
+
+
 def test_trace_json_document(tmp_path):
     out = tmp_path / "t.json"
     run_cli("trace", "--start", "1,0,0", "--span", "1", "--format", "json",
@@ -383,14 +399,14 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
     (("reduce", "--start", "1,4", "--target", "2"),
      "hopf-flow: --start 1.0,4.0: psi0 must lie in (0, pi)\n"),
     (("trace", "--chart", "spherical", "--start=-1,0,1"),
-     "hopf-flow: --start -1.0,0.0,1.0: spherical evaluation requires "
-     "r > 0\n"),
+     "hopf-flow: --start -1.0,0.0,1.0: the slope at the start, "
+     "[nan, nan, nan], is not finite or too steep to take a step\n"),
     (("trace", "--chart", "spherical", "--start", "2,0,0"),
      "hopf-flow: --start lies on the z-axis where the spherical chart is "
      "singular; use the cartesian chart\n"),
     (("trace", "--start", "1e200,0,0"),
-     "hopf-flow: --start 1e+200,0.0,0.0: Cartesian state (1e+200, 0.0, 0.0) "
-     "overflows the field"),
+     "hopf-flow: --start 1e+200,0.0,0.0: the slope at the start, "
+     "[nan, nan, nan], is not finite or too steep to take a step\n"),
     (("trace", "--chart", "spherical", "--start", "1e200,0,1"),
      "hopf-flow: --start 1e+200,0.0,1.0: the slope at the start, "
      "[nan, nan, nan], is not finite or too steep to take a step\n"),
@@ -399,8 +415,8 @@ def test_main_returns_the_exit_code_of_help_and_of_the_parsers_refusal(
      "[0.5403023058681398, 2.0, -8.414709848078965e+299], is not finite or "
      "too steep to take a step\n"),
     (("field", "--point", "1e77,0,0"),
-     "hopf-flow: --point 1e+77,0.0,0.0: Cartesian state (1e+77, 0.0, 0.0) "
-     "overflows the field"),
+     "hopf-flow: --point 1e+77,0.0,0.0: the field overflows there: "
+     "(|p|^2 + 4)^2 exceeds the float range\n"),
     (("verify", "--only", "nope"),
      "hopf-flow verify: error: argument --only: unknown check 'nope'; "
      "known: unit-norm, rate-identities, "),
@@ -1065,16 +1081,22 @@ def test_bad_start_string_is_usage_error(capsys):
     assert run_cli("trace", "--start", "a,b,c") == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("trace", "--start", "1e200,0,0"),
-    ("trace", "--start", "0,1e100,0"),
-    ("field", "--point", "1e200,0,0"),
+@pytest.mark.parametrize("argv, message", [
+    (("trace", "--start", "1e200,0,0"),
+     "--start 1e+200,0.0,0.0: the slope at the start, [nan, nan, nan], is "
+     "not finite"),
+    (("trace", "--start", "0,1e100,0"),
+     "--start 0.0,1e+100,0.0: the slope at the start, [nan, nan, nan], is "
+     "not finite"),
+    (("field", "--point", "1e200,0,0"),
+     "--point 1e+200,0.0,0.0: the field overflows there"),
 ], ids=["trace", "trace-pow-overflow", "field"])
-def test_overflowing_state_is_usage_error(argv, capsys):
-    # The input is finite, but (|p|^2 + 4)^2 is not.
+def test_overflowing_state_is_usage_error(argv, message, capsys):
+    # The input is finite, but (|p|^2 + 4)^2 is not: the field's slopes
+    # are NaN, and the flag that gave the state is named.
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
-    assert "overflows the field" in err
+    assert message in err
     assert "non-finite" not in err
 
 

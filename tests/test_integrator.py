@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from hopf_flow import cli, diagnostics, fields, integrator, reduced_system
 from hopf_flow.diagnostics import refine
-from hopf_flow.integrator import Event, integrate
+from hopf_flow.integrator import Event, inlined_field, integrate
 
 
 def decay(t, y):
@@ -369,21 +369,30 @@ def test_traceback_through_a_step_shows_the_stage_line():
             "* k2_0)" in text)
 
 
+# A field integrate inlines whose guard raises: x' = x^2 escapes from
+# x = 1 at t = 1, and the field refuses a state past |x| = 1e3.
+@inlined_field
+def escaping(t, y):
+    (x,) = y
+    if not abs(x) < 1e3:
+        raise ValueError("escaping: |x| reached 1e3")
+    return (x * x,)
+
+
 def test_traceback_through_an_inlined_step_shows_the_stage_line():
-    # An escaping orbit leaves the Cartesian field's domain inside a step:
-    # the inlined stage's guard fails, and the stage calls the field, which
-    # raises.
-    with pytest.raises(ValueError, match="overflows the field") as err:
-        integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 1e300),
-                  rel_tol=1e-3)
+    # The orbit leaves the field's domain inside a step: the inlined
+    # stage's guard fails, and the stage calls the field, which raises.
+    with pytest.raises(ValueError, match="reached 1e3") as err:
+        integrate(escaping, [1.0], (0.0, 2.0), rel_tol=1e-3)
     text = "".join(traceback.format_exception(err.value))
-    assert '"<dop853 step d=3 hopf_flow.fields.cartesian_ode>"' in text
-    assert ("[k9_0, k9_1, k9_2] = field_fn(t + 0.6512820512820513 * hs, "
-            "[f_x, f_y, f_z])" in text)
-    # The field's own frame, in its module's file.
+    assert f'"<dop853 step d=1 {__name__}.escaping>"' in text
+    assert ("[k11_0] = field_fn(t + 0.8571428571428571 * hs, [f_x])"
+            in text)
+    # The field's own frame, in this file.
     frames = [(f.filename, f.line) for f in traceback.extract_tb(
-        err.value.__traceback__) if f.name == "cartesian_ode"]
-    assert frames == [(fields.__file__, "return _refuse_cartesian(x, y, z)")]
+        err.value.__traceback__) if f.name == "escaping"]
+    assert frames == [(__file__, 'raise ValueError("escaping: |x| reached '
+                       '1e3")')]
 
 
 def chain5(t, y):
@@ -718,8 +727,9 @@ def test_inlined_steps_give_the_bits_of_a_field_call(name, data, t0, span,
 
 
 # One run of each of the package's four fields in a fresh interpreter,
-# then the module the fields came from and the inlined runs linecache
-# holds: a field whose run silently calls it registers no such name.
+# then the module the fields came from and what linecache holds: the
+# inlined runs, and no module's text.  A field whose run silently calls
+# it registers no such name.
 _RUN_EACH_FIELD = """
 import linecache
 from hopf_flow import fields, reduced_system
@@ -729,7 +739,7 @@ integrate(fields.spherical_ode, [1.2, 0.3, 1.0], (0.0, 1.0))
 integrate(reduced_system.reduced_time_ode, [1.0, 0.7854], (0.0, 0.05))
 integrate(reduced_system._dh_dr, [0.5], (1.0, 1.1))
 print(fields.__file__)
-print(sorted(n for n in linecache.cache if n.startswith("<dop853 step d=")))
+print(sorted(linecache.cache))
 """
 
 
