@@ -228,8 +228,9 @@ def cmd_trace(ns) -> tuple:
         "chart": ns.chart, "span": span, "t_end": traj.t_end,
         "rows": len(rows), "accepted_steps": int(traj.naccept),
         "rejected_steps": int(traj.nreject), "rhs_evaluations": int(traj.nfev),
-        "stop_reason": traj.stop_reason, "rel_tol": traj.rel_tol,
-        "abs_tol": traj.abs_tol, "dense_samples": dense,
+        "interpolated_steps": traj.nformed, "stop_reason": traj.stop_reason,
+        "rel_tol": traj.rel_tol, "abs_tol": traj.abs_tol,
+        "dense_samples": dense,
     }
     return header, rows, meta
 

@@ -130,8 +130,12 @@ def to_spherical(p: Sequence[float]) -> tuple[float, float, float]:
 
 
 def from_spherical(s: Sequence[float]) -> tuple[float, float, float]:
-    """Inverse chart map (r, phi, psi) -> (x, y, z)."""
+    """Inverse chart map (r, phi, psi) -> (x, y, z); an infinite angle
+    raises ValueError naming it."""
     r, phi, psi = s
+    for name, angle in (("phi", phi), ("psi", psi)):
+        if math.isinf(angle):
+            raise ValueError(f"need a finite {name}, got {name}={angle!r}")
     sin_psi = math.sin(psi)
     return (r * sin_psi * math.cos(phi), r * sin_psi * math.sin(phi),
             r * math.cos(psi))

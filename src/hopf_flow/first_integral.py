@@ -86,8 +86,12 @@ def poly_eval(coeffs: Sequence[float], x):
 
 def half_angle_tan(psi):
     """chi = tan(psi/2) in the stable half-angle form, exactly 1 at the
-    equator; generic over Dual inputs."""
-    return sin(psi) / (1.0 + cos(psi))
+    equator; generic over Dual inputs.  An infinite float or complex psi
+    raises ValueError naming it."""
+    try:
+        return sin(psi) / (1.0 + cos(psi))
+    except ValueError:  # math's and cmath's domain error at an infinity
+        raise ValueError(f"need a finite psi, got psi={psi!r}") from None
 
 
 def rho_raw(xi, psi, c2=1.0, f1: Sequence[float] = ()):

@@ -21,10 +21,12 @@ sums of squares of the two error estimates sum_j e_j k_j over the scale
 abs_tol + rel_tol * max(|y0|, |y1|), abs_tol = rel_tol * 1e-2, and
 rel_tol must lie in [1e-14, 1e-2).  Only once a step is accepted does
 the run evaluate stage 13, the field at the new state, which is the next
-step's first stage, and the three stages of the dense output, and form
-the step's interpolant y0 + th (F0 + (1 - th) (F1 + th (F2 + ...))) in
-th = (t - t0) / h, seven coefficients F0..F6 per component.  A field
-decorated with `inlined_field` (the package's four:
+step's first stage.  The step's interpolant y0 + th (F0 + (1 - th) (F1 +
+th (F2 + ...))) in th = (t - t0) / h, seven coefficients F0..F6 per
+component, takes the three stages of the dense output besides, and is
+formed only where it is read (see `Trajectory`), by a second function
+generated with the run, from the same lines over the same locals.  A
+field decorated with `inlined_field` (the package's four:
 `fields.cartesian_ode`, `fields.spherical_ode`,
 `reduced_system.reduced_time_ode` and the dH/dr of `trace_h`, each an
 ordinary module-level def) has its body, read from its module's source
@@ -33,14 +35,15 @@ call, over the same locals and with the same bits; where one of its
 guards fails, the stage calls the field, and where the source cannot be
 read (a sourceless install) every stage does.  Any other callable, a
 wrapper of one of those four included, is called at every stage.  The
-same function runs the accept/reject loop around the step: the
-step-size controller, the stop tests and the event sign test.  Each
-accepted step extends flat `array('d')` buffers of times, states, step
-lengths and interpolant coefficients; the trajectory's arrays are numpy
-views of those buffers, made on first access.  A run makes 2 RHS calls
-to start, 11 per attempted step and 4 more per accepted one.  At loose
-tolerances an 8th-order step costs more than it saves: see the README
-for measured counts.
+run holds the accept/reject loop around the step as well: the step-size
+controller, the stop tests and the event sign test.  Each accepted step
+extends flat `array('d')` buffers of times, states, step lengths and the
+stage slopes its interpolant is formed from; the trajectory's ts, ys and
+steps are numpy views of those buffers, made on first access.  A run
+makes 2 RHS calls to start, 11 per attempted step and 1 more per
+accepted one, and 3 more per step whose interpolant is formed, which
+`dense` does for every step.  At loose tolerances an 8th-order step
+costs more than it saves: see the README for measured counts.
 
 A run stops at the end of the span (`reached_end`), at an event
 (`event`), when the step size falls below MIN_STEP or one ulp of t
@@ -57,8 +60,9 @@ crossing from that bracket, with no scan, on the step's interpolant on
 floats, to EVENT_T_TOL in t (or to adjacent doubles where that is finer
 than one ulp), one event evaluation per round.  The earliest crossing in
 the step becomes the trajectory's last row, and `Trajectory.event` the
-name of its event; the last step keeps its length and interpolant, so
-`sample` gives the crossing's state with the bits the event saw.
+name of its event; the last step keeps its length and interpolant,
+formed before its end row is overwritten, so `sample` gives the
+crossing's state with the bits the event saw.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ import linecache
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # DOP853 as the decimal literals of Hairer's dop853.f (its nodes involve
 # sqrt(6), so no exact rational form exists).  _C[s - 1] is the node of
@@ -222,6 +226,10 @@ _D = (
      15: -0.39177261675615439165231486172e+2,
      16: -0.14972683625798562581422125276e+3},
 )
+# The stages whose slopes an accepted step keeps for forming its
+# interpolant later: those of 13 or earlier that stages 14-16 and F1..F6
+# read.
+_KEPT = (1, *range(6, 14))
 # dop853.f's default step-size control: safety factor, bounds on the
 # ratio of a new step to the last, no PI term (beta = 0), and the
 # exponent 1/8 of the order.
@@ -267,14 +275,20 @@ class Trajectory:
     """Accepted-step skeleton of one integration run.
 
     `buffers` are the flat `array('d')` buffers the run filled, of
-    accepted times, states, step lengths and interpolant coefficients.
+    accepted times, states, step lengths and, per step, the slopes of
+    the stages _KEPT (k1 and k6..k13) its interpolant is formed from.
     ts and ys hold the accepted times and states (one row per point);
     steps and dense hold, per accepted step, its signed length h and the
-    (7, d) coefficients of its interpolant.  All four are numpy views of
-    the buffers, made on first access.  `sample` evaluates the step's
-    interpolant at th = (t - t0) / h.  `event` is the name of the event
-    that stopped the run, if one did; the last row is then its crossing,
-    inside the last step.
+    (7, d) coefficients of its interpolant.  ts, ys and steps are numpy
+    views of the buffers, made on first access.  `form` forms a step's
+    interpolant when it is first read, evaluating the dense output's
+    three stages with field_fn, which must give the same slopes for as
+    long as the trajectory is read: `dense` forms every step, `sample`
+    the steps its times fall in, each step once.  nfev counts the RHS
+    calls made so far, nformed the steps formed.  `sample` evaluates the
+    step's interpolant at th = (t - t0) / h.  `event` is the name of the
+    event that stopped the run, if one did; the last row is then its
+    crossing, inside the last step.
     """
 
     buffers: tuple[array, array, array, array]
@@ -285,6 +299,12 @@ class Trajectory:
     nfev: int = 0
     naccept: int = 0
     nreject: int = 0
+    nformed: int = 0
+    field_fn: Callable | None = None
+    form: Callable | None = None
+    # Each step's 7 d coefficients and whether it is formed, from _form.
+    _coefficients: array | None = None
+    _formed: bytearray | None = None
 
     @functools.cached_property
     def ts(self) -> np.ndarray:
@@ -301,7 +321,26 @@ class Trajectory:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        return _view(self.buffers[3], 7, self.ys.shape[1])
+        return _view(self._form(range(len(self.buffers[2]))), 7,
+                     self.ys.shape[1])
+
+    def _form(self, indices: Iterable[int]) -> array:
+        """The coefficient buffer, with the steps `indices` (distinct)
+        formed in it; a step formed before is not formed again."""
+        ts, ys, steps, _ = self.buffers
+        if self._formed is None:
+            self._coefficients = array("d", bytes(
+                8 * 7 * len(steps) * (len(ys) // len(ts))))
+            self._formed = bytearray(len(steps))
+        formed = self._formed
+        new = [i for i in indices if not formed[i]]
+        if new:
+            self.form(self.field_fn, new, *self.buffers, self._coefficients)
+            for i in new:
+                formed[i] = 1
+            self.nfev += 3 * len(new)
+            self.nformed += len(new)
+        return self._coefficients
 
     @property
     def t_end(self) -> float:
@@ -333,8 +372,10 @@ class Trajectory:
         # The step that starts at t when t is a row's time.
         i = np.clip(np.searchsorted(keys, key, side="right") - 1, 0,
                     len(keys) - 2)
+        dense = _view(self._form(dict.fromkeys(i.tolist())), 7,
+                      self.ys.shape[1])
         th = ((t_arr - self.ts[i]) / self.steps[i])[:, None]
-        out = _interpolant(th, self.ys[i], *self.dense[i].transpose(1, 0, 2))
+        out = _interpolant(th, self.ys[i], *dense[i].transpose(1, 0, 2))
         return out if np.ndim(t) else out[0]
 
 
@@ -499,17 +540,21 @@ def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
 
 
 @functools.cache
-def _run_fn(d: int, field: Callable | None = None) -> Callable:
-    """The run for states of d components, generated on first use.
+def _run_fn(d: int, field: Callable | None = None) -> tuple:
+    """(run, form) for states of d components, generated on first use.
 
     run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, min_step,
-    max_steps, window, stall_dt, ts, ys, steps, dense, ev_fns, ev_dirs,
+    max_steps, window, stall_dt, ts, ys, steps, slopes, ev_fns, ev_dirs,
     gs) steps from (t, y, k1) toward t1, the first step of size h,
-    appends each accepted one to ts, ys, steps and dense, and returns
-    (stop_reason, naccept, nreject, g_lo, g_hi): the event values
-    ev_fns[i](t, y) (gs at the start) at the last two rows, of which one
-    event changed sign in its direction ev_dirs[i] if the reason is
-    STOP_EVENT.  With `field`, a function `inlined_field` recorded, each
+    appends each accepted one to ts, ys, steps and slopes (its slopes of
+    the stages _KEPT), and returns (stop_reason, naccept, nreject, g_lo,
+    g_hi): the event values ev_fns[i](t, y) (gs at the start) at the last
+    two rows, of which one event changed sign in its direction
+    ev_dirs[i] if the reason is STOP_EVENT.  form(field_fn, indices, ts,
+    ys, steps, slopes, dense) writes the 7 d coefficients of each step
+    in indices into dense at 7 d times its index, reading the step from
+    the four buffers: the same lines as the run would have, over the
+    same locals.  With `field`, a function `inlined_field` recorded, each
     stage is that field's body written over the run's locals, none of
     which starts with f_ or g_; without, each stage calls field_fn, and
     unpacking each slope into d locals refuses a wrong-length one.  The
@@ -518,7 +563,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     Every sum keeps a fixed term order, and an inlined body every
     operation of the field's, on which trajectories' bits rest.
     """
-    names: dict = {"sqrt": math.sqrt, "crosses": _crosses}
+    names: dict = {"sqrt": math.sqrt, "crosses": _crosses, "array": array}
 
     def every(expr: str) -> list[str]:
         """expr for every component, '#' standing for its index."""
@@ -559,14 +604,18 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
                 f"err3 = {each('q# * q#', ' + ')}",
                 "deno = err5 + 0.01 * err3",
                 f"err = 0.0 if deno == 0.0 else h * err5 / sqrt(deno * {d})"]
-    # An accepted step: stage 13 at the new state (the next k1), the
-    # dense output's stages 14-16 and its coefficients.
-    accepted = stage(13, "t + hs", every("n#")) + stages(14, 16)
-    accepted += every("F0_# = n# - y#\nF1_# = hs * k1_# - F0_#\n"
-                      "F2_# = F0_# - hs * k13_# - F1_#")
+    # An accepted step: stage 13 at the new state (the next k1).  Forming
+    # its interpolant, later, over the same locals: the dense output's
+    # stages 14-16 and its coefficients.
+    accepted = stage(13, "t + hs", every("n#"))
+    formed = stages(14, 16) + every(
+        "F0_# = n# - y#\nF1_# = hs * k1_# - F0_#\n"
+        "F2_# = F0_# - hs * k13_# - F1_#")
     for r, row in enumerate(_D, start=3):
-        accepted += every(f"F{r}_# = hs * {weighed(row)}")
+        formed += every(f"F{r}_# = hs * {weighed(row)}")
     coefficients = ", ".join(f"F{r}_{i}" for r in range(7) for i in range(d))
+    kept = ", ".join(f"k{s}_{i}" for s in _KEPT for i in range(d))
+    width = len(_KEPT) * d
 
     def stop(reason: str, g_hi: str = "gs") -> str:
         return f"return {reason!r}, naccept, nreject, gs, {g_hi}"
@@ -576,11 +625,11 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     fac_lo, fac_hi = repr(1.0 / _FAC_MAX), repr(1.0 / _FAC_MIN)
     src = [
         "def run(field_fn, t, t1, h, y, k1, sign, rel_tol, abs_tol, "
-        "min_step, max_steps, window, stall_dt, ts, ys, steps, dense, "
+        "min_step, max_steps, window, stall_dt, ts, ys, steps, slopes, "
         "ev_fns, ev_dirs, gs):",
         f"    [{each('y#')}] = y", f"    [{each('k1_#')}] = k1",
-        "    add_t, add_y, add_h, add_dense = (ts.append, ys.extend, "
-        "steps.append, dense.extend)",
+        "    add_t, add_y, add_h, add_slopes = (ts.append, ys.extend, "
+        "steps.append, slopes.extend)",
         "    naccept = nreject = 0",
         "    just_rejected = False",
         "    t_mark = t",
@@ -603,7 +652,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "            add_t(t_new)",
         f"            add_y(({each('n#')},))",
         "            add_h(hs)",
-        f"            add_dense(({coefficients}))",
+        f"            add_slopes(({kept}))",
         "            naccept += 1",
         "            if ev_fns:",
         f"                y_new = [{each('n#')}]",
@@ -637,6 +686,16 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
         "            just_rejected = True",
         f"            h = h / (fac if fac < {fac_hi} else {fac_hi})",
         "    " + stop(STOP_MAX_STEPS),
+        "def form(field_fn, indices, ts, ys, steps, slopes, dense):",
+        "    for i in indices:",
+        "        t = ts[i]",
+        "        hs = steps[i]",
+        f"        [{each('y#')}, {each('n#')}] = "
+        f"ys[i * {d}:i * {d} + {2 * d}]",
+        f"        [{kept}] = slopes[i * {width}:i * {width} + {width}]",
+        *("        " + line for text in formed for line in text.split("\n")),
+        f"        dense[i * {7 * d}:i * {7 * d} + {7 * d}] = array("
+        f"'d', ({coefficients}))",
     ]
     filename = f"<dop853 step d={d}>" if field is None else (
         f"<dop853 step d={d} {field.__module__}.{field.__qualname__}>")
@@ -644,7 +703,7 @@ def _run_fn(d: int, field: Callable | None = None) -> Callable:
     linecache.cache[filename] = (len(text), None, text.splitlines(True),
                                  filename)
     exec(compile(text, filename, "exec"), names)
-    return names["run"]
+    return names["run"], names["form"]
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -661,12 +720,15 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     """Integrate dy/dt = field_fn(t, y) over t_span from y0.
 
     field_fn(t, y) receives y as a list of d floats and returns d numbers
-    (a tuple, a list or a 1-D array, not reused between calls).  Stops at
-    the far end of the span, at the first event crossing, when the
-    controller can no longer resolve a step or no longer advances, or when
-    the step budget runs out; the stop reason is recorded on the
-    trajectory.  Over a span of nonzero length, a slope at y0 that is not
-    finite, or too steep for a first step, raises ValueError.
+    (a tuple, a list or a 1-D array, not reused between calls).  The
+    trajectory keeps field_fn to form each step's interpolant when it is
+    first read, so field_fn must give the same slopes for as long as the
+    trajectory is read.  Stops at the far end of the span, at the first
+    event crossing, when the controller can no longer resolve a step or
+    no longer advances, or when the step budget runs out; the stop reason
+    is recorded on the trajectory.  Over a span of nonzero length, a
+    slope at y0 that is not finite, or too steep for a first step, raises
+    ValueError.
     """
     check_rel_tol(rel_tol)
     abs_tol = rel_tol * 1e-2
@@ -690,43 +752,38 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     if len(k1) != d:
         raise ValueError(f"field_fn returned {len(k1)} components for a "
                          f"state of {d}")
-    ts, ys, steps, dense = (array("d", [t0]), array("d", y), array("d"),
-                            array("d"))
+    ts, ys, steps, slopes = (array("d", [t0]), array("d", y), array("d"),
+                             array("d"))
     if t1 == t0:
-        return _trajectory(ts, ys, steps, dense, STOP_REACHED_END, rel_tol,
-                           nfev=1)
+        return Trajectory((ts, ys, steps, slopes), STOP_REACHED_END,
+                          rel_tol=rel_tol, abs_tol=abs_tol, nfev=1)
 
     sign = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     events = tuple(events)
     h = _initial_step(field_fn, t0, y, k1, sign, rel_tol, abs_tol, span)
     inlined, _ = _INLINED.get(id(field_fn), (None, ""))
-    run = _run_fn(d, field_fn if inlined is field_fn else None)
+    run, form = _run_fn(d, field_fn if inlined is field_fn else None)
     stop_reason, naccept, nreject, g_lo, g_hi = run(
         field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,
         MAX_STEPS, STALL_WINDOW, STALL_FRACTION * span, ts, ys, steps,
-        dense, tuple(ev.fn for ev in events),
+        slopes, tuple(ev.fn for ev in events),
         tuple(ev.direction for ev in events), [ev.fn(t0, y) for ev in events])
-
-    event = None
-    if stop_reason == STOP_EVENT:
-        # The crossing becomes the last row, inside the last step.
-        event, ts[-1], y_event = _first_crossing(
-            events, g_lo, g_hi, ts[-2], ts[-1], steps[-1],
-            ys[-2 * d:-d].tolist(), dense[-7 * d:].tolist())
-        ys[-d:] = array("d", y_event)
     # Two evaluations start the run, each attempted step makes 11 and each
-    # accepted one 4 more.
-    nfev = 2 + 11 * (naccept + nreject) + 4 * naccept
-    return _trajectory(ts, ys, steps, dense, stop_reason, rel_tol, nfev=nfev,
-                       event=event, naccept=naccept, nreject=nreject)
-
-
-def _trajectory(ts: array, ys: array, steps: array, dense: array,
-                stop_reason: str, rel_tol: float, **counts) -> Trajectory:
-    """The Trajectory over the run's flat buffers."""
-    return Trajectory((ts, ys, steps, dense), stop_reason, rel_tol=rel_tol,
-                      abs_tol=rel_tol * 1e-2, **counts)
+    # accepted one 1 more; forming a step's interpolant makes 3.
+    nfev = 2 + 11 * (naccept + nreject) + naccept
+    traj = Trajectory((ts, ys, steps, slopes), stop_reason, rel_tol=rel_tol,
+                      abs_tol=abs_tol, nfev=nfev, naccept=naccept,
+                      nreject=nreject, field_fn=field_fn, form=form)
+    if stop_reason == STOP_EVENT:
+        # The crossing becomes the last row, inside the last step, whose
+        # interpolant is formed while that row is still its end.
+        coefficients = traj._form([naccept - 1])[-7 * d:].tolist()
+        traj.event, ts[-1], y_event = _first_crossing(
+            events, g_lo, g_hi, ts[-2], ts[-1], steps[-1],
+            ys[-2 * d:-d].tolist(), coefficients)
+        ys[-d:] = array("d", y_event)
+    return traj
 
 
 def _state_at(t: float, t_lo: float, h: float, y_lo: list[float],

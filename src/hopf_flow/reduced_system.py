@@ -151,8 +151,11 @@ def turning_locus(r: float) -> float:
 
 
 def psi_rhs(r: float, psi: float) -> float:
-    """dpsi/dr of the reduced scalar ODE."""
+    """dpsi/dr of the reduced scalar ODE; an infinite psi raises
+    ValueError naming it."""
     check_radius(r)
+    if math.isinf(psi):
+        raise ValueError(f"need a finite psi, got psi={psi!r}")
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     c2 = cos_psi * cos_psi
     rr = r * r
@@ -212,8 +215,9 @@ def substitution_check(rs, psis) -> float:
     H-form folds there) and interior points of each piece are tested.
     Radii outside (0, 1e61] are refused, as the slopes refuse them, and so
     is a tested point whose three radii do not difference (two coincide).
-    The result is NaN when any tested point's residual is NaN: a NaN psi
-    at the point or a neighbour, or terms past the float range.
+    The result is NaN when any tested point's residual is NaN: a psi
+    that is NaN or infinite at the point or a neighbour, or terms past
+    the float range.
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
@@ -221,6 +225,8 @@ def substitution_check(rs, psis) -> float:
         raise ValueError("need matching 1-d arrays of length >= 3")
     for r in rs.tolist():
         check_radius(r)
+    # An infinite psi has no sine, and splits no curve: it is NaN here.
+    psis = np.where(np.isinf(psis), math.nan, psis)
     hs = np.sin(psis) ** 2
     side = np.sign(psis - math.pi / 2.0)
     residuals = []

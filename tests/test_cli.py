@@ -118,6 +118,25 @@ def test_trace_rows_are_the_integrators_nodes(tmp_path):
         assert np.array(y).tobytes() == traj.sample(t).tobytes()
 
 
+def test_trace_meta_counts_the_interpolants_it_formed(tmp_path):
+    # Only the steps the --dense times fall in are interpolated, each
+    # once, at 3 RHS calls a step on top of the run's.
+    out = tmp_path / "trace.csv"
+    metas = []
+    for dense in ("0", "7"):
+        assert run_cli("trace", "--start", "1,0,0", "--span", "3",
+                       "--dense", dense, "--out", str(out)) == 0
+        metas.append(json.loads((tmp_path / "trace.csv.meta.json")
+                                .read_text()))
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 3.0))
+    times = set(np.linspace(0.0, 3.0, 8).tolist()).difference(traj.ts)
+    spanned = len(set(np.searchsorted(traj.ts, sorted(times), "right") - 1))
+    run = 2 + 11 * (traj.naccept + traj.nreject) + traj.naccept
+    assert [(m["interpolated_steps"], m["rhs_evaluations"]) for m in metas] \
+        == [(0, run), (spanned, run + 3 * spanned)]
+    assert 0 < spanned < traj.naccept
+
+
 def test_trace_writes_a_negative_zero_start_as_given(tmp_path):
     out = tmp_path / "trace.csv"
     assert run_cli("trace", "--start=-0.0,1.1,0", "--span", "1", "--dense",

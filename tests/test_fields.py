@@ -103,6 +103,15 @@ def test_chart_round_trips():
         np.testing.assert_allclose(s2, (r, phi, psi), rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("state, name", [
+    ((1.0, math.inf, 0.0), "phi"), ((1.0, 0.3, -math.inf), "psi"),
+], ids=["phi", "psi"])
+def test_from_spherical_refuses_an_infinite_angle_naming_it(state, name):
+    # math.cos raised a bare "math domain error" there.
+    with pytest.raises(ValueError, match=f"got {name}=-?inf$"):
+        from_spherical(state)
+
+
 def test_axis_handling():
     # The chart puts axis points at phi = 0 and psi exactly 0 or pi; the
     # azimuth rate is undefined there (NaN) and the origin has no chart at

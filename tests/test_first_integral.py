@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hopf_flow import checks
 from hopf_flow import first_integral as fi
+from hopf_flow.dual import Dual
 from hopf_flow.first_integral import (DISC_XI_HIGH, DISC_XI_LOW,
                                       reconstruct_H, rho_table, uv_table,
                                       xi_substitution_residual)
@@ -37,6 +38,15 @@ def test_param_point_validation_and_half_angle():
     assert fi.half_angle_tan(math.pi / 2.0) == 1.0
     np.testing.assert_allclose(fi.half_angle_tan(0.8), math.tan(0.4),
                                rtol=1e-15)
+
+
+@pytest.mark.parametrize("psi", [math.inf, -math.inf, complex(math.inf, 0.0),
+                                 Dual(math.inf, 1.0)],
+                         ids=["inf", "-inf", "complex-inf", "dual-inf"])
+def test_half_angle_tan_refuses_an_infinite_psi_naming_it(psi):
+    # math.sin and cmath.sin raised a bare "math domain error" there.
+    with pytest.raises(ValueError, match=re.escape(f"got psi={psi!r}")):
+        fi.half_angle_tan(psi)
 
 
 def test_rho_is_real_when_transport_only():
@@ -424,7 +434,6 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
 def _nested_rho(xi, psi, c2=1.0, f1=()):
     """rho, rho_xi and rho_psi from one nested (mixed-partial) dual pass,
     complex xi seeded at the inner level and psi at the outer."""
-    from hopf_flow.dual import Dual
     with np.errstate(all="ignore"):
         mixed = fi.rho_raw(Dual(Dual(xi + 0.0j, 1.0 + 0.0j),
                                 Dual(0.0j, 0.0j)),

@@ -239,11 +239,13 @@ def test_step_counters_are_consistent():
     assert traj.naccept == len(traj.ts) - 1 == len(traj.steps)
     assert traj.nreject > 0
     # Two evaluations start a run (k1 and the initial-step probe), every
-    # attempted step makes 11 fresh ones, and every accepted one 4 more
-    # (the next k1 and the dense output's three stages); locating an
-    # event makes none.
-    assert traj.nfev == 2 + 11 * (traj.naccept + traj.nreject) + 4 * (
-        traj.naccept)
+    # attempted step makes 11 fresh ones, and every accepted one 1 more
+    # (the next k1); forming a step's interpolant makes 3 (the dense
+    # output's stages), and locating an event none.
+    run = 2 + 11 * (traj.naccept + traj.nreject) + traj.naccept
+    assert (traj.nfev, traj.nformed) == (run, 0)
+    traj.dense
+    assert (traj.nfev, traj.nformed) == (run + 3 * traj.naccept, traj.naccept)
     calls = []
 
     def counted(t, y):
@@ -253,16 +255,53 @@ def test_step_counters_are_consistent():
     ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1, name="level")
     stopped = integrate(counted, [1.0, 0.0], (0.0, 5.0), events=(ev,))
     assert stopped.stop_reason == "event"
-    assert stopped.nfev == len(calls) == 2 + 11 * (
-        stopped.naccept + stopped.nreject) + 4 * stopped.naccept
+    # The crossing is located on the last step's interpolant, formed then.
+    run = 2 + 11 * (stopped.naccept + stopped.nreject) + stopped.naccept
+    assert stopped.nfev == len(calls) == run + 3
+    stopped.dense
+    assert stopped.nfev == len(calls) == run + 3 * stopped.naccept
     assert integrate(oscillator, [1.0, 0.0], (2.0, 2.0)).nfev == 1
+
+
+def test_interpolants_are_formed_only_where_read():
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return oscillator(t, y)
+
+    traj = integrate(counted, [1.0, 0.0], (0.0, 10.0), rel_tol=1e-8)
+    made = len(calls)
+    assert traj.nfev == made
+    traj.ts, traj.ys, traj.steps, traj.y_end
+    assert (len(calls), traj.nformed) == (made, 0)
+    # A sample forms each step its times fall in once, and no other.
+    ts = np.linspace(0.5, 4.0, 50)
+    spanned = len(set(np.searchsorted(traj.ts, ts, side="right") - 1))
+    assert 1 < spanned < traj.naccept
+    traj.sample(ts)
+    assert len(calls) == traj.nfev == made + 3 * spanned
+    assert traj.nformed == spanned
+    traj.sample(ts[::-1])
+    traj.sample(float(ts[7]))
+    assert len(calls) == traj.nfev == made + 3 * spanned
+
+    ev = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
+    stopped = integrate(counted, [1.0, 0.0], (0.0, 10.0), events=(ev,))
+    made = len(calls)
+    # The last step was formed before its end row became the crossing.
+    assert stopped.sample(stopped.t_end).tobytes() == \
+        stopped.ys[-1].tobytes()
+    assert (len(calls), stopped.nformed) == (made, 1)
 
 
 def test_hopf_orbit_keeps_its_step_counts():
     # Accepted, rejected and RHS counts of a fixed run: a change to the
     # step arithmetic that moves the controller shows here first.
     traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 50.0))
-    assert (traj.naccept, traj.nreject, traj.nfev) == (86, 11, 1413)
+    assert (traj.naccept, traj.nreject, traj.nfev) == (86, 11, 1155)
+    traj.dense
+    assert traj.nfev == 1413
 
 
 def test_rhs_return_container_does_not_change_the_bits():
@@ -676,15 +715,23 @@ def test_stored_slopes_are_the_field_at_the_stored_states():
     assert f2.tobytes() == (f0 - h * f[1:] - f1).tobytes()
 
 
-def _outcome(field, y0, span, rel_tol):
-    """A run's bits, stop reason and counters, or its exception."""
+def _outcome(field, y0, span, rel_tol, fractions, sample_first):
+    """A run's bits, its samples at the fractions of its span, stop reason
+    and counters, or its exception.  The steps the samples fall in are
+    formed before the rest with sample_first, after them without."""
     try:
         traj = integrate(field, y0, span, rel_tol=rel_tol)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+    if not sample_first:
+        traj.dense
+    t0, t1 = traj.ts[0], traj.t_end
+    # Interpolants of states near the float range may overflow.
+    with np.errstate(all="ignore"):
+        samples = traj.sample([t0 + f * (t1 - t0) for f in fractions])
     return (traj.ts.tobytes(), traj.ys.tobytes(), traj.steps.tobytes(),
-            traj.dense.tobytes(), traj.stop_reason, traj.nfev, traj.naccept,
-            traj.nreject)
+            traj.dense.tobytes(), samples.tobytes(), traj.stop_reason,
+            traj.nfev, traj.naccept, traj.nreject)
 
 
 _COORD = (st.floats(-10.0, 10.0)
@@ -715,15 +762,22 @@ def test_inlined_steps_give_the_bits_of_a_field_call(name, data, t0, span,
     if data is None:
         y0 = {"cartesian": (0.8, 0.0, 0.0), "spherical": (0.1, 0.0, 3.1),
               "reduced-time": (0.5, 3.0), "dh-dr": (0.5,)}[name]
+        fractions = [0.9, 0.1, 0.5, 1.0]
     else:
         y0 = data.draw(starts, label="y0")
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                       max_size=8), label="fractions")
     t_span = (t0, t0 + span) if name == "dh-dr" else (0.0, span)
     # Across the turning locus dH/dr alternates accepted and rejected steps
     # until the budget runs out; a small budget keeps every example short.
+    # The inlined run forms the sampled steps first, the called one every
+    # step in order: the order of forming moves no bit.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator, "MAX_STEPS", 3000)
-        called = _outcome(lambda t, y: field(t, y), y0, t_span, rel_tol)
-        assert _outcome(field, y0, t_span, rel_tol) == called
+        called = _outcome(lambda t, y: field(t, y), y0, t_span, rel_tol,
+                          fractions, sample_first=False)
+        assert _outcome(field, y0, t_span, rel_tol, fractions,
+                        sample_first=True) == called
 
 
 # One run of each of the package's four fields in a fresh interpreter,

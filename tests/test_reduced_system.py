@@ -69,6 +69,13 @@ def test_turning_point_guards_raise():
         rs.psi_rhs(0.0, 1.0)
 
 
+@pytest.mark.parametrize("psi", [math.inf, -math.inf])
+def test_psi_rhs_refuses_an_infinite_psi_naming_it(psi):
+    # math.sin raised a bare "math domain error" there.
+    with pytest.raises(ValueError, match=f"got psi={psi!r}$"):
+        rs.psi_rhs(1.0, psi)
+
+
 def test_radii_past_the_float_range_are_refused_naming_r():
     # At the largest radius both slopes are finite and on their asymptotes
     # -2H/r and -tan(psi)/r; one double further, and at the radii where
@@ -488,7 +495,10 @@ def test_substitution_check_on_tightly_sampled_solution():
     ([1.0, 1.1, 1.2], [math.nan] * 3),
     ([1.0, 1.1, 1.2], [0.8, math.nan, 0.9]),
     ([1.0, 1.1, 1.2, 1.3], [0.8, 0.85, 0.9, math.nan]),
-], ids=["all-nan", "tested-point-nan", "end-point-nan"])
+    ([1.0, 1.1, 1.2], [0.5, math.inf, 0.6]),
+    ([1.0, 1.1, 1.2], [0.5, 0.6, -math.inf]),
+], ids=["all-nan", "tested-point-nan", "end-point-nan", "tested-point-inf",
+        "end-point-inf"])
 def test_substitution_check_is_nan_where_a_tested_point_is(radii, psis):
     # Each returned 0.0 or the finite points' worst: max dropped the NaN.
     assert math.isnan(rs.substitution_check(radii, psis))
