@@ -16,11 +16,13 @@ the parametric chain (legendre-identity, linear-pde-*,
 parametric-relation-*, h-pde-*, phi-flow-derivative, gauge-invariance,
 dual-vs-fd, branch-continuity) pass whole grids to the first_integral
 functions in one array call each, and read each residual from the one
-method of the table it is formed from (uv_table(...).relation_residual,
-reconstruct_H(...).h_pde_residual and .phi_flow_derivative) or, in
-dual-vs-fd and branch-continuity, rho_table's u and rho_psi; the float
-path of the same functions is the bit-pinned reference that the tests
-compare those arrays against.
+method of the table it is formed from (rho_table(...).pde_residual,
+uv_table(...).relation_residual, reconstruct_H(...).h_pde_residual and
+.phi_flow_derivative) or, in dual-vs-fd and branch-continuity,
+rho_table's u and rho_psi; dual-vs-fd evaluates its four
+finite-difference points (xi +- h, psi +- h) in one rho_raw call on a
+(4, 100) stack.  The float path of the same functions is the bit-pinned
+reference that the tests compare those arrays against.
 
 The implicit relation is solved in one call per check:
 implicit-inversion solves its three points in one solve_implicit call,
@@ -296,7 +298,7 @@ def _check_legendre():
 def _pde_grid_check(variant: str):
     table = _shared("rho_table", lambda: first_integral.rho_table(
         *_real_region_grid(_RHO_GRID)))
-    return getattr(table, f"pde_{variant}"), {
+    return table.pde_residual(variant), {
         "variant": variant, "grid": f"{_RHO_GRID}x{_RHO_GRID}"}
 
 
@@ -341,8 +343,9 @@ _F1_PROBE = (0.7, -0.3, 0.11, 2.0)
 
 def _check_gauge():
     xi, psi = _real_region_grid(5)
-    base = first_integral.rho_table(xi, psi).pde_parametric
-    gauged = first_integral.rho_table(xi, psi, f1=_F1_PROBE).pde_parametric
+    base = first_integral.rho_table(xi, psi).pde_residual("parametric")
+    gauged = first_integral.rho_table(
+        xi, psi, f1=_F1_PROBE).pde_residual("parametric")
     relation = first_integral.uv_table(xi, psi,
                                        f1=_F1_PROBE).relation_residual()
     return np.append(gauged - base, relation), {
@@ -353,10 +356,10 @@ def _check_gauge():
 def _check_dual_vs_fd():
     xi, psi = _dual_vs_fd_probes()
     h = 1e-6
-    xi_c = xi.astype(complex)
-    rho_raw = first_integral.rho_raw
-    fd_xi = (rho_raw(xi_c + h, psi) - rho_raw(xi_c - h, psi)) / (2.0 * h)
-    fd_psi = (rho_raw(xi_c, psi + h) - rho_raw(xi_c, psi - h)) / (2.0 * h)
+    # Rows xi + h, xi - h, psi + h and psi - h, in one rho_raw call.
+    step = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])[..., None]
+    rho = first_integral.rho_raw(xi.astype(complex) + step[0], psi + step[1])
+    fd_xi, fd_psi = (rho[0::2] - rho[1::2]) / (2.0 * h)
     table = first_integral.rho_table(xi, psi)
     residuals = [np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
                  for fd, exact in ((fd_xi, table.u), (fd_psi, table.rho_psi))]

@@ -359,8 +359,8 @@ def cmd_rho(ns) -> tuple:
                        for q in psis.tolist()], len(xis))
     rows = np.column_stack([
         xi, psi, table.rho.real, table.rho.imag, table.u.real, table.v.real,
-        table.u.imag, table.v.imag, log_chi, table.pde_direct,
-        table.pde_parametric])
+        table.u.imag, table.v.imag, log_chi, table.pde_residual("direct"),
+        table.pde_residual("parametric")])
     meta = {"grid": f"{n}x{n}", "c2": c2, "f1": list(f1),
             "xi_range": [xi_lo, xi_hi], "psi_range": [psi_lo, psi_hi]}
     return header, rows.tolist(), meta

@@ -5,7 +5,11 @@ respect to one seed variable.  Components may be real or complex
 numbers, real or complex numpy arrays (one independent point per
 element, so a whole grid is differentiated in one pass), or other
 Duals; nesting Duals therefore yields exact second and mixed partial
-derivatives without any finite differencing.
+derivatives without any finite differencing.  An array slope may also
+carry several seeds on a leading axis (vector forward mode): with
+values of shape S and seed slopes of shape (k,) + (1,) * len(S), every
+rule broadcasts, and entry j of the result's slope is the derivative
+along seed j.
 
 The module-level math functions (`sqrt`, `log`, `sin`, ...) dispatch on
 their argument: Duals get the differentiation rule, numpy arrays the

@@ -22,19 +22,23 @@ A point or a grid.  rho_table, uv_table and reconstruct_H follow the
 rule of special_functions.bessel_quad: when every point argument is a
 scalar, the call runs the float path (cmath and math) and returns Python
 numbers; anything else broadcasts over numpy arrays.  The float path is
-the bit-pinned reference that the tests freeze.  Array entries match it
-to round-off, not bitwise, because numpy and libm round transcendentals
-differently.  A float point raises ValueError where rho, u or v is not
-finite, naming xi, and where rho_table's residuals are indeterminate; an
-array holds NaN there.
+the bit-pinned reference that the tests freeze: it makes two dual passes
+per table, one per seed.  On arrays each table makes one pass that seeds
+xi and psi together, their unit slopes stacked on a leading axis (vector
+forward mode), and gives the bits of the two single-seed passes.  Array
+entries match the float path to round-off, not bitwise, because numpy
+and libm round transcendentals differently.  A float point raises
+ValueError where rho, u or v is not finite, naming xi, and where the
+transport coefficient vanishes and leaves rho_table's residuals
+indeterminate; an array holds NaN there.
 
 Residual conventions.  Every residual is scaled by the largest additive
 term at the point ("relative to terms").  Two variants of the linear PDE
-are measured: pde_direct is the transport form
+are measured: "direct" is the transport form
 
     A(xi,psi) rho_psi + xi B(xi,psi) + c2 (32 xi - 8 xi^3),
 
-and pde_parametric is the form obtained by eliminating (u, v)
+and "parametric" is the form obtained by eliminating (u, v)
 from the parametric relation,
 
     -A(xi,psi) rho_psi + B(xi,psi) + c2 (32 xi^2 - 8 xi^4),
@@ -50,11 +54,12 @@ reconstructed radius): the chain closes at round-off under the xi
 reading only, and both numbers are reported.
 
 Each residual of the chain has one entry, a method of the result it is
-formed from, so one table serves every residual read from it: the
-parametric relation is uv_table(...).relation_residual(reading), and
-the H-equation and the flow derivative of Phi are
-reconstruct_H(...).h_pde_residual(reading) and
-reconstruct_H(...).phi_flow_derivative().
+formed from, so one table serves every residual read from it and a
+residual is formed only when it is read: the linear PDE is
+rho_table(...).pde_residual(variant), the parametric relation is
+uv_table(...).relation_residual(reading), and the H-equation and the
+flow derivative of Phi are reconstruct_H(...).h_pde_residual(reading)
+and reconstruct_H(...).phi_flow_derivative().
 """
 
 from __future__ import annotations
@@ -86,10 +91,12 @@ def poly_eval(coeffs: Sequence[float], x):
 
 def half_angle_tan(psi):
     """chi = tan(psi/2) in the stable half-angle form, exactly 1 at the
-    equator; generic over Dual inputs.  An infinite float or complex psi
-    raises ValueError naming it."""
+    equator; generic over Dual inputs.  An infinite float, complex or
+    Dual psi raises ValueError naming it; an infinite array entry gives
+    NaN without a warning."""
     try:
-        return sin(psi) / (1.0 + cos(psi))
+        with np.errstate(invalid="ignore"):  # numpy's sin(inf) is NaN
+            return sin(psi) / (1.0 + cos(psi))
     except ValueError:  # math's and cmath's domain error at an infinity
         raise ValueError(f"need a finite psi, got psi={psi!r}") from None
 
@@ -176,17 +183,40 @@ def _linear_pde_terms(xi, psi, c2, a, rho_psi, variant: str) -> list:
             32.0 * c2 * xi ** 2, -8.0 * c2 * xi ** 4]
 
 
+def _transport(xi, psi):
+    """A(xi, psi), and whether it vanishes against its terms' scale."""
+    a = transport_coefficient(xi, psi)
+    return a, abs(a) < 1e-12 * (xi ** 4 + 8.0 * xi ** 2 + 16.0 * xi ** 2
+                                + 16.0)
+
+
 @dataclass(frozen=True)
 class RhoTable:
-    """rho and the quantities derived from it: values at one point, or
-    one array entry per point."""
+    """rho and the quantities derived from it at (xi, psi) for the slope
+    c2: values at one point, or one array entry per point.  The
+    linear-PDE residual is a function of it, formed when it is read."""
 
+    xi: float | np.ndarray
+    psi: float | np.ndarray
     rho: complex | np.ndarray
     u: complex | np.ndarray
     v: complex | np.ndarray
     rho_psi: complex | np.ndarray
-    pde_direct: float | np.ndarray
-    pde_parametric: float | np.ndarray
+    c2: float
+
+    def pde_residual(self, variant: str):
+        """Scaled residual of the linear PDE for rho, variant "direct" or
+        "parametric" (module docstring), NaN where the transport
+        coefficient vanishes.  The gauge term F1 never enters it, which
+        the gauge checks measure rather than assume."""
+        if variant not in ("direct", "parametric"):
+            raise ValueError(f"unknown variant {variant!r}")
+        with np.errstate(all="ignore"):
+            a, vanishes = _transport(self.xi, self.psi)
+            pde = relative_to_terms(_linear_pde_terms(
+                self.xi, self.psi, self.c2, a, self.rho_psi, variant))
+        return pde if isinstance(self.xi, float) else np.where(
+            vanishes, math.nan, pde)
 
 
 def _grid(xi, psi):
@@ -226,33 +256,31 @@ def _finite_at_a_point(table):
 @_finite_at_a_point
 def rho_table(xi, psi, c2: float = 1.0,
               f1: Sequence[float] = ()) -> RhoTable:
-    """rho, u = rho_xi and v from one xi-seeded dual pass, rho_psi from
-    one psi-seeded pass, and both linear-PDE residuals.
+    """rho, u = rho_xi, v and rho_psi: at a float pair from one xi-seeded
+    and one psi-seeded dual pass, on arrays from one pass seeding both.
 
-    The residuals are scaled relative to terms (module docstring).  The
-    gauge term F1 never enters them (no xi-derivative of rho appears),
-    which the gauge checks measure rather than assume.  A float pair
-    raises ValueError where the transport coefficient vanishes and
-    leaves rho_psi undetermined; arrays give NaN residuals there.
+    A float pair raises ValueError where the transport coefficient
+    vanishes, which leaves the linear-PDE residual (pde_residual)
+    indeterminate.
     """
     xi, psi = _grid(xi, psi)
     xi_c, f1 = xi + 0.0j, tuple(f1)
     with np.errstate(all="ignore"):
-        a = transport_coefficient(xi, psi)
-        vanishes = abs(a) < 1e-12 * (xi ** 4 + 8.0 * xi ** 2
-                                     + 16.0 * xi ** 2 + 16.0)
-        if isinstance(xi, float) and vanishes:
-            raise ValueError("indeterminate point: transport coefficient "
-                             "vanishes")
-        rho, u, v = _uv_maps(xi_c, psi, c2, f1)
-        rho_psi = rho_raw(xi_c, Dual(psi, 1.0), c2, f1).eps
-        pde = [relative_to_terms(_linear_pde_terms(xi, psi, c2, a, rho_psi,
-                                                   variant))
-               for variant in ("direct", "parametric")]
-        if not isinstance(xi, float):
-            pde = [np.where(vanishes, math.nan, p) for p in pde]
-        return RhoTable(rho=rho, u=u, v=v, rho_psi=rho_psi,
-                        pde_direct=pde[0], pde_parametric=pde[1])
+        if isinstance(xi, float):
+            if _transport(xi, psi)[1]:
+                raise ValueError("indeterminate point: transport "
+                                 "coefficient vanishes")
+            rho, u, v = _uv_maps(xi_c, psi, c2, f1)
+            rho_psi = rho_raw(xi_c, Dual(psi, 1.0), c2, f1).eps
+        else:
+            # Unit slopes on a leading axis: out.eps is (u, rho_psi).
+            seed = np.eye(2).reshape((2, 2) + (1,) * xi.ndim)
+            out = rho_raw(Dual(xi_c, seed[0] + 0.0j), Dual(psi, seed[1]),
+                          c2, f1)
+            rho, (u, rho_psi) = out.val, out.eps
+            v = xi_c * u - rho
+    return RhoTable(xi=xi, psi=psi, rho=rho, u=u, v=v, rho_psi=rho_psi,
+                    c2=c2)
 
 
 def _uv_maps(x, psi, c2, f1):
@@ -308,19 +336,31 @@ def uv_table(xi, psi, c2: float = 1.0, f1: Sequence[float] = ()) -> UVPair:
     """u, v and their four partials by exact forward-mode seeding, at a
     float pair or over broadcastable arrays.
 
-    The psi-partials come from one pass seeding complex xi at the inner
-    dual level and psi at the outer, the xi-partials from the u and v
-    maps at Dual(xi, 1), so the identity v_xi = xi * u_xi is a
-    measurement of the implementation (the product rule executes in
-    floating point), not a restatement of the algebra."""
+    Complex xi seeds the inner dual level.  At a float pair psi seeds the
+    outer level of one pass and xi that of another, the u and v maps at
+    Dual(xi, 1); on arrays one pass seeds xi and psi at the outer level
+    together.  v_xi is the product Dual(xi, 1) * Dual(u, u_xi) - Dual(rho,
+    u) either way, so the identity v_xi = xi * u_xi is a measurement of
+    the implementation (the product rule executes in floating point), not
+    a restatement of the algebra."""
     xi, psi = _grid(xi, psi)
     xi_c, f1 = xi + 0.0j, tuple(f1)
+    x = Dual(xi_c, 1.0 + 0.0j)
     with np.errstate(all="ignore"):
-        mixed = rho_raw(Dual(Dual(xi_c, 1.0 + 0.0j), Dual(0.0j, 0.0j)),
-                        Dual(Dual(psi, 0.0), Dual(1.0, 0.0)), c2, f1)
+        if isinstance(xi, float):
+            mixed = rho_raw(Dual(x, Dual(0.0j, 0.0j)),
+                            Dual(Dual(psi, 0.0), Dual(1.0, 0.0)), c2, f1)
+            _, u_dual, v_dual = _uv_maps(x, psi, c2, f1)
+        else:
+            seed = np.eye(2).reshape((2, 2) + (1,) * xi.ndim)
+            out = rho_raw(Dual(x, Dual(seed[0] + 0.0j, 0.0j)),
+                          Dual(Dual(psi, 0.0), Dual(seed[1], 0.0)), c2, f1)
+            # out.eps stacks Dual(u, u_xi) and Dual(rho_psi, u_psi).
+            (u, rho_psi), (u_xi, u_psi) = out.eps.val, out.eps.eps
+            mixed, u_dual = Dual(out.val, Dual(rho_psi, u_psi)), Dual(u, u_xi)
+            v_dual = x * u_dual - out.val
         # mixed.val is Dual(rho, u), mixed.eps Dual(rho_psi, u_psi).
         v, v_psi = (xi_c * d.eps - d.val for d in (mixed.val, mixed.eps))
-        _, u_dual, v_dual = _uv_maps(Dual(xi_c, 1.0 + 0.0j), psi, c2, f1)
         return UVPair(xi=xi, psi=psi, u=mixed.val.eps, v=v, u_xi=u_dual.eps,
                       u_psi=mixed.eps.eps, v_xi=v_dual.eps, v_psi=v_psi,
                       c2=c2)

@@ -159,8 +159,8 @@ def _pde_maps(n: int):
                 table = first_integral.rho_table(xi, psi)
             except ValueError:
                 continue  # transport coefficient vanishes: indeterminate
-            direct[i, j] = table.pde_direct
-            parametric[i, j] = table.pde_parametric
+            direct[i, j] = table.pde_residual("direct")
+            parametric[i, j] = table.pde_residual("parametric")
             uv = first_integral.uv_table(xi, psi)
             legendre[i, j] = abs(uv.v_xi - xi * uv.u_xi)
     return direct, parametric, legendre
@@ -222,8 +222,9 @@ def test_A7_gauge_and_branch_properties():
     f1 = (0.7, -0.3, 0.11, 2.0)
     worst_gauge = 0.0
     for xi, psi in ((0.2, 1.1), (0.35, 0.8), (0.5, 1.4), (0.65, 2.1)):
-        bare = first_integral.rho_table(xi, psi).pde_parametric
-        gauged = first_integral.rho_table(xi, psi, f1=f1).pde_parametric
+        bare = first_integral.rho_table(xi, psi).pde_residual("parametric")
+        gauged = first_integral.rho_table(
+            xi, psi, f1=f1).pde_residual("parametric")
         worst_gauge = max(worst_gauge, abs(bare - gauged))
     h = 1e-6
     worst_fd = 0.0

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import warnings
+from operator import attrgetter, methodcaller
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def test_half_angle_tan_refuses_an_infinite_psi_naming_it(psi):
         fi.half_angle_tan(psi)
 
 
+def test_half_angle_tan_on_an_array_gives_nan_at_an_infinity_quietly():
+    # numpy's sin(inf) warned "invalid value encountered in sin"; the
+    # finite entries keep the bits of the formula.
+    psi = np.array([1.0, math.inf, -math.inf, 0.8])
+    finite = psi[[0, 3]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi = fi.half_angle_tan(psi)
+        dual = fi.half_angle_tan(Dual(psi, 1.0))
+    assert np.isnan(chi[1:3]).all() and np.isnan(dual.val[1:3]).all()
+    assert chi[[0, 3]].tobytes() == (np.sin(finite)
+                                     / (1.0 + np.cos(finite))).tobytes()
+    assert dual.val.tobytes() == chi.tobytes()
+
+
 def test_rho_is_real_when_transport_only():
     # With the source coefficient switched off the solution stays real
     # in both real regions (inner and outer).
@@ -58,14 +74,16 @@ def test_rho_is_real_when_transport_only():
 
 
 def test_linear_pde_parametric_variant_is_roundoff():
-    worst = max(rho_table(xi, psi).pde_parametric for xi, psi in REAL_POINTS)
+    worst = max(rho_table(xi, psi).pde_residual("parametric")
+                for xi, psi in REAL_POINTS)
     print(f"parametric variant max residual {worst:.3e}")
     assert worst <= 1e-12
 
 
 def test_linear_pde_direct_variant_fails_order_one():
     # The direct reading is the recorded discrepancy: it misses by O(1).
-    worst = max(rho_table(xi, psi).pde_direct for xi, psi in REAL_POINTS)
+    worst = max(rho_table(xi, psi).pde_residual("direct")
+                for xi, psi in REAL_POINTS)
     assert worst > 1e-2
 
 
@@ -79,8 +97,8 @@ def test_linear_pde_indeterminate_where_transport_vanishes():
 def test_gauge_polynomial_does_not_move_residuals():
     f1 = (0.7, -0.3, 0.11, 2.0)
     for xi, psi in REAL_POINTS:
-        bare = rho_table(xi, psi).pde_parametric
-        gauged = rho_table(xi, psi, f1=f1).pde_parametric
+        bare = rho_table(xi, psi).pde_residual("parametric")
+        gauged = rho_table(xi, psi, f1=f1).pde_residual("parametric")
         assert abs(bare - gauged) <= 1e-11
         rel_bare = uv_table(xi, psi).relation_residual("xi")
         rel_gauged = uv_table(xi, psi, f1=f1).relation_residual("xi")
@@ -296,12 +314,15 @@ def _physical_states():
 
 
 _UV_FIELDS = ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")
+_PDE_RESIDUALS = (methodcaller("pde_residual", "direct"),
+                  methodcaller("pde_residual", "parametric"))
+_RHO_ENTRIES = (*map(attrgetter, ("rho", "u", "v", "rho_psi")),
+                *_PDE_RESIDUALS)
 # name: (call, points, fields of the result or None, float calls that raise)
 _PARITY_CASES = {
-    "rho_table": (rho_table, _three_bands,
-                  ("rho", "u", "v", "rho_psi", "pde_direct",
-                   "pde_parametric"), 1),
-    "uv_table": (uv_table, _three_bands, _UV_FIELDS, 0),
+    "rho_table": (rho_table, _three_bands, _RHO_ENTRIES, 1),
+    "uv_table": (uv_table, _three_bands, tuple(map(attrgetter, _UV_FIELDS)),
+                 0),
     "relation_residual-xi": (
         lambda xi, psi: uv_table(xi, psi).relation_residual("xi"),
         _three_bands, None, 0),
@@ -333,7 +354,7 @@ def test_float_calls_match_array_entries(name):
     args = points()
 
     def entries(out):
-        return [out] if fields is None else [getattr(out, f) for f in fields]
+        return [out] if fields is None else [f(out) for f in fields]
 
     arrays = entries(fn(*args))
     raised = 0
@@ -354,7 +375,7 @@ def test_float_calls_match_array_entries(name):
 
 def test_rho_table_broadcasts_and_validates_like_param_point():
     table = fi.rho_table(np.array([[0.2], [0.5]]), np.array([1.1, 1.4, 2.1]))
-    assert table.rho.shape == table.pde_parametric.shape == (2, 3)
+    assert table.rho.shape == table.pde_residual("parametric").shape == (2, 3)
     uv = fi.uv_table(np.array([[0.2], [0.5]]), np.array([1.1, 1.4, 2.1]))
     assert uv.u.shape == uv.v_xi.shape == (2, 3)
     for table_fn in (fi.rho_table, fi.uv_table):
@@ -376,9 +397,9 @@ def test_rho_table_reproduces_coarse_nodes_bitwise_inside_a_refined_grid():
     assert all(np.array_equal(c, f[::2]) for c, f in zip(coarse, fine))
     want = fi.rho_table(*np.meshgrid(*coarse, indexing="ij"))
     got = fi.rho_table(*np.meshgrid(*fine, indexing="ij"))
-    for name in ("rho", "rho_psi", "pde_direct", "pde_parametric"):
-        assert (getattr(got, name)[::2, ::2].tobytes()
-                == getattr(want, name).tobytes()), name
+    for entry in (attrgetter("rho"), attrgetter("rho_psi"), *_PDE_RESIDUALS):
+        assert (entry(got)[::2, ::2].tobytes()
+                == entry(want).tobytes()), entry
 
 
 # Scalar results as computed before the dual engine took arrays, as
@@ -428,7 +449,8 @@ def test_scalar_path_is_bit_identical_to_frozen_values(point, rho, uv, pde):
     assert tuple(bits(getattr(got, name)) for name in
                  ("u", "v", "u_xi", "u_psi", "v_xi", "v_psi")) == uv
     table = rho_table(xi, psi, c2, f1)
-    assert (table.pde_direct.hex(), table.pde_parametric.hex()) == pde
+    assert (table.pde_residual("direct").hex(),
+            table.pde_residual("parametric").hex()) == pde
 
 
 def _nested_rho(xi, psi, c2=1.0, f1=()):
@@ -474,6 +496,89 @@ def test_rho_xi_has_the_bits_of_rho_table():
     # The xi-seeded pass gives the nested pass's rho and u = rho_xi, so
     # dual-vs-fd's figure is the nested pass's too.
     _has_the_bits_of_a_nested_pass(("rho", "u"), (0, 1))
+
+
+def _two_passes(xi, psi, c2, f1):
+    """rho_table's and uv_table's entries from two single-seed dual passes
+    each: an xi-seeded and a psi-seeded pass for rho_table, a mixed pass
+    (xi inner, psi outer) and an xi-nested one for uv_table."""
+    xi, psi = np.broadcast_arrays(np.asarray(xi, float),
+                                  np.asarray(psi, float))
+    xi_c = xi + 0.0j
+    x = Dual(xi_c, 1.0 + 0.0j)
+    with np.errstate(all="ignore"):
+        seeded = fi.rho_raw(x, psi, c2, f1)
+        psi_seeded = fi.rho_raw(xi_c, Dual(psi, 1.0), c2, f1)
+        mixed = fi.rho_raw(Dual(x, Dual(0.0j, 0.0j)),
+                           Dual(Dual(psi, 0.0), Dual(1.0, 0.0)), c2, f1)
+        nested = fi.rho_raw(Dual(x, 1.0 + 0.0j), psi, c2, f1)
+        rho = {"rho": seeded.val, "u": seeded.eps,
+               "v": xi_c * seeded.eps - seeded.val,
+               "rho_psi": psi_seeded.eps}
+        uv = {"u": mixed.val.eps, "v": xi_c * mixed.val.eps - mixed.val.val,
+              "u_xi": nested.eps.eps, "u_psi": mixed.eps.eps,
+              "v_xi": (x * nested.eps - nested.val).eps,
+              "v_psi": xi_c * mixed.eps.eps - mixed.eps.val}
+    return rho, uv
+
+
+def _both_regions():
+    # Both real regions, the complex band between them and both of its
+    # ends, where the discriminant is tiny (low) or exactly 0 (high), and
+    # two xi past the float range.
+    xi = np.append(np.linspace(0.05, 6.0, 12),
+                   [DISC_XI_LOW, DISC_XI_HIGH, 1e-170, 1e60])
+    return np.meshgrid(xi, np.linspace(0.05, math.pi - 0.05, 11),
+                       indexing="ij")
+
+
+def _straddle():
+    # branch-continuity's (2, 2, 1) x (4,) grid: a seed shaped (2, 1)
+    # would broadcast along its second axis.
+    return (np.multiply.outer((1.0 - 1e-9, 1.0 + 1e-9),
+                              (DISC_XI_LOW, DISC_XI_HIGH))[..., None],
+            np.array([0.7, 1.2, 1.9, 2.5]))
+
+
+@pytest.mark.parametrize("grid, c2, f1", [
+    (_both_regions, 1.0, ()), (_both_regions, 0.5, (0.7, -0.3, 0.11)),
+    (_straddle, 1.0, ()),
+], ids=["both-regions", "gauged", "branch-continuity"])
+def test_one_pass_per_table_gives_the_bits_of_two(grid, c2, f1):
+    # On arrays each table seeds xi and psi in one pass; every entry is
+    # the two-pass one, NaN and inf in the same places.
+    xi, psi = grid()
+    for table, want in zip((rho_table(xi, psi, c2, f1),
+                            uv_table(xi, psi, c2, f1)),
+                           _two_passes(xi, psi, c2, f1)):
+        for name, w in want.items():
+            got = getattr(table, name)
+            assert got.shape == w.shape, name
+            assert np.array_equal(got, w, equal_nan=True), name
+            assert np.array_equal(np.isinf(got), np.isinf(w)), name
+
+
+def test_a_table_makes_one_pass_on_arrays_and_two_at_a_float_pair(
+        monkeypatch):
+    # rho_raw passes per call; reading a residual makes none.
+    calls = []
+    raw = fi.rho_raw
+
+    def counted(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(fi, "rho_raw", counted)
+    for point, passes in ((checks._real_region_grid(5), 1), ((0.35, 0.8), 2)):
+        tables = []
+        for table_fn in (rho_table, uv_table):
+            calls.clear()
+            tables.append(table_fn(*point))
+            assert len(calls) == passes, (table_fn.__name__, passes)
+        calls.clear()
+        for entry in _PDE_RESIDUALS:
+            entry(tables[0])
+        assert not calls
 
 
 @pytest.mark.parametrize("table_fn, xi, psi", [
@@ -569,3 +674,9 @@ def test_residuals_of_a_result_in_hand_keep_their_bits():
     assert type(one.h_pde_residual()) is float
     assert type(one.phi_flow_derivative()) is float
     assert type(uv_table(0.35, 0.8).relation_residual()) is float
+    table = rho_table(uv.xi, uv.psi)
+    assert (table.xi.tobytes(), table.psi.tobytes()) == (uv.xi.tobytes(),
+                                                         uv.psi.tobytes())
+    with pytest.raises(ValueError, match="variant"):
+        table.pde_residual("transport")
+    assert type(rho_table(0.35, 0.8).pde_residual("direct")) is float
