@@ -83,6 +83,15 @@ def test_sample_rejects_times_outside_span():
         traj.sample(-0.5)
 
 
+def test_a_nan_sample_time_is_refused_and_forms_nothing():
+    traj = integrate(fields.cartesian_ode, (1, 0, 0), (0, 5))
+    made = traj.nfev
+    for t in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="sample time nan"):
+            traj.sample(t)
+    assert (traj.nfev, traj.nformed) == (made, 0)
+
+
 def test_backward_integration():
     traj = integrate(decay, [1.0], (0.0, -2.0), rel_tol=1e-10)
     assert traj.t_end == -2.0
@@ -358,6 +367,29 @@ def test_wrong_length_rhs_mid_run_is_refused(short_from):
     assert len(calls) == short_from
 
 
+@pytest.mark.parametrize("min_steps", [10**9, 1], ids=["scalar", "columns"])
+@pytest.mark.parametrize("wrong", [
+    lambda slope, y: slope[:-1],
+    lambda slope, y: slope[:-1] if y[0] > 0.0 else slope,
+    lambda slope, y: slope[:1],
+], ids=["short", "ragged", "one"])
+def test_wrong_length_rhs_while_forming_is_refused(monkeypatch, min_steps,
+                                                   wrong):
+    # Right during the run, wrong once the interpolants are formed: every
+    # slope one short, only some, or every slope of one component.
+    formed = []
+
+    def field(t, y):
+        slope = [y[1], -y[0], -0.5 * y[2]]
+        return wrong(slope, y) if formed else slope
+
+    monkeypatch.setattr(integrator, "_ARRAY_MIN_STEPS", min_steps)
+    traj = integrate(field, [1.0, 0.0, 2.0], (0.0, 10.0))
+    formed.append(True)
+    with pytest.raises(ValueError):
+        traj.dense
+
+
 @pytest.mark.parametrize("field, y0", [
     (lambda t, y: [math.nan], [1.0]),
     (lambda t, y: [1e300], [1.0]),
@@ -490,6 +522,20 @@ def test_trajectories_keep_their_bits(run, stop, digest):
                          + traj.steps.tobytes()
                          + traj.dense.tobytes()).hexdigest()
     assert got == digest
+
+
+def test_dense_trace_samples_keep_their_bits():
+    # The samples `trace --span 500 --dense 500` takes between the nodes of
+    # the orbit from (1, 0, 0): one call forms their 459 steps on columns.
+    traj = integrate(fields.cartesian_ode, [1.0, 0.0, 0.0], (0.0, 500.0))
+    between = sorted(set(np.linspace(0.0, traj.t_end, 501).tolist())
+                     .difference(traj.buffers[0]))
+    samples = traj.sample(between)
+    assert (len(between), traj.nformed) == (499, 459)
+    got = hashlib.sha256(np.array(between).tobytes()
+                         + samples.tobytes()).hexdigest()
+    assert got == \
+        "0c7f67619938d19503a3528e4743720dc8268a2e74f9e7b5ebd3810269dc5320"
 
 
 def test_step_budget_is_a_stop_reason(monkeypatch):
@@ -778,6 +824,89 @@ def test_inlined_steps_give_the_bits_of_a_field_call(name, data, t0, span,
                           fractions, sample_first=False)
         assert _outcome(field, y0, t_span, rel_tol, fractions,
                         sample_first=True) == called
+
+
+# Runs that take more steps than one call needs to form on columns: each
+# of the package's four fields (the reduced one runs into its singularity
+# and stops on step_underflow, the dH/dr one on its event), and a called
+# field stopped by an event.
+_PAST_EVENT = Event(fn=lambda t, y: t - 77.7, direction=1)
+_LONG_RUNS = {
+    "cartesian": lambda: integrate(fields.cartesian_ode, [1.0, 0.0, 0.0],
+                                   (0.0, 50.0)),
+    "spherical": lambda: integrate(fields.spherical_ode, [1.2, 0.3, 1.0],
+                                   (0.0, -50.0)),
+    "reduced-time": lambda: integrate(reduced_system.reduced_time_ode,
+                                      [1.0, 0.7854], (0.0, 5.0)),
+    "dh-dr": lambda: reduced_system.trace_h(1.0, 0.5, 200.0),
+    "called": lambda: integrate(lambda t, y: (y[1], -y[0]), [1.0, 0.0],
+                                (0.0, 100.0), events=(_PAST_EVENT,)),
+}
+
+
+def _read_in_batches(run, batches, min_steps, patch):
+    """run's sample bits and counters after each batch of fractions of its
+    span, then its dense bits, with _form_columns used from min_steps
+    steps a call."""
+    patch.setattr(integrator, "_ARRAY_MIN_STEPS", min_steps)
+    traj = run()
+    t0, t1 = traj.ts[0], traj.t_end
+    out = [traj.sample(t1).tobytes() == traj.ys[-1].tobytes()]
+    for batch in batches:
+        samples = traj.sample([t0 + f * (t1 - t0) for f in batch])
+        out.append((samples.tobytes(), traj.nfev, traj.nformed))
+    out.append((traj.dense.tobytes(), traj.nfev, traj.nformed))
+    return traj, out
+
+
+@pytest.mark.parametrize("name", list(_LONG_RUNS))
+@settings(max_examples=25, deadline=None)
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=150),
+       cuts=st.lists(st.integers(1, 149), max_size=4))
+def test_forming_on_columns_gives_the_bits_of_the_scalar_form(name,
+                                                              fractions,
+                                                              cuts):
+    # Batches of random sizes: at the default threshold some calls form
+    # fewer steps than it and some more.
+    bounds = [0, *sorted(c for c in cuts if c < len(fractions)),
+              len(fractions)]
+    batches = [fractions[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    default = integrator._ARRAY_MIN_STEPS
+    with pytest.MonkeyPatch.context() as patch:
+        traj, scalar = _read_in_batches(_LONG_RUNS[name], batches, 10**9,
+                                        patch)
+        assert len(traj.steps) > default
+        for min_steps in (1, default):
+            # An event-stopped run's last step, formed on columns too at a
+            # threshold of 1, keeps the coefficients it had before its end
+            # row became the crossing: sample(t_end) is that row.
+            assert _read_in_batches(_LONG_RUNS[name], batches, min_steps,
+                                    patch)[1] == scalar
+    if name in ("dh-dr", "called"):
+        assert traj.stop_reason == "event" and scalar[0]
+
+
+def test_forming_on_columns_overflows_quietly_as_floats_do(monkeypatch):
+    # A field whose slopes become huge after the run: the dense output's
+    # stages and sums overflow to inf and NaN, on floats without a
+    # warning, and so on columns (pytest turns a RuntimeWarning into a
+    # failure).
+    huge = []
+
+    def field(t, y):
+        return (1e307, 1e308) if huge else (y[1], -y[0])
+
+    formed, default = [], integrator._ARRAY_MIN_STEPS
+    for min_steps in (10**9, default):
+        monkeypatch.setattr(integrator, "_ARRAY_MIN_STEPS", min_steps)
+        huge.clear()
+        traj = integrate(field, [1.0, 0.0], (0.0, 30.0))
+        huge.append(True)
+        formed.append(traj.dense)
+    assert len(traj.steps) >= default
+    scalar, columns = formed
+    assert np.isnan(scalar).any() and np.isinf(scalar).any()
+    assert np.array_equal(columns, scalar, equal_nan=True)
 
 
 # One run of each of the package's four fields in a fresh interpreter,
