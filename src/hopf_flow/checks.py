@@ -319,7 +319,7 @@ def _h_pde_states():
     bracket around xi0 (one array each, so one reconstruction serves)."""
     xi0, psi = _H_PDE_POINTS.T
     r = first_integral.rho_table(xi0, psi).v.real
-    return r, psi, (0.7 * xi0, np.minimum(1.3 * xi0, 0.8))
+    return r, psi, (0.7 * xi0, np.minimum(1.35 * xi0, 0.8))
 
 
 def _h_reconstruction() -> first_integral.HReconstruction:

@@ -3,32 +3,35 @@
 Supported argument range is z in (0, 300]: there I, K and the ratio K/I
 (~ pi e**(-2z), the scale of the implicit constant) are all normal
 doubles.  The range leaves out the smallest subnormal, 5e-324, whose
-half, inside K's log(z/2), rounds to 0.  Each function is an
-exponentially scaled Chebyshev series on two intervals, with the
-interval split of Cephes (Moshier 1989):
+half, inside K's log(z/2), rounds to 0.  Each function is a Chebyshev
+series on each of three intervals, one region pair (I, K) each: Cephes
+splits K at z = 2 and I at z = 8 (Moshier 1989), and here both splits
+serve both functions:
 
-* I0 e**-z and I1 e**-z / z on (0, 8], t = z/4 - 1;
-* I0 e**-z sqrt(z) and I1 e**-z sqrt(z) on (8, 300], t = 16/z - 1;
-* K0 + log(z/2) I0 and z (K1 - log(z/2) I1), regular series in z**2,
-  on (0, 2], t = z**2/2 - 1;
-* K0 e**z sqrt(z) and K1 e**z sqrt(z) on (2, 300], t = 4/z - 1.
+* on (0, 2], t = z**2/2 - 1: I0 and I1 / z, and K0 + log(z/2) I0 and
+  z (K1 - log(z/2) I1), regular series in z**2 (Abramowitz & Stegun
+  9.8), 10 and 11 terms;
+* on (2, 8]: I0 e**-z and I1 e**-z / z, t = (z - 5)/3, 25 terms, and
+  K0 e**z sqrt(z) and K1 e**z sqrt(z), t = (16/z - 5)/3, 17 terms;
+* on (8, 300], t = 16/z - 1: I0 e**-z sqrt(z) and I1 e**-z sqrt(z),
+  25 terms, and K0 e**z sqrt(z) and K1 e**z sqrt(z), 14 terms.
 
 The coefficients in `_bessel_tables` are written by
 tools/make_bessel_tables.py from 40-digit mpmath values; each series is
-summed by the Clenshaw recurrence (Clenshaw 1955).  Each region pair,
-(I, K) on (0, 2], (2, 8] and (8, 300], is stated once: `_region` gives
-its four series and their Chebyshev variables, `_finish` its scaling,
-for a float or an array alike.  A float sums its four series in Python
-float arithmetic.  An ndarray groups its points by region pair: a pair
-of at most _STACK_MAX = 1024 points sums its four series as the rows of
-one 2-d pass, the longer I pair alone until the K pair's first
-coefficient, and a larger one sums them one at a time.  Both array
-passes write in place and do the float recurrence's operations in its
-order, and both paths take exp, sqrt and log from numpy, so an array
-element equals the float result bit for bit.  Against 40-digit
-mpmath the largest relative error over 2000 log-spaced points in
-[1e-3, 300] is 7.8e-16 for I0, 1.4e-15 for I1, 1.2e-15 for K0 and
-6.2e-16 for K1.
+summed by the Clenshaw recurrence (Clenshaw 1955), 42, 84 and 78 steps a
+point on the three intervals.  Each region pair is stated once:
+`_region` gives its four series and their Chebyshev variables, `_finish`
+its scaling, for a float or an array alike.  A float sums its four
+series in Python float arithmetic.  An ndarray groups its points by
+region pair: a pair of at most _STACK_MAX = 1024 points sums its four
+series as the rows of one 2-d pass, a row joining when its series
+begins, and a larger one sums them one at a time.  Both array passes
+write in place and do the float recurrence's operations in its order,
+and both paths take exp, sqrt and log from numpy, so an array element
+equals the float result bit for bit.  Against 40-digit mpmath the
+largest relative error over 2000 log-spaced points in [1e-3, 300] is
+4.3e-16 for I0, 3.9e-16 for I1, 1.12e-15 for K0 and 7.0e-16 for K1
+(tools/bessel_accuracy.py prints them per region pair).
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._bessel_tables import (I0_LARGE, I0_SMALL, I1_LARGE, I1_SMALL,
-                             K0_LARGE, K0_SMALL, K1_LARGE, K1_SMALL)
+from ._bessel_tables import (I0_LARGE, I0_LOW, I0_MID, I1_LARGE, I1_LOW,
+                             I1_MID, K0_HIGH, K0_MID, K0_SMALL, K1_HIGH,
+                             K1_MID, K1_SMALL)
 
 Z_MAX = 300.0
-_I_SPLIT = 8.0
-_K_SPLIT = 2.0
+# The region pairs' joins.
+_SPLITS = (2.0, 8.0)
 # A small array is bound by numpy's per-call cost, which one stacked pass
 # pays once for four series; a large one by memory traffic, where stacked
 # rows lose.  Stacking measured faster up to 1024 points, slower from 3072.
@@ -84,52 +88,58 @@ def _apply(ufunc, x):
     return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _region(z, i_small, k_small):
-    """The four series (I0, I1, K0, K1) of the region pair I on (0, 8]
-    or (8, 300] and K on (0, 2] or (2, 300], and the Chebyshev variable
-    of each at z, a float or an array."""
-    t_i = 0.25 * z - 1.0 if i_small else 16.0 / z - 1.0
-    t_k = 0.5 * z * z - 1.0 if k_small else 4.0 / z - 1.0
-    series = (((I0_SMALL, I1_SMALL) if i_small else (I0_LARGE, I1_LARGE))
-              + ((K0_SMALL, K1_SMALL) if k_small else (K0_LARGE, K1_LARGE)))
-    return series, (t_i, t_i, t_k, t_k)
+def _region(z, pair):
+    """The four series (I0, I1, K0, K1) of region pair 0, 1 or 2, z in
+    (0, 2], (2, 8] or (8, 300], and the Chebyshev variable of each at z,
+    a float or an array."""
+    if pair == 0:
+        t = 0.5 * z * z - 1.0
+        return (I0_LOW, I1_LOW, K0_SMALL, K1_SMALL), (t, t, t, t)
+    if pair == 1:
+        t_i, t_k = (z - 5.0) / 3.0, (16.0 / z - 5.0) / 3.0
+        return (I0_MID, I1_MID, K0_MID, K1_MID), (t_i, t_i, t_k, t_k)
+    t = 16.0 / z - 1.0
+    return (I0_LARGE, I1_LARGE, K0_HIGH, K1_HIGH), (t, t, t, t)
 
 
-def _finish(z, i_small, k_small, sums):
+def _finish(z, pair, sums):
     """I0, I1, K0 and K1 at z from the region pair's four sums."""
     s0, s1, s2, s3 = sums
-    ez = _apply(np.exp, z)
-    if i_small:
+    if pair == 0:
+        i1 = s1 * z
+        log = _apply(np.log, 0.5 * z)
+        return s0, i1, s2 - log * s0, log * i1 + s3 / z
+    ez, root = _apply(np.exp, z), _apply(np.sqrt, z)
+    if pair == 1:
         i0, i1 = s0 * ez, s1 * z * ez
     else:
-        scale = ez / _apply(np.sqrt, z)
+        scale = ez / root
         i0, i1 = s0 * scale, s1 * scale
-    if not k_small:
-        scale = _apply(np.exp, -z) / _apply(np.sqrt, z)
-        return i0, i1, s2 * scale, s3 * scale
-    log = _apply(np.log, 0.5 * z)
-    return i0, i1, s2 - log * i0, log * i1 + s3 / z
+    scale = _apply(np.exp, -z) / root
+    return i0, i1, s2 * scale, s3 * scale
 
 
 def _quad_scalar(z: float) -> BesselQuad:
     if not (0.0 < 0.5 * z and z <= Z_MAX):
         raise ValueError(f"argument {z!r} outside supported range (0, {Z_MAX}]")
-    i_small, k_small = z <= _I_SPLIT, z <= _K_SPLIT
-    series, ts = _region(z, i_small, k_small)
-    return BesselQuad(z, *_finish(z, i_small, k_small,
-                                  map(_clenshaw, series, ts)))
+    pair = 0 if z <= _SPLITS[0] else 1 if z <= _SPLITS[1] else 2
+    series, ts = _region(z, pair)
+    return BesselQuad(z, *_finish(z, pair, map(_clenshaw, series, ts)))
 
 
 @functools.lru_cache(maxsize=32)
 def _phases(*series):
-    """The Clenshaw steps of series, longest first, as (rows, block)
-    phases: step j of a phase adds block[j], a (rows, 1) column of
-    coefficients, to the first rows, those whose series has begun, so a
-    shorter series starts late."""
+    """The Clenshaw steps of series as (rows, block) phases: step j of a
+    phase adds block[j], a (rows, 1) column of coefficients, to the first
+    rows, up to the last whose series has begun.  A row within them whose
+    series has not begun adds 0.0, which leaves its zeroed buffers +0.0 at
+    a finite t, so any order of series gives the float recurrence's bits;
+    longest first, a shorter series just starts late."""
     phases = {}
-    for left in range(len(series[0]), 0, -1):
-        col = [s[-left] for s in series if len(s) >= left]
-        phases.setdefault(len(col), []).append(col)
+    for left in range(max(map(len, series)), 0, -1):
+        rows = max(r for r, s in enumerate(series, 1) if len(s) >= left)
+        col = [s[-left] if len(s) >= left else 0.0 for s in series[:rows]]
+        phases.setdefault(rows, []).append(col)
     return tuple((rows, np.array(cols)[:, :, None])
                  for rows, cols in phases.items())
 
@@ -162,23 +172,21 @@ def _quad_array(z: np.ndarray) -> BesselQuad:
     flat = z.ravel()
     quad = np.full((4, flat.size), math.nan)
     ok = (0.5 * flat > 0.0) & (flat <= Z_MAX)
-    small_i, small_k = ok & (flat <= _I_SPLIT), ok & (flat <= _K_SPLIT)
+    low, high = ok & (flat <= _SPLITS[0]), ok & (flat > _SPLITS[1])
     # A region pair's points run its own branch only: the float path's
     # operations, and so its bits.
-    for mask, i_small, k_small in ((small_k, True, True),
-                                   (small_i & ~small_k, True, False),
-                                   (ok & ~small_i, False, False)):
+    for pair, mask in enumerate((low, ok & ~low & ~high, high)):
         if not mask.any():
             continue
         x = flat[mask]
-        series, ts = _region(x, i_small, k_small)
+        series, ts = _region(x, pair)
         sums = (_clenshaw_rows(series, np.stack(ts)) if x.size <= _STACK_MAX
                 else [_clenshaw_rows((a,), t[None])[0]
                       for a, t in zip(series, ts)])
         # K1 ~ 1/z passes the float range below z ~ 5.6e-309: inf, as on
         # the float path.
         with np.errstate(over="ignore"):
-            values = _finish(x, i_small, k_small, sums)
+            values = _finish(x, pair, sums)
         for row, value in zip(quad, values):
             row[mask] = value
     i0, i1, k0, k1 = quad.reshape((4,) + z.shape)

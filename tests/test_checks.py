@@ -1,6 +1,7 @@
 """Check battery orchestration: naming, scaling, result schema."""
 
 import dataclasses
+import inspect
 import math
 import random
 import warnings
@@ -138,6 +139,21 @@ def test_run_battery_records_each_checks_warnings():
     for name, messages in warned.items():
         assert len(messages) == 2, name
         assert all("2 parameter roots" in m for m in messages), name
+
+
+def test_h_pde_states_are_reached_by_refinement_not_the_scan():
+    # A scan node at xi0 is an exact zero of v - r, returned without
+    # refinement: then xi* == xi0 tests nothing of the inversion.
+    r, psi, (lo, hi) = checks._h_pde_states()
+    xi0 = checks._H_PDE_POINTS[:, 0]
+    n = inspect.signature(first_integral.reconstruct_H).parameters[
+        "n_scan"].default
+    nodes = lo[:, None] + (hi - lo)[:, None] * np.arange(n + 1) / n
+    assert not (nodes == xi0[:, None]).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        recon = first_integral.reconstruct_H(r, psi, bracket=(lo, hi))
+    assert np.all(np.abs(recon.xi_star - xi0) <= 1e-10)
 
 
 # legendre-identity moves by the relative fault itself; h-pde-xi by ~3.4
@@ -503,9 +519,9 @@ def _plant_sqrt(monkeypatch, eps):
 
 
 def _plant_chebyshev(monkeypatch, eps):
-    # a_0 of the small-z I1 series off by a relative eps.
-    *rest, a0 = special_functions.I1_SMALL
-    monkeypatch.setattr(special_functions, "I1_SMALL",
+    # a_0 of the I1 series on (0, 2] off by a relative eps.
+    *rest, a0 = special_functions.I1_LOW
+    monkeypatch.setattr(special_functions, "I1_LOW",
                         (*rest, a0 * (1.0 + eps)))
 
 

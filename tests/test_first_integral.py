@@ -194,13 +194,15 @@ def test_reconstruction_roundtrip():
 
 def test_battery_parameters_keep_their_bits():
     # The parameters the h-pde and phi-flow checks reconstruct at their 12
-    # states: nine are scan points where v - r is exactly 0, three are
-    # refined; all equal the values of the scalar refiner.
+    # states: no scan node is xi0, so all twelve are refined (the first
+    # lands on 0.2 itself); all equal the values of the scalar refiner.
     r, psi, bracket = checks._h_pde_states()
     with pytest.warns(UserWarning, match="2 parameter roots"):
         xi_star, _, _ = fi._reconstruct_xi(r, psi, 1.0, (), bracket, 60)
     assert xi_star.tolist() == [
-        0.2, 0.2, 0.2, 0.35, 0.35, 0.35, 0.5, 0.5, 0.5,
+        0.2, 0.19999999999999996, 0.2000000000249999, 0.35000000002499826,
+        0.34999999997693143, 0.3500000000249999, 0.5000000000226302,
+        0.5000000000249789, 0.5000000000249791,
         0.6500000000248873, 0.6500000000249552, 0.6500000000249644]
 
 

@@ -1,10 +1,11 @@
 """Write the Chebyshev tables of `hopf_flow.special_functions`.
 
 Each table holds the coefficients a_k of f(t) = sum_k a_k T_k(t) on
-t in [-1, 1] for one exponentially scaled modified Bessel function on one
-interval of z (the maps from z to t are listed in TABLES below and in the
-special_functions docstring), highest order first, the order in which
-the Clenshaw recurrence consumes them.  The coefficients come from
+t in [-1, 1] for one modified Bessel function, scaled or regularised, on
+one region pair's interval of z, (0, 2], (2, 8] or (8, inf) (the maps
+from z to t are listed in TABLES below and in the special_functions
+docstring), highest order first, the order in which the Clenshaw
+recurrence consumes them.  The coefficients come from
 Gauss-Chebyshev projection of 40-digit mpmath values,
 
     a_k = (2 / N) sum_j f(cos theta_j) cos(k theta_j),
@@ -12,7 +13,9 @@ Gauss-Chebyshev projection of 40-digit mpmath values,
 
 with a_0 halved, which is exact for polynomials of degree below N.  Both
 functions of an interval share one length: the shortest whose dropped
-tail sums to at most TAIL times the smallest |f| at the nodes.
+tail sums to at most TAIL times the smallest |f| at the nodes.  With
+DPS = 40, NODES = 48 and TAIL = 1e-17 the lengths are 10, 25 and 25 for
+I and 11, 17 and 14 for K on the three intervals.
 
 Run from the repository root (needs mpmath, a test dependency):
 
@@ -35,7 +38,11 @@ OUT = (Path(__file__).resolve().parents[1] / "src" / "hopf_flow"
        / "_bessel_tables.py")
 
 
-def _i_small(z):
+def _i_low(z):
+    return mp.besseli(0, z), mp.besseli(1, z) / z
+
+
+def _i_mid(z):
     e = mp.exp(-z)
     return mp.besseli(0, z) * e, mp.besseli(1, z) * e / z
 
@@ -51,17 +58,21 @@ def _k_small(z):
             z * (mp.besselk(1, z) - log * mp.besseli(1, z)))
 
 
-def _k_large(z):
+def _k_scaled(z):
     s = mp.exp(z) * mp.sqrt(z)
     return mp.besselk(0, z) * s, mp.besselk(1, z) * s
 
 
-# (interval name, z as a function of t, the order-0 and order-1 functions)
+# (table name, z as a function of t, the order-0 and order-1 functions):
+# one I and one K table on each region pair's interval.  On (0, 2] both
+# are regular series in z**2; the I series needs no exponential scaling.
 TABLES = (
-    ("I_SMALL", lambda t: 4 * (t + 1), _i_small),        # z in [0, 8]
-    ("I_LARGE", lambda t: 16 / (t + 1), _i_large),       # z in [8, inf)
-    ("K_SMALL", lambda t: mp.sqrt(2 * (t + 1)), _k_small),  # z in [0, 2]
-    ("K_LARGE", lambda t: 4 / (t + 1), _k_large),        # z in [2, inf)
+    ("I_LOW", lambda t: mp.sqrt(2 * (t + 1)), _i_low),       # z in [0, 2]
+    ("I_MID", lambda t: 3 * t + 5, _i_mid),                  # z in [2, 8]
+    ("I_LARGE", lambda t: 16 / (t + 1), _i_large),           # z in [8, inf)
+    ("K_SMALL", lambda t: mp.sqrt(2 * (t + 1)), _k_small),   # z in [0, 2]
+    ("K_MID", lambda t: 16 / (3 * t + 5), _k_scaled),        # z in [2, 8]
+    ("K_HIGH", lambda t: 16 / (t + 1), _k_scaled),           # z in [8, inf)
 )
 
 
