@@ -106,8 +106,11 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], Sequence[float]],
     together as numpy lanes, one call of fn per round over the lanes
     still live.  Returns two arrays, one entry per row: the root nearest
     0.5 * (lo + hi) (the first in scan order on a tie, NaN where there is
-    none) and the number of roots.
+    none) and the number of roots.  An n_scan that is not an integer of
+    at least 1 raises ValueError naming it.
     """
+    if not (isinstance(n_scan, (int, np.integer)) and n_scan >= 1):
+        raise ValueError(f"need an integer n_scan >= 1, got n_scan={n_scan!r}")
     lo = np.atleast_1d(np.asarray(lo, dtype=float))[:, None]
     hi = np.atleast_1d(np.asarray(hi, dtype=float))[:, None]
     with np.errstate(all="ignore"):

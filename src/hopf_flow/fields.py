@@ -11,9 +11,10 @@ A point is plain coordinates: any sequence of three floats (a tuple, a
 list or an array row), (x, y, z) in the Cartesian chart and (r, phi, psi)
 in the spherical one.  `cartesian_ode(t, p)` and `spherical_ode(t, s)` are
 the one field per chart, in the integrator's signature; a caller probing
-one point passes t = 0.0.  Both are ordinary functions under the
-`integrator.inlined_field` decorator, so `integrate` writes their bodies
-into its steps.  Results come back as tuples, of Python floats when the
+one point passes t = 0.0.  Both are ordinary functions under this
+module's `inlined_field` decorator, so `integrate` writes their bodies
+into its steps, and importing the module does not load the integrator.
+Results come back as tuples, of Python floats when the
 point's coordinates are Python floats; `derived_rates` and
 `pushforward_sign` return small named records.  The module imports no
 numpy: `default_probes` draws from a seeded random.Random.  Off its
@@ -32,12 +33,12 @@ the sphere s = 4, where orbits close.
 
 from __future__ import annotations
 
+import inspect
+import linecache
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-from .integrator import inlined_field
+from typing import Callable, Sequence
 
 # Chart guards: spherical integration must stop before these floors.
 RADIUS_FLOOR = 1e-6
@@ -47,6 +48,29 @@ SIN_PSI_FLOOR = 1e-8
 _S_PLUS_4_MAX = 1e154
 # sqrt(_S_PLUS_4_MAX): 1e77 * 1e77 is exactly 1e154 in floating point.
 _COORD_MAX = 1e77
+
+
+def inlined_field(field: Callable) -> Callable:
+    """Decorator: `integrator.integrate` writes field's body into the
+    stages of its runs, and a stage whose state fails one of its guards
+    calls it.  field, a module-level `def name(t, y)` (else ValueError),
+    holds an optional docstring, one statement unpacking y into a name
+    per component, assignments (never to t or a component), guards (an
+    `if` with no else that returns or raises) and `return` of a tuple of
+    one expression per component.  Its def's text is read once, as its
+    module is imported, and kept as the mark `inlined_def` = (field,
+    text): a wrapper copies the mark but is not field, so it is called.
+    Without source (a sourceless install) field is left unmarked.
+    """
+    if field.__qualname__ != field.__name__ or field.__name__ == "<lambda>":
+        raise ValueError(f"{field.__qualname__}: not a module-level def "
+                         f"integrate can inline")
+    try:
+        field.inlined_def = field, inspect.getsource(field)
+    except OSError:  # no source: left unmarked
+        pass
+    linecache.cache.pop(field.__code__.co_filename, None)
+    return field
 
 
 @dataclass(frozen=True)

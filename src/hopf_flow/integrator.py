@@ -31,7 +31,7 @@ hundreds at once) forms them on numpy columns instead, one row per step,
 with the same sums in the same term order and the stages' field calls on
 floats, so with the same bits at about half the cost per step; below
 that, numpy's cost per call outweighs what it saves.  A field decorated
-with `inlined_field` (the package's four: `fields.cartesian_ode`,
+with `fields.inlined_field` (the package's four: `fields.cartesian_ode`,
 `fields.spherical_ode`,
 `reduced_system.reduced_time_ode` and the dH/dr of `trace_h`, each an
 ordinary module-level def) has its body, read from its module's source
@@ -40,6 +40,8 @@ call, over the same locals and with the same bits; where one of its
 guards fails, the stage calls the field, and where the source cannot be
 read (a sourceless install) every stage does.  Any other callable, a
 wrapper of one of those four included, is called at every stage.  The
+decorator lives with the fields, so of the subcommands only `trace`,
+`reduce` and `verify` load this module.  The
 run holds the accept/reject loop around the step as well: the step-size
 controller, the stop tests and the event sign test.  Each accepted step
 extends flat `array('d')` buffers of times, states, step lengths and the
@@ -489,46 +491,8 @@ def _initial_step(field_fn, t0: float, y0: list[float], f0: Sequence[float],
     return min(100.0 * h0, h1, span)
 
 
-# id(field): (field, its def's text), for each def `inlined_field` read.
-_INLINED: dict[int, tuple[Callable, str]] = {}
-
-
-def inlined_field(field: Callable) -> Callable:
-    """Decorator: `integrate` writes field's body into the stages of its
-    runs; a stage whose state fails one of field's guards calls field,
-    which takes its cold path.  field is returned unchanged, and a
-    wrapper of it is called at every stage.
-
-    field is a module-level `def name(t, y)` (a lambda or a nested def
-    raises ValueError): an optional docstring, a statement unpacking y
-    into one name per component, assignments (never to t or a component)
-    and guards (an `if` with no else, whose body returns or raises), and
-    `return` of a tuple of one expression per component.  Its text, the
-    `def` line to the next unindented one, is read here, as its module is
-    imported (linecache finds it in a zip too, and keeps none of it), and
-    parsed when the first run for it is generated; a def with no source,
-    as in a sourceless install, is not recorded, so its runs call it.
-    """
-    if field.__qualname__ != field.__name__ or field.__name__ == "<lambda>":
-        raise ValueError(f"{field.__qualname__}: not a module-level def "
-                         f"integrate can inline")
-    code = field.__code__
-    linecache.checkcache(code.co_filename)  # drop a stale copy
-    lines: list[str] = []
-    for line in linecache.getlines(code.co_filename, field.__globals__)[
-            code.co_firstlineno - 1:]:
-        if lines and not line[0].isspace():
-            break
-        if not line.startswith("@"):  # the def's decorators
-            lines.append(line)
-    linecache.cache.pop(code.co_filename, None)  # keep the def alone
-    if lines:
-        _INLINED[id(field)] = field, "".join(lines)
-    return field
-
-
 def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
-    """(stage, names) for writing field's recorded body into a run.
+    """(stage, names) for writing field's marked body into a run.
 
     stage(s, at, state) gives the lines that bind k{s}_0, k{s}_1, ... to
     the field's slope at time `at` and the state whose components are the
@@ -536,7 +500,7 @@ def _inlined_stage(field: Callable) -> tuple[Callable, dict]:
     module-level and builtin names it reads g_<name>, so none meets a
     name of the run; `names` binds the latter.
     """
-    (fdef,) = ast.parse(_INLINED[id(field)][1]).body
+    (fdef,) = ast.parse(field.inlined_def[1]).body
     body = fdef.body[1:] if ast.get_docstring(fdef) is not None else fdef.body
     unpack, *statements, ret = body
     time, arg = (a.arg for a in fdef.args.args)
@@ -615,7 +579,7 @@ def _run_fn(d: int, field: Callable | None = None) -> tuple:
     ys, steps, slopes, dense) writes the 7 d coefficients of each step
     in indices into dense at 7 d times its index, reading the step from
     the four buffers: the same lines as the run would have, over the
-    same locals.  With `field`, a function `inlined_field` recorded, each
+    same locals.  With `field`, a function `inlined_field` marked, each
     stage is that field's body written over the run's locals, none of
     which starts with f_ or g_; without, each stage calls field_fn, and
     unpacking each slope into d locals refuses a wrong-length one.  The
@@ -823,7 +787,7 @@ def integrate(field_fn: Callable[[float, list[float]], Sequence[float]],
     span = abs(t1 - t0)
     events = tuple(events)
     h = _initial_step(field_fn, t0, y, k1, sign, rel_tol, abs_tol, span)
-    inlined, _ = _INLINED.get(id(field_fn), (None, ""))
+    inlined, _ = getattr(field_fn, "inlined_def", (None, ""))
     run, form = _run_fn(d, field_fn if inlined is field_fn else None)
     stop_reason, naccept, nreject, g_lo, g_hi = run(
         field_fn, t0, t1, h, y, k1, sign, rel_tol, abs_tol, MIN_STEP,

@@ -26,10 +26,11 @@ H = (r^2+4)^2 / (64 r^2), reachable (H <= 1) for r in [4-2*sqrt(3),
 4+2*sqrt(3)]; there the graph H(r) folds and r-parametrized tracing must
 hand over to the two-dimensional flow, which `trace_reduced` does.  That
 planar flow, `reduced_time_ode`, and `trace_h`'s dH/dr are ordinary
-functions under the `integrator.inlined_field` decorator, so `integrate`
+functions under the `fields.inlined_field` decorator, so `integrate`
 writes their bodies into its steps.  As in `fields`, off its domain
 each returns slopes that are not finite (dH/dr +-inf on the turning
-locus) and raises nothing.
+locus) and raises nothing.  Only `trace_h` and `trace_reduced` load the
+integrator, when called, so `implicit` and `rho` never do.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .diagnostics import bracketed_roots, relative_to_terms
-from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR
-from .integrator import (STOP_EVENT, STOP_REACHED_END, Event, Trajectory,
-                         inlined_field, integrate)
+from .fields import RADIUS_FLOOR, SIN_PSI_FLOOR, inlined_field
 from .special_functions import Z_MAX, bessel_quad
+
+if TYPE_CHECKING:
+    from .integrator import Trajectory
 
 EPS_TURN = 1e-8
 
@@ -215,9 +217,9 @@ def substitution_check(rs, psis) -> float:
     H-form folds there) and interior points of each piece are tested.
     Radii outside (0, 1e61] are refused, as the slopes refuse them, and so
     is a tested point whose three radii do not difference (two coincide).
-    The result is NaN when any tested point's residual is NaN: a psi
-    that is NaN or infinite at the point or a neighbour, or terms past
-    the float range.
+    The result is NaN when no piece holds three points to test, and when
+    any tested point's residual is NaN: a psi that is NaN or infinite at
+    the point or a neighbour, or terms past the float range.
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
@@ -247,21 +249,23 @@ def substitution_check(rs, psis) -> float:
                 h_residual_terms(r_seg[i], h_seg[i], dh)))
         seg_start = seg_end
     # max alone would keep its other argument over a NaN.
-    if any(map(math.isnan, residuals)):
+    if not residuals or any(map(math.isnan, residuals)):
         return math.nan
-    return max(residuals, default=0.0)
+    return max(residuals)
 
 
 def _bessel_terms(r, h):
     """(a, b, Bessel quad at z) of C(r, H): z = sqrt(H) r / 2,
     a = 4 + r^2, b = 8 sqrt(H) r.
 
-    Floats outside r > 0, H in (0, 1] or z in (0, Z_MAX] raise
-    ValueError, as do those where a, or a product of a or b with a Bessel
-    value, would leave the float range; arrays broadcast and give NaN
-    there instead.
+    A point (r and H both 0-d, as floats or numpy scalars) outside r > 0,
+    H in (0, 1] or z in (0, Z_MAX] raises ValueError, as does one where
+    a, or a product of a or b with a Bessel value, would leave the float
+    range; sequences and arrays broadcast and give NaN there instead.
     """
-    array = isinstance(r, np.ndarray) or isinstance(h, np.ndarray)
+    # Two Python floats, the root solves' case, skip the shape test.
+    array = (type(r) is not float or type(h) is not float) and (
+        np.ndim(r) or np.ndim(h))
     if array:
         r, h = np.broadcast_arrays(np.asarray(r, float), np.asarray(h, float))
         sqrt_h = np.sqrt(np.where((r > 0.0) & (h > 0.0) & (h <= 1.0), h,
@@ -270,6 +274,7 @@ def _bessel_terms(r, h):
         # huge r gives NaN without an overflow warning.
         r = np.where(0.5 * sqrt_h * r <= Z_MAX, r, math.nan)
     else:
+        r, h = float(r), float(h)
         if r <= 0.0 or not 0.0 < h <= 1.0:
             raise ValueError("need r > 0 and H in (0, 1]")
         sqrt_h = math.sqrt(h)
@@ -298,10 +303,10 @@ def _combination(r, h):
 def implicit_constant(r, h) -> ImplicitConstant:
     """The conserved Bessel combination at (r, H).
 
-    Floats give Python numbers and raise ValueError at a refused sample
-    (see `_bessel_terms`) or where the I-combination vanishes.  Arrays
-    broadcast, elementwise with the same bits as the float path, and give
-    NaN at those points instead.
+    A point (r and H 0-d) gives Python numbers and raises ValueError at a
+    refused sample (see `_bessel_terms`) or where the I-combination
+    vanishes.  Sequences and arrays broadcast, elementwise with the same
+    bits as a point, and give NaN at those points instead.
     """
     num, den = _combination(r, h)
     if isinstance(num, np.ndarray):
@@ -319,11 +324,11 @@ def implicit_constant(r, h) -> ImplicitConstant:
 def implicit_residual(c_effective: float, r, h):
     """Scaled residual of the implicit relation at (r, H) for a given C.
 
-    Elementwise on arrays of r and H, NaN at refused points.  Every term
-    is divided by max(1, |C|): the ratio stays the same (bit for bit for
-    |C| <= 1), and the C terms of any finite C stay in the float range.
-    Terms that still leave it give NaN, on arrays without a numpy
-    warning."""
+    Elementwise on sequences and arrays of r and H, NaN at refused
+    points.  Every term is divided by max(1, |C|): the ratio stays the
+    same (bit for bit for |C| <= 1), and the C terms of any finite C stay
+    in the float range.  Terms that still leave it give NaN, on arrays
+    without a numpy warning."""
     a, b, q = _bessel_terms(r, h)
     scale = max(1.0, abs(c_effective))
     c = c_effective / scale
@@ -331,19 +336,6 @@ def implicit_residual(c_effective: float, r, h):
         terms = [c * a * q.i0, -c * b * q.i1,
                  a / scale * q.k0, b / scale * q.k1]
         return relative_to_terms(terms)
-
-
-def _turning_guard_event(r0: float, h0: float) -> Event:
-    rr0 = r0 * r0
-    d0 = rr0 * rr0 + 8.0 * rr0 - 64.0 * rr0 * h0 + 16.0
-    s0 = 1.0 if d0 >= 0.0 else -1.0
-
-    def g(r: float, y: Sequence[float]) -> float:
-        rr = r * r
-        d = rr * rr + 8.0 * rr - 64.0 * rr * y[0] + 16.0
-        return s0 * d / (rr * rr + 8.0 * rr + 16.0) - _GUARD_MARGIN
-
-    return Event(fn=g, direction=-1, name="turning-locus")
 
 
 def trace_h(r0: float, h0: float, r1: float,
@@ -355,12 +347,23 @@ def trace_h(r0: float, h0: float, r1: float,
     and event name say which.  h0 must lie in [0, 1], and r0 and r1 in
     (0, 1e61].
     """
+    from .integrator import Event, integrate
+
     if not 0.0 <= h0 <= 1.0:
         raise ValueError(f"need 0 <= h0 <= 1, got h0={h0!r}")
     check_radius(r0)
     check_radius(r1)
+    # The turning guard keeps the sign the locus function has at r0.
+    rr0 = r0 * r0
+    s0 = 1.0 if rr0 * rr0 + 8.0 * rr0 - 64.0 * rr0 * h0 + 16.0 >= 0.0 else -1.0
+
+    def turning(r: float, y: Sequence[float]) -> float:
+        rr = r * r
+        d = rr * rr + 8.0 * rr - 64.0 * rr * y[0] + 16.0
+        return s0 * d / (rr * rr + 8.0 * rr + 16.0) - _GUARD_MARGIN
+
     events = (
-        _turning_guard_event(r0, h0),
+        Event(fn=turning, direction=-1, name="turning-locus"),
         Event(fn=lambda r, y: y[0] - 1.0, direction=1, name="h-ceiling"),
         Event(fn=lambda r, y: y[0] - 1e-15, direction=-1, name="h-floor"),
     )
@@ -412,6 +415,8 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
     along the physical curve; the result then reports reached=False with
     the traversed samples.
     """
+    from .integrator import STOP_EVENT, STOP_REACHED_END, Event, integrate
+
     check_radius(r0, "r0")
     check_radius(r_target, "r_target")
     if not 0.0 < psi0 < math.pi:

@@ -196,10 +196,11 @@ def _quad_array(z: np.ndarray) -> BesselQuad:
 def bessel_quad(z: float | np.ndarray) -> BesselQuad:
     """I0, I1, K0 and K1 at z.
 
-    A float outside (0, Z_MAX] raises ValueError; an ndarray gives the
-    values elementwise, with NaN where a float would raise.
+    A point, a 0-d z, gives floats and raises ValueError outside (0,
+    Z_MAX]; a sequence or an array gives arrays of the values
+    elementwise, with NaN where a point would raise.
     """
-    if isinstance(z, np.ndarray):
-        return _quad_array(z.astype(float, copy=False))
+    if type(z) is not float and np.ndim(z):
+        return _quad_array(np.asarray(z, dtype=float))
     return _quad_scalar(float(z))
 

@@ -1246,6 +1246,37 @@ def test_no_subcommand_loads_numpy_random_or_numpy_ma(tmp_path):
     assert proc.stdout.strip() == "['numpy']"
 
 
+@pytest.mark.parametrize("runs, loads", [
+    ([["field"], ["rho", "--grid", "4"],
+      ["implicit", "--start", "1,0.5", "--rmin", "1", "--rmax", "4",
+       "--bracket", "0.3,0.95", "--n", "8"]], False),
+    ([["trace", "--start=1,0,0", "--span", "5"]], True),
+    ([["reduce", "--start", "1,0.7854", "--target", "4"]], True),
+    ([["verify", "--only", "unit-norm"]], True)])
+def test_only_the_subcommands_that_integrate_load_the_integrator(
+        runs, loads, tmp_path):
+    # A fresh interpreter: the closed-form modules and the subcommands on
+    # them leave the integrator unloaded; each subcommand that integrates
+    # loads it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "from hopf_flow import (cli, fields, first_integral, reduced_system,\n"
+        "                       special_functions)\n"
+        "loaded = ['hopf_flow.integrator' in sys.modules]\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    out = f'{sys.argv[2]}/{k}'\n"
+        "    assert cli.main([*argv, '--out', out]) == 0, argv\n"
+        "    loaded.append('hopf_flow.integrator' in sys.modules)\n"
+        "print(loaded)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs), str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([False] * len(runs) + [loads])
+
+
 # Each count flag: the subcommand's other flags, the count's minimum and
 # the rows x columns it asks for.
 _COUNT_FLAGS = {

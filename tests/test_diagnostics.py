@@ -2,14 +2,18 @@
 
 import json
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hopf_flow import reduced_system
 from hopf_flow.diagnostics import (bracketed_roots, refine, relative_to_terms,
                                    summarize)
+from hopf_flow.first_integral import reconstruct_H, uv_table
 
 
 def test_summarize_verdict_thresholds():
@@ -327,3 +331,25 @@ def test_bracketed_roots_takes_scan_values_computed_in_one_array_pass():
                               for r, a, b in zip(every, lo, hi)]
     assert counts.tolist() == [len(r) for r in every]
     assert len(calls) <= 1 + 12
+
+
+@pytest.mark.parametrize("n_scan", [1.5, 0, -2, "8", None])
+def test_both_root_solves_refuse_a_bad_n_scan_by_name(n_scan):
+    # Each bracket with a root and one without, on a float and on an
+    # array.  n_scan = 1.5 once scanned past the bracket's end and
+    # returned a root outside it, and n_scan = 0 gave NaN rows.
+    c = reduced_system.implicit_constant(1.0, 0.5).c_effective
+    r = float(uv_table(0.2, 1.1).v.real)
+    solves = [partial(reduced_system.solve_implicit, c, radius, bracket)
+              for radius in (2.0, [2.0, 2.5])
+              for bracket in ((0.7, 0.8), (0.30, 0.42))]
+    solves += [partial(reconstruct_H, radius, 1.1, bracket=bracket)
+               for radius in (r, [r, r])
+               for bracket in ((0.14, 0.26), (0.5, 0.6))]
+    for solve in solves:
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_scan={n_scan!r}")):
+            solve(n_scan=n_scan)
+    # The same calls with n_scan = 1 solve.
+    assert solves[0](n_scan=1) == pytest.approx(0.7534637310470002)
+    assert solves[4](n_scan=1).xi_star == pytest.approx(0.2)

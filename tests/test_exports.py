@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hopf_flow
-from hopf_flow import integrator
+from hopf_flow import fields, integrator
 
 # Generated Chebyshev coefficients, imported by name.
 _GENERATED = {"_bessel_tables"}
@@ -98,7 +98,7 @@ def test_only_the_run_generator_compiles_text():
                              ("integrator", "_run_fn", "exec")]
 
 
-@integrator.inlined_field
+@fields.inlined_field
 def looped_field(t, y):
     (a,) = y
     for _ in range(2):
@@ -119,6 +119,6 @@ def test_inlined_field_refuses_what_is_not_a_module_level_def():
         return (a,)
 
     with pytest.raises(ValueError, match=r"\.nested: not a module-level def"):
-        integrator.inlined_field(nested)
+        fields.inlined_field(nested)
     with pytest.raises(ValueError, match="<lambda>: not a module-level def"):
-        integrator.inlined_field(lambda t, y: (y[0],))
+        fields.inlined_field(lambda t, y: (y[0],))

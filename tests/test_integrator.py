@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from hopf_flow import cli, diagnostics, fields, integrator, reduced_system
 from hopf_flow.diagnostics import refine
-from hopf_flow.integrator import Event, inlined_field, integrate
+from hopf_flow.fields import inlined_field
+from hopf_flow.integrator import Event, integrate
 
 
 def decay(t, y):
@@ -956,7 +957,7 @@ def test_an_edit_of_the_fields_file_after_import_changes_no_run(tmp_path):
     # above it and a changed coefficient, written after, leave the inlined
     # run on the function Python compiled.
     source = tmp_path / "edited_field.py"
-    text = ("from hopf_flow.integrator import inlined_field\n\n\n"
+    text = ("from hopf_flow.fields import inlined_field\n\n\n"
             "@inlined_field\n"
             "def field(t, y):\n"
             "    a, b = y\n"

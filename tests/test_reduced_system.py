@@ -163,6 +163,29 @@ def test_implicit_constant_domain_and_form_guards():
     assert arr.c_effective[-1] == rs.implicit_constant(600.0, 1.0).c_effective
 
 
+def test_a_point_is_every_argument_0d_and_lists_are_arrays():
+    # Lists take the array path, as solve_implicit's do; a 0-d array or
+    # a numpy scalar is a point, refused with the float's message.
+    r, h = [1.0, 2.0, -1.0], [0.5, 0.5, 0.5]
+    listed = rs.implicit_constant(r, h).c_effective
+    assert np.array_equal(listed, rs.implicit_constant(
+        np.array(r), np.array(h)).c_effective, equal_nan=True)
+    assert np.isnan(listed[2])
+    resid = rs.implicit_residual(-4.9, r[:2], h[:2])
+    assert resid.tolist() == rs.implicit_residual(
+        -4.9, np.array(r[:2]), np.array(h[:2])).tolist()
+    one = rs.implicit_constant(2.0, 0.5)
+    for point in ((np.array(2.0), 0.5), (np.float64(2.0), np.array(0.5))):
+        assert rs.implicit_constant(*point) == one
+        assert rs.implicit_residual(-4.9, *point) == rs.implicit_residual(
+            -4.9, 2.0, 0.5)
+    for point in ((np.array(2.0), 1.5), (2.0, np.array(1.5)),
+                  (np.float64(-1.0), 0.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                "need r > 0 and H in (0, 1]")):
+            rs.implicit_constant(*point)
+
+
 def test_radii_whose_terms_leave_the_float_range_are_refused():
     # z = 50 is in the Bessel range, but 4 + r^2 is not a float; at
     # r = 1e150, z = 5 and (4 + r^2) I0(z) is.
@@ -557,6 +580,9 @@ _RADIUS = st.floats(min_value=0.0, max_value=rs._R_MAX, exclude_min=True)
                                  _FINITE | st.floats(0.0, math.pi)),
                        min_size=3, max_size=8, unique_by=lambda p: p[0]))
 @example(points=[(5e-324, 0.1), (1e-323, 0.5), (1.0, 1.0)])  # dH/dr = inf
+# Pieces between psi = pi/2 crossings too short to test a point.
+@example(points=[(1.0, 1.5), (1.1, 1.6), (1.2, 1.7)])
+@example(points=[(1.0, 1.4), (1.1, 1.5), (1.2, 1.6), (1.3, 1.7)])
 def test_substitution_check_is_nan_only_where_terms_are_not_finite(points):
     radii, psis = (list(col) for col in zip(*points))
     tested = []
@@ -575,8 +601,9 @@ def test_substitution_check_is_nan_only_where_terms_are_not_finite(points):
             assert "got r=" in str(exc)
             return
     assert type(worst) is float
-    assert math.isnan(worst) == any(not math.isfinite(t)
-                                    for terms in tested for t in terms)
+    # NaN where a term is not finite, or no point was tested.
+    assert math.isnan(worst) == (not tested or any(
+        not math.isfinite(t) for terms in tested for t in terms))
 
 
 def test_substitution_check_input_validation():
@@ -620,7 +647,7 @@ def test_trace_h_stops_at_equator_ceiling():
 def test_trace_h_refuses_h0_outside_0_1_before_integrating(
         monkeypatch, r0, h0, r1):
     # Each once integrated and then raised "H left [0, 1]".
-    monkeypatch.setattr(rs, "integrate", None)
+    monkeypatch.setattr(integrator, "integrate", None)
     with pytest.raises(ValueError, match="h0="):
         rs.trace_h(r0, h0, r1)
 

@@ -275,6 +275,21 @@ def test_domain_guards():
     assert sf.bessel_quad(np.array([1e-313])).k1[0] == math.inf
 
 
+def test_a_point_is_any_0d_argument_and_a_sequence_is_an_array():
+    # A list reads as an array, with its NaN; a numpy scalar and a 0-d
+    # array read as the float, with its error.
+    listed = sf.bessel_quad([1.0, 5.0, 400.0])
+    for a, b in zip(listed, sf.bessel_quad(np.array([1.0, 5.0, 400.0]))):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.isnan(listed.i0[2])
+    for point in (np.float64(1.3), np.array(1.3)):
+        quad = sf.bessel_quad(point)
+        assert quad == sf.bessel_quad(1.3)
+        assert all(type(v) is float for v in quad)
+        with pytest.raises(ValueError, match="outside supported range"):
+            sf.bessel_quad(point * 400.0)
+
+
 def test_negative_axis_continuation_matches_oracle():
     # The implicit constant as printed carries K at -z, continued through
     # the upper half plane; mpmath's besselk at negative argument takes
