@@ -30,8 +30,8 @@ _HOME = {name: module for module, names in {
     "reduced_system": "FormSelection ImplicitConstant ReducedCurve "
                       "TurningPointError h_rhs implicit_constant "
                       "implicit_residual psi_rhs select_effective_form "
-                      "solve_implicit substitution_check trace_h "
-                      "trace_reduced turning_locus",
+                      "solve_implicit substitution_check trace_reduced "
+                      "turning_locus",
     "special_functions": "BesselQuad bessel_quad",
 }.items() for name in names.split()}
 

@@ -228,9 +228,10 @@ def _check_implicit_inversion():
 
 def _check_reduced_substitution():
     # Solve the implicit relation for H on tight radius triples, then
-    # feed each triple to the finite-difference substitution check.  Root
-    # refinement is exact to 1e-12, so the FD error is set by the triple
-    # half-width alone; anchors keep H well clear of the turning locus.
+    # feed them to the finite-difference substitution check in one call.
+    # Root refinement is exact to 1e-12, so the FD error is set by the
+    # triple half-width alone; anchors keep H well clear of the turning
+    # locus.
     # Each bracket is centred on its curve's tangent at the anchor, which
     # stays within 0.061 of the curve over r0 +- 10%, half the bracket's
     # half-width: one solve_implicit call solves every triple.
@@ -247,8 +248,8 @@ def _check_reduced_substitution():
                      for step in (-delta, 0.0, delta)]
     c1, radii, lo, hi = map(np.array, zip(*rows))
     hs = reduced_system.solve_implicit(c1, radii, (lo, hi), n_scan=8)
-    return [reduced_system.substitution_check(triple, np.arcsin(np.sqrt(h)))
-            for triple, h in zip(radii.reshape(-1, 3), hs.reshape(-1, 3))], {
+    return reduced_system.substitution_check(
+        radii.reshape(-1, 3), np.arcsin(np.sqrt(hs)).reshape(-1, 3)), {
         "curves": len(anchors), "delta": delta}
 
 
@@ -440,7 +441,7 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("pushforward-sign", _check_pushforward_sign, 1e-11),
     CheckDef("pushforward-trajectories", _check_pushforward_trajectories, 1e-7),
     CheckDef("bessel-wronskian", _check_bessel_wronskian, 1e-11),
-    CheckDef("implicit-constant", _check_implicit_constant, 1e-8),
+    CheckDef("implicit-constant", _check_implicit_constant, 1e-9),
     CheckDef("implicit-inversion", _check_implicit_inversion, 1e-9),
     CheckDef("reduced-substitution", _check_reduced_substitution, 1e-6),
     CheckDef("turning-slope", _check_turning_slope, 1e-12),

@@ -318,8 +318,7 @@ def cmd_rho(ns) -> tuple:
     header = ["xi", "psi", "rho_re", "rho_im", "u", "v", "u_im", "v_im",
               "log_chi", "pde_direct", "pde_parametric"]
     n, c2, f1 = ns.grid, ns.c2, ns.f1 or ()
-    xis = np.linspace(xi_lo, xi_hi, n) if n > 1 else np.array([xi_lo])
-    psis = np.linspace(psi_lo, psi_hi, n) if n > 1 else np.array([psi_lo])
+    xis, psis = np.linspace(xi_lo, xi_hi, n), np.linspace(psi_lo, psi_hi, n)
     # Rows run xi outer, psi inner.
     xi, psi = (g.ravel() for g in np.meshgrid(xis, psis, indexing="ij"))
     def lost_at(c2: float, f1: Sequence[float], rows=slice(None)):
@@ -413,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cartesian or spherical, whose time runs the "
                    "orbit backward (default %(default)s)")
     p.add_argument("--dense", default="0", type=_count(0, lambda n: n * 4),
-                   help="additional uniformly spaced output samples "
-                        "(default %(default)s)")
+                   help="sample DENSE + 1 uniform times from 0 to the "
+                        "run's end and add those that are not already "
+                        "rows (default %(default)s)")
 
     p = command("field", "probe the velocity field", cmd_field)
     p.add_argument("--point", action="append", type=triple,

@@ -33,7 +33,7 @@ floats, so with the same bits at about half the cost per step; below
 that, numpy's cost per call outweighs what it saves.  A field decorated
 with `fields.inlined_field` (the package's four: `fields.cartesian_ode`,
 `fields.spherical_ode`,
-`reduced_system.reduced_time_ode` and the dH/dr of `trace_h`, each an
+`reduced_system.reduced_time_ode` and the dH/dr of `_trace_h`, each an
 ordinary module-level def) has its body, read from its module's source
 as the module is imported, written into every stage in place of the
 call, over the same locals and with the same bits; where one of its

@@ -25,12 +25,12 @@ The coefficient of dH/dr vanishes on the turning locus
 H = (r^2+4)^2 / (64 r^2), reachable (H <= 1) for r in [4-2*sqrt(3),
 4+2*sqrt(3)]; there the graph H(r) folds and r-parametrized tracing must
 hand over to the two-dimensional flow, which `trace_reduced` does.  That
-planar flow, `reduced_time_ode`, and `trace_h`'s dH/dr are ordinary
-functions under the `fields.inlined_field` decorator, so `integrate`
-writes their bodies into its steps.  As in `fields`, off its domain
-each returns slopes that are not finite (dH/dr +-inf on the turning
-locus) and raises nothing.  Only `trace_h` and `trace_reduced` load the
-integrator, when called, so `implicit` and `rho` never do.
+planar flow, `reduced_time_ode`, and the dH/dr of its r-parametrized
+stretches are ordinary functions under the `fields.inlined_field`
+decorator, so `integrate` writes their bodies into its steps.  As in
+`fields`, off its domain each returns slopes that are not finite (dH/dr
++-inf on the turning locus) and raises nothing.  Only `trace_reduced`
+loads the integrator, when called, so `implicit` and `rho` never do.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ _R_AWAY_MAX = 100.0
 # span of one fold hand-over.
 _MAX_SEGMENTS = 8
 _MAX_PARAM = 50.0
-
-# Radii per curve at which select_effective_form compares the forms.
-_FORM_SAMPLES = 24
 
 # An array `_combination` costs ~0.12-0.4 ms below a few hundred points,
 # more the more Bessel region pairs they span, and a float `_gap` ~8-12 us
@@ -169,7 +166,7 @@ def psi_rhs(r: float, psi: float) -> float:
     return num / den
 
 
-# dH/dr as trace_h integrates it, at (r, H = y[0]).  On the turning locus
+# dH/dr as _trace_h integrates it, at (r, H = y[0]).  On the turning locus
 # the slope is +-inf.
 @inlined_field
 def _dh_dr(r, y):
@@ -209,49 +206,42 @@ def h_residual_terms(r: float, h: float, dh_dr: float) -> list[float]:
     ]
 
 
-def substitution_check(rs, psis) -> float:
-    """Max scaled residual of the H-form along a sampled psi(r) curve.
+def substitution_check(rs, psis):
+    """Scaled residual of the H-form at the middle radius of each triple.
 
-    H is taken as sin(psi)^2 and differentiated by central differences on
-    the given grid; the curve is split wherever psi crosses pi/2 (the
-    H-form folds there) and interior points of each piece are tested.
-    Radii outside (0, 1e61] are refused, as the slopes refuse them, and so
-    is a tested point whose three radii do not difference (two coincide).
-    The result is NaN when no piece holds three points to test, and when
-    any tested point's residual is NaN: a psi that is NaN or infinite at
-    the point or a neighbour, or terms past the float range.
+    rs and psis share one shape (..., 3): three radii of a psi(r) curve
+    and psi there.  H = sin(psi)^2, and dH/dr is the central difference
+    over the triple.  Radii outside (0, 1e61] are refused, as the slopes
+    refuse them, and so is a triple whose radii do not difference.  NaN
+    where psi changes side of pi/2 inside the triple (the H-form folds
+    there), where a psi is NaN or infinite, or where a term leaves the
+    float range.  One triple gives a float, a stack an array of shape
+    (...) with each triple's bits.
     """
     rs = np.asarray(rs, dtype=float)
     psis = np.asarray(psis, dtype=float)
-    if rs.shape != psis.shape or rs.ndim != 1 or len(rs) < 3:
-        raise ValueError("need matching 1-d arrays of length >= 3")
-    for r in rs.tolist():
-        check_radius(r)
-    # An infinite psi has no sine, and splits no curve: it is NaN here.
+    if rs.shape != psis.shape or rs.shape[-1:] != (3,):
+        raise ValueError("need rs and psis of one shape (..., 3)")
+    refused = ~((0.0 < rs) & (rs <= _R_MAX))
+    if refused.any():
+        check_radius(float(rs[refused][0]))
+    # An infinite psi has no sine: it is NaN here.
     psis = np.where(np.isinf(psis), math.nan, psis)
-    hs = np.sin(psis) ** 2
     side = np.sign(psis - math.pi / 2.0)
-    residuals = []
-    seg_start = 0
-    boundaries = list(np.nonzero(side[1:] * side[:-1] < 0)[0] + 1) + [len(rs)]
-    for seg_end in boundaries:
-        seg = slice(seg_start, seg_end)
-        r_seg, h_seg = rs[seg].tolist(), hs[seg].tolist()
-        for i in range(1, len(r_seg) - 1):
-            hp = r_seg[i + 1] - r_seg[i]
-            hm = r_seg[i] - r_seg[i - 1]
-            if hp * hm * (hp + hm) == 0.0:
-                raise ValueError(f"need three distinct radii to difference, "
-                                 f"got r={r_seg[i - 1:i + 2]!r}")
-            dh = (hm * hm * h_seg[i + 1] + (hp * hp - hm * hm) * h_seg[i]
-                  - hp * hp * h_seg[i - 1]) / (hp * hm * (hp + hm))
-            residuals.append(relative_to_terms(
-                h_residual_terms(r_seg[i], h_seg[i], dh)))
-        seg_start = seg_end
-    # max alone would keep its other argument over a NaN.
-    if not residuals or any(map(math.isnan, residuals)):
-        return math.nan
-    return max(residuals)
+    folds = (side[..., 1:] * side[..., :-1] < 0).any(axis=-1)
+    r0, r1, r2 = np.moveaxis(rs, -1, 0)
+    h0, h1, h2 = np.moveaxis(np.sin(psis) ** 2, -1, 0)
+    hp, hm = r2 - r1, r1 - r0
+    den = hp * hm * (hp + hm)
+    flat = (den == 0.0) & ~folds
+    if flat.any():
+        raise ValueError(f"need three distinct radii to difference, "
+                         f"got r={rs[flat][0].tolist()!r}")
+    with np.errstate(all="ignore"):
+        dh = (hm * hm * h2 + (hp * hp - hm * hm) * h1 - hp * hp * h0) / den
+        residual = relative_to_terms(h_residual_terms(r1, h1, dh))
+    residual = np.where(folds, math.nan, residual)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def _bessel_terms(r, h):
@@ -338,32 +328,24 @@ def implicit_residual(c_effective: float, r, h):
         return relative_to_terms(terms)
 
 
-def trace_h(r0: float, h0: float, r1: float,
-            rel_tol: float = 1e-12) -> Trajectory:
-    """Trace H(r) from (r0, h0) toward r1, stopping at guard events.
+def _locus_ratio(r: float, h: float) -> float:
+    """Zero on the turning locus, positive on its small-H side."""
+    rr = r * r
+    return ((rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0)
+            / (rr * rr + 8.0 * rr + 16.0))
 
-    Guard events: approach to the turning locus, H reaching 1 (the
-    psi = pi/2 fold), H collapsing to 0.  The trajectory's stop reason
-    and event name say which.  h0 must lie in [0, 1], and r0 and r1 in
-    (0, 1e61].
-    """
+
+def _trace_h(r0: float, h0: float, r1: float, rel_tol: float) -> Trajectory:
+    """Trace H(r) from (r0, h0) toward r1 until the turning locus nears,
+    H reaches 1 (the psi = pi/2 fold) or H collapses to 0; the
+    trajectory's event names which."""
     from .integrator import Event, integrate
 
-    if not 0.0 <= h0 <= 1.0:
-        raise ValueError(f"need 0 <= h0 <= 1, got h0={h0!r}")
-    check_radius(r0)
-    check_radius(r1)
     # The turning guard keeps the sign the locus function has at r0.
-    rr0 = r0 * r0
-    s0 = 1.0 if rr0 * rr0 + 8.0 * rr0 - 64.0 * rr0 * h0 + 16.0 >= 0.0 else -1.0
-
-    def turning(r: float, y: Sequence[float]) -> float:
-        rr = r * r
-        d = rr * rr + 8.0 * rr - 64.0 * rr * y[0] + 16.0
-        return s0 * d / (rr * rr + 8.0 * rr + 16.0) - _GUARD_MARGIN
-
+    s0 = 1.0 if _locus_ratio(r0, h0) >= 0.0 else -1.0
     events = (
-        Event(fn=turning, direction=-1, name="turning-locus"),
+        Event(fn=lambda r, y: s0 * _locus_ratio(r, y[0]) - _GUARD_MARGIN,
+              direction=-1, name="turning-locus"),
         Event(fn=lambda r, y: y[0] - 1.0, direction=1, name="h-ceiling"),
         Event(fn=lambda r, y: y[0] - 1e-15, direction=-1, name="h-floor"),
     )
@@ -397,11 +379,8 @@ def reduced_time_ode(s, y):
 
 def _fold_clearance(r: float, psi: float) -> float:
     """Positive when clear of both folds and both chart floors."""
-    rr = r * r
     h = math.sin(psi) ** 2
-    d = rr * rr + 8.0 * rr - 64.0 * rr * h + 16.0
-    d_scaled = abs(d) / (rr * rr + 8.0 * rr + 16.0)
-    return min(d_scaled, 1.0 - h, h) - _RESUME_MARGIN
+    return min(abs(_locus_ratio(r, h)), 1.0 - h, h) - _RESUME_MARGIN
 
 
 def trace_reduced(r0: float, psi0: float, r_target: float,
@@ -449,7 +428,7 @@ def trace_reduced(r0: float, psi0: float, r_target: float,
                 r_end = r_target
             else:
                 r_end = _R_AWAY_MIN if direction < 0.0 else _R_AWAY_MAX
-            traj = trace_h(r, h, r_end, rel_tol=rel_tol)
+            traj = _trace_h(r, h, r_end, rel_tol)
             upper = psi > math.pi / 2.0
             log_r_segment(traj, upper)
             r = traj.t_end
@@ -524,26 +503,26 @@ def select_effective_form(
         curves: Sequence[tuple[float, float, float]]) -> FormSelection:
     """Measure which implicit-constant form is conserved.
 
-    Traces H(r) from each (r0, h0) toward r1 and samples _FORM_SAMPLES
-    radii from r0 to where the trace ended; every sample of every curve
-    is evaluated in one array Bessel pass.  A form's spread on a curve
-    is (max - min) / |mean| of its constants there.  The form whose
-    spread is at most 1e-8 on every curve is chosen; when none or both
-    are, `chosen` is None.
+    Traces each curve from (r0, h0) toward r1 with `trace_reduced` and
+    evaluates both forms at its rows, every row of every curve in one
+    array Bessel pass; an h0 outside (0, 1] raises ValueError naming it.
+    A form's spread on a curve is (max - min) / |mean| of its constants
+    there.  The form whose spread is at most 1e-8 on every curve is
+    chosen; when none or both are, `chosen` is None.
     """
-    rs, hs = [], []
-    for r0, h0, r1 in curves:
-        traj = trace_h(r0, h0, r1)
-        r_grid = np.linspace(r0, traj.t_end, _FORM_SAMPLES)
-        rs.append(r_grid)
-        hs.append(traj.sample(r_grid)[:, 0])
-    a, b, q = _bessel_terms(np.array(rs), np.array(hs))
+    for _, h0, _ in curves:
+        if not 0.0 < h0 <= 1.0:
+            raise ValueError(f"need 0 < h0 <= 1, got h0={h0!r}")
+    traced = [trace_reduced(r0, math.asin(math.sqrt(h0)), r1)
+              for r0, h0, r1 in curves]
+    a, b, q = _bessel_terms(np.concatenate([c.rs for c in traced]),
+                            np.concatenate([c.hs for c in traced]))
     den = a * q.i0 - b * q.i1
+    cuts = np.cumsum([len(c.rs) for c in traced])[:-1]
     spreads = {}
     for form, k1_term in (("continued", b * q.k1), ("naive", -b * q.k1)):
-        vals = -(a * q.k0 + k1_term) / den
-        spreads[form] = ((vals.max(axis=1) - vals.min(axis=1))
-                         / np.abs(vals.mean(axis=1))).tolist()
+        spreads[form] = [float((v.max() - v.min()) / abs(v.mean())) for v in
+                         np.split(-(a * q.k0 + k1_term) / den, cuts)]
     conserved = [form for form, spread in spreads.items()
                  if all(s <= 1e-8 for s in spread)]
     return FormSelection(chosen=conserved[0] if len(conserved) == 1 else None,

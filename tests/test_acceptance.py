@@ -110,8 +110,8 @@ def test_A4_implicit_constant_conservation():
     ok = (sel.chosen == "continued" and worst_spread <= 1e-6
           and worst_wronskian <= 1e-10)
     _report("A4", ok,
-            f"form {sel.chosen}, constant spread {worst_spread:.3e} over 24 "
-            f"samples x 3 curves, wronskian {worst_wronskian:.3e}",
+            f"form {sel.chosen}, constant spread {worst_spread:.3e} over the "
+            f"traced rows of 3 curves, wronskian {worst_wronskian:.3e}",
             time.perf_counter() - t0, 10.0)
 
 

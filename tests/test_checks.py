@@ -156,6 +156,31 @@ def test_h_pde_states_are_reached_by_refinement_not_the_scan():
     assert np.all(np.abs(recon.xi_star - xi0) <= 1e-10)
 
 
+def test_the_h_pde_xi_zero_is_a_measured_cancellation(monkeypatch):
+    # At (xi0, psi) = (0.2, 1.1) the refined xi* is xi0 itself, and the
+    # residual's four terms (6.4811..., -12.8171..., -0.064 and 6.4)
+    # cancel exactly in floating point: the entry's 0.0 is measured, not
+    # the zero of terms that all vanish.
+    seen = []
+    relative = first_integral.relative_to_terms
+
+    def recorded(terms):
+        seen.append(terms)
+        return relative(terms)
+
+    monkeypatch.setattr(first_integral, "relative_to_terms", recorded)
+    r, psi, bracket = checks._h_pde_states()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        recon = first_integral.reconstruct_H(r, psi, bracket=bracket)
+    residual = recon.h_pde_residual("xi")
+    assert checks._H_PDE_POINTS[0].tolist() == [0.2, 1.1]
+    assert recon.xi_star[0] == 0.2 and residual[0] == 0.0
+    (terms,) = seen
+    first = [abs(np.broadcast_to(t, residual.shape)[0]) for t in terms]
+    assert len(first) == 4 and max(first) > 1.0
+
+
 # legendre-identity moves by the relative fault itself; h-pde-xi by ~3.4
 # times it, so a 1e-6 fault lands ~6.5 decades above its 1e-12 tolerance.
 @pytest.mark.parametrize("name, fault", [("legendre-identity", 1e-9),
@@ -277,7 +302,7 @@ def test_reduced_substitution_gives_a_per_triple_loops_residuals(
                  for rc in triple]
             loop.append(reduced_system.substitution_check(
                 triple, np.arcsin(np.sqrt(h))))
-    assert residuals == loop
+    assert residuals.tolist() == loop
     assert len(residuals) == 27 and 0.0 < max(residuals) <= 1e-6
 
 

@@ -179,6 +179,18 @@ def test_trace_dense_sampling_adds_rows(tmp_path):
     assert len(read_csv(dense)[1]) > len(read_csv(sparse)[1])
 
 
+def test_trace_dense_adds_the_uniform_times_that_are_not_rows(tmp_path):
+    # --dense N samples N + 1 uniform times from 0 to the end; 0 and the
+    # end are rows already, so --dense 1 adds none and --dense 2 one.
+    counts = {}
+    for dense in ("0", "1", "2", "100"):
+        out = tmp_path / f"d{dense}.csv"
+        assert run_cli("trace", "--start", "1,0,0", "--span", "5",
+                       "--dense", dense, "--out", str(out)) == 0
+        counts[dense] = len(read_csv(out)[1])
+    assert counts == {"0": 21, "1": 21, "2": 22, "100": 120}
+
+
 def test_trace_spherical_chart_and_axis_refusal(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run_cli("trace", "--start", "2,0,1.0", "--chart", "spherical",
@@ -538,7 +550,7 @@ def test_implicit_sweep_matches_traced_curve(tmp_path):
                    "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert header == ["r", "H", "resid"]
-    traj = reduced_system.trace_h(1.0, 0.5, 2.5)
+    traj = reduced_system._trace_h(1.0, 0.5, 2.5, 1e-12)
     for row in rows:
         r, h, resid = (float(c) for c in row)
         if math.isnan(h):

@@ -256,7 +256,7 @@ def _at_every_extreme(test):
 @_at_every_extreme
 def test_no_package_field_raises_on_any_float_state(t, state):
     # Off its domain a field's slopes are not finite; it never raises or
-    # warns.  trace_h's dH/dr reads r as its time.
+    # warns.  _trace_h's dH/dr reads r as its time.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for field, d in ((cartesian_ode, 3), (spherical_ode, 3),

@@ -171,7 +171,7 @@ def test_events_are_refined_from_the_flagged_step_without_a_scan(
 
     # integrate imports the refiner when an event must be located.
     monkeypatch.setattr(diagnostics, "refine", counted)
-    traj = reduced_system.trace_h(2.0, 0.4, 1.5)
+    traj = reduced_system._trace_h(2.0, 0.4, 1.5, 1e-12)
     assert (traj.stop_reason, traj.event) == ("event", "turning-locus")
     assert len(refined) == 1
     out = tmp_path / "reduce.csv"
@@ -506,7 +506,7 @@ _LEVEL = Event(fn=lambda t, y: y[0] - 0.3, direction=-1)
                        events=(_LEVEL,)),
      "event",
      "69768d09a6b514e55edcdf039ad3ca867e8cb1804692c1eb106840eeed33e53b"),
-    (lambda: reduced_system.trace_h(1.0, 0.5, 200.0),
+    (lambda: reduced_system._trace_h(1.0, 0.5, 200.0, 1e-12),
      "event",
      "8de6c25af2ded6dd9f561534f74c851fe94faa353328f4290c31fdf743be33e3"),
     (lambda: integrate(reduced_system.reduced_time_ode, [1.0, 0.7854],
@@ -551,7 +551,7 @@ def test_step_budget_is_a_stop_reason(monkeypatch):
 
 
 def test_a_run_that_no_longer_advances_stops_stalled():
-    # dH/dr across the turning locus, without trace_h's guard events: H
+    # dH/dr across the turning locus, without _trace_h's guard events: H
     # chatters on the locus near r = 8.17 at steps of ~1e-10, and each
     # window of accepted steps advances r by ~2e-7 of the span of 5.  The
     # budget alone would take ~1M steps and seconds.
@@ -839,7 +839,7 @@ _LONG_RUNS = {
                                    (0.0, -50.0)),
     "reduced-time": lambda: integrate(reduced_system.reduced_time_ode,
                                       [1.0, 0.7854], (0.0, 5.0)),
-    "dh-dr": lambda: reduced_system.trace_h(1.0, 0.5, 200.0),
+    "dh-dr": lambda: reduced_system._trace_h(1.0, 0.5, 200.0, 1e-12),
     "called": lambda: integrate(lambda t, y: (y[1], -y[0]), [1.0, 0.0],
                                 (0.0, 100.0), events=(_PAST_EVENT,)),
 }

@@ -267,7 +267,7 @@ def test_the_chain_reduce_curve_keeps_its_bits():
 
 
 def test_constant_is_conserved_along_traced_curve():
-    traj = rs.trace_h(1.0, 0.5, 4.0)
+    traj = rs._trace_h(1.0, 0.5, 4.0, 1e-12)
     assert traj.stop_reason == "reached_end"
     r_grid = np.linspace(1.0, 4.0, 25)
     vals = [rs.implicit_constant(float(r), float(traj.sample(float(r))[0]))
@@ -284,15 +284,14 @@ def test_select_effective_form_measures_and_chooses():
     # The continued form holds to round-off on every curve; the naive one
     # (K1 entering with a minus sign) drifts by O(1e-1..1).
     assert all(s <= 1e-8 for s in sel.spreads["continued"])
-    np.testing.assert_allclose(sel.spreads["naive"], [0.44, 2.27, 0.091],
+    np.testing.assert_allclose(sel.spreads["naive"], [0.414, 4.70, 0.0906],
                                rtol=1e-2)
-    # The continued spreads are those of the scalar constants, bit for bit.
+    # The continued spreads are those of the scalar constants at
+    # trace_reduced's rows, bit for bit.
     for (r0, h0, r1), spread in zip(curves, sel.spreads["continued"]):
-        traj = rs.trace_h(r0, h0, r1)
-        r_grid = np.linspace(r0, traj.t_end, 24)
-        h_grid = traj.sample(r_grid)[:, 0]
+        curve = rs.trace_reduced(r0, math.asin(math.sqrt(h0)), r1)
         vals = np.array([rs.implicit_constant(r, h).c_effective for r, h in
-                         zip(r_grid.tolist(), h_grid.tolist())])
+                         zip(curve.rs.tolist(), curve.hs.tolist())])
         assert spread == (vals.max() - vals.min()) / abs(vals.mean())
 
 
@@ -517,11 +516,9 @@ def test_substitution_check_on_tightly_sampled_solution():
 @pytest.mark.parametrize("radii, psis", [
     ([1.0, 1.1, 1.2], [math.nan] * 3),
     ([1.0, 1.1, 1.2], [0.8, math.nan, 0.9]),
-    ([1.0, 1.1, 1.2, 1.3], [0.8, 0.85, 0.9, math.nan]),
     ([1.0, 1.1, 1.2], [0.5, math.inf, 0.6]),
     ([1.0, 1.1, 1.2], [0.5, 0.6, -math.inf]),
-], ids=["all-nan", "tested-point-nan", "end-point-nan", "tested-point-inf",
-        "end-point-inf"])
+], ids=["all-nan", "tested-point-nan", "tested-point-inf", "end-point-inf"])
 def test_substitution_check_is_nan_where_a_tested_point_is(radii, psis):
     # Each returned 0.0 or the finite points' worst: max dropped the NaN.
     assert math.isnan(rs.substitution_check(radii, psis))
@@ -576,15 +573,17 @@ _RADIUS = st.floats(min_value=0.0, max_value=rs._R_MAX, exclude_min=True)
 
 
 @settings(max_examples=200, deadline=5000)
-@given(points=st.lists(st.tuples(_RADIUS | st.floats(0.5, 8.0),
-                                 _FINITE | st.floats(0.0, math.pi)),
-                       min_size=3, max_size=8, unique_by=lambda p: p[0]))
-@example(points=[(5e-324, 0.1), (1e-323, 0.5), (1.0, 1.0)])  # dH/dr = inf
-# Pieces between psi = pi/2 crossings too short to test a point.
-@example(points=[(1.0, 1.5), (1.1, 1.6), (1.2, 1.7)])
-@example(points=[(1.0, 1.4), (1.1, 1.5), (1.2, 1.6), (1.3, 1.7)])
-def test_substitution_check_is_nan_only_where_terms_are_not_finite(points):
-    radii, psis = (list(col) for col in zip(*points))
+@given(triples=st.lists(st.lists(
+    st.tuples(_RADIUS | st.floats(0.5, 8.0),
+              _FINITE | st.floats(0.0, math.pi)),
+    min_size=3, max_size=3, unique_by=lambda p: p[0]), min_size=1, max_size=6))
+@example(triples=[[(5e-324, 0.1), (1e-323, 0.5), (1.0, 1.0)]])  # dH/dr = inf
+# Triples that straddle psi = pi/2, and one that does not.
+@example(triples=[[(1.0, 1.5), (1.1, 1.6), (1.2, 1.7)],
+                  [(1.0, 1.4), (1.1, 1.5), (1.2, 1.6)],
+                  [(1.0, 1.6), (1.1, 1.7), (1.2, 1.8)]])
+def test_substitution_check_is_nan_only_where_terms_are_not_finite(triples):
+    radii, psis = np.array(triples).transpose(2, 0, 1)
     tested = []
     terms_of = rs.h_residual_terms
 
@@ -596,14 +595,56 @@ def test_substitution_check_is_nan_only_where_terms_are_not_finite(points):
         warnings.simplefilter("error")
         mp.setattr(rs, "h_residual_terms", recorded)
         try:
-            worst = rs.substitution_check(radii, psis)
+            got = rs.substitution_check(radii, psis)
         except ValueError as exc:
             assert "got r=" in str(exc)
             return
-    assert type(worst) is float
-    # NaN where a term is not finite, or no point was tested.
-    assert math.isnan(worst) == (not tested or any(
-        not math.isfinite(t) for terms in tested for t in terms))
+    assert got.shape == (len(triples),)
+    # NaN where a term is not finite, or psi changes side of pi/2.
+    (terms,) = tested
+    not_finite = ~np.isfinite(np.array(terms)).all(axis=0)
+    below, above = psis < math.pi / 2.0, psis > math.pi / 2.0
+    straddles = ((below[:, 1:] & above[:, :-1])
+                 | (above[:, 1:] & below[:, :-1])).any(axis=1)
+    assert np.array_equal(np.isnan(got), not_finite | straddles)
+
+
+def _one_triple(radii, psis):
+    """The residual of one triple formed on floats, one operation at a
+    time; None where the radii do not difference."""
+    psis = np.where(np.isinf(psis), math.nan, np.asarray(psis, float))
+    side = np.sign(psis - math.pi / 2.0)
+    if (side[1:] * side[:-1] < 0).any():
+        return math.nan
+    (r0, r1, r2), (h0, h1, h2) = radii, (np.sin(psis) ** 2).tolist()
+    hp, hm = r2 - r1, r1 - r0
+    if hp * hm * (hp + hm) == 0.0:
+        return None
+    dh = (hm * hm * h2 + (hp * hp - hm * hm) * h1
+          - hp * hp * h0) / (hp * hm * (hp + hm))
+    return relative_to_terms(rs.h_residual_terms(r1, h1, dh))
+
+
+_PSI = _FINITE | st.floats(0.0, math.pi) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, math.pi / 2.0])
+
+
+@settings(max_examples=100, deadline=5000)
+@given(stack=st.lists(st.tuples(
+    st.tuples(*[st.floats(0.5, 8.0) | _RADIUS] * 3),
+    st.tuples(*[_PSI] * 3)), min_size=1, max_size=12))
+def test_a_stack_of_triples_gives_each_triples_float_bits(stack):
+    want = [_one_triple(radii, psis) for radii, psis in stack]
+    assume(None not in want)
+    radii, psis = (np.array(col) for col in zip(*stack))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rs.substitution_check(radii, psis)
+        singles = [rs.substitution_check(r, p) for r, p in stack]
+    assert got.shape == (len(stack),)
+    assert all(type(x) is float for x in singles)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(singles, want, equal_nan=True)
 
 
 def test_substitution_check_input_validation():
@@ -622,10 +663,17 @@ def test_substitution_check_input_validation():
     for radii in ([1.0, 1.0, 1.0], [1.0, 2.0, 2.0]):
         with pytest.raises(ValueError, match=re.escape(f"got r={radii!r}")):
             rs.substitution_check(radii, [0.5] * 3)
+    # In a stack, the first refused triple is named.
+    for bad, named in (([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]),
+                       ([1.0, 2.0, 1e62], 1e62)):
+        with pytest.raises(ValueError, match=re.escape(f"got r={named!r}")):
+            rs.substitution_check([[1.0, 1.1, 1.2], bad], [[0.5] * 3] * 2)
+    with pytest.raises(ValueError, match=re.escape("shape (..., 3)")):
+        rs.substitution_check([[1.0, 1.1, 1.2, 1.3]], [[0.5] * 4])
 
 
 def test_trace_h_stops_at_turning_guard():
-    traj = rs.trace_h(2.0, 0.4, 1.5)
+    traj = rs._trace_h(2.0, 0.4, 1.5, 1e-12)
     assert traj.stop_reason == "event"
     assert traj.event == "turning-locus"
     np.testing.assert_allclose(traj.t_end, 1.9207650650284926, atol=1e-6)
@@ -634,7 +682,7 @@ def test_trace_h_stops_at_turning_guard():
 
 
 def test_trace_h_stops_at_equator_ceiling():
-    traj = rs.trace_h(1.0, 0.98, 0.5)
+    traj = rs._trace_h(1.0, 0.98, 0.5, 1e-12)
     assert traj.stop_reason == "event"
     assert traj.event == "h-ceiling"
     np.testing.assert_allclose(traj.y_end[0], 1.0, atol=1e-9)
@@ -643,27 +691,15 @@ def test_trace_h_stops_at_equator_ceiling():
 
 @pytest.mark.parametrize("r0, h0, r1", [
     (1.0, 2.0, 3.0), (1.0, -0.5, 3.0), (9.7e-46, -2.2e230, 9.7e-46),
-    (1.0, math.nan, 3.0)])
-def test_trace_h_refuses_h0_outside_0_1_before_integrating(
-        monkeypatch, r0, h0, r1):
-    # Each once integrated and then raised "H left [0, 1]".
+    (1.0, math.nan, 3.0), (1.0, 0.0, 3.0)],
+    ids=["above-1", "negative", "huge-negative", "nan", "zero"])
+def test_select_effective_form_refuses_an_h0_outside_0_1(monkeypatch, r0,
+                                                         h0, r1):
+    # Every h0 is read before any curve is traced.  Past this refusal,
+    # trace_reduced would blame psi0 or raise "math domain error".
     monkeypatch.setattr(integrator, "integrate", None)
-    with pytest.raises(ValueError, match="h0="):
-        rs.trace_h(r0, h0, r1)
-
-
-@pytest.mark.parametrize("r0, r1", [(1e62, 2.0), (1.0, math.inf),
-                                    (math.nan, 2.0)])
-def test_trace_h_takes_its_radii_through_the_radius_guard(r0, r1):
-    with pytest.raises(ValueError, match="need 0 < r <= "):
-        rs.trace_h(r0, 0.5, r1)
-
-
-def test_trace_h_rejects_nonpositive_radii():
-    with pytest.raises(ValueError):
-        rs.trace_h(-1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        rs.trace_h(1.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match=re.escape(f"got h0={h0!r}")):
+        rs.select_effective_form([(1.0, 0.5, 4.0), (r0, h0, r1)])
 
 
 def test_trace_reduced_crosses_folds_and_reaches_target():
@@ -719,7 +755,7 @@ def test_a_trial_psi_past_the_float_range_gives_nan_slopes(psi):
 
 def test_exhausted_step_budget_ends_the_trace(monkeypatch):
     monkeypatch.setattr(integrator, "MAX_STEPS", 5)
-    traj = rs.trace_h(1.0, 0.5, 4.0)
+    traj = rs._trace_h(1.0, 0.5, 4.0, 1e-12)
     assert traj.stop_reason == "max_steps" and traj.t_end < 4.0
     curve = rs.trace_reduced(1.0, math.asin(math.sqrt(0.5)), 6.0)
     assert not curve.reached
